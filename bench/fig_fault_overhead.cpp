@@ -7,10 +7,14 @@
 // Full-mode workload twice per rep: once with no fault plan (the machinery
 // compiled out of the loop) and once with an ARMED but never-firing plan
 // (rules targeting an executor the pool does not have), interleaved to
-// decorrelate host drift, taking the min over reps to denoise.
+// decorrelate host drift. One untimed warm-up call per side comes first, so
+// one-time host set-up lands on neither side.
 //
 // Gates (exit 1 on failure):
-//   * armed wall-clock overhead < 3% of the plan-free wall clock;
+//   * armed wall-clock overhead < 3%: the median over reps of the paired
+//     armed/plan-free wall ratio, printed with its interquartile range. A
+//     median over 3% by less than three standard errors is host noise the
+//     reps cannot resolve; it prints UNRESOLVED instead of failing;
 //   * armed modelled makespan BIT-EQUAL to the plan-free one (an armed
 //     plan that never fires must not perturb the schedule at all);
 //   * zero retries / losses / poisons on the armed run.
@@ -24,6 +28,7 @@
 //   fig_fault_overhead [--batch N] [--nmax N] [--reps N] [--seed N] [--out FILE]
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -104,6 +109,14 @@ Sample run_once(const std::vector<int>& sizes, const std::string& fault_spec, in
   return s;
 }
 
+/// Linearly interpolated quantile `q` of a sorted, non-empty sample.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -116,13 +129,16 @@ int main(int argc, char** argv) {
   const std::string armed_spec = "die:exec=99,after=999;hang:exec=99,chunk=0";
   const std::string faulted_spec = "seed=5;transient:rate=0.1;die:exec=2,after=2";
 
-  // Gate on the min over reps of the per-rep armed/plan-free wall ratio:
+  (void)run_once(sizes, "", 1);
+  (void)run_once(sizes, armed_spec, 1);
+
+  // Gate on the median over reps of the per-rep armed/plan-free wall ratio:
   // the two samples of a rep are adjacent in time (order alternating), so
-  // host noise bursts longer than one sample cancel out of the ratio, and
-  // the min discards the reps a burst straddled.
+  // host drift slower than one rep cancels out of each ratio. The min of the
+  // ratios would reward one lucky sample and read as negative overhead.
   Sample off, armed;
   off.wall_seconds = armed.wall_seconds = 1e300;
-  double best_ratio = 1e300;
+  std::vector<double> ratios;
   for (int rep = 0; rep < o.reps; ++rep) {
     Sample a, b;
     if (rep % 2 == 0) {
@@ -134,12 +150,17 @@ int main(int argc, char** argv) {
     }
     if (a.wall_seconds < off.wall_seconds) off = a;
     if (b.wall_seconds < armed.wall_seconds) armed = b;
-    if (a.wall_seconds > 0.0) best_ratio = std::min(best_ratio, b.wall_seconds / a.wall_seconds);
+    ratios.push_back(b.wall_seconds / a.wall_seconds);
   }
   const Sample faulted = run_once(sizes, faulted_spec, 1);
 
-  const double overhead = best_ratio - 1.0;
-  std::printf("fault machinery overhead, Gaussian batch %d, nmax %d, dpotrf, %d reps (min):\n",
+  std::sort(ratios.begin(), ratios.end());
+  const double overhead = quantile(ratios, 0.5) - 1.0;
+  const double iqr = quantile(ratios, 0.75) - quantile(ratios, 0.25);
+  // Standard error of a sample median, from the IQR as a robust spread.
+  const double median_se = 0.93 * iqr / std::sqrt(static_cast<double>(o.reps));
+  std::printf("fault machinery overhead, Gaussian batch %d, nmax %d, dpotrf, %d reps "
+              "(fastest rep per config):\n",
               o.batch, o.nmax, o.reps);
   std::printf("  %-22s %14s %14s %9s %7s %9s\n", "config", "wall ms", "modelled ms", "retries",
               "lost", "poisoned");
@@ -151,7 +172,9 @@ int main(int argc, char** argv) {
   std::printf("  %-22s %14.3f %14.3f %9d %7d %9d\n", "faulted", faulted.wall_seconds * 1e3,
               faulted.modelled_seconds * 1e3, faulted.retries, faulted.executors_lost,
               faulted.chunks_poisoned);
-  std::printf("  armed overhead: %+.2f%% (gate < 3%%)\n", overhead * 100.0);
+  std::printf("  armed overhead: %+.2f%% median of %d paired ratios, IQR %.2f%%, SE %.2f%% "
+              "(gate < 3%%)\n",
+              overhead * 100.0, o.reps, iqr * 100.0, median_se * 100.0);
 
   if (std::FILE* f = std::fopen(o.out.c_str(), "a"); f != nullptr) {
     const struct { const char* name; const Sample* s; } rows[] = {
@@ -162,19 +185,23 @@ int main(int argc, char** argv) {
                    "\"cpu,k40c,p100\", \"batch\": %d, \"nmax\": %d, \"precision\": \"d\", "
                    "\"wall_seconds\": %.9f, \"modelled_seconds\": %.9f, \"retries\": %d, "
                    "\"executors_lost\": %d, \"chunks_poisoned\": %d, "
-                   "\"armed_overhead_pct\": %.3f}\n",
+                   "\"armed_overhead_pct\": %.3f, \"armed_overhead_iqr_pct\": %.3f}\n",
                    row.name, o.batch, o.nmax, row.s->wall_seconds, row.s->modelled_seconds,
                    row.s->retries, row.s->executors_lost, row.s->chunks_poisoned,
-                   overhead * 100.0);
+                   overhead * 100.0, iqr * 100.0);
     std::fclose(f);
   } else {
     std::fprintf(stderr, "warning: could not open %s for append\n", o.out.c_str());
   }
 
   bool ok = true;
-  if (overhead >= 0.03) {
+  if (overhead >= 0.03 + 3.0 * median_se) {
     std::fprintf(stderr, "FAILED: armed fault machinery costs %.2f%% >= 3%%\n", overhead * 100.0);
     ok = false;
+  } else if (overhead >= 0.03) {
+    std::printf("UNRESOLVED: %.2f%% overhead is within 3 SE of the 3%% gate; rerun with more "
+                "--reps on a quieter host\n",
+                overhead * 100.0);
   }
   if (armed.modelled_seconds != off.modelled_seconds) {
     std::fprintf(stderr, "FAILED: armed plan perturbed the modelled makespan (%.9f != %.9f)\n",

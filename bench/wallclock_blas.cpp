@@ -137,18 +137,23 @@ double now_seconds() {
       .count();
 }
 
-// Times `fn` (which must redo the full operation each call) with enough
-// repetitions to get a stable reading; returns best seconds per call.
+// Times `fn` (which must redo the full operation each call) in windows of
+// enough repetitions to span ~5e7 flops, taking windows until ~20 ms have
+// passed (at least one); returns the best window's seconds per call. A cell
+// that runs in a few milliseconds thus gets several samples per pass.
 template <typename F>
-double time_op(double flops, int outer_reps, F&& fn) {
+double time_op(double flops, F&& fn) {
+  constexpr double kMinSeconds = 0.02;
   const int reps = std::clamp(static_cast<int>(5e7 / std::max(flops, 1.0)), 1, 20000);
+  const double start = now_seconds();
   double best = 1e300;
-  for (int rep = 0; rep < outer_reps; ++rep) {
+  for (;;) {
     const double t0 = now_seconds();
     for (int r = 0; r < reps; ++r) fn();
-    best = std::min(best, (now_seconds() - t0) / reps);
+    const double t1 = now_seconds();
+    best = std::min(best, (t1 - t0) / reps);
+    if (t1 - start >= kMinSeconds) return best;
   }
-  return best;
 }
 
 struct KernelSeries {
@@ -156,6 +161,42 @@ struct KernelSeries {
   std::vector<double> scalar_gflops;  ///< packed engine, Isa::Scalar (PR 2 engine)
   std::vector<double> blk_gflops;     ///< packed engine, active ISA + profile
 };
+
+constexpr int kPins = 3;     // ref, scalar, blk (KernelSeries member order)
+constexpr int kKernels = 4;  // gemm NN, gemm NT, syrk, trsm
+
+/// One sweep size: its operands, built once so every pass times the same
+/// inputs, and each (pin, kernel) cell's best seconds per call so far.
+struct SizeCase {
+  index_t n = 0;
+  std::vector<double> a, b, c, tri, rhs0;
+  double best[kPins][kKernels];
+};
+
+/// One timing of all four kernels on `sc` under the current pins; each
+/// cell of `best` keeps its minimum.
+void measure(SizeCase& sc, double (&best)[kKernels]) {
+  const index_t n = sc.n;
+  ConstMatrixView<double> av(sc.a.data(), n, n, n);
+  ConstMatrixView<double> bv(sc.b.data(), n, n, n);
+  MatrixView<double> cv(sc.c.data(), n, n, n);
+  ConstMatrixView<double> triv(sc.tri.data(), n, n, n);
+  const double t[kKernels] = {
+      time_op(flops::gemm(n, n, n),
+              [&] { blas::gemm<double>(Trans::NoTrans, Trans::NoTrans, 1.0, av, bv, 0.0, cv); }),
+      time_op(flops::gemm(n, n, n),
+              [&] { blas::gemm<double>(Trans::NoTrans, Trans::Trans, 1.0, av, bv, 0.0, cv); }),
+      time_op(flops::syrk(n, n),
+              [&] { blas::syrk<double>(Uplo::Lower, Trans::NoTrans, 1.0, av, 0.0, cv); }),
+      time_op(flops::trsm(n, n, false),
+              [&] {
+                sc.c = sc.rhs0;
+                blas::trsm<double>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, 1.0,
+                                   triv, cv);
+              }),
+  };
+  for (int k = 0; k < kKernels; ++k) best[k] = std::min(best[k], t[k]);
+}
 
 std::string json_array(const std::vector<double>& v) {
   std::string out = "[";
@@ -235,83 +276,76 @@ int main(int argc, char** argv) {
   for (int n : o.sizes) std::printf(" %d", n);
   std::printf(", e2e batch=%d nmax=%d, reps=%d\n", o.batch, o.nmax, o.reps);
 
-  KernelSeries gemm_nn, gemm_nt, syrk_s, trsm_s;
   Rng rng(o.seed);
+  std::vector<SizeCase> cases;
+  for (int ni : o.sizes) {
+    SizeCase sc;
+    const index_t n = sc.n = ni;
+    const std::size_t nn = static_cast<std::size_t>(n * n);
+    std::vector<double> c0(nn);
+    sc.a.resize(nn);
+    sc.b.resize(nn);
+    sc.c.resize(nn);
+    sc.tri.resize(nn);
+    sc.rhs0.resize(nn);
+    fill_general(rng, sc.a.data(), n, n, n);
+    fill_general(rng, sc.b.data(), n, n, n);
+    fill_general(rng, c0.data(), n, n, n);
+    fill_general(rng, sc.rhs0.data(), n, n, n);
+    fill_general(rng, sc.tri.data(), n, n, n);
+    MatrixView<double> triv(sc.tri.data(), n, n, n);
+    for (index_t d = 0; d < n; ++d) triv(d, d) = 4.0 + static_cast<double>(d);
+    std::fill(&sc.best[0][0], &sc.best[0][0] + kPins * kKernels, 1e300);
+    cases.push_back(std::move(sc));
+  }
 
+  // Each cell is the best of --reps passes, and every pass sweeps all sizes
+  // under all three pins back to back. The gates compare cells across pins
+  // and sizes, so a slow spell on a shared host then slows one pass of every
+  // cell alike instead of one pin's (or one size's) every timing.
+  for (int pass = 0; pass < o.reps; ++pass) {
+    for (SizeCase& sc : cases) {
+      {
+        blas::micro::DispatchGuard guard(blas::micro::Dispatch::ForceRef);
+        measure(sc, sc.best[0]);
+      }
+      {
+        // The scalar anchor: Isa::Scalar with the default profile is exactly
+        // the pre-vectorization engine. The outer ProfileGuard restores any
+        // tuned profile once the IsaGuard has switched the ISA back.
+        blas::micro::ProfileGuard pguard(blas::micro::active_profile());
+        blas::micro::IsaGuard iguard(blas::micro::Isa::Scalar);
+        blas::micro::DispatchGuard guard(blas::micro::Dispatch::ForceBlocked);
+        measure(sc, sc.best[1]);
+      }
+      {
+        blas::micro::DispatchGuard guard(blas::micro::Dispatch::ForceBlocked);
+        measure(sc, sc.best[2]);
+      }
+    }
+  }
+
+  KernelSeries gemm_nn, gemm_nt, syrk_s, trsm_s;
+  KernelSeries* const series[kKernels] = {&gemm_nn, &gemm_nt, &syrk_s, &trsm_s};
+  std::vector<double> KernelSeries::* const pins[kPins] = {
+      &KernelSeries::ref_gflops, &KernelSeries::scalar_gflops, &KernelSeries::blk_gflops};
   std::printf("  %5s | %28s | %28s | %28s | %28s\n", "n", "gemm NN ref/sc/blk Gf/s",
               "gemm NT ref/sc/blk Gf/s", "syrk ref/sc/blk Gf/s", "trsm ref/sc/blk Gf/s");
-  for (int ni : o.sizes) {
-    const index_t n = ni;
-    const std::size_t nn = static_cast<std::size_t>(n * n);
-    std::vector<double> a(nn), b(nn), c(nn), c0(nn), tri(nn), rhs0(nn);
-    fill_general(rng, a.data(), n, n, n);
-    fill_general(rng, b.data(), n, n, n);
-    fill_general(rng, c0.data(), n, n, n);
-    fill_general(rng, rhs0.data(), n, n, n);
-    fill_general(rng, tri.data(), n, n, n);
-    MatrixView<double> triv(tri.data(), n, n, n);
-    for (index_t d = 0; d < n; ++d) triv(d, d) = 4.0 + static_cast<double>(d);
-
-    ConstMatrixView<double> av(a.data(), n, n, n);
-    ConstMatrixView<double> bv(b.data(), n, n, n);
-    MatrixView<double> cv(c.data(), n, n, n);
-
-    const double gemm_flops = flops::gemm(n, n, n);
-    const double syrk_flops = flops::syrk(n, n);
-    const double trsm_flops = flops::trsm(n, n, false);
-
-    // One measurement pass of all four kernels under the current pins.
-    double t_nn, t_nt, t_sy, t_tr;
-    auto measure = [&] {
-      t_nn = time_op(gemm_flops, o.reps, [&] {
-        blas::gemm<double>(Trans::NoTrans, Trans::NoTrans, 1.0, av, bv, 0.0, cv);
-      });
-      t_nt = time_op(gemm_flops, o.reps, [&] {
-        blas::gemm<double>(Trans::NoTrans, Trans::Trans, 1.0, av, bv, 0.0, cv);
-      });
-      t_sy = time_op(syrk_flops, o.reps, [&] {
-        blas::syrk<double>(Uplo::Lower, Trans::NoTrans, 1.0, av, 0.0, cv);
-      });
-      t_tr = time_op(trsm_flops, o.reps, [&] {
-        c = rhs0;
-        blas::trsm<double>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, 1.0, triv,
-                           cv);
-      });
-    };
-    auto record = [&](std::vector<double> KernelSeries::*member) {
-      (gemm_nn.*member).push_back(gemm_flops / t_nn * 1e-9);
-      (gemm_nt.*member).push_back(gemm_flops / t_nt * 1e-9);
-      (syrk_s.*member).push_back(syrk_flops / t_sy * 1e-9);
-      (trsm_s.*member).push_back(trsm_flops / t_tr * 1e-9);
-    };
-    {
-      blas::micro::DispatchGuard guard(blas::micro::Dispatch::ForceRef);
-      measure();
-      record(&KernelSeries::ref_gflops);
-    }
-    {
-      // The scalar anchor: Isa::Scalar with the default profile is exactly
-      // the pre-vectorization engine. The outer ProfileGuard restores any
-      // tuned profile once the IsaGuard has switched the ISA back.
-      blas::micro::ProfileGuard pguard(blas::micro::active_profile());
-      blas::micro::IsaGuard iguard(blas::micro::Isa::Scalar);
-      blas::micro::DispatchGuard guard(blas::micro::Dispatch::ForceBlocked);
-      measure();
-      record(&KernelSeries::scalar_gflops);
-    }
-    {
-      blas::micro::DispatchGuard guard(blas::micro::Dispatch::ForceBlocked);
-      measure();
-      record(&KernelSeries::blk_gflops);
-    }
+  for (const SizeCase& sc : cases) {
+    const index_t n = sc.n;
+    const double kernel_flops[kKernels] = {flops::gemm(n, n, n), flops::gemm(n, n, n),
+                                           flops::syrk(n, n), flops::trsm(n, n, false)};
+    for (int p = 0; p < kPins; ++p)
+      for (int k = 0; k < kKernels; ++k)
+        (series[k]->*pins[p]).push_back(kernel_flops[k] / sc.best[p][k] * 1e-9);
     auto row = [](const KernelSeries& s) {
       static char buf[64];
       std::snprintf(buf, sizeof buf, "%8.2f/%8.2f/%8.2f", s.ref_gflops.back(),
                     s.scalar_gflops.back(), s.blk_gflops.back());
       return std::string(buf);
     };
-    std::printf("  %5d | %s | %s | %s | %s\n", ni, row(gemm_nn).c_str(), row(gemm_nt).c_str(),
-                row(syrk_s).c_str(), row(trsm_s).c_str());
+    std::printf("  %5d | %s | %s | %s | %s\n", static_cast<int>(n), row(gemm_nn).c_str(),
+                row(gemm_nt).c_str(), row(syrk_s).c_str(), row(trsm_s).c_str());
   }
 
   // Minimum double-precision gemm speedup over the n >= 64 sizes (the

@@ -11,6 +11,8 @@
 // idle draw it burns while waiting for the pool's makespan to elapse.
 #pragma once
 
+#include <cstddef>
+
 #include "vbatch/energy/power_model.hpp"
 #include "vbatch/sim/device_spec.hpp"
 #include "vbatch/sim/timeline.hpp"
@@ -25,15 +27,15 @@ struct EnergyResult {
   }
 };
 
-/// Integrates one device's power over a slice of its timeline (records with
-/// start >= t0): per-kernel active power (utilisation from achieved flops
-/// against peak) plus idle draw in the gaps between kernels. No companion
-/// device is charged — this is the per-device ∫P dt building block the
-/// multi-device meter sums.
+/// Integrates one device's power over a slice of its timeline (records from
+/// index `first_record` on with start >= t0): per-kernel active power
+/// (utilisation from achieved flops against peak) plus idle draw in the gaps
+/// between kernels. No companion device is charged — this is the per-device
+/// ∫P dt building block the multi-device meter sums.
 [[nodiscard]] EnergyResult gpu_timeline_energy(const sim::DeviceSpec& spec,
                                                const PowerModel& gpu,
                                                const sim::Timeline& timeline, Precision prec,
-                                               double t0 = 0.0);
+                                               double t0 = 0.0, std::size_t first_record = 0);
 
 /// One CPU interval at the utilisation implied by the achieved throughput.
 /// The per-device ∫P dt building block for modelled CPU executors.

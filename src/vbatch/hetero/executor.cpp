@@ -50,6 +50,7 @@ GpuExecutor::~GpuExecutor() = default;
 void GpuExecutor::begin_call(sim::ExecMode mode) {
   Executor::begin_call(mode);
   call_t0_ = queue_.time();
+  call_first_record_ = queue_.device().timeline().size();
 }
 
 int GpuExecutor::max_streams() const noexcept { return queue_.spec().max_concurrent_streams; }
@@ -113,8 +114,10 @@ void GpuExecutor::charge_fault(const std::string& what, double seconds, double s
 
 energy::EnergyResult GpuExecutor::call_energy(Precision prec, double /*busy_seconds*/,
                                               double /*flops*/) const {
+  // Only this call's records: a long-lived executor's timeline keeps every
+  // earlier call, and re-walking it would grow each call's cost with uptime.
   return energy::gpu_timeline_energy(queue_.spec(), power(), queue_.device().timeline(), prec,
-                                     call_t0_);
+                                     call_t0_, call_first_record_);
 }
 
 // --- CpuExecutor -----------------------------------------------------------

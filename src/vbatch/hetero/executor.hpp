@@ -172,6 +172,7 @@ class GpuExecutor final : public Executor {
   Queue scratch_;  ///< same spec, pinned TimingOnly — the dry-run estimator
   std::vector<int> scratch_info_;
   double call_t0_ = 0.0;  ///< device clock at begin_call (energy slice start)
+  std::size_t call_first_record_ = 0;  ///< timeline record count at begin_call
 };
 
 /// The host CPU pool as a first-class executor: numerics run through the

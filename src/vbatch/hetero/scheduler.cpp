@@ -643,14 +643,4 @@ ScheduleResult run_schedule(const ScheduleParams& params,
   return res;
 }
 
-ScheduleResult run_schedule(const ScheduleParams& params,
-                            const std::function<double(int, int)>& execute,
-                            const std::function<void(const fault::FaultEvent&)>& on_fault) {
-  return run_schedule(
-      params,
-      std::function<double(int, int, const StreamSlot&)>(
-          [&execute](int e, int c, const StreamSlot&) { return execute(e, c); }),
-      on_fault);
-}
-
 }  // namespace vbatch::hetero

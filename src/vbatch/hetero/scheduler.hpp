@@ -181,10 +181,4 @@ struct ScheduleResult {
     const std::function<double(int, int, const StreamSlot&)>& execute,
     const std::function<void(const fault::FaultEvent&)>& on_fault = {});
 
-/// Slot-blind convenience overload (single-stream scheduling in tests and
-/// callers that predate stream overlap).
-[[nodiscard]] ScheduleResult run_schedule(
-    const ScheduleParams& params, const std::function<double(int, int)>& execute,
-    const std::function<void(const fault::FaultEvent&)>& on_fault = {});
-
 }  // namespace vbatch::hetero

@@ -75,8 +75,8 @@ enum class AdmissionDecision : std::uint8_t {
 /// turn individual policies on.
 struct AdmissionConfig {
   bool enabled = false;
-  /// Pending-request watermark across the whole service (ingress queue +
-  /// coalescer). 0 = unbounded.
+  /// Pending-request watermark: admitted requests not yet dispatched.
+  /// 0 = unbounded.
   int max_queue = 0;
   /// Pending payload watermark in bytes (the footprint half of the queue
   /// bound). 0 = unbounded.
@@ -109,7 +109,7 @@ struct AdmissionConfig {
 
 /// Queue state snapshot an admission check runs against.
 struct QueueSnapshot {
-  int depth = 0;          ///< pending requests (ingress + coalescer)
+  int depth = 0;          ///< pending requests (admitted, not yet dispatched)
   double bytes = 0.0;     ///< pending payload bytes
   double flops = 0.0;     ///< pending useful flops (the backlog)
   double busy_until = 0.0;  ///< service-clock instant the pool frees up

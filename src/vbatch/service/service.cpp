@@ -6,14 +6,15 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "vbatch/core/batch.hpp"
 #include "vbatch/core/potrs_vbatched.hpp"
 #include "vbatch/hetero/executor.hpp"
-#include "vbatch/service/request_queue.hpp"
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/rng.hpp"
 
@@ -207,106 +208,183 @@ BatchRecord record_of(int id, const Coalescer::Flush& flush, const LaunchResult&
   return b;
 }
 
+/// The one dispatch engine behind both front doors. It owns the coalescer,
+/// the admission controller, batch ids, the outcome and batch logs and the
+/// queue-depth accounting, all guarded by `mutex`; replay_trace and Service
+/// only decide when to call arrive() and launch(). The modes differ in the
+/// clock alone.
+class Engine {
+ public:
+  /// Virtual: the replay's service clock. A launch takes exactly its
+  /// modelled seconds, and capacity calibrates on them. Wall: steady_clock
+  /// seconds since the engine started. A launch takes its measured host
+  /// time, and capacity calibrates on that, so live deadline admission is
+  /// judged on the clock the deadlines run on.
+  enum class Clock : std::uint8_t { Virtual, Wall };
+
+  Engine(hetero::DevicePool& pool, ServiceConfig cfg, Clock clock,
+         const std::vector<std::pair<std::string, double>>& trace_tenants = {})
+      : pool_(&pool),
+        cfg_(std::move(cfg)),
+        clock_(clock),
+        coalescer_(cfg_.coalesce),
+        admission_(resolve_admission(cfg_.admission), executor_peaks(pool)) {
+    // Trace declarations first; config weights override them.
+    for (const auto& tenants : {std::cref(trace_tenants), std::cref(cfg_.tenant_weights)})
+      for (const auto& [tenant, weight] : tenants.get()) {
+        coalescer_.set_weight(tenant, weight);
+        admission_.set_weight(tenant, weight);
+        weights_[tenant] = weight;
+      }
+  }
+
+  /// Guards all engine state (and the live Service's ticket map).
+  std::mutex mutex;
+  /// Called under `mutex` with every terminal outcome, in log order.
+  std::function<void(const RequestOutcome&)> on_resolve;
+
+  /// Wall-clock seconds since construction.
+  [[nodiscard]] double now() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_).count();
+  }
+  [[nodiscard]] double next_ready() const noexcept { return coalescer_.next_ready(); }
+  [[nodiscard]] bool idle() const noexcept { return coalescer_.empty(); }
+  /// Instant the pool frees up: the last launch's completion, or while a
+  /// launch runs, its estimated completion at the current capacity.
+  [[nodiscard]] double busy_until() const noexcept { return busy_until_; }
+
+  /// Admission at instant `t` against the backlog snapshot: an admitted
+  /// request joins the coalescer, a shed one resolves immediately with its
+  /// named rejection status.
+  void arrive(const Request& r, double t) {
+    advance(t);
+    const QueueSnapshot snap{coalescer_.depth(), coalescer_.pending_bytes(),
+                             coalescer_.pending_flops(), busy_until_};
+    const AdmissionDecision verdict = admission_.admit(r, t, snap);
+    if (verdict != AdmissionDecision::Admit) {
+      resolve(rejected_outcome(r, status_of(verdict), t));
+      return;
+    }
+    coalescer_.add(r, t);
+    peak_depth_ = std::max(peak_depth_, coalescer_.depth());
+  }
+
+  /// The most urgent flushable group at `t` (`force`: any group — drain).
+  [[nodiscard]] std::optional<Coalescer::Flush> pop(double t, bool force = false) {
+    advance(t);
+    return coalescer_.pop_ready(t, force);
+  }
+
+  /// Dispatches one flush at `t_dispatch`. Called with `lock` held on
+  /// `mutex`; the lock is released only around the launch itself.
+  void launch(std::unique_lock<std::mutex>& lock, Coalescer::Flush flush, double t_dispatch) {
+    // Deadline shedding at dispatch: drop what queued past its SLO before
+    // spending launch time on it (the shrunken launch may rescue the rest).
+    auto filtered = admission_.filter_deadlines(std::move(flush.admitted), t_dispatch);
+    for (const Request& r : filtered.dropped)
+      resolve(rejected_outcome(r, RequestStatus::RejectedDeadline, t_dispatch));
+    if (filtered.kept.empty()) return;
+    flush.admitted = std::move(filtered.kept);
+    double flops = 0.0;
+    for (const Request& r : flush.admitted) flops += r.flops();
+    busy_until_ = t_dispatch + flops / (admission_.capacity_gflops() * 1e9);
+
+    lock.unlock();
+    const LaunchResult lr = run_flush(*pool_, flush, cfg_);
+    const double seconds = clock_ == Clock::Wall ? now() - t_dispatch : lr.seconds;
+    lock.lock();
+
+    const double t_done = t_dispatch + seconds;
+    busy_until_ = t_done;
+    batch_log_.push_back(record_of(batch_seq_++, flush, lr, t_dispatch));
+    for (RequestOutcome o : lr.outcomes) {
+      o.dispatch_time = t_dispatch;
+      o.complete_time = t_done;
+      o.batch_id = batch_log_.back().id;
+      resolve(std::move(o));
+    }
+    // Capacity feedback: calibrate on the launch as this clock saw it; an
+    // executor the fault layer reports permanently lost cuts the estimate
+    // and triggers one graceful-degradation shed pass over the queued
+    // backlog (lowest-weight tenants first), effective at completion.
+    admission_.observe_launch(lr.flops, seconds, lr.lost);
+    if (admission_.take_capacity_drop()) {
+      std::vector<PendingItem> backlog;
+      for (const auto& p : coalescer_.pending())
+        backlog.push_back(PendingItem{p.id, p.tenant, p.flops});
+      for (std::uint64_t id : admission_.shed_plan(backlog)) {
+        const Request victim = coalescer_.remove(id);
+        resolve(rejected_outcome(victim, RequestStatus::RejectedQueueFull, t_done));
+      }
+    }
+  }
+
+  /// The final report; moves the logs out, so call it once.
+  [[nodiscard]] ServiceReport report() {
+    ServiceReport rep;
+    rep.batch_log = std::move(batch_log_);
+    rep.outcomes = std::move(outcomes_);
+    rep.finalize(weights_);
+    rep.peak_queue_depth = peak_depth_;
+    rep.mean_queue_depth = rep.makespan > 0.0 ? depth_integral_ / rep.makespan : 0.0;
+    rep.capacity_gflops = admission_.capacity_gflops();
+    rep.admission_enabled = admission_.enabled();
+    return rep;
+  }
+
+ private:
+  /// Integrates the queue depth up to `t` (every coalescer mutation first
+  /// advances the integration point).
+  void advance(double t) {
+    depth_integral_ += coalescer_.depth() * (t - last_event_);
+    last_event_ = t;
+  }
+
+  void resolve(RequestOutcome o) {
+    outcomes_.push_back(std::move(o));
+    if (on_resolve) on_resolve(outcomes_.back());
+  }
+
+  hetero::DevicePool* pool_;
+  ServiceConfig cfg_;
+  Clock clock_;
+  std::chrono::steady_clock::time_point t0_ = std::chrono::steady_clock::now();
+  Coalescer coalescer_;
+  AdmissionController admission_;
+  std::map<std::string, double> weights_;
+  std::vector<BatchRecord> batch_log_;
+  std::vector<RequestOutcome> outcomes_;
+  int batch_seq_ = 0;
+  int peak_depth_ = 0;
+  double busy_until_ = 0.0;
+  double last_event_ = 0.0;
+  double depth_integral_ = 0.0;
+};
+
 }  // namespace
 
 ServiceReport replay_trace(hetero::DevicePool& pool, const Trace& trace,
                            const ServiceConfig& cfg) {
-  Coalescer coalescer(cfg.coalesce);
-  AdmissionController admission(resolve_admission(cfg.admission), executor_peaks(pool));
-  std::map<std::string, double> weights;
-  for (const auto& [tenant, weight] : trace.tenants) {
-    coalescer.set_weight(tenant, weight);
-    admission.set_weight(tenant, weight);
-    weights[tenant] = weight;
-  }
-  for (const auto& [tenant, weight] : cfg.tenant_weights) {
-    coalescer.set_weight(tenant, weight);
-    admission.set_weight(tenant, weight);
-    weights[tenant] = weight;
-  }
-
-  ServiceReport report;
+  Engine engine(pool, cfg, Engine::Clock::Virtual, trace.tenants);
+  std::unique_lock<std::mutex> lock(engine.mutex);
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  double pool_free = 0.0;    // single-server model: one merged launch at a time
-  double last_event = 0.0;   // queue-depth integration point
-  double depth_integral = 0.0;
   std::size_t next = 0;
-  int batch_seq = 0;
-  const auto advance = [&](double t) {
-    depth_integral += coalescer.depth() * (t - last_event);
-    last_event = t;
-  };
-
-  while (next < trace.requests.size() || !coalescer.empty()) {
+  while (next < trace.requests.size() || !engine.idle()) {
     const double t_arrival =
         next < trace.requests.size() ? trace.requests[next].submit_time : kInf;
-    // Earliest instant the pool could start the next merged launch: it must
-    // be free AND some group must be flushable.
-    const double t_dispatch = std::max(pool_free, coalescer.next_ready());
+    // Single-server model: the next merged launch starts once the pool is
+    // free AND some group is flushable. Arrivals up to that instant join
+    // the queue first — a busy pool is exactly what deepens batches.
+    const double t_dispatch = std::max(engine.busy_until(), engine.next_ready());
     if (t_arrival <= t_dispatch) {
-      // Arrivals up to the dispatch instant join the queue first — a busy
-      // pool is exactly what deepens batches under load. Admission runs at
-      // the arrival instant against the backlog snapshot; a shed request
-      // resolves immediately with its named rejection status.
-      advance(t_arrival);
-      const Request& r = trace.requests[next];
-      const QueueSnapshot snap{coalescer.depth(), coalescer.pending_bytes(),
-                               coalescer.pending_flops(), pool_free};
-      const AdmissionDecision verdict = admission.admit(r, t_arrival, snap);
-      if (verdict != AdmissionDecision::Admit) {
-        report.outcomes.push_back(rejected_outcome(r, status_of(verdict), t_arrival));
-        ++next;
-        continue;
-      }
-      coalescer.add(r, t_arrival);
-      report.peak_queue_depth = std::max(report.peak_queue_depth, coalescer.depth());
-      ++next;
+      engine.arrive(trace.requests[next++], t_arrival);
       continue;
     }
-    advance(t_dispatch);
-    auto flush = coalescer.pop_ready(t_dispatch);
+    auto flush = engine.pop(t_dispatch);
     require(flush.has_value(), "replay_trace: internal scheduling error (no ready group)");
-    // Deadline shedding at dispatch: drop what queued past its SLO before
-    // spending launch time on it (the shrunken launch may rescue the rest).
-    auto filtered = admission.filter_deadlines(std::move(flush->admitted), t_dispatch);
-    for (const Request& r : filtered.dropped)
-      report.outcomes.push_back(
-          rejected_outcome(r, RequestStatus::RejectedDeadline, t_dispatch));
-    if (filtered.kept.empty()) continue;
-    flush->admitted = std::move(filtered.kept);
-    const LaunchResult lr = run_flush(pool, *flush, cfg);
-    const double t_done = t_dispatch + lr.seconds;
-    pool_free = t_done;
-    const BatchRecord b = record_of(batch_seq++, *flush, lr, t_dispatch);
-    for (RequestOutcome o : lr.outcomes) {
-      o.dispatch_time = t_dispatch;
-      o.complete_time = t_done;
-      o.batch_id = b.id;
-      report.outcomes.push_back(std::move(o));
-    }
-    report.batch_log.push_back(b);
-    // Capacity feedback: calibrate on the observed launch; an executor the
-    // fault layer reports permanently lost cuts the estimate and triggers
-    // one graceful-degradation shed pass over the queued backlog
-    // (lowest-weight tenants first), effective at the completion instant.
-    admission.observe_launch(lr.flops, lr.seconds, lr.lost);
-    if (admission.take_capacity_drop()) {
-      std::vector<PendingItem> backlog;
-      for (const auto& p : coalescer.pending())
-        backlog.push_back(PendingItem{p.id, p.tenant, p.flops});
-      for (std::uint64_t id : admission.shed_plan(backlog)) {
-        const Request victim = coalescer.remove(id);
-        report.outcomes.push_back(
-            rejected_outcome(victim, RequestStatus::RejectedQueueFull, t_done));
-      }
-    }
+    engine.launch(lock, std::move(*flush), t_dispatch);
   }
-
-  report.finalize(weights);
-  report.mean_queue_depth = report.makespan > 0.0 ? depth_integral / report.makespan : 0.0;
-  report.capacity_gflops = admission.capacity_gflops();
-  report.admission_enabled = admission.enabled();
-  return report;
+  return engine.report();
 }
 
 // ---------------------------------------------------------------------------
@@ -332,142 +410,61 @@ bool JobTicket::done() const {
 }
 
 struct Service::Impl {
-  hetero::DevicePool* pool = nullptr;
-  ServiceConfig cfg;
-  AdmissionConfig acfg;  ///< resolved (explicit > VBATCH_ADMISSION > off)
-  RequestQueue queue;    ///< bounded by acfg.max_queue (0 = unbounded)
-  Coalescer coalescer;
-  std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
+  Engine engine;
+  /// Wakes the dispatcher: a flush became due earlier, or intake closed.
+  std::condition_variable wake;
+  // Guarded by engine.mutex:
+  std::map<std::uint64_t, std::shared_ptr<detail::TicketState>> tickets;
+  std::uint64_t next_id = 0;
+  bool closing = false;
+  std::optional<ServiceReport> report;  ///< set by the first drain()
   std::thread worker;
 
-  std::mutex mutex;  // guards tickets / results / admission across threads
-  AdmissionController admission;
-  std::map<std::uint64_t, std::shared_ptr<detail::TicketState>> tickets;
-  std::vector<BatchRecord> batch_log;
-  std::vector<RequestOutcome> outcomes;
-  std::uint64_t next_id = 0;
-  int batch_seq = 0;
-  int peak_depth = 0;  // dispatcher-only
-  // Backlog snapshot the submit-side admission check reads; the dispatcher
-  // refreshes it after every coalescer mutation (guarded by `mutex`).
-  int pending_depth = 0;
-  double pending_bytes = 0.0;
-  double pending_flops = 0.0;
-  bool drained = false;
-  ServiceReport report;
-
-  explicit Impl(hetero::DevicePool& p, ServiceConfig c)
-      : pool(&p),
-        cfg(std::move(c)),
-        acfg(resolve_admission(cfg.admission)),
-        queue(acfg.max_queue),
-        coalescer(cfg.coalesce),
-        admission(acfg, executor_peaks(p)) {
-    for (const auto& [tenant, weight] : cfg.tenant_weights) {
-      coalescer.set_weight(tenant, weight);
-      admission.set_weight(tenant, weight);
-    }
-  }
-
-  [[nodiscard]] double now() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  }
-
-  /// Records a terminal outcome and signals its ticket (launch completions
-  /// and admission rejections share this path, so a shed request's
-  /// JobTicket::wait returns instead of hanging).
-  void complete(RequestOutcome o) {
-    std::shared_ptr<detail::TicketState> to_signal;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (const auto it = tickets.find(o.id); it != tickets.end()) {
-        {
-          std::lock_guard<std::mutex> tl(it->second->mutex);
-          it->second->outcome = o;
-          it->second->done = true;
-        }
-        to_signal = it->second;
+  Impl(hetero::DevicePool& pool, ServiceConfig cfg)
+      : engine(pool, std::move(cfg), Engine::Clock::Wall) {
+    // Every terminal outcome (launch completion or admission rejection)
+    // signals its ticket, so a shed request's wait() returns too.
+    engine.on_resolve = [this](const RequestOutcome& o) {
+      const auto it = tickets.find(o.id);
+      if (it == tickets.end()) return;
+      detail::TicketState& st = *it->second;
+      {
+        std::lock_guard<std::mutex> tl(st.mutex);
+        st.outcome = o;
+        st.done = true;
       }
-      outcomes.push_back(std::move(o));
-    }
-    if (to_signal) to_signal->cv.notify_all();
+      st.cv.notify_all();
+    };
   }
 
-  void refresh_backlog() {
-    std::lock_guard<std::mutex> lock(mutex);
-    pending_depth = coalescer.depth();
-    pending_bytes = coalescer.pending_bytes();
-    pending_flops = coalescer.pending_flops();
-  }
-
-  void dispatch(Coalescer::Flush flush) {
-    const double t_dispatch = now();
-    AdmissionController::Filtered filtered;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      filtered = admission.filter_deadlines(std::move(flush.admitted), t_dispatch);
-    }
-    for (const Request& r : filtered.dropped)
-      complete(rejected_outcome(r, RequestStatus::RejectedDeadline, t_dispatch));
-    if (filtered.kept.empty()) return;
-    flush.admitted = std::move(filtered.kept);
-    const LaunchResult lr = run_flush(*pool, flush, cfg);
-    const double t_done = now();
-    const BatchRecord b = [&] {
-      std::lock_guard<std::mutex> lock(mutex);
-      batch_log.push_back(record_of(batch_seq++, flush, lr, t_dispatch));
-      admission.observe_launch(lr.flops, lr.seconds, lr.lost);
-      return batch_log.back();
-    }();
-    for (RequestOutcome o : lr.outcomes) {
-      o.dispatch_time = t_dispatch;
-      o.complete_time = t_done;
-      o.batch_id = b.id;
-      complete(std::move(o));
-    }
-  }
-
-  /// One graceful-degradation shed pass after a capacity drop: victims are
-  /// removed from the coalescer (dispatcher-owned) and resolved with the
-  /// queue-full rejection status.
-  void shed_after_drop() {
-    bool dropped;
-    std::vector<PendingItem> backlog;
-    for (const auto& p : coalescer.pending())
-      backlog.push_back(PendingItem{p.id, p.tenant, p.flops});
-    std::vector<std::uint64_t> plan;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      dropped = admission.take_capacity_drop();
-      if (dropped) plan = admission.shed_plan(backlog);
-    }
-    const double t = now();
-    for (std::uint64_t id : plan) {
-      const Request victim = coalescer.remove(id);
-      complete(rejected_outcome(victim, RequestStatus::RejectedQueueFull, t));
-    }
-  }
-
+  /// The dispatcher: launch whatever is due, else sleep until the next
+  /// flush is due or a submit makes one due earlier. Closing flushes the
+  /// rest and exits.
   void loop() {
+    std::unique_lock<std::mutex> lock(engine.mutex);
     for (;;) {
-      // Sleep until the next flush is due (bounded so close() is noticed).
-      double timeout = 0.05;
-      const double ready = coalescer.next_ready();
-      if (std::isfinite(ready)) timeout = std::min(timeout, std::max(0.0, ready - now()));
-      std::vector<Request> incoming = queue.wait_drain(timeout);
-      const bool closing = queue.closed();
-      const double t = now();
-      for (Request& r : incoming) coalescer.add(std::move(r), t);
-      peak_depth = std::max(peak_depth, coalescer.depth());
-      refresh_backlog();
-      const bool force = closing && queue.depth() == 0;
-      while (auto flush = coalescer.pop_ready(now(), force)) {
-        dispatch(std::move(*flush));
-        shed_after_drop();
-        refresh_backlog();
+      const double t = engine.now();
+      if (auto flush = engine.pop(t, closing)) {
+        engine.launch(lock, std::move(*flush), t);
+        continue;
       }
-      if (closing && queue.depth() == 0 && coalescer.empty()) return;
+      if (closing) return;
+      const double ready = engine.next_ready();
+      const auto sooner = [&] { return closing || engine.next_ready() < ready; };
+      if (std::isfinite(ready))
+        wake.wait_for(lock, std::chrono::duration<double>(ready - t), sooner);
+      else
+        wake.wait(lock, sooner);
     }
+  }
+
+  void close() {
+    {
+      std::lock_guard<std::mutex> lock(engine.mutex);
+      closing = true;
+    }
+    wake.notify_one();
+    if (worker.joinable()) worker.join();
   }
 };
 
@@ -476,39 +473,29 @@ Service::Service(hetero::DevicePool& pool, ServiceConfig cfg)
   impl_->worker = std::thread([impl = impl_.get()] { impl->loop(); });
 }
 
-Service::~Service() {
-  impl_->queue.close();
-  if (impl_->worker.joinable()) impl_->worker.join();
-}
+Service::~Service() { impl_->close(); }
 
 JobTicket Service::submit(Request r) {
   auto state = std::make_shared<detail::TicketState>();
-  r.submit_time = impl_->now();
-  RequestStatus rejection = RequestStatus::Pending;
+  Engine& engine = impl_->engine;
+  bool earlier = false;
   {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    require(!impl_->drained, "Service: submit after drain");
+    std::lock_guard<std::mutex> lock(engine.mutex);
+    require(!impl_->closing, "Service: submit after drain");
     if (r.id == 0) r.id = ++impl_->next_id;
     else impl_->next_id = std::max(impl_->next_id, r.id);
+    state->id = r.id;
     if (!impl_->tickets.emplace(r.id, state).second)
       throw_error(Status::InvalidArgument,
                   "Service: duplicate request id " + std::to_string(r.id));
-    // Admission at the submit instant: the backlog snapshot covers the
-    // ingress queue plus the dispatcher's coalescer state.
-    const QueueSnapshot snap{impl_->queue.depth() + impl_->pending_depth,
-                             impl_->pending_bytes, impl_->pending_flops, r.submit_time};
-    const AdmissionDecision verdict = impl_->admission.admit(r, r.submit_time, snap);
-    if (verdict != AdmissionDecision::Admit) rejection = status_of(verdict);
+    // Admission runs here, at the submit instant, against the same backlog
+    // the dispatcher drains, so the watermark counts every pending request.
+    r.submit_time = engine.now();
+    const double due = engine.next_ready();
+    engine.arrive(r, r.submit_time);
+    earlier = engine.next_ready() < due;
   }
-  state->id = r.id;
-  if (rejection == RequestStatus::Pending) {
-    // Bounded ingress: a full queue sheds (non-blocking) rather than
-    // stalling the submitter — the ticket resolves with QueueFull below.
-    if (impl_->queue.try_submit(r) == Status::QueueFull)
-      rejection = RequestStatus::RejectedQueueFull;
-  }
-  if (rejection != RequestStatus::Pending)
-    impl_->complete(rejected_outcome(r, rejection, r.submit_time));
+  if (earlier) impl_->wake.notify_one();
   return JobTicket(state);
 }
 
@@ -521,23 +508,10 @@ RequestOutcome Service::wait(const JobTicket& ticket) const {
 }
 
 ServiceReport Service::drain() {
-  impl_->queue.close();
-  if (impl_->worker.joinable()) impl_->worker.join();
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  if (!impl_->drained) {
-    ServiceReport report;
-    report.batch_log = impl_->batch_log;
-    report.outcomes = impl_->outcomes;
-    std::map<std::string, double> weights(impl_->cfg.tenant_weights.begin(),
-                                          impl_->cfg.tenant_weights.end());
-    report.finalize(weights);
-    report.peak_queue_depth = impl_->peak_depth;
-    report.capacity_gflops = impl_->admission.capacity_gflops();
-    report.admission_enabled = impl_->admission.enabled();
-    impl_->report = std::move(report);
-    impl_->drained = true;
-  }
-  return impl_->report;
+  impl_->close();
+  std::lock_guard<std::mutex> lock(impl_->engine.mutex);
+  if (!impl_->report) impl_->report = impl_->engine.report();
+  return *impl_->report;
 }
 
 }  // namespace vbatch::service

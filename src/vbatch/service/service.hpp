@@ -1,7 +1,7 @@
 // vbatch::service — the long-running batch service front-end
 // (docs/service.md).
 //
-// Two front doors over the same engine:
+// Two front doors over one dispatch engine:
 //
 //   * replay_trace: the scripted virtual-time mode. Arrivals come from a
 //     Trace, the clock is the deterministic service clock (a single-server
@@ -11,19 +11,24 @@
 //     (trace, config, pool). This is the mode the determinism sweeps,
 //     benches and CI gates run.
 //
-//   * Service: the wall-clock mode. Real threads submit() requests and
-//     block on JobTickets while a dispatcher thread coalesces and launches
-//     merged batches on the pool. Same coalescer, same fairness, same
-//     demux — but timestamps are wall seconds, so only the numerics (not
-//     the timings) are reproducible.
+//   * Service: the wall-clock mode. submit() runs admission and queues the
+//     request on the caller's thread; a dispatcher thread launches merged
+//     batches as they fall due, and callers block on JobTickets.
+//     Timestamps, launch durations and the admission capacity estimate are
+//     all wall seconds, so only the numerics (not the timings) are
+//     reproducible.
 //
-// The engine itself: pop a Coalescer flush, concatenate the admitted
-// requests into one variable-size Batch (payloads seeded per request, so a
-// request's bits never depend on its launch-mates), run the heterogeneous
-// potrf (plus the vbatched triangular solve for posv requests), then demux
-// per-request info slices, energy shares and payload bytes back to the
-// requests. Faults poison only the requests whose matrices were lost —
-// everything else in the merged launch completes normally.
+// The engine (docs/service.md, "Engine and clocks") owns the coalescer, the
+// admission controller and the batch and outcome logs; the modes differ
+// only in the clock. Each launch pops a Coalescer flush, drops requests
+// whose deadline has already passed, concatenates the rest into one
+// variable-size Batch (payloads seeded per request, so a request's bits
+// never depend on its launch-mates), runs the heterogeneous potrf (plus the
+// vbatched triangular solve for posv requests), then demuxes per-request
+// info slices, energy shares and payload bytes back to the requests and
+// feeds the launch's throughput back into admission. Faults poison only the
+// requests whose matrices were lost — everything else in the merged launch
+// completes normally.
 #pragma once
 
 #include <cstdint>
@@ -88,8 +93,8 @@ class JobTicket {
   std::shared_ptr<detail::TicketState> state_;
 };
 
-/// The live, wall-clock service: a dispatcher thread owns the pool and the
-/// coalescer; any number of client threads submit() and wait(). Lifecycle:
+/// The live, wall-clock service: a dispatcher thread launches merged batches
+/// on the pool; any number of client threads submit() and wait(). Lifecycle:
 /// construct → submit/wait from anywhere → drain() once (flushes what is
 /// pending, stops the dispatcher, returns the report).
 class Service {
@@ -100,8 +105,9 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   /// Thread-safe. Stamps the request's submit_time with the service wall
-  /// clock; id 0 auto-assigns the next free id. Duplicate ids and
-  /// submissions after drain() raise Status::InvalidArgument.
+  /// clock and runs admission at once: a shed request's ticket is already
+  /// resolved on return. Id 0 auto-assigns the next free id. Duplicate ids
+  /// and submissions after drain() raise Status::InvalidArgument.
   [[nodiscard]] JobTicket submit(Request r);
 
   /// Blocks until the ticket's request completes; returns its outcome.

@@ -12,7 +12,6 @@ const char* to_string(Status s) noexcept {
     case Status::NotSupported: return "not supported";
     case Status::InternalError: return "internal error";
     case Status::DeviceLost: return "device lost";
-    case Status::QueueFull: return "queue full";
   }
   return "unknown";
 }

@@ -29,7 +29,6 @@ enum class Status {
   NotSupported,
   InternalError,
   DeviceLost,
-  QueueFull,  ///< bounded ingress queue at capacity (service overload)
 };
 
 [[nodiscard]] const char* to_string(Status s) noexcept;

@@ -1,23 +1,23 @@
 // Overload-protection tests (docs/service.md, "Overload & admission"):
 // VBATCH_ADMISSION spec parsing, token-bucket rate limiting, queue
 // watermarks, deadline feasibility (arrival + dispatch fixed point),
-// capacity feedback after executor loss, the bounded RequestQueue, ticket
-// resolution for shed wall-clock requests, and the overload replay
-// determinism sweep (burst + executor death, bit-identical shed sets and
+// capacity feedback after executor loss, live admission on the wall clock
+// (concurrent submitters against the watermark, wall-calibrated capacity
+// and deadlines), ticket resolution for shed wall-clock requests, and the
+// overload replay determinism sweep (burst + executor death, bit-identical shed sets and
 // surviving factors).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "vbatch/service/admission.hpp"
-#include "vbatch/service/request_queue.hpp"
 #include "vbatch/service/service.hpp"
 #include "vbatch/service/trace.hpp"
 #include "vbatch/util/error.hpp"
@@ -329,64 +329,67 @@ TEST(ServiceAdmissionCapacity, ShedPlanEmptyWhenBacklogFits) {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded RequestQueue (satellite: the memory-safety half)
+// Bounded backlog: the max_queue watermark bounds what submit() may queue
 // ---------------------------------------------------------------------------
 
 TEST(ServiceQueueBound, TrySubmitReturnsQueueFullWithoutEnqueueing) {
-  RequestQueue q(2);
-  EXPECT_EQ(q.capacity(), 2);
-  EXPECT_EQ(q.try_submit(make_request(1, "a", {16})), Status::Ok);
-  EXPECT_EQ(q.try_submit(make_request(2, "a", {16})), Status::Ok);
-  EXPECT_EQ(q.try_submit(make_request(3, "a", {16})), Status::QueueFull);
-  EXPECT_EQ(q.depth(), 2);  // the shed request was not enqueued
-  const auto drained = q.drain();
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0].id, 1u);
-  EXPECT_EQ(drained[1].id, 2u);
-  EXPECT_EQ(q.try_submit(make_request(3, "a", {16})), Status::Ok);  // space again
-}
-
-TEST(ServiceQueueBound, BlockingSubmitWaitsForSpace) {
-  RequestQueue q(1);
-  q.submit(make_request(1, "a", {16}));
-  std::thread blocked([&q] { q.submit(make_request(2, "a", {16})); });
-  // Let the submitter reach the wait, then free a slot.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(q.depth(), 1);
-  const auto first = q.drain();
-  blocked.join();
-  ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(first[0].id, 1u);
-  const auto second = q.drain();
-  ASSERT_EQ(second.size(), 1u);
-  EXPECT_EQ(second[0].id, 2u);
-}
-
-TEST(ServiceQueueBound, CloseWakesBlockedSubmitterWithError) {
-  RequestQueue q(1);
-  q.submit(make_request(1, "a", {16}));
-  std::atomic<bool> threw{false};
-  std::thread blocked([&q, &threw] {
-    try {
-      q.submit(make_request(2, "a", {16}));
-    } catch (const Error& e) {
-      threw = e.status() == Status::InvalidArgument;
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  blocked.join();
-  EXPECT_TRUE(threw.load());
-  EXPECT_THROW((void)q.try_submit(make_request(3, "a", {16})), Error);
-  EXPECT_EQ(q.drain().size(), 1u);  // queued work stays drainable
+  hetero::DevicePool pool = hetero::DevicePool::parse("k40c");
+  ServiceConfig cfg;
+  cfg.coalesce.latency_budget = 60.0;  // held until drain()
+  cfg.admission.enabled = true;
+  cfg.admission.max_queue = 2;
+  {
+    Service svc(pool, cfg);
+    const JobTicket first = svc.submit(make_request(1, "a", {16}));
+    const JobTicket second = svc.submit(make_request(2, "a", {16}));
+    const JobTicket third = svc.submit(make_request(3, "a", {16}));
+    EXPECT_TRUE(third.done());  // shed on the submit itself
+    EXPECT_EQ(svc.wait(third).status, RequestStatus::RejectedQueueFull);
+    EXPECT_FALSE(first.done());
+    EXPECT_FALSE(second.done());
+    const ServiceReport report = svc.drain();
+    EXPECT_EQ(report.peak_queue_depth, 2);  // the shed request was not queued
+    ASSERT_EQ(report.batch_log.size(), 1u);
+    EXPECT_EQ(report.batch_log[0].requests, 2);
+    EXPECT_EQ(svc.wait(first).status, RequestStatus::Ok);
+    EXPECT_EQ(svc.wait(second).status, RequestStatus::Ok);
+  }
+  // Once the backlog has launched there is space again: on the virtual
+  // clock, a request arriving after the first launch completes is admitted.
+  cfg.coalesce.latency_budget = 1e-3;
+  Trace trace;
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    Request r = make_request(id, "a", {16});
+    r.submit_time = id == 4 ? 1.0 : 0.0;
+    trace.requests.push_back(r);
+  }
+  const ServiceReport replay = replay_trace(pool, trace, cfg);
+  std::map<std::uint64_t, RequestStatus> status;
+  for (const RequestOutcome& o : replay.outcomes) status[o.id] = o.status;
+  EXPECT_EQ(status.at(1), RequestStatus::Ok);
+  EXPECT_EQ(status.at(2), RequestStatus::Ok);
+  EXPECT_EQ(status.at(3), RequestStatus::RejectedQueueFull);
+  EXPECT_EQ(status.at(4), RequestStatus::Ok);
 }
 
 TEST(ServiceQueueBound, UnboundedByDefault) {
-  RequestQueue q;
-  for (std::uint64_t i = 1; i <= 64; ++i)
-    EXPECT_EQ(q.try_submit(make_request(i, "a", {8})), Status::Ok);
-  EXPECT_EQ(q.depth(), 64);
-  EXPECT_THROW(RequestQueue(-1), Error);
+  hetero::DevicePool pool = hetero::DevicePool::parse("k40c");
+  // Admission off (the default), and admission on with no watermark set:
+  // neither bounds the backlog.
+  for (const bool admission : {false, true}) {
+    ServiceConfig cfg;
+    cfg.coalesce.latency_budget = 60.0;  // held until drain()
+    cfg.admission.enabled = admission;
+    Service svc(pool, cfg);
+    std::vector<JobTicket> tickets;
+    for (std::uint64_t id = 1; id <= 64; ++id)
+      tickets.push_back(svc.submit(make_request(id, "a", {8})));
+    for (const JobTicket& t : tickets) EXPECT_FALSE(t.done()) << "admission " << admission;
+    const ServiceReport report = svc.drain();
+    EXPECT_EQ(report.peak_queue_depth, 64) << "admission " << admission;
+    EXPECT_EQ(report.accepted, 64) << "admission " << admission;
+    EXPECT_EQ(report.shed, 0) << "admission " << admission;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -443,6 +446,135 @@ TEST(ServiceLiveAdmission, BoundedIngressShedsWhenDispatcherStalls) {
   EXPECT_EQ(shed, 6);
   EXPECT_EQ(report.shed, shed);
   EXPECT_EQ(report.accepted, ok);
+}
+
+TEST(ServiceLiveAdmission, ConcurrentSubmittersFillWatermarkExactly) {
+  hetero::DevicePool pool = hetero::DevicePool::parse("k40c");
+  ServiceConfig cfg;
+  cfg.coalesce.latency_budget = 60.0;  // dispatcher never flushes on its own
+  cfg.admission.enabled = true;
+  constexpr int kWatermark = 5;
+  cfg.admission.max_queue = kWatermark;
+  Service svc(pool, cfg);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 8;
+  std::vector<std::vector<JobTicket>> tickets(kThreads);
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t)
+    submitters.emplace_back([&svc, &tickets, t] {
+      for (int i = 0; i < kPerThread; ++i)
+        tickets[static_cast<std::size_t>(t)].push_back(svc.submit(make_request(0, "a", {16})));
+    });
+  for (std::thread& s : submitters) s.join();
+  // Admission and the coalescer count one backlog under one lock, so no
+  // interleaving of submitters can admit past the watermark or shed below it.
+  const ServiceReport report = svc.drain();
+  int ok = 0;
+  int shed = 0;
+  for (const auto& per_thread : tickets)
+    for (const JobTicket& t : per_thread) {
+      const RequestStatus s = svc.wait(t).status;
+      if (s == RequestStatus::Ok) ++ok;
+      if (s == RequestStatus::RejectedQueueFull) ++shed;
+    }
+  EXPECT_EQ(ok, kWatermark);
+  EXPECT_EQ(shed, kThreads * kPerThread - kWatermark);
+  EXPECT_EQ(report.accepted, kWatermark);
+  EXPECT_EQ(report.peak_queue_depth, kWatermark);
+}
+
+// ---------------------------------------------------------------------------
+// Live admission on the wall clock: capacity calibrates on measured launch
+// seconds, so deadlines are judged on the clock they run on
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// One uniform launch's worth of work: every calibration launch is alike, so
+/// the capacity EWMA settles on their common wall throughput.
+Request calibration_request() { return make_request(0, "a", {128, 128, 128, 128}); }
+
+/// Admission on with no limit set: everything is admitted and every launch
+/// calibrates the capacity estimate. A zero budget launches each submit alone.
+ServiceConfig calibrating_config() {
+  ServiceConfig cfg;
+  cfg.coalesce.latency_budget = 0.0;
+  cfg.mode = sim::ExecMode::Full;
+  cfg.admission.enabled = true;
+  return cfg;
+}
+
+/// A pool whose one-time host set-up is already paid, so it does not land in
+/// the first measured launch. Its modelled throughput is several times the
+/// host's wall throughput, so the two clocks' capacity estimates differ.
+hetero::DevicePool warm_pool() {
+  hetero::DevicePool pool = hetero::DevicePool::parse("cpu,k40c,p100");
+  Trace warm;
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    Request r = calibration_request();
+    r.id = id;
+    warm.requests.push_back(r);
+  }
+  (void)replay_trace(pool, warm, calibrating_config());
+  return pool;
+}
+
+/// Closed loop: `launches` submits, each waited for before the next.
+std::vector<RequestOutcome> closed_loop(Service& svc, int launches) {
+  std::vector<RequestOutcome> out;
+  for (int i = 0; i < launches; ++i) out.push_back(svc.wait(svc.submit(calibration_request())));
+  return out;
+}
+
+}  // namespace
+
+TEST(ServiceLiveAdmission, CapacityCalibratesOnWallLaunchSeconds) {
+  hetero::DevicePool pool = warm_pool();
+  Service svc(pool, calibrating_config());
+  const auto t0 = std::chrono::steady_clock::now();
+  (void)closed_loop(svc, 40);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  const ServiceReport report = svc.drain();
+  ASSERT_EQ(report.batches, 40);
+  std::map<int, double> complete;
+  for (const RequestOutcome& o : report.outcomes) complete[o.batch_id] = o.complete_time;
+  double flops = 0.0;
+  double wall = 0.0;
+  for (const BatchRecord& b : report.batch_log) {
+    flops += b.flops;
+    wall += complete.at(b.id) - b.dispatch_time;
+  }
+  // Launches are timed on the wall clock: back to back with a zero budget,
+  // they fill most of the closed loop's elapsed time.
+  EXPECT_LT(wall, elapsed);
+  EXPECT_GT(wall, 0.25 * elapsed);
+  const double wall_gflops = flops / wall * 1e-9;
+  EXPECT_GT(report.capacity_gflops, wall_gflops / 2.0);
+  EXPECT_LT(report.capacity_gflops, wall_gflops * 2.0);
+}
+
+TEST(ServiceLiveAdmission, DeadlineBelowWallServiceTimeRejectedAtSubmit) {
+  hetero::DevicePool pool = warm_pool();
+  Service svc(pool, calibrating_config());
+  double flops = 0.0;
+  double wall = 0.0;
+  for (const RequestOutcome& o : closed_loop(svc, 40)) {
+    flops += o.flops;
+    wall += o.complete_time - o.dispatch_time;
+  }
+  // Half the request's service time at the wall throughput the launches
+  // achieved: infeasible for an estimate under twice that throughput, but
+  // feasible at the pool's modelled throughput.
+  Request r = calibration_request();
+  r.deadline = 0.5 * r.flops() * wall / flops;
+  const JobTicket ticket = svc.submit(r);
+  EXPECT_TRUE(ticket.done());  // admission ran inside submit
+  const RequestOutcome o = svc.wait(ticket);
+  EXPECT_EQ(o.status, RequestStatus::RejectedDeadline);
+  EXPECT_EQ(o.batch_id, -1);
+  EXPECT_EQ(o.complete_time, o.submit_time);
+  (void)svc.drain();
 }
 
 // ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ TEST(FaultScheduler, TransientRetriesThenSucceeds) {
   const fault::FaultPlan plan(fault::parse_fault_spec("transient:exec=0,chunk=0,times=2"));
   sp.faults = &plan;
   int executions = 0;
-  const auto res = run_schedule(sp, [&](int, int) {
+  const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) {
     ++executions;
     return 1.0;
   });
@@ -238,7 +238,7 @@ TEST(FaultScheduler, ExhaustedRetriesRedispatchToPeer) {
   sp.work_stealing = false;
   const fault::FaultPlan plan(fault::parse_fault_spec("transient:exec=0,chunk=0,times=99"));
   sp.faults = &plan;
-  const auto res = run_schedule(sp, [&](int, int) { return 1.0; });
+  const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_EQ(res.executed_by[0], 1);
   EXPECT_EQ(res.retries[0], sp.retry.max_attempts);
   EXPECT_EQ(res.chunks_poisoned, 0);
@@ -253,7 +253,7 @@ TEST(FaultScheduler, NoSurvivorPoisonsTheChunk) {
   const fault::FaultPlan plan(fault::parse_fault_spec("transient:exec=0,chunk=1,times=99"));
   sp.faults = &plan;
   int executions = 0;
-  const auto res = run_schedule(sp, [&](int, int) {
+  const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) {
     ++executions;
     return 1.0;
   });
@@ -270,7 +270,7 @@ TEST(FaultScheduler, DeathOrphansTheDequeOntoSurvivors) {
   auto sp = two_exec_params(6);
   const fault::FaultPlan plan(fault::parse_fault_spec("die:exec=0,after=1"));
   sp.faults = &plan;
-  const auto res = run_schedule(sp, [&](int, int) { return 1.0; });
+  const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_EQ(res.executors_lost, 1);
   EXPECT_EQ(res.lost[0], 1);
   EXPECT_EQ(res.chunks_run[0], 1);  // completed exactly `after` chunks
@@ -286,7 +286,7 @@ TEST(FaultScheduler, HangConvertsIntoExecutorLoss) {
   auto sp = two_exec_params(4);
   const fault::FaultPlan plan(fault::parse_fault_spec("hang:exec=0,chunk=-1"));
   sp.faults = &plan;
-  const auto res = run_schedule(sp, [&](int, int) { return 1.0; });
+  const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_EQ(res.hangs, 1);  // the watchdog fires once, then the exec is gone
   EXPECT_EQ(res.executors_lost, 1);
   EXPECT_EQ(res.lost[0], 1);
@@ -298,12 +298,12 @@ TEST(FaultScheduler, HangConvertsIntoExecutorLoss) {
 
 TEST(FaultScheduler, AttachedButSilentPlanChangesNothing) {
   auto sp = two_exec_params(8);
-  const auto clean = run_schedule(sp, [&](int, int) { return 1.0; });
+  const auto clean = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   // A plan whose rules target executors that never act must not perturb the
   // schedule — the fault-free overhead contract behind bench/fig_fault_overhead.
   const fault::FaultPlan plan(fault::parse_fault_spec("die:exec=99,after=0;hang:exec=99,chunk=0"));
   sp.faults = &plan;
-  const auto silent = run_schedule(sp, [&](int, int) { return 1.0; });
+  const auto silent = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_EQ(silent.makespan, clean.makespan);
   EXPECT_EQ(silent.chunks_run, clean.chunks_run);
   EXPECT_EQ(silent.executed_by, clean.executed_by);

@@ -364,6 +364,45 @@ TEST(HeteroEnergy, PoolEnergyCoversActiveAndIdleDevices) {
   EXPECT_LE(active, r.energy.joules);
 }
 
+TEST(HeteroEnergy, ReusedPoolCallEnergyMatchesFreshPool) {
+  // A long-lived pool's GPU timelines keep every earlier call. A call's
+  // energy integrates only the records it appended: exactly what a walk of
+  // the whole timeline from the call's start instant gives, and the same
+  // energy the call has on a fresh pool (up to the rounding of absolute
+  // record times, which sit later on the reused device clock).
+  Rng rng(67);
+  const auto sizes = gaussian_sizes(rng, 200, 256);
+  auto call = [&](DevicePool& pool) {
+    Queue q(sim::DeviceSpec::k40c(), sim::ExecMode::TimingOnly);
+    Batch<double> batch(q, sizes);
+    return potrf_vbatched_hetero<double>(pool, Uplo::Lower, batch);
+  };
+  DevicePool fresh = DevicePool::parse("cpu,k40c,p100");
+  const HeteroResult first = call(fresh);
+  DevicePool reused = DevicePool::parse("cpu,k40c,p100");
+  for (int k = 0; k < 3; ++k) (void)call(reused);
+  std::vector<double> t0;
+  for (int e = 0; e < reused.size(); ++e) t0.push_back(reused.executor(e).queue().time());
+  const HeteroResult kth = call(reused);
+
+  ASSERT_EQ(kth.executors.size(), first.executors.size());
+  for (int e = 0; e < reused.size(); ++e) {
+    const double joules = kth.executors[static_cast<std::size_t>(e)].joules;
+    if (reused.executor(e).is_gpu()) {
+      auto& gpu = static_cast<GpuExecutor&>(reused.executor(e));
+      const double whole_walk =
+          energy::gpu_timeline_energy(gpu.spec(), gpu.power(), gpu.queue().device().timeline(),
+                                      Precision::Double, t0[static_cast<std::size_t>(e)])
+              .joules;
+      EXPECT_EQ(0, std::memcmp(&joules, &whole_walk, sizeof(double))) << gpu.name();
+    }
+    const double fresh_joules = first.executors[static_cast<std::size_t>(e)].joules;
+    EXPECT_NEAR(joules, fresh_joules, 1e-12 * fresh_joules) << reused.executor(e).name();
+  }
+  EXPECT_NEAR(kth.energy.joules, first.energy.joules, 1e-12 * first.energy.joules);
+  EXPECT_DOUBLE_EQ(kth.energy.seconds, first.energy.seconds);
+}
+
 TEST(HeteroDeterminism, SameSeedSameSchedule) {
   Rng rng(61);
   const auto sizes = gaussian_sizes(rng, 400, 350);
@@ -451,7 +490,7 @@ TEST(HeteroScheduler, StealsFromBackOfMostLoadedVictim) {
   sp.estimate = {{1.0, 1.0, 1.0, 1.0}, {1.0, 1.0, 1.0, 1.0}};
   sp.executors = 2;
   std::vector<std::pair<int, int>> trace;  // (executor, chunk)
-  const auto res = run_schedule(sp, [&](int e, int c) {
+  const auto res = run_schedule(sp, [&](int e, int c, const StreamSlot&) {
     trace.emplace_back(e, c);
     return 1.0;
   });
@@ -472,7 +511,7 @@ TEST(HeteroScheduler, NoStealingLeavesPeersIdle) {
   sp.estimate = {{1.0, 1.0, 1.0}, {1.0, 1.0, 1.0}};
   sp.executors = 2;
   sp.work_stealing = false;
-  const auto res = run_schedule(sp, [&](int, int) { return 1.0; });
+  const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(res.makespan, 3.0);
   EXPECT_EQ(res.chunks_run[1], 0);
 }
@@ -483,7 +522,7 @@ TEST(HeteroScheduler, InitialClockDelaysExecutorZero) {
   sp.estimate = {{1.0, 1.0}, {1.0, 1.0}};
   sp.executors = 2;
   sp.initial_clock = {5.0, 0.0};
-  const auto res = run_schedule(sp, [&](int, int) { return 1.0; });
+  const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   // Executor 1 (clock 0) acts first, runs its chunk, then steals executor
   // 0's chunk long before executor 0's clock (5.0) comes up.
   EXPECT_EQ(res.chunks_run[0], 0);
@@ -505,7 +544,7 @@ TEST(HeteroStreams, LowOccupancyChunksOverlap) {
   sp.executors = 1;
   sp.streams = {2};
   sp.occupancy = {{0.3, 0.3}};
-  const auto res = run_schedule(sp, [&](int, int) { return 1.0; });
+  const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(res.makespan, 1.0);
   EXPECT_DOUBLE_EQ(res.busy[0], 2.0);
   EXPECT_DOUBLE_EQ(res.occupied[0], 1.0);  // the two intervals coincide
@@ -522,7 +561,7 @@ TEST(HeteroStreams, FullOccupancySerializesDespiteStreams) {
   sp.executors = 1;
   sp.streams = {2};
   sp.occupancy = {{1.0, 1.0}};
-  const auto res = run_schedule(sp, [&](int, int) { return 1.0; });
+  const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(res.makespan, 2.0);
   EXPECT_EQ(res.max_in_flight[0], 2);
 }
@@ -536,7 +575,7 @@ TEST(HeteroStreams, SingleStreamParamsReproduceClassicSchedule) {
   sp.executors = 2;
   sp.streams = {1, 1};
   sp.occupancy = {{0.2, 0.2, 0.2, 0.2}, {0.2, 0.2, 0.2, 0.2}};
-  const auto res = run_schedule(sp, [&](int, int) { return 1.0; });
+  const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(res.makespan, 2.0);
   EXPECT_EQ(res.executed_by, (std::vector<int>{0, 0, 1, 1}));
   EXPECT_EQ(res.max_in_flight[0], 1);
@@ -555,7 +594,7 @@ TEST(HeteroStreams, DeathAbortsAndRedispatchesEveryChunkInFlight) {
   const auto plan = fault::FaultPlan(fault::parse_fault_spec("die:exec=0,after=1"));
   sp.faults = &plan;
   std::vector<int> ran;  // chunks whose numerics actually committed
-  const auto res = run_schedule(sp, [&](int, int c) {
+  const auto res = run_schedule(sp, [&](int, int c, const StreamSlot&) {
     ran.push_back(c);
     return 1.0;
   });

@@ -132,7 +132,8 @@ ScheduleParams streamed_params(bool prefetch) {
 TEST(HeteroOofSchedule, SynchronousStagingSerializesTheThreeStages) {
   // No prefetch slot: each chunk's h2d → compute → d2h occupy the executor
   // end to end, so three chunks take 9 s.
-  const auto res = run_schedule(streamed_params(false), [&](int, int) { return 1.0; });
+  const auto res =
+      run_schedule(streamed_params(false), [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(res.makespan, 9.0);
   EXPECT_DOUBLE_EQ(res.busy[0], 3.0);            // compute only
   EXPECT_DOUBLE_EQ(res.h2d_seconds[0], 3.0);
@@ -150,7 +151,8 @@ TEST(HeteroOofSchedule, PrefetchDoubleBuffersTheNextChunk) {
   // One prefetch slot: chunk 1's h2d runs behind chunk 0's compute, so the
   // committed trajectory is h2d [0,1)+[1,2)+[3,4), compute [1,2)+[2,3)+
   // [4,5), d2h [2,3)+[3,4)+[5,6) — makespan 6 s instead of 9.
-  const auto res = run_schedule(streamed_params(true), [&](int, int) { return 1.0; });
+  const auto res =
+      run_schedule(streamed_params(true), [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(res.makespan, 6.0);
   EXPECT_DOUBLE_EQ(res.busy[0], 3.0);  // compute rate stayed 1.0 throughout
   EXPECT_DOUBLE_EQ(res.pipeline[0], 6.0);
@@ -174,7 +176,7 @@ TEST(HeteroOofSchedule, ArenaBudgetDelaysAdmissionUntilBytesRelease) {
   sp.d2h = {{1.0, 1.0}};
   sp.chunk_bytes = {100.0, 100.0};
   sp.arena = {150.0};
-  const auto res = run_schedule(sp, [&](int, int) { return 1.0; });
+  const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(res.staging[0][3], 3.0);
   EXPECT_DOUBLE_EQ(res.staging[1][0], 3.0);  // admission waited for the release
   EXPECT_DOUBLE_EQ(res.makespan, 6.0);
@@ -189,7 +191,7 @@ TEST(HeteroOofSchedule, ArenaBudgetDelaysAdmissionUntilBytesRelease) {
 
   // An unbounded arena (or one that fits both) admits chunk 1 at t = 1.
   sp.arena = {200.0};
-  const auto wide = run_schedule(sp, [&](int, int) { return 1.0; });
+  const auto wide = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(wide.staging[1][0], 1.0);
   EXPECT_DOUBLE_EQ(wide.makespan, 4.0);
 }
@@ -197,7 +199,8 @@ TEST(HeteroOofSchedule, ArenaBudgetDelaysAdmissionUntilBytesRelease) {
 TEST(HeteroOofSchedule, SingleChunkOverBudgetFailsLoudly) {
   ScheduleParams sp = streamed_params(true);
   sp.arena = {50.0};  // every chunk carries 100 bytes
-  const std::function<double(int, int)> unit = [](int, int) { return 1.0; };
+  const std::function<double(int, int, const StreamSlot&)> unit =
+      [](int, int, const StreamSlot&) { return 1.0; };
   EXPECT_THROW((void)run_schedule(sp, unit), vbatch::Error);
 }
 
@@ -208,14 +211,14 @@ TEST(HeteroOofSchedule, EmptyTransferRowsReplayTheResidentScheduleExactly) {
   plain.owner = {0, 0, 0, 0};
   plain.estimate = {{1.0, 1.0, 1.0, 1.0}, {1.5, 1.5, 1.5, 1.5}};
   plain.executors = 2;
-  const auto base = run_schedule(plain, [&](int, int) { return 1.0; });
+  const auto base = run_schedule(plain, [&](int, int, const StreamSlot&) { return 1.0; });
 
   ScheduleParams oof = plain;
   oof.h2d = {{}, {}};
   oof.d2h = {{}, {}};
   oof.arena = {0.0, 0.0};
   oof.prefetch = true;
-  const auto res = run_schedule(oof, [&](int, int) { return 1.0; });
+  const auto res = run_schedule(oof, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(res.makespan, base.makespan);
   EXPECT_EQ(res.executed_by, base.executed_by);
   for (std::size_t e = 0; e < base.finish.size(); ++e) {
@@ -242,9 +245,9 @@ TEST(HeteroOofSchedule, TransferBoundPipelineHidesComputeEntirely)
   sp.d2h = {{1.0, 1.0, 1.0, 1.0}};
   sp.chunk_bytes = {100.0, 100.0, 100.0, 100.0};
   sp.prefetch = true;
-  const auto fast = run_schedule(sp, [&](int, int) { return 0.1; });
+  const auto fast = run_schedule(sp, [&](int, int, const StreamSlot&) { return 0.1; });
   sp.prefetch = false;
-  const auto slow = run_schedule(sp, [&](int, int) { return 0.1; });
+  const auto slow = run_schedule(sp, [&](int, int, const StreamSlot&) { return 0.1; });
   EXPECT_GT(slow.makespan / fast.makespan, 1.5);
   // Pipeline span < busy + transfers: the overlap the ratio measures.
   EXPECT_LT(fast.pipeline[0], fast.busy[0] + fast.h2d_seconds[0] + fast.d2h_seconds[0]);
@@ -256,7 +259,7 @@ TEST(HeteroOofFault, TransientOnStreamedExecutorChargesTheStagingToo) {
   ScheduleParams sp = streamed_params(true);
   const auto plan = fault::FaultPlan(fault::parse_fault_spec("transient:exec=0,chunk=0,times=1"));
   sp.faults = &plan;
-  const auto res = run_schedule(sp, [&](int, int) { return 1.0; });
+  const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   ASSERT_EQ(res.retries_total, 1);
   ASSERT_FALSE(res.events.empty());
   const auto& ev = res.events.front();

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -14,7 +15,6 @@
 
 #include "vbatch/service/coalescer.hpp"
 #include "vbatch/service/fairness.hpp"
-#include "vbatch/service/request_queue.hpp"
 #include "vbatch/service/service.hpp"
 #include "vbatch/service/trace.hpp"
 #include "vbatch/util/error.hpp"
@@ -298,33 +298,47 @@ TEST(ServiceCoalescer, EmptyRequestRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// RequestQueue
+// Request intake: submit() queues straight into the engine's backlog, drain()
+// empties it in arrival order and closes intake, and an idle dispatcher wakes
+// on submit
 // ---------------------------------------------------------------------------
 
 TEST(ServiceRequestQueue, PushDrainClose) {
-  RequestQueue q;
-  q.push(make_request(1, "a", {8}));
-  q.push(make_request(2, "a", {8}));
-  EXPECT_EQ(q.depth(), 2);
-  const auto got = q.drain();
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0].id, 1u);
-  EXPECT_TRUE(q.drain().empty());
-  q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_THROW(q.push(make_request(3, "a", {8})), Error);
+  hetero::DevicePool pool = hetero::DevicePool::parse("k40c");
+  ServiceConfig cfg;
+  cfg.coalesce.latency_budget = 60.0;  // held until drain()
+  Service svc(pool, cfg);
+  const JobTicket first = svc.submit(make_request(1, "a", {8}));
+  const JobTicket second = svc.submit(make_request(2, "a", {8}));
+  EXPECT_FALSE(first.done());
+  EXPECT_FALSE(second.done());
+  const ServiceReport report = svc.drain();
+  ASSERT_EQ(report.outcomes.size(), 2u);
+  EXPECT_EQ(report.outcomes[0].id, 1u);
+  EXPECT_EQ(report.outcomes[1].id, 2u);
+  EXPECT_EQ(report.batches, 1);  // both pending requests left in one launch
+  EXPECT_EQ(report.peak_queue_depth, 2);
+  EXPECT_TRUE(first.done());
+  EXPECT_TRUE(second.done());
+  EXPECT_THROW((void)svc.submit(make_request(3, "a", {8})), Error);
 }
 
 TEST(ServiceRequestQueue, WaitDrainWakesOnPush) {
-  RequestQueue q;
-  std::thread producer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.push(make_request(7, "a", {8}));
-  });
-  const auto got = q.wait_drain(5.0);  // must wake well before 5 s
-  producer.join();
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].id, 7u);
+  hetero::DevicePool pool = hetero::DevicePool::parse("k40c");
+  ServiceConfig cfg;
+  cfg.coalesce.latency_budget = 0.0;  // due the instant it arrives
+  Service svc(pool, cfg);
+  // With nothing pending the dispatcher sleeps without a timeout, so only
+  // the submit's notification can start this launch before drain().
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  const JobTicket ticket = svc.submit(make_request(7, "a", {8}));
+  while (!ticket.done() && std::chrono::steady_clock::now() - t0 < std::chrono::seconds(5))
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(ticket.done());  // must wake well before 5 s
+  EXPECT_EQ(svc.wait(ticket).id, 7u);
+  EXPECT_EQ(svc.wait(ticket).status, RequestStatus::Ok);
+  (void)svc.drain();
 }
 
 // ---------------------------------------------------------------------------
