@@ -12,6 +12,11 @@
 
 namespace vbatch::hetero {
 
+DevicePool::DevicePool() {
+  if (const char* env = std::getenv("VBATCH_INJECT_FAULTS"); env != nullptr && *env != '\0')
+    faults_ = fault::FaultPlan(fault::parse_fault_spec(env));
+}
+
 Executor& DevicePool::add_gpu(const sim::DeviceSpec& spec, const energy::PowerModel& power,
                               std::string label) {
   if (label.empty()) label = spec.name;
@@ -173,6 +178,13 @@ int DevicePool::gpu_count() const noexcept {
 }
 
 bool DevicePool::has_cpu() const noexcept { return gpu_count() != size(); }
+
+const sim::DeviceSpec& DevicePool::reference_spec() const noexcept {
+  for (const auto& e : executors_)
+    if (e->is_gpu()) return static_cast<const GpuExecutor&>(*e).spec();
+  static const sim::DeviceSpec k40c = sim::DeviceSpec::k40c();
+  return k40c;
+}
 
 double DevicePool::peak_gflops(Precision prec) const noexcept {
   double total = 0.0;

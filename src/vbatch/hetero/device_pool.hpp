@@ -4,6 +4,11 @@
 // first argument of potrf_vbatched_hetero. Pools are built programmatically
 // (add_gpu / add_cpu) or parsed from the CLI's comma-separated description,
 // e.g. "cpu,k40c,p100" or "k40c,k40c" for a dual-GPU node.
+//
+// Environment knobs are read once, when the pool or executor is built:
+// VBATCH_INJECT_FAULTS seeds the pool's fault plan here, VBATCH_ARENA_GB
+// each GPU executor's default arena (executor.hpp). Calls on the pool never
+// consult the environment, and an explicit set_faults / set_arena_* wins.
 #pragma once
 
 #include <memory>
@@ -17,7 +22,10 @@ namespace vbatch::hetero {
 
 class DevicePool {
  public:
-  DevicePool() = default;
+  /// An empty pool whose fault plan is seeded from VBATCH_INJECT_FAULTS
+  /// (unset or empty = fault-free); a malformed value throws
+  /// Status::InvalidArgument.
+  DevicePool();
   DevicePool(DevicePool&&) noexcept = default;
   DevicePool& operator=(DevicePool&&) noexcept = default;
 
@@ -48,11 +56,13 @@ class DevicePool {
 
   /// Attaches a fault-injection spec (docs/robustness.md): every
   /// potrf_vbatched_hetero call on this pool runs under the given plan.
-  /// An empty spec (the default) disables injection; the
-  /// VBATCH_INJECT_FAULTS environment knob applies only when no spec was
-  /// set explicitly.
-  void set_faults(fault::FaultSpec spec) { faults_ = std::move(spec); }
-  [[nodiscard]] const fault::FaultSpec& faults() const noexcept { return faults_; }
+  /// Replaces whatever VBATCH_INJECT_FAULTS seeded at construction; an
+  /// empty spec disables injection.
+  void set_faults(fault::FaultSpec spec) { faults_ = fault::FaultPlan(std::move(spec)); }
+  [[nodiscard]] const fault::FaultSpec& faults() const noexcept { return faults_.spec(); }
+  /// The built injection oracle every call schedules against (pure, so
+  /// sharing it across calls is safe).
+  [[nodiscard]] const fault::FaultPlan& fault_plan() const noexcept { return faults_; }
 
   [[nodiscard]] int size() const noexcept { return static_cast<int>(executors_.size()); }
   [[nodiscard]] Executor& executor(int i) noexcept { return *executors_[static_cast<std::size_t>(i)]; }
@@ -61,6 +71,11 @@ class DevicePool {
   }
   [[nodiscard]] int gpu_count() const noexcept;
   [[nodiscard]] bool has_cpu() const noexcept;
+
+  /// The device hetero fronts pin their options against: the first GPU
+  /// executor's spec, else a K40c — the spec of CpuExecutor's numerics
+  /// queue, so a CPU-only pool pins what its kernels actually run on.
+  [[nodiscard]] const sim::DeviceSpec& reference_spec() const noexcept;
 
   /// Sum of the executors' nominal peaks in Gflop/s — the capacity seed of
   /// the service admission layer (docs/service.md, "Overload & admission").
@@ -73,7 +88,7 @@ class DevicePool {
 
  private:
   std::vector<std::unique_ptr<Executor>> executors_;
-  fault::FaultSpec faults_;
+  fault::FaultPlan faults_;
 };
 
 }  // namespace vbatch::hetero

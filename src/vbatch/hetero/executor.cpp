@@ -1,6 +1,7 @@
 #include "vbatch/hetero/executor.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "vbatch/cpu/cpu_batched.hpp"
 #include "vbatch/util/error.hpp"
@@ -40,9 +41,17 @@ GpuExecutor::GpuExecutor(std::string name, const sim::DeviceSpec& spec,
     : Executor(std::move(name), power),
       queue_(spec, sim::ExecMode::Full),
       scratch_(spec, sim::ExecMode::TimingOnly) {
-  // Default staging budget: the whole card. Out-of-core streaming kicks in
-  // only when the batch footprint exceeds it (or a caller shrinks it).
-  init_arena_bytes(static_cast<double>(spec.global_mem_bytes));
+  // Default staging budget: VBATCH_ARENA_GB, else the whole card.
+  // Out-of-core streaming kicks in only when the batch footprint exceeds it.
+  double bytes = static_cast<double>(spec.global_mem_bytes);
+  if (const char* env = std::getenv("VBATCH_ARENA_GB"); env != nullptr && *env != '\0') {
+    char* end = nullptr;
+    const double gb = std::strtod(env, &end);
+    require(end != env && *end == '\0' && gb > 0.0,
+            "GpuExecutor: VBATCH_ARENA_GB must be a positive number");
+    bytes = gb * 1024.0 * 1024.0 * 1024.0;
+  }
+  init_arena_bytes(bytes);
 }
 
 GpuExecutor::~GpuExecutor() = default;

@@ -43,6 +43,7 @@ struct ChunkWork {
   double flops = 0.0;        ///< useful flops of the chunk
   int max_n = 0;             ///< largest order in the chunk
   Precision prec = Precision::Double;
+  double bytes = 0.0;        ///< staged footprint each way (stored columns, lda × n)
   /// Runs the chunk's driver on `q`, writing statuses into `info` (sized
   /// like `n`). The same closure serves execution and dry-run estimation.
   std::function<double(Queue& q, std::span<int> info)> run;
@@ -95,16 +96,18 @@ class Executor {
   [[nodiscard]] virtual int max_streams() const noexcept = 0;
 
   /// Staging-arena budget for out-of-core streaming (docs/heterogeneous.md,
-  /// "Out-of-core streaming"). A GPU executor defaults to its spec's global
-  /// memory; when the batch footprint exceeds the budget the hetero driver
-  /// stages chunks through the arena instead of assuming residency. The CPU
-  /// executor works in host memory — it has no arena, and setting one
-  /// throws Status::InvalidArgument. Budgets must be positive.
+  /// "Out-of-core streaming"). A GPU executor defaults to VBATCH_ARENA_GB
+  /// (read once, at construction; a malformed value throws) or else its
+  /// spec's global memory; when the batch footprint exceeds the budget the
+  /// hetero driver stages chunks through the arena instead of assuming
+  /// residency. The CPU executor works in host memory — it has no arena,
+  /// and setting one throws Status::InvalidArgument. Budgets must be
+  /// positive.
   void set_arena_gb(double gb);
   void set_arena_bytes(double bytes);
   [[nodiscard]] double arena_bytes() const noexcept { return arena_bytes_; }
-  /// True once a caller pinned the budget (parse suffix, --arena-gb); the
-  /// driver then leaves it alone when applying VBATCH_ARENA_GB defaults.
+  /// True once a caller pinned the budget (parse suffix, --arena-gb);
+  /// describe() then prints it.
   [[nodiscard]] bool arena_explicit() const noexcept { return arena_explicit_; }
 
   /// Exact modelled cost of the chunk here: serial seconds from a
@@ -134,8 +137,7 @@ class Executor {
                                                          double flops) const = 0;
 
  protected:
-  /// GpuExecutor seeds the default budget (spec global memory) here without
-  /// marking it explicit.
+  /// GpuExecutor seeds the default budget here without marking it explicit.
   void init_arena_bytes(double bytes) noexcept { arena_bytes_ = bytes; }
 
  private:

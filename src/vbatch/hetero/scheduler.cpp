@@ -38,6 +38,32 @@ struct InFlight {
   double d2h_end = 0.0;
 };
 
+/// One executor's mutable state inside the event loop.
+struct ExecState {
+  /// Owned chunks in chunk order: front = biggest remaining chunk (chunks
+  /// follow the size-sorted batch order), back = trailing smallest — the
+  /// steal end.
+  std::deque<int> deque;
+  double clock = 0.0;  ///< dispatch clock
+  /// Per-direction DMA lane clocks: copies in one direction serialize on
+  /// their lane, the two directions are independent engines.
+  double h2d_free = 0.0;
+  double d2h_free = 0.0;
+  /// Nothing left to dispatch (reversible: re-dispatched orphans wake a
+  /// retired executor up; its in-flight chunks still commit).
+  bool retired = false;
+  bool alive = true;  ///< not permanently lost
+  int completed = 0;
+  std::vector<int> tried;     ///< per-chunk attempt counters
+  std::vector<char> gave_up;  ///< per-chunk retry-exhaustion flags
+  /// Stream slots currently holding a dispatched-but-uncommitted chunk.
+  std::vector<InFlight> fly;
+  /// Busy intervals (the occupied union) and compute + transfer intervals
+  /// (the pipeline span).
+  std::vector<std::pair<double, double>> busy_iv;
+  std::vector<std::pair<double, double>> pipe_iv;
+};
+
 /// Union length of [start, end) intervals — one executor's occupied time.
 double union_seconds(std::vector<std::pair<double, double>>& iv) {
   if (iv.empty()) return 0.0;
@@ -62,11 +88,9 @@ double union_seconds(std::vector<std::pair<double, double>>& iv) {
 ScheduleResult run_schedule(const ScheduleParams& params,
                             const std::function<double(int, int, const StreamSlot&)>& execute,
                             const std::function<void(const fault::FaultEvent&)>& on_fault) {
-  const int E = params.executors;
+  const int E = static_cast<int>(params.estimate.size());
   const int C = static_cast<int>(params.owner.size());
   require(E >= 1, "run_schedule: need at least one executor");
-  require(static_cast<int>(params.estimate.size()) == E,
-          "run_schedule: estimate rows must match executor count");
   require(params.streams.empty() || static_cast<int>(params.streams.size()) == E,
           "run_schedule: streams must be empty or match executor count");
   for (const int k : params.streams) require(k >= 1, "run_schedule: streams entries must be >= 1");
@@ -108,64 +132,29 @@ ScheduleResult run_schedule(const ScheduleParams& params,
             "run_schedule: retry policy times must be non-negative");
   }
 
-  // Owned deques in chunk order: front = biggest remaining chunk (chunks
-  // follow the size-sorted batch order), back = trailing smallest — the
-  // steal end.
-  std::vector<std::deque<int>> deque_of(static_cast<std::size_t>(E));
+  std::vector<ExecState> state(static_cast<std::size_t>(E));
+  auto st = [&](int e) -> ExecState& { return state[static_cast<std::size_t>(e)]; };
   for (int c = 0; c < C; ++c) {
     const int e = params.owner[static_cast<std::size_t>(c)];
     require(e >= 0 && e < E, "run_schedule: chunk owner out of range");
-    deque_of[static_cast<std::size_t>(e)].push_back(c);
+    st(e).deque.push_back(c);
   }
 
   ScheduleResult res;
-  res.busy.assign(static_cast<std::size_t>(E), 0.0);
-  res.finish.assign(static_cast<std::size_t>(E), 0.0);
-  res.chunks_run.assign(static_cast<std::size_t>(E), 0);
-  res.chunks_stolen.assign(static_cast<std::size_t>(E), 0);
+  res.executors.resize(static_cast<std::size_t>(E));
   res.executed_by.assign(static_cast<std::size_t>(C), -1);
-  res.occupied.assign(static_cast<std::size_t>(E), 0.0);
-  res.max_in_flight.assign(static_cast<std::size_t>(E), 0);
-  res.retries.assign(static_cast<std::size_t>(E), 0);
-  res.lost.assign(static_cast<std::size_t>(E), 0);
   res.attempts.assign(static_cast<std::size_t>(C), 0);
   res.poisoned.assign(static_cast<std::size_t>(C), 0);
-  res.h2d_seconds.assign(static_cast<std::size_t>(E), 0.0);
-  res.d2h_seconds.assign(static_cast<std::size_t>(E), 0.0);
-  res.h2d_bytes.assign(static_cast<std::size_t>(E), 0.0);
-  res.d2h_bytes.assign(static_cast<std::size_t>(E), 0.0);
-  res.pipeline.assign(static_cast<std::size_t>(E), 0.0);
   res.staging.assign(static_cast<std::size_t>(C), {0.0, 0.0, 0.0, 0.0});
-
-  std::vector<double> clock(static_cast<std::size_t>(E), 0.0);
-  for (int e = 0; e < E && e < static_cast<int>(params.initial_clock.size()); ++e)
-    clock[static_cast<std::size_t>(e)] = params.initial_clock[static_cast<std::size_t>(e)];
-  res.finish = clock;
-
-  // retired = nothing left to dispatch (reversible: re-dispatched orphans
-  // wake a retired executor up; in-flight chunks of a retired executor still
-  // commit); alive = not permanently lost.
-  std::vector<char> retired(static_cast<std::size_t>(E), 0);
-  std::vector<char> alive(static_cast<std::size_t>(E), 1);
-  std::vector<int> completed(static_cast<std::size_t>(E), 0);
-  // Per-(executor, chunk) attempt counters and retry-exhaustion flags.
-  std::vector<std::vector<int>> tried(static_cast<std::size_t>(E),
-                                      std::vector<int>(static_cast<std::size_t>(C), 0));
-  std::vector<std::vector<char>> gave_up(static_cast<std::size_t>(E),
-                                         std::vector<char>(static_cast<std::size_t>(C), 0));
-  // Stream slots currently holding a dispatched-but-uncommitted chunk, and
-  // the per-executor busy intervals for the occupied (union) ledger.
-  std::vector<std::vector<InFlight>> fly(static_cast<std::size_t>(E));
-  std::vector<std::vector<std::pair<double, double>>> intervals(static_cast<std::size_t>(E));
-  // Pipeline intervals (compute + transfers) for the staging overlap span.
-  std::vector<std::vector<std::pair<double, double>>> pipe(static_cast<std::size_t>(E));
-  // Per-direction DMA lane clocks: copies in one direction serialize on
-  // their lane, the two directions are independent engines.
-  std::vector<double> h2d_free(static_cast<std::size_t>(E), 0.0);
-  std::vector<double> d2h_free(static_cast<std::size_t>(E), 0.0);
-  for (int e = 0; e < E; ++e)
-    h2d_free[static_cast<std::size_t>(e)] = d2h_free[static_cast<std::size_t>(e)] =
-        clock[static_cast<std::size_t>(e)];
+  auto rec = [&](int e) -> ExecutorSchedule& { return res.executors[static_cast<std::size_t>(e)]; };
+  for (int e = 0; e < E; ++e) {
+    ExecState& x = st(e);
+    if (e < static_cast<int>(params.initial_clock.size()))
+      x.clock = params.initial_clock[static_cast<std::size_t>(e)];
+    x.h2d_free = x.d2h_free = rec(e).finish_seconds = x.clock;
+    x.tried.assign(static_cast<std::size_t>(C), 0);
+    x.gave_up.assign(static_cast<std::size_t>(C), 0);
+  }
   Rng rng(params.seed);
   int left = C;
 
@@ -200,7 +189,7 @@ ScheduleResult run_schedule(const ScheduleParams& params,
   };
   auto remaining_load = [&](int e) {
     double load = 0.0;
-    for (int c : deque_of[static_cast<std::size_t>(e)]) load += estimate_of(e, c);
+    for (int c : st(e).deque) load += estimate_of(e, c);
     return load;
   };
   auto emit = [&](fault::FaultEvent ev) {
@@ -211,19 +200,17 @@ ScheduleResult run_schedule(const ScheduleParams& params,
   // a stream slot is free, else the first in-flight completion. With one
   // stream this is exactly the post-execution clock of the serial schedule.
   auto dispatch_ready = [&](int e) {
-    if (static_cast<int>(fly[static_cast<std::size_t>(e)].size()) < capacity_of(e))
-      return clock[static_cast<std::size_t>(e)];
+    const ExecState& x = st(e);
+    if (static_cast<int>(x.fly.size()) < capacity_of(e)) return x.clock;
     double first_free = kInf;
-    for (const InFlight& f : fly[static_cast<std::size_t>(e)])
-      first_free = std::min(first_free, f.end);
-    return std::max(clock[static_cast<std::size_t>(e)], first_free);
+    for (const InFlight& f : x.fly) first_free = std::min(first_free, f.end);
+    return std::max(x.clock, first_free);
   };
   // Lowest stream index not occupied by an in-flight chunk.
   auto free_stream = [&](int e) {
-    const auto& fl = fly[static_cast<std::size_t>(e)];
     for (int s = 0;; ++s) {
       bool used = false;
-      for (const InFlight& f : fl) used |= (f.stream == s);
+      for (const InFlight& f : st(e).fly) used |= (f.stream == s);
       if (!used) return s;
     }
   };
@@ -236,8 +223,7 @@ ScheduleResult run_schedule(const ScheduleParams& params,
     int pick = -1;
     double pick_finish = kInf;
     for (int e = 0; e < E; ++e) {
-      if (!alive[static_cast<std::size_t>(e)] || gave_up[static_cast<std::size_t>(e)][static_cast<std::size_t>(c)])
-        continue;
+      if (!st(e).alive || st(e).gave_up[static_cast<std::size_t>(c)]) continue;
       const double f = dispatch_ready(e) + estimate_of(e, c);
       if (f < pick_finish) {
         pick = e;
@@ -254,11 +240,11 @@ ScheduleResult run_schedule(const ScheduleParams& params,
       emit(ev);
       return;
     }
-    deque_of[static_cast<std::size_t>(pick)].push_back(c);
+    st(pick).deque.push_back(c);
     // New work exists: wake every surviving executor so idle peers get to
     // steal it (retirement is reversible until the pool drains).
-    for (int e = 0; e < E; ++e)
-      if (alive[static_cast<std::size_t>(e)]) retired[static_cast<std::size_t>(e)] = 0;
+    for (ExecState& x : state)
+      if (x.alive) x.retired = false;
   };
 
   // Permanent executor loss at virtual time t_death: log it, abort every
@@ -266,20 +252,21 @@ ScheduleResult run_schedule(const ScheduleParams& params,
   // committed — the partial intervals are pure waste), then drain the
   // orphaned deque. Both sets re-dispatch through the LPT pass above.
   auto kill = [&](int e, double t_death) {
-    alive[static_cast<std::size_t>(e)] = 0;
-    retired[static_cast<std::size_t>(e)] = 1;
-    res.lost[static_cast<std::size_t>(e)] = 1;
+    ExecState& x = st(e);
+    x.alive = false;
+    x.retired = true;
+    rec(e).lost = true;
     ++res.executors_lost;
-    clock[static_cast<std::size_t>(e)] = std::max(clock[static_cast<std::size_t>(e)], t_death);
+    x.clock = std::max(x.clock, t_death);
     fault::FaultEvent ev;
     ev.kind = fault::FaultKind::ExecutorLoss;
     ev.exec = e;
     ev.start = t_death;
     emit(ev);
     std::vector<InFlight> doomed;
-    doomed.swap(fly[static_cast<std::size_t>(e)]);
+    doomed.swap(x.fly);
     std::deque<int> orphans;
-    orphans.swap(deque_of[static_cast<std::size_t>(e)]);
+    orphans.swap(x.deque);
     for (const InFlight& f : doomed) {
       fault::FaultEvent iv;
       iv.kind = fault::FaultKind::InFlightLost;
@@ -292,12 +279,11 @@ ScheduleResult run_schedule(const ScheduleParams& params,
       const double t_begin = f.streamed ? f.h2d_start : f.start;
       iv.start = t_begin;
       iv.waste_seconds = std::max(0.0, t_death - t_begin);
-      res.busy[static_cast<std::size_t>(e)] += iv.waste_seconds;
-      res.finish[static_cast<std::size_t>(e)] =
-          std::max(res.finish[static_cast<std::size_t>(e)], t_death);
+      rec(e).busy_seconds += iv.waste_seconds;
+      rec(e).finish_seconds = std::max(rec(e).finish_seconds, t_death);
       if (iv.waste_seconds > 0.0) {
-        intervals[static_cast<std::size_t>(e)].emplace_back(t_begin, t_death);
-        if (f.streamed) pipe[static_cast<std::size_t>(e)].emplace_back(t_begin, t_death);
+        x.busy_iv.emplace_back(t_begin, t_death);
+        if (f.streamed) x.pipe_iv.emplace_back(t_begin, t_death);
       }
       emit(iv);
     }
@@ -312,7 +298,7 @@ ScheduleResult run_schedule(const ScheduleParams& params,
     std::size_t ci = 0;
     double ct = kInf;
     for (int e = 0; e < E; ++e) {
-      const auto& fl = fly[static_cast<std::size_t>(e)];
+      const auto& fl = st(e).fly;
       for (std::size_t i = 0; i < fl.size(); ++i) {
         if (fl[i].end < ct) {
           ct = fl[i].end;
@@ -326,10 +312,10 @@ ScheduleResult run_schedule(const ScheduleParams& params,
     int de = -1;
     double dt = kInf;
     for (int e = 0; e < E; ++e) {
-      if (retired[static_cast<std::size_t>(e)] || !alive[static_cast<std::size_t>(e)]) continue;
-      if (static_cast<int>(fly[static_cast<std::size_t>(e)].size()) >= capacity_of(e)) continue;
-      if (clock[static_cast<std::size_t>(e)] < dt) {
-        dt = clock[static_cast<std::size_t>(e)];
+      const ExecState& x = st(e);
+      if (x.retired || !x.alive || static_cast<int>(x.fly.size()) >= capacity_of(e)) continue;
+      if (x.clock < dt) {
+        dt = x.clock;
         de = e;
       }
     }
@@ -345,22 +331,23 @@ ScheduleResult run_schedule(const ScheduleParams& params,
       require(plan != nullptr, "run_schedule: all executors retired with work left");
       break;
     }
-    const double t_act = committing ? ct : clock[static_cast<std::size_t>(actor)];
+    ExecState& a = st(actor);
+    ExecutorSchedule& out = rec(actor);
+    const double t_act = committing ? ct : a.clock;
 
     // Scheduled death fires the moment the executor would act again —
     // before the pending commit, so every chunk still in flight aborts.
     if (plan != nullptr) {
       const int after = plan->dies_after(actor);
-      if (after >= 0 && completed[static_cast<std::size_t>(actor)] >= after) {
+      if (after >= 0 && a.completed >= after) {
         kill(actor, t_act);
         continue;
       }
     }
 
     if (committing) {
-      const InFlight f = fly[static_cast<std::size_t>(actor)][ci];
-      fly[static_cast<std::size_t>(actor)].erase(
-          fly[static_cast<std::size_t>(actor)].begin() + static_cast<std::ptrdiff_t>(ci));
+      const InFlight f = a.fly[ci];
+      a.fly.erase(a.fly.begin() + static_cast<std::ptrdiff_t>(ci));
       StreamSlot slot{f.stream, f.start, f.rate};
       if (f.streamed) {
         slot.h2d_start = f.h2d_start;
@@ -371,35 +358,33 @@ ScheduleResult run_schedule(const ScheduleParams& params,
         slot.chunk = f.chunk;
       }
       execute(actor, f.chunk, slot);
-      clock[static_cast<std::size_t>(actor)] =
-          std::max(clock[static_cast<std::size_t>(actor)], f.end);
-      res.busy[static_cast<std::size_t>(actor)] += f.dur;
-      res.finish[static_cast<std::size_t>(actor)] =
-          std::max(res.finish[static_cast<std::size_t>(actor)], f.end);
-      res.chunks_run[static_cast<std::size_t>(actor)] += 1;
-      if (f.stolen) res.chunks_stolen[static_cast<std::size_t>(actor)] += 1;
+      a.clock = std::max(a.clock, f.end);
+      out.busy_seconds += f.dur;
+      out.finish_seconds = std::max(out.finish_seconds, f.end);
+      out.chunks += 1;
+      if (f.stolen) out.stolen += 1;
       res.executed_by[static_cast<std::size_t>(f.chunk)] = actor;
-      completed[static_cast<std::size_t>(actor)] += 1;
+      a.completed += 1;
       if (f.streamed) {
         // Busy/occupied track compute only; the staging ledger and the
         // pipeline span carry the transfers.
-        intervals[static_cast<std::size_t>(actor)].emplace_back(f.start, f.start + f.dur);
-        pipe[static_cast<std::size_t>(actor)].emplace_back(f.h2d_start, f.end);
-        res.h2d_seconds[static_cast<std::size_t>(actor)] += f.h2d_end - f.h2d_start;
-        res.d2h_seconds[static_cast<std::size_t>(actor)] += f.d2h_end - f.d2h_start;
-        res.h2d_bytes[static_cast<std::size_t>(actor)] += f.bytes;
-        res.d2h_bytes[static_cast<std::size_t>(actor)] += f.bytes;
+        a.busy_iv.emplace_back(f.start, f.start + f.dur);
+        a.pipe_iv.emplace_back(f.h2d_start, f.end);
+        out.h2d_seconds += f.h2d_end - f.h2d_start;
+        out.d2h_seconds += f.d2h_end - f.d2h_start;
+        out.h2d_bytes += f.bytes;
+        out.d2h_bytes += f.bytes;
         res.staging[static_cast<std::size_t>(f.chunk)] = {f.h2d_start, f.h2d_end, f.d2h_start,
                                                           f.d2h_end};
       } else {
-        intervals[static_cast<std::size_t>(actor)].emplace_back(f.start, f.end);
-        pipe[static_cast<std::size_t>(actor)].emplace_back(f.start, f.end);
+        a.busy_iv.emplace_back(f.start, f.end);
+        a.pipe_iv.emplace_back(f.start, f.end);
       }
       --left;
       continue;
     }
 
-    auto& own = deque_of[static_cast<std::size_t>(actor)];
+    auto& own = a.deque;
     int chunk = -1;
     bool stolen = false;
     if (!own.empty()) {
@@ -412,9 +397,8 @@ ScheduleResult run_schedule(const ScheduleParams& params,
       std::vector<int> victims;
       for (int e = 0; e < E; ++e) {
         if (e == actor) continue;
-        const auto& v = deque_of[static_cast<std::size_t>(e)];
-        if (v.empty()) continue;
-        if (gave_up[static_cast<std::size_t>(actor)][static_cast<std::size_t>(v.back())]) continue;
+        const auto& v = st(e).deque;
+        if (v.empty() || a.gave_up[static_cast<std::size_t>(v.back())]) continue;
         victims.push_back(e);
       }
       if (!victims.empty()) {
@@ -439,7 +423,7 @@ ScheduleResult run_schedule(const ScheduleParams& params,
                        : tied[static_cast<std::size_t>(
                              rng.uniform_int(0, static_cast<std::int64_t>(tied.size()) - 1))];
         }
-        auto& v = deque_of[static_cast<std::size_t>(victim)];
+        auto& v = st(victim).deque;
         chunk = v.back();
         v.pop_back();
         stolen = true;
@@ -450,17 +434,17 @@ ScheduleResult run_schedule(const ScheduleParams& params,
       // Nothing owned, nothing stealable: this executor is idle for now
       // (re-dispatched orphans may wake it up again; chunks already in
       // flight on its streams still commit).
-      retired[static_cast<std::size_t>(actor)] = 1;
+      a.retired = true;
       continue;
     }
 
-    const int attempt = ++tried[static_cast<std::size_t>(actor)][static_cast<std::size_t>(chunk)];
+    const int attempt = ++a.tried[static_cast<std::size_t>(chunk)];
     ++res.attempts[static_cast<std::size_t>(chunk)];
     const fault::FaultKind outcome =
         plan != nullptr ? plan->attempt_outcome(actor, chunk, attempt) : fault::FaultKind::None;
 
     if (outcome == fault::FaultKind::None) {
-      const auto& fl = fly[static_cast<std::size_t>(actor)];
+      const auto& fl = a.fly;
       const double occ = occupancy_of(actor, chunk);
       InFlight f;
       f.chunk = chunk;
@@ -482,7 +466,7 @@ ScheduleResult run_schedule(const ScheduleParams& params,
         const double share =
             std::max(1.0 - used, 1.0 / (static_cast<double>(fl.size()) + 1.0));
         f.rate = occ <= share ? 1.0 : share / occ;
-        f.start = clock[static_cast<std::size_t>(actor)];
+        f.start = a.clock;
         f.dur = estimate_of(actor, chunk) / f.rate;
         f.end = f.start + f.dur;
       } else {
@@ -499,8 +483,7 @@ ScheduleResult run_schedule(const ScheduleParams& params,
         // until the chunk fits. Earlier chunks' H2D starts are all <= this
         // one's (the lane serializes), so the resident set at time t is
         // exactly the in-flight chunks with d2h_end > t.
-        double t = std::max(clock[static_cast<std::size_t>(actor)],
-                            h2d_free[static_cast<std::size_t>(actor)]);
+        double t = std::max(a.clock, a.h2d_free);
         const double budget = arena_of(actor);
         if (budget > 0.0) {
           std::vector<std::pair<double, double>> releases;  // (d2h_end, bytes)
@@ -523,7 +506,7 @@ ScheduleResult run_schedule(const ScheduleParams& params,
         }
         f.h2d_start = t;
         f.h2d_end = t + h2d_sec;
-        h2d_free[static_cast<std::size_t>(actor)] = f.h2d_end;
+        a.h2d_free = f.h2d_end;
         // Compute waits for the copy and for one of the streams_of compute
         // slots — the prefetch slot stages, it never computes early.
         double avail = f.h2d_end;
@@ -549,15 +532,13 @@ ScheduleResult run_schedule(const ScheduleParams& params,
             std::max(1.0 - used, 1.0 / (static_cast<double>(computing) + 1.0));
         f.rate = occ <= share ? 1.0 : share / occ;
         f.dur = estimate_of(actor, chunk) / f.rate;
-        f.d2h_start = std::max(f.start + f.dur, d2h_free[static_cast<std::size_t>(actor)]);
+        f.d2h_start = std::max(f.start + f.dur, a.d2h_free);
         f.d2h_end = f.d2h_start + d2h_sec;
-        d2h_free[static_cast<std::size_t>(actor)] = f.d2h_end;
+        a.d2h_free = f.d2h_end;
         f.end = f.d2h_end;
       }
-      fly[static_cast<std::size_t>(actor)].push_back(f);
-      res.max_in_flight[static_cast<std::size_t>(actor)] =
-          std::max(res.max_in_flight[static_cast<std::size_t>(actor)],
-                   static_cast<int>(fly[static_cast<std::size_t>(actor)].size()));
+      a.fly.push_back(f);
+      out.max_in_flight = std::max(out.max_in_flight, static_cast<int>(a.fly.size()));
       continue;
     }
 
@@ -566,24 +547,20 @@ ScheduleResult run_schedule(const ScheduleParams& params,
     ev.chunk = chunk;
     ev.attempt = attempt;
     ev.stream = free_stream(actor);
-    ev.start = clock[static_cast<std::size_t>(actor)];
+    ev.start = a.clock;
     if (outcome == fault::FaultKind::Hang) {
       // The attempt never completes; the watchdog declares the executor
       // lost after its virtual-time budget. The launch never commits, so
       // the chunk's matrices are untouched and it re-dispatches cleanly.
       ev.kind = fault::FaultKind::Hang;
       ev.waste_seconds = params.retry.watchdog_seconds;
-      clock[static_cast<std::size_t>(actor)] += ev.waste_seconds;
-      res.busy[static_cast<std::size_t>(actor)] += ev.waste_seconds;
-      res.finish[static_cast<std::size_t>(actor)] =
-          std::max(res.finish[static_cast<std::size_t>(actor)],
-                   clock[static_cast<std::size_t>(actor)]);
-      if (ev.waste_seconds > 0.0)
-        intervals[static_cast<std::size_t>(actor)].emplace_back(ev.start,
-                                                                ev.start + ev.waste_seconds);
+      a.clock += ev.waste_seconds;
+      out.busy_seconds += ev.waste_seconds;
+      out.finish_seconds = std::max(out.finish_seconds, a.clock);
+      if (ev.waste_seconds > 0.0) a.busy_iv.emplace_back(ev.start, ev.start + ev.waste_seconds);
       ++res.hangs;
       emit(ev);
-      kill(actor, clock[static_cast<std::size_t>(actor)]);
+      kill(actor, a.clock);
       redispatch(chunk);
       continue;
     }
@@ -604,29 +581,23 @@ ScheduleResult run_schedule(const ScheduleParams& params,
     ev.backoff_seconds =
         params.retry.backoff_seconds *
         std::pow(params.retry.backoff_multiplier, static_cast<double>(attempt - 1));
-    clock[static_cast<std::size_t>(actor)] += ev.waste_seconds + ev.backoff_seconds;
-    res.busy[static_cast<std::size_t>(actor)] += ev.waste_seconds;
-    res.finish[static_cast<std::size_t>(actor)] =
-        std::max(res.finish[static_cast<std::size_t>(actor)],
-                 clock[static_cast<std::size_t>(actor)]);
-    if (ev.waste_seconds > 0.0)
-      intervals[static_cast<std::size_t>(actor)].emplace_back(ev.start,
-                                                              ev.start + ev.waste_seconds);
-    res.retries[static_cast<std::size_t>(actor)] += 1;
+    a.clock += ev.waste_seconds + ev.backoff_seconds;
+    out.busy_seconds += ev.waste_seconds;
+    out.finish_seconds = std::max(out.finish_seconds, a.clock);
+    if (ev.waste_seconds > 0.0) a.busy_iv.emplace_back(ev.start, ev.start + ev.waste_seconds);
+    out.retries += 1;
     ++res.retries_total;
     res.backoff_seconds += ev.backoff_seconds;
     if (streamed_of(actor)) {
       // The failed attempt held both DMA lanes; they free with the clock.
-      h2d_free[static_cast<std::size_t>(actor)] = std::max(
-          h2d_free[static_cast<std::size_t>(actor)], clock[static_cast<std::size_t>(actor)]);
-      d2h_free[static_cast<std::size_t>(actor)] = std::max(
-          d2h_free[static_cast<std::size_t>(actor)], clock[static_cast<std::size_t>(actor)]);
-      pipe[static_cast<std::size_t>(actor)].emplace_back(ev.start, ev.start + ev.waste_seconds);
+      a.h2d_free = std::max(a.h2d_free, a.clock);
+      a.d2h_free = std::max(a.d2h_free, a.clock);
+      a.pipe_iv.emplace_back(ev.start, ev.start + ev.waste_seconds);
     }
     emit(ev);
     if (attempt >= params.retry.max_attempts) {
       // This executor gives the chunk up; a surviving peer inherits it.
-      gave_up[static_cast<std::size_t>(actor)][static_cast<std::size_t>(chunk)] = 1;
+      a.gave_up[static_cast<std::size_t>(chunk)] = 1;
       redispatch(chunk);
     } else {
       // Retry next time this executor acts (its clock already carries the
@@ -636,10 +607,14 @@ ScheduleResult run_schedule(const ScheduleParams& params,
   }
 
   for (int e = 0; e < E; ++e) {
-    res.occupied[static_cast<std::size_t>(e)] = union_seconds(intervals[static_cast<std::size_t>(e)]);
-    res.pipeline[static_cast<std::size_t>(e)] = union_seconds(pipe[static_cast<std::size_t>(e)]);
+    ExecutorSchedule& r = rec(e);
+    r.streams = streams_of(e);
+    r.streamed = streamed_of(e);
+    r.occupied_seconds = union_seconds(st(e).busy_iv);
+    r.overlap = r.occupied_seconds > 0.0 ? r.busy_seconds / r.occupied_seconds : 1.0;
+    r.pipeline_seconds = union_seconds(st(e).pipe_iv);
+    res.makespan = std::max(res.makespan, r.finish_seconds);
   }
-  res.makespan = *std::max_element(res.finish.begin(), res.finish.end());
   return res;
 }
 

@@ -61,6 +61,10 @@
 // each chunk, so recovered runs stay bit-identical to fault-free ones; a
 // chunk no survivor could complete is marked poisoned instead of aborting
 // the call.
+//
+// The pool size is the number of estimate rows. The result carries one
+// ExecutorSchedule record per executor (run_chunked extends it into the
+// caller's ExecutorReport) plus the per-chunk placement and recovery ledger.
 #pragma once
 
 #include <array>
@@ -86,11 +90,10 @@ enum class StealPolicy : std::uint8_t { MostLoaded, Random };
 struct ScheduleParams {
   /// Chunk → owning executor from the static partitioner.
   std::vector<int> owner;
-  /// estimate[e][c]: executor e's modelled seconds for chunk c — drives
-  /// victim load ranking, orphan re-dispatch, and the time charged to a
-  /// faulted attempt.
+  /// estimate[e][c]: executor e's modelled seconds for chunk c — one row per
+  /// executor (the row count is the pool size); drives victim load ranking,
+  /// orphan re-dispatch, and the time charged to a faulted attempt.
   std::vector<std::vector<double>> estimate;
-  int executors = 1;
   bool work_stealing = true;
   StealPolicy steal = StealPolicy::MostLoaded;
   std::uint64_t seed = 2016;
@@ -128,37 +131,46 @@ struct ScheduleParams {
   bool prefetch = true;
 };
 
-struct ScheduleResult {
-  double makespan = 0.0;            ///< max final clock over all executors
-  std::vector<double> busy;         ///< per-executor seconds spent executing
-  std::vector<double> finish;       ///< per-executor final clock
-  std::vector<int> chunks_run;      ///< per-executor chunks completed
-  std::vector<int> chunks_stolen;   ///< per-executor chunks acquired by stealing
-  std::vector<int> executed_by;     ///< chunk → executor that completed it (-1 = poisoned)
-  /// Per-executor union of its busy intervals (chunks and fault waste on
-  /// any stream, overlaps counted once). busy / occupied is the overlap
-  /// ratio: 1.0 for a serial schedule, up to streams[e] under full overlap.
-  std::vector<double> occupied;
-  /// Per-executor high-water mark of simultaneously in-flight chunks.
-  std::vector<int> max_in_flight;
+/// One executor's slice of a schedule. The hetero driver's ExecutorReport
+/// extends it with what only the pool knows (name, flops, energy).
+struct ExecutorSchedule {
+  double busy_seconds = 0.0;    ///< modelled seconds executing chunks (fault waste included)
+  double finish_seconds = 0.0;  ///< virtual clock when the executor went idle
+  int chunks = 0;               ///< chunks completed
+  int stolen = 0;               ///< chunks acquired by stealing
+  int streams = 1;              ///< concurrent stream slots
+  /// Union of the busy intervals (chunks and fault waste on any stream,
+  /// overlaps counted once).
+  double occupied_seconds = 0.0;
+  /// Overlap ratio: busy seconds over the union of busy intervals. 1.0 for
+  /// a serial schedule; approaches `streams` under full overlap.
+  double overlap = 1.0;
+  int max_in_flight = 0;        ///< high-water mark of simultaneously in-flight chunks
+  int retries = 0;              ///< transient attempts wasted on this executor
+  bool lost = false;            ///< permanently lost (death or hung watchdog)
 
-  // --- Out-of-core staging ledger (zeros when nobody streams) ------------
-  std::vector<double> h2d_seconds;  ///< per-executor committed H2D seconds
-  std::vector<double> d2h_seconds;  ///< per-executor committed D2H seconds
-  std::vector<double> h2d_bytes;    ///< per-executor bytes staged in
-  std::vector<double> d2h_bytes;    ///< per-executor bytes written back
-  /// Per-executor union of compute + transfer intervals (the pipeline
-  /// span). (busy + h2d + d2h) / pipeline measures how much of the staging
-  /// traffic the schedule hid behind compute.
-  std::vector<double> pipeline;
+  // --- Out-of-core staging slice (zeros for resident executors) ----------
+  bool streamed = false;        ///< ran the chunked out-of-core pipeline
+  double h2d_seconds = 0.0;     ///< committed host→device copy seconds
+  double d2h_seconds = 0.0;     ///< committed device→host copy seconds
+  double h2d_bytes = 0.0;       ///< bytes staged in
+  double d2h_bytes = 0.0;       ///< bytes written back
+  /// Union of compute + transfer intervals. (busy + h2d + d2h) / pipeline
+  /// measures how much staging traffic the double buffering hid; 1.0 means
+  /// everything overlapped, higher means exposed transfer time.
+  double pipeline_seconds = 0.0;
+};
+
+struct ScheduleResult {
+  double makespan = 0.0;                   ///< max final clock over all executors
+  std::vector<ExecutorSchedule> executors; ///< one record per estimate row
+  std::vector<int> executed_by;  ///< chunk → executor that completed it (-1 = poisoned)
   /// Per-chunk committed staging placement {h2d_start, h2d_end, d2h_start,
   /// d2h_end} in virtual time; all zero for resident chunks. Tests use it
   /// to assert the arena budget and the per-direction lane serialization.
   std::vector<std::array<double, 4>> staging;
 
   // --- Fault-recovery ledger (all empty/zero on a fault-free run) --------
-  std::vector<int> retries;         ///< per-executor transient attempts wasted
-  std::vector<char> lost;           ///< per-executor permanent-loss flag
   std::vector<int> attempts;        ///< per-chunk total attempts (success included)
   std::vector<char> poisoned;       ///< per-chunk unrecoverable flag
   std::vector<fault::FaultEvent> events;  ///< ordered fault/recovery log
@@ -174,8 +186,8 @@ struct ScheduleResult {
 /// seconds; it is called exactly once for the successful attempt of each
 /// completed chunk (never for faulted or aborted-in-flight attempts, never
 /// for poisoned chunks), in global commit order. `on_fault`, when set,
-/// observes every fault event as it is logged — the hetero driver uses it
-/// to charge wasted intervals to the GPU timelines.
+/// observes every fault event as it is logged — run_chunked uses it to
+/// charge wasted intervals to the GPU timelines.
 [[nodiscard]] ScheduleResult run_schedule(
     const ScheduleParams& params,
     const std::function<double(int, int, const StreamSlot&)>& execute,

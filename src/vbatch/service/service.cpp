@@ -70,16 +70,6 @@ RequestOutcome rejected_outcome(const Request& r, RequestStatus status, double t
   return o;
 }
 
-/// The host queue a merged batch lives on mirrors the pool's first GPU (or
-/// the K40c default for CPU-only pools) so arena accounting and the potrs
-/// solve stage are charged against a consistent device model.
-sim::DeviceSpec host_spec(const hetero::DevicePool& pool) {
-  for (int i = 0; i < pool.size(); ++i)
-    if (pool.executor(i).is_gpu())
-      return static_cast<const hetero::GpuExecutor&>(pool.executor(i)).spec();
-  return sim::DeviceSpec::k40c();
-}
-
 template <typename T>
 std::vector<unsigned char> to_bytes(const std::vector<T>& v) {
   std::vector<unsigned char> bytes(v.size() * sizeof(T));
@@ -100,7 +90,9 @@ LaunchResult run_merged(hetero::DevicePool& pool, const Coalescer::Flush& flush,
     sizes.insert(sizes.end(), r.sizes.begin(), r.sizes.end());
   const int total = static_cast<int>(sizes.size());
 
-  Queue q(host_spec(pool), cfg.mode);
+  // The host queue mirrors the pool's reference device, so arena accounting
+  // and the potrs solve stage are charged against a consistent model.
+  Queue q(pool.reference_spec(), cfg.mode);
   Batch<T> batch(q, sizes);
   if (q.full()) {
     int k = 0;

@@ -18,9 +18,10 @@ struct CliRun {
   std::string output;
 };
 
-CliRun run_cli(const std::string& args) {
+/// `env` is an optional "NAME=value " prefix for the spawned command.
+CliRun run_cli(const std::string& args, const std::string& env = {}) {
   CliRun r;
-  const std::string cmd = std::string(VBATCH_CLI_PATH) + " " + args + " 2>&1";
+  const std::string cmd = env + std::string(VBATCH_CLI_PATH) + " " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return r;
   std::array<char, 512> buf{};
@@ -66,6 +67,14 @@ TEST(Cli, BadFlagExitsWithUsage) {
 TEST(Cli, InvalidValueRejected) {
   const auto r = run_cli("--batch 0");
   EXPECT_EQ(r.exit_code, 2);
+}
+
+TEST(Cli, MalformedArenaKnobIsANamedPoolError) {
+  // The pool reads VBATCH_ARENA_GB when it is built; a bad value is a usage
+  // error of the pool, not an uncaught exception.
+  const auto r = run_cli("--batch 20 --nmax 64 --hetero k40c", "VBATCH_ARENA_GB=abc ");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("VBATCH_ARENA_GB"), std::string::npos) << r.output;
 }
 
 }  // namespace

@@ -197,7 +197,6 @@ TEST(FaultPlan, TransientTimesBoundsTheAttempts) {
 
 ScheduleParams two_exec_params(int chunks) {
   ScheduleParams sp;
-  sp.executors = 2;
   for (int c = 0; c < chunks; ++c) sp.owner.push_back(c % 2);
   sp.estimate.assign(2, std::vector<double>(static_cast<std::size_t>(chunks), 1.0));
   return sp;
@@ -205,7 +204,6 @@ ScheduleParams two_exec_params(int chunks) {
 
 TEST(FaultScheduler, TransientRetriesThenSucceeds) {
   ScheduleParams sp;
-  sp.executors = 1;
   sp.owner = {0};
   sp.estimate = {{1.0}};
   const fault::FaultPlan plan(fault::parse_fault_spec("transient:exec=0,chunk=0,times=2"));
@@ -222,7 +220,7 @@ TEST(FaultScheduler, TransientRetriesThenSucceeds) {
   EXPECT_EQ(res.chunks_poisoned, 0);
   // Two wasted attempts + the success, plus backoff 50us + 100us.
   const double backoff = sp.retry.backoff_seconds * (1.0 + sp.retry.backoff_multiplier);
-  EXPECT_DOUBLE_EQ(res.busy[0], 3.0);
+  EXPECT_DOUBLE_EQ(res.executors[0].busy_seconds, 3.0);
   EXPECT_DOUBLE_EQ(res.backoff_seconds, backoff);
   EXPECT_DOUBLE_EQ(res.makespan, 3.0 + backoff);
   ASSERT_EQ(res.events.size(), 2u);
@@ -240,14 +238,13 @@ TEST(FaultScheduler, ExhaustedRetriesRedispatchToPeer) {
   sp.faults = &plan;
   const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_EQ(res.executed_by[0], 1);
-  EXPECT_EQ(res.retries[0], sp.retry.max_attempts);
+  EXPECT_EQ(res.executors[0].retries, sp.retry.max_attempts);
   EXPECT_EQ(res.chunks_poisoned, 0);
   EXPECT_EQ(res.executors_lost, 0);
 }
 
 TEST(FaultScheduler, NoSurvivorPoisonsTheChunk) {
   ScheduleParams sp;
-  sp.executors = 1;
   sp.owner = {0, 0};
   sp.estimate = {{1.0, 1.0}};
   const fault::FaultPlan plan(fault::parse_fault_spec("transient:exec=0,chunk=1,times=99"));
@@ -272,9 +269,9 @@ TEST(FaultScheduler, DeathOrphansTheDequeOntoSurvivors) {
   sp.faults = &plan;
   const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_EQ(res.executors_lost, 1);
-  EXPECT_EQ(res.lost[0], 1);
-  EXPECT_EQ(res.chunks_run[0], 1);  // completed exactly `after` chunks
-  EXPECT_EQ(res.chunks_run[1], 5);  // survivor absorbed the orphans
+  EXPECT_EQ(res.executors[0].lost, 1);
+  EXPECT_EQ(res.executors[0].chunks, 1);  // completed exactly `after` chunks
+  EXPECT_EQ(res.executors[1].chunks, 5);  // survivor absorbed the orphans
   EXPECT_EQ(res.chunks_poisoned, 0);
   bool logged_loss = false;
   for (const auto& ev : res.events)
@@ -289,10 +286,10 @@ TEST(FaultScheduler, HangConvertsIntoExecutorLoss) {
   const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_EQ(res.hangs, 1);  // the watchdog fires once, then the exec is gone
   EXPECT_EQ(res.executors_lost, 1);
-  EXPECT_EQ(res.lost[0], 1);
-  EXPECT_EQ(res.chunks_run[0], 0);
-  EXPECT_EQ(res.chunks_run[1], 4);
-  EXPECT_DOUBLE_EQ(res.busy[0], sp.retry.watchdog_seconds);
+  EXPECT_EQ(res.executors[0].lost, 1);
+  EXPECT_EQ(res.executors[0].chunks, 0);
+  EXPECT_EQ(res.executors[1].chunks, 4);
+  EXPECT_DOUBLE_EQ(res.executors[0].busy_seconds, sp.retry.watchdog_seconds);
   EXPECT_EQ(res.chunks_poisoned, 0);
 }
 
@@ -305,7 +302,8 @@ TEST(FaultScheduler, AttachedButSilentPlanChangesNothing) {
   sp.faults = &plan;
   const auto silent = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_EQ(silent.makespan, clean.makespan);
-  EXPECT_EQ(silent.chunks_run, clean.chunks_run);
+  for (std::size_t e = 0; e < clean.executors.size(); ++e)
+    EXPECT_EQ(silent.executors[e].chunks, clean.executors[e].chunks);
   EXPECT_EQ(silent.executed_by, clean.executed_by);
   EXPECT_EQ(silent.retries_total, 0);
   EXPECT_TRUE(silent.events.empty());
@@ -490,6 +488,33 @@ TEST(FaultRecovery, EnvironmentKnobInjectsWhenPoolHasNoSpec) {
   const auto clean = hetero_faulted(sizes, "k40c,p100", "");
   EXPECT_EQ(clean.result.retries, 0);
   expect_bit_identical(clean.factors, injected.factors, "env knob");
+}
+
+TEST(HeteroEnvKnobs, FaultKnobSetAfterBuildDoesNotChangeThePool) {
+  const auto sizes = test_sizes(40, 160);
+  DevicePool pool = DevicePool::parse("k40c,p100");
+  ASSERT_EQ(::setenv("VBATCH_INJECT_FAULTS", "transient:exec=-1,chunk=-1,times=1", 1), 0);
+  Queue q;
+  Batch<double> batch(q, sizes);
+  Rng fill(7);
+  batch.fill_spd(fill);
+  const auto r = potrf_vbatched_hetero<double>(pool, Uplo::Lower, batch);
+  const DevicePool later = DevicePool::parse("k40c,p100");
+  ASSERT_EQ(::unsetenv("VBATCH_INJECT_FAULTS"), 0);
+  EXPECT_EQ(r.retries, 0);  // the knob is read when the pool is built, not per call
+  EXPECT_TRUE(pool.faults().empty());
+  EXPECT_FALSE(later.faults().empty());
+}
+
+TEST(HeteroEnvKnobs, MalformedKnobsThrowFromParse) {
+  ASSERT_EQ(::setenv("VBATCH_INJECT_FAULTS", "explode:exec=1", 1), 0);
+  EXPECT_THROW((void)DevicePool::parse("k40c"), Error);
+  EXPECT_THROW((void)DevicePool::parse("cpu"), Error);
+  ASSERT_EQ(::unsetenv("VBATCH_INJECT_FAULTS"), 0);
+  ASSERT_EQ(::setenv("VBATCH_ARENA_GB", "abc", 1), 0);
+  EXPECT_THROW((void)DevicePool::parse("k40c"), Error);
+  EXPECT_NO_THROW((void)DevicePool::parse("cpu"));  // only GPU executors have an arena
+  ASSERT_EQ(::unsetenv("VBATCH_ARENA_GB"), 0);
 }
 
 }  // namespace

@@ -488,7 +488,6 @@ TEST(HeteroScheduler, StealsFromBackOfMostLoadedVictim) {
   ScheduleParams sp;
   sp.owner = {0, 0, 0, 0};
   sp.estimate = {{1.0, 1.0, 1.0, 1.0}, {1.0, 1.0, 1.0, 1.0}};
-  sp.executors = 2;
   std::vector<std::pair<int, int>> trace;  // (executor, chunk)
   const auto res = run_schedule(sp, [&](int e, int c, const StreamSlot&) {
     trace.emplace_back(e, c);
@@ -496,7 +495,7 @@ TEST(HeteroScheduler, StealsFromBackOfMostLoadedVictim) {
   });
   EXPECT_DOUBLE_EQ(res.makespan, 2.0);
   EXPECT_EQ(res.executed_by, (std::vector<int>{0, 0, 1, 1}));
-  EXPECT_EQ(res.chunks_stolen[1], 2);
+  EXPECT_EQ(res.executors[1].stolen, 2);
   // Executor 1's first steal is the trailing chunk.
   ASSERT_GE(trace.size(), 2u);
   bool saw_back_steal = false;
@@ -509,24 +508,22 @@ TEST(HeteroScheduler, NoStealingLeavesPeersIdle) {
   ScheduleParams sp;
   sp.owner = {0, 0, 0};
   sp.estimate = {{1.0, 1.0, 1.0}, {1.0, 1.0, 1.0}};
-  sp.executors = 2;
   sp.work_stealing = false;
   const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(res.makespan, 3.0);
-  EXPECT_EQ(res.chunks_run[1], 0);
+  EXPECT_EQ(res.executors[1].chunks, 0);
 }
 
 TEST(HeteroScheduler, InitialClockDelaysExecutorZero) {
   ScheduleParams sp;
   sp.owner = {0, 1};
   sp.estimate = {{1.0, 1.0}, {1.0, 1.0}};
-  sp.executors = 2;
   sp.initial_clock = {5.0, 0.0};
   const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   // Executor 1 (clock 0) acts first, runs its chunk, then steals executor
   // 0's chunk long before executor 0's clock (5.0) comes up.
-  EXPECT_EQ(res.chunks_run[0], 0);
-  EXPECT_EQ(res.chunks_run[1], 2);
+  EXPECT_EQ(res.executors[0].chunks, 0);
+  EXPECT_EQ(res.executors[1].chunks, 2);
   EXPECT_DOUBLE_EQ(res.makespan, 5.0);  // exec 0's initial clock dominates
 }
 
@@ -541,14 +538,13 @@ TEST(HeteroStreams, LowOccupancyChunksOverlap) {
   ScheduleParams sp;
   sp.owner = {0, 0};
   sp.estimate = {{1.0, 1.0}};
-  sp.executors = 1;
   sp.streams = {2};
   sp.occupancy = {{0.3, 0.3}};
   const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(res.makespan, 1.0);
-  EXPECT_DOUBLE_EQ(res.busy[0], 2.0);
-  EXPECT_DOUBLE_EQ(res.occupied[0], 1.0);  // the two intervals coincide
-  EXPECT_EQ(res.max_in_flight[0], 2);
+  EXPECT_DOUBLE_EQ(res.executors[0].busy_seconds, 2.0);
+  EXPECT_DOUBLE_EQ(res.executors[0].occupied_seconds, 1.0);  // the two intervals coincide
+  EXPECT_EQ(res.executors[0].max_in_flight, 2);
 }
 
 TEST(HeteroStreams, FullOccupancySerializesDespiteStreams) {
@@ -558,12 +554,11 @@ TEST(HeteroStreams, FullOccupancySerializesDespiteStreams) {
   ScheduleParams sp;
   sp.owner = {0, 0};
   sp.estimate = {{1.0, 1.0}};
-  sp.executors = 1;
   sp.streams = {2};
   sp.occupancy = {{1.0, 1.0}};
   const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(res.makespan, 2.0);
-  EXPECT_EQ(res.max_in_flight[0], 2);
+  EXPECT_EQ(res.executors[0].max_in_flight, 2);
 }
 
 TEST(HeteroStreams, SingleStreamParamsReproduceClassicSchedule) {
@@ -572,13 +567,12 @@ TEST(HeteroStreams, SingleStreamParamsReproduceClassicSchedule) {
   ScheduleParams sp;
   sp.owner = {0, 0, 0, 0};
   sp.estimate = {{1.0, 1.0, 1.0, 1.0}, {1.0, 1.0, 1.0, 1.0}};
-  sp.executors = 2;
   sp.streams = {1, 1};
   sp.occupancy = {{0.2, 0.2, 0.2, 0.2}, {0.2, 0.2, 0.2, 0.2}};
   const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(res.makespan, 2.0);
   EXPECT_EQ(res.executed_by, (std::vector<int>{0, 0, 1, 1}));
-  EXPECT_EQ(res.max_in_flight[0], 1);
+  EXPECT_EQ(res.executors[0].max_in_flight, 1);
 }
 
 TEST(HeteroStreams, DeathAbortsAndRedispatchesEveryChunkInFlight) {
@@ -588,7 +582,6 @@ TEST(HeteroStreams, DeathAbortsAndRedispatchesEveryChunkInFlight) {
   ScheduleParams sp;
   sp.owner = {0, 0, 0, 0};
   sp.estimate = {{1.0, 1.0, 1.0, 1.0}, {1.0, 1.0, 1.0, 1.0}};
-  sp.executors = 2;
   sp.streams = {4, 1};
   sp.occupancy = {{0.2, 0.2, 0.2, 0.2}, {1.0, 1.0, 1.0, 1.0}};
   const auto plan = fault::FaultPlan(fault::parse_fault_spec("die:exec=0,after=1"));
@@ -599,12 +592,12 @@ TEST(HeteroStreams, DeathAbortsAndRedispatchesEveryChunkInFlight) {
     return 1.0;
   });
   EXPECT_EQ(res.executors_lost, 1);
-  EXPECT_EQ(res.lost[0], 1);
+  EXPECT_EQ(res.executors[0].lost, 1);
   EXPECT_EQ(res.chunks_poisoned, 0);
   EXPECT_EQ(res.executed_by, (std::vector<int>{0, 1, 1, 1}));
-  EXPECT_EQ(res.chunks_run[0], 1);
-  EXPECT_EQ(res.chunks_run[1], 3);
-  EXPECT_EQ(res.max_in_flight[0], 4);
+  EXPECT_EQ(res.executors[0].chunks, 1);
+  EXPECT_EQ(res.executors[1].chunks, 3);
+  EXPECT_EQ(res.executors[0].max_in_flight, 4);
   // Numerics ran exactly once per chunk — the aborted attempts never committed.
   EXPECT_EQ(static_cast<int>(ran.size()), 4);
   int in_flight_lost = 0;
@@ -620,7 +613,7 @@ TEST(HeteroStreams, DeathAbortsAndRedispatchesEveryChunkInFlight) {
   std::sort(lost_streams.begin(), lost_streams.end());
   EXPECT_EQ(lost_streams, (std::vector<int>{1, 2, 3}));  // stream 0's chunk committed
   // The wasted partial intervals stay on the busy ledger: 1 commit + 3 aborts.
-  EXPECT_DOUBLE_EQ(res.busy[0], 4.0);
+  EXPECT_DOUBLE_EQ(res.executors[0].busy_seconds, 4.0);
 }
 
 TEST(HeteroStreamsBitIdentity, EveryStreamCountMatchesSingleDevice) {
@@ -769,6 +762,29 @@ TEST(DevicePool, HeteroRejectsEmptyBatchAndPool) {
   // single-device one does.
   EXPECT_THROW(potrf_vbatched_hetero<double>(pool, Uplo::Lower, batch), Error);
   EXPECT_THROW(potrf_vbatched_hetero_max<double>(pool, Uplo::Lower, batch, 0), Error);
+}
+
+TEST(HeteroValidation, BadChunksPerExecutorThrowsBeforeAnyDeviceWork) {
+  // A rejected option must not reach the metadata sweep: the sweep resets
+  // info and advances executor 0's modelled clock and timeline.
+  DevicePool pool = DevicePool::parse("k40c,cpu");
+  Queue q;
+  Batch<double> batch(q, test_sizes(40, 160));
+  std::fill(batch.info().begin(), batch.info().end(), 7);
+  const Queue& q0 = pool.executor(0).queue();
+  const double t0 = q0.time();
+  const std::size_t records = q0.device().timeline().size();
+  HeteroOptions opts;
+  opts.chunks_per_executor = 0;
+  try {
+    (void)potrf_vbatched_hetero<double>(pool, Uplo::Lower, batch, opts);
+    FAIL() << "chunks_per_executor = 0 accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.status(), Status::InvalidArgument);
+  }
+  for (const int v : batch.info()) EXPECT_EQ(v, 7);
+  EXPECT_EQ(q0.time(), t0);
+  EXPECT_EQ(q0.device().timeline().size(), records);
 }
 
 }  // namespace

@@ -121,7 +121,6 @@ ScheduleParams streamed_params(bool prefetch) {
   ScheduleParams sp;
   sp.owner = {0, 0, 0};
   sp.estimate = {{1.0, 1.0, 1.0}};
-  sp.executors = 1;
   sp.h2d = {{1.0, 1.0, 1.0}};
   sp.d2h = {{1.0, 1.0, 1.0}};
   sp.chunk_bytes = {100.0, 100.0, 100.0};
@@ -135,11 +134,11 @@ TEST(HeteroOofSchedule, SynchronousStagingSerializesTheThreeStages) {
   const auto res =
       run_schedule(streamed_params(false), [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(res.makespan, 9.0);
-  EXPECT_DOUBLE_EQ(res.busy[0], 3.0);            // compute only
-  EXPECT_DOUBLE_EQ(res.h2d_seconds[0], 3.0);
-  EXPECT_DOUBLE_EQ(res.d2h_seconds[0], 3.0);
-  EXPECT_DOUBLE_EQ(res.h2d_bytes[0], 300.0);
-  EXPECT_DOUBLE_EQ(res.pipeline[0], 9.0);        // nothing overlapped
+  EXPECT_DOUBLE_EQ(res.executors[0].busy_seconds, 3.0);            // compute only
+  EXPECT_DOUBLE_EQ(res.executors[0].h2d_seconds, 3.0);
+  EXPECT_DOUBLE_EQ(res.executors[0].d2h_seconds, 3.0);
+  EXPECT_DOUBLE_EQ(res.executors[0].h2d_bytes, 300.0);
+  EXPECT_DOUBLE_EQ(res.executors[0].pipeline_seconds, 9.0);        // nothing overlapped
   // Chunk 1 stages strictly after chunk 0's write-back.
   EXPECT_DOUBLE_EQ(res.staging[0][0], 0.0);
   EXPECT_DOUBLE_EQ(res.staging[0][3], 3.0);
@@ -154,9 +153,9 @@ TEST(HeteroOofSchedule, PrefetchDoubleBuffersTheNextChunk) {
   const auto res =
       run_schedule(streamed_params(true), [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(res.makespan, 6.0);
-  EXPECT_DOUBLE_EQ(res.busy[0], 3.0);  // compute rate stayed 1.0 throughout
-  EXPECT_DOUBLE_EQ(res.pipeline[0], 6.0);
-  EXPECT_EQ(res.max_in_flight[0], 2);  // streams + the prefetch slot
+  EXPECT_DOUBLE_EQ(res.executors[0].busy_seconds, 3.0);  // compute rate stayed 1.0 throughout
+  EXPECT_DOUBLE_EQ(res.executors[0].pipeline_seconds, 6.0);
+  EXPECT_EQ(res.executors[0].max_in_flight, 2);  // streams + the prefetch slot
   const std::array<double, 4> c0{0.0, 1.0, 2.0, 3.0};
   const std::array<double, 4> c1{1.0, 2.0, 3.0, 4.0};
   const std::array<double, 4> c2{3.0, 4.0, 5.0, 6.0};
@@ -210,7 +209,6 @@ TEST(HeteroOofSchedule, EmptyTransferRowsReplayTheResidentScheduleExactly) {
   ScheduleParams plain;
   plain.owner = {0, 0, 0, 0};
   plain.estimate = {{1.0, 1.0, 1.0, 1.0}, {1.5, 1.5, 1.5, 1.5}};
-  plain.executors = 2;
   const auto base = run_schedule(plain, [&](int, int, const StreamSlot&) { return 1.0; });
 
   ScheduleParams oof = plain;
@@ -221,11 +219,11 @@ TEST(HeteroOofSchedule, EmptyTransferRowsReplayTheResidentScheduleExactly) {
   const auto res = run_schedule(oof, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(res.makespan, base.makespan);
   EXPECT_EQ(res.executed_by, base.executed_by);
-  for (std::size_t e = 0; e < base.finish.size(); ++e) {
-    EXPECT_DOUBLE_EQ(res.finish[e], base.finish[e]);
-    EXPECT_DOUBLE_EQ(res.busy[e], base.busy[e]);
-    EXPECT_DOUBLE_EQ(res.h2d_seconds[e], 0.0);
-    EXPECT_DOUBLE_EQ(res.pipeline[e], res.occupied[e]);
+  for (std::size_t e = 0; e < base.executors.size(); ++e) {
+    EXPECT_DOUBLE_EQ(res.executors[e].finish_seconds, base.executors[e].finish_seconds);
+    EXPECT_DOUBLE_EQ(res.executors[e].busy_seconds, base.executors[e].busy_seconds);
+    EXPECT_DOUBLE_EQ(res.executors[e].h2d_seconds, 0.0);
+    EXPECT_DOUBLE_EQ(res.executors[e].pipeline_seconds, res.executors[e].occupied_seconds);
   }
   for (const auto& st : res.staging)
     EXPECT_EQ(st, (std::array<double, 4>{0.0, 0.0, 0.0, 0.0}));
@@ -240,7 +238,6 @@ TEST(HeteroOofSchedule, TransferBoundPipelineHidesComputeEntirely)
   ScheduleParams sp;
   sp.owner = {0, 0, 0, 0};
   sp.estimate = {{0.1, 0.1, 0.1, 0.1}};
-  sp.executors = 1;
   sp.h2d = {{1.0, 1.0, 1.0, 1.0}};
   sp.d2h = {{1.0, 1.0, 1.0, 1.0}};
   sp.chunk_bytes = {100.0, 100.0, 100.0, 100.0};
@@ -250,7 +247,7 @@ TEST(HeteroOofSchedule, TransferBoundPipelineHidesComputeEntirely)
   const auto slow = run_schedule(sp, [&](int, int, const StreamSlot&) { return 0.1; });
   EXPECT_GT(slow.makespan / fast.makespan, 1.5);
   // Pipeline span < busy + transfers: the overlap the ratio measures.
-  EXPECT_LT(fast.pipeline[0], fast.busy[0] + fast.h2d_seconds[0] + fast.d2h_seconds[0]);
+  EXPECT_LT(fast.executors[0].pipeline_seconds, fast.executors[0].busy_seconds + fast.executors[0].h2d_seconds + fast.executors[0].d2h_seconds);
 }
 
 TEST(HeteroOofFault, TransientOnStreamedExecutorChargesTheStagingToo) {
@@ -507,13 +504,40 @@ TEST(HeteroOofReport, ArenaEnvKnobAppliesOnlyToUnpinnedExecutors) {
   EXPECT_FALSE(r.executors[1].streamed);   // parse-pinned budget wins
 
   ASSERT_EQ(0, setenv("VBATCH_ARENA_GB", "not-a-number", 1));
-  DevicePool bad = DevicePool::parse("k40c");
-  Queue qb;
-  Batch<double> bb(qb, sizes);
-  Rng fb(7);
-  bb.fill_spd(fb);
-  EXPECT_THROW((void)potrf_vbatched_hetero<double>(bad, Uplo::Lower, bb), vbatch::Error);
+  EXPECT_THROW(
+      {
+        DevicePool bad = DevicePool::parse("k40c");
+        Queue qb;
+        Batch<double> bb(qb, sizes);
+        Rng fb(7);
+        bb.fill_spd(fb);
+        (void)potrf_vbatched_hetero<double>(bad, Uplo::Lower, bb);
+      },
+      vbatch::Error);
   unsetenv("VBATCH_ARENA_GB");
+}
+
+TEST(HeteroEnvKnobs, ArenaKnobSetAfterBuildDoesNotChangeThePool) {
+  const auto sizes = test_sizes(80, 280, 41);
+  DevicePool pool = DevicePool::parse("k40c");
+  // A budget the batch would have to stream through, set too late to count.
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.9f",
+                footprint_bytes(sizes) * 0.4 / (1024.0 * 1024.0 * 1024.0));
+  ASSERT_EQ(0, setenv("VBATCH_ARENA_GB", buf, 1));
+  Queue q;
+  Batch<double> batch(q, sizes);
+  Rng fill(7);
+  batch.fill_spd(fill);
+  const auto r = potrf_vbatched_hetero<double>(pool, Uplo::Lower, batch);
+  const DevicePool later = DevicePool::parse("k40c");
+  unsetenv("VBATCH_ARENA_GB");
+  EXPECT_FALSE(r.executors[0].streamed);
+  EXPECT_DOUBLE_EQ(r.h2d_bytes, 0.0);
+  EXPECT_DOUBLE_EQ(pool.executor(0).arena_bytes(),
+                   static_cast<double>(sim::DeviceSpec::k40c().global_mem_bytes));
+  EXPECT_LT(later.executor(0).arena_bytes(), footprint_bytes(sizes));
+  EXPECT_FALSE(later.executor(0).arena_explicit());  // a default, not a pin
 }
 
 // ---------------------------------------------------------------------------

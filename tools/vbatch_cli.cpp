@@ -88,6 +88,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "vbatch/blas/blas.hpp"
@@ -281,6 +282,32 @@ std::vector<std::pair<std::string, double>> parse_tenants(const std::string& lis
   return weights;
 }
 
+/// The --serve / --hetero pool: parses `desc`, then applies --streams,
+/// --arena-gb and --inject-faults. Any failure — a malformed
+/// VBATCH_ARENA_GB / VBATCH_INJECT_FAULTS included, since the pool reads
+/// both when it is built — prints a named message and yields nullopt.
+std::optional<vbatch::hetero::DevicePool> build_pool(const CliOptions& o, const char* label,
+                                                     const std::string& desc) {
+  using namespace vbatch;
+  std::string what = std::string(label) + " " + desc;
+  try {
+    hetero::DevicePool pool = hetero::DevicePool::parse(desc);
+    for (int e = 0; e < pool.size(); ++e) {
+      if (o.streams > 0) pool.executor(e).set_streams(o.streams);
+      if (o.arena_gb > 0.0 && pool.executor(e).is_gpu()) pool.executor(e).set_arena_gb(o.arena_gb);
+    }
+    if (!o.inject_faults.empty()) {
+      what = "--inject-faults " + o.inject_faults;
+      pool.set_faults(fault::parse_fault_spec(o.inject_faults));
+      std::printf("faults:   %s\n", pool.faults().describe().c_str());
+    }
+    return pool;
+  } catch (const Error& err) {
+    std::fprintf(stderr, "%s: %s\n", what.c_str(), err.what());
+    return std::nullopt;
+  }
+}
+
 /// --serve: replay the scripted trace through the service front-end on the
 /// virtual-time clock and print the ServiceReport.
 int run_serve(const CliOptions& o) {
@@ -295,28 +322,10 @@ int run_serve(const CliOptions& o) {
     return 2;
   }
 
-  const std::string pool_desc = o.hetero.empty() ? o.device : o.hetero;
-  hetero::DevicePool pool;
-  try {
-    pool = hetero::DevicePool::parse(pool_desc);
-  } catch (const Error& err) {
-    std::fprintf(stderr, "pool %s: %s\n", pool_desc.c_str(), err.what());
-    return 2;
-  }
-  if (o.streams > 0)
-    for (int e = 0; e < pool.size(); ++e) pool.executor(e).set_streams(o.streams);
-  if (o.arena_gb > 0.0)
-    for (int e = 0; e < pool.size(); ++e)
-      if (pool.executor(e).is_gpu()) pool.executor(e).set_arena_gb(o.arena_gb);
-  if (!o.inject_faults.empty()) {
-    try {
-      pool.set_faults(fault::parse_fault_spec(o.inject_faults));
-    } catch (const Error& err) {
-      std::fprintf(stderr, "--inject-faults %s: %s\n", o.inject_faults.c_str(), err.what());
-      return 2;
-    }
-    std::printf("faults:   %s\n", pool.faults().describe().c_str());
-  }
+  std::optional<hetero::DevicePool> built =
+      build_pool(o, "pool", o.hetero.empty() ? o.device : o.hetero);
+  if (!built) return 2;
+  hetero::DevicePool& pool = *built;
 
   svc::ServiceConfig cfg;
   cfg.coalesce.latency_budget = o.latency_budget;
@@ -410,32 +419,14 @@ int run(const CliOptions& o) {
     for (int i = 0; i < batch.count(); ++i) originals.push_back(batch.copy_matrix(i));
   }
 
-  hetero::DevicePool pool;
+  std::optional<hetero::DevicePool> pool;
   if (!o.hetero.empty()) {
-    try {
-      pool = hetero::DevicePool::parse(o.hetero);
-    } catch (const vbatch::Error& err) {
-      std::fprintf(stderr, "--hetero %s: %s\n", o.hetero.c_str(), err.what());
-      return 2;
-    }
-    if (o.streams > 0)
-      for (int e = 0; e < pool.size(); ++e) pool.executor(e).set_streams(o.streams);
-    if (o.arena_gb > 0.0)
-      for (int e = 0; e < pool.size(); ++e)
-        if (pool.executor(e).is_gpu()) pool.executor(e).set_arena_gb(o.arena_gb);
-    if (!o.inject_faults.empty()) {
-      try {
-        pool.set_faults(fault::parse_fault_spec(o.inject_faults));
-      } catch (const vbatch::Error& err) {
-        std::fprintf(stderr, "--inject-faults %s: %s\n", o.inject_faults.c_str(), err.what());
-        return 2;
-      }
-      std::printf("faults:   %s\n", pool.faults().describe().c_str());
-    }
-    std::printf("pool:     %s\n", pool.describe().c_str());
+    pool = build_pool(o, "--hetero", o.hetero);
+    if (!pool) return 2;
+    std::printf("pool:     %s\n", pool->describe().c_str());
     hetero::HeteroOptions hopts;
     hopts.potrf = opts;
-    const auto hr = hetero::potrf_vbatched_hetero<T>(pool, Uplo::Lower, batch, hopts);
+    const auto hr = hetero::potrf_vbatched_hetero<T>(*pool, Uplo::Lower, batch, hopts);
     std::printf(
         "potrf_vbatched_hetero: path=%s  %.3f Gflop  %.3f ms  ->  %.1f Gflop/s"
         "  (%d chunks, %d stolen)\n",
@@ -493,11 +484,11 @@ int run(const CliOptions& o) {
 
   if (o.profile) {
     if (!o.hetero.empty()) {
-      for (int e = 0; e < pool.size(); ++e) {
-        if (!pool.executor(e).is_gpu()) continue;
-        std::printf("\nkernel profile (%s):\n", pool.executor(e).name().c_str());
+      for (int e = 0; e < pool->size(); ++e) {
+        if (!pool->executor(e).is_gpu()) continue;
+        std::printf("\nkernel profile (%s):\n", pool->executor(e).name().c_str());
         sim::print_profile(
-            std::cout, sim::profile_timeline(pool.executor(e).queue().device().timeline()));
+            std::cout, sim::profile_timeline(pool->executor(e).queue().device().timeline()));
       }
     } else {
       std::printf("\nkernel profile:\n");
