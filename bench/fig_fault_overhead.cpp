@@ -23,9 +23,6 @@
 //
 // Output: a summary on stdout plus one JSON line per configuration
 // appended to BENCH_fault.json (override with --out).
-//
-// Usage:
-//   fig_fault_overhead [--batch N] [--nmax N] [--reps N] [--seed N] [--out FILE]
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -33,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "gate_common.hpp"
 #include "vbatch/core/size_dist.hpp"
 #include "vbatch/hetero/potrf_hetero.hpp"
 
@@ -48,32 +46,6 @@ struct Options {
   std::uint64_t seed = 2016;
   std::string out = "BENCH_fault.json";
 };
-
-[[noreturn]] void usage(const char* argv0) {
-  std::printf("usage: %s [--batch N] [--nmax N] [--reps N] [--iters N] [--seed N] [--out FILE]\n",
-              argv0);
-  std::exit(2);
-}
-
-Options parse(int argc, char** argv) {
-  Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--batch") o.batch = std::atoi(next());
-    else if (arg == "--nmax") o.nmax = std::atoi(next());
-    else if (arg == "--reps") o.reps = std::atoi(next());
-    else if (arg == "--iters") o.iters = std::atoi(next());
-    else if (arg == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else if (arg == "--out") o.out = next();
-    else usage(argv[0]);
-  }
-  if (o.batch < 1 || o.nmax < 1 || o.reps < 1 || o.iters < 1) usage(argv[0]);
-  return o;
-}
 
 struct Sample {
   double wall_seconds = 0.0;     ///< host time of the hetero call itself
@@ -120,7 +92,15 @@ double quantile(const std::vector<double>& sorted, double q) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
+  Options o;
+  gate::Flags(argv[0])
+      .num("--batch", o.batch, 1)
+      .num("--nmax", o.nmax, 1)
+      .num("--reps", o.reps, 1)
+      .num("--iters", o.iters, 1)
+      .num("--seed", o.seed, 0)
+      .text("--out", o.out)
+      .parse(argc, argv);
   Rng rng(o.seed);
   const auto sizes = gaussian_sizes(rng, o.batch, o.nmax);
 
@@ -176,23 +156,19 @@ int main(int argc, char** argv) {
               "(gate < 3%%)\n",
               overhead * 100.0, o.reps, iqr * 100.0, median_se * 100.0);
 
-  if (std::FILE* f = std::fopen(o.out.c_str(), "a"); f != nullptr) {
-    const struct { const char* name; const Sample* s; } rows[] = {
-        {"plan_free", &off}, {"armed_never_fires", &armed}, {"faulted", &faulted}};
-    for (const auto& row : rows)
-      std::fprintf(f,
-                   "{\"bench\": \"fault_overhead\", \"config\": \"%s\", \"pool\": "
-                   "\"cpu,k40c,p100\", \"batch\": %d, \"nmax\": %d, \"precision\": \"d\", "
-                   "\"wall_seconds\": %.9f, \"modelled_seconds\": %.9f, \"retries\": %d, "
-                   "\"executors_lost\": %d, \"chunks_poisoned\": %d, "
-                   "\"armed_overhead_pct\": %.3f, \"armed_overhead_iqr_pct\": %.3f}\n",
-                   row.name, o.batch, o.nmax, row.s->wall_seconds, row.s->modelled_seconds,
-                   row.s->retries, row.s->executors_lost, row.s->chunks_poisoned,
-                   overhead * 100.0, iqr * 100.0);
-    std::fclose(f);
-  } else {
-    std::fprintf(stderr, "warning: could not open %s for append\n", o.out.c_str());
-  }
+  const struct { const char* name; const Sample* s; } rows[] = {
+      {"plan_free", &off}, {"armed_never_fires", &armed}, {"faulted", &faulted}};
+  std::vector<gate::JsonLine> lines;
+  for (const auto& row : rows)
+    lines.push_back({{"bench", "fault_overhead"}, {"config", row.name},
+                     {"pool", "cpu,k40c,p100"}, {"batch", o.batch}, {"nmax", o.nmax},
+                     {"precision", "d"}, {"wall_seconds", row.s->wall_seconds},
+                     {"modelled_seconds", row.s->modelled_seconds}, {"retries", row.s->retries},
+                     {"executors_lost", row.s->executors_lost},
+                     {"chunks_poisoned", row.s->chunks_poisoned},
+                     {"armed_overhead_pct", overhead * 100.0},
+                     {"armed_overhead_iqr_pct", iqr * 100.0}});
+  gate::append_json_lines(o.out, lines);
 
   bool ok = true;
   if (overhead >= 0.03 + 3.0 * median_se) {

@@ -13,13 +13,11 @@
 // 1) if the Gaussian batch misses the scaling gates: 2×K40c must be at
 // least 1.7× faster than 1×K40c, and adding the CPU must never slow a pool
 // down.
-//
-// Usage:
-//   fig_hetero_scaling [--batch N] [--nmax N] [--seed N] [--out FILE]
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "gate_common.hpp"
 #include "vbatch/core/size_dist.hpp"
 #include "vbatch/hetero/potrf_hetero.hpp"
 
@@ -33,29 +31,6 @@ struct Options {
   std::uint64_t seed = 2016;
   std::string out = "BENCH_hetero.json";
 };
-
-[[noreturn]] void usage(const char* argv0) {
-  std::printf("usage: %s [--batch N] [--nmax N] [--seed N] [--out FILE]\n", argv0);
-  std::exit(2);
-}
-
-Options parse(int argc, char** argv) {
-  Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--batch") o.batch = std::atoi(next());
-    else if (arg == "--nmax") o.nmax = std::atoi(next());
-    else if (arg == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else if (arg == "--out") o.out = next();
-    else usage(argv[0]);
-  }
-  if (o.batch < 1 || o.nmax < 1) usage(argv[0]);
-  return o;
-}
 
 struct Point {
   std::string pool;
@@ -77,14 +52,18 @@ Point run_pool(const char* desc, const std::vector<int>& sizes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
+  Options o;
+  gate::Flags(argv[0])
+      .num("--batch", o.batch, 1)
+      .num("--nmax", o.nmax, 1)
+      .num("--seed", o.seed, 0)
+      .text("--out", o.out)
+      .parse(argc, argv);
   const char* pools[] = {"k40c",           "k40c,cpu",
                          "k40c,k40c",      "k40c,k40c,cpu",
                          "k40c,k40c,k40c,k40c", "k40c,k40c,k40c,k40c,cpu"};
 
-  std::FILE* f = std::fopen(o.out.c_str(), "a");
-  if (f == nullptr) std::fprintf(stderr, "warning: could not open %s for append\n", o.out.c_str());
-
+  std::vector<gate::JsonLine> lines;
   bool ok = true;
   for (SizeDist dist : {SizeDist::Uniform, SizeDist::Gaussian}) {
     Rng rng(o.seed);
@@ -101,15 +80,11 @@ int main(int argc, char** argv) {
       const double speedup = base_seconds > 0.0 ? base_seconds / p.seconds : 0.0;
       std::printf("  %-26s %12.3f %10.1f %7.2fx %7d %7d %9.2f\n", desc, p.seconds * 1e3,
                   p.gflops, speedup, p.chunks, p.steals, p.joules);
-      if (f != nullptr) {
-        std::fprintf(f,
-                     "{\"bench\": \"hetero_scaling\", \"dist\": \"%s\", \"pool\": \"%s\", "
-                     "\"batch\": %d, \"nmax\": %d, \"precision\": \"d\", "
-                     "\"modelled_seconds\": %.9f, \"gflops\": %.3f, \"speedup_vs_1gpu\": %.3f, "
-                     "\"chunks\": %d, \"steals\": %d, \"joules\": %.3f}\n",
-                     to_string(dist), desc, o.batch, o.nmax, p.seconds, p.gflops, speedup,
-                     p.chunks, p.steals, p.joules);
-      }
+      lines.push_back({{"bench", "hetero_scaling"}, {"dist", to_string(dist)}, {"pool", desc},
+                       {"batch", o.batch}, {"nmax", o.nmax}, {"precision", "d"},
+                       {"modelled_seconds", p.seconds}, {"gflops", p.gflops},
+                       {"speedup_vs_1gpu", speedup}, {"chunks", p.chunks},
+                       {"steals", p.steals}, {"joules", p.joules}});
 
       // Scaling gates (Gaussian is the acceptance workload).
       const std::string pd = p.pool;
@@ -127,7 +102,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (f != nullptr) std::fclose(f);
+  gate::append_json_lines(o.out, lines);
   std::printf("\n%s\n", ok ? "scaling gates passed" : "scaling gates FAILED");
   return ok ? 0 : 1;
 }

@@ -16,14 +16,11 @@
 // staging in modelled time, or if either streamed run's factors/info differ
 // from the everything-resident run — streaming must change the clock and
 // nothing else.
-//
-// Usage:
-//   fig_oof_streaming [--batch N] [--nmax N] [--seed N] [--out FILE]
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "gate_common.hpp"
 #include "vbatch/core/size_dist.hpp"
 #include "vbatch/hetero/potrf_hetero.hpp"
 
@@ -38,37 +35,13 @@ struct Options {
   std::string out = "BENCH_oof.json";
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::printf("usage: %s [--batch N] [--nmax N] [--seed N] [--out FILE]\n", argv0);
-  std::exit(2);
-}
-
-Options parse(int argc, char** argv) {
-  Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--batch") o.batch = std::atoi(next());
-    else if (arg == "--nmax") o.nmax = std::atoi(next());
-    else if (arg == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else if (arg == "--out") o.out = next();
-    else usage(argv[0]);
-  }
-  if (o.batch < 1 || o.nmax < 1) usage(argv[0]);
-  return o;
-}
-
 struct Point {
   std::string label;
   double seconds = 0.0;
   double h2d_mb = 0.0;
   double d2h_mb = 0.0;
   double pipeline_ratio = 1.0;  ///< (busy + h2d + d2h) / pipeline span
-  std::vector<std::vector<double>> factors;
-  std::vector<int> info;
+  gate::Snapshot bits;
 };
 
 Point run_config(const char* label, const std::vector<int>& sizes,
@@ -91,26 +64,20 @@ Point run_config(const char* label, const std::vector<int>& sizes,
   const auto& ex = r.executors.front();
   if (ex.pipeline_seconds > 0.0)
     p.pipeline_ratio = (ex.busy_seconds + ex.h2d_seconds + ex.d2h_seconds) / ex.pipeline_seconds;
-  for (int i = 0; i < batch.count(); ++i) p.factors.push_back(batch.copy_matrix(i));
-  p.info.assign(batch.info().begin(), batch.info().end());
+  p.bits = gate::Snapshot::of(batch);
   return p;
-}
-
-bool bit_identical(const Point& a, const Point& b) {
-  if (a.info != b.info || a.factors.size() != b.factors.size()) return false;
-  for (std::size_t i = 0; i < a.factors.size(); ++i) {
-    if (a.factors[i].size() != b.factors[i].size()) return false;
-    if (std::memcmp(a.factors[i].data(), b.factors[i].data(),
-                    a.factors[i].size() * sizeof(double)) != 0)
-      return false;
-  }
-  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
+  Options o;
+  gate::Flags(argv[0])
+      .num("--batch", o.batch, 1)
+      .num("--nmax", o.nmax, 1)
+      .num("--seed", o.seed, 0)
+      .text("--out", o.out)
+      .parse(argc, argv);
   Rng rng(o.seed);
   const auto sizes = make_sizes(SizeDist::Gaussian, rng, o.batch, o.nmax);
 
@@ -126,30 +93,23 @@ int main(int argc, char** argv) {
   const Point buffered =
       run_config("streamed-prefetch", sizes, hetero::HeteroOptions::Staging::Streamed, true);
 
-  std::FILE* f = std::fopen(o.out.c_str(), "a");
-  if (f == nullptr) std::fprintf(stderr, "warning: could not open %s for append\n", o.out.c_str());
-
+  std::vector<gate::JsonLine> lines;
   bool ok = true;
   for (const Point* p : {&resident, &sync, &buffered}) {
     const double speedup = p->seconds > 0.0 ? sync.seconds / p->seconds : 0.0;
     std::printf("  %-22s %12.4f %10.1f %10.1f %8.2fx %7.2fx\n", p->label.c_str(),
                 p->seconds * 1e3, p->h2d_mb, p->d2h_mb, p->pipeline_ratio, speedup);
-    if (f != nullptr) {
-      std::fprintf(f,
-                   "{\"bench\": \"oof_streaming\", \"staging\": \"%s\", \"batch\": %d, "
-                   "\"nmax\": %d, \"precision\": \"d\", \"modelled_seconds\": %.9f, "
-                   "\"h2d_mb\": %.3f, \"d2h_mb\": %.3f, \"pipeline_ratio\": %.3f, "
-                   "\"speedup_vs_sync\": %.3f}\n",
-                   p->label.c_str(), o.batch, o.nmax, p->seconds, p->h2d_mb, p->d2h_mb,
-                   p->pipeline_ratio, speedup);
-    }
-    if (!bit_identical(resident, *p)) {
+    lines.push_back({{"bench", "oof_streaming"}, {"staging", p->label}, {"batch", o.batch},
+                     {"nmax", o.nmax}, {"precision", "d"}, {"modelled_seconds", p->seconds},
+                     {"h2d_mb", p->h2d_mb}, {"d2h_mb", p->d2h_mb},
+                     {"pipeline_ratio", p->pipeline_ratio}, {"speedup_vs_sync", speedup}});
+    if (p->bits != resident.bits) {
       std::fprintf(stderr, "FAILED: '%s' changed the factors or info — staging must only "
                            "change the modelled clock\n", p->label.c_str());
       ok = false;
     }
   }
-  if (f != nullptr) std::fclose(f);
+  gate::append_json_lines(o.out, lines);
 
   const double speedup = buffered.seconds > 0.0 ? sync.seconds / buffered.seconds : 0.0;
   if (sync.h2d_mb <= 0.0 || buffered.h2d_mb <= 0.0) {

@@ -16,15 +16,11 @@
 // change the clock and nothing else. (The Cholesky path is pinned to
 // Separated with a fixed blocking so the kernel configuration cannot vary
 // with the merged-batch composition; see docs/service.md, "Demux".)
-//
-// Usage:
-//   fig_service_coalesce [--count N] [--nmax N] [--seed N] [--out FILE]
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "gate_common.hpp"
 #include "vbatch/core/size_dist.hpp"
 #include "vbatch/service/service.hpp"
 
@@ -39,29 +35,6 @@ struct Options {
   std::uint64_t seed = 2016;
   std::string out = "BENCH_service.json";
 };
-
-[[noreturn]] void usage(const char* argv0) {
-  std::printf("usage: %s [--count N] [--nmax N] [--seed N] [--out FILE]\n", argv0);
-  std::exit(2);
-}
-
-Options parse(int argc, char** argv) {
-  Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--count") o.count = std::atoi(next());
-    else if (arg == "--nmax") o.nmax = std::atoi(next());
-    else if (arg == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else if (arg == "--out") o.out = next();
-    else usage(argv[0]);
-  }
-  if (o.count < 2 || o.nmax < 1) usage(argv[0]);
-  return o;
-}
 
 /// One burst: `count` single-matrix dpotrf requests from two tenants, all
 /// arriving at t=0 — the shape a naive server turns into `count` launches.
@@ -99,40 +72,25 @@ svc::ServiceReport run_mode(const svc::Trace& trace, bool coalesce) {
   return svc::replay_trace(pool, trace, cfg);
 }
 
-bool factors_identical(const svc::ServiceReport& a, const svc::ServiceReport& b) {
-  std::map<std::uint64_t, const svc::RequestOutcome*> by_id;
-  for (const auto& out : b.outcomes) by_id[out.id] = &out;
-  for (const auto& out : a.outcomes) {
-    const auto it = by_id.find(out.id);
-    if (it == by_id.end()) return false;
-    const auto& other = *it->second;
-    if (out.info != other.info || out.factors.size() != other.factors.size()) return false;
-    for (std::size_t m = 0; m < out.factors.size(); ++m) {
-      if (out.factors[m].size() != other.factors[m].size()) return false;
-      if (std::memcmp(out.factors[m].data(), other.factors[m].data(),
-                      out.factors[m].size()) != 0)
-        return false;
-    }
-  }
-  return true;
-}
-
-void emit_json(std::FILE* f, const Options& o, const char* mode,
-               const svc::ServiceReport& r, double speedup) {
-  if (f == nullptr) return;
-  std::fprintf(f,
-               "{\"bench\": \"service_coalesce\", \"mode\": \"%s\", \"count\": %d, "
-               "\"nmax\": %d, \"precision\": \"d\", \"makespan_seconds\": %.9f, "
-               "\"batches\": %d, \"coalescing_ratio\": %.3f, \"gflops\": %.3f, "
-               "\"p99_latency\": %.9f, \"speedup_vs_per_request\": %.3f}\n",
-               mode, o.count, o.nmax, r.makespan, r.batches, r.coalescing_ratio,
-               r.gflops(), r.p99_latency, speedup);
+gate::JsonLine json_line(const Options& o, const char* mode, const svc::ServiceReport& r,
+                         double speedup) {
+  return {{"bench", "service_coalesce"}, {"mode", mode}, {"count", o.count},
+          {"nmax", o.nmax}, {"precision", "d"}, {"makespan_seconds", r.makespan},
+          {"batches", r.batches}, {"coalescing_ratio", r.coalescing_ratio},
+          {"gflops", r.gflops()}, {"p99_latency", r.p99_latency},
+          {"speedup_vs_per_request", speedup}};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
+  Options o;
+  gate::Flags(argv[0])
+      .num("--count", o.count, 2)
+      .num("--nmax", o.nmax, 1)
+      .num("--seed", o.seed, 0)
+      .text("--out", o.out)
+      .parse(argc, argv);
   const svc::Trace trace = make_burst(o);
 
   std::printf("burst of %d single-matrix dpotrf requests, sizes in [1, %d], k40c:\n",
@@ -144,19 +102,15 @@ int main(int argc, char** argv) {
   const svc::ServiceReport merged = run_mode(trace, true);
   const double speedup = merged.makespan > 0.0 ? base.makespan / merged.makespan : 0.0;
 
-  std::FILE* f = std::fopen(o.out.c_str(), "a");
-  if (f == nullptr) std::fprintf(stderr, "warning: could not open %s for append\n", o.out.c_str());
-
   std::printf("  %-16s %12.4f %8d %9.2fx %12.4f %7.2fx\n", "per-request", base.makespan * 1e3,
               base.batches, base.coalescing_ratio, base.p99_latency * 1e3, 1.0);
   std::printf("  %-16s %12.4f %8d %9.2fx %12.4f %7.2fx\n", "coalesced", merged.makespan * 1e3,
               merged.batches, merged.coalescing_ratio, merged.p99_latency * 1e3, speedup);
-  emit_json(f, o, "per_request", base, 1.0);
-  emit_json(f, o, "coalesced", merged, speedup);
-  if (f != nullptr) std::fclose(f);
+  gate::append_json_lines(o.out, {json_line(o, "per_request", base, 1.0),
+                                  json_line(o, "coalesced", merged, speedup)});
 
   bool ok = true;
-  if (!factors_identical(base, merged)) {
+  if (!gate::same_outcomes(base, merged, [](const svc::RequestOutcome&) { return true; })) {
     std::fprintf(stderr, "FAILED: coalescing changed some request's factors or info — "
                          "merging must only change the clock\n");
     ok = false;

@@ -29,15 +29,11 @@
 //     run — admission changes WHICH requests run, never WHAT they compute;
 //   * the executor-death run sheds load (shed+expired > 0) and still keeps
 //     accepted p99 <= 3x uncontended.
-//
-// Usage:
-//   fig_service_overload [--count N] [--nmax N] [--seed N] [--out FILE]
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "gate_common.hpp"
 #include "vbatch/core/size_dist.hpp"
 #include "vbatch/service/service.hpp"
 
@@ -55,29 +51,6 @@ struct Options {
   std::uint64_t seed = 2016;
   std::string out = "BENCH_overload.json";
 };
-
-[[noreturn]] void usage(const char* argv0) {
-  std::printf("usage: %s [--count N] [--nmax N] [--seed N] [--out FILE]\n", argv0);
-  std::exit(2);
-}
-
-Options parse(int argc, char** argv) {
-  Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--count") o.count = std::atoi(next());
-    else if (arg == "--nmax") o.nmax = std::atoi(next());
-    else if (arg == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else if (arg == "--out") o.out = next();
-    else usage(argv[0]);
-  }
-  if (o.count < 8 || o.nmax < 1) usage(argv[0]);
-  return o;
-}
 
 constexpr const char* kPool = "cpu,k40c";
 
@@ -143,36 +116,18 @@ svc::ServiceReport replay(const svc::Trace& trace, const svc::ServiceConfig& cfg
 /// Every accepted (served) request in `run` must carry the same factor
 /// bytes as the uncontended reference run of the same request set.
 bool accepted_factors_match(const svc::ServiceReport& run, const svc::ServiceReport& ref) {
-  std::map<std::uint64_t, const svc::RequestOutcome*> by_id;
-  for (const auto& out : ref.outcomes) by_id[out.id] = &out;
-  for (const auto& out : run.outcomes) {
-    if (svc::is_rejected(out.status) || out.status != svc::RequestStatus::Ok) continue;
-    const auto it = by_id.find(out.id);
-    if (it == by_id.end()) return false;
-    const auto& other = *it->second;
-    if (out.info != other.info || out.factors.size() != other.factors.size()) return false;
-    for (std::size_t m = 0; m < out.factors.size(); ++m) {
-      if (out.factors[m].size() != other.factors[m].size()) return false;
-      if (std::memcmp(out.factors[m].data(), other.factors[m].data(),
-                      out.factors[m].size()) != 0)
-        return false;
-    }
-  }
-  return true;
+  return gate::same_outcomes(run, ref, [](const svc::RequestOutcome& out) {
+    return out.status == svc::RequestStatus::Ok;
+  });
 }
 
-void emit_json(std::FILE* f, const Options& o, const char* mode,
-               const svc::ServiceReport& r) {
-  if (f == nullptr) return;
-  std::fprintf(f,
-               "{\"bench\": \"service_overload\", \"mode\": \"%s\", \"count\": %d, "
-               "\"nmax\": %d, \"precision\": \"d\", \"pool\": \"%s\", "
-               "\"makespan_seconds\": %.9f, \"p99_latency\": %.9f, "
-               "\"accepted\": %d, \"shed\": %d, \"expired\": %d, "
-               "\"slo_attainment\": %.4f, \"goodput_gflops\": %.3f, "
-               "\"capacity_gflops\": %.3f}\n",
-               mode, o.count, o.nmax, kPool, r.makespan, r.p99_latency, r.accepted, r.shed,
-               r.expired, r.slo_attainment(), r.goodput_gflops(), r.capacity_gflops);
+gate::JsonLine json_line(const Options& o, const char* mode, const svc::ServiceReport& r) {
+  return {{"bench", "service_overload"}, {"mode", mode}, {"count", o.count},
+          {"nmax", o.nmax}, {"precision", "d"}, {"pool", kPool},
+          {"makespan_seconds", r.makespan}, {"p99_latency", r.p99_latency},
+          {"accepted", r.accepted}, {"shed", r.shed}, {"expired", r.expired},
+          {"slo_attainment", r.slo_attainment()}, {"goodput_gflops", r.goodput_gflops()},
+          {"capacity_gflops", r.capacity_gflops}};
 }
 
 void print_row(const char* mode, const svc::ServiceReport& r) {
@@ -184,7 +139,13 @@ void print_row(const char* mode, const svc::ServiceReport& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
+  Options o;
+  gate::Flags(argv[0])
+      .num("--count", o.count, 8)
+      .num("--nmax", o.nmax, 1)
+      .num("--seed", o.seed, 0)
+      .text("--out", o.out)
+      .parse(argc, argv);
   const std::vector<svc::Request> reqs = make_requests(o);
 
   // Calibrate arrival rates from the pool's own modelled service time: a
@@ -246,14 +207,10 @@ int main(int argc, char** argv) {
   print_row("admission", admission);
   print_row("admission+death", death);
 
-  std::FILE* f = std::fopen(o.out.c_str(), "a");
-  if (f == nullptr)
-    std::fprintf(stderr, "warning: could not open %s for append\n", o.out.c_str());
-  emit_json(f, o, "uncontended", uncontended);
-  emit_json(f, o, "overload_no_admission", collapse);
-  emit_json(f, o, "overload_admission", admission);
-  emit_json(f, o, "overload_admission_death", death);
-  if (f != nullptr) std::fclose(f);
+  gate::append_json_lines(o.out, {json_line(o, "uncontended", uncontended),
+                                  json_line(o, "overload_no_admission", collapse),
+                                  json_line(o, "overload_admission", admission),
+                                  json_line(o, "overload_admission_death", death)});
 
   bool ok = true;
   if (admission.p99_latency > 3.0 * uncontended.p99_latency) {

@@ -13,14 +13,11 @@
 // the 4-stream pool is not at least 1.3x faster in modelled time, or if the
 // factors/info are not bit-identical across stream counts — overlap must
 // change the clock and nothing else.
-//
-// Usage:
-//   fig_stream_overlap [--batch N] [--nmax N] [--seed N] [--out FILE]
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "gate_common.hpp"
 #include "vbatch/core/size_dist.hpp"
 #include "vbatch/hetero/potrf_hetero.hpp"
 
@@ -35,37 +32,13 @@ struct Options {
   std::string out = "BENCH_streams.json";
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::printf("usage: %s [--batch N] [--nmax N] [--seed N] [--out FILE]\n", argv0);
-  std::exit(2);
-}
-
-Options parse(int argc, char** argv) {
-  Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--batch") o.batch = std::atoi(next());
-    else if (arg == "--nmax") o.nmax = std::atoi(next());
-    else if (arg == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else if (arg == "--out") o.out = next();
-    else usage(argv[0]);
-  }
-  if (o.batch < 1 || o.nmax < 1) usage(argv[0]);
-  return o;
-}
-
 struct Point {
   std::string pool;
   double seconds = 0.0;
   double gflops = 0.0;
   int streams = 1;
   double overlap = 1.0;
-  std::vector<std::vector<double>> factors;
-  std::vector<int> info;
+  gate::Snapshot bits;
 };
 
 Point run_pool(const char* desc, const std::vector<int>& sizes) {
@@ -81,26 +54,20 @@ Point run_pool(const char* desc, const std::vector<int>& sizes) {
   p.gflops = r.gflops();
   p.streams = r.executors.front().streams;
   p.overlap = r.executors.front().overlap;
-  for (int i = 0; i < batch.count(); ++i) p.factors.push_back(batch.copy_matrix(i));
-  p.info.assign(batch.info().begin(), batch.info().end());
+  p.bits = gate::Snapshot::of(batch);
   return p;
-}
-
-bool bit_identical(const Point& a, const Point& b) {
-  if (a.info != b.info || a.factors.size() != b.factors.size()) return false;
-  for (std::size_t i = 0; i < a.factors.size(); ++i) {
-    if (a.factors[i].size() != b.factors[i].size()) return false;
-    if (std::memcmp(a.factors[i].data(), b.factors[i].data(),
-                    a.factors[i].size() * sizeof(double)) != 0)
-      return false;
-  }
-  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
+  Options o;
+  gate::Flags(argv[0])
+      .num("--batch", o.batch, 1)
+      .num("--nmax", o.nmax, 1)
+      .num("--seed", o.seed, 0)
+      .text("--out", o.out)
+      .parse(argc, argv);
   Rng rng(o.seed);
   const auto sizes = make_sizes(SizeDist::Uniform, rng, o.batch, o.nmax);
 
@@ -109,9 +76,7 @@ int main(int argc, char** argv) {
               "streams", "overlap");
 
   const char* pools[] = {"k40c", "k40c:2streams", "k40c:4streams"};
-  std::FILE* f = std::fopen(o.out.c_str(), "a");
-  if (f == nullptr) std::fprintf(stderr, "warning: could not open %s for append\n", o.out.c_str());
-
+  std::vector<gate::JsonLine> lines;
   bool ok = true;
   Point base;
   for (const char* desc : pools) {
@@ -120,16 +85,11 @@ int main(int argc, char** argv) {
     const double speedup = base.seconds > 0.0 ? base.seconds / p.seconds : 0.0;
     std::printf("  %-18s %12.4f %10.1f %7.2fx %8d %7.2fx\n", desc, p.seconds * 1e3, p.gflops,
                 speedup, p.streams, p.overlap);
-    if (f != nullptr) {
-      std::fprintf(f,
-                   "{\"bench\": \"stream_overlap\", \"pool\": \"%s\", \"batch\": %d, "
-                   "\"nmax\": %d, \"precision\": \"d\", \"modelled_seconds\": %.9f, "
-                   "\"gflops\": %.3f, \"speedup_vs_1stream\": %.3f, \"streams\": %d, "
-                   "\"overlap\": %.3f}\n",
-                   desc, o.batch, o.nmax, p.seconds, p.gflops, speedup, p.streams, p.overlap);
-    }
-
-    if (!bit_identical(base, p)) {
+    lines.push_back({{"bench", "stream_overlap"}, {"pool", desc}, {"batch", o.batch},
+                     {"nmax", o.nmax}, {"precision", "d"}, {"modelled_seconds", p.seconds},
+                     {"gflops", p.gflops}, {"speedup_vs_1stream", speedup},
+                     {"streams", p.streams}, {"overlap", p.overlap}});
+    if (p.bits != base.bits) {
       std::fprintf(stderr, "FAILED: '%s' changed the factors or info — overlap must only "
                            "change the modelled clock\n", desc);
       ok = false;
@@ -140,7 +100,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  if (f != nullptr) std::fclose(f);
+  gate::append_json_lines(o.out, lines);
   std::printf("\n%s\n", ok ? "overlap gates passed" : "overlap gates FAILED");
   return ok ? 0 : 1;
 }

@@ -26,20 +26,14 @@
 // Output: a human-readable table on stdout plus one JSON line appended to
 // BENCH_blas.json (override with --out). The run fails (non-zero exit) on a
 // numerics problem or on a failed regression gate.
-//
-// Usage:
-//   wallclock_blas [--sizes n1,n2,...] [--batch N] [--nmax N]
-//                  [--dist uniform,gaussian,skewed,cluster] [--reps N]
-//                  [--seed N] [--isa scalar|sse2|neon|avx2|avx512] [--tune]
-//                  [--out FILE]
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "gate_common.hpp"
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/blas/microkernel.hpp"
 #include "vbatch/core/autotune.hpp"
@@ -62,75 +56,6 @@ struct Options {
   std::string out = "BENCH_blas.json";
   bool tune = false;
 };
-
-[[noreturn]] void usage(const char* argv0) {
-  std::printf("usage: %s [--sizes n1,n2,...] [--batch N] [--nmax N]\n"
-              "          [--dist uniform,gaussian,skewed,cluster] [--reps N] [--seed N]\n"
-              "          [--isa scalar|sse2|neon|avx2|avx512] [--tune] [--out FILE]\n",
-              argv0);
-  std::exit(2);
-}
-
-std::vector<int> parse_sizes(const std::string& csv) {
-  std::vector<int> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string tok = csv.substr(pos, comma == std::string::npos ? csv.size() - pos
-                                                                       : comma - pos);
-    out.push_back(std::atoi(tok.c_str()));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
-std::vector<SizeDist> parse_dists(const std::string& csv, const char* argv0) {
-  std::vector<SizeDist> out;
-  std::size_t pos = 0;
-  while (pos <= csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string tok = csv.substr(pos, comma == std::string::npos ? csv.size() - pos
-                                                                       : comma - pos);
-    if (tok == "uniform") out.push_back(SizeDist::Uniform);
-    else if (tok == "gaussian") out.push_back(SizeDist::Gaussian);
-    else if (tok == "skewed") out.push_back(SizeDist::Skewed);
-    else if (tok == "cluster") out.push_back(SizeDist::Cluster);
-    else usage(argv0);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
-Options parse(int argc, char** argv) {
-  Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--sizes") o.sizes = parse_sizes(next());
-    else if (arg == "--batch") o.batch = std::atoi(next());
-    else if (arg == "--nmax") o.nmax = std::atoi(next());
-    else if (arg == "--reps") o.reps = std::atoi(next());
-    else if (arg == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else if (arg == "--out") o.out = next();
-    else if (arg == "--tune") o.tune = true;
-    else if (arg == "--dist") o.dists = parse_dists(next(), argv[0]);
-    else if (arg == "--isa") {
-      const auto isa = blas::micro::parse_isa(next());
-      if (!isa) usage(argv[0]);
-      blas::micro::set_isa(*isa);
-    } else usage(argv[0]);
-  }
-  if (o.batch < 1 || o.nmax < 1 || o.reps < 1 || o.sizes.empty() || o.dists.empty())
-    usage(argv[0]);
-  for (int n : o.sizes)
-    if (n < 1) usage(argv[0]);
-  return o;
-}
 
 double now_seconds() {
   return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
@@ -198,26 +123,6 @@ void measure(SizeCase& sc, double (&best)[kKernels]) {
   for (int k = 0; k < kKernels; ++k) best[k] = std::min(best[k], t[k]);
 }
 
-std::string json_array(const std::vector<double>& v) {
-  std::string out = "[";
-  char buf[32];
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%.3f", v[i]);
-    out += buf;
-    if (i + 1 < v.size()) out += ",";
-  }
-  return out + "]";
-}
-
-std::string json_int_array(const std::vector<int>& v) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    out += std::to_string(v[i]);
-    if (i + 1 < v.size()) out += ",";
-  }
-  return out + "]";
-}
-
 struct E2eResult {
   double wall_seconds = 0.0;
   double max_residual = 0.0;
@@ -261,7 +166,37 @@ E2eResult run_e2e(const Options& o, const std::vector<int>& sizes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
+  Options o;
+  gate::Flags(argv[0])
+      .list("--sizes", o.sizes, 1)
+      .num("--batch", o.batch, 1)
+      .num("--nmax", o.nmax, 1)
+      .custom("--dist", "uniform,gaussian,skewed,cluster",
+              [&o](std::string_view csv) {
+                std::vector<SizeDist> dists;
+                const bool ok = gate::for_each_csv(csv, [&](std::string_view tok) {
+                  for (SizeDist d : {SizeDist::Uniform, SizeDist::Gaussian, SizeDist::Skewed,
+                                     SizeDist::Cluster})
+                    if (tok == to_string(d)) {
+                      dists.push_back(d);
+                      return true;
+                    }
+                  return false;
+                });
+                if (ok) o.dists = std::move(dists);
+                return ok;
+              })
+      .num("--reps", o.reps, 1)
+      .num("--seed", o.seed, 0)
+      .custom("--isa", "scalar|sse2|neon|avx2|avx512",
+              [](std::string_view v) {
+                const auto isa = blas::micro::parse_isa(v);
+                if (isa) blas::micro::set_isa(*isa);
+                return isa.has_value();
+              })
+      .toggle("--tune", o.tune)
+      .text("--out", o.out)
+      .parse(argc, argv);
   if (o.tune) {
     BlasTuneSettings ts;
     ts.verbose = true;
@@ -431,46 +366,35 @@ int main(int argc, char** argv) {
                 nn512_ok ? "PASS" : "FAIL");
   std::printf("  residual gates: %s\n", residual_ok ? "PASS" : "FAIL");
 
-  std::string json = std::string("{\"bench\":\"wallclock_blas\",\"isa\":\"") + to_string(isa) +
-                     "\",\"tuned\":" + (o.tune ? "true" : "false") +
-                     ",\"sizes\":" + json_int_array(o.sizes);
-  auto add_series = [&json](const char* name, const KernelSeries& s) {
-    json += std::string(",\"") + name + "_ref_gflops\":" + json_array(s.ref_gflops);
-    json += std::string(",\"") + name + "_scalar_gflops\":" + json_array(s.scalar_gflops);
-    json += std::string(",\"") + name + "_blk_gflops\":" + json_array(s.blk_gflops);
-  };
-  add_series("gemm_nn", gemm_nn);
-  add_series("gemm_nt", gemm_nt);
-  add_series("syrk", syrk_s);
-  add_series("trsm", trsm_s);
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                ",\"gemm_min_speedup_nn_64up\":%.3f,\"gemm_min_speedup_nt_64up\":%.3f,"
-                "\"nt_vector_min_ratio\":%.3f,\"nt_vector_2x_ok\":%s,"
-                "\"nn512_ratio\":%.3f,\"nn512_ok\":%s,"
-                "\"e2e_batch\":%d,\"e2e_nmax\":%d,\"residual_ok\":%s,\"e2e\":[",
-                min_speedup_nn, min_speedup_nt, min_vector_ratio_nt,
-                nt_vector_2x_ok ? "true" : "false", nn512_ratio, nn512_ok ? "true" : "false",
-                o.batch, o.nmax, residual_ok ? "true" : "false");
-  json += buf;
-  for (std::size_t i = 0; i < e2e.size(); ++i) {
-    const E2ePoint& pt = e2e[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"dist\":\"%s\",\"ref_seconds\":%.6e,\"blocked_seconds\":%.6e,"
-                  "\"speedup\":%.3f,\"max_residual_ref\":%.3e,\"max_residual_blocked\":%.3e}",
-                  i ? "," : "", to_string(pt.dist), pt.ref.wall_seconds, pt.blk.wall_seconds,
-                  pt.blk.wall_seconds > 0.0 ? pt.ref.wall_seconds / pt.blk.wall_seconds : 0.0,
-                  pt.ref.max_residual, pt.blk.max_residual);
-    json += buf;
+  gate::JsonLine json{{"bench", "wallclock_blas"}, {"isa", to_string(isa)}, {"tuned", o.tune},
+                      {"sizes", o.sizes}};
+  const struct { const char* name; const KernelSeries* s; } named[] = {
+      {"gemm_nn", &gemm_nn}, {"gemm_nt", &gemm_nt}, {"syrk", &syrk_s}, {"trsm", &trsm_s}};
+  for (const auto& [name, s] : named) {
+    json.add(std::string(name) + "_ref_gflops", s->ref_gflops);
+    json.add(std::string(name) + "_scalar_gflops", s->scalar_gflops);
+    json.add(std::string(name) + "_blk_gflops", s->blk_gflops);
   }
-  json += "]}";
-  std::printf("%s\n", json.c_str());
-  if (std::FILE* f = std::fopen(o.out.c_str(), "a")) {
-    std::fprintf(f, "%s\n", json.c_str());
-    std::fclose(f);
-  } else {
-    std::fprintf(stderr, "warning: could not open %s for append\n", o.out.c_str());
-  }
+  std::vector<gate::JsonLine> e2e_json;
+  for (const E2ePoint& pt : e2e)
+    e2e_json.push_back(
+        {{"dist", to_string(pt.dist)}, {"ref_seconds", pt.ref.wall_seconds},
+         {"blocked_seconds", pt.blk.wall_seconds},
+         {"speedup", pt.blk.wall_seconds > 0.0 ? pt.ref.wall_seconds / pt.blk.wall_seconds : 0.0},
+         {"max_residual_ref", pt.ref.max_residual},
+         {"max_residual_blocked", pt.blk.max_residual}});
+  json.add("gemm_min_speedup_nn_64up", min_speedup_nn)
+      .add("gemm_min_speedup_nt_64up", min_speedup_nt)
+      .add("nt_vector_min_ratio", min_vector_ratio_nt)
+      .add("nt_vector_2x_ok", nt_vector_2x_ok)
+      .add("nn512_ratio", nn512_ratio)
+      .add("nn512_ok", nn512_ok)
+      .add("e2e_batch", o.batch)
+      .add("e2e_nmax", o.nmax)
+      .add("residual_ok", residual_ok)
+      .add("e2e", e2e_json);
+  std::printf("%s\n", json.str().c_str());
+  gate::append_json_lines(o.out, {json});
 
   if (!residual_ok) {
     std::fprintf(stderr, "FAILED: residual gate or info check failed\n");

@@ -12,18 +12,15 @@
 // BENCH_wallclock.json (override with --out). A low speedup (e.g. on a
 // single-core machine) is reported but is NOT an error — only a numerics
 // mismatch fails the run.
-//
-// Usage:
-//   wallclock_engine [--batch N] [--nmax N] [--dist uniform|gaussian]
-//                    [--threads N] [--reps N] [--seed N] [--out FILE]
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "gate_common.hpp"
 #include "vbatch/core/potrf_vbatched.hpp"
 #include "vbatch/core/size_dist.hpp"
 #include "vbatch/util/thread_pool.hpp"
@@ -42,45 +39,12 @@ struct Options {
   std::string out = "BENCH_wallclock.json";
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::printf("usage: %s [--batch N] [--nmax N] [--dist uniform|gaussian]\n"
-              "          [--threads N] [--reps N] [--seed N] [--out FILE]\n",
-              argv0);
-  std::exit(2);
-}
-
-Options parse(int argc, char** argv) {
-  Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--batch") o.batch = std::atoi(next());
-    else if (arg == "--nmax") o.nmax = std::atoi(next());
-    else if (arg == "--threads") o.threads = std::atoi(next());
-    else if (arg == "--reps") o.reps = std::atoi(next());
-    else if (arg == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else if (arg == "--out") o.out = next();
-    else if (arg == "--dist") {
-      const std::string v = next();
-      if (v == "uniform") o.dist = SizeDist::Uniform;
-      else if (v == "gaussian") o.dist = SizeDist::Gaussian;
-      else usage(argv[0]);
-    } else usage(argv[0]);
-  }
-  if (o.batch < 1 || o.nmax < 1 || o.reps < 1 || o.threads < 0) usage(argv[0]);
-  return o;
-}
-
 // One full run at a fixed worker count: best-of-reps host wall-clock plus
 // the complete result state for bit-identicality checks.
 struct RunResult {
   double wall_seconds = 0.0;            // best of reps
   double modelled_seconds = 0.0;        // device-model time, must not vary
-  std::vector<int> info;
-  std::vector<std::vector<double>> factors;
+  gate::Snapshot bits;
 };
 
 RunResult run_at(const Options& o, const std::vector<int>& sizes, unsigned threads) {
@@ -99,28 +63,34 @@ RunResult run_at(const Options& o, const std::vector<int>& sizes, unsigned threa
     r.wall_seconds = std::min(r.wall_seconds, std::chrono::duration<double>(t1 - t0).count());
     r.modelled_seconds = pr.seconds;
   }
-  r.info.assign(batch.info().begin(), batch.info().end());
-  for (int i = 0; i < batch.count(); ++i) r.factors.push_back(batch.copy_matrix(i));
+  r.bits = gate::Snapshot::of(batch);
   return r;
 }
 
 bool bit_identical(const RunResult& a, const RunResult& b) {
-  if (a.info != b.info) return false;
-  if (std::memcmp(&a.modelled_seconds, &b.modelled_seconds, sizeof(double)) != 0) return false;
-  if (a.factors.size() != b.factors.size()) return false;
-  for (std::size_t i = 0; i < a.factors.size(); ++i) {
-    if (a.factors[i].size() != b.factors[i].size()) return false;
-    if (std::memcmp(a.factors[i].data(), b.factors[i].data(),
-                    a.factors[i].size() * sizeof(double)) != 0)
-      return false;
-  }
-  return true;
+  return a.bits == b.bits && std::bit_cast<std::uint64_t>(a.modelled_seconds) ==
+                                 std::bit_cast<std::uint64_t>(b.modelled_seconds);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
+  Options o;
+  gate::Flags(argv[0])
+      .num("--batch", o.batch, 1)
+      .num("--nmax", o.nmax, 1)
+      .custom("--dist", "uniform|gaussian",
+              [&o](std::string_view v) {
+                if (v == "uniform") o.dist = SizeDist::Uniform;
+                else if (v == "gaussian") o.dist = SizeDist::Gaussian;
+                else return false;
+                return true;
+              })
+      .num("--threads", o.threads, 0)
+      .num("--reps", o.reps, 1)
+      .num("--seed", o.seed, 0)
+      .text("--out", o.out)
+      .parse(argc, argv);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const unsigned n_threads = o.threads > 0 ? static_cast<unsigned>(o.threads) : hw;
 
@@ -142,22 +112,14 @@ int main(int argc, char** argv) {
   std::printf("  speedup %.2fx, results %s\n", speedup,
               identical ? "bit-identical" : "MISMATCH");
 
-  char json[512];
-  std::snprintf(json, sizeof(json),
-                "{\"bench\":\"wallclock_engine\",\"batch\":%d,\"nmax\":%d,\"dist\":\"%s\","
-                "\"reps\":%d,\"threads\":%u,\"wall_seconds_1\":%.6e,"
-                "\"wall_seconds_n\":%.6e,\"speedup\":%.3f,\"modelled_seconds\":%.9e,"
-                "\"bit_identical\":%s}",
-                o.batch, o.nmax, to_string(o.dist), o.reps, n_threads, base.wall_seconds,
-                par.wall_seconds, speedup, base.modelled_seconds,
-                identical ? "true" : "false");
-  std::printf("%s\n", json);
-  if (std::FILE* f = std::fopen(o.out.c_str(), "a")) {
-    std::fprintf(f, "%s\n", json);
-    std::fclose(f);
-  } else {
-    std::fprintf(stderr, "warning: could not open %s for append\n", o.out.c_str());
-  }
+  const gate::JsonLine json{{"bench", "wallclock_engine"}, {"batch", o.batch},
+                            {"nmax", o.nmax}, {"dist", to_string(o.dist)}, {"reps", o.reps},
+                            {"threads", n_threads}, {"wall_seconds_1", base.wall_seconds},
+                            {"wall_seconds_n", par.wall_seconds}, {"speedup", speedup},
+                            {"modelled_seconds", base.modelled_seconds},
+                            {"bit_identical", identical}};
+  std::printf("%s\n", json.str().c_str());
+  gate::append_json_lines(o.out, {json});
 
   if (!identical) {
     std::fprintf(stderr, "FAILED: results differ between thread counts\n");

@@ -115,10 +115,7 @@ double GpuExecutor::execute(const ChunkWork& work, std::span<int> info, const St
 }
 
 void GpuExecutor::charge_fault(const std::string& what, double seconds, double start) {
-  if (start >= 0.0)
-    queue_.device().charge_interval_at(what, call_t0_ + start, seconds);
-  else
-    queue_.device().charge_interval(what, seconds);
+  queue_.device().charge_interval_at(what, call_t0_ + start, seconds);
 }
 
 energy::EnergyResult GpuExecutor::call_energy(Precision prec, double /*busy_seconds*/,

@@ -125,10 +125,9 @@ class Executor {
   /// executors append a fault-flagged record to their device timeline so
   /// the profiler and the energy integration see the wasted time; the CPU
   /// executor's model has no timeline — its wasted seconds are carried by
-  /// the schedule's busy accounting instead. `start >= 0` pins the record
-  /// at that schedule position (relative to begin_call); negative keeps the
-  /// legacy at-current-clock placement.
-  virtual void charge_fault(const std::string& what, double seconds, double start = -1.0);
+  /// the schedule's busy accounting instead. `start` pins the record at
+  /// its schedule position (relative to begin_call).
+  virtual void charge_fault(const std::string& what, double seconds, double start);
 
   /// ∫P dt of this executor's busy interval since begin_call. GPU executors
   /// integrate their timeline slice; the CPU executor integrates the given

@@ -106,11 +106,11 @@ HeteroResult run_chunked(DevicePool& pool, std::span<const Chunk> chunks,
           ex.charge_fault("fault.backoff", ev.backoff_seconds, ev.start + ev.waste_seconds);
       });
 
-  // --- A poisoned chunk (no surviving executor could complete it) marks
-  // every one of its problems with kInfoChunkLost; its matrices were never
-  // written (failed launches do not commit).
+  // --- An uncompleted chunk (poisoned: no surviving executor could
+  // complete it) marks every one of its problems with kInfoChunkLost; its
+  // matrices were never written (failed launches do not commit).
   for (int c = 0; c < C; ++c)
-    if (sched.poisoned[static_cast<std::size_t>(c)] != 0) {
+    if (sched.chunks[static_cast<std::size_t>(c)].executor < 0) {
       const std::span<int> lost = info_of(c);
       std::fill(lost.begin(), lost.end(), kInfoChunkLost);
     }
@@ -133,7 +133,7 @@ HeteroResult run_chunked(DevicePool& pool, std::span<const Chunk> chunks,
     rep.name = pool.executor(e).name();
   }
   for (int c = 0; c < C; ++c) {
-    const int e = sched.executed_by[static_cast<std::size_t>(c)];
+    const int e = sched.chunks[static_cast<std::size_t>(c)].executor;
     if (e < 0) continue;
     ExecutorReport& rep = result.executors[static_cast<std::size_t>(e)];
     rep.flops += chunks[static_cast<std::size_t>(c)].flops;

@@ -142,10 +142,7 @@ ScheduleResult run_schedule(const ScheduleParams& params,
 
   ScheduleResult res;
   res.executors.resize(static_cast<std::size_t>(E));
-  res.executed_by.assign(static_cast<std::size_t>(C), -1);
-  res.attempts.assign(static_cast<std::size_t>(C), 0);
-  res.poisoned.assign(static_cast<std::size_t>(C), 0);
-  res.staging.assign(static_cast<std::size_t>(C), {0.0, 0.0, 0.0, 0.0});
+  res.chunks.resize(static_cast<std::size_t>(C));
   auto rec = [&](int e) -> ExecutorSchedule& { return res.executors[static_cast<std::size_t>(e)]; };
   for (int e = 0; e < E; ++e) {
     ExecState& x = st(e);
@@ -231,7 +228,6 @@ ScheduleResult run_schedule(const ScheduleParams& params,
       }
     }
     if (pick < 0) {
-      res.poisoned[static_cast<std::size_t>(c)] = 1;
       ++res.chunks_poisoned;
       --left;
       fault::FaultEvent ev;
@@ -326,8 +322,9 @@ ScheduleResult run_schedule(const ScheduleParams& params,
     const int actor = committing ? ce : de;
     if (actor < 0) {
       // Every executor is retired or lost with work outstanding — possible
-      // only when the whole pool died. Poison whatever is left (the deques
-      // of dead executors were already drained by kill/redispatch).
+      // only when the whole pool died. Whatever is left keeps executor -1,
+      // which the caller reports as lost (the deques of dead executors were
+      // already drained by kill/redispatch).
       require(plan != nullptr, "run_schedule: all executors retired with work left");
       break;
     }
@@ -363,7 +360,8 @@ ScheduleResult run_schedule(const ScheduleParams& params,
       out.finish_seconds = std::max(out.finish_seconds, f.end);
       out.chunks += 1;
       if (f.stolen) out.stolen += 1;
-      res.executed_by[static_cast<std::size_t>(f.chunk)] = actor;
+      ChunkSchedule& done = res.chunks[static_cast<std::size_t>(f.chunk)];
+      done.executor = actor;
       a.completed += 1;
       if (f.streamed) {
         // Busy/occupied track compute only; the staging ledger and the
@@ -374,8 +372,10 @@ ScheduleResult run_schedule(const ScheduleParams& params,
         out.d2h_seconds += f.d2h_end - f.d2h_start;
         out.h2d_bytes += f.bytes;
         out.d2h_bytes += f.bytes;
-        res.staging[static_cast<std::size_t>(f.chunk)] = {f.h2d_start, f.h2d_end, f.d2h_start,
-                                                          f.d2h_end};
+        done.h2d_start = f.h2d_start;
+        done.h2d_end = f.h2d_end;
+        done.d2h_start = f.d2h_start;
+        done.d2h_end = f.d2h_end;
       } else {
         a.busy_iv.emplace_back(f.start, f.end);
         a.pipe_iv.emplace_back(f.start, f.end);
@@ -439,7 +439,7 @@ ScheduleResult run_schedule(const ScheduleParams& params,
     }
 
     const int attempt = ++a.tried[static_cast<std::size_t>(chunk)];
-    ++res.attempts[static_cast<std::size_t>(chunk)];
+    ++res.chunks[static_cast<std::size_t>(chunk)].attempts;
     const fault::FaultKind outcome =
         plan != nullptr ? plan->attempt_outcome(actor, chunk, attempt) : fault::FaultKind::None;
 

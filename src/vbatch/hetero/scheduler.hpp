@@ -64,10 +64,10 @@
 //
 // The pool size is the number of estimate rows. The result carries one
 // ExecutorSchedule record per executor (run_chunked extends it into the
-// caller's ExecutorReport) plus the per-chunk placement and recovery ledger.
+// caller's ExecutorReport), one ChunkSchedule record per chunk, and the
+// recovery ledger.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -161,18 +161,26 @@ struct ExecutorSchedule {
   double pipeline_seconds = 0.0;
 };
 
+/// One chunk's slice of a schedule: who completed it, after how many
+/// attempts, and where its staging copies landed.
+struct ChunkSchedule {
+  int executor = -1;  ///< executor that completed the chunk (-1 = not completed)
+  int attempts = 0;   ///< total attempts, the success included
+  /// Committed staging placement in virtual time; all zero for a resident
+  /// chunk. Tests use it to assert the arena budget and the per-direction
+  /// lane serialization.
+  double h2d_start = 0.0;
+  double h2d_end = 0.0;
+  double d2h_start = 0.0;
+  double d2h_end = 0.0;
+};
+
 struct ScheduleResult {
   double makespan = 0.0;                   ///< max final clock over all executors
   std::vector<ExecutorSchedule> executors; ///< one record per estimate row
-  std::vector<int> executed_by;  ///< chunk → executor that completed it (-1 = poisoned)
-  /// Per-chunk committed staging placement {h2d_start, h2d_end, d2h_start,
-  /// d2h_end} in virtual time; all zero for resident chunks. Tests use it
-  /// to assert the arena budget and the per-direction lane serialization.
-  std::vector<std::array<double, 4>> staging;
+  std::vector<ChunkSchedule> chunks;       ///< one record per chunk
 
   // --- Fault-recovery ledger (all empty/zero on a fault-free run) --------
-  std::vector<int> attempts;        ///< per-chunk total attempts (success included)
-  std::vector<char> poisoned;       ///< per-chunk unrecoverable flag
   std::vector<fault::FaultEvent> events;  ///< ordered fault/recovery log
   int retries_total = 0;
   int hangs = 0;

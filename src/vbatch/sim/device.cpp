@@ -80,17 +80,6 @@ const std::vector<BlockCost>& Device::run_blocks(const LaunchConfig& cfg, const 
   return cost_scratch_;
 }
 
-void Device::charge_interval(const std::string& name, double seconds) {
-  if (seconds <= 0.0) return;
-  KernelRecord rec;
-  rec.name = name;
-  rec.start = clock_;
-  rec.end = clock_ + seconds;
-  rec.fault = true;
-  timeline_.add(std::move(rec));
-  clock_ += seconds;
-}
-
 void Device::charge_interval_at(const std::string& name, double at, double seconds) {
   if (seconds <= 0.0) return;
   KernelRecord rec;

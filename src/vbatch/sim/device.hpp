@@ -80,17 +80,13 @@ class Device {
   double launch_concurrent(const std::vector<LaunchConfig>& configs,
                            const std::vector<BlockFn>& fns, int num_streams);
 
-  /// Charges a non-kernel interval to the device: advances the clock by
-  /// `seconds` and appends a fault-flagged timeline record under `name`
-  /// (zero useful flops). The fault-recovery machinery uses this to make
-  /// wasted attempts, retry backoffs and watchdog stalls visible to the
-  /// profiler and the energy integration.
-  void charge_interval(const std::string& name, double seconds);
-
-  /// Like charge_interval, but places the fault record at an absolute clock
-  /// position `at` instead of the current clock (the hetero scheduler uses
-  /// this to align wasted intervals with the virtual-time schedule when
-  /// chunks overlap on concurrent streams). The clock only moves forward.
+  /// Charges a non-kernel interval to the device: appends a fault-flagged
+  /// timeline record under `name` (zero useful flops) at the absolute clock
+  /// interval [at, at + seconds). The fault-recovery machinery uses this to
+  /// make wasted attempts, retry backoffs and watchdog stalls visible to
+  /// the profiler and the energy integration, aligned with the virtual-time
+  /// schedule even when chunks overlap on concurrent streams. The clock
+  /// only moves forward.
   void charge_interval_at(const std::string& name, double at, double seconds);
 
   /// Remaps the records appended since `first_record` from the serial clock

@@ -214,9 +214,9 @@ TEST(FaultScheduler, TransientRetriesThenSucceeds) {
     return 1.0;
   });
   EXPECT_EQ(executions, 1);  // numerics ran exactly once
-  EXPECT_EQ(res.attempts[0], 3);
+  EXPECT_EQ(res.chunks[0].attempts, 3);
   EXPECT_EQ(res.retries_total, 2);
-  EXPECT_EQ(res.executed_by[0], 0);
+  EXPECT_EQ(res.chunks[0].executor, 0);
   EXPECT_EQ(res.chunks_poisoned, 0);
   // Two wasted attempts + the success, plus backoff 50us + 100us.
   const double backoff = sp.retry.backoff_seconds * (1.0 + sp.retry.backoff_multiplier);
@@ -237,7 +237,7 @@ TEST(FaultScheduler, ExhaustedRetriesRedispatchToPeer) {
   const fault::FaultPlan plan(fault::parse_fault_spec("transient:exec=0,chunk=0,times=99"));
   sp.faults = &plan;
   const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
-  EXPECT_EQ(res.executed_by[0], 1);
+  EXPECT_EQ(res.chunks[0].executor, 1);
   EXPECT_EQ(res.executors[0].retries, sp.retry.max_attempts);
   EXPECT_EQ(res.chunks_poisoned, 0);
   EXPECT_EQ(res.executors_lost, 0);
@@ -255,9 +255,8 @@ TEST(FaultScheduler, NoSurvivorPoisonsTheChunk) {
     return 1.0;
   });
   EXPECT_EQ(executions, 1);  // chunk 0 only; chunk 1 never commits
-  EXPECT_EQ(res.executed_by[0], 0);
-  EXPECT_EQ(res.executed_by[1], -1);
-  EXPECT_EQ(res.poisoned[1], 1);
+  EXPECT_EQ(res.chunks[0].executor, 0);
+  EXPECT_EQ(res.chunks[1].executor, -1);  // not completed = poisoned
   EXPECT_EQ(res.chunks_poisoned, 1);
   EXPECT_EQ(res.events.back().kind, fault::FaultKind::ChunkLost);
   EXPECT_EQ(res.events.back().chunk, 1);
@@ -304,7 +303,9 @@ TEST(FaultScheduler, AttachedButSilentPlanChangesNothing) {
   EXPECT_EQ(silent.makespan, clean.makespan);
   for (std::size_t e = 0; e < clean.executors.size(); ++e)
     EXPECT_EQ(silent.executors[e].chunks, clean.executors[e].chunks);
-  EXPECT_EQ(silent.executed_by, clean.executed_by);
+  ASSERT_EQ(silent.chunks.size(), clean.chunks.size());
+  for (std::size_t c = 0; c < clean.chunks.size(); ++c)
+    EXPECT_EQ(silent.chunks[c].executor, clean.chunks[c].executor);
   EXPECT_EQ(silent.retries_total, 0);
   EXPECT_TRUE(silent.events.empty());
 }

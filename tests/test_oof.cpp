@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -117,6 +118,11 @@ TEST(HeteroOofTransfer, ProfileAggregatesTransferLaneAsPseudoKernels) {
 
 /// Three equal chunks through one streamed executor: h2d = compute = d2h =
 /// 1 s each, unbounded arena.
+/// A chunk's committed staging placement {h2d_start, h2d_end, d2h_start, d2h_end}.
+std::array<double, 4> staging_of(const ChunkSchedule& ch) {
+  return {ch.h2d_start, ch.h2d_end, ch.d2h_start, ch.d2h_end};
+}
+
 ScheduleParams streamed_params(bool prefetch) {
   ScheduleParams sp;
   sp.owner = {0, 0, 0};
@@ -140,10 +146,10 @@ TEST(HeteroOofSchedule, SynchronousStagingSerializesTheThreeStages) {
   EXPECT_DOUBLE_EQ(res.executors[0].h2d_bytes, 300.0);
   EXPECT_DOUBLE_EQ(res.executors[0].pipeline_seconds, 9.0);        // nothing overlapped
   // Chunk 1 stages strictly after chunk 0's write-back.
-  EXPECT_DOUBLE_EQ(res.staging[0][0], 0.0);
-  EXPECT_DOUBLE_EQ(res.staging[0][3], 3.0);
-  EXPECT_DOUBLE_EQ(res.staging[1][0], 3.0);
-  EXPECT_DOUBLE_EQ(res.staging[2][3], 9.0);
+  EXPECT_DOUBLE_EQ(res.chunks[0].h2d_start, 0.0);
+  EXPECT_DOUBLE_EQ(res.chunks[0].d2h_end, 3.0);
+  EXPECT_DOUBLE_EQ(res.chunks[1].h2d_start, 3.0);
+  EXPECT_DOUBLE_EQ(res.chunks[2].d2h_end, 9.0);
 }
 
 TEST(HeteroOofSchedule, PrefetchDoubleBuffersTheNextChunk) {
@@ -159,9 +165,9 @@ TEST(HeteroOofSchedule, PrefetchDoubleBuffersTheNextChunk) {
   const std::array<double, 4> c0{0.0, 1.0, 2.0, 3.0};
   const std::array<double, 4> c1{1.0, 2.0, 3.0, 4.0};
   const std::array<double, 4> c2{3.0, 4.0, 5.0, 6.0};
-  EXPECT_EQ(res.staging[0], c0);
-  EXPECT_EQ(res.staging[1], c1);
-  EXPECT_EQ(res.staging[2], c2);
+  EXPECT_EQ(staging_of(res.chunks[0]), c0);
+  EXPECT_EQ(staging_of(res.chunks[1]), c1);
+  EXPECT_EQ(staging_of(res.chunks[2]), c2);
 }
 
 TEST(HeteroOofSchedule, ArenaBudgetDelaysAdmissionUntilBytesRelease) {
@@ -176,22 +182,23 @@ TEST(HeteroOofSchedule, ArenaBudgetDelaysAdmissionUntilBytesRelease) {
   sp.chunk_bytes = {100.0, 100.0};
   sp.arena = {150.0};
   const auto res = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
-  EXPECT_DOUBLE_EQ(res.staging[0][3], 3.0);
-  EXPECT_DOUBLE_EQ(res.staging[1][0], 3.0);  // admission waited for the release
+  EXPECT_DOUBLE_EQ(res.chunks[0].d2h_end, 3.0);
+  EXPECT_DOUBLE_EQ(res.chunks[1].h2d_start, 3.0);  // admission waited for the release
   EXPECT_DOUBLE_EQ(res.makespan, 6.0);
   // Arena invariant: at no committed instant do resident bytes exceed the
   // budget (chunk i occupies [h2d_start, d2h_end)).
-  for (std::size_t i = 0; i < res.staging.size(); ++i)
-    for (std::size_t j = i + 1; j < res.staging.size(); ++j) {
-      const bool disjoint =
-          res.staging[i][3] <= res.staging[j][0] || res.staging[j][3] <= res.staging[i][0];
+  for (std::size_t i = 0; i < res.chunks.size(); ++i)
+    for (std::size_t j = i + 1; j < res.chunks.size(); ++j) {
+      const ChunkSchedule& ci = res.chunks[i];
+      const ChunkSchedule& cj = res.chunks[j];
+      const bool disjoint = ci.d2h_end <= cj.h2d_start || cj.d2h_end <= ci.h2d_start;
       EXPECT_TRUE(disjoint) << "chunks " << i << "/" << j << " co-resident over budget";
     }
 
   // An unbounded arena (or one that fits both) admits chunk 1 at t = 1.
   sp.arena = {200.0};
   const auto wide = run_schedule(sp, [&](int, int, const StreamSlot&) { return 1.0; });
-  EXPECT_DOUBLE_EQ(wide.staging[1][0], 1.0);
+  EXPECT_DOUBLE_EQ(wide.chunks[1].h2d_start, 1.0);
   EXPECT_DOUBLE_EQ(wide.makespan, 4.0);
 }
 
@@ -218,15 +225,17 @@ TEST(HeteroOofSchedule, EmptyTransferRowsReplayTheResidentScheduleExactly) {
   oof.prefetch = true;
   const auto res = run_schedule(oof, [&](int, int, const StreamSlot&) { return 1.0; });
   EXPECT_DOUBLE_EQ(res.makespan, base.makespan);
-  EXPECT_EQ(res.executed_by, base.executed_by);
+  ASSERT_EQ(res.chunks.size(), base.chunks.size());
+  for (std::size_t c = 0; c < base.chunks.size(); ++c)
+    EXPECT_EQ(res.chunks[c].executor, base.chunks[c].executor);
   for (std::size_t e = 0; e < base.executors.size(); ++e) {
     EXPECT_DOUBLE_EQ(res.executors[e].finish_seconds, base.executors[e].finish_seconds);
     EXPECT_DOUBLE_EQ(res.executors[e].busy_seconds, base.executors[e].busy_seconds);
     EXPECT_DOUBLE_EQ(res.executors[e].h2d_seconds, 0.0);
     EXPECT_DOUBLE_EQ(res.executors[e].pipeline_seconds, res.executors[e].occupied_seconds);
   }
-  for (const auto& st : res.staging)
-    EXPECT_EQ(st, (std::array<double, 4>{0.0, 0.0, 0.0, 0.0}));
+  for (const ChunkSchedule& ch : res.chunks)
+    EXPECT_EQ(staging_of(ch), (std::array<double, 4>{0.0, 0.0, 0.0, 0.0}));
 }
 
 TEST(HeteroOofSchedule, TransferBoundPipelineHidesComputeEntirely)
@@ -263,7 +272,7 @@ TEST(HeteroOofFault, TransientOnStreamedExecutorChargesTheStagingToo) {
   EXPECT_EQ(ev.kind, fault::FaultKind::Transient);
   EXPECT_DOUBLE_EQ(ev.waste_seconds, 1.0 + 1.0 + 1.0);  // est + h2d + d2h
   // Every chunk still committed exactly once.
-  for (int owner : res.executed_by) EXPECT_EQ(owner, 0);
+  for (const ChunkSchedule& ch : res.chunks) EXPECT_EQ(ch.executor, 0);
 }
 
 // ---------------------------------------------------------------------------
