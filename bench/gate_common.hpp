@@ -4,10 +4,11 @@
 // wallclock_engine and wallclock_blas. Header-only, and kept apart from
 // bench_common.hpp, which pulls in google-benchmark.
 //
-//   * Flags — each gate registers its flags, bound to their defaults, with
-//     lower bounds; the table generates the usage line. A value whose whole
-//     token does not parse or falls below its bound, a missing value, or an
-//     unknown flag (--help included) prints the usage line and exits 2.
+//   * Flags — the tools' flag table (vbatch/util/flags.hpp): each gate
+//     registers its flags, bound to their defaults, with lower bounds; the
+//     table generates the usage line. A value whose whole token does not
+//     parse or falls below its bound, a missing value, or an unknown flag
+//     prints the usage line and exits 2; --help prints it and exits 0.
 //   * JsonLine — one JSON object, keys in insertion order. Strings are
 //     quoted and escaped, ints and bools print as-is, doubles in shortest
 //     round-trip form with non-finite values as null. append_json_lines()
@@ -16,13 +17,9 @@
 //     check. same_outcomes() is its per-request-id form for service reports.
 #pragma once
 
-#include <charconv>
 #include <cmath>
-#include <concepts>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <functional>
 #include <initializer_list>
 #include <map>
 #include <string>
@@ -32,139 +29,12 @@
 #include <vector>
 
 #include "vbatch/core/batch.hpp"
+#include "vbatch/util/flags.hpp"
 
 namespace gate {
 
-/// Parses the whole of `tok` into `out`; false on an empty token, a
-/// leftover character, a sign the type cannot hold, or overflow.
-template <typename T>
-bool parse_whole(std::string_view tok, T& out) {
-  const char* end = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
-  return ec == std::errc() && ptr == end;
-}
-
-/// Calls `each` on every comma-separated token of `csv`; false as soon as a
-/// token is empty or `each` rejects it.
-template <typename F>
-bool for_each_csv(std::string_view csv, F&& each) {
-  for (;;) {
-    const std::size_t comma = csv.find(',');
-    const std::string_view tok = csv.substr(0, comma);
-    if (tok.empty() || !each(tok)) return false;
-    if (comma == std::string_view::npos) return true;
-    csv.remove_prefix(comma + 1);
-  }
-}
-
-/// A gate's flag table. Registration binds each flag to the variable that
-/// holds its default; parse() overwrites only what the command line names.
-class Flags {
- public:
-  explicit Flags(const char* argv0) : argv0_(argv0) {}
-
-  /// "--name N": an integer no smaller than `min`.
-  template <std::integral T>
-  Flags& num(const char* name, T& value, std::type_identity_t<T> min) {
-    return custom(name, "N", [&value, min](std::string_view tok) {
-      T v{};
-      if (!parse_whole(tok, v) || v < min) return false;
-      value = v;
-      return true;
-    });
-  }
-
-  /// "--name n1,n2,...": a non-empty integer list, every entry >= `min`.
-  Flags& list(const char* name, std::vector<int>& values, int min) {
-    return custom(name, "n1,n2,...", [&values, min](std::string_view csv) {
-      std::vector<int> parsed;
-      const bool ok = for_each_csv(csv, [&](std::string_view tok) {
-        int v = 0;
-        if (!parse_whole(tok, v) || v < min) return false;
-        parsed.push_back(v);
-        return true;
-      });
-      if (ok) values = std::move(parsed);
-      return ok;
-    });
-  }
-
-  /// "--name FILE": any string.
-  Flags& text(const char* name, std::string& value) {
-    return custom(name, "FILE", [&value](std::string_view tok) {
-      value = tok;
-      return true;
-    });
-  }
-
-  /// "--name": takes no value, sets `value` to true.
-  Flags& toggle(const char* name, bool& value) {
-    specs_.push_back({name, nullptr, [&value](std::string_view) {
-                        value = true;
-                        return true;
-                      }});
-    return *this;
-  }
-
-  /// "--name META": `set` stores the value, or returns false to reject it.
-  Flags& custom(const char* name, const char* meta, std::function<bool(std::string_view)> set) {
-    specs_.push_back({name, meta, std::move(set)});
-    return *this;
-  }
-
-  void parse(int argc, char** argv) const {
-    for (int i = 1; i < argc; ++i) {
-      const std::string_view arg = argv[i];
-      const Spec* spec = nullptr;
-      for (const Spec& s : specs_)
-        if (arg == s.name) spec = &s;
-      if (spec == nullptr) reject("unknown flag", arg);
-      if (spec->meta == nullptr) {
-        spec->set({});
-        continue;
-      }
-      if (i + 1 >= argc) reject("missing value for", arg);
-      const std::string_view value = argv[++i];
-      if (!spec->set(value)) reject("bad value for " + std::string(arg) + ":", value);
-    }
-  }
-
- private:
-  struct Spec {
-    const char* name;
-    const char* meta;  ///< nullptr = a toggle that takes no value
-    std::function<bool(std::string_view)> set;
-  };
-
-  /// Prints the generated usage line (wrapped under the program name) and
-  /// exits 2.
-  [[noreturn]] void usage() const {
-    const std::string lead = std::string("usage: ") + argv0_;
-    std::string line = lead;
-    std::string text;
-    for (const Spec& s : specs_) {
-      std::string item = std::string(" [") + s.name;
-      if (s.meta != nullptr) item += std::string(" ") + s.meta;
-      item += "]";
-      if (line.size() + item.size() > 78 && line.size() > lead.size()) {
-        text += line + "\n";
-        line = std::string(lead.size(), ' ');
-      }
-      line += item;
-    }
-    std::printf("%s%s\n", text.c_str(), line.c_str());
-    std::exit(2);
-  }
-
-  [[noreturn]] void reject(const std::string& why, std::string_view what) const {
-    std::fprintf(stderr, "%s: %s '%.*s'\n", argv0_, why.c_str(), static_cast<int>(what.size()),
-                 what.data());
-    usage();
-  }
-
-  const char* argv0_;
-  std::vector<Spec> specs_;
-};
+using vbatch::util::Flags;
+using vbatch::util::for_each_csv;
 
 // --- JSON encoding ---------------------------------------------------------
 
@@ -197,9 +67,7 @@ std::string to_json(T v) {
   } else if constexpr (std::is_integral_v<T>) {
     return std::to_string(v);
   } else {
-    if (!std::isfinite(v)) return "null";
-    char buf[32];
-    return std::string(buf, std::to_chars(buf, buf + sizeof buf, static_cast<double>(v)).ptr);
+    return std::isfinite(v) ? vbatch::util::format_number(static_cast<double>(v)) : "null";
   }
 }
 

@@ -79,13 +79,8 @@ int main(int argc, char** argv) {
   gate::Flags(argv[0])
       .num("--batch", o.batch, 1)
       .num("--nmax", o.nmax, 1)
-      .custom("--dist", "uniform|gaussian",
-              [&o](std::string_view v) {
-                if (v == "uniform") o.dist = SizeDist::Uniform;
-                else if (v == "gaussian") o.dist = SizeDist::Gaussian;
-                else return false;
-                return true;
-              })
+      .choice("--dist", o.dist,
+              {{"uniform", SizeDist::Uniform}, {"gaussian", SizeDist::Gaussian}})
       .num("--threads", o.threads, 0)
       .num("--reps", o.reps, 1)
       .num("--seed", o.seed, 0)

@@ -3,18 +3,19 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "vbatch/blas/microkernel.hpp"
 #include "vbatch/blas/microkernel_tile.hpp"
 #include "vbatch/util/error.hpp"
+#include "vbatch/util/parse.hpp"
 #include "vbatch/util/rng.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -141,20 +142,22 @@ std::string sanitized_hostname() {
   return host;
 }
 
-// Minimal scanner: locates `"key"` inside [from, to) and parses the number
-// after the following ':'. Returns false when the key is absent or the
-// value is not numeric — the caller treats the file as corrupt.
-bool scan_number(const std::string& text, std::size_t from, std::size_t to,
-                 const char* key, double* out) {
+// Minimal scanner: locates `"key"` inside [from, to) and reads the number
+// token after the following ':' (up to the next ',', '}' or whitespace) as
+// a T. Returns false when the key is absent or the token is not a T — the
+// caller treats the file as corrupt.
+template <typename T>
+bool scan_number(const std::string& text, std::size_t from, std::size_t to, const char* key,
+                 T* out) {
   const std::string needle = std::string("\"") + key + "\"";
   const std::size_t kpos = text.find(needle, from);
   if (kpos == std::string::npos || kpos >= to) return false;
   std::size_t p = kpos + needle.size();
   while (p < to && (text[p] == ':' || std::isspace(static_cast<unsigned char>(text[p])))) ++p;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str() + p, &end);
-  if (end == text.c_str() + p) return false;
-  *out = v;
+  const std::size_t end = std::min(to, text.find_first_of(",} \t\r\n", p));
+  const std::optional<T> v = util::try_parse_number<T>(std::string_view(text).substr(p, end - p));
+  if (!v) return false;
+  *out = *v;
   return true;
 }
 
@@ -192,10 +195,10 @@ bool save_tuning_profile(const TuningProfile& p, const std::string& path, std::s
     char line[256];
     std::snprintf(line, sizeof line,
                   "%s\n    \"%s\": {\"mr\": %d, \"nr\": %d, \"kc\": %lld, \"mc\": %lld, "
-                  "\"nc\": %lld, \"min_m\": %lld, \"min_mnk\": %.1f}",
+                  "\"nc\": %lld, \"min_m\": %lld, \"min_mnk\": %s}",
                   t ? "," : "", kTypeKeys[t], s.mr, s.nr, static_cast<long long>(s.kc),
                   static_cast<long long>(s.mc), static_cast<long long>(s.nc),
-                  static_cast<long long>(s.min_m), s.min_mnk);
+                  static_cast<long long>(s.min_m), util::format_number(s.min_mnk).c_str());
     os << line;
   }
   os << "\n  }\n}\n";
@@ -227,10 +230,10 @@ std::optional<TuningProfile> load_tuning_profile(const std::string& path, std::s
 
   if (text.find("\"vbatch_tuning\"") == std::string::npos)
     return fail("not a vbatch tuning file");
-  double version = 0.0;
+  int version = 0;
   if (!scan_number(text, 0, text.size(), "version", &version)) return fail("missing version");
-  if (static_cast<int>(version) != kTuningFormatVersion)
-    return fail("stale format version " + std::to_string(static_cast<int>(version)) +
+  if (version != kTuningFormatVersion)
+    return fail("stale format version " + std::to_string(version) +
                 " (expected " + std::to_string(kTuningFormatVersion) + ")");
 
   TuningProfile p;
@@ -253,26 +256,19 @@ std::optional<TuningProfile> load_tuning_profile(const std::string& path, std::s
     const std::size_t close = open == std::string::npos ? open : text.find('}', open);
     if (close == std::string::npos) return fail(std::string("malformed shape ") + kTypeKeys[t]);
     KernelShape& s = p.shapes[t];
-    double v = 0.0;
-    struct Field {
-      const char* key;
-      bool integral;
+    const char* bad = nullptr;
+    const auto read = [&](const char* key, auto* field) {
+      if (bad == nullptr && !scan_number(text, open, close, key, field)) bad = key;
     };
-    const Field fields[] = {{"mr", true},    {"nr", true},    {"kc", true},     {"mc", true},
-                            {"nc", true},    {"min_m", true}, {"min_mnk", false}};
-    for (const Field& fld : fields) {
-      if (!scan_number(text, open, close, fld.key, &v))
-        return fail(std::string(kTypeKeys[t]) + ": missing field " + fld.key);
-      if (fld.integral && v != std::floor(v))
-        return fail(std::string(kTypeKeys[t]) + ": non-integral " + fld.key);
-      if (std::strcmp(fld.key, "mr") == 0) s.mr = static_cast<int>(v);
-      else if (std::strcmp(fld.key, "nr") == 0) s.nr = static_cast<int>(v);
-      else if (std::strcmp(fld.key, "kc") == 0) s.kc = static_cast<index_t>(v);
-      else if (std::strcmp(fld.key, "mc") == 0) s.mc = static_cast<index_t>(v);
-      else if (std::strcmp(fld.key, "nc") == 0) s.nc = static_cast<index_t>(v);
-      else if (std::strcmp(fld.key, "min_m") == 0) s.min_m = static_cast<index_t>(v);
-      else s.min_mnk = v;
-    }
+    read("mr", &s.mr);
+    read("nr", &s.nr);
+    read("kc", &s.kc);
+    read("mc", &s.mc);
+    read("nc", &s.nc);
+    read("min_m", &s.min_m);
+    read("min_mnk", &s.min_mnk);
+    if (bad != nullptr)
+      return fail(std::string(kTypeKeys[t]) + ": missing or malformed field " + bad);
   }
 
   std::string vwhy;

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "vbatch/blas/microkernel.hpp"
 #include "vbatch/core/crossover.hpp"
 #include "vbatch/kernels/fused_potrf.hpp"
 #include "vbatch/util/error.hpp"
+#include "vbatch/util/parse.hpp"
 
 namespace vbatch {
 
@@ -121,11 +123,8 @@ std::size_t read_cache_size(const std::string& dir) {
     mult = 1024 * 1024;
     s.pop_back();
   }
-  try {
-    return static_cast<std::size_t>(std::stoull(s)) * mult;
-  } catch (...) {
-    return 0;
-  }
+  const std::optional<std::size_t> size = util::try_parse_number<std::size_t>(s);
+  return size ? *size * mult : 0;
 }
 
 // Rounds `v` down to a multiple of `unit`, staying at least `unit`.

@@ -1,9 +1,11 @@
 #include "vbatch/fault/fault_plan.hpp"
 
-#include <charconv>
-#include <cstdio>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "vbatch/util/error.hpp"
+#include "vbatch/util/parse.hpp"
 
 namespace vbatch::fault {
 
@@ -21,11 +23,7 @@ const char* to_string(FaultKind k) noexcept {
 
 std::string FaultSpec::describe() const {
   std::string out = "seed=" + std::to_string(seed);
-  if (transient_rate > 0.0) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), ";transient:rate=%g", transient_rate);
-    out += buf;
-  }
+  if (transient_rate > 0.0) out += ";transient:rate=" + util::format_number(transient_rate);
   for (const auto& r : transients)
     out += ";transient:exec=" + std::to_string(r.exec) + ",chunk=" + std::to_string(r.chunk) +
            ",times=" + std::to_string(r.times);
@@ -42,42 +40,6 @@ namespace {
   throw_error(Status::InvalidArgument, "parse_fault_spec: " + why);
 }
 
-long parse_long(const std::string& value, const std::string& what) {
-  long out = 0;
-  const char* begin = value.data();
-  const char* end = begin + value.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  if (ec != std::errc{} || ptr != end) bad_spec("bad integer '" + value + "' for " + what);
-  return out;
-}
-
-double parse_rate(const std::string& value) {
-  char* end = nullptr;
-  const double out = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || out < 0.0 || out > 1.0)
-    bad_spec("rate must be a number in [0, 1], got '" + value + "'");
-  return out;
-}
-
-/// Splits "k=v,k=v" into pairs; every key must appear in `allowed`.
-std::vector<std::pair<std::string, std::string>> parse_kv(const std::string& body,
-                                                          const std::string& item) {
-  std::vector<std::pair<std::string, std::string>> out;
-  std::size_t pos = 0;
-  while (pos <= body.size()) {
-    const std::size_t comma = body.find(',', pos);
-    const std::string field =
-        body.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    const std::size_t eq = field.find('=');
-    if (field.empty() || eq == std::string::npos || eq == 0 || eq + 1 == field.size())
-      bad_spec("expected key=value in '" + item + "'");
-    out.emplace_back(field.substr(0, eq), field.substr(eq + 1));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
 /// SplitMix64 finalizer — the stateless hash behind the rate-based faults.
 std::uint64_t mix64(std::uint64_t x) noexcept {
   x += 0x9E3779B97F4A7C15ull;
@@ -90,37 +52,44 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 
 FaultSpec parse_fault_spec(const std::string& spec) {
   FaultSpec out;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t semi = spec.find(';', pos);
-    const std::string item =
-        spec.substr(pos, semi == std::string::npos ? std::string::npos : semi - pos);
-    pos = semi == std::string::npos ? spec.size() + 1 : semi + 1;
-    if (item.empty()) {
-      if (spec.empty()) break;  // an empty spec is a no-op plan
-      bad_spec("empty item (stray ';')");
-    }
-
-    if (item.rfind("seed=", 0) == 0) {
-      out.seed = static_cast<std::uint64_t>(parse_long(item.substr(5), "seed"));
+  if (spec.empty()) return out;  // an empty spec is a no-op plan
+  for (const std::string_view item : util::split(spec, ';')) {
+    if (item.empty()) bad_spec("empty item (stray ';')");
+    if (item.starts_with("seed=")) {
+      out.seed = util::parse_number<std::uint64_t>(item.substr(5), "parse_fault_spec: seed");
       continue;
     }
     const std::size_t colon = item.find(':');
-    if (colon == std::string::npos)
-      bad_spec("unknown item '" + item + "' (expected seed=, transient:, hang:, or die:)");
-    const std::string head = item.substr(0, colon);
-    const auto kv = parse_kv(item.substr(colon + 1), item);
+    if (colon == std::string_view::npos)
+      bad_spec("unknown item '" + std::string(item) +
+               "' (expected seed=, transient:, hang:, or die:)");
+    const std::string_view head = item.substr(0, colon);
+    std::vector<std::pair<std::string_view, std::string_view>> kv;
+    for (const std::string_view field : util::split(item.substr(colon + 1), ',')) {
+      const auto pair = util::split_kv(field);
+      if (!pair) bad_spec("expected key=value in '" + std::string(item) + "'");
+      kv.push_back(*pair);
+    }
+    const auto integer = [](std::string_view v, std::string_view key) {
+      return util::parse_number<int>(v, "parse_fault_spec: " + std::string(key));
+    };
 
     if (head == "transient") {
       TransientRule rule;
       bool targeted = false;
       double rate = -1.0;
       for (const auto& [k, v] : kv) {
-        if (k == "rate") rate = parse_rate(v);
-        else if (k == "exec") { rule.exec = static_cast<int>(parse_long(v, "exec")); targeted = true; }
-        else if (k == "chunk") { rule.chunk = static_cast<int>(parse_long(v, "chunk")); targeted = true; }
-        else if (k == "times") { rule.times = static_cast<int>(parse_long(v, "times")); targeted = true; }
-        else bad_spec("unknown transient key '" + k + "'");
+        if (k == "rate") {
+          rate = util::parse_number<double>(v, "parse_fault_spec: rate");
+          if (rate < 0.0 || rate > 1.0)
+            bad_spec("rate must be a number in [0, 1], got '" + std::string(v) + "'");
+          continue;
+        }
+        if (k == "exec") rule.exec = integer(v, k);
+        else if (k == "chunk") rule.chunk = integer(v, k);
+        else if (k == "times") rule.times = integer(v, k);
+        else bad_spec("unknown transient key '" + std::string(k) + "'");
+        targeted = true;
       }
       if (rate >= 0.0 && targeted) bad_spec("transient: rate= cannot be combined with targeting");
       if (rate >= 0.0) {
@@ -133,9 +102,9 @@ FaultSpec parse_fault_spec(const std::string& spec) {
     } else if (head == "hang") {
       HangRule rule;
       for (const auto& [k, v] : kv) {
-        if (k == "exec") rule.exec = static_cast<int>(parse_long(v, "exec"));
-        else if (k == "chunk") rule.chunk = static_cast<int>(parse_long(v, "chunk"));
-        else bad_spec("unknown hang key '" + k + "'");
+        if (k == "exec") rule.exec = integer(v, k);
+        else if (k == "chunk") rule.chunk = integer(v, k);
+        else bad_spec("unknown hang key '" + std::string(k) + "'");
       }
       if (rule.exec < -1 || rule.chunk < -1) bad_spec("hang: exec/chunk must be >= -1");
       out.hangs.push_back(rule);
@@ -143,15 +112,16 @@ FaultSpec parse_fault_spec(const std::string& spec) {
       DeathRule rule;
       bool have_exec = false;
       for (const auto& [k, v] : kv) {
-        if (k == "exec") { rule.exec = static_cast<int>(parse_long(v, "exec")); have_exec = true; }
-        else if (k == "after") rule.after = static_cast<int>(parse_long(v, "after"));
-        else bad_spec("unknown die key '" + k + "'");
+        if (k == "exec") rule.exec = integer(v, k);
+        else if (k == "after") rule.after = integer(v, k);
+        else bad_spec("unknown die key '" + std::string(k) + "'");
+        have_exec = have_exec || k == "exec";
       }
       if (!have_exec || rule.exec < 0) bad_spec("die: requires exec=E with E >= 0");
       if (rule.after < 0) bad_spec("die: after must be >= 0");
       out.deaths.push_back(rule);
     } else {
-      bad_spec("unknown item '" + head + "' (expected transient, hang, or die)");
+      bad_spec("unknown item '" + std::string(head) + "' (expected transient, hang, or die)");
     }
   }
   return out;

@@ -1,14 +1,11 @@
 #include "vbatch/hetero/device_pool.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <sstream>
-#include <stdexcept>
 #include <string_view>
+#include <vector>
 
 #include "vbatch/util/error.hpp"
+#include "vbatch/util/parse.hpp"
 
 namespace vbatch::hetero {
 
@@ -41,82 +38,44 @@ struct TokenSuffix {
   bool has_arena = false;
 };
 
-/// Parses one ":Nstreams" segment (the leading ':' already stripped).
-int parse_stream_segment(const std::string& digits, const std::string& full) {
-  if (digits.empty())
-    throw_error(Status::InvalidArgument, "DevicePool: stream count missing in '" + full +
-                                             "' (expected ':Nstreams' with N >= 1)");
-  for (const char ch : digits)
-    if (ch < '0' || ch > '9')
-      throw_error(Status::InvalidArgument, "DevicePool: stream count must be a positive integer in '" +
-                                               full + "'");
-  long value = 0;
-  try {
-    value = std::stol(digits);
-  } catch (const std::out_of_range&) {
-    throw_error(Status::InvalidArgument, "DevicePool: stream count out of range in '" + full + "'");
-  }
-  if (value < 1)
-    throw_error(Status::InvalidArgument,
-                "DevicePool: stream count must be >= 1 in '" + full + "'");
-  return static_cast<int>(std::min<long>(value, 1 << 20));
-}
-
-/// Parses one ":Xgb" segment (the leading ':' already stripped): a positive
-/// decimal arena budget in GiB.
-double parse_arena_segment(const std::string& digits, const std::string& full) {
-  if (digits.empty())
-    throw_error(Status::InvalidArgument, "DevicePool: arena budget missing in '" + full +
-                                             "' (expected ':Ngb' with N > 0)");
-  char* end = nullptr;
-  const double value = std::strtod(digits.c_str(), &end);
-  if (end != digits.c_str() + digits.size())
-    throw_error(Status::InvalidArgument,
-                "DevicePool: arena budget must be a number in '" + full + "'");
-  if (!(value > 0.0) || !std::isfinite(value))
-    throw_error(Status::InvalidArgument,
-                "DevicePool: arena budget must be > 0 in '" + full + "'");
-  return value;
-}
-
 /// Splits the optional suffixes off a parse token. Each ':'-separated
 /// segment must end in "streams" (stream slots) or "gb" (staging-arena
 /// budget); anything else, or a repeated suffix kind, names the offending
 /// token — the same fail-loudly policy as the device-name matching below.
-TokenSuffix split_suffixes(std::string& token) {
+TokenSuffix split_suffixes(std::string_view& token) {
   TokenSuffix out;
-  const std::string full = token;
-  const std::size_t colon = token.find(':');
-  if (colon == std::string::npos) return out;
-  std::string rest = token.substr(colon + 1);
-  token = token.substr(0, colon);
-  if (rest.empty())
-    throw_error(Status::InvalidArgument, "DevicePool: malformed suffix in '" + full +
-                                             "' (expected ':Nstreams' or ':Ngb')");
+  const std::string full(token);
+  const std::vector<std::string_view> segments = util::split(token, ':');
+  token = segments[0];
   bool has_streams = false;
-  while (!rest.empty()) {
-    const std::size_t next = rest.find(':');
-    const std::string seg = next == std::string::npos ? rest : rest.substr(0, next);
-    rest = next == std::string::npos ? std::string{} : rest.substr(next + 1);
-    constexpr std::string_view kStreams = "streams";
-    constexpr std::string_view kGb = "gb";
-    if (seg.size() >= kStreams.size() &&
-        seg.compare(seg.size() - kStreams.size(), kStreams.size(), kStreams) == 0) {
+  constexpr std::string_view kStreams = "streams";
+  constexpr std::string_view kGb = "gb";
+  for (std::size_t i = 1; i < segments.size(); ++i) {
+    const std::string_view seg = segments[i];
+    if (seg.ends_with(kStreams)) {
       if (has_streams)
         throw_error(Status::InvalidArgument,
                     "DevicePool: duplicate stream suffix in '" + full + "'");
       has_streams = true;
-      out.streams = parse_stream_segment(seg.substr(0, seg.size() - kStreams.size()), full);
-    } else if (seg.size() >= kGb.size() &&
-               seg.compare(seg.size() - kGb.size(), kGb.size(), kGb) == 0) {
+      out.streams = util::parse_number<int>(seg.substr(0, seg.size() - kStreams.size()),
+                                            "DevicePool: stream count in '" + full + "'");
+      if (out.streams < 1)
+        throw_error(Status::InvalidArgument,
+                    "DevicePool: stream count must be >= 1 in '" + full + "'");
+    } else if (seg.ends_with(kGb)) {
       if (out.has_arena)
         throw_error(Status::InvalidArgument,
                     "DevicePool: duplicate arena suffix in '" + full + "'");
       out.has_arena = true;
-      out.arena_gb = parse_arena_segment(seg.substr(0, seg.size() - kGb.size()), full);
+      out.arena_gb = util::parse_number<double>(seg.substr(0, seg.size() - kGb.size()),
+                                                "DevicePool: arena budget in '" + full + "'");
+      if (!(out.arena_gb > 0.0))
+        throw_error(Status::InvalidArgument,
+                    "DevicePool: arena budget must be > 0 in '" + full + "'");
     } else {
-      throw_error(Status::InvalidArgument, "DevicePool: malformed suffix ':" + seg + "' in '" +
-                                               full + "' (expected ':Nstreams' or ':Ngb')");
+      throw_error(Status::InvalidArgument, "DevicePool: malformed suffix ':" + std::string(seg) +
+                                               "' in '" + full +
+                                               "' (expected ':Nstreams' or ':Ngb')");
     }
   }
   return out;
@@ -127,22 +86,14 @@ TokenSuffix split_suffixes(std::string& token) {
 DevicePool DevicePool::parse(const std::string& csv) {
   DevicePool pool;
   require(!csv.empty(), "DevicePool: empty device list");
-  std::stringstream ss(csv);
-  std::string token;
-  // getline drops a trailing empty segment ("k40c," yields one token), so a
-  // trailing comma is checked up front.
-  if (csv.back() == ',')
-    throw_error(Status::InvalidArgument, "DevicePool: empty device segment in '" + csv +
-                                             "' (trailing comma)");
-  while (std::getline(ss, token, ',')) {
+  for (std::string_view token : util::split(csv, ',')) {
     // Trim surrounding whitespace so "cpu, k40c" works; an all-blank
     // segment is still an error, not a silent skip.
     const std::size_t first = token.find_first_not_of(" \t");
-    const std::size_t last = token.find_last_not_of(" \t");
-    token = first == std::string::npos ? std::string{} : token.substr(first, last - first + 1);
-    if (token.empty())
+    if (first == std::string_view::npos)
       throw_error(Status::InvalidArgument, "DevicePool: empty device segment in '" + csv +
-                                               "' (doubled or stray comma)");
+                                               "' (doubled, stray or trailing comma)");
+    token = token.substr(first, token.find_last_not_of(" \t") - first + 1);
     const TokenSuffix suffix = split_suffixes(token);
     Executor* added = nullptr;
     if (token == "k40c") {
@@ -160,13 +111,12 @@ DevicePool DevicePool::parse(const std::string& csv) {
                     "not supported)");
       added = &pool.add_cpu();
     } else {
-      throw_error(Status::InvalidArgument,
-                  "DevicePool: unknown device '" + token + "' (expected k40c, p100, or cpu)");
+      throw_error(Status::InvalidArgument, "DevicePool: unknown device '" + std::string(token) +
+                                               "' (expected k40c, p100, or cpu)");
     }
     added->set_streams(suffix.streams);  // clamps to the device's stream limit
     if (suffix.has_arena) added->set_arena_gb(suffix.arena_gb);
   }
-  require(pool.size() > 0, "DevicePool: empty device list");
   return pool;
 }
 
@@ -198,11 +148,10 @@ std::string DevicePool::describe() const {
     if (!out.empty()) out += " + ";
     out += e->name();
     if (e->streams() > 1) out += ":" + std::to_string(e->streams()) + "streams";
-    if (e->arena_explicit()) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), ":%ggb", e->arena_bytes() / (1024.0 * 1024.0 * 1024.0));
-      out += buf;
-    }
+    if (e->arena_explicit())
+      out.append(":")
+          .append(util::format_number(e->arena_bytes() / (1024.0 * 1024.0 * 1024.0)))
+          .append("gb");
   }
   return out;
 }

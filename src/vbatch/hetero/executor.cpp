@@ -5,6 +5,7 @@
 
 #include "vbatch/cpu/cpu_batched.hpp"
 #include "vbatch/util/error.hpp"
+#include "vbatch/util/parse.hpp"
 
 namespace vbatch::hetero {
 
@@ -45,10 +46,8 @@ GpuExecutor::GpuExecutor(std::string name, const sim::DeviceSpec& spec,
   // Out-of-core streaming kicks in only when the batch footprint exceeds it.
   double bytes = static_cast<double>(spec.global_mem_bytes);
   if (const char* env = std::getenv("VBATCH_ARENA_GB"); env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const double gb = std::strtod(env, &end);
-    require(end != env && *end == '\0' && gb > 0.0,
-            "GpuExecutor: VBATCH_ARENA_GB must be a positive number");
+    const double gb = util::parse_number<double>(env, "GpuExecutor: VBATCH_ARENA_GB");
+    require(gb > 0.0, "GpuExecutor: VBATCH_ARENA_GB must be a positive number");
     bytes = gb * 1024.0 * 1024.0 * 1024.0;
   }
   init_arena_bytes(bytes);

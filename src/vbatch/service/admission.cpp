@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string_view>
 
 #include "vbatch/util/error.hpp"
+#include "vbatch/util/parse.hpp"
 
 namespace vbatch::service {
 
@@ -24,73 +26,46 @@ constexpr double kCalibrationAlpha = 0.3;
   throw_error(Status::InvalidArgument, "admission: " + what);
 }
 
-double parse_spec_number(const std::string& key, const std::string& v) {
-  std::size_t pos = 0;
-  double d = 0.0;
-  try {
-    d = std::stod(v, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (v.empty() || pos != v.size() || !std::isfinite(d))
-    fail_spec(key + " must be a finite number (got '" + v + "')");
-  return d;
-}
-
 }  // namespace
 
 AdmissionConfig parse_admission_spec(const std::string& spec) {
   AdmissionConfig cfg;
-  std::size_t start = 0;
-  std::set<std::string> seen;
-  while (start <= spec.size()) {
-    std::size_t end = spec.find(';', start);
-    if (end == std::string::npos) end = spec.size();
-    std::string tok = spec.substr(start, end - start);
-    // Trim surrounding whitespace.
+  std::set<std::string_view> seen;
+  for (std::string_view tok : util::split(spec, ';')) {
+    // Trim surrounding whitespace; blank items are skipped.
     const std::size_t first = tok.find_first_not_of(" \t");
-    if (first == std::string::npos) {
-      if (end == spec.size()) break;
-      start = end + 1;
-      continue;
-    }
+    if (first == std::string_view::npos) continue;
     tok = tok.substr(first, tok.find_last_not_of(" \t") - first + 1);
-    const std::size_t eq = tok.find('=');
-    if (eq == std::string::npos || eq == 0)
-      fail_spec("expected key=value, got '" + tok + "'");
-    const std::string key = tok.substr(0, eq);
-    const std::string value = tok.substr(eq + 1);
-    if (!seen.insert(key).second) fail_spec("duplicate key '" + key + "'");
+    const auto kv = util::split_kv(tok);
+    if (!kv) fail_spec("expected key=value, got '" + std::string(tok) + "'");
+    const auto [key, value] = *kv;
+    if (!seen.insert(key).second) fail_spec("duplicate key '" + std::string(key) + "'");
+    const std::string what = "admission: " + std::string(key);
     if (key == "max-queue") {
-      const double v = parse_spec_number(key, value);
-      if (v < 1.0 || v != std::floor(v)) fail_spec("max-queue must be a positive integer");
-      cfg.max_queue = static_cast<int>(v);
+      cfg.max_queue = util::parse_number<int>(value, what);
+      if (cfg.max_queue < 1) fail_spec("max-queue must be a positive integer");
     } else if (key == "max-gb") {
-      const double v = parse_spec_number(key, value);
+      const double v = util::parse_number<double>(value, what);
       if (v <= 0.0) fail_spec("max-gb must be positive");
       cfg.max_queue_bytes = v * (1024.0 * 1024.0 * 1024.0);
     } else if (key == "tenant-rate") {
-      const double v = parse_spec_number(key, value);
-      if (v <= 0.0) fail_spec("tenant-rate must be positive (Gflop/s)");
-      cfg.tenant_rate_gflops = v;
+      cfg.tenant_rate_gflops = util::parse_number<double>(value, what);
+      if (cfg.tenant_rate_gflops <= 0.0) fail_spec("tenant-rate must be positive (Gflop/s)");
     } else if (key == "burst") {
-      const double v = parse_spec_number(key, value);
-      if (v <= 0.0) fail_spec("burst must be positive (seconds)");
-      cfg.burst_seconds = v;
+      cfg.burst_seconds = util::parse_number<double>(value, what);
+      if (cfg.burst_seconds <= 0.0) fail_spec("burst must be positive (seconds)");
     } else if (key == "shed-horizon") {
-      const double v = parse_spec_number(key, value);
-      if (v < 0.0) fail_spec("shed-horizon must be non-negative (seconds)");
-      cfg.shed_horizon_seconds = v;
+      cfg.shed_horizon_seconds = util::parse_number<double>(value, what);
+      if (cfg.shed_horizon_seconds < 0.0)
+        fail_spec("shed-horizon must be non-negative (seconds)");
     } else if (key == "deadlines") {
       if (value == "on") cfg.respect_deadlines = true;
       else if (value == "off") cfg.respect_deadlines = false;
-      else fail_spec("deadlines must be on|off (got '" + value + "')");
+      else fail_spec("deadlines must be on|off (got '" + std::string(value) + "')");
     } else {
-      fail_spec("unknown key '" + key +
+      fail_spec("unknown key '" + std::string(key) +
                 "' (max-queue|max-gb|tenant-rate|burst|shed-horizon|deadlines)");
     }
-    if (end == spec.size()) break;
-    start = end + 1;
   }
   if (seen.empty()) fail_spec("empty spec (expected key=value[;key=value...])");
   cfg.enabled = true;

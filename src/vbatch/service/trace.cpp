@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "vbatch/util/error.hpp"
+#include "vbatch/util/parse.hpp"
 #include "vbatch/util/rng.hpp"
 
 namespace vbatch::service {
@@ -29,27 +30,9 @@ bool valid_tenant_id(const std::string& id) {
   return true;
 }
 
-std::uint64_t parse_u64(int line, const std::string& field, const std::string& v) {
-  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos)
-    fail(line, field + " must be a non-negative integer (got '" + v + "')");
-  try {
-    return std::stoull(v);
-  } catch (const std::exception&) {
-    fail(line, field + " is out of range (got '" + v + "')");
-  }
-}
-
-double parse_double(int line, const std::string& field, const std::string& v) {
-  std::size_t pos = 0;
-  double d = 0.0;
-  try {
-    d = std::stod(v, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (v.empty() || pos != v.size() || !std::isfinite(d))
-    fail(line, field + " must be a finite number (got '" + v + "')");
-  return d;
+/// The name parse_number gives a field of `line` in its messages.
+std::string field_at(int line, const char* field) {
+  return "trace:" + std::to_string(line) + ": " + field;
 }
 
 /// Splits "key=value" tokens of one line; duplicate keys are an error.
@@ -58,13 +41,11 @@ std::map<std::string, std::string> parse_fields(int line, std::istringstream& to
   std::map<std::string, std::string> fields;
   std::string tok;
   while (tokens >> tok) {
-    const std::size_t eq = tok.find('=');
-    if (eq == std::string::npos || eq == 0)
-      fail(line, "expected key=value, got '" + tok + "'");
-    const std::string key = tok.substr(0, eq);
+    const auto kv = util::split_kv(tok);
+    if (!kv) fail(line, "expected key=value, got '" + tok + "'");
+    const std::string key(kv->first);
     if (known.find(key) == known.end()) fail(line, "unknown field '" + key + "'");
-    if (!fields.emplace(key, tok.substr(eq + 1)).second)
-      fail(line, "duplicate field '" + key + "'");
+    if (!fields.emplace(key, kv->second).second) fail(line, "duplicate field '" + key + "'");
   }
   return fields;
 }
@@ -100,7 +81,7 @@ Trace parse_trace(std::istream& in) {
       const auto fields = parse_fields(line, tokens, {"weight"});
       double weight = 1.0;
       if (const auto it = fields.find("weight"); it != fields.end()) {
-        weight = parse_double(line, "weight", it->second);
+        weight = util::parse_number<double>(it->second, field_at(line, "weight"));
         if (weight <= 0.0)
           fail(line, "tenant weight must be positive (got " + it->second + ")");
       }
@@ -114,10 +95,12 @@ Trace parse_trace(std::istream& in) {
       const auto fields = parse_fields(
           line, tokens, {"id", "t", "tenant", "op", "prec", "n", "nrhs", "seed", "deadline"});
       Request r;
-      r.id = parse_u64(line, "id", required(line, fields, "id"));
+      r.id = util::parse_number<std::uint64_t>(required(line, fields, "id"),
+                                               field_at(line, "id"));
       if (!seen_ids.insert(r.id).second)
         fail(line, "duplicate request id " + std::to_string(r.id));
-      r.submit_time = parse_double(line, "t", required(line, fields, "t"));
+      r.submit_time =
+          util::parse_number<double>(required(line, fields, "t"), field_at(line, "t"));
       if (r.submit_time < 0.0) fail(line, "t must be non-negative");
       r.tenant = required(line, fields, "tenant");
       if (!valid_tenant_id(r.tenant))
@@ -131,29 +114,21 @@ Trace parse_trace(std::istream& in) {
       else if (prec == "d") r.prec = Precision::Double;
       else fail(line, "unknown precision '" + prec + "' (s|d)");
       const std::string& sizes = required(line, fields, "n");
-      std::istringstream slist(sizes);
-      std::string item;
-      while (std::getline(slist, item, ',')) {
-        const std::size_t digits = item.size() > 1 && item[0] == '-' ? 1 : 0;
-        if (item.empty() || item.size() == digits ||
-            item.find_first_not_of("0123456789", digits) != std::string::npos)
-          fail(line, "bad matrix size '" + item + "' in n=" + sizes);
-        const long long n = std::stoll(item);
-        if (n <= 0)
-          fail(line, "matrix sizes must be positive (got " + item + ")");
-        if (n > 100000) fail(line, "matrix size " + item + " is implausibly large");
-        r.sizes.push_back(static_cast<int>(n));
+      if (sizes.empty()) fail(line, "n= needs at least one matrix size");
+      for (const std::string_view item : util::split(sizes, ',')) {
+        const int n = util::parse_number<int>(item, field_at(line, "matrix size"));
+        if (n <= 0) fail(line, "matrix sizes must be positive (got " + std::to_string(n) + ")");
+        if (n > 100000) fail(line, "matrix size " + std::to_string(n) + " is implausibly large");
+        r.sizes.push_back(n);
       }
-      if (r.sizes.empty()) fail(line, "n= needs at least one matrix size");
       if (const auto it = fields.find("nrhs"); it != fields.end()) {
-        const double v = parse_double(line, "nrhs", it->second);
-        if (v < 1.0 || v != std::floor(v)) fail(line, "nrhs must be a positive integer");
-        r.nrhs = static_cast<int>(v);
+        r.nrhs = util::parse_number<int>(it->second, field_at(line, "nrhs"));
+        if (r.nrhs < 1) fail(line, "nrhs must be a positive integer");
       }
       if (const auto it = fields.find("seed"); it != fields.end())
-        r.seed = parse_u64(line, "seed", it->second);
+        r.seed = util::parse_number<std::uint64_t>(it->second, field_at(line, "seed"));
       if (const auto it = fields.find("deadline"); it != fields.end()) {
-        r.deadline = parse_double(line, "deadline", it->second);
+        r.deadline = util::parse_number<double>(it->second, field_at(line, "deadline"));
         if (r.deadline <= 0.0)
           fail(line, "deadline must be positive seconds (omit the field for no SLO)");
       }
@@ -189,16 +164,16 @@ std::string format_trace(const Trace& trace) {
   out << "# vbatch service trace: " << trace.requests.size() << " requests, "
       << trace.tenants.size() << " tenants\n";
   for (const auto& [tenant, weight] : trace.tenants)
-    out << "tenant " << tenant << " weight=" << weight << "\n";
+    out << "tenant " << tenant << " weight=" << util::format_number(weight) << "\n";
   for (const Request& r : trace.requests) {
-    out << "req id=" << r.id << " t=" << r.submit_time << " tenant=" << r.tenant
-        << " op=" << to_string(r.op) << " prec=" << (r.prec == Precision::Double ? 'd' : 's')
-        << " n=";
+    out << "req id=" << r.id << " t=" << util::format_number(r.submit_time)
+        << " tenant=" << r.tenant << " op=" << to_string(r.op)
+        << " prec=" << (r.prec == Precision::Double ? 'd' : 's') << " n=";
     for (std::size_t i = 0; i < r.sizes.size(); ++i)
       out << (i > 0 ? "," : "") << r.sizes[i];
     if (r.op == Op::Posv) out << " nrhs=" << r.nrhs;
     if (r.seed != 0) out << " seed=" << r.seed;
-    if (r.deadline > 0.0) out << " deadline=" << r.deadline;
+    if (r.deadline > 0.0) out << " deadline=" << util::format_number(r.deadline);
     out << "\n";
   }
   return out.str();

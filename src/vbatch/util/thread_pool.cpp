@@ -4,6 +4,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <optional>
+
+#include "vbatch/util/parse.hpp"
 
 namespace vbatch::util {
 
@@ -21,8 +24,8 @@ unsigned clamp_threads(unsigned threads) {
 
 unsigned env_threads() {
   if (const char* env = std::getenv("VBATCH_NUM_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(std::min<long>(v, 64));
+    const std::optional<long> v = try_parse_number<long>(env);
+    if (v && *v > 0) return static_cast<unsigned>(std::min<long>(*v, 64));
   }
   return 0;  // unset / invalid: fall through to hardware concurrency
 }

@@ -87,8 +87,10 @@ TEST(ServiceAdmissionSpec, MalformedSpecsNameTheToken) {
   expect_spec_error("max-queue", "key=value");
   expect_spec_error("=5", "key=value");
   expect_spec_error("max-queue=0", "positive integer");
-  expect_spec_error("max-queue=1.5", "positive integer");
-  expect_spec_error("max-queue=abc", "finite number");
+  expect_spec_error("max-queue=1.5", "integer");
+  expect_spec_error("max-queue=1e1", "integer");
+  expect_spec_error("max-queue=abc", "integer");
+  expect_spec_error("tenant-rate= 5", "finite number");
   expect_spec_error("max-gb=-1", "positive");
   expect_spec_error("tenant-rate=0", "positive");
   expect_spec_error("burst=-0.1", "positive");

@@ -65,8 +65,12 @@ TEST(Cli, BadFlagExitsWithUsage) {
 }
 
 TEST(Cli, InvalidValueRejected) {
-  const auto r = run_cli("--batch 0");
-  EXPECT_EQ(r.exit_code, 2);
+  for (const char* args :
+       {"--batch 0", "--batch 12x", "--nmax 3z", "--arena-gb 1.5q", "--seed -1"}) {
+    const auto r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << args << "\n" << r.output;
+  }
 }
 
 TEST(Cli, MalformedArenaKnobIsANamedPoolError) {

@@ -9,7 +9,10 @@
 // grid path (grids >= the device's parallel grain).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -110,6 +113,18 @@ TEST(Determinism, EnvVariableSelectsDefaultThreadCount) {
   EXPECT_EQ(util::host_threads(), 2u);
   util::set_host_threads(0);
   EXPECT_GE(util::host_threads(), 1u);
+  // A malformed value falls back to the hardware default like any invalid one.
+  const char* saved = std::getenv("VBATCH_NUM_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ASSERT_EQ(setenv("VBATCH_NUM_THREADS", "3", 1), 0);
+  util::set_host_threads(0);
+  EXPECT_EQ(util::host_threads(), 3u);
+  ASSERT_EQ(setenv("VBATCH_NUM_THREADS", "3x", 1), 0);
+  util::set_host_threads(0);
+  EXPECT_EQ(util::host_threads(), std::clamp(std::thread::hardware_concurrency(), 1u, 64u));
+  if (saved != nullptr) setenv("VBATCH_NUM_THREADS", restore.c_str(), 1);
+  else unsetenv("VBATCH_NUM_THREADS");
+  util::set_host_threads(0);
 }
 
 }  // namespace

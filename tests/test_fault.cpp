@@ -125,9 +125,13 @@ TEST(FaultSpec, DefaultsAndEmpty) {
 }
 
 TEST(FaultSpec, DescribeRoundTrips) {
-  const std::string canonical =
-      fault::parse_fault_spec("seed=9;transient:rate=0.1;die:exec=1,after=0").describe();
-  EXPECT_EQ(fault::parse_fault_spec(canonical).describe(), canonical);
+  for (const char* spec : {"seed=9;transient:rate=0.1;die:exec=1,after=0",
+                           "seed=9223372036854775808;transient:rate=0.123456789"}) {
+    const std::string canonical = fault::parse_fault_spec(spec).describe();
+    EXPECT_EQ(canonical, spec);
+    EXPECT_EQ(fault::parse_fault_spec(canonical).describe(), canonical);
+  }
+  EXPECT_EQ(fault::parse_fault_spec("seed=9223372036854775808").seed, 0x8000000000000000ull);
 }
 
 TEST(FaultSpec, RejectsMalformedInput) {
@@ -143,6 +147,9 @@ TEST(FaultSpec, RejectsMalformedInput) {
       "die:exec=1,chunk=0",          // unknown key for die
       "explode:exec=1",              // unknown fault head
       "seed=abc",                    // not a number
+      "seed=-1",                     // seeds are unsigned
+      "seed=1e3",                    // integer fields read as integers
+      "hang:exec=+1",                // no leading '+'
       "seed=",                       //
       ";",                           // stray separator
       "transient:rate=0.2;;seed=1",  // empty clause

@@ -592,6 +592,9 @@ TEST(DevicePoolArena, ParseRejectsBadArenaSuffixes) {
       "k40c:-1gb",       // negative budget
       "k40c:xgb",        // non-numeric
       "k40c:1.2.3gb",    // trailing junk inside the number
+      "k40c:0x1p1gb",    // hex
+      "k40c:+1gb",       // leading '+'
+      "k40c:infgb",      // non-finite
       "k40c:2gb:3gb",    // duplicate arena suffix
       "k40c:2streams:3streams",  // duplicate stream suffix (regression guard)
       "k40c:",           // dangling colon

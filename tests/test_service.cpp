@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -82,12 +83,25 @@ TEST(ServiceTrace, FormatRoundTrips) {
   cfg.tenants = 3;
   cfg.mix_ops = true;
   cfg.mix_precisions = true;
-  const Trace a = make_trace(cfg);
+  cfg.deadline_frac = 0.5;
+  cfg.deadline_seconds = 0.0123456789;
+  Trace a = make_trace(cfg);
+  a.tenants[1].second = 1.0 / 3.0;
+  a.requests[0].seed = 0x8000000000000000ull;
   const Trace b = parse_trace(format_trace(a));
   ASSERT_EQ(a.count(), b.count());
-  ASSERT_EQ(a.tenants, b.tenants);
+  // Every double round-trips bit for bit, not just to the printed digits.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ASSERT_EQ(a.tenants.size(), b.tenants.size());
+  for (std::size_t t = 0; t < a.tenants.size(); ++t) {
+    EXPECT_EQ(a.tenants[t].first, b.tenants[t].first);
+    EXPECT_EQ(bits(a.tenants[t].second), bits(b.tenants[t].second));
+  }
   for (int i = 0; i < a.count(); ++i) {
     EXPECT_EQ(a.requests[i].id, b.requests[i].id);
+    EXPECT_EQ(bits(a.requests[i].submit_time), bits(b.requests[i].submit_time));
+    EXPECT_EQ(bits(a.requests[i].deadline), bits(b.requests[i].deadline));
+    EXPECT_EQ(a.requests[i].seed, b.requests[i].seed);
     EXPECT_EQ(a.requests[i].tenant, b.requests[i].tenant);
     EXPECT_EQ(a.requests[i].op, b.requests[i].op);
     EXPECT_EQ(a.requests[i].prec, b.requests[i].prec);
@@ -122,14 +136,20 @@ TEST(ServiceTrace, RejectsMalformedInput) {
   expect_parse_error("req id=1 t=0 tenant=a op=potrf prec=d n=\n", "at least one");
   expect_parse_error("req id=1 t=0 tenant=a op=potrf prec=d n=0\n", "must be positive");
   expect_parse_error("req id=1 t=0 tenant=a op=potrf prec=d n=-5\n", "must be positive");
-  expect_parse_error("req id=1 t=0 tenant=a op=potrf prec=d n=12-3\n", "bad matrix size");
-  expect_parse_error("req id=1 t=0 tenant=a op=potrf prec=d n=8,,8\n", "bad matrix size");
+  expect_parse_error("req id=1 t=0 tenant=a op=potrf prec=d n=12-3\n", "matrix size");
+  expect_parse_error("req id=1 t=0 tenant=a op=potrf prec=d n=8,,8\n", "matrix size");
+  expect_parse_error("req id=1 t=0 tenant=a op=potrf prec=d n=+8\n", "matrix size");
   expect_parse_error("req id=1 t=0 tenant=a op=potrf prec=d n=999999\n",
                      "implausibly large");
   expect_parse_error("req id=1 t=0 tenant=a op=posv prec=d n=8 nrhs=0\n",
                      "positive integer");
-  expect_parse_error("req id=1 t=0 tenant=a op=posv prec=d n=8 nrhs=1.5\n",
-                     "positive integer");
+  expect_parse_error("req id=1 t=0 tenant=a op=posv prec=d n=8 nrhs=1.5\n", "integer");
+  expect_parse_error("req id=1 t=0 tenant=a op=posv prec=d n=8 nrhs=2.0\n", "integer");
+  expect_parse_error("req id=1 t=+0x1p-3 tenant=a op=potrf prec=d n=8\n", "finite number");
+  expect_parse_error("req id=1 t=0x1p-3 tenant=a op=potrf prec=d n=8\n", "finite number");
+  expect_parse_error("req id=1 t=inf tenant=a op=potrf prec=d n=8\n", "finite number");
+  expect_parse_error("req id=18446744073709551616 t=0 tenant=a op=potrf prec=d n=8\n",
+                     "non-negative integer");
   expect_parse_error("req id=1 t=0 tenant=a op=potrf prec=d n=8 seed=-3\n",
                      "non-negative integer");
 }

@@ -315,7 +315,9 @@ TEST(TuningDeterminismTest, ScalarTileShapeNeverChangesBits) {
 
 class TuningPersistTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "vbatch_tuning_test.json";
+  // One file per case: ctest runs every case as its own process, in parallel.
+  std::string path_ = ::testing::TempDir() + "vbatch_tuning_" +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".json";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -9,19 +9,13 @@
 //     a chosen pool and print the full ServiceReport. With --check, replay
 //     twice and verify bit-identical reports (the determinism contract).
 //
-// Usage:
-//   trace_replay --gen [--count N] [--tenants N] [--rate R] [--nmax N]
-//                [--max-matrices N] [--mix-ops] [--mix-precisions] [--seed N]
-//                [--burst F] [--deadline-frac F] [--deadline S]
-//   trace_replay --replay FILE [--pool DESC] [--latency-budget S]
-//                [--max-batch N] [--max-footprint-gb X] [--full] [--check]
-//                [--max-queue N] [--tenant-rate G]
-//
-// --burst F makes the middle third of the generated trace arrive F times
-// faster (an overload wave); --deadline-frac F tags that fraction of the
-// requests with a deadline of --deadline seconds (default 5 ms). On the
-// replay side --max-queue/--tenant-rate enable admission control, the same
-// knobs as `vbatch_cli --serve` (docs/service.md, "Overload & admission").
+// `trace_replay --help` prints the flag list. --burst F makes the middle
+// third of the generated trace arrive F times faster (an overload wave);
+// --deadline-frac F tags that fraction of the requests with a deadline of
+// --deadline seconds (default 5 ms). On the replay side --max-queue and
+// --tenant-rate enable admission control, the same knobs as
+// `vbatch_cli --serve` (docs/service.md, "Overload & admission"). A
+// malformed value or a missing mode prints the usage line and exits 2.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -29,21 +23,7 @@
 
 #include "vbatch/service/service.hpp"
 #include "vbatch/util/error.hpp"
-
-namespace {
-
-[[noreturn]] void usage(int exit_code) {
-  std::printf(
-      "usage: trace_replay --gen [--count N] [--tenants N] [--rate R] [--nmax N]\n"
-      "                    [--max-matrices N] [--mix-ops] [--mix-precisions] [--seed N]\n"
-      "                    [--burst F] [--deadline-frac F] [--deadline S]\n"
-      "       trace_replay --replay FILE [--pool DESC] [--latency-budget S]\n"
-      "                    [--max-batch N] [--max-footprint-gb X] [--full] [--check]\n"
-      "                    [--max-queue N] [--tenant-rate G]\n");
-  std::exit(exit_code);
-}
-
-}  // namespace
+#include "vbatch/util/flags.hpp"
 
 int main(int argc, char** argv) {
   using namespace vbatch;
@@ -51,49 +31,39 @@ int main(int argc, char** argv) {
 
   bool gen = false;
   bool check = false;
+  bool full = false;
   std::string replay_file;
   std::string pool_desc = "k40c";
+  double max_footprint_gb = 0.0;
   svc::TraceGenConfig gen_cfg;
   svc::ServiceConfig cfg;
-  cfg.coalesce.latency_budget = 1e-3;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(2);
-      return argv[++i];
-    };
-    if (arg == "--help") usage(0);
-    else if (arg == "--gen") gen = true;
-    else if (arg == "--replay") replay_file = next();
-    else if (arg == "--count") gen_cfg.count = std::atoi(next());
-    else if (arg == "--tenants") gen_cfg.tenants = std::atoi(next());
-    else if (arg == "--rate") gen_cfg.rate = std::atof(next());
-    else if (arg == "--nmax") gen_cfg.nmax = std::atoi(next());
-    else if (arg == "--max-matrices") gen_cfg.max_matrices = std::atoi(next());
-    else if (arg == "--mix-ops") gen_cfg.mix_ops = true;
-    else if (arg == "--mix-precisions") gen_cfg.mix_precisions = true;
-    else if (arg == "--seed") gen_cfg.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else if (arg == "--burst") gen_cfg.burst = std::atof(next());
-    else if (arg == "--deadline-frac") gen_cfg.deadline_frac = std::atof(next());
-    else if (arg == "--deadline") gen_cfg.deadline_seconds = std::atof(next());
-    else if (arg == "--pool") pool_desc = next();
-    else if (arg == "--latency-budget") cfg.coalesce.latency_budget = std::atof(next());
-    else if (arg == "--max-batch") cfg.coalesce.max_batch = std::atoi(next());
-    else if (arg == "--max-footprint-gb")
-      cfg.coalesce.max_bytes = std::atof(next()) * 1024.0 * 1024.0 * 1024.0;
-    else if (arg == "--full") cfg.mode = sim::ExecMode::Full;
-    else if (arg == "--check") check = true;
-    else if (arg == "--max-queue") {
-      cfg.admission.enabled = true;
-      cfg.admission.max_queue = std::atoi(next());
-    } else if (arg == "--tenant-rate") {
-      cfg.admission.enabled = true;
-      cfg.admission.tenant_rate_gflops = std::atof(next());
-    }
-    else usage(2);
-  }
-  if (gen == !replay_file.empty()) usage(2);  // exactly one mode
+  util::Flags flags(argv[0]);
+  flags.toggle("--gen", gen)
+      .num("--count", gen_cfg.count, 1)
+      .num("--tenants", gen_cfg.tenants, 1)
+      .num("--rate", gen_cfg.rate, 0.0)
+      .num("--nmax", gen_cfg.nmax, 1)
+      .num("--max-matrices", gen_cfg.max_matrices, 1)
+      .toggle("--mix-ops", gen_cfg.mix_ops)
+      .toggle("--mix-precisions", gen_cfg.mix_precisions)
+      .num("--seed", gen_cfg.seed, 0)
+      .num("--burst", gen_cfg.burst, 0.0)
+      .num("--deadline-frac", gen_cfg.deadline_frac, 0.0)
+      .num("--deadline", gen_cfg.deadline_seconds, 0.0)
+      .text("--replay", replay_file)
+      .text("--pool", pool_desc, "DESC")
+      .num("--latency-budget", cfg.coalesce.latency_budget, 0.0)
+      .num("--max-batch", cfg.coalesce.max_batch, 0)
+      .num("--max-footprint-gb", max_footprint_gb, 0.0)
+      .toggle("--full", full)
+      .toggle("--check", check)
+      .num("--max-queue", cfg.admission.max_queue, 0)
+      .num("--tenant-rate", cfg.admission.tenant_rate_gflops, 0.0)
+      .parse(argc, argv);
+  if (gen == !replay_file.empty()) flags.usage(2);  // exactly one mode
+  cfg.coalesce.max_bytes = max_footprint_gb * 1024.0 * 1024.0 * 1024.0;
+  if (full) cfg.mode = sim::ExecMode::Full;
+  cfg.admission.enabled = cfg.admission.max_queue > 0 || cfg.admission.tenant_rate_gflops > 0.0;
 
   try {
     if (gen) {

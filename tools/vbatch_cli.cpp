@@ -5,91 +5,17 @@
 // (optionally) the autotuner's sweep. Useful for exploring configurations
 // without writing code.
 //
-// Usage:
-//   vbatch_cli [options]
-//     --batch N        batch count              (default 1000)
-//     --nmax N         maximum matrix size      (default 256)
-//     --dist uniform|gaussian|skewed|cluster    (default uniform)
-//     --precision s|d                           (default d)
-//     --device k40c|p100                        (default k40c; also selects
-//                      the matching power model for --energy)
-//     --hetero LIST    run on a heterogeneous pool instead of one device,
-//                      e.g. --hetero cpu,k40c,p100 (tokens: cpu, k40c, p100;
-//                      a token may carry ':Nstreams' and/or ':Ngb' suffixes,
-//                      e.g. k40c:4streams:2gb)
-//     --streams N      concurrent stream slots per pool executor
-//                      (requires --hetero; overrides any ':Nstreams' suffix;
-//                      GPUs clamp to the device limit, the cpu executor to 1;
-//                      factors are bit-identical for every stream count)
-//     --arena-gb X     staging-arena budget (GiB) for every GPU executor
-//                      (requires --hetero; overrides any ':Ngb' suffix and the
-//                      VBATCH_ARENA_GB env var; batches whose footprint
-//                      exceeds the budget stream out-of-core through
-//                      double-buffered chunked transfers — factors stay
-//                      bit-identical to the in-core run)
-//     --inject-faults SPEC
-//                      deterministic fault injection into the hetero pool
-//                      (requires --hetero; docs/robustness.md), e.g.
-//                      "seed=7;transient:rate=0.2;die:exec=1,after=2";
-//                      the VBATCH_INJECT_FAULTS env var is the no-flag
-//                      alternative
-//     --path auto|fused|separated               (default auto)
-//     --etm classic|aggressive                  (default aggressive)
-//     --no-sort        disable implicit sorting
-//     --tune           run the autotuners first and use their results: the
-//                      host BLAS cache-hierarchy tuner (loads the persisted
-//                      profile when one exists — see VBATCH_TUNING_FILE in
-//                      docs/api.md — and sweeps + saves otherwise), then the
-//                      Cholesky configuration sweep
-//     --isa scalar|sse2|neon|avx2|avx512
-//                      pin the host micro-kernel instruction set (default:
-//                      VBATCH_ISA or cpuid detection; clamped to what the
-//                      host supports; scalar reproduces the pre-vectorized
-//                      engine bit for bit)
-//     --profile        print the kernel profile
-//     --energy         print energy to solution vs the CPU baseline
-//     --verify         run in Full mode and check residuals (slower)
-//     --threads N      host worker threads for Full-mode numerics
-//                      (default: VBATCH_NUM_THREADS or hardware concurrency;
-//                      results are identical for any thread count)
-//     --seed N         RNG seed                 (default 2016)
-//     --serve          run the batch service front-end instead of a single
-//                      call: replay the scripted request trace of --trace on
-//                      the deterministic virtual-time clock (docs/service.md);
-//                      with --verify the numerics run in Full mode
-//     --trace FILE     request trace to replay (requires --serve; grammar in
-//                      docs/service.md)
-//     --latency-budget S
-//                      coalescing latency budget in seconds (requires
-//                      --serve; default 0.001): how long a request may wait
-//                      for merge partners before its group must flush
-//     --max-batch N    matrices per merged launch (requires --serve;
-//                      default unbounded): reaching the cap flushes
-//                      immediately, before any budget expiry
-//     --max-footprint-gb X
-//                      payload bytes per merged launch, in GiB (requires
-//                      --serve; default unbounded); composes with the
-//                      out-of-core staging budget downstream
-//     --tenants LIST   per-tenant fairness weights as name=weight pairs,
-//                      e.g. --tenants bursty=2,quiet=1 (requires --serve;
-//                      overrides the trace's tenant declarations; weights
-//                      must be positive — zero would starve the tenant)
-//     --max-queue N    enable admission control with a bound of N pending
-//                      requests (requires --serve; default unbounded):
-//                      arrivals past the watermark are shed with a named
-//                      rejection instead of growing the queue — see
-//                      docs/service.md, "Overload & admission"
-//     --tenant-rate G  enable admission control with a per-tenant token
-//                      bucket of G Gflop/s, scaled by each tenant's fairness
-//                      weight (requires --serve; default unlimited); the
-//                      VBATCH_ADMISSION env var is the no-flag alternative
-//                      and composes the full knob set
-//     --help           print usage and exit
+// `vbatch_cli --help` prints the flag list; docs/api.md ("Environment and
+// CLI knobs", "Command line") describes every flag. Number values follow the
+// strict text-input grammar (docs/api.md, "Text inputs"): a malformed or
+// out-of-range value prints the usage line and exits 2.
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/blas/isa.hpp"
@@ -102,6 +28,7 @@
 #include "vbatch/service/service.hpp"
 #include "vbatch/sim/profile.hpp"
 #include "vbatch/util/error.hpp"
+#include "vbatch/util/flags.hpp"
 #include "vbatch/util/thread_pool.hpp"
 
 namespace {
@@ -129,92 +56,77 @@ struct CliOptions {
   double latency_budget = 1e-3; ///< coalescing budget, seconds
   int max_batch = 0;            ///< matrices per merged launch (0 = unbounded)
   double max_footprint_gb = 0.0;  ///< payload cap per launch, GiB (0 = unbounded)
-  std::string tenants;          ///< "name=weight,..." fairness overrides
+  std::vector<std::pair<std::string, double>> tenants;  ///< fairness weight overrides
   int max_queue = 0;            ///< >0 = admission queue-depth watermark
   double tenant_rate = 0.0;     ///< >0 = per-tenant token-bucket Gflop/s
 };
 
-[[noreturn]] void usage(const char* argv0, int exit_code) {
-  std::printf("usage: %s [--batch N] [--nmax N] [--dist uniform|gaussian|skewed|cluster]\n"
-              "          [--precision s|d] [--device k40c|p100] [--hetero cpu,k40c:4streams:2gb,...]\n"
-              "          [--inject-faults SPEC] [--streams N] [--arena-gb X]\n"
-              "          [--path auto|fused|separated]\n"
-              "          [--etm classic|aggressive] [--no-sort] [--tune]\n"
-              "          [--isa scalar|sse2|neon|avx2|avx512]\n"
-              "          [--profile] [--energy] [--verify] [--threads N] [--seed N]\n"
-              "          [--serve --trace FILE [--latency-budget S] [--max-batch N]\n"
-              "           [--max-footprint-gb X] [--tenants name=w,...]\n"
-              "           [--max-queue N] [--tenant-rate G]] [--help]\n",
-              argv0);
-  std::exit(exit_code);
-}
-
 CliOptions parse(int argc, char** argv) {
+  using vbatch::EtmMode;
+  using vbatch::PotrfPath;
+  using vbatch::SizeDist;
   CliOptions o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0], 2);
-      return argv[++i];
-    };
-    if (arg == "--help") usage(argv[0], 0);
-    if (arg == "--batch") o.batch = std::atoi(next());
-    else if (arg == "--nmax") o.nmax = std::atoi(next());
-    else if (arg == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else if (arg == "--dist") {
-      const std::string v = next();
-      if (v == "uniform") o.dist = vbatch::SizeDist::Uniform;
-      else if (v == "gaussian") o.dist = vbatch::SizeDist::Gaussian;
-      else if (v == "skewed") o.dist = vbatch::SizeDist::Skewed;
-      else if (v == "cluster") o.dist = vbatch::SizeDist::Cluster;
-      else usage(argv[0], 2);
-    } else if (arg == "--isa") {
-      const auto isa = vbatch::blas::micro::parse_isa(next());
-      if (!isa) usage(argv[0], 2);
-      const auto got = vbatch::blas::micro::set_isa(*isa);
-      if (got != *isa)
-        std::fprintf(stderr, "note: --isa %s not supported on this host, using %s\n",
-                     to_string(*isa), to_string(got));
-    } else if (arg == "--precision") {
-      const std::string v = next();
-      if (v == "s") o.double_precision = false;
-      else if (v == "d") o.double_precision = true;
-      else usage(argv[0], 2);
-    } else if (arg == "--path") {
-      const std::string v = next();
-      if (v == "auto") o.potrf.path = vbatch::PotrfPath::Auto;
-      else if (v == "fused") o.potrf.path = vbatch::PotrfPath::Fused;
-      else if (v == "separated") o.potrf.path = vbatch::PotrfPath::Separated;
-      else usage(argv[0], 2);
-    } else if (arg == "--etm") {
-      const std::string v = next();
-      if (v == "classic") o.potrf.etm = vbatch::EtmMode::Classic;
-      else if (v == "aggressive") o.potrf.etm = vbatch::EtmMode::Aggressive;
-      else usage(argv[0], 2);
-    } else if (arg == "--device") {
-      o.device = next();
-      if (o.device != "k40c" && o.device != "p100") usage(argv[0], 2);
-    } else if (arg == "--hetero") o.hetero = next();
-    else if (arg == "--inject-faults") o.inject_faults = next();
-    else if (arg == "--streams") o.streams = std::atoi(next());
-    else if (arg == "--arena-gb") o.arena_gb = std::atof(next());
-    else if (arg == "--no-sort") o.potrf.implicit_sorting = false;
-    else if (arg == "--tune") o.tune = true;
-    else if (arg == "--profile") o.profile = true;
-    else if (arg == "--energy") o.energy = true;
-    else if (arg == "--verify") o.verify = true;
-    else if (arg == "--threads") o.threads = std::atoi(next());
-    else if (arg == "--serve") o.serve = true;
-    else if (arg == "--trace") o.trace_file = next();
-    else if (arg == "--latency-budget") o.latency_budget = std::atof(next());
-    else if (arg == "--max-batch") o.max_batch = std::atoi(next());
-    else if (arg == "--max-footprint-gb") o.max_footprint_gb = std::atof(next());
-    else if (arg == "--tenants") o.tenants = next();
-    else if (arg == "--max-queue") o.max_queue = std::atoi(next());
-    else if (arg == "--tenant-rate") o.tenant_rate = std::atof(next());
-    else usage(argv[0], 2);
-  }
-  if (o.batch < 1 || o.nmax < 1 || o.threads < 0 || o.streams < 0) usage(argv[0], 2);
+  vbatch::util::Flags(argv[0])
+      .num("--batch", o.batch, 1)
+      .num("--nmax", o.nmax, 1)
+      .choice("--dist", o.dist,
+              {{"uniform", SizeDist::Uniform},
+               {"gaussian", SizeDist::Gaussian},
+               {"skewed", SizeDist::Skewed},
+               {"cluster", SizeDist::Cluster}})
+      .choice("--precision", o.double_precision, {{"s", false}, {"d", true}})
+      .choice("--device", o.device, {{"k40c", "k40c"}, {"p100", "p100"}})
+      .text("--hetero", o.hetero, "cpu,k40c:4streams:2gb,...")
+      .text("--inject-faults", o.inject_faults, "SPEC")
+      .num("--streams", o.streams, 0)
+      .num("--arena-gb", o.arena_gb, 0.0)
+      .choice("--path", o.potrf.path,
+              {{"auto", PotrfPath::Auto},
+               {"fused", PotrfPath::Fused},
+               {"separated", PotrfPath::Separated}})
+      .choice("--etm", o.potrf.etm,
+              {{"classic", EtmMode::Classic}, {"aggressive", EtmMode::Aggressive}})
+      .toggle("--no-sort", o.potrf.implicit_sorting, false)
+      .toggle("--tune", o.tune)
+      .custom("--isa", "scalar|sse2|neon|avx2|avx512",
+              [](std::string_view v) {
+                const auto isa = vbatch::blas::micro::parse_isa(v);
+                if (!isa) return false;
+                const auto got = vbatch::blas::micro::set_isa(*isa);
+                if (got != *isa)
+                  std::fprintf(stderr, "note: --isa %s not supported on this host, using %s\n",
+                               to_string(*isa), to_string(got));
+                return true;
+              })
+      .toggle("--profile", o.profile)
+      .toggle("--energy", o.energy)
+      .toggle("--verify", o.verify)
+      .num("--threads", o.threads, 0)
+      .num("--seed", o.seed, 0)
+      .toggle("--serve", o.serve)
+      .text("--trace", o.trace_file)
+      .num("--latency-budget", o.latency_budget, 0.0)
+      .num("--max-batch", o.max_batch, 0)
+      .num("--max-footprint-gb", o.max_footprint_gb, 0.0)
+      .custom("--tenants", "name=w,...",
+              [&o](std::string_view list) {
+                // Weights must be positive (zero would starve the tenant);
+                // a tenant may appear once.
+                o.tenants.clear();
+                for (const std::string_view item : vbatch::util::split(list, ',')) {
+                  const auto kv = vbatch::util::split_kv(item);
+                  const auto w = kv ? vbatch::util::try_parse_number<double>(kv->second)
+                                    : std::nullopt;
+                  if (!w || !(*w > 0.0)) return false;
+                  for (const auto& [name, weight] : o.tenants)
+                    if (name == kv->first) return false;
+                  o.tenants.emplace_back(kv->first, *w);
+                }
+                return true;
+              })
+      .num("--max-queue", o.max_queue, 0)
+      .num("--tenant-rate", o.tenant_rate, 0.0)
+      .parse(argc, argv);
   if (!o.inject_faults.empty() && o.hetero.empty()) {
     std::fprintf(stderr, "--inject-faults requires --hetero (faults target the pool)\n");
     std::exit(2);
@@ -225,10 +137,6 @@ CliOptions parse(int argc, char** argv) {
   }
   if (o.arena_gb != 0.0 && o.hetero.empty()) {
     std::fprintf(stderr, "--arena-gb requires --hetero (the arena belongs to pool GPUs)\n");
-    std::exit(2);
-  }
-  if (o.arena_gb < 0.0) {
-    std::fprintf(stderr, "--arena-gb must be positive (got %g)\n", o.arena_gb);
     std::exit(2);
   }
   if (o.serve && o.trace_file.empty()) {
@@ -243,43 +151,7 @@ CliOptions parse(int argc, char** argv) {
                  "--max-queue/--tenant-rate require --serve\n");
     std::exit(2);
   }
-  if (o.latency_budget < 0.0 || o.max_batch < 0 || o.max_footprint_gb < 0.0 ||
-      o.max_queue < 0 || o.tenant_rate < 0.0) {
-    std::fprintf(stderr,
-                 "--latency-budget/--max-batch/--max-footprint-gb/--max-queue/"
-                 "--tenant-rate must be >= 0\n");
-    std::exit(2);
-  }
   return o;
-}
-
-/// Parses the --tenants "name=weight,..." list (weights must parse and be
-/// positive; duplicates rejected).
-std::vector<std::pair<std::string, double>> parse_tenants(const std::string& list) {
-  std::vector<std::pair<std::string, double>> weights;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::string item =
-        list.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    pos = comma == std::string::npos ? list.size() + 1 : comma + 1;
-    const std::size_t eq = item.find('=');
-    if (item.empty() || eq == 0 || eq == std::string::npos || eq + 1 >= item.size())
-      vbatch::throw_error(vbatch::Status::InvalidArgument,
-                          "--tenants expects name=weight pairs, got '" + item + "'");
-    const std::string name = item.substr(0, eq);
-    char* end = nullptr;
-    const double w = std::strtod(item.c_str() + eq + 1, &end);
-    if (end != item.c_str() + item.size() || !(w > 0.0))
-      vbatch::throw_error(vbatch::Status::InvalidArgument,
-                          "--tenants weight for '" + name + "' must be a positive number");
-    for (const auto& [t, existing] : weights)
-      if (t == name)
-        vbatch::throw_error(vbatch::Status::InvalidArgument,
-                            "--tenants lists '" + name + "' twice");
-    weights.emplace_back(name, w);
-  }
-  return weights;
 }
 
 /// The --serve / --hetero pool: parses `desc`, then applies --streams,
@@ -338,14 +210,7 @@ int run_serve(const CliOptions& o) {
     cfg.admission.max_queue = o.max_queue;
     cfg.admission.tenant_rate_gflops = o.tenant_rate;
   }
-  if (!o.tenants.empty()) {
-    try {
-      cfg.tenant_weights = parse_tenants(o.tenants);
-    } catch (const Error& err) {
-      std::fprintf(stderr, "%s\n", err.what());
-      return 2;
-    }
-  }
+  cfg.tenant_weights = o.tenants;
 
   std::printf("serve:    %d requests from %s on pool %s (%s mode)\n", trace.count(),
               o.trace_file.c_str(), pool.describe().c_str(),
