@@ -106,8 +106,8 @@ int main(int argc, char** argv) {
     std::printf("\ncrossover policy: SP max-size %d, DP max-size %d (feasibility: %d / %d)\n",
                 vbatch::crossover_max_size(spec, vbatch::Precision::Single),
                 vbatch::crossover_max_size(spec, vbatch::Precision::Double),
-                vbatch::fused_feasible_max(spec, vbatch::Precision::Single),
-                vbatch::fused_feasible_max(spec, vbatch::Precision::Double));
+                vbatch::fused_feasible_max(spec, sizeof(float)),
+                vbatch::fused_feasible_max(spec, sizeof(double)));
     check_series(sc, "SP", g_sp, vbatch::crossover_max_size(spec, vbatch::Precision::Single));
     check_series(sc, "DP", g_dp, vbatch::crossover_max_size(spec, vbatch::Precision::Double));
     sc.expect(vbatch::crossover_max_size(spec, vbatch::Precision::Single) >

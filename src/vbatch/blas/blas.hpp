@@ -4,7 +4,7 @@
 // serve three roles in the reproduction:
 //   1. the numerical payload executed by the simulated device kernels
 //      (vbatch/kernels) — the simulator models *time*, the math is real;
-//   2. the CPU baselines of §IV-F (through vbatch/cpu/mkl_compat);
+//   2. the CPU baselines of §IV-F (through vbatch/cpu/cpu_batched);
 //   3. the oracle used by the test suite.
 //
 // All matrices are column-major MatrixView<T>; `info`-style return codes

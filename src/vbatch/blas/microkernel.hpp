@@ -47,35 +47,6 @@
 
 namespace vbatch::blas::micro {
 
-/// The PR 2 compile-time blocking constants, kept as the *scalar anchor*:
-/// `TuningProfile::defaults(Isa::Scalar)` equals these values, and the
-/// scalar tile accumulates in exactly the order the original engine did, so
-/// `VBATCH_ISA=scalar` (or `--isa scalar`) reproduces historical results
-/// bit for bit. New code should read the active profile instead.
-template <typename T>
-struct Tiling;
-
-template <>
-struct Tiling<float> {
-  static constexpr int MR = 8, NR = 4;
-  static constexpr index_t KC = 256, MC = 128, NC = 512;
-};
-template <>
-struct Tiling<double> {
-  static constexpr int MR = 4, NR = 4;
-  static constexpr index_t KC = 256, MC = 128, NC = 256;
-};
-template <>
-struct Tiling<std::complex<float>> {
-  static constexpr int MR = 4, NR = 2;
-  static constexpr index_t KC = 128, MC = 96, NC = 256;
-};
-template <>
-struct Tiling<std::complex<double>> {
-  static constexpr int MR = 2, NR = 2;
-  static constexpr index_t KC = 128, MC = 96, NC = 256;
-};
-
 /// Which implementation the public blas::gemm/syrk/trsm/trmm entry points
 /// select. Auto applies the `use_blocked` cutoff; ForceRef / ForceBlocked pin
 /// one path (used by the conformance suite and the wallclock_blas bench).

@@ -53,7 +53,7 @@ Isa set_isa(Isa i) noexcept {
 TuningProfile TuningProfile::defaults(Isa isa) noexcept {
   TuningProfile p;
   p.isa = isa;
-  // Scalar anchors: exactly the PR 2 Tiling<T> constants and their
+  // Scalar anchors: exactly the original engine's blocking constants and their
   // `use_blocked` crossover (min_m = MR, min_mnk = 4096) — Isa::Scalar runs
   // reproduce the PR 2 engine bit for bit.
   p.shapes[0] = {8, 4, 256, 128, 512, 8, 4096.0};

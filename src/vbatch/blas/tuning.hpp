@@ -53,9 +53,11 @@ struct TuningProfile {
   KernelShape shapes[4];  ///< indexed by float, double, cfloat, cdouble
   bool operator==(const TuningProfile&) const = default;
 
-  /// Analytic defaults per ISA. `defaults(Isa::Scalar)` reproduces the PR 2
-  /// `Tiling<T>` constants (and their crossover) exactly — the scalar
-  /// bit-compatibility anchor; vector ISAs default to wider MR tiles.
+  /// Analytic defaults per ISA. `defaults(Isa::Scalar)` holds the original
+  /// engine's compile-time blocking constants (and their crossover) — the
+  /// scalar bit-compatibility anchor: the scalar tile accumulates in the
+  /// original order, so `VBATCH_ISA=scalar` reproduces historical results
+  /// bit for bit. Vector ISAs default to wider MR tiles.
   [[nodiscard]] static TuningProfile defaults(Isa isa) noexcept;
 };
 

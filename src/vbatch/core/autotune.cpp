@@ -7,7 +7,6 @@
 #include <string>
 
 #include "vbatch/blas/microkernel.hpp"
-#include "vbatch/core/crossover.hpp"
 #include "vbatch/kernels/fused_potrf.hpp"
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/parse.hpp"
@@ -46,9 +45,10 @@ TuneResult autotune_potrf(const Queue& q, std::span<const int> sizes,
   for (int s : sample) max_n = std::max(max_n, s);
   require(max_n >= 1, "autotune: all sampled matrices empty");
 
-  // Candidate configurations.
+  // Candidate configurations: every feasible fused blocking with and
+  // without implicit sorting (ETM-aggressive), then the separated path with
+  // the vbatched and the streamed trailing update.
   std::vector<PotrfOptions> candidates;
-  const int feasible_bound = fused_feasible_max(q.spec(), precision_v<T>);
   for (int nb : {8, 16, 24, 32}) {
     if (max_n > kernels::fused_max_size(q.spec(), nb, sizeof(T))) continue;
     for (bool sorting : {false, true}) {
@@ -58,22 +58,14 @@ TuneResult autotune_potrf(const Queue& q, std::span<const int> sizes,
       o.etm = EtmMode::Aggressive;
       o.implicit_sorting = sorting;
       candidates.push_back(o);
-      if (settings.try_classic_etm) {
-        o.etm = EtmMode::Classic;
-        candidates.push_back(o);
-      }
     }
   }
-  {
+  for (bool streamed : {false, true}) {
     PotrfOptions o;
     o.path = PotrfPath::Separated;
+    o.streamed_syrk = streamed;
     candidates.push_back(o);
-    if (settings.try_streamed) {
-      o.streamed_syrk = true;
-      candidates.push_back(o);
-    }
   }
-  (void)feasible_bound;
 
   TuneResult result;
   for (const PotrfOptions& opts : candidates) {

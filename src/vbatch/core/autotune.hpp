@@ -42,8 +42,6 @@ struct TuneResult {
 
 struct TuneSettings {
   int max_sample = 512;   ///< cap on the metadata sample driving the sweep
-  bool try_streamed = true;
-  bool try_classic_etm = false;  ///< also sweep ETM-classic (normally dominated)
 };
 
 /// Tunes the configuration for factoring batches shaped like `sizes` on

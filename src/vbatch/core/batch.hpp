@@ -9,6 +9,7 @@
 // lets TimingOnly runs proceed without dereferencing matrix payloads.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -58,34 +59,98 @@ struct VbatchedProblem {
   [[nodiscard]] int count() const noexcept { return static_cast<int>(n.size()); }
 };
 
-/// Owner of a batch of square matrices in device memory plus the metadata
-/// arrays. The convenience layer used by examples, tests and benches.
+/// Per-item device arrays carved from one arena slab: item i is a
+/// column-major ld_i × cols_i block at ptrs()[i] (one column each when
+/// `cols` is empty; negative extents count as empty items). The one owner of
+/// "per-item arrays in one allocation": the matrix payload of every batch
+/// container, the per-matrix pivot and tau arrays of the LU/QR extensions,
+/// and driver workspaces. The item pointer array is device metadata; the
+/// slab holds max(1, total) elements and is freed exactly once — on
+/// destruction, never by a moved-from owner.
 template <typename T>
-class Batch {
+class SlabArrays {
+ public:
+  SlabArrays(Queue& q, std::span<const int> ld, std::span<const int> cols = {});
+  ~SlabArrays();
+  SlabArrays(SlabArrays&&) noexcept;
+  SlabArrays(const SlabArrays&) = delete;
+  SlabArrays& operator=(const SlabArrays&) = delete;
+  SlabArrays& operator=(SlabArrays&&) = delete;
+
+  [[nodiscard]] int count() const noexcept { return static_cast<int>(ptrs_.size()); }
+  [[nodiscard]] T** ptrs() noexcept { return ptrs_.device_ptr(); }
+  [[nodiscard]] T* const* ptrs() const noexcept { return ptrs_.device_ptr(); }
+  /// Item i's elements (readable in Full mode only).
+  [[nodiscard]] std::span<const T> item(int i) const noexcept;
+
+ private:
+  Queue* queue_;
+  std::vector<std::size_t> offsets_;  ///< count + 1 element offsets into the slab
+  DeviceVector<T*> ptrs_;
+  void* slab_ = nullptr;
+};
+
+/// Rectangular batch for the LU/QR extensions: per-matrix m×n with lda = m.
+template <typename T>
+class RectBatch {
+ public:
+  RectBatch(Queue& q, std::span<const int> m, std::span<const int> n)
+      : RectBatch(q, m, n, 0, false) {}
+
+  [[nodiscard]] int count() const noexcept { return static_cast<int>(n_.size()); }
+  [[nodiscard]] std::span<const int> rows() const noexcept { return m_ ? m_->host() : n_.host(); }
+  [[nodiscard]] std::span<const int> cols() const noexcept { return n_.host(); }
+  [[nodiscard]] std::span<const int> ldas() const noexcept { return lda_.host(); }
+  [[nodiscard]] T** device_ptrs() noexcept { return payload_.ptrs(); }
+  [[nodiscard]] std::span<int> info() noexcept { return info_.host(); }
+
+  void fill_general(Rng& rng);
+  /// View of matrix i (Full mode only).
+  [[nodiscard]] MatrixView<T> matrix(int i) noexcept;
+  /// Deep copy of matrix i into a fresh host buffer (Full mode only).
+  [[nodiscard]] std::vector<T> copy_matrix(int i) const;
+  [[nodiscard]] Queue& queue() noexcept { return *queue_; }
+
+ protected:
+  /// The square case: n_i × n_i with lda_i = max(1, n_i + lda_pad), where a
+  /// non-zero pad gives every matrix an independent leading dimension
+  /// (paper §III-A). One device array holds both rows and cols.
+  RectBatch(Queue& q, std::span<const int> n, int lda_pad) : RectBatch(q, n, n, lda_pad, true) {}
+
+ private:
+  RectBatch(Queue& q, std::span<const int> m, std::span<const int> n, int lda_pad, bool square);
+  /// Validates the dimensions and fills the metadata arrays (called from
+  /// the member-initializer list, before the payload is carved by lda × n).
+  std::span<const int> fill_metadata(std::span<const int> m, std::span<const int> n, int lda_pad);
+
+  Queue* queue_;
+  std::optional<DeviceVector<int>> m_;  ///< empty in the square case: rows are n_
+  DeviceVector<int> n_;
+  DeviceVector<int> lda_;
+  DeviceVector<int> info_;
+  SlabArrays<T> payload_;  ///< item i: matrix i's lda_i × n_i columns
+};
+
+/// Owner of a batch of square matrices in device memory plus the metadata
+/// arrays: the square case of RectBatch. The convenience layer used by
+/// examples, tests and benches.
+template <typename T>
+class Batch : public RectBatch<T> {
  public:
   /// Allocates matrices of the given orders with lda_i = n_i + lda_pad
   /// (paper §III-A: every matrix carries an independent leading dimension;
   /// a non-zero pad exercises exactly that independence). Throws
   /// Status::OutOfDeviceMemory when the arena is exhausted.
-  explicit Batch(Queue& q, std::span<const int> sizes, int lda_pad = 0);
+  explicit Batch(Queue& q, std::span<const int> sizes, int lda_pad = 0)
+      : RectBatch<T>(q, sizes, lda_pad) {}
 
   /// All matrices the same order (fixed-size batch).
   static Batch fixed(Queue& q, int count, int n);
 
-  ~Batch();
-  Batch(Batch&&) noexcept;
-  Batch(const Batch&) = delete;
-  Batch& operator=(const Batch&) = delete;
-  Batch& operator=(Batch&&) = delete;
-
-  [[nodiscard]] int count() const noexcept { return static_cast<int>(n_.size()); }
-  [[nodiscard]] std::span<const int> sizes() const noexcept { return n_.host(); }
-  [[nodiscard]] std::span<const int> ldas() const noexcept { return lda_.host(); }
-  [[nodiscard]] T** device_ptrs() noexcept { return ptrs_.device_ptr(); }
-  [[nodiscard]] std::span<int> info() noexcept { return info_.host(); }
+  [[nodiscard]] std::span<const int> sizes() const noexcept { return this->cols(); }
 
   [[nodiscard]] VbatchedProblem<T> problem() noexcept {
-    return {ptrs_.device_ptr(), n_.host(), lda_.host(), info_.host()};
+    return {this->device_ptrs(), this->cols(), this->ldas(), this->info()};
   }
 
   /// Largest order in the batch (host-side; the device-side equivalent is
@@ -97,57 +162,6 @@ class Batch {
 
   /// Fills every matrix with a random SPD matrix (no-op in TimingOnly mode).
   void fill_spd(Rng& rng);
-
-  /// View of matrix i (Full mode only).
-  [[nodiscard]] MatrixView<T> matrix(int i) noexcept;
-
-  /// Deep copy of matrix i into a fresh host buffer (Full mode only).
-  [[nodiscard]] std::vector<T> copy_matrix(int i) const;
-
-  [[nodiscard]] Queue& queue() noexcept { return *queue_; }
-
- private:
-  void fill_spd_impl(Rng& rng, int i, int n);
-
-  Queue* queue_;
-  DeviceVector<int> n_;
-  DeviceVector<int> lda_;
-  DeviceVector<T*> ptrs_;
-  DeviceVector<int> info_;
-  void* slab_ = nullptr;   ///< arena allocation holding all matrix payloads
-};
-
-/// Rectangular batch for the LU/QR extensions: per-matrix m×n with lda = m.
-template <typename T>
-class RectBatch {
- public:
-  RectBatch(Queue& q, std::span<const int> m, std::span<const int> n);
-  ~RectBatch();
-  RectBatch(RectBatch&&) noexcept;
-  RectBatch(const RectBatch&) = delete;
-  RectBatch& operator=(const RectBatch&) = delete;
-  RectBatch& operator=(RectBatch&&) = delete;
-
-  [[nodiscard]] int count() const noexcept { return static_cast<int>(m_.size()); }
-  [[nodiscard]] std::span<const int> rows() const noexcept { return m_.host(); }
-  [[nodiscard]] std::span<const int> cols() const noexcept { return n_.host(); }
-  [[nodiscard]] std::span<const int> ldas() const noexcept { return lda_.host(); }
-  [[nodiscard]] T** device_ptrs() noexcept { return ptrs_.device_ptr(); }
-  [[nodiscard]] std::span<int> info() noexcept { return info_.host(); }
-
-  void fill_general(Rng& rng);
-  [[nodiscard]] MatrixView<T> matrix(int i) noexcept;
-  [[nodiscard]] std::vector<T> copy_matrix(int i) const;
-  [[nodiscard]] Queue& queue() noexcept { return *queue_; }
-
- private:
-  Queue* queue_;
-  DeviceVector<int> m_;
-  DeviceVector<int> n_;
-  DeviceVector<int> lda_;
-  DeviceVector<T*> ptrs_;
-  DeviceVector<int> info_;
-  void* slab_ = nullptr;
 };
 
 }  // namespace vbatch

@@ -6,10 +6,9 @@
 
 namespace vbatch {
 
-int fused_feasible_max(const sim::DeviceSpec& spec, Precision prec) {
-  const std::size_t elem = prec == Precision::Double ? sizeof(double) : sizeof(float);
+int fused_feasible_max(const sim::DeviceSpec& spec, std::size_t elem_size) {
   // The narrowest supported blocking gives the loosest shared-memory bound.
-  return kernels::fused_max_size(spec, 8, elem);
+  return kernels::fused_max_size(spec, 8, elem_size);
 }
 
 int crossover_max_size(const sim::DeviceSpec& spec, Precision prec) {
@@ -18,15 +17,15 @@ int crossover_max_size(const sim::DeviceSpec& spec, Precision prec) {
   // (beyond the nb = 16 shared-memory bound at 752); DP crosses much
   // earlier, where the wide panels throttle occupancy.
   const int perf = prec == Precision::Double ? 320 : 736;
-  return std::min(perf, fused_feasible_max(spec, prec));
+  const std::size_t real = prec == Precision::Double ? sizeof(double) : sizeof(float);
+  return std::min(perf, fused_feasible_max(spec, real));
 }
 
-bool use_fused(const sim::DeviceSpec& spec, Precision prec, int max_n, int override_crossover) {
+bool use_fused(const sim::DeviceSpec& spec, Precision prec, std::size_t elem_size, int max_n,
+               int override_crossover) {
   const int threshold =
-      override_crossover > 0
-          ? std::min(override_crossover, fused_feasible_max(spec, prec))
-          : crossover_max_size(spec, prec);
-  return max_n <= threshold;
+      override_crossover > 0 ? override_crossover : crossover_max_size(spec, prec);
+  return max_n <= std::min(threshold, fused_feasible_max(spec, elem_size));
 }
 
 }  // namespace vbatch

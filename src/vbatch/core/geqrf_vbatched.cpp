@@ -11,31 +11,6 @@
 namespace vbatch {
 
 template <typename T>
-TauArrays<T>::TauArrays(Queue& q, std::span<const int> mn)
-    : queue_(&q), ptrs_(mn.size()), lengths_(mn.begin(), mn.end()) {
-  std::size_t total = 0;
-  for (int v : mn) total += static_cast<std::size_t>(std::max(0, v));
-  slab_ = q.device().device_malloc(std::max<std::size_t>(1, total) * sizeof(T));
-  T* base = static_cast<T*>(slab_);
-  std::size_t offset = 0;
-  for (std::size_t i = 0; i < mn.size(); ++i) {
-    ptrs_[i] = base + offset;
-    offset += static_cast<std::size_t>(std::max(0, mn[i]));
-  }
-}
-
-template <typename T>
-TauArrays<T>::~TauArrays() {
-  if (slab_ != nullptr) queue_->device().device_free(slab_);
-}
-
-template <typename T>
-std::span<const T> TauArrays<T>::tau(int i) const noexcept {
-  return {ptrs_[static_cast<std::size_t>(i)],
-          static_cast<std::size_t>(std::max(0, lengths_[static_cast<std::size_t>(i)]))};
-}
-
-template <typename T>
 FactorResult geqrf_vbatched(Queue& q, RectBatch<T>& batch, TauArrays<T>& tau,
                             const GeqrfOptions& opts) {
   sim::Device& dev = q.device();
@@ -214,8 +189,6 @@ FactorResult geqrs_vbatched(Queue& q, RectBatch<T>& factors, const TauArrays<T>&
   return apply_qt_kernel<T>(q, factors, tau, rhs, true, "vbatched_geqrs");
 }
 
-template class TauArrays<float>;
-template class TauArrays<double>;
 template FactorResult geqrf_vbatched<float>(Queue&, RectBatch<float>&, TauArrays<float>&,
                                             const GeqrfOptions&);
 template FactorResult geqrf_vbatched<double>(Queue&, RectBatch<double>&, TauArrays<double>&,

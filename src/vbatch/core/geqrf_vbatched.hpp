@@ -12,24 +12,10 @@
 
 namespace vbatch {
 
-/// Owner of per-matrix tau (reflector scalar) arrays.
+/// Per-matrix tau (reflector scalar) arrays: TauArrays<T>(q, mn) carves mn_i
+/// scalars for matrix i from one arena slab; item(i) is matrix i's taus.
 template <typename T>
-class TauArrays {
- public:
-  TauArrays(Queue& q, std::span<const int> mn);
-  ~TauArrays();
-  TauArrays(const TauArrays&) = delete;
-  TauArrays& operator=(const TauArrays&) = delete;
-
-  [[nodiscard]] T* const* ptrs() const noexcept { return ptrs_.data(); }
-  [[nodiscard]] std::span<const T> tau(int i) const noexcept;
-
- private:
-  Queue* queue_;
-  void* slab_;
-  std::vector<T*> ptrs_;
-  std::vector<int> lengths_;
-};
+using TauArrays = SlabArrays<T>;
 
 struct GeqrfOptions {
   int panel_nb = 32;

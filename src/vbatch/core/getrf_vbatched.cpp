@@ -10,28 +10,6 @@
 
 namespace vbatch {
 
-PivotArrays::PivotArrays(Queue& q, std::span<const int> mn)
-    : queue_(&q), ptrs_(mn.size()), lengths_(mn.begin(), mn.end()) {
-  std::size_t total = 0;
-  for (int v : mn) total += static_cast<std::size_t>(std::max(0, v));
-  slab_ = q.device().device_malloc(std::max<std::size_t>(1, total) * sizeof(int));
-  int* base = static_cast<int*>(slab_);
-  std::size_t offset = 0;
-  for (std::size_t i = 0; i < mn.size(); ++i) {
-    ptrs_[i] = base + offset;
-    offset += static_cast<std::size_t>(std::max(0, mn[i]));
-  }
-}
-
-PivotArrays::~PivotArrays() {
-  if (slab_ != nullptr) queue_->device().device_free(slab_);
-}
-
-std::span<const int> PivotArrays::pivots(int i) const noexcept {
-  return {ptrs_[static_cast<std::size_t>(i)],
-          static_cast<std::size_t>(std::max(0, lengths_[static_cast<std::size_t>(i)]))};
-}
-
 template <typename T>
 FactorResult getrf_vbatched(Queue& q, Batch<T>& batch, PivotArrays& ipiv,
                             const GetrfOptions& opts) {

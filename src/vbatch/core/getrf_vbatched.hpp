@@ -13,23 +13,9 @@
 
 namespace vbatch {
 
-/// Owner of per-matrix pivot arrays (a device int slab + pointer array).
-class PivotArrays {
- public:
-  PivotArrays(Queue& q, std::span<const int> mn);
-  ~PivotArrays();
-  PivotArrays(const PivotArrays&) = delete;
-  PivotArrays& operator=(const PivotArrays&) = delete;
-
-  [[nodiscard]] int* const* ptrs() const noexcept { return ptrs_.data(); }
-  [[nodiscard]] std::span<const int> pivots(int i) const noexcept;
-
- private:
-  Queue* queue_;
-  void* slab_;
-  std::vector<int*> ptrs_;
-  std::vector<int> lengths_;
-};
+/// Per-matrix pivot arrays: PivotArrays(q, mn) carves mn_i ints for matrix
+/// i from one arena slab; item(i) is matrix i's pivot vector.
+using PivotArrays = SlabArrays<int>;
 
 struct GetrfOptions {
   int panel_nb = 32;

@@ -35,12 +35,9 @@ double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, 
   double seconds = 0.0;
 
   // Workspace: per-matrix NB×NB buffer for the inverted diagonal blocks of
-  // the trsm (freed at the end of the call).
-  void* inv_slab = dev.device_malloc(static_cast<std::size_t>(batch) * NB * NB * sizeof(T));
-  T* inv_base = static_cast<T*>(inv_slab);
-  std::vector<T*> inv_ptrs(static_cast<std::size_t>(batch));
-  for (int i = 0; i < batch; ++i)
-    inv_ptrs[static_cast<std::size_t>(i)] = inv_base + static_cast<std::size_t>(i) * NB * NB;
+  // the trsm (freed when the call returns).
+  const std::vector<int> nb_extent(static_cast<std::size_t>(batch), NB);
+  const SlabArrays<T> inv(q, nb_extent, nb_extent);
 
   std::vector<int> trail_m(static_cast<std::size_t>(batch));
   std::vector<int> trail_ib(static_cast<std::size_t>(batch));
@@ -94,7 +91,7 @@ double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, 
     trsm.m = trail_m;
     trsm.max_ib = NB;
     trsm.max_m = max_m2;
-    trsm.inv = inv_ptrs.data();
+    trsm.inv = inv.ptrs();
     trsm.inv_ld = NB;
     seconds += kernels::launch_trsm_vbatched(dev, trsm);
 
@@ -116,8 +113,6 @@ double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, 
       seconds += kernels::launch_syrk_vbatched(dev, syrk);
     }
   }
-
-  dev.device_free(inv_slab);
   return seconds;
 }
 

@@ -9,9 +9,11 @@
 //
 // Both select between the fused-kernel path (§III-D) and the separated
 // vbatched-BLAS path (§III-E) through the crossover policy of §IV-E unless
-// the options pin a path.
+// the options pin a path. The selection is detail::plan_potrf, the one
+// front the heterogeneous pool (vbatch::hetero) shares.
 #pragma once
 
+#include <optional>
 #include <span>
 
 #include "vbatch/core/batch.hpp"
@@ -73,6 +75,30 @@ PotrfResult potrf_vbatched_max(Queue& q, Uplo uplo, const VbatchedProblem<T>& pr
 
 namespace detail {
 
+/// One potrf call's resolved plan: path and blocking pinned once from the
+/// global maximum order.
+struct PotrfPlan {
+  int max_n = 0;                          ///< the global maximum order
+  PotrfPath path = PotrfPath::Separated;  ///< Fused or Separated, never Auto
+  int nb = 0;                             ///< the path's blocking (fused nb or panel NB)
+  double sweep_seconds = 0.0;             ///< modelled time of the metadata sweep
+};
+
+/// The potrf front of the single-device and pool entries: one metadata
+/// sweep on `q` (reducing the maximum when `max_n` is empty), then path and
+/// blocking against `ref`. Auto falls back to separated when the fused
+/// launch does not fit every spec in `targets`; `who` names the entry.
+template <typename T>
+PotrfPlan plan_potrf(Queue& q, const VbatchedProblem<T>& prob, std::optional<int> max_n,
+                     const PotrfOptions& opts, const sim::DeviceSpec& ref,
+                     std::span<const sim::DeviceSpec* const> targets, const char* who);
+
+/// Runs the plan's driver on a (sub-)batch whose largest order is max_n;
+/// returns the modelled seconds of its launches.
+template <typename T>
+double run_potrf_plan(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int max_n,
+                      const PotrfPlan& plan, const PotrfOptions& opts);
+
 /// Approach 1: fused kernels with ETMs and optional implicit sorting.
 template <typename T>
 double potrf_fused_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int max_n,
@@ -84,9 +110,7 @@ double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, 
                            int NB, bool streamed_syrk, int num_streams);
 
 /// The separated path's default panel blocking for the given element size
-/// (what potrf_separated_run picks when NB <= 0). Exposed so layers that
-/// must pin one NB across several sub-batches (vbatch::hetero) replicate
-/// the single-device choice exactly.
+/// (what potrf_separated_run picks when NB <= 0, and what plan_potrf pins).
 [[nodiscard]] int default_separated_nb(std::size_t elem_size) noexcept;
 
 }  // namespace detail

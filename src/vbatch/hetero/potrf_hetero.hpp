@@ -9,22 +9,23 @@
 // (see partition.hpp / scheduler.hpp).
 //
 // Numerics guarantee: the options (path, blocking sizes) are resolved ONCE
-// from the global maximum against a reference device and pinned for every
-// chunk, and each matrix's factorization depends only on its own data and
-// those pinned options — so the factors and info array are bit-identical
-// to the single-device path and invariant under every partition policy,
-// steal schedule, and pool composition. Only the modelled time and energy
+// from the global maximum against a reference device — by the same
+// detail::plan_potrf a single device calls — and pinned for every chunk,
+// and each matrix's factorization depends only on its own data and those
+// pinned options — so the factors and info array are bit-identical to the
+// single-device path and invariant under every partition policy, steal
+// schedule, and pool composition. Only the modelled time and energy
 // change; that is the point.
 //
 // Both §III-A interfaces are provided: potrf_vbatched_hetero computes the
 // global maximum with a device reduction (on executor 0, whose clock pays
 // the sweep), potrf_vbatched_hetero_max takes it from the caller.
 //
-// Driver structure: this front is the potrf-specific half — the argument
-// sweep, option pinning, the gather into chunk-local arrays, one ChunkWork
-// closure per chunk, and the info scatter. run_chunked (run_chunked.hpp)
-// is the type-independent half: estimation, staging, partition, fault
-// plan, schedule and report.
+// Driver structure: this front is the potrf-specific half — the shared
+// plan (argument sweep, path and blocking), the gather into chunk-local
+// arrays, one ChunkWork closure per chunk running the plan's driver, and
+// the info scatter. run_chunked (run_chunked.hpp) is the type-independent
+// half: estimation, staging, partition, fault plan, schedule and report.
 //
 // Self-healing: when the pool carries a fault spec (DevicePool::set_faults,
 // CLI --inject-faults, or VBATCH_INJECT_FAULTS read when the pool was

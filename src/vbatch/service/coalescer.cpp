@@ -107,7 +107,7 @@ std::optional<Coalescer::Flush> Coalescer::pop_ready(double now, bool force) {
     flush.reason = FlushReason::Drain;  // only reachable via force
 
   const DrrCaps caps{cfg_.max_batch, cfg_.max_bytes};
-  const std::vector<std::uint64_t> ids = g.drr.admit(caps, cfg_.drr_quantum);
+  const std::vector<std::uint64_t> ids = g.drr.admit(caps);
   flush.admitted.reserve(ids.size());
   for (std::uint64_t id : ids) {
     const auto it = std::find_if(g.fifo.begin(), g.fifo.end(),

@@ -67,8 +67,6 @@ struct CoalescerConfig {
   /// Payload bytes per merged launch (0 = unbounded). Reaching it flushes
   /// immediately; one oversized request is still admitted alone.
   double max_bytes = 0.0;
-  /// DRR quantum in flops (0 = auto: max head cost per round).
-  double drr_quantum = 0.0;
 };
 
 class Coalescer {

@@ -54,18 +54,16 @@ std::vector<std::string> DrrScheduler::tenants() const {
   return names;
 }
 
-std::vector<std::uint64_t> DrrScheduler::admit(const DrrCaps& caps, double quantum) {
+std::vector<std::uint64_t> DrrScheduler::admit(const DrrCaps& caps) {
   std::vector<std::uint64_t> admitted;
   if (queues_.empty() || pending_ == 0) return admitted;
 
-  if (quantum <= 0.0) {
-    // Auto quantum: the largest head cost per unit weight, so every full
-    // round covers at least one admission and the loop always progresses.
-    for (const TenantQueue& q : queues_)
-      if (!q.items.empty())
-        quantum = std::max(quantum, q.items.front().cost / std::max(q.weight, 1e-12));
-    quantum = std::max(quantum, 1.0);
-  }
+  // The quantum is the largest head cost per unit weight, so every full
+  // round covers at least one admission and the loop always progresses.
+  double quantum = 1.0;
+  for (const TenantQueue& q : queues_)
+    if (!q.items.empty())
+      quantum = std::max(quantum, q.items.front().cost / std::max(q.weight, 1e-12));
 
   int taken_matrices = 0;
   double taken_bytes = 0.0;

@@ -67,9 +67,10 @@ class DrrScheduler {
   /// admitted ids in admission order. A request is atomic (never split); if
   /// the very first candidate alone exceeds a cap it is admitted alone so
   /// oversized requests still make progress (they stream out-of-core
-  /// downstream). `quantum` <= 0 picks max head cost over active tenants,
-  /// which guarantees every round admits at least one request.
-  [[nodiscard]] std::vector<std::uint64_t> admit(const DrrCaps& caps, double quantum = 0.0);
+  /// downstream). The quantum is the largest head cost per unit weight over
+  /// active tenants, which guarantees every round admits at least one
+  /// request.
+  [[nodiscard]] std::vector<std::uint64_t> admit(const DrrCaps& caps);
 
   /// Tenants in registration order (the deterministic round-robin order).
   [[nodiscard]] std::vector<std::string> tenants() const;

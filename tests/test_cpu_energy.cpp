@@ -10,7 +10,6 @@
 #include "vbatch/core/potrf_vbatched.hpp"
 #include "vbatch/core/size_dist.hpp"
 #include "vbatch/cpu/cpu_batched.hpp"
-#include "vbatch/cpu/mkl_compat.hpp"
 #include "vbatch/cpu/perf_model.hpp"
 #include "vbatch/energy/energy_meter.hpp"
 #include "vbatch/energy/power_model.hpp"
@@ -137,14 +136,6 @@ TEST(CpuBatched, MultithreadedFactorsCorrectlyButLags) {
                                                       prob.n, prob.ptrs.data(), prob.lda,
                                                       prob.info, false);
   EXPECT_GT(mt.seconds, dy.seconds);  // §IV-F: multithreaded "lags behind"
-}
-
-TEST(MklCompat, SequentialPotrfReportsInfo) {
-  std::vector<double> bad(16, 0.0);
-  MatrixView<double> a(bad.data(), 4, 4, 4);
-  const auto r = cpu::potrf_sequential<double>(CpuSpec::dual_e5_2670(), Uplo::Lower, a);
-  EXPECT_EQ(r.info, 1);
-  EXPECT_GT(r.seconds, 0.0);
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {

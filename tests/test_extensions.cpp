@@ -44,7 +44,7 @@ TEST_P(GetrfVbatchedTest, ResidualsSmallAcrossRandomBatch) {
     ASSERT_EQ(batch.info()[static_cast<std::size_t>(i)], 0) << "matrix " << i;
     const int n = sizes[static_cast<std::size_t>(i)];
     ConstMatrixView<double> orig(originals[static_cast<std::size_t>(i)].data(), n, n, n);
-    const double res = blas::getrf_residual<double>(orig, batch.matrix(i), ipiv.pivots(i));
+    const double res = blas::getrf_residual<double>(orig, batch.matrix(i), ipiv.item(i));
     EXPECT_LT(res, 1e-12) << "matrix " << i << " n=" << n;
   }
 }
@@ -71,7 +71,7 @@ TEST(GetrfVbatched, MatchesReferenceFactorsExactly) {
     std::vector<int> ref_piv(static_cast<std::size_t>(n));
     MatrixView<double> ref(originals[static_cast<std::size_t>(i)].data(), n, n, n);
     ASSERT_EQ(blas::getrf<double>(ref, ref_piv, 32), 0);
-    const auto piv = ipiv.pivots(i);
+    const auto piv = ipiv.item(i);
     for (int k = 0; k < n; ++k) EXPECT_EQ(piv[static_cast<std::size_t>(k)], ref_piv[static_cast<std::size_t>(k)]);
     auto a = batch.matrix(i);
     for (int c = 0; c < n; ++c)
@@ -191,7 +191,7 @@ TEST_P(GeqrfVbatchedTest, ResidualsSmallAcrossRectangularBatch) {
     const int m = rows[static_cast<std::size_t>(i)];
     const int n = cols[static_cast<std::size_t>(i)];
     ConstMatrixView<double> orig(originals[static_cast<std::size_t>(i)].data(), m, n, m);
-    const double res = blas::geqrf_residual<double>(orig, batch.matrix(i), tau.tau(i));
+    const double res = blas::geqrf_residual<double>(orig, batch.matrix(i), tau.item(i));
     EXPECT_LT(res, 1e-12) << "matrix " << i << " m=" << m << " n=" << n;
   }
 }

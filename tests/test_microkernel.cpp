@@ -104,9 +104,10 @@ TYPED_TEST(MicrokernelTest, GemmMatchesRefAcrossShapesAndTrans) {
 
 TYPED_TEST(MicrokernelTest, GemmKcAndCacheBlockBoundaries) {
   using T = TypeParam;
-  constexpr index_t KC = blas::micro::Tiling<T>::KC;
-  constexpr index_t MC = blas::micro::Tiling<T>::MC;
-  constexpr index_t NC = blas::micro::Tiling<T>::NC;
+  const auto scalar = blas::micro::TuningProfile::defaults(Isa::Scalar);
+  const index_t KC = blas::micro::shape_of<T>(scalar).kc;
+  const index_t MC = blas::micro::shape_of<T>(scalar).mc;
+  const index_t NC = blas::micro::shape_of<T>(scalar).nc;
   Rng rng(13);
   const T alpha = make_scalar<T>(0.9, 0.3);
   // k straddling the KC panel depth exercises multi-pass accumulation into

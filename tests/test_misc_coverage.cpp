@@ -3,10 +3,13 @@
 // kernels, warp rounding helpers, and error formatting.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/core/batch.hpp"
+#include "vbatch/core/geqrf_vbatched.hpp"
+#include "vbatch/core/getrf_vbatched.hpp"
 #include "vbatch/core/potrf_vbatched.hpp"
 #include "vbatch/core/size_dist.hpp"
 #include "vbatch/energy/energy_meter.hpp"
@@ -22,29 +25,87 @@ using namespace vbatch;
 // Containers
 // ---------------------------------------------------------------------------
 
-TEST(BatchContainer, MoveTransfersOwnership) {
+/// Builds every arena-slab container over per-item extents, exposes the
+/// first element of item i, and checks item i's extent (and, for the batch
+/// types, its metadata and first element read back through matrix(i)).
+template <typename C>
+struct ContainerAccess;
+/// Shared by both batch types: the rows/cols/lda arrays say item i is
+/// extent × extent, the info array kept its values, and matrix(i) built from
+/// them reads `first` at (0, 0).
+inline void expect_matrix(RectBatch<double>& c, int i, int extent, double first) {
+  EXPECT_EQ(c.rows()[i], extent);
+  EXPECT_EQ(c.cols()[i], extent);
+  EXPECT_EQ(c.ldas()[i], extent);
+  EXPECT_EQ(c.info()[i], 7);
+  const auto m = c.matrix(i);
+  EXPECT_EQ(m.rows(), extent);
+  EXPECT_EQ(m.cols(), extent);
+  EXPECT_EQ(m.ld(), extent);
+  EXPECT_EQ(m(0, 0), first);
+}
+template <>
+struct ContainerAccess<Batch<double>> {
+  static Batch<double> make(Queue& q, std::span<const int> n) { return Batch<double>(q, n); }
+  static double* item(Batch<double>& c, int i) { return c.device_ptrs()[i]; }
+  static void mark(Batch<double>& c, int i) { c.info()[i] = 7; }
+  static void expect_item(Batch<double>& c, int i, int extent, double first) {
+    EXPECT_EQ(c.sizes()[i], extent);
+    expect_matrix(c, i, extent, first);
+  }
+};
+template <>
+struct ContainerAccess<RectBatch<double>> {
+  static RectBatch<double> make(Queue& q, std::span<const int> n) {
+    return RectBatch<double>(q, n, n);
+  }
+  static double* item(RectBatch<double>& c, int i) { return c.device_ptrs()[i]; }
+  static void mark(RectBatch<double>& c, int i) { c.info()[i] = 7; }
+  static void expect_item(RectBatch<double>& c, int i, int extent, double first) {
+    expect_matrix(c, i, extent, first);
+  }
+};
+template <typename T>
+struct ContainerAccess<SlabArrays<T>> {
+  static SlabArrays<T> make(Queue& q, std::span<const int> n) { return SlabArrays<T>(q, n); }
+  static T* item(SlabArrays<T>& c, int i) { return c.ptrs()[i]; }
+  static void mark(SlabArrays<T>&, int) {}
+  static void expect_item(SlabArrays<T>& c, int i, int extent, T first) {
+    ASSERT_EQ(c.item(i).size(), static_cast<std::size_t>(extent));
+    EXPECT_EQ(c.item(i)[0], first);
+  }
+};
+
+template <typename C>
+class BatchContainer : public ::testing::Test {};
+using Containers =
+    ::testing::Types<Batch<double>, RectBatch<double>, PivotArrays, TauArrays<double>>;
+TYPED_TEST_SUITE(BatchContainer, Containers);
+
+TYPED_TEST(BatchContainer, MoveTransfersOwnership) {
+  using Access = ContainerAccess<TypeParam>;
   Queue q;
   const std::size_t before = q.device().mem_used();
   {
-    std::vector<int> sizes{8, 16};
-    Batch<double> a(q, sizes);
-    Rng rng(1);
-    a.fill_spd(rng);
-    Batch<double> b(std::move(a));
+    const std::vector<int> sizes{8, 16};
+    TypeParam a = Access::make(q, sizes);
+    *Access::item(a, 1) = 42;
+    Access::mark(a, 1);
+    TypeParam b(std::move(a));
     EXPECT_EQ(b.count(), 2);
-    EXPECT_EQ(b.sizes()[1], 16);
-    auto m = b.matrix(1);
-    EXPECT_GT(m(0, 0), 0.0);  // data survived the move
+    EXPECT_EQ(*Access::item(b, 1), 42);  // data survived the move
+    Access::expect_item(b, 1, 16, 42);   // so did the extents and metadata
   }
   EXPECT_EQ(q.device().mem_used(), before);  // single free, no double free
 }
 
-TEST(BatchContainer, ArenaAccountingRoundTrips) {
+TYPED_TEST(BatchContainer, ArenaAccountingRoundTrips) {
+  using Access = ContainerAccess<TypeParam>;
   Queue q;
   const std::size_t before = q.device().mem_used();
   {
-    std::vector<int> sizes{32, 64, 0};
-    Batch<double> a(q, sizes);
+    const std::vector<int> sizes{32, 64, 0};
+    TypeParam a = Access::make(q, sizes);
     EXPECT_GT(q.device().mem_used(), before);
   }
   EXPECT_EQ(q.device().mem_used(), before);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <complex>
+#include <cstring>
 #include <vector>
 
 #include "vbatch/blas/blas.hpp"
@@ -14,6 +16,8 @@
 #include "vbatch/core/potrf_batched_fixed.hpp"
 #include "vbatch/core/potrf_vbatched.hpp"
 #include "vbatch/core/size_dist.hpp"
+#include "vbatch/hetero/device_pool.hpp"
+#include "vbatch/hetero/potrf_hetero.hpp"
 #include "vbatch/util/error.hpp"
 
 namespace {
@@ -221,11 +225,11 @@ TEST(PotrfVbatched, MaxOverheadIsNegligible) {
 
 TEST(Crossover, FeasibilityBoundsExceedCrossover) {
   const auto spec = sim::DeviceSpec::k40c();
-  EXPECT_GT(fused_feasible_max(spec, Precision::Double), 500);
+  EXPECT_GT(fused_feasible_max(spec, sizeof(double)), 500);
   EXPECT_GE(crossover_max_size(spec, Precision::Single),
             crossover_max_size(spec, Precision::Double));
   EXPECT_LE(crossover_max_size(spec, Precision::Double),
-            fused_feasible_max(spec, Precision::Double));
+            fused_feasible_max(spec, sizeof(double)));
 }
 
 TEST(Crossover, AutoPathSelectsByMaxSize) {
@@ -264,6 +268,87 @@ TEST(Crossover, FusedPathRejectsInfeasibleSizes) {
   PotrfOptions opts;
   opts.path = PotrfPath::Fused;
   EXPECT_THROW(potrf_vbatched<double>(q, Uplo::Lower, batch, opts), Error);
+}
+
+// ---------------------------------------------------------------------------
+// One potrf plan for a single device and the pool
+// ---------------------------------------------------------------------------
+
+/// Per type: a batch maximum and a crossover override past the element
+/// size's fused bound on a K40c (complex elements are twice their
+/// precision's scalar, so their bound is tighter than the precision's).
+template <typename T>
+struct PastFusedBound;
+template <>
+struct PastFusedBound<float> {
+  static constexpr int max_n = 1050, crossover = 1100;
+};
+template <>
+struct PastFusedBound<double> {
+  static constexpr int max_n = 760, crossover = 800;
+};
+template <>
+struct PastFusedBound<std::complex<float>> {
+  static constexpr int max_n = 900, crossover = 1000;
+};
+template <>
+struct PastFusedBound<std::complex<double>> {
+  static constexpr int max_n = 380, crossover = 400;
+};
+
+template <typename T>
+class PotrfPlan : public ::testing::Test {};
+using PlanTypes =
+    ::testing::Types<float, double, std::complex<float>, std::complex<double>>;
+TYPED_TEST_SUITE(PotrfPlan, PlanTypes);
+
+TYPED_TEST(PotrfPlan, SingleDeviceAndPoolAgree) {
+  using T = TypeParam;
+  const int big = PastFusedBound<T>::max_n;
+  struct Case {
+    std::vector<int> sizes;
+    int crossover;
+  };
+  const Case cases[] = {{{96, 40, 0, 71, 5, 64}, 0},
+                        {{big, big * 2 / 3, 33, big / 3, 1}, PastFusedBound<T>::crossover}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE("max n " + std::to_string(c.sizes[0]) + ", crossover " +
+                 std::to_string(c.crossover));
+    PotrfOptions opts;
+    opts.crossover = c.crossover;
+
+    Queue q(sim::DeviceSpec::k40c(), sim::ExecMode::Full);
+    Batch<T> single(q, c.sizes);
+    Rng fill_single(71);
+    single.fill_spd(fill_single);
+    const PotrfResult one = potrf_vbatched<T>(q, Uplo::Lower, single, opts);
+
+    Queue host(sim::DeviceSpec::k40c(), sim::ExecMode::Full);
+    Batch<T> pooled(host, c.sizes);
+    Rng fill_pooled(71);
+    pooled.fill_spd(fill_pooled);
+    hetero::DevicePool pool = hetero::DevicePool::parse("k40c");
+    hetero::HeteroOptions hopts;
+    hopts.potrf = opts;
+    const hetero::HeteroResult many = hetero::potrf_vbatched_hetero<T>(pool, Uplo::Lower,
+                                                                       pooled, hopts);
+
+    EXPECT_EQ(one.path_taken, many.path_taken);
+    // Past the element-size bound, Auto runs separated on both fronts.
+    if (c.crossover > 0) {
+      EXPECT_EQ(one.path_taken, PotrfPath::Separated);
+    }
+    for (int i = 0; i < single.count(); ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      EXPECT_EQ(single.info()[k], 0) << "matrix " << i;
+      EXPECT_EQ(single.info()[k], pooled.info()[k]) << "matrix " << i;
+      const std::vector<T> a = single.copy_matrix(i);
+      const std::vector<T> b = pooled.copy_matrix(i);
+      ASSERT_EQ(a.size(), b.size());
+      if (a.empty()) continue;  // an n = 0 matrix has no factor bits
+      EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(T))) << "matrix " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

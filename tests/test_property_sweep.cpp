@@ -141,7 +141,7 @@ TEST_P(LuQrPropertyTest, RandomLuAndQrBatchesFactorCorrectly) {
       if (a.info()[static_cast<std::size_t>(i)] != 0) continue;  // exact singularity is legal
       const int n = sizes[static_cast<std::size_t>(i)];
       ConstMatrixView<double> orig(originals[static_cast<std::size_t>(i)].data(), n, n, n);
-      EXPECT_LT(blas::getrf_residual<double>(orig, a.matrix(i), ipiv.pivots(i)), 1e-11)
+      EXPECT_LT(blas::getrf_residual<double>(orig, a.matrix(i), ipiv.item(i)), 1e-11)
           << "seed " << seed;
     }
   }
@@ -165,7 +165,7 @@ TEST_P(LuQrPropertyTest, RandomLuAndQrBatchesFactorCorrectly) {
       const int m = rows[static_cast<std::size_t>(i)];
       const int n = cols[static_cast<std::size_t>(i)];
       ConstMatrixView<double> orig(originals[static_cast<std::size_t>(i)].data(), m, n, m);
-      EXPECT_LT(blas::geqrf_residual<double>(orig, a.matrix(i), tau.tau(i)), 1e-11)
+      EXPECT_LT(blas::geqrf_residual<double>(orig, a.matrix(i), tau.item(i)), 1e-11)
           << "seed " << seed;
     }
   }

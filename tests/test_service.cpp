@@ -200,12 +200,26 @@ TEST(ServiceFairness, WeightsShapeAdmissionUnderCaps) {
     drr.push("heavy", DrrItem{100 + i, 100.0, 64.0, 1});
     drr.push("light", DrrItem{200 + i, 100.0, 64.0, 1});
   }
-  const auto ids = drr.admit(DrrCaps{6, 0.0}, 50.0);
+  const auto ids = drr.admit(DrrCaps{6, 0.0});
   ASSERT_EQ(ids.size(), 6u);
   const auto heavy = std::count_if(ids.begin(), ids.end(),
                                    [](std::uint64_t id) { return id < 200; });
   EXPECT_EQ(heavy, 4);
   EXPECT_EQ(drr.pending(), 6);
+}
+
+TEST(ServiceFairness, CostlyHeadCarriesDeficitAcrossRounds) {
+  // The auto quantum is the largest head cost per weight (100 here), so
+  // a's 250-cost second item waits while its deficit builds up over three
+  // rounds (100 → 200 → 300); b drains in the meantime.
+  DrrScheduler drr;
+  drr.push("a", DrrItem{10, 100.0, 64.0, 1});
+  drr.push("a", DrrItem{11, 250.0, 64.0, 1});
+  drr.push("b", DrrItem{20, 100.0, 64.0, 1});
+  drr.push("b", DrrItem{21, 100.0, 64.0, 1});
+  const auto ids = drr.admit(DrrCaps{});
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{10, 20, 21, 11}));
+  EXPECT_TRUE(drr.empty());
 }
 
 TEST(ServiceFairness, OversizedFirstCandidateAdmittedAlone) {
@@ -223,8 +237,8 @@ TEST(ServiceFairness, CursorPersistsAcrossFlushes) {
     drr.push("a", DrrItem{10 + i, 100.0, 64.0, 1});
     drr.push("b", DrrItem{20 + i, 100.0, 64.0, 1});
   }
-  const auto first = drr.admit(DrrCaps{2, 0.0}, 100.0);
-  const auto second = drr.admit(DrrCaps{2, 0.0}, 100.0);
+  const auto first = drr.admit(DrrCaps{2, 0.0});
+  const auto second = drr.admit(DrrCaps{2, 0.0});
   ASSERT_EQ(first.size(), 2u);
   ASSERT_EQ(second.size(), 2u);
   // Four equal-weight admissions alternate a/b overall: 2 each.
@@ -240,7 +254,7 @@ TEST(ServiceFairness, CursorPersistsAcrossFlushes) {
 // ---------------------------------------------------------------------------
 
 TEST(ServiceCoalescer, SingleRequestFlushesAloneOnBudget) {
-  Coalescer co(CoalescerConfig{1e-3, 0, 0.0, 0.0});
+  Coalescer co(CoalescerConfig{1e-3, 0, 0.0});
   co.add(make_request(1, "a", {32}), 0.0);
   EXPECT_FALSE(co.pop_ready(0.5e-3).has_value());  // budget not yet expired
   auto flush = co.pop_ready(1e-3);
@@ -252,7 +266,7 @@ TEST(ServiceCoalescer, SingleRequestFlushesAloneOnBudget) {
 }
 
 TEST(ServiceCoalescer, CountCapFlushPrecedesBudgetExpiry) {
-  Coalescer co(CoalescerConfig{1.0, 4, 0.0, 0.0});
+  Coalescer co(CoalescerConfig{1.0, 4, 0.0});
   co.add(make_request(1, "a", {16, 16}), 0.0);
   EXPECT_FALSE(co.pop_ready(0.0).has_value());  // 2 < cap, budget far away
   co.add(make_request(2, "a", {16, 16}), 1e-4);
@@ -264,7 +278,7 @@ TEST(ServiceCoalescer, CountCapFlushPrecedesBudgetExpiry) {
 }
 
 TEST(ServiceCoalescer, BytesCapFlushes) {
-  Coalescer co(CoalescerConfig{1.0, 0, 3000.0, 0.0});
+  Coalescer co(CoalescerConfig{1.0, 0, 3000.0});
   co.add(make_request(1, "a", {16}), 0.0);  // 16*16*8 = 2048 bytes
   EXPECT_FALSE(co.pop_ready(0.0).has_value());
   co.add(make_request(2, "a", {16}), 0.0);  // 4096 >= 3000 → cap
@@ -277,7 +291,7 @@ TEST(ServiceCoalescer, BytesCapFlushes) {
 }
 
 TEST(ServiceCoalescer, IncompatiblePrecisionOrOpNeverMerges) {
-  Coalescer co(CoalescerConfig{0.0, 0, 0.0, 0.0});
+  Coalescer co(CoalescerConfig{0.0, 0, 0.0});
   co.add(make_request(1, "a", {16}, Op::Potrf, Precision::Double), 0.0);
   co.add(make_request(2, "a", {16}, Op::Potrf, Precision::Single), 0.0);
   co.add(make_request(3, "a", {16}, Op::Posv, Precision::Double), 0.0);
@@ -292,7 +306,7 @@ TEST(ServiceCoalescer, IncompatiblePrecisionOrOpNeverMerges) {
 }
 
 TEST(ServiceCoalescer, CompatibleRequestsMergeWithinBudget) {
-  Coalescer co(CoalescerConfig{1e-3, 0, 0.0, 0.0});
+  Coalescer co(CoalescerConfig{1e-3, 0, 0.0});
   co.add(make_request(1, "a", {16}), 0.0);
   co.add(make_request(2, "b", {24}), 0.5e-3);
   auto flush = co.pop_ready(1e-3);
@@ -302,7 +316,7 @@ TEST(ServiceCoalescer, CompatibleRequestsMergeWithinBudget) {
 }
 
 TEST(ServiceCoalescer, ForceDrainFlushesEverything) {
-  Coalescer co(CoalescerConfig{10.0, 0, 0.0, 0.0});
+  Coalescer co(CoalescerConfig{10.0, 0, 0.0});
   co.add(make_request(1, "a", {16}), 0.0);
   EXPECT_FALSE(co.pop_ready(0.0).has_value());
   auto flush = co.pop_ready(0.0, /*force=*/true);

@@ -147,18 +147,19 @@ TEST(TuningIsaTest, SetIsaClampsToSupportedAndGuardRestores) {
 // ---------------------------------------------------------------------------
 
 TEST(TuningProfileTest, ScalarDefaultsMatchTheTilingAnchor) {
+  // The original engine's literal blocking constants: the scalar anchor.
   const TuningProfile p = TuningProfile::defaults(Isa::Scalar);
-  EXPECT_EQ(p.shapes[0].mr, Tiling<float>::MR);
-  EXPECT_EQ(p.shapes[0].nr, Tiling<float>::NR);
-  EXPECT_EQ(p.shapes[0].kc, Tiling<float>::KC);
-  EXPECT_EQ(p.shapes[0].mc, Tiling<float>::MC);
-  EXPECT_EQ(p.shapes[0].nc, Tiling<float>::NC);
-  EXPECT_EQ(p.shapes[1].mr, Tiling<double>::MR);
-  EXPECT_EQ(p.shapes[1].kc, Tiling<double>::KC);
-  EXPECT_EQ(p.shapes[2].nr, Tiling<std::complex<float>>::NR);
-  EXPECT_EQ(p.shapes[3].mr, Tiling<std::complex<double>>::MR);
+  EXPECT_EQ(p.shapes[0].mr, 8);
+  EXPECT_EQ(p.shapes[0].nr, 4);
+  EXPECT_EQ(p.shapes[0].kc, 256);
+  EXPECT_EQ(p.shapes[0].mc, 128);
+  EXPECT_EQ(p.shapes[0].nc, 512);
+  EXPECT_EQ(p.shapes[1].mr, 4);
+  EXPECT_EQ(p.shapes[1].kc, 256);
+  EXPECT_EQ(p.shapes[2].nr, 2);
+  EXPECT_EQ(p.shapes[3].mr, 2);
   // The crossover matches the historical use_blocked constants.
-  EXPECT_EQ(p.shapes[1].min_m, Tiling<double>::MR);
+  EXPECT_EQ(p.shapes[1].min_m, 4);
   EXPECT_DOUBLE_EQ(p.shapes[1].min_mnk, 4096.0);
 }
 
