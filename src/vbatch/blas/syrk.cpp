@@ -9,9 +9,9 @@ namespace vbatch::blas {
 
 namespace {
 
-// Width of the diagonal blocks the blocked path hands to syrk_ref; the
-// off-diagonal rectangles (the bulk of the triangle) go through the packed
-// gemm engine.
+// Width of the diagonal blocks of the blocked path. Each one is computed as
+// a packed gemm on its full jb×jb square; the off-diagonal rectangles (the
+// bulk of the triangle) are plain gemm calls on C.
 constexpr index_t kSyrkDiagBlock = 32;
 
 template <typename T>
@@ -21,59 +21,79 @@ void syrk_check(Trans trans, ConstMatrixView<T> a, MatrixView<T> c) {
   require((trans == Trans::NoTrans ? a.rows() : a.cols()) == n, "syrk: op(A) rows != n");
 }
 
+// Diagonal element i of op(A)·op(A)ᴴ. It is mathematically real, so it is
+// accumulated as a real scalar: no rounding-level (or FMA-contraction)
+// imaginary residue is ever left on a complex c(i, i).
+template <typename T>
+real_t<T> herk_diag_sum(Trans trans, ConstMatrixView<T> a, index_t i) {
+  const index_t k = trans == Trans::NoTrans ? a.cols() : a.rows();
+  real_t<T> sum(0);
+  if (trans == Trans::NoTrans) {
+    for (index_t l = 0; l < k; ++l) sum += real_val(a(i, l) * conj_val(a(i, l)));
+  } else {
+    for (index_t l = 0; l < k; ++l) sum += real_val(conj_val(a(l, i)) * a(l, i));
+  }
+  return sum;
+}
+
+// Thread-local staging tile for the diagonal blocks, in the style of the
+// engine's pack buffers: it grows to kSyrkDiagBlock² once per thread and is
+// reused by every later call on the same thread.
+template <typename T>
+std::vector<T>& diag_stage() {
+  static thread_local std::vector<T> buf;
+  return buf;
+}
+
 // Blocked path: partition the triangle into kSyrkDiagBlock-wide block
-// columns (Lower) / block rows (Upper); diagonal blocks keep the reference
-// semantics (including the real diagonal accumulation), rectangles become
-// gemm calls that the micro-kernel engine accelerates. Each C element is
-// touched exactly once, so alpha/beta semantics match syrk_ref.
+// columns (Lower) / block rows (Upper). A diagonal block is one packed gemm
+// into the staging tile, of which only the requested triangle is written
+// back (for complex scalars with the diagonal recomputed as a real sum, as
+// syrk_ref does); the rectangles are gemm calls straight on C. Each C
+// element of the triangle is written exactly once, as α·sum + β·c.
 template <typename T>
 void syrk_blocked(Uplo uplo, Trans trans, T alpha, ConstMatrixView<T> a, T beta,
                   MatrixView<T> c) {
   const index_t n = c.rows();
   const index_t k = trans == Trans::NoTrans ? a.cols() : a.rows();
+  const Trans ta = trans == Trans::NoTrans ? Trans::NoTrans : Trans::Trans;
+  const Trans tb = trans == Trans::NoTrans ? Trans::Trans : Trans::NoTrans;
+  // op(A) rows [r, r + len) as a gemm operand in the stored orientation.
+  auto rows_of = [&](index_t r, index_t len) {
+    return trans == Trans::NoTrans ? a.block(r, 0, len, k) : a.block(0, r, k, len);
+  };
 
-  // For NoTrans diagonal blocks the reference loops would read jb rows of A
-  // with leading-dimension stride across the whole k range; repacking the
-  // row slab as its conjugate transpose makes both factors unit-stride and
-  // sums exactly the same terms in the same order (bit-identical result).
-  std::vector<T> slab;
-  if (trans == Trans::NoTrans) slab.resize(static_cast<std::size_t>(k * kSyrkDiagBlock));
+  std::vector<T>& stage = diag_stage<T>();
+  const index_t widest = std::min(n, kSyrkDiagBlock);
+  if (stage.size() < static_cast<std::size_t>(widest * widest))
+    stage.resize(static_cast<std::size_t>(widest * widest));
 
   for (index_t j = 0; j < n; j += kSyrkDiagBlock) {
     const index_t jb = std::min(kSyrkDiagBlock, n - j);
 
+    MatrixView<T> sq(stage.data(), jb, jb, jb);
+    gemm<T>(ta, tb, alpha, rows_of(j, jb), rows_of(j, jb), T(0), sq);
     auto diag = c.block(j, j, jb, jb);
-    if (trans == Trans::NoTrans) {
-      for (index_t r = 0; r < jb; ++r)
-        for (index_t l = 0; l < k; ++l)
-          slab[static_cast<std::size_t>(l + r * k)] = conj_val(a(j + r, l));
-      syrk_ref<T>(uplo, Trans::Trans, alpha, ConstMatrixView<T>(slab.data(), k, jb, k), beta,
-                  diag);
-    } else {
-      syrk_ref<T>(uplo, Trans::Trans, alpha, a.block(0, j, k, jb), beta, diag);
+    for (index_t q = 0; q < jb; ++q) {
+      const index_t lo = uplo == Uplo::Lower ? q : 0;
+      const index_t hi = uplo == Uplo::Lower ? jb : q + 1;
+      for (index_t p = lo; p < hi; ++p) {
+        T sum = sq(p, q);
+        if constexpr (is_complex_v<T>) {
+          if (p == q) sum = alpha * T(herk_diag_sum(trans, a, j + q));
+        }
+        diag(p, q) = sum + (beta == T(0) ? T(0) : beta * diag(p, q));
+      }
     }
 
     if (uplo == Uplo::Lower) {
       const index_t rem = n - j - jb;
       if (rem > 0) {
-        if (trans == Trans::NoTrans) {
-          gemm<T>(Trans::NoTrans, Trans::Trans, alpha, a.block(j + jb, 0, rem, k),
-                  a.block(j, 0, jb, k), beta, c.block(j + jb, j, rem, jb));
-        } else {
-          gemm<T>(Trans::Trans, Trans::NoTrans, alpha, a.block(0, j + jb, k, rem),
-                  a.block(0, j, k, jb), beta, c.block(j + jb, j, rem, jb));
-        }
+        gemm<T>(ta, tb, alpha, rows_of(j + jb, rem), rows_of(j, jb), beta,
+                c.block(j + jb, j, rem, jb));
       }
-    } else {
-      if (j > 0) {
-        if (trans == Trans::NoTrans) {
-          gemm<T>(Trans::NoTrans, Trans::Trans, alpha, a.block(0, 0, j, k),
-                  a.block(j, 0, jb, k), beta, c.block(0, j, j, jb));
-        } else {
-          gemm<T>(Trans::Trans, Trans::NoTrans, alpha, a.block(0, 0, k, j),
-                  a.block(0, j, k, jb), beta, c.block(0, j, j, jb));
-        }
-      }
+    } else if (j > 0) {
+      gemm<T>(ta, tb, alpha, rows_of(0, j), rows_of(j, jb), beta, c.block(0, j, j, jb));
     }
   }
 }
@@ -91,22 +111,14 @@ void syrk_ref(Uplo uplo, Trans trans, T alpha, ConstMatrixView<T> a, T beta, Mat
   };
 
   // For complex scalars this is the herk operation (C = α·op(A)·op(A)ᴴ +
-  // β·C), following the library's Hermitian convention. The diagonal of
-  // op(A)·op(A)ᴴ is mathematically real, so it is accumulated as a real
-  // scalar — no rounding-level (or FMA-contraction) imaginary residue is
-  // ever left on c(i, i).
+  // β·C), following the library's Hermitian convention, with a real
+  // diagonal (herk_diag_sum).
   for (index_t j = 0; j < n; ++j) {
     for (index_t i = 0; i < n; ++i) {
       if (!in_triangle(i, j)) continue;
       T sum = T(0);
       if (i == j) {
-        real_t<T> diag_sum(0);
-        if (trans == Trans::NoTrans) {
-          for (index_t l = 0; l < k; ++l) diag_sum += real_val(a(i, l) * conj_val(a(i, l)));
-        } else {
-          for (index_t l = 0; l < k; ++l) diag_sum += real_val(conj_val(a(l, i)) * a(l, i));
-        }
-        sum = T(diag_sum);
+        sum = T(herk_diag_sum(trans, a, i));
       } else if (trans == Trans::NoTrans) {
         for (index_t l = 0; l < k; ++l) sum += a(i, l) * conj_val(a(j, l));
       } else {
@@ -126,7 +138,7 @@ void syrk(Uplo uplo, Trans trans, T alpha, ConstMatrixView<T> a, T beta, MatrixV
   const micro::Dispatch d = micro::dispatch();
   const bool blocked =
       d == micro::Dispatch::ForceBlocked ||
-      (d == micro::Dispatch::Auto && n > kSyrkDiagBlock && micro::use_blocked<T>(n, n, k));
+      (d == micro::Dispatch::Auto && micro::use_blocked<T>(n, n, k));
   if (blocked && n > 0 && alpha != T(0) && k > 0) {
     syrk_blocked(uplo, trans, alpha, a, beta, c);
   } else {

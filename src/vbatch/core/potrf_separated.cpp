@@ -5,6 +5,11 @@
 //   potf2 (NB panel, reusing the fused kernel internally) → trsm (trtri of
 //   32×32 diagonal blocks + gemm sweeps) → syrk trailing update (vbatched
 //   grid or streamed per-matrix kernels).
+// The host numerics of trsm and syrk are gemm-shaped throughout: the trtri
+// blocks are stored dense (explicit zeros in the unused triangle) and
+// applied by gemm, and a syrk diagonal tile is a gemm on its square of
+// which only the requested triangle is written back. No step reads the
+// triangle LAPACK leaves unreferenced.
 // Between steps, auxiliary kernels shift the size arrays and displace the
 // pointer arrays so fully factorized matrices are ignored without
 // out-of-bound accesses.

@@ -11,10 +11,22 @@ namespace vbatch::kernels {
 
 namespace {
 
+// Thread-local staging tile for the sweep: the strip is copied here so the
+// multiply with the inverted block can write its product straight back.
+// Grows to the largest strip the thread has seen, like the engine's pack
+// buffers.
+template <typename T>
+std::vector<T>& strip_stage() {
+  static thread_local std::vector<T> buf;
+  return buf;
+}
+
 // One sweep kernel per 32-wide diagonal block k: each grid block owns a
 // TM-long strip of the panel and performs the rank-update against already
 // solved strips followed by the multiply with the inverted diagonal block.
-// This mirrors the custom gemm variants MAGMA's batched trsm launches.
+// This mirrors the custom gemm variants MAGMA's batched trsm launches. The
+// inverted block is dense (zeros in its unused triangle, see trtri_diag),
+// so both steps are gemm calls on the packed engine.
 template <typename T>
 double launch_sweep(sim::Device& dev, const TrsmVbatchedArgs<T>& args, int k0) {
   const int batch = static_cast<int>(args.ib.size());
@@ -56,24 +68,36 @@ double launch_sweep(sim::Device& dev, const TrsmVbatchedArgs<T>& args, int k0) {
       const index_t ldb = args.ldb[static_cast<std::size_t>(i)];
       ConstMatrixView<T> invk(args.inv[i] + k0 + k0 * static_cast<index_t>(args.inv_ld), kb, kb,
                               args.inv_ld);
-      if (args.uplo == Uplo::Lower) {
-        // X(r0:r0+tm, k0:k0+kb) = (B - X(:,0:k0)·L(k0:,0:k0)ᵀ) · invAᵀ
-        MatrixView<T> tile(args.b[i] + r0 + static_cast<index_t>(k0) * ldb, tm, kb, ldb);
-        if (k0 > 0) {
+      const bool lower = args.uplo == Uplo::Lower;
+      MatrixView<T> tile = lower
+                               ? MatrixView<T>(args.b[i] + r0 + static_cast<index_t>(k0) * ldb,
+                                               tm, kb, ldb)
+                               : MatrixView<T>(args.b[i] + k0 + r0 * ldb, kb, tm, ldb);
+      if (k0 > 0) {
+        if (lower) {
+          // W = B - X(:, 0:k0)·L(k0:, 0:k0)ᵀ
           ConstMatrixView<T> solved(args.b[i] + r0, tm, k0, ldb);
           ConstMatrixView<T> lrow(args.a[i] + k0, kb, k0, lda);
           blas::gemm<T>(Trans::NoTrans, Trans::Trans, T(-1), solved, lrow, T(1), tile);
-        }
-        blas::trmm<T>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1), invk, tile);
-      } else {
-        // Upper: X(k0:k0+kb, c0:c0+tm) = invAᵀ · (B - U(0:k0, k0:)ᵀ·X(0:k0, :))
-        MatrixView<T> tile(args.b[i] + k0 + r0 * ldb, kb, tm, ldb);
-        if (k0 > 0) {
+        } else {
+          // W = B - U(0:k0, k0:)ᵀ·X(0:k0, :)
           ConstMatrixView<T> ucol(args.a[i] + static_cast<index_t>(k0) * lda, k0, kb, lda);
           ConstMatrixView<T> solved(args.b[i] + r0 * ldb, k0, tm, ldb);
           blas::gemm<T>(Trans::Trans, Trans::NoTrans, T(-1), ucol, solved, T(1), tile);
         }
-        blas::trmm<T>(Side::Left, Uplo::Upper, Trans::Trans, Diag::NonUnit, T(1), invk, tile);
+      }
+      // X = W·invAᵀ (Lower) or invAᵀ·W (Upper), with W staged so the
+      // product can overwrite the strip.
+      std::vector<T>& stage = strip_stage<T>();
+      const auto need = static_cast<std::size_t>(tm * kb);
+      if (stage.size() < need) stage.resize(need);
+      MatrixView<T> w(stage.data(), tile.rows(), tile.cols(), tile.rows());
+      for (index_t c = 0; c < tile.cols(); ++c)
+        for (index_t r = 0; r < tile.rows(); ++r) w(r, c) = tile(r, c);
+      if (lower) {
+        blas::gemm<T>(Trans::NoTrans, Trans::Trans, T(1), w, invk, T(0), tile);
+      } else {
+        blas::gemm<T>(Trans::Trans, Trans::NoTrans, T(1), invk, w, T(0), tile);
       }
     }
     return cost;

@@ -2,8 +2,10 @@
 //
 // Composite routine following the MAGMA design: invert the 32×32 diagonal
 // blocks of the triangular factor (launch_trtri_diag), then sweep the
-// solution panel with vbatched gemm calls — a multiply by the inverted
-// diagonal block plus a rank-update against the already-solved columns.
+// solution panel with vbatched gemm calls — a rank-update against the
+// already-solved columns plus a multiply by the inverted diagonal block.
+// The inverted blocks are dense (zeros in the unused triangle), so the
+// multiply is a gemm on the packed engine, not a trmm.
 // Everything runs as vbatched kernels with ETM-classic.
 //
 // Two shapes are provided, matching what the Cholesky driver needs:

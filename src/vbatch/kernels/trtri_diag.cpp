@@ -47,10 +47,15 @@ double launch_trtri_diag(sim::Device& dev, const TrtriDiagArgs<T>& args) {
       ConstMatrixView<T> src(args.a[i] + off + off * lda, tb, tb, lda);
       MatrixView<T> dst(args.inv[i] + off + off * static_cast<index_t>(args.inv_ld), tb, tb,
                         args.inv_ld);
+      // The block is stored dense: A's triangle, explicit zeros in the
+      // other one, so the sweep can apply it as a plain gemm operand
+      // without reading A's unreferenced triangle.
+      const bool lower = args.uplo == Uplo::Lower;
       for (index_t c = 0; c < tb; ++c)
-        for (index_t r = 0; r < tb; ++r) dst(r, c) = src(r, c);
-      // A Cholesky factor has positive diagonal, so trtri cannot fail here;
-      // assert via the return code anyway.
+        for (index_t r = 0; r < tb; ++r) dst(r, c) = (lower ? r >= c : r <= c) ? src(r, c) : T(0);
+      // trtri fails only on an exact zero diagonal, which a successful
+      // panel never leaves; a matrix whose panel failed already carries its
+      // info. The return code is therefore discarded.
       (void)blas::trtri<T>(args.uplo, Diag::NonUnit, dst);
     }
     return cost;

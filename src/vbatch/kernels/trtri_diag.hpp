@@ -4,7 +4,10 @@
 // typically 32×32 using a vbatched trtri routine". Each grid block inverts
 // one 32×32 diagonal sub-block of one matrix's panel into a workspace;
 // out-of-range blocks exit through ETM-classic (all threads of a live block
-// must stay in sync, so aggressive is not applicable).
+// must stay in sync, so aggressive is not applicable). Each inverted block
+// is stored dense, with exact zeros in the triangle opposite to `uplo`, so
+// the trsm sweep can apply it as a plain gemm operand; A's other triangle
+// is never read.
 #pragma once
 
 #include <span>

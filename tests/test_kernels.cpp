@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "vbatch/blas/blas.hpp"
@@ -433,7 +434,10 @@ TEST(TrtriDiag, InvertsDiagonalBlocks) {
   std::vector<double> panel(static_cast<std::size_t>(NB * NB));
   fill_general(rng, panel.data(), NB, NB, NB);
   for (int d = 0; d < NB; ++d) panel[static_cast<std::size_t>(d + d * NB)] = 5.0 + d;
-  std::vector<double> inv(static_cast<std::size_t>(NB * NB), 0.0);
+  // NaN-filled workspace: every entry the kernel is meant to write must be
+  // written, including the zeros of each block's unused triangle.
+  std::vector<double> inv(static_cast<std::size_t>(NB * NB),
+                          std::numeric_limits<double>::quiet_NaN());
 
   std::vector<double*> a{panel.data()};
   std::vector<double*> iv{inv.data()};
@@ -458,6 +462,12 @@ TEST(TrtriDiag, InvertsDiagonalBlocks) {
         }
         EXPECT_NEAR(sum, i == j ? 1.0 : 0.0, 1e-10);
       }
+    // The block is stored dense: exact zeros above the diagonal, so the
+    // sweep can apply it as a gemm operand.
+    for (int j = 1; j < 32; ++j)
+      for (int i = 0; i < j; ++i)
+        EXPECT_EQ(inv[static_cast<std::size_t>((b * 32 + i) + (b * 32 + j) * NB)], 0.0)
+            << "block " << b << " (" << i << "," << j << ")";
   }
 }
 

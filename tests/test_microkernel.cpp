@@ -9,6 +9,8 @@
 #include <complex>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "vbatch/blas/blas.hpp"
@@ -193,42 +195,87 @@ TYPED_TEST(MicrokernelTest, GemmMatchesRefUnderEverySupportedIsa) {
 
 TYPED_TEST(MicrokernelTest, SyrkMatchesRefAndPreservesOtherTriangle) {
   using T = TypeParam;
-  const index_t ns[] = {0, 1, 5, 31, 32, 33, 70};
-  const index_t ks[] = {0, 1, 8, 40};
+  // Tail sizes around the 32-wide diagonal blocks, plus the separated
+  // path's syrk tile shapes (n ≤ 64, k = the panel width 64).
+  std::vector<std::pair<index_t, index_t>> shapes;
+  for (index_t n : {0, 1, 5, 31, 32, 33, 70})
+    for (index_t k : {0, 1, 8, 40}) shapes.emplace_back(n, k);
+  for (index_t n : {8, 16, 32, 64}) shapes.emplace_back(n, 64);
   Rng rng(19);
   // herk semantics: real alpha/beta keep C Hermitian.
   const T alpha = make_scalar<T>(-1.1, 0.0);
   const T beta = make_scalar<T>(0.5, 0.0);
   for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
     for (Trans trans : {Trans::NoTrans, Trans::Trans})
-      for (index_t n : ns)
-        for (index_t k : ks) {
-          const index_t ar = trans == Trans::NoTrans ? n : k;
-          const index_t ac = trans == Trans::NoTrans ? k : n;
-          const index_t lda = ar + 2;
-          auto abuf = random_buffer<T>(rng, ar, ac, lda);
-          auto cblk = random_buffer<T>(rng, n, n, n);
-          auto cref = cblk;
-          const auto corig = cblk;
-          ConstMatrixView<T> a(abuf.data(), ar, ac, lda);
+      for (const auto& [n, k] : shapes) {
+        const index_t ar = trans == Trans::NoTrans ? n : k;
+        const index_t ac = trans == Trans::NoTrans ? k : n;
+        const index_t lda = ar + 2;
+        auto abuf = random_buffer<T>(rng, ar, ac, lda);
+        auto corig = random_buffer<T>(rng, n, n, n);
+        // A Hermitian C has a real diagonal, which herk must keep exactly real.
+        for (index_t d = 0; d < n; ++d) {
+          auto& cdd = corig[static_cast<std::size_t>(d + d * n)];
+          cdd = T(real_val(cdd));
+        }
+        ConstMatrixView<T> a(abuf.data(), ar, ac, lda);
+        auto cref = corig;
+        MatrixView<T> c2(cref.data(), n, n, n);
+        blas::syrk_ref<T>(uplo, trans, alpha, a, beta, c2);
+        for (Dispatch d : {Dispatch::ForceBlocked, Dispatch::Auto}) {
+          auto cblk = corig;
           MatrixView<T> c1(cblk.data(), n, n, n);
-          MatrixView<T> c2(cref.data(), n, n, n);
           {
-            DispatchGuard guard(Dispatch::ForceBlocked);
+            DispatchGuard guard(d);
             blas::syrk<T>(uplo, trans, alpha, a, beta, c1);
           }
-          blas::syrk_ref<T>(uplo, trans, alpha, a, beta, c2);
-          ASSERT_LT(max_rel_diff<T>(c1, c2), tol_for<T>(k))
-              << "n=" << n << " k=" << k << " " << to_string(uplo) << " " << to_string(trans);
+          const std::string where = "n=" + std::to_string(n) + " k=" + std::to_string(k) + " " +
+                                    std::string(vbatch::to_string(uplo)) + " " +
+                                    std::string(vbatch::to_string(trans)) +
+                                    (d == Dispatch::Auto ? " Auto" : " ForceBlocked");
+          ASSERT_LT(max_rel_diff<T>(c1, c2), tol_for<T>(k)) << where;
           for (index_t j = 0; j < n; ++j)
             for (index_t i = 0; i < n; ++i) {
               const bool in_tri = uplo == Uplo::Lower ? i >= j : i <= j;
               if (!in_tri) {
                 ASSERT_EQ(c1(i, j), corig[static_cast<std::size_t>(i + j * n)])
-                    << "off-triangle touched at " << i << "," << j;
+                    << "off-triangle touched at " << i << "," << j << ", " << where;
               }
             }
+          if constexpr (is_complex_v<T>) {
+            for (index_t i = 0; i < n; ++i)
+              ASSERT_EQ(c1(i, i).imag(), 0) << "diagonal " << i << ", " << where;
+          }
         }
+      }
+}
+
+// The complex tile's split-arithmetic pass hands any tile holding a NaN back
+// to the std::complex loop, whose C99 recovery makes (Inf, Inf)·(1, 0) an
+// infinity, as gemm_ref does; the split pass alone would leave NaN.
+template <typename T>
+class MicrokernelComplexTest : public ::testing::Test {};
+using ComplexPrecisions = ::testing::Types<std::complex<float>, std::complex<double>>;
+TYPED_TEST_SUITE(MicrokernelComplexTest, ComplexPrecisions);
+
+TYPED_TEST(MicrokernelComplexTest, InfiniteProductsStayInfiniteOnEveryPath) {
+  using T = TypeParam;
+  const real_t<T> inf = std::numeric_limits<real_t<T>>::infinity();
+  for (Dispatch d : {Dispatch::ForceRef, Dispatch::ForceBlocked}) {
+    DispatchGuard guard(d);
+    std::vector<T> abuf(64, make_scalar<T>(0.5, -0.25)), bbuf(64, make_scalar<T>(1.0, 0.0)),
+        cbuf(64, T(0));
+    abuf[0] = T(inf, inf);  // a(0, 0)
+    ConstMatrixView<T> a(abuf.data(), 8, 8, 8);
+    ConstMatrixView<T> b(bbuf.data(), 8, 8, 8);
+    MatrixView<T> c(cbuf.data(), 8, 8, 8);
+    blas::gemm<T>(Trans::NoTrans, Trans::NoTrans, T(1), a, b, T(0), c);
+    for (index_t j = 0; j < 8; ++j) {
+      EXPECT_TRUE(std::isinf(c(0, j).real()) && std::isinf(c(0, j).imag()))
+          << "col " << j << (d == Dispatch::ForceRef ? " ref" : " blocked");
+      EXPECT_EQ(c(1, j), make_scalar<T>(4.0, -2.0)) << "col " << j;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@
 #include <algorithm>
 #include <complex>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "vbatch/blas/blas.hpp"
@@ -349,6 +352,146 @@ TYPED_TEST(PotrfPlan, SingleDeviceAndPoolAgree) {
       EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(T))) << "matrix " << i;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The triangle LAPACK does not reference
+// ---------------------------------------------------------------------------
+
+/// NaN in every component (both parts for complex scalars).
+template <typename T>
+T all_nan() {
+  const real_t<T> nan = std::numeric_limits<real_t<T>>::quiet_NaN();
+  if constexpr (is_complex_v<T>) {
+    return T(nan, nan);
+  } else {
+    return nan;
+  }
+}
+
+/// Writes `v` into the strict triangle of `a` opposite to `uplo`.
+template <typename T>
+void fill_unreferenced(MatrixView<T> a, Uplo uplo, T v) {
+  for (index_t c = 0; c < a.cols(); ++c)
+    for (index_t r = 0; r < a.rows(); ++r)
+      if (uplo == Uplo::Lower ? r < c : r > c) a(r, c) = v;
+}
+
+struct FactorRun {
+  PotrfPath path;
+  Uplo uplo;
+  bool pooled;  ///< the k40c DevicePool instead of a single k40c queue
+};
+
+/// One Full-mode factorization of a fixed SPD batch; `edit(i, a)` alters each
+/// non-empty matrix first. Returns every matrix (n×n, packed) and the info.
+template <typename T, typename Edit>
+std::pair<std::vector<std::vector<T>>, std::vector<int>> factor_edited(
+    const FactorRun& run, const std::vector<int>& sizes, Edit edit) {
+  Queue q(sim::DeviceSpec::k40c(), sim::ExecMode::Full);
+  Batch<T> batch(q, sizes);
+  Rng rng(83);
+  batch.fill_spd(rng);
+  for (int i = 0; i < batch.count(); ++i)
+    if (sizes[static_cast<std::size_t>(i)] > 0) edit(i, batch.matrix(i));
+  PotrfOptions opts;
+  opts.path = run.path;
+  if (run.pooled) {
+    hetero::DevicePool pool = hetero::DevicePool::parse("k40c");
+    hetero::HeteroOptions hopts;
+    hopts.potrf = opts;
+    hetero::potrf_vbatched_hetero<T>(pool, run.uplo, batch, hopts);
+  } else {
+    potrf_vbatched<T>(q, run.uplo, batch, opts);
+  }
+  const auto info = batch.info();
+  return {snapshot(batch), std::vector<int>(info.begin(), info.end())};
+}
+
+/// Every (path, uplo, front) combination, each under a SCOPED_TRACE.
+template <typename F>
+void for_each_run(F body) {
+  for (PotrfPath path : {PotrfPath::Fused, PotrfPath::Separated})
+    for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+      for (bool pooled : {false, true}) {
+        SCOPED_TRACE(std::string(path == PotrfPath::Fused ? "fused " : "separated ") +
+                     std::string(to_string(uplo)) + (pooled ? " k40c pool" : " single k40c"));
+        body(FactorRun{path, uplo, pooled});
+      }
+}
+
+template <typename T>
+class PotrfUnreferencedTriangle : public ::testing::Test {};
+TYPED_TEST_SUITE(PotrfUnreferencedTriangle, PlanTypes);
+
+// Sizes span several separated panels (NB 64 or 96), ragged trtri blocks and
+// the degenerate extents.
+const std::vector<int> kUnrefSizes{200, 150, 97, 70, 33, 1, 0};
+
+TYPED_TEST(PotrfUnreferencedTriangle, NaNFillChangesNoBit) {
+  using T = TypeParam;
+  for_each_run([](const FactorRun& run) {
+    const auto clean = factor_edited<T>(run, kUnrefSizes, [](int, MatrixView<T>) {});
+    const auto dirty = factor_edited<T>(run, kUnrefSizes, [&](int, MatrixView<T> a) {
+      fill_unreferenced(a, run.uplo, all_nan<T>());
+    });
+    EXPECT_EQ(clean.second, std::vector<int>(kUnrefSizes.size(), 0));
+    EXPECT_EQ(clean.second, dirty.second);
+    for (std::size_t i = 0; i < kUnrefSizes.size(); ++i) {
+      // The factor must match bit for bit, and the NaN triangle stay as filled.
+      std::vector<T> expect = clean.first[i];
+      const index_t n = kUnrefSizes[i];
+      fill_unreferenced(MatrixView<T>(expect.data(), n, n, std::max<index_t>(n, 1)), run.uplo,
+                        all_nan<T>());
+      ASSERT_EQ(expect.size(), dirty.first[i].size());
+      if (expect.empty()) continue;
+      EXPECT_EQ(0, std::memcmp(expect.data(), dirty.first[i].data(), expect.size() * sizeof(T)))
+          << "matrix " << i << " (n=" << n << ")";
+    }
+  });
+}
+
+TYPED_TEST(PotrfUnreferencedTriangle, NonFiniteReferencedEntryInfoMatchesBlasPotrf) {
+  using T = TypeParam;
+  const real_t<T> inf = std::numeric_limits<real_t<T>>::infinity();
+  // (matrix, row, col) in Lower terms, mirrored for Upper: a late diagonal,
+  // entries whose row and column fall in different panels, one inside a
+  // diagonal panel, and the 1×1 matrix. Matrix 4 stays finite.
+  struct Poke {
+    int i;
+    index_t r, c;
+    T v;
+  };
+  const Poke pokes[] = {{0, 150, 150, all_nan<T>()},
+                        {1, 120, 40, T(inf)},
+                        {2, 80, 70, all_nan<T>()},
+                        {3, 69, 3, T(-inf)},
+                        {5, 0, 0, all_nan<T>()}};
+  for_each_run([&](const FactorRun& run) {
+    std::vector<std::vector<T>> originals(kUnrefSizes.size());
+    auto edit = [&](int i, MatrixView<T> a) {
+      fill_unreferenced(a, run.uplo, all_nan<T>());
+      for (const Poke& p : pokes)
+        if (p.i == i) (run.uplo == Uplo::Lower ? a(p.r, p.c) : a(p.c, p.r)) = p.v;
+      const index_t n = a.rows();
+      auto& o = originals[static_cast<std::size_t>(i)];
+      o.resize(static_cast<std::size_t>(n * n));
+      for (index_t c = 0; c < n; ++c)
+        for (index_t r = 0; r < n; ++r) o[static_cast<std::size_t>(r + c * n)] = a(r, c);
+    };
+    const auto got = factor_edited<T>(run, kUnrefSizes, edit);
+    for (std::size_t i = 0; i < kUnrefSizes.size(); ++i) {
+      const index_t n = kUnrefSizes[i];
+      const int want =
+          n == 0 ? 0 : blas::potrf<T>(run.uplo, MatrixView<T>(originals[i].data(), n, n, n));
+      EXPECT_EQ(got.second[i], want) << "matrix " << i << " (n=" << n << ")";
+      if (i == 4) {
+        EXPECT_EQ(want, 0);
+      } else if (n > 0) {
+        EXPECT_GT(want, 0) << "matrix " << i;
+      }
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
