@@ -1,6 +1,6 @@
 // Register/cache-blocked micro-kernel engine for the host BLAS layer.
 //
-// The reference loops in gemm.cpp / syrk.cpp / trsm.cpp / trmm.cpp are
+// The reference loops in gemm.cpp / syrk.cpp / triangular.cpp are
 // element-at-a-time and memory-bound; every real-numerics path of the
 // library (fused-step rank-k updates, the separated-path gemm sweeps, the
 // CPU baselines) funnels through them. This engine provides the classic

@@ -1,6 +1,7 @@
 #include "vbatch/core/batch.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/flops.hpp"
@@ -40,6 +41,23 @@ template <typename T>
 std::span<const T> SlabArrays<T>::item(int i) const noexcept {
   const auto k = static_cast<std::size_t>(i);
   return {ptrs_.host()[k], offsets_[k + 1] - offsets_[k]};
+}
+
+template <typename T>
+void SlabArrays<T>::require_min_extents(const char* what, std::span<const int> m,
+                                        std::span<const int> n) const {
+  if (static_cast<std::size_t>(count()) != n.size())
+    throw_error(Status::InvalidArgument, std::string(what) + " has " + std::to_string(count()) +
+                                             " items for " + std::to_string(n.size()) +
+                                             " matrices");
+  for (std::size_t i = 0; i < n.size(); ++i) {
+    const std::size_t held = offsets_[i + 1] - offsets_[i];
+    const auto need = static_cast<std::size_t>(std::max(0, std::min(m[i], n[i])));
+    if (held < need)
+      throw_error(Status::InvalidArgument, std::string(what) + " item " + std::to_string(i) +
+                                               " holds " + std::to_string(held) +
+                                               " entries, needs " + std::to_string(need));
+  }
 }
 
 // --- RectBatch --------------------------------------------------------------

@@ -82,6 +82,12 @@ class SlabArrays {
   [[nodiscard]] T* const* ptrs() const noexcept { return ptrs_.device_ptr(); }
   /// Item i's elements (readable in Full mode only).
   [[nodiscard]] std::span<const T> item(int i) const noexcept;
+  /// The per-matrix pivot/tau contract: one item per matrix, item i holding
+  /// at least min(m_i, n_i) elements. Reads only the slab offsets, so it
+  /// holds in TimingOnly mode; host-side, no modelled time. Throws
+  /// Status::InvalidArgument with a message starting with `what`.
+  void require_min_extents(const char* what, std::span<const int> m,
+                           std::span<const int> n) const;
 
  private:
   Queue* queue_;

@@ -4,6 +4,7 @@
 
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/kernels/aux_kernels.hpp"
+#include "vbatch/kernels/common.hpp"
 #include "vbatch/kernels/geqrf_kernels.hpp"
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/flops.hpp"
@@ -19,6 +20,7 @@ FactorResult geqrf_vbatched(Queue& q, RectBatch<T>& batch, TauArrays<T>& tau,
   const auto m = batch.rows();
   const auto n = batch.cols();
   const auto lda = batch.ldas();
+  tau.require_min_extents("geqrf_vbatched: tau", m, n);
 
   FactorResult result;
   result.flops = flops::geqrf_batch(m, n);
@@ -72,39 +74,6 @@ template <typename T>
 FactorResult apply_qt_kernel(Queue& q, RectBatch<T>& factors, const TauArrays<T>& tau,
                              RectBatch<T>& rhs, bool backsolve, const char* name) {
   require(factors.count() == rhs.count(), "ormqr/geqrs: batch count mismatch");
-  const int count = factors.count();
-  sim::Device& dev = q.device();
-
-  int max_m = 0, max_rhs = 0;
-  double total_flops = 0.0;
-  for (int i = 0; i < count; ++i) {
-    const int mi = factors.rows()[static_cast<std::size_t>(i)];
-    const int ni = factors.cols()[static_cast<std::size_t>(i)];
-    require(mi >= ni, "ormqr/geqrs: requires m >= n");
-    require(rhs.rows()[static_cast<std::size_t>(i)] == mi, "ormqr/geqrs: rhs rows != m");
-    max_m = std::max(max_m, mi);
-    max_rhs = std::max(max_rhs, rhs.cols()[static_cast<std::size_t>(i)]);
-    const int nrhs = rhs.cols()[static_cast<std::size_t>(i)];
-    total_flops += 4.0 * mi * ni * nrhs;  // reflector applications
-    if (backsolve) total_flops += flops::trsm(ni, nrhs, true);
-  }
-
-  FactorResult result;
-  result.flops = total_flops;
-  if (max_m == 0 || max_rhs == 0) return result;
-
-  const int strip = 8;
-  const int strips = (max_rhs + strip - 1) / strip;
-
-  sim::LaunchConfig cfg;
-  cfg.name = name;
-  cfg.grid_blocks = count * strips;
-  cfg.block_threads = kernels::round_up_warp(dev.spec(), std::min(max_m, 512));
-  cfg.shared_mem = std::min<std::size_t>(
-      static_cast<std::size_t>(std::min(max_m, 512)) * strip * sizeof(T),
-      dev.spec().shared_mem_per_block);
-  cfg.precision = precision_v<T>;
-
   auto frows = factors.rows();
   auto fcols = factors.cols();
   auto fldas = factors.ldas();
@@ -114,64 +83,65 @@ FactorResult apply_qt_kernel(Queue& q, RectBatch<T>& factors, const TauArrays<T>
   T** rptrs = rhs.device_ptrs();
   T* const* tptrs = tau.ptrs();
 
-  result.seconds = dev.launch(cfg, [&, backsolve, threads = cfg.block_threads](
-                                       const sim::ExecContext& ctx, int block) {
-    const int i = block / strips;
-    const index_t s = block % strips;
-    const index_t m = frows[static_cast<std::size_t>(i)];
-    const index_t n = fcols[static_cast<std::size_t>(i)];
-    const index_t c0 = s * strip;
-    const index_t nrhs = rcols[static_cast<std::size_t>(i)];
+  FactorResult result;
+  for (int i = 0; i < factors.count(); ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    const int mi = frows[k];
+    const int ni = fcols[k];
+    require(mi >= ni, "ormqr/geqrs: requires m >= n");
+    require(rhs.rows()[k] == mi, "ormqr/geqrs: rhs rows != m");
+    result.flops += 4.0 * mi * ni * rcols[k];  // reflector applications
+    if (backsolve) result.flops += flops::trsm(ni, rcols[k], true);
+  }
+  tau.require_min_extents(backsolve ? "geqrs_vbatched: tau" : "ormqr_vbatched: tau", frows,
+                          fcols);
 
-    sim::BlockCost cost;
-    cost.live_threads = threads;
-    if (m == 0 || n == 0 || c0 >= nrhs) {
-      cost.early_exit = true;
-      return cost;
-    }
-
-    const index_t nc = std::min<index_t>(strip, nrhs - c0);
-    cost.active_threads = static_cast<int>(std::min<index_t>(m, threads));
-    cost.flops = 4.0 * static_cast<double>(m) * static_cast<double>(n) *
-                 static_cast<double>(nc);
-    cost.bytes = static_cast<double>(m * n + 2 * m * nc) * sizeof(T);
-    cost.sync_steps = static_cast<int>(2 * n);      // per-reflector dot + axpy
-    cost.serial_ops = static_cast<double>(n);
-    if (backsolve) {
-      cost.flops += flops::trsm(n, nc, true);
-      cost.sync_steps += static_cast<int>(n);
-      cost.serial_ops += static_cast<double>(n);
-    }
-
-    if (ctx.full()) {
-      const index_t lda = fldas[static_cast<std::size_t>(i)];
-      const index_t ldb = rldas[static_cast<std::size_t>(i)];
-      const T* A = fptrs[i];
-      T* B = rptrs[i] + c0 * ldb;
-      const T* tv = tptrs[i];
-      // Apply H(0) … H(n-1) to the strip: Qᵀ = H(n-1)…H(0) applied in
-      // ascending order.
-      for (index_t kk = 0; kk < n; ++kk) {
-        const T tk = tv[kk];
-        if (tk == T(0)) continue;
-        const T* v = A + kk + kk * lda;  // v(0) implicit 1
-        for (index_t c = 0; c < nc; ++c) {
-          T* col = B + c * ldb;
-          T w = col[kk];
-          for (index_t r = kk + 1; r < m; ++r) w += v[r - kk] * col[r];
-          w *= tk;
-          col[kk] -= w;
-          for (index_t r = kk + 1; r < m; ++r) col[r] -= v[r - kk] * w;
+  result.seconds = kernels::launch_rhs_strips<T>(
+      q.device(), name, frows, fcols, rcols, {},
+      [&](const sim::ExecContext& ctx, const kernels::RhsStrip& s, sim::BlockCost& cost) {
+        const auto k = static_cast<std::size_t>(s.i);
+        const index_t m = frows[k];
+        const index_t n = fcols[k];
+        const index_t nc = s.nc;
+        cost.flops = 4.0 * static_cast<double>(m) * static_cast<double>(n) *
+                     static_cast<double>(nc);
+        cost.bytes = static_cast<double>(m * n + 2 * m * nc) * sizeof(T);
+        cost.sync_steps = static_cast<int>(2 * n);  // per-reflector dot + axpy
+        cost.serial_ops = static_cast<double>(n);
+        if (backsolve) {
+          cost.flops += flops::trsm(n, nc, true);
+          cost.sync_steps += static_cast<int>(n);
+          cost.serial_ops += static_cast<double>(n);
         }
-      }
-      if (backsolve) {
-        ConstMatrixView<T> R(A, n, n, lda);
-        MatrixView<T> x(B, n, nc, ldb);
-        blas::trsm<T>(Side::Left, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, T(1), R, x);
-      }
-    }
-    return cost;
-  });
+
+        if (ctx.full()) {
+          const index_t lda = fldas[k];
+          const index_t ldb = rldas[k];
+          const T* A = fptrs[s.i];
+          T* B = rptrs[s.i] + s.c0 * ldb;
+          const T* tv = tptrs[s.i];
+          // Apply H(0) … H(n-1) to the strip: Qᵀ = H(n-1)…H(0) applied in
+          // ascending order.
+          for (index_t kk = 0; kk < n; ++kk) {
+            const T tk = tv[kk];
+            if (tk == T(0)) continue;
+            const T* v = A + kk + kk * lda;  // v(0) implicit 1
+            for (index_t c = 0; c < nc; ++c) {
+              T* col = B + c * ldb;
+              T w = col[kk];
+              for (index_t r = kk + 1; r < m; ++r) w += v[r - kk] * col[r];
+              w *= tk;
+              col[kk] -= w;
+              for (index_t r = kk + 1; r < m; ++r) col[r] -= v[r - kk] * w;
+            }
+          }
+          if (backsolve) {
+            ConstMatrixView<T> R(A, n, n, lda);
+            MatrixView<T> x(B, n, nc, ldb);
+            blas::trsm<T>(Side::Left, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, T(1), R, x);
+          }
+        }
+      });
   return result;
 }
 

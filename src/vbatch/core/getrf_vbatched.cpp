@@ -4,6 +4,7 @@
 
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/kernels/aux_kernels.hpp"
+#include "vbatch/kernels/common.hpp"
 #include "vbatch/kernels/getrf_kernels.hpp"
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/flops.hpp"
@@ -15,6 +16,7 @@ FactorResult getrf_vbatched(Queue& q, Batch<T>& batch, PivotArrays& ipiv,
                             const GetrfOptions& opts) {
   sim::Device& dev = q.device();
   auto prob = batch.problem();
+  ipiv.require_min_extents("getrf_vbatched: ipiv", prob.n, prob.n);
   const int batch_count = prob.count();
   const int NB = std::max(8, opts.panel_nb);
   for (int i = 0; i < batch_count; ++i) prob.info[static_cast<std::size_t>(i)] = 0;
@@ -120,80 +122,43 @@ template <typename T>
 FactorResult getrs_vbatched(Queue& q, Batch<T>& factors, const PivotArrays& ipiv,
                             RectBatch<T>& rhs) {
   require(factors.count() == rhs.count(), "getrs_vbatched: batch count mismatch");
-  const int count = factors.count();
-  sim::Device& dev = q.device();
-
-  int max_n = 0, max_rhs = 0;
-  double total_flops = 0.0;
-  for (int i = 0; i < count; ++i) {
-    require(factors.sizes()[static_cast<std::size_t>(i)] ==
-                rhs.rows()[static_cast<std::size_t>(i)],
-            "getrs_vbatched: rhs rows != matrix order");
-    max_n = std::max(max_n, factors.sizes()[static_cast<std::size_t>(i)]);
-    max_rhs = std::max(max_rhs, rhs.cols()[static_cast<std::size_t>(i)]);
-    total_flops += 2.0 * flops::trsm(factors.sizes()[static_cast<std::size_t>(i)],
-                                     rhs.cols()[static_cast<std::size_t>(i)], true);
-  }
-
-  FactorResult result;
-  result.flops = total_flops;
-  if (max_n == 0 || max_rhs == 0) return result;
-
-  // One fused kernel block per (matrix, rhs strip): apply the row
-  // interchanges, then the unit-lower and upper triangular sweeps.
-  const int strip = 8;
-  const int strips = (max_rhs + strip - 1) / strip;
-
-  sim::LaunchConfig cfg;
-  cfg.name = "vbatched_getrs";
-  cfg.grid_blocks = count * strips;
-  cfg.block_threads = kernels::round_up_warp(dev.spec(), std::min(max_n, 512));
-  cfg.shared_mem = static_cast<std::size_t>(std::min(max_n, 512)) * strip * sizeof(T);
-  cfg.shared_mem = std::min(cfg.shared_mem, dev.spec().shared_mem_per_block);
-  cfg.precision = precision_v<T>;
-
   auto fsizes = factors.sizes();
   auto fldas = factors.ldas();
-  auto finfo = factors.info();
   T** fptrs = factors.device_ptrs();
   auto rcols = rhs.cols();
   auto rldas = rhs.ldas();
   T** rptrs = rhs.device_ptrs();
   int* const* piv = ipiv.ptrs();
 
-  result.seconds = dev.launch(cfg, [&, threads = cfg.block_threads](
-                                       const sim::ExecContext& ctx, int block) {
-    const int i = block / strips;
-    const index_t s = block % strips;
-    const index_t n = fsizes[static_cast<std::size_t>(i)];
-    const index_t c0 = s * strip;
-    const index_t nrhs = rcols[static_cast<std::size_t>(i)];
+  FactorResult result;
+  for (int i = 0; i < factors.count(); ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    require(fsizes[k] == rhs.rows()[k], "getrs_vbatched: rhs rows != matrix order");
+    result.flops += 2.0 * flops::trsm(fsizes[k], rcols[k], true);
+  }
+  ipiv.require_min_extents("getrs_vbatched: ipiv", fsizes, fsizes);
 
-    sim::BlockCost cost;
-    cost.live_threads = threads;
-    if (n == 0 || c0 >= nrhs || finfo[static_cast<std::size_t>(i)] != 0) {
-      cost.early_exit = true;
-      return cost;
-    }
-
-    const index_t nc = std::min<index_t>(strip, nrhs - c0);
-    cost.active_threads = static_cast<int>(std::min<index_t>(n, threads));
-    cost.flops = 2.0 * flops::trsm(n, nc, true);
-    cost.bytes = static_cast<double>(n * n + 2 * n * nc) * sizeof(T);
-    cost.sync_steps = static_cast<int>(2 * n);
-    cost.serial_ops = static_cast<double>(n);  // upper sweep reciprocal chain
-
-    if (ctx.full()) {
-      const index_t ldb = rldas[static_cast<std::size_t>(i)];
-      ConstMatrixView<T> lu(fptrs[i], n, n, fldas[static_cast<std::size_t>(i)]);
-      MatrixView<T> b(rptrs[i] + c0 * ldb, n, nc, ldb);
-      std::span<const int> pv{piv[i], static_cast<std::size_t>(n)};
-      blas::laswp<T>(b, pv, 0, n);
-      blas::trsm<T>(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::Unit, T(1), lu, b);
-      blas::trsm<T>(Side::Left, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, T(1), lu, b);
-    }
-    return cost;
-  });
+  // One fused kernel block per (matrix, rhs strip): apply the row
+  // interchanges, then the unit-lower and upper triangular sweeps.
+  result.seconds = kernels::launch_rhs_strips<T>(
+      q.device(), "vbatched_getrs", fsizes, fsizes, rcols, factors.info(),
+      [&](const sim::ExecContext& ctx, const kernels::RhsStrip& s, sim::BlockCost& cost) {
+        const auto k = static_cast<std::size_t>(s.i);
+        const index_t n = fsizes[k];
+        cost.flops = 2.0 * flops::trsm(n, s.nc, true);
+        cost.bytes = static_cast<double>(n * n + 2 * n * s.nc) * sizeof(T);
+        cost.sync_steps = static_cast<int>(2 * n);
+        cost.serial_ops = static_cast<double>(n);  // upper sweep reciprocal chain
+        if (ctx.full()) {
+          const index_t ldb = rldas[k];
+          ConstMatrixView<T> lu(fptrs[s.i], n, n, fldas[k]);
+          MatrixView<T> b(rptrs[s.i] + s.c0 * ldb, n, s.nc, ldb);
+          std::span<const int> pv{piv[s.i], static_cast<std::size_t>(n)};
+          blas::laswp<T>(b, pv, 0, n);
+          blas::trsm<T>(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::Unit, T(1), lu, b);
+          blas::trsm<T>(Side::Left, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, T(1), lu, b);
+        }
+      });
   return result;
 }
 

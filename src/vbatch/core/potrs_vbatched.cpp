@@ -12,77 +12,37 @@ namespace vbatch {
 template <typename T>
 FactorResult potrs_vbatched(Queue& q, Uplo uplo, Batch<T>& factors, RectBatch<T>& rhs) {
   require(factors.count() == rhs.count(), "potrs_vbatched: batch count mismatch");
-  const int count = factors.count();
-  sim::Device& dev = q.device();
-
-  int max_n = 0, max_rhs = 0;
-  double total_flops = 0.0;
-  for (int i = 0; i < count; ++i) {
-    require(factors.sizes()[static_cast<std::size_t>(i)] ==
-                rhs.rows()[static_cast<std::size_t>(i)],
-            "potrs_vbatched: rhs rows != matrix order");
-    max_n = std::max(max_n, factors.sizes()[static_cast<std::size_t>(i)]);
-    max_rhs = std::max(max_rhs, rhs.cols()[static_cast<std::size_t>(i)]);
-    total_flops += flops::potrs(factors.sizes()[static_cast<std::size_t>(i)],
-                                rhs.cols()[static_cast<std::size_t>(i)]);
-  }
-
-  FactorResult result;
-  result.flops = total_flops;
-  if (max_n == 0 || max_rhs == 0) return result;
-
-  // One block per (matrix, rhs-column-strip): the two triangular sweeps are
-  // fused into a single kernel, the rhs strip staged through shared memory.
-  const int strip = 8;
-  const int strips = (max_rhs + strip - 1) / strip;
-
-  sim::LaunchConfig cfg;
-  cfg.name = "vbatched_potrs";
-  cfg.grid_blocks = count * strips;
-  cfg.block_threads = kernels::round_up_warp(dev.spec(), std::min(max_n, 512));
-  cfg.shared_mem = static_cast<std::size_t>(std::min(max_n, 512)) * strip * sizeof(T);
-  cfg.shared_mem = std::min(cfg.shared_mem, dev.spec().shared_mem_per_block);
-  cfg.precision = precision_v<T>;
-
   auto fsizes = factors.sizes();
   auto fldas = factors.ldas();
-  auto finfo = factors.info();
   T** fptrs = factors.device_ptrs();
-  auto rrows = rhs.rows();
   auto rcols = rhs.cols();
   auto rldas = rhs.ldas();
   T** rptrs = rhs.device_ptrs();
 
-  result.seconds = dev.launch(cfg, [&, threads = cfg.block_threads](
-                                       const sim::ExecContext& ctx, int block) {
-    const int i = block / strips;
-    const index_t s = block % strips;
-    const index_t n = fsizes[static_cast<std::size_t>(i)];
-    const index_t c0 = s * strip;
-    const index_t nrhs = rcols[static_cast<std::size_t>(i)];
+  FactorResult result;
+  for (int i = 0; i < factors.count(); ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    require(fsizes[k] == rhs.rows()[k], "potrs_vbatched: rhs rows != matrix order");
+    result.flops += flops::potrs(fsizes[k], rcols[k]);
+  }
 
-    sim::BlockCost cost;
-    cost.live_threads = threads;
-    if (n == 0 || c0 >= nrhs || finfo[static_cast<std::size_t>(i)] != 0) {
-      cost.early_exit = true;
-      return cost;
-    }
-
-    const index_t nc = std::min<index_t>(strip, nrhs - c0);
-    cost.active_threads = static_cast<int>(std::min<index_t>(n, threads));
-    cost.flops = flops::potrs(n, nc);
-    cost.bytes = static_cast<double>(n * n / 2 + 2 * n * nc) * sizeof(T);
-    cost.sync_steps = static_cast<int>(2 * n);  // forward + backward column sweeps
-    cost.serial_ops = static_cast<double>(2 * n);
-
-    if (ctx.full()) {
-      ConstMatrixView<T> a(fptrs[i], n, n, fldas[static_cast<std::size_t>(i)]);
-      MatrixView<T> b(rptrs[i] + c0 * rldas[static_cast<std::size_t>(i)], n, nc,
-                      rldas[static_cast<std::size_t>(i)]);
-      blas::potrs<T>(uplo, a, b);
-    }
-    return cost;
-  });
+  // One block per (matrix, rhs strip): the two triangular sweeps are fused
+  // into a single kernel, the rhs strip staged through shared memory.
+  result.seconds = kernels::launch_rhs_strips<T>(
+      q.device(), "vbatched_potrs", fsizes, fsizes, rcols, factors.info(),
+      [&](const sim::ExecContext& ctx, const kernels::RhsStrip& s, sim::BlockCost& cost) {
+        const auto k = static_cast<std::size_t>(s.i);
+        const index_t n = fsizes[k];
+        cost.flops = flops::potrs(n, s.nc);
+        cost.bytes = static_cast<double>(n * n / 2 + 2 * n * s.nc) * sizeof(T);
+        cost.sync_steps = static_cast<int>(2 * n);  // forward + backward column sweeps
+        cost.serial_ops = static_cast<double>(2 * n);
+        if (ctx.full()) {
+          ConstMatrixView<T> a(fptrs[s.i], n, n, fldas[k]);
+          MatrixView<T> b(rptrs[s.i] + s.c0 * rldas[k], n, s.nc, rldas[k]);
+          blas::potrs<T>(uplo, a, b);
+        }
+      });
   return result;
 }
 

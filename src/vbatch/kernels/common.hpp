@@ -28,6 +28,61 @@ namespace vbatch::kernels {
   return std::min(rounded, spec.max_threads_per_block);
 }
 
+/// One block of an rhs-strip launch: matrix `i`, right-hand-side columns
+/// [c0, c0 + nc).
+struct RhsStrip {
+  int i = 0;
+  index_t c0 = 0, nc = 0;
+};
+
+/// The launch shape of the vbatched solves that apply a factored m_i × n_i
+/// operator to right-hand sides (potrs, getrs, ormqr/geqrs): one block per
+/// (matrix, 8-column strip of its rhs), threads and shared memory sized by
+/// the largest operator's rows (capped at 512) times one strip. A block
+/// exits early (ETM-classic) when its operator is empty, its strip starts
+/// past the matrix's rhs count, or its factorization failed (info nonzero;
+/// an empty `info` skips that test). Otherwise `body(ctx, strip, cost)`
+/// fills the work and runs the numerics; live and active threads are set
+/// here. Returns the modelled seconds, 0 with no rows or no rhs (no launch).
+template <typename T, typename Body>
+double launch_rhs_strips(sim::Device& dev, const char* name, std::span<const int> m,
+                         std::span<const int> n, std::span<const int> nrhs,
+                         std::span<const int> info, Body&& body) {
+  constexpr int kStrip = 8;
+  int max_m = 0, max_rhs = 0;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    max_m = std::max(max_m, m[i]);
+    max_rhs = std::max(max_rhs, nrhs[i]);
+  }
+  if (max_m == 0 || max_rhs == 0) return 0.0;
+  const int strips = (max_rhs + kStrip - 1) / kStrip;
+  const int rows = std::min(max_m, 512);
+
+  sim::LaunchConfig cfg;
+  cfg.name = name;
+  cfg.grid_blocks = static_cast<int>(m.size()) * strips;
+  cfg.block_threads = round_up_warp(dev.spec(), rows);
+  cfg.shared_mem = std::min<std::size_t>(static_cast<std::size_t>(rows) * kStrip * sizeof(T),
+                                         dev.spec().shared_mem_per_block);
+  cfg.precision = precision_v<T>;
+
+  return dev.launch(cfg, [&, threads = cfg.block_threads](const sim::ExecContext& ctx,
+                                                          int block) {
+    const auto i = static_cast<std::size_t>(block / strips);
+    RhsStrip s{block / strips, static_cast<index_t>(block % strips) * kStrip, 0};
+    sim::BlockCost cost;
+    cost.live_threads = threads;
+    if (m[i] == 0 || n[i] == 0 || s.c0 >= nrhs[i] || (!info.empty() && info[i] != 0)) {
+      cost.early_exit = true;
+      return cost;
+    }
+    s.nc = std::min<index_t>(kStrip, nrhs[i] - s.c0);
+    cost.active_threads = static_cast<int>(std::min<index_t>(m[i], threads));
+    body(ctx, s, cost);
+    return cost;
+  });
+}
+
 /// Non-owning description of a vbatched operand set: a device pointer array
 /// plus host mirrors of the device size/ld arrays.
 template <typename T>

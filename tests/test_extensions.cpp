@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "vbatch/blas/blas.hpp"
@@ -10,6 +13,8 @@
 #include "vbatch/core/getrf_vbatched.hpp"
 #include "vbatch/core/potrs_vbatched.hpp"
 #include "vbatch/core/size_dist.hpp"
+#include "vbatch/util/error.hpp"
+#include "vbatch/util/flops.hpp"
 
 namespace {
 
@@ -493,6 +498,198 @@ TEST(PotrsVbatched, SkipsFailedFactorizations) {
   potrs_vbatched<double>(q, Uplo::Lower, a, b);
   // The failed matrix's rhs must be left untouched.
   EXPECT_EQ(b.copy_matrix(1), b1_before);
+}
+
+// ---------------------------------------------------------------------------
+// Pivot and tau arrays are bounds-checked on the host before any launch: one
+// item per matrix, item i holding min(m_i, n_i) entries. The check reads the
+// slab offsets, so it fires in TimingOnly mode too, and costs no modelled time.
+// ---------------------------------------------------------------------------
+
+void expect_rejected_before_launch(Queue& q, const char* routine,
+                                   const std::function<void()>& call) {
+  try {
+    call();
+    ADD_FAILURE() << routine << " accepted a mis-sized pivot/tau array";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.status(), Status::InvalidArgument);
+    EXPECT_NE(std::string(e.what()).find(routine), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(q.device().timeline().size(), 0u) << routine;
+  EXPECT_EQ(q.time(), 0.0) << routine;
+}
+
+const std::vector<int> kLuSizes{4, 9, 6};
+const std::vector<int> kQrRows{7, 5, 9}, kQrCols{4, 5, 3}, kNrhs{2, 1, 3};
+
+TEST(PivotTauBounds, GetrfRejectsMisSizedPivots) {
+  Queue q(sim::DeviceSpec::k40c(), sim::ExecMode::TimingOnly);
+  Batch<double> a(q, kLuSizes);
+  PivotArrays one_item(q, std::vector<int>{4});
+  PivotArrays short_item(q, std::vector<int>{4, 8, 6});
+  expect_rejected_before_launch(q, "getrf_vbatched",
+                                [&] { getrf_vbatched<double>(q, a, one_item); });
+  expect_rejected_before_launch(q, "getrf_vbatched",
+                                [&] { getrf_vbatched<double>(q, a, short_item); });
+}
+
+TEST(PivotTauBounds, GetrsRejectsMisSizedPivots) {
+  // Full mode: a one-item pivot array on a three-matrix batch used to be read
+  // past its end by the row interchanges.
+  for (auto mode : {sim::ExecMode::Full, sim::ExecMode::TimingOnly}) {
+    Queue q(sim::DeviceSpec::k40c(), mode);
+    Batch<double> a(q, kLuSizes);
+    RectBatch<double> b(q, kLuSizes, kNrhs);
+    PivotArrays one_item(q, std::vector<int>{4});
+    PivotArrays short_item(q, std::vector<int>{4, 9, 5});
+    expect_rejected_before_launch(q, "getrs_vbatched",
+                                  [&] { getrs_vbatched<double>(q, a, one_item, b); });
+    expect_rejected_before_launch(q, "getrs_vbatched",
+                                  [&] { getrs_vbatched<double>(q, a, short_item, b); });
+  }
+}
+
+TEST(PivotTauBounds, GeqrfRejectsMisSizedTaus) {
+  Queue q(sim::DeviceSpec::k40c(), sim::ExecMode::TimingOnly);
+  RectBatch<double> a(q, kQrRows, kQrCols);
+  TauArrays<double> two_items(q, std::vector<int>{4, 5});
+  TauArrays<double> short_item(q, std::vector<int>{4, 5, 2});
+  expect_rejected_before_launch(q, "geqrf_vbatched",
+                                [&] { geqrf_vbatched<double>(q, a, two_items); });
+  expect_rejected_before_launch(q, "geqrf_vbatched",
+                                [&] { geqrf_vbatched<double>(q, a, short_item); });
+}
+
+TEST(PivotTauBounds, OrmqrRejectsMisSizedTaus) {
+  Queue q(sim::DeviceSpec::k40c(), sim::ExecMode::TimingOnly);
+  RectBatch<double> a(q, kQrRows, kQrCols);
+  RectBatch<double> c(q, kQrRows, kNrhs);
+  TauArrays<double> two_items(q, std::vector<int>{4, 5});
+  TauArrays<double> short_item(q, std::vector<int>{3, 5, 3});
+  expect_rejected_before_launch(q, "ormqr_vbatched",
+                                [&] { ormqr_vbatched<double>(q, a, two_items, c); });
+  expect_rejected_before_launch(q, "ormqr_vbatched",
+                                [&] { ormqr_vbatched<double>(q, a, short_item, c); });
+}
+
+TEST(PivotTauBounds, GeqrsRejectsMisSizedTaus) {
+  Queue q(sim::DeviceSpec::k40c(), sim::ExecMode::TimingOnly);
+  RectBatch<double> a(q, kQrRows, kQrCols);
+  RectBatch<double> b(q, kQrRows, kNrhs);
+  TauArrays<double> two_items(q, std::vector<int>{4, 5});
+  TauArrays<double> short_item(q, std::vector<int>{4, 4, 3});
+  expect_rejected_before_launch(q, "geqrs_vbatched",
+                                [&] { geqrs_vbatched<double>(q, a, two_items, b); });
+  expect_rejected_before_launch(q, "geqrs_vbatched",
+                                [&] { geqrs_vbatched<double>(q, a, short_item, b); });
+}
+
+// ---------------------------------------------------------------------------
+// Launch shape of the rhs-strip solves: one block per (matrix, 8-column strip
+// of its right-hand side). The batch has an empty operator (matrix 0), a
+// failed factor (matrix 5, potrs/getrs only) and 1–11 right-hand sides, so
+// matrices 9–11 span two strips.
+// ---------------------------------------------------------------------------
+
+const std::vector<int> kStripN{0, 6, 13, 20, 9, 31, 4, 17, 25, 11, 8, 2};
+const std::vector<int> kStripNrhs{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+constexpr int kFailed = 5;
+
+// Per-block (flops, bytes) of a live block on an m×n operator with nc rhs.
+using StripCost = std::function<std::pair<double, double>(index_t m, index_t n, index_t nc)>;
+
+void expect_strip_record(const Queue& q, const char* name, const std::vector<int>& m,
+                         const std::vector<int>& n, bool has_info, int expected_exits,
+                         const StripCost& cost) {
+  const auto& recs = q.device().timeline().records();
+  ASSERT_EQ(recs.size(), 1u) << name;
+  const auto& rec = recs.front();
+  const int rows = std::min(*std::max_element(m.begin(), m.end()), 512);
+  const int warp = q.spec().warp_size;
+  double flops = 0.0, bytes = 0.0;
+  int exits = 0;
+  for (std::size_t i = 0; i < n.size(); ++i)
+    for (int c0 = 0; c0 < 16; c0 += 8) {
+      const bool failed = has_info && static_cast<int>(i) == kFailed;
+      if (m[i] == 0 || n[i] == 0 || c0 >= kStripNrhs[i] || failed) {
+        ++exits;
+        continue;
+      }
+      const auto [f, b] = cost(m[i], n[i], std::min(8, kStripNrhs[i] - c0));
+      flops += f;
+      bytes += b;
+    }
+  EXPECT_EQ(rec.name, name);
+  EXPECT_EQ(rec.grid_blocks, 12 * 2) << name;
+  EXPECT_EQ(rec.block_threads, (rows + warp - 1) / warp * warp) << name;
+  EXPECT_EQ(rec.shared_mem, static_cast<std::size_t>(rows) * 8 * sizeof(double)) << name;
+  EXPECT_EQ(exits, expected_exits) << name;
+  EXPECT_EQ(rec.early_exits, exits) << name;
+  EXPECT_EQ(rec.flops, flops) << name;
+  EXPECT_EQ(rec.bytes, bytes) << name;
+}
+
+TEST(SolveStrips, PotrsLaunchShape) {
+  Queue q(sim::DeviceSpec::k40c(), sim::ExecMode::TimingOnly);
+  Batch<double> a(q, kStripN);
+  RectBatch<double> b(q, kStripN, kStripNrhs);
+  a.info()[kFailed] = 3;
+  potrs_vbatched<double>(q, Uplo::Lower, a, b);
+  expect_strip_record(q, "vbatched_potrs", kStripN, kStripN, true, 11,
+                      [](index_t, index_t n, index_t nc) {
+                        return std::pair{flops::potrs(n, nc),
+                                         static_cast<double>(n * n / 2 + 2 * n * nc) * 8};
+                      });
+}
+
+TEST(SolveStrips, GetrsLaunchShape) {
+  Queue q(sim::DeviceSpec::k40c(), sim::ExecMode::TimingOnly);
+  Batch<double> a(q, kStripN);
+  RectBatch<double> b(q, kStripN, kStripNrhs);
+  PivotArrays ipiv(q, kStripN);
+  a.info()[kFailed] = 3;
+  getrs_vbatched<double>(q, a, ipiv, b);
+  expect_strip_record(q, "vbatched_getrs", kStripN, kStripN, true, 11,
+                      [](index_t, index_t n, index_t nc) {
+                        return std::pair{2.0 * flops::trsm(n, nc, true),
+                                         static_cast<double>(n * n + 2 * n * nc) * 8};
+                      });
+}
+
+// QR operators are m×n with m = n + 3, so matrix 0 is empty with 3 rows.
+std::vector<int> strip_qr_rows() {
+  std::vector<int> m = kStripN;
+  for (int& v : m) v += 3;
+  return m;
+}
+
+std::pair<double, double> apply_qt_cost(index_t m, index_t n, index_t nc) {
+  return {4.0 * static_cast<double>(m) * static_cast<double>(n) * static_cast<double>(nc),
+          static_cast<double>(m * n + 2 * m * nc) * 8};
+}
+
+TEST(SolveStrips, OrmqrLaunchShape) {
+  Queue q(sim::DeviceSpec::k40c(), sim::ExecMode::TimingOnly);
+  const auto m = strip_qr_rows();
+  RectBatch<double> a(q, m, kStripN);
+  RectBatch<double> c(q, m, kStripNrhs);
+  TauArrays<double> tau(q, kStripN);
+  ormqr_vbatched<double>(q, a, tau, c);
+  expect_strip_record(q, "vbatched_ormqr", m, kStripN, false, 10, apply_qt_cost);
+}
+
+TEST(SolveStrips, GeqrsLaunchShape) {
+  Queue q(sim::DeviceSpec::k40c(), sim::ExecMode::TimingOnly);
+  const auto m = strip_qr_rows();
+  RectBatch<double> a(q, m, kStripN);
+  RectBatch<double> b(q, m, kStripNrhs);
+  TauArrays<double> tau(q, kStripN);
+  geqrs_vbatched<double>(q, a, tau, b);
+  expect_strip_record(q, "vbatched_geqrs", m, kStripN, false, 10,
+                      [](index_t mi, index_t n, index_t nc) {
+                        auto [f, b] = apply_qt_cost(mi, n, nc);
+                        return std::pair{f + flops::trsm(n, nc, true), b};
+                      });
 }
 
 }  // namespace

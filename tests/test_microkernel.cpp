@@ -345,6 +345,53 @@ TYPED_TEST(MicrokernelTest, TrmmMatchesRefAllCombos) {
 }
 
 // ---------------------------------------------------------------------------
+// alpha = 0 (BLAS rule): B becomes +0 and neither A nor B is read, on every
+// dispatch path of both trsm and trmm — NaNs in A and B must not survive and
+// negative entries must not leave -0.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+class TriangularAlphaZero : public ::testing::Test {};
+TYPED_TEST_SUITE(TriangularAlphaZero, Precisions);
+
+TYPED_TEST(TriangularAlphaZero, ZeroesBOnEveryPath) {
+  using T = TypeParam;
+  const T nan = make_scalar<T>(std::numeric_limits<double>::quiet_NaN(), 0.0);
+  const index_t nrhs = 64;
+  for (bool solve : {true, false})
+    for (index_t ka : {8, 64})
+      for (Side side : {Side::Left, Side::Right})
+        for (Dispatch d : {Dispatch::Auto, Dispatch::ForceRef, Dispatch::ForceBlocked}) {
+          const index_t m = side == Side::Left ? ka : nrhs;
+          const index_t n = side == Side::Left ? nrhs : ka;
+          std::vector<T> abuf(static_cast<std::size_t>(ka * ka), nan);
+          std::vector<T> bbuf(static_cast<std::size_t>(m * n), make_scalar<T>(-1.5, -2.0));
+          bbuf[1] = nan;
+          ConstMatrixView<T> a(abuf.data(), ka, ka, ka);
+          MatrixView<T> b(bbuf.data(), m, n, m);
+          {
+            DispatchGuard guard(d);
+            if (solve) {
+              blas::trsm<T>(side, Uplo::Lower, Trans::NoTrans, Diag::NonUnit, T(0), a, b);
+            } else {
+              blas::trmm<T>(side, Uplo::Lower, Trans::NoTrans, Diag::NonUnit, T(0), a, b);
+            }
+          }
+          for (std::size_t k = 0; k < bbuf.size(); ++k) {
+            const real_t<T> re = real_val(bbuf[k]);
+            ASSERT_TRUE(re == 0 && !std::signbit(re) && bbuf[k] == T(0))
+                << (solve ? "trsm" : "trmm") << " ka=" << ka << " " << to_string(side) << " "
+                << (d == Dispatch::Auto ? "Auto" : d == Dispatch::ForceRef ? "ForceRef"
+                                                                           : "ForceBlocked")
+                << " entry " << k;
+            if constexpr (is_complex_v<T>) {
+              ASSERT_FALSE(std::signbit(bbuf[k].imag())) << "entry " << k;
+            }
+          }
+        }
+}
+
+// ---------------------------------------------------------------------------
 // Empty extents are no-ops through every blocked entry point.
 // ---------------------------------------------------------------------------
 
