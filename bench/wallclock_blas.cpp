@@ -23,6 +23,13 @@
 // the factorization residual gate ‖A − L·Lᵀ‖_F / (n·‖A‖_F) on every matrix
 // in both configurations.
 //
+// Part 3 is the potf2_batch series: 1000 matrices with n uniform in
+// [1, 32], bucketed by order as the fused step's numerics pass buckets
+// its diagonal tiles, factored by blas::potf2_batch (one matrix per SIMD
+// lane) and by looped blas::potf2 on identical inputs. Two gates:
+//   * bit gate — factors and info memcmp-identical to the loop, any ISA;
+//   * lane gate — on a vector ISA, potf2_batch >= 1.5x the loop's rate.
+//
 // Output: a human-readable table on stdout plus one JSON line appended to
 // BENCH_blas.json (override with --out). The run fails (non-zero exit) on a
 // numerics problem or on a failed regression gate.
@@ -30,6 +37,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -160,6 +169,83 @@ E2eResult run_e2e(const Options& o, const std::vector<int>& sizes) {
                                      ConstMatrixView<double>(orig.data(), n, n, ld),
                                      ConstMatrixView<double>(factor.data(), n, n, ld)));
   }
+  return r;
+}
+
+struct Potf2BatchResult {
+  double loop_gflops = 0.0;   ///< looped blas::potf2
+  double batch_gflops = 0.0;  ///< blas::potf2_batch
+  bool bits_ok = true;
+};
+
+/// Part 3: `count` SPD matrices of orders uniform in [1, max_n], sorted by
+/// order; each timing restores the inputs, then factors the whole set once
+/// (looped potf2, or potf2_batch per order bucket). Best of `reps` passes.
+Potf2BatchResult run_potf2_batch(const Options& o, int count, int max_n) {
+  Rng rng(o.seed + 2);
+  std::vector<index_t> order(static_cast<std::size_t>(count));
+  for (index_t& n : order) n = rng.uniform_int(1, max_n);
+  std::sort(order.begin(), order.end());
+  std::vector<std::vector<double>> orig(order.size()), work(order.size());
+  double flops = 0.0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    orig[i].resize(static_cast<std::size_t>(order[i] * order[i]));
+    fill_spd(rng, orig[i].data(), order[i], order[i]);
+    work[i] = orig[i];
+    flops += flops::potrf(order[i]);
+  }
+  std::vector<MatrixView<double>> views;
+  for (std::size_t i = 0; i < order.size(); ++i)
+    views.emplace_back(work[i].data(), order[i], order[i], order[i]);
+  std::vector<int> info(order.size());
+
+  auto loop = [&] {
+    for (std::size_t i = 0; i < views.size(); ++i)
+      info[i] = blas::potf2<double>(Uplo::Lower, views[i]);
+  };
+  auto batched = [&] {
+    const std::span<const MatrixView<double>> all(views);
+    for (std::size_t b = 0, e = 0; b < views.size(); b = e) {
+      while (e < views.size() && order[e] == order[b]) ++e;
+      blas::potf2_batch<double>(Uplo::Lower, all.subspan(b, e - b),
+                                std::span<int>(info).subspan(b, e - b));
+    }
+  };
+  auto restore = [&] {
+    for (std::size_t i = 0; i < work.size(); ++i) work[i] = orig[i];
+  };
+  // ~20 ms of factoring per cell and pass, one restore before each call.
+  auto best_seconds = [&](auto&& factor) {
+    double best = 1e300, spent = 0.0;
+    while (spent < 0.02) {
+      restore();
+      const double t0 = now_seconds();
+      factor();
+      const double dt = now_seconds() - t0;
+      best = std::min(best, dt);
+      spent += dt;
+    }
+    return best;
+  };
+
+  Potf2BatchResult r;
+  restore();
+  loop();
+  const auto want = work;
+  const auto want_info = info;
+  restore();
+  batched();
+  for (std::size_t i = 0; i < work.size(); ++i)
+    r.bits_ok = r.bits_ok && info[i] == want_info[i] &&
+                std::memcmp(work[i].data(), want[i].data(), work[i].size() * sizeof(double)) == 0;
+
+  double loop_s = 1e300, batch_s = 1e300;
+  for (int pass = 0; pass < o.reps; ++pass) {
+    loop_s = std::min(loop_s, best_seconds(loop));
+    batch_s = std::min(batch_s, best_seconds(batched));
+  }
+  r.loop_gflops = flops / loop_s * 1e-9;
+  r.batch_gflops = flops / batch_s * 1e-9;
   return r;
 }
 
@@ -356,6 +442,16 @@ int main(int argc, char** argv) {
     e2e.push_back(pt);
   }
 
+  // Part 3: potf2_batch against looped potf2.
+  constexpr int kPotf2Count = 1000, kPotf2MaxN = 32;
+  const Potf2BatchResult p2 = run_potf2_batch(o, kPotf2Count, kPotf2MaxN);
+  const double p2_speedup = p2.loop_gflops > 0.0 ? p2.batch_gflops / p2.loop_gflops : 0.0;
+  const int p2_lanes = blas::potf2_lanes<double>();
+  const bool p2_speedup_ok = p2_lanes == 1 || p2_speedup >= 1.5;
+  std::printf("  potf2_batch (%d matrices, n in [1, %d], %d lanes): loop %.2f Gf/s, "
+              "batch %.2f Gf/s, %.2fx\n",
+              kPotf2Count, kPotf2MaxN, p2_lanes, p2.loop_gflops, p2.batch_gflops, p2_speedup);
+
   std::printf("  gemm double min speedup vs ref (n>=64): NN %.2fx, NT %.2fx\n", min_speedup_nn,
               min_speedup_nt);
   if (vector_gate_ran)
@@ -365,6 +461,11 @@ int main(int argc, char** argv) {
     std::printf("  NN n=512 gate (>=0.9x of n=384): %.2fx (%s)\n", nn512_ratio,
                 nn512_ok ? "PASS" : "FAIL");
   std::printf("  residual gates: %s\n", residual_ok ? "PASS" : "FAIL");
+  std::printf("  potf2_batch bit gate (memcmp vs looped potf2): %s\n",
+              p2.bits_ok ? "PASS" : "FAIL");
+  if (p2_lanes > 1)
+    std::printf("  potf2_batch lane gate (>=1.5x looped potf2): %.2fx (%s)\n", p2_speedup,
+                p2_speedup_ok ? "PASS" : "FAIL");
 
   gate::JsonLine json{{"bench", "wallclock_blas"}, {"isa", to_string(isa)}, {"tuned", o.tune},
                       {"sizes", o.sizes}};
@@ -392,15 +493,23 @@ int main(int argc, char** argv) {
       .add("e2e_batch", o.batch)
       .add("e2e_nmax", o.nmax)
       .add("residual_ok", residual_ok)
-      .add("e2e", e2e_json);
+      .add("e2e", e2e_json)
+      .add("potf2_batch", gate::JsonLine{{"count", kPotf2Count},
+                                         {"nmax", kPotf2MaxN},
+                                         {"lanes", p2_lanes},
+                                         {"loop_gflops", p2.loop_gflops},
+                                         {"batch_gflops", p2.batch_gflops},
+                                         {"speedup", p2_speedup},
+                                         {"bits_ok", p2.bits_ok},
+                                         {"speedup_ok", p2_speedup_ok}});
   std::printf("%s\n", json.str().c_str());
   gate::append_json_lines(o.out, {json});
 
-  if (!residual_ok) {
-    std::fprintf(stderr, "FAILED: residual gate or info check failed\n");
+  if (!residual_ok || !p2.bits_ok) {
+    std::fprintf(stderr, "FAILED: residual gate, info check or potf2_batch bit gate failed\n");
     return 1;
   }
-  if (!nt_vector_2x_ok || !nn512_ok) {
+  if (!nt_vector_2x_ok || !nn512_ok || !p2_speedup_ok) {
     std::fprintf(stderr, "FAILED: performance regression gate failed\n");
     return 1;
   }

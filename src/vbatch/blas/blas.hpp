@@ -86,6 +86,23 @@ int trtri(Uplo uplo, Diag diag, MatrixView<T> a);
 template <typename T>
 int potf2(Uplo uplo, MatrixView<T> a);
 
+/// Lane count W of potf2_batch's batch-interleaved kernel for T under the
+/// active ISA (float: 4 / 8 / 16 and double: 2 / 4 / 8 at 128-bit / AVX2 /
+/// AVX-512); 1 when there is none (complex T, Isa::Scalar).
+template <typename T>
+[[nodiscard]] int potf2_lanes() noexcept;
+
+/// Upper bound of potf2_lanes<T>(): the float lanes of a 512-bit vector.
+inline constexpr int kMaxPotf2Lanes = 16;
+
+/// potf2 on every panel of `a`, info[p] for panel p. Consecutive runs of
+/// potf2_lanes<T>() panels of one order factor together in the
+/// batch-interleaved kernel, one panel per SIMD lane; the rest loop potf2.
+/// Factors and info are bit-identical to looping potf2 at every ISA
+/// (docs/blas.md, "Batch-interleaved potf2").
+template <typename T>
+void potf2_batch(Uplo uplo, std::span<const MatrixView<T>> a, std::span<int> info);
+
 /// Blocked Cholesky (LAPACK xPOTRF) with block size nb.
 template <typename T>
 int potrf(Uplo uplo, MatrixView<T> a, index_t nb = 64);

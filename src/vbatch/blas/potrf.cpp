@@ -1,9 +1,47 @@
 #include <cmath>
+#include <utility>
 
 #include "vbatch/blas/blas.hpp"
+#include "vbatch/blas/isa.hpp"
+#include "vbatch/blas/potf2_lanes.hpp"
 #include "vbatch/util/error.hpp"
 
 namespace vbatch::blas {
+
+namespace detail {
+#if !defined(VBATCH_HAVE_AVX2_TU)
+Potf2LaneKernels potf2_lanes_avx2() noexcept { return {}; }
+#endif
+#if !defined(VBATCH_HAVE_AVX512_TU)
+Potf2LaneKernels potf2_lanes_avx512() noexcept { return {}; }
+#endif
+}  // namespace detail
+
+namespace {
+
+// The active ISA's interleaved potf2 for T and its lane count; {nullptr, 1}
+// for complex T, Isa::Scalar, or an ISA whose TU was not compiled.
+template <typename T>
+std::pair<detail::Potf2LanesFn<T>, int> lanes_kernel() noexcept {
+  if constexpr (is_complex_v<T>) {
+    return {nullptr, 1};
+  } else {
+    detail::Potf2LaneKernels k;
+    switch (micro::active_isa()) {
+      case micro::Isa::Avx512: k = detail::potf2_lanes_avx512(); break;
+      case micro::Isa::Avx2: k = detail::potf2_lanes_avx2(); break;
+      case micro::Isa::Sse2:
+      case micro::Isa::Neon: k = detail::potf2_lanes_v128(); break;
+      case micro::Isa::Scalar: break;
+    }
+    if (k.vector_bytes == 0) return {nullptr, 1};
+    const int w = k.vector_bytes / static_cast<int>(sizeof(T));
+    if constexpr (std::is_same_v<T, float>) return {k.f, w};
+    else return {k.d, w};
+  }
+}
+
+}  // namespace
 
 // Unblocked Cholesky; for complex scalars this is the Hermitian xPOTF2
 // (A = L·Lᴴ / UᴴU): the pivot is the real part of the diagonal and the
@@ -50,6 +88,34 @@ int potf2(Uplo uplo, MatrixView<T> a) {
     }
   }
   return 0;
+}
+
+template <typename T>
+int potf2_lanes() noexcept {
+  return lanes_kernel<T>().second;
+}
+
+template <typename T>
+void potf2_batch(Uplo uplo, std::span<const MatrixView<T>> a, std::span<int> info) {
+  require(info.size() == a.size(), "potf2_batch: one info slot per panel");
+  const auto [kernel, w] = lanes_kernel<T>();
+  std::size_t p = 0;
+  if (kernel != nullptr) {
+    T* ptrs[kMaxPotf2Lanes];
+    index_t ld[kMaxPotf2Lanes];
+    for (; p + static_cast<std::size_t>(w) <= a.size(); p += static_cast<std::size_t>(w)) {
+      const index_t n = a[p].rows();
+      for (int l = 0; l < w; ++l) {
+        const MatrixView<T>& v = a[p + static_cast<std::size_t>(l)];
+        require(v.rows() == n && v.cols() == n,
+                "potf2_batch: a lane group needs one square order");
+        ptrs[l] = v.data();
+        ld[l] = v.ld();
+      }
+      kernel(uplo == Uplo::Upper, n, ptrs, ld, info.data() + p);
+    }
+  }
+  for (; p < a.size(); ++p) info[p] = potf2(uplo, a[p]);
 }
 
 // Blocked right-looking Cholesky, the LAPACK xPOTRF structure: factor an
@@ -113,6 +179,18 @@ void potrs(Uplo uplo, ConstMatrixView<T> a, MatrixView<T> b) {
 
 template int potf2<float>(Uplo, MatrixView<float>);
 template int potf2<double>(Uplo, MatrixView<double>);
+template int potf2_lanes<float>() noexcept;
+template int potf2_lanes<double>() noexcept;
+template int potf2_lanes<std::complex<float>>() noexcept;
+template int potf2_lanes<std::complex<double>>() noexcept;
+template void potf2_batch<float>(Uplo, std::span<const MatrixView<float>>, std::span<int>);
+template void potf2_batch<double>(Uplo, std::span<const MatrixView<double>>, std::span<int>);
+template void potf2_batch<std::complex<float>>(Uplo,
+                                               std::span<const MatrixView<std::complex<float>>>,
+                                               std::span<int>);
+template void potf2_batch<std::complex<double>>(Uplo,
+                                                std::span<const MatrixView<std::complex<double>>>,
+                                                std::span<int>);
 template int potrf<float>(Uplo, MatrixView<float>, index_t);
 template int potrf<double>(Uplo, MatrixView<double>, index_t);
 template void potrs<float>(Uplo, ConstMatrixView<float>, MatrixView<float>);

@@ -1,9 +1,12 @@
 #include "vbatch/kernels/fused_potrf.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "vbatch/kernels/fused_step_math.hpp"
 #include "vbatch/util/error.hpp"
+#include "vbatch/util/thread_pool.hpp"
 
 namespace vbatch::kernels {
 
@@ -41,6 +44,108 @@ int choose_fused_nb(const sim::DeviceSpec& spec, int max_n, std::size_t elem_siz
   return 8;
 }
 
+namespace {
+
+/// One unit of the numerics pass: live matrices whose diagonal tiles have
+/// one order and factor together (a whole lane group, or a shorter rest).
+struct LaneGroup {
+  int begin = 0;  ///< into NumericsScratch::order
+  int count = 0;
+};
+
+/// Per-thread scratch of the numerics pass, reused across launches.
+struct NumericsScratch {
+  std::vector<int> live;    ///< live matrices in block order
+  std::vector<int> offset;  ///< counting-sort cursor per diagonal-tile order
+  std::vector<int> order;   ///< live matrices, bucketed by diagonal-tile order
+  std::vector<LaneGroup> groups;
+};
+
+/// Update, lane-grouped potf2 and solve for the matrices `mats`, whose
+/// diagonal tiles share one order.
+template <typename T>
+void run_group(const FusedStepArgs<T>& args, std::span<const int> mats) {
+  const auto& a = args.batch;
+  auto view = [&a](int i) {
+    const int n = a.n[static_cast<std::size_t>(i)];
+    return a.view(i, n, n);
+  };
+  MatrixView<T> diag[blas::kMaxPotf2Lanes];
+  int local[blas::kMaxPotf2Lanes] = {};
+  const std::size_t count = mats.size();
+  for (std::size_t k = 0; k < count; ++k) {
+    const MatrixView<T> A = view(mats[k]);
+    fused_step_update(args.uplo, A, args.step, args.nb);
+    diag[k] = fused_step_diag(A, args.step, args.nb);
+  }
+  blas::potf2_batch<T>(args.uplo, {diag, count}, {local, count});
+  for (std::size_t k = 0; k < count; ++k) {
+    if (local[k] == 0) {
+      fused_step_solve(args.uplo, view(mats[k]), args.step, args.nb);
+    } else {
+      args.info[static_cast<std::size_t>(mats[k])] =
+          fused_step_info(args.step, args.nb, local[k]);
+    }
+  }
+}
+
+/// The Full-mode numerics of one fused step over the blocks that were live
+/// in the cost pass (info is still as the cost pass read it). The live
+/// matrices are bucketed by diagonal-tile order and cut into groups of
+/// blas::potf2_lanes<T>(); groups touch disjoint matrices, so running them
+/// on the worker pool gives the same bits as running every block alone.
+template <typename T>
+void fused_step_numerics(const FusedStepArgs<T>& args, int covered) {
+  thread_local NumericsScratch scratch;
+  NumericsScratch& s = scratch;  // the launching thread's, also inside pool tasks
+  const auto& a = args.batch;
+  const index_t j = static_cast<index_t>(args.step) * args.nb;
+  auto tile_order = [&a, &args, j](int i) {
+    return static_cast<int>(std::min<index_t>(args.nb, a.n[static_cast<std::size_t>(i)] - j));
+  };
+
+  s.live.clear();
+  s.offset.assign(static_cast<std::size_t>(args.nb) + 1, 0);
+  for (int block = 0; block < covered; ++block) {
+    const int i = args.active.empty() ? block : args.active[static_cast<std::size_t>(block)];
+    if (j >= a.n[static_cast<std::size_t>(i)] || args.info[static_cast<std::size_t>(i)] != 0)
+      continue;
+    s.live.push_back(i);
+    ++s.offset[static_cast<std::size_t>(tile_order(i))];
+  }
+  int start = 0;
+  for (int& o : s.offset) start += std::exchange(o, start);
+  s.order.resize(s.live.size());
+  for (int i : s.live) s.order[static_cast<std::size_t>(s.offset[tile_order(i)]++)] = i;
+
+  // offset[ib] now ends bucket ib.
+  const int w = blas::potf2_lanes<T>();
+  s.groups.clear();
+  int begin = 0;
+  for (const int end : s.offset) {
+    while (begin < end) {
+      const int count = std::min(w, end - begin);
+      s.groups.push_back({begin, count});
+      begin += count;
+    }
+  }
+
+  auto run = [&s, &args](int g) {
+    const LaneGroup grp = s.groups[static_cast<std::size_t>(g)];
+    run_group(args, std::span<const int>(s.order).subspan(static_cast<std::size_t>(grp.begin),
+                                                          static_cast<std::size_t>(grp.count)));
+  };
+  util::ThreadPool& pool = util::host_pool();
+  const int groups = static_cast<int>(s.groups.size());
+  if (static_cast<int>(s.live.size()) < sim::kParallelGrainBlocks || pool.size() == 1) {
+    for (int g = 0; g < groups; ++g) run(g);
+  } else {
+    pool.parallel_for(groups, run);
+  }
+}
+
+}  // namespace
+
 template <typename T>
 double launch_fused_step(sim::Device& dev, const FusedStepArgs<T>& args) {
   const int batch = args.batch.count();
@@ -55,32 +160,31 @@ double launch_fused_step(sim::Device& dev, const FusedStepArgs<T>& args) {
   cfg.shared_mem = fused_shared_mem(args.block_threads, args.nb, sizeof(T));
   cfg.precision = precision_v<T>;
 
+  // Cost pass: every block's report, read from info before the step's math.
   const auto& a = args.batch;
-  return dev.launch(cfg, [&args, &a](const sim::ExecContext& ctx, int block) -> sim::BlockCost {
-    const int i = args.active.empty() ? block : args.active[static_cast<std::size_t>(block)];
-    const int n = a.n[static_cast<std::size_t>(i)];
-    const index_t j = static_cast<index_t>(args.step) * args.nb;
+  const double seconds =
+      dev.launch(cfg, [&args, &a](const sim::ExecContext&, int block) -> sim::BlockCost {
+        const int i = args.active.empty() ? block : args.active[static_cast<std::size_t>(block)];
+        const int n = a.n[static_cast<std::size_t>(i)];
+        const index_t j = static_cast<index_t>(args.step) * args.nb;
 
-    sim::BlockCost cost;
-    cost.live_threads = args.block_threads;
+        sim::BlockCost cost;
+        cost.live_threads = args.block_threads;
 
-    // ETM: this matrix is fully factorized (or previously failed) — the
-    // whole block exits. Both ETM flavours terminate whole idle blocks.
-    if (j >= n || args.info[static_cast<std::size_t>(i)] != 0) {
-      cost.early_exit = true;
-      return cost;
-    }
+        // ETM: this matrix is fully factorized (or previously failed) — the
+        // whole block exits. Both ETM flavours terminate whole idle blocks.
+        if (j >= n || args.info[static_cast<std::size_t>(i)] != 0) {
+          cost.early_exit = true;
+          return cost;
+        }
+        fused_step_cost(cost, n, args.step, args.nb, args.block_threads, args.etm, sizeof(T));
+        return cost;
+      });
 
-    fused_step_cost(cost, n, args.step, args.nb, args.block_threads, args.etm, sizeof(T));
-
-    if (ctx.full()) {
-      const index_t lda = a.lda[static_cast<std::size_t>(i)];
-      MatrixView<T> A(a.ptrs[i], n, n, lda);
-      const int info = fused_step_math<T>(args.uplo, A, args.step, args.nb);
-      if (info != 0) args.info[static_cast<std::size_t>(i)] = info;
-    }
-    return cost;
-  });
+  // Numerics pass (Full mode): the same live blocks, their diagonal tiles
+  // factored in lane groups (docs/simulator.md, "Fused step").
+  if (dev.mode() == sim::ExecMode::Full) fused_step_numerics(args, covered);
+  return seconds;
 }
 
 template double launch_fused_step<float>(sim::Device&, const FusedStepArgs<float>&);

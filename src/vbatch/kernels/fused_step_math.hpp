@@ -2,7 +2,9 @@
 // step (§III-D), shared between the vbatched fused kernel
 // (launch_fused_step) and the separated path's panel kernel
 // (launch_potf2_panel), which the paper builds by reusing the fused kernel
-// on NB-wide diagonal panels (§III-E1).
+// on NB-wide diagonal panels (§III-E1). The panel kernel runs
+// fused_step_math per block; the fused kernel runs its three pieces around
+// a lane-grouped blas::potf2_batch of many matrices' diagonal tiles.
 #pragma once
 
 #include <algorithm>
@@ -37,40 +39,66 @@ inline void fused_step_cost(sim::BlockCost& cost, index_t n, int step, int nb,
   cost.serial_ops = static_cast<double>(2 * ib);  // sqrt + reciprocal chain
 }
 
+/// The fused step's diagonal tile: the ib×ib block at (j, j) of the n×n
+/// matrix `A` at step `step` of blocking `nb`, ib = min(nb, n − j).
+template <typename T>
+MatrixView<T> fused_step_diag(MatrixView<T> A, int step, int nb) {
+  const index_t j = static_cast<index_t>(step) * nb;
+  const index_t ib = std::min<index_t>(nb, A.rows() - j);
+  return A.block(j, j, ib, ib);
+}
+
+/// Step sub-operation 1: the customized rank-k update of the step's panel
+/// (m×ib column panel for Lower, ib×m row panel for Upper) by the factored
+/// columns (rows) before it. A no-op at step 0.
+template <typename T>
+void fused_step_update(Uplo uplo, MatrixView<T> A, int step, int nb) {
+  const index_t j = static_cast<index_t>(step) * nb;
+  const index_t m = A.rows() - j;
+  const index_t ib = std::min<index_t>(nb, m);
+  if (j == 0) return;
+  if (uplo == Uplo::Lower) {
+    blas::gemm<T>(Trans::NoTrans, Trans::Trans, T(-1), A.block(j, 0, m, j), A.block(j, 0, ib, j),
+                  T(1), A.block(j, j, m, ib));
+  } else {
+    blas::gemm<T>(Trans::Trans, Trans::NoTrans, T(-1), A.block(0, j, j, ib), A.block(0, j, j, m),
+                  T(1), A.block(j, j, ib, m));
+  }
+}
+
+/// Step sub-operation 3, run once the diagonal tile factored cleanly: the
+/// trsm of the rest of the panel against the tile's factor.
+template <typename T>
+void fused_step_solve(Uplo uplo, MatrixView<T> A, int step, int nb) {
+  const index_t j = static_cast<index_t>(step) * nb;
+  const index_t m = A.rows() - j;
+  const index_t ib = std::min<index_t>(nb, m);
+  if (m == ib) return;
+  if (uplo == Uplo::Lower) {
+    blas::trsm<T>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1),
+                  A.block(j, j, ib, ib), A.block(j + ib, j, m - ib, ib));
+  } else {
+    blas::trsm<T>(Side::Left, Uplo::Upper, Trans::Trans, Diag::NonUnit, T(1),
+                  A.block(j, j, ib, ib), A.block(j, j + ib, ib, m - ib));
+  }
+}
+
+/// Whole-matrix info from the diagonal tile's local potf2 info: the step
+/// offset applied, 0 stays 0.
+inline int fused_step_info(int step, int nb, int local_info) {
+  return local_info == 0 ? 0 : step * nb + local_info;
+}
+
 /// Executes the real arithmetic of one fused step on the matrix view `A`
-/// (order n, leading dimension A.ld()). Returns LAPACK-style local info
-/// relative to the whole matrix (step offset already applied), or 0.
+/// (order n, leading dimension A.ld()): update, potf2 of the diagonal
+/// tile, solve. Returns LAPACK-style local info relative to the whole
+/// matrix (step offset already applied), or 0.
 template <typename T>
 int fused_step_math(Uplo uplo, MatrixView<T> A, int step, int nb) {
-  const index_t n = A.rows();
-  const index_t j = static_cast<index_t>(step) * nb;
-  const index_t m = n - j;
-  const index_t ib = std::min<index_t>(nb, m);
-  int local_info = 0;
-  if (uplo == Uplo::Lower) {
-    auto panel = A.block(j, j, m, ib);
-    if (j > 0) {
-      blas::gemm<T>(Trans::NoTrans, Trans::Trans, T(-1), A.block(j, 0, m, j),
-                    A.block(j, 0, ib, j), T(1), panel);
-    }
-    local_info = blas::potf2<T>(Uplo::Lower, panel.block(0, 0, ib, ib));
-    if (local_info == 0 && m > ib) {
-      blas::trsm<T>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1),
-                    panel.block(0, 0, ib, ib), panel.block(ib, 0, m - ib, ib));
-    }
-  } else {
-    auto row = A.block(j, j, ib, m);
-    if (j > 0) {
-      blas::gemm<T>(Trans::Trans, Trans::NoTrans, T(-1), A.block(0, j, j, ib),
-                    A.block(0, j, j, m), T(1), row);
-    }
-    local_info = blas::potf2<T>(Uplo::Upper, row.block(0, 0, ib, ib));
-    if (local_info == 0 && m > ib) {
-      blas::trsm<T>(Side::Left, Uplo::Upper, Trans::Trans, Diag::NonUnit, T(1),
-                    row.block(0, 0, ib, ib), row.block(0, ib, ib, m - ib));
-    }
-  }
-  return local_info == 0 ? 0 : static_cast<int>(j) + local_info;
+  fused_step_update(uplo, A, step, nb);
+  const int local_info = blas::potf2<T>(uplo, fused_step_diag(A, step, nb));
+  if (local_info == 0) fused_step_solve(uplo, A, step, nb);
+  return fused_step_info(step, nb, local_info);
 }
 
 }  // namespace vbatch::kernels

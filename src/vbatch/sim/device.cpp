@@ -7,14 +7,6 @@
 
 namespace vbatch::sim {
 
-namespace {
-
-// Grids below this size run serially: pool dispatch costs more than the
-// blocks themselves (the aux metadata sweeps are 1–4 trivial blocks).
-constexpr int kParallelGrainBlocks = 32;
-
-}  // namespace
-
 Device::Device(DeviceSpec spec, ExecMode mode) : spec_(std::move(spec)), mode_(mode) {}
 
 Device::~Device() = default;

@@ -36,6 +36,12 @@
 
 namespace vbatch::sim {
 
+/// Full-mode grids below this many blocks run serially: pool dispatch costs
+/// more than the blocks themselves (the aux metadata sweeps are 1–4 trivial
+/// blocks). Kernels that run their numerics outside the block functors
+/// (launch_fused_step) use the same grain.
+inline constexpr int kParallelGrainBlocks = 32;
+
 class Device {
  public:
   explicit Device(DeviceSpec spec = DeviceSpec::k40c(), ExecMode mode = ExecMode::Full);
