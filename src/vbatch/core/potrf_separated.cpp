@@ -2,18 +2,19 @@
 //
 // The "factorization driver" runs on the host and controls the launches of
 // the vbatched building blocks for a right-looking blocked Cholesky:
-//   potf2 (NB panel, reusing the fused kernel internally) → trsm (trtri of
-//   32×32 diagonal blocks + gemm sweeps) → syrk trailing update (vbatched
-//   grid or streamed per-matrix kernels).
-// The host numerics of trsm and syrk are gemm-shaped throughout: the trtri
-// blocks are stored dense (explicit zeros in the unused triangle) and
-// applied by gemm, and a syrk diagonal tile is a gemm on its square of
-// which only the requested triangle is written back. No step reads the
-// triangle LAPACK leaves unreferenced.
+//   potf2 (NB panel, the fused step on the panel's diagonal blocks) → trsm
+//   (trtri of 32×32 diagonal blocks + gemm sweeps) → syrk trailing update
+//   (vbatched grid or streamed per-matrix kernels).
+// The launches are the modelled cost; the host numerics take host-shaped
+// forms of the same work. The panel factors its diagonal tiles in lane
+// groups, the trsm solves each panel with one blas::trsm (the inverted
+// blocks are never formed), and a syrk diagonal tile is a gemm on its
+// square of which only the requested triangle is written back. No step
+// reads the triangle LAPACK leaves unreferenced.
 // Between steps, auxiliary kernels shift the size arrays and displace the
 // pointer arrays so fully factorized matrices are ignored without
 // out-of-bound accesses.
-#include <algorithm>
+#include <vector>
 
 #include "vbatch/core/potrf_vbatched.hpp"
 #include "vbatch/kernels/aux_kernels.hpp"
@@ -39,16 +40,13 @@ double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, 
   sim::Device& dev = q.device();
   double seconds = 0.0;
 
-  // Workspace: per-matrix NB×NB buffer for the inverted diagonal blocks of
-  // the trsm (freed when the call returns).
-  const std::vector<int> nb_extent(static_cast<std::size_t>(batch), NB);
-  const SlabArrays<T> inv(q, nb_extent, nb_extent);
-
   std::vector<int> trail_m(static_cast<std::size_t>(batch));
   std::vector<int> trail_ib(static_cast<std::size_t>(batch));
-  // Displaced-pointer scratch, reused across panel steps (one buffer per
-  // operand for the whole call instead of three allocations per step).
+  // Displaced-pointer scratch and the panel's sub-batch mirrors, reused
+  // across panel steps (one buffer per operand for the whole call instead
+  // of allocations per step).
   std::vector<T*> diag_ptrs, sub_ptrs, trail_ptrs;
+  kernels::PanelScratch<T> panel_scratch;
 
   for (int j = 0; j < max_n; j += NB) {
     // §III-F: the driver checks whether any matrix still has work; fully
@@ -62,6 +60,7 @@ double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, 
     panel.NB = NB;
     panel.nb_inner = 16;
     panel.info = prob.info;
+    panel.scratch = &panel_scratch;
     seconds += kernels::launch_potf2_panel(dev, panel);
 
     const int max_m2 = max_n - j - NB;
@@ -96,8 +95,6 @@ double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, 
     trsm.m = trail_m;
     trsm.max_ib = NB;
     trsm.max_m = max_m2;
-    trsm.inv = inv.ptrs();
-    trsm.inv_ld = NB;
     seconds += kernels::launch_trsm_vbatched(dev, trsm);
 
     kernels::SyrkVbatchedArgs<T> syrk;

@@ -137,6 +137,11 @@ CpuExecutor::CpuExecutor(std::string name, const cpu::CpuSpec& spec,
 
 CpuExecutor::~CpuExecutor() = default;
 
+void CpuExecutor::begin_call(sim::ExecMode mode) {
+  Executor::begin_call(mode);
+  numerics_.device().clear_timeline();
+}
+
 ChunkEstimate CpuExecutor::estimate(const ChunkWork& work) {
   // The paper's best CPU strategy (§IV-F): one core per matrix, dynamic
   // scheduling. Purely analytic, so estimate == execute time. Every core is

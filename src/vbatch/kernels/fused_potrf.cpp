@@ -6,7 +6,6 @@
 
 #include "vbatch/kernels/fused_step_math.hpp"
 #include "vbatch/util/error.hpp"
-#include "vbatch/util/thread_pool.hpp"
 
 namespace vbatch::kernels {
 
@@ -84,7 +83,7 @@ void run_group(const FusedStepArgs<T>& args, std::span<const int> mats) {
       fused_step_solve(args.uplo, view(mats[k]), args.step, args.nb);
     } else {
       args.info[static_cast<std::size_t>(mats[k])] =
-          fused_step_info(args.step, args.nb, local[k]);
+          args.info_offset + fused_step_info(args.step, args.nb, local[k]);
     }
   }
 }
@@ -135,13 +134,8 @@ void fused_step_numerics(const FusedStepArgs<T>& args, int covered) {
     run_group(args, std::span<const int>(s.order).subspan(static_cast<std::size_t>(grp.begin),
                                                           static_cast<std::size_t>(grp.count)));
   };
-  util::ThreadPool& pool = util::host_pool();
-  const int groups = static_cast<int>(s.groups.size());
-  if (static_cast<int>(s.live.size()) < sim::kParallelGrainBlocks || pool.size() == 1) {
-    for (int g = 0; g < groups; ++g) run(g);
-  } else {
-    pool.parallel_for(groups, run);
-  }
+  sim::parallel_for_grained(static_cast<int>(s.groups.size()), static_cast<int>(s.live.size()),
+                            run);
 }
 
 }  // namespace
@@ -154,11 +148,12 @@ double launch_fused_step(sim::Device& dev, const FusedStepArgs<T>& args) {
   require(args.block_threads > 0, "fused step: block_threads not set");
 
   sim::LaunchConfig cfg;
-  cfg.name = "fused_potrf_step";
+  cfg.name = args.name;
   cfg.grid_blocks = covered;
   cfg.block_threads = args.block_threads;
   cfg.shared_mem = fused_shared_mem(args.block_threads, args.nb, sizeof(T));
   cfg.precision = precision_v<T>;
+  cfg.cost_only = true;
 
   // Cost pass: every block's report, read from info before the step's math.
   const auto& a = args.batch;

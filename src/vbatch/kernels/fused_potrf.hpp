@@ -33,6 +33,8 @@ struct FusedStepArgs {
   int block_threads = 0;          ///< threads per block (≥ max live panel height)
   EtmMode etm = EtmMode::Aggressive;
   std::span<int> info;            ///< host mirror of the device info array
+  const char* name = "fused_potrf_step";  ///< timeline name of the launch
+  int info_offset = 0;            ///< added to a failing pivot's info (a sub-batch's origin)
 };
 
 /// Launches one fused factorization step. Returns modelled kernel seconds.

@@ -1,10 +1,9 @@
 // The numerical payload and cost report of one fused left-looking Cholesky
-// step (§III-D), shared between the vbatched fused kernel
-// (launch_fused_step) and the separated path's panel kernel
-// (launch_potf2_panel), which the paper builds by reusing the fused kernel
-// on NB-wide diagonal panels (§III-E1). The panel kernel runs
-// fused_step_math per block; the fused kernel runs its three pieces around
-// a lane-grouped blas::potf2_batch of many matrices' diagonal tiles.
+// step (§III-D). launch_fused_step reports fused_step_cost per block, then
+// runs the three pieces (update, diagonal tile, solve) around a
+// lane-grouped blas::potf2_batch of many matrices' diagonal tiles. The
+// separated path's panel kernel (launch_potf2_panel) is that same launch on
+// the panels' diagonal blocks, as the paper builds it (§III-E1).
 #pragma once
 
 #include <algorithm>
@@ -92,7 +91,9 @@ inline int fused_step_info(int step, int nb, int local_info) {
 /// Executes the real arithmetic of one fused step on the matrix view `A`
 /// (order n, leading dimension A.ld()): update, potf2 of the diagonal
 /// tile, solve. Returns LAPACK-style local info relative to the whole
-/// matrix (step offset already applied), or 0.
+/// matrix (step offset already applied), or 0. No library code calls it:
+/// it is the per-matrix oracle the lane-grouped numerics pass is tested
+/// against (memcmp-equal, since blas::potf2_batch ≡ blas::potf2).
 template <typename T>
 int fused_step_math(Uplo uplo, MatrixView<T> A, int step, int nb) {
   fused_step_update(uplo, A, step, nb);

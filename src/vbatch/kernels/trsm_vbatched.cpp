@@ -1,7 +1,6 @@
 #include "vbatch/kernels/trsm_vbatched.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/util/error.hpp"
@@ -11,22 +10,57 @@ namespace vbatch::kernels {
 
 namespace {
 
-// Thread-local staging tile for the sweep: the strip is copied here so the
-// multiply with the inverted block can write its product straight back.
-// Grows to the largest strip the thread has seen, like the engine's pack
-// buffers.
+constexpr int kTrtriBlock = 32;
+
+// §III-E2: the vbatched trsm starts "by inverting the diagonal blocks of
+// size typically 32×32 using a vbatched trtri routine": one grid block per
+// 32×32 diagonal sub-block of one matrix's NB-wide panel; blocks at or past
+// ib exit through ETM-classic (the threads of a live block stay in sync, so
+// aggressive is not applicable). Cost only: the host numerics never form
+// the inverted blocks (trsm_numerics).
 template <typename T>
-std::vector<T>& strip_stage() {
-  static thread_local std::vector<T> buf;
-  return buf;
+double launch_trtri(sim::Device& dev, std::span<const int> ib, int NB) {
+  const int batch = static_cast<int>(ib.size());
+  require(batch > 0, "trsm_vbatched: empty batch");
+  const int blocks_per_matrix = (NB + kTrtriBlock - 1) / kTrtriBlock;
+
+  sim::LaunchConfig cfg;
+  cfg.name = "vbatched_trtri_diag";
+  cfg.grid_blocks = batch * blocks_per_matrix;
+  cfg.block_threads = 128;
+  cfg.shared_mem = static_cast<std::size_t>(kTrtriBlock) * kTrtriBlock * sizeof(T);
+  cfg.precision = precision_v<T>;
+  cfg.cost_only = true;
+
+  return dev.launch(cfg, [ib, blocks_per_matrix](const sim::ExecContext&,
+                                                 int block) -> sim::BlockCost {
+    const int i = block / blocks_per_matrix;
+    const int t = block % blocks_per_matrix;
+    const index_t ibi = ib[static_cast<std::size_t>(i)];
+    const index_t off = static_cast<index_t>(t) * kTrtriBlock;
+
+    sim::BlockCost cost;
+    cost.live_threads = 128;
+    if (off >= ibi) {
+      cost.early_exit = true;  // ETM-classic
+      return cost;
+    }
+
+    const index_t tb = std::min<index_t>(kTrtriBlock, ibi - off);
+    cost.active_threads = static_cast<int>(std::min<index_t>(tb * 4, 128));
+    cost.flops = flops::trtri(tb);
+    cost.bytes = static_cast<double>(tb * tb) * sizeof(T);  // read triangle, write inverse
+    cost.sync_steps = static_cast<int>(tb);
+    cost.serial_ops = static_cast<double>(tb);  // reciprocal chain
+    return cost;
+  });
 }
 
 // One sweep kernel per 32-wide diagonal block k: each grid block owns a
 // TM-long strip of the panel and performs the rank-update against already
-// solved strips followed by the multiply with the inverted diagonal block.
-// This mirrors the custom gemm variants MAGMA's batched trsm launches. The
-// inverted block is dense (zeros in its unused triangle, see trtri_diag),
-// so both steps are gemm calls on the packed engine.
+// solved strips followed by the multiply with the inverted diagonal block,
+// mirroring the custom gemm variants MAGMA's batched trsm launches. Cost
+// only, like the trtri launch.
 template <typename T>
 double launch_sweep(sim::Device& dev, const TrsmVbatchedArgs<T>& args, int k0) {
   const int batch = static_cast<int>(args.ib.size());
@@ -39,8 +73,9 @@ double launch_sweep(sim::Device& dev, const TrsmVbatchedArgs<T>& args, int k0) {
   cfg.block_threads = t.threads;
   cfg.shared_mem = t.shared_mem(sizeof(T));
   cfg.precision = precision_v<T>;
+  cfg.cost_only = true;
 
-  return dev.launch(cfg, [&args, k0, strips, &t](const sim::ExecContext& ctx,
+  return dev.launch(cfg, [&args, k0, strips, &t](const sim::ExecContext&,
                                                  int block) -> sim::BlockCost {
     const int i = block / strips;
     const index_t strip = block % strips;
@@ -62,45 +97,46 @@ double launch_sweep(sim::Device& dev, const TrsmVbatchedArgs<T>& args, int k0) {
     cost.flops = flops::gemm(tm, kb, k0) + static_cast<double>(tm * kb * kb);
     cost.bytes = static_cast<double>(tm * k0 + kb * k0 + 2 * tm * kb + kb * kb / 2) * sizeof(T);
     cost.sync_steps = static_cast<int>((k0 + t.tk - 1) / t.tk + kb + 2);
-
-    if (ctx.full()) {
-      const index_t lda = args.lda[static_cast<std::size_t>(i)];
-      const index_t ldb = args.ldb[static_cast<std::size_t>(i)];
-      ConstMatrixView<T> invk(args.inv[i] + k0 + k0 * static_cast<index_t>(args.inv_ld), kb, kb,
-                              args.inv_ld);
-      const bool lower = args.uplo == Uplo::Lower;
-      MatrixView<T> tile = lower
-                               ? MatrixView<T>(args.b[i] + r0 + static_cast<index_t>(k0) * ldb,
-                                               tm, kb, ldb)
-                               : MatrixView<T>(args.b[i] + k0 + r0 * ldb, kb, tm, ldb);
-      if (k0 > 0) {
-        if (lower) {
-          // W = B - X(:, 0:k0)·L(k0:, 0:k0)ᵀ
-          ConstMatrixView<T> solved(args.b[i] + r0, tm, k0, ldb);
-          ConstMatrixView<T> lrow(args.a[i] + k0, kb, k0, lda);
-          blas::gemm<T>(Trans::NoTrans, Trans::Trans, T(-1), solved, lrow, T(1), tile);
-        } else {
-          // W = B - U(0:k0, k0:)ᵀ·X(0:k0, :)
-          ConstMatrixView<T> ucol(args.a[i] + static_cast<index_t>(k0) * lda, k0, kb, lda);
-          ConstMatrixView<T> solved(args.b[i] + r0 * ldb, k0, tm, ldb);
-          blas::gemm<T>(Trans::Trans, Trans::NoTrans, T(-1), ucol, solved, T(1), tile);
-        }
-      }
-      // X = W·invAᵀ (Lower) or invAᵀ·W (Upper), with W staged so the
-      // product can overwrite the strip.
-      std::vector<T>& stage = strip_stage<T>();
-      const auto need = static_cast<std::size_t>(tm * kb);
-      if (stage.size() < need) stage.resize(need);
-      MatrixView<T> w(stage.data(), tile.rows(), tile.cols(), tile.rows());
-      for (index_t c = 0; c < tile.cols(); ++c)
-        for (index_t r = 0; r < tile.rows(); ++r) w(r, c) = tile(r, c);
-      if (lower) {
-        blas::gemm<T>(Trans::NoTrans, Trans::Trans, T(1), w, invk, T(0), tile);
-      } else {
-        blas::gemm<T>(Trans::Trans, Trans::NoTrans, T(1), invk, w, T(0), tile);
-      }
-    }
     return cost;
+  });
+}
+
+// Rows of B per item of the numerics pass. One host blas::trsm over a whole
+// panel runs faster than over TM-long strips of it (about 1.3× for the
+// separated path's 64-wide panels on one AVX2 core), so panels up to this
+// height are one item; taller ones split, so that a batch of a few tall
+// panels still spreads over the pool. The split is fixed, so the bits
+// depend only on the matrix.
+constexpr index_t kSolveStripRows = 512;
+
+// The Full-mode numerics of the composite solve: one item per (matrix,
+// kSolveStripRows-long strip of its panel), each a blas::trsm of the strip
+// against the whole triangle, rows of B for Lower (X·L11ᵀ = B) and columns
+// for Upper (U11ᵀ·X = B). Strips are independent solves and no inverted
+// block is ever formed. The grain counts every block of the trtri and
+// sweep launches the pass stands for.
+template <typename T>
+void trsm_numerics(const TrsmVbatchedArgs<T>& args) {
+  const int batch = static_cast<int>(args.ib.size());
+  const int strips = static_cast<int>((args.max_m + kSolveStripRows - 1) / kSolveStripRows);
+  const int sweep_grid = batch * ((args.max_m + args.tiling.tm - 1) / args.tiling.tm);
+  const int launch_blocks = (args.max_ib + kTrtriBlock - 1) / kTrtriBlock * (batch + sweep_grid);
+  sim::parallel_for_grained(batch * strips, launch_blocks, [&args, strips](int item) {
+    const auto i = static_cast<std::size_t>(item / strips);
+    const index_t r0 = static_cast<index_t>(item % strips) * kSolveStripRows;
+    const index_t mi = args.m[i];
+    const index_t ibi = args.ib[i];
+    if (ibi <= 0 || r0 >= mi) return;
+    const index_t rows = std::min(kSolveStripRows, mi - r0);
+    const index_t ldb = args.ldb[i];
+    ConstMatrixView<T> a(args.a[i], ibi, ibi, args.lda[i]);
+    if (args.uplo == Uplo::Lower) {
+      blas::trsm<T>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1), a,
+                    MatrixView<T>(args.b[i] + r0, rows, ibi, ldb));
+    } else {
+      blas::trsm<T>(Side::Left, Uplo::Upper, Trans::Trans, Diag::NonUnit, T(1), a,
+                    MatrixView<T>(args.b[i] + r0 * ldb, ibi, rows, ldb));
+    }
   });
 }
 
@@ -109,26 +145,15 @@ double launch_sweep(sim::Device& dev, const TrsmVbatchedArgs<T>& args, int k0) {
 template <typename T>
 double launch_trsm_vbatched(sim::Device& dev, const TrsmVbatchedArgs<T>& args) {
   require(args.max_ib > 0, "trsm_vbatched: max_ib not set");
-  require(args.inv != nullptr, "trsm_vbatched: inverse workspace missing");
   if (args.max_m <= 0) return 0.0;
 
-  double seconds = 0.0;
+  // Cost pass, the paper's launch sequence: invert the diagonal 32×32
+  // blocks, then sweep the panel one diagonal block at a time.
+  double seconds = launch_trtri<T>(dev, args.ib, args.max_ib);
+  for (int k0 = 0; k0 < args.max_ib; k0 += kTrtriBlock) seconds += launch_sweep(dev, args, k0);
 
-  // Stage 1: invert the diagonal 32×32 blocks.
-  TrtriDiagArgs<T> tri;
-  tri.uplo = args.uplo;
-  tri.a = args.a;
-  tri.lda = args.lda;
-  tri.ib = args.ib;
-  tri.NB = args.max_ib;
-  tri.inv = args.inv;
-  tri.inv_ld = args.inv_ld;
-  seconds += launch_trtri_diag(dev, tri);
-
-  // Stage 2: sweep the panel one diagonal block at a time.
-  for (int k0 = 0; k0 < args.max_ib; k0 += kTrtriBlock) {
-    seconds += launch_sweep(dev, args, k0);
-  }
+  // Numerics pass (Full mode): no cost above reads what it writes.
+  if (dev.mode() == sim::ExecMode::Full) trsm_numerics(args);
   return seconds;
 }
 

@@ -1,12 +1,13 @@
 // vbatched triangular solve (paper §III-E2).
 //
 // Composite routine following the MAGMA design: invert the 32×32 diagonal
-// blocks of the triangular factor (launch_trtri_diag), then sweep the
-// solution panel with vbatched gemm calls — a rank-update against the
+// blocks of the triangular factor with a vbatched trtri, then sweep the
+// solution panel with vbatched gemm kernels — a rank-update against the
 // already-solved columns plus a multiply by the inverted diagonal block.
-// The inverted blocks are dense (zeros in the unused triangle), so the
-// multiply is a gemm on the packed engine, not a trmm.
-// Everything runs as vbatched kernels with ETM-classic.
+// Everything launches as vbatched kernels with ETM-classic, and that launch
+// sequence is the modelled cost. The launches are cost passes only; in
+// Full mode the numerics pass then solves each panel with host blas::trsm
+// calls, one per 512-row strip, so no inverted-block workspace exists.
 //
 // Two shapes are provided, matching what the Cholesky driver needs:
 //   Lower:  solves X · L11ᵀ = B   (Side::Right, Trans::Trans), B is m×ib
@@ -16,7 +17,6 @@
 #include <span>
 
 #include "vbatch/kernels/gemm_vbatched.hpp"
-#include "vbatch/kernels/trtri_diag.hpp"
 
 namespace vbatch::kernels {
 
@@ -31,8 +31,6 @@ struct TrsmVbatchedArgs {
   std::span<const int> m;       ///< panel extent orthogonal to ib (0 = inactive)
   int max_ib = 0;
   int max_m = 0;
-  T* const* inv = nullptr;      ///< per-matrix NB×NB workspace for inverted blocks
-  int inv_ld = 0;
   GemmTiling tiling{};
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "vbatch/util/error.hpp"
-#include "vbatch/util/thread_pool.hpp"
 
 namespace vbatch::sim {
 
@@ -58,17 +57,11 @@ const std::vector<BlockCost>& Device::run_blocks(const LaunchConfig& cfg, const 
   // across the shared host worker pool. Every block writes only its own
   // costs_[b] slot (and, through the functor, its own matrix), so the merge
   // is in block-index order and results are identical for any worker count.
-  // TimingOnly functors are trivial cost reports — never worth the dispatch.
-  util::ThreadPool& pool = util::host_pool();
-  if (mode_ == ExecMode::TimingOnly || cfg.grid_blocks < kParallelGrainBlocks ||
-      pool.size() == 1) {
-    for (int b = 0; b < cfg.grid_blocks; ++b)
-      cost_scratch_[static_cast<std::size_t>(b)] = fn(ctx, b);
-    return cost_scratch_;
-  }
-
-  pool.parallel_for(cfg.grid_blocks,
-                    [&](int b) { cost_scratch_[static_cast<std::size_t>(b)] = fn(ctx, b); });
+  // TimingOnly and cost-only functors are trivial cost reports — never
+  // worth the dispatch.
+  const bool cheap = mode_ == ExecMode::TimingOnly || cfg.cost_only;
+  parallel_for_grained(cfg.grid_blocks, cheap ? 0 : cfg.grid_blocks,
+                       [&](int b) { cost_scratch_[static_cast<std::size_t>(b)] = fn(ctx, b); });
   return cost_scratch_;
 }
 

@@ -33,14 +33,29 @@
 #include "vbatch/sim/launch_plan.hpp"
 #include "vbatch/sim/scheduler.hpp"
 #include "vbatch/sim/timeline.hpp"
+#include "vbatch/util/thread_pool.hpp"
 
 namespace vbatch::sim {
 
 /// Full-mode grids below this many blocks run serially: pool dispatch costs
 /// more than the blocks themselves (the aux metadata sweeps are 1–4 trivial
-/// blocks). Kernels that run their numerics outside the block functors
-/// (launch_fused_step) use the same grain.
+/// blocks).
 inline constexpr int kParallelGrainBlocks = 32;
+
+/// The one grain rule of the Full-mode numerics: runs fn(0) … fn(count − 1)
+/// serially when `work` (the blocks the items stand for) is below
+/// kParallelGrainBlocks or the host pool has one worker, else across
+/// util::host_pool(). Device::run_blocks and every numerics pass that runs
+/// outside the block functors use it. Items must write disjoint data, so
+/// the result is the same for any worker count.
+template <typename Fn>
+void parallel_for_grained(int count, int work, Fn&& fn) {
+  if (work < kParallelGrainBlocks || util::host_pool().size() == 1) {
+    for (int k = 0; k < count; ++k) fn(k);
+  } else {
+    util::host_pool().parallel_for(count, fn);
+  }
+}
 
 class Device {
  public:

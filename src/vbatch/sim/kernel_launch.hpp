@@ -43,6 +43,9 @@ struct LaunchConfig {
   int block_threads = 0;
   std::size_t shared_mem = 0;
   Precision precision = Precision::Double;
+  /// The functor only reports costs (the kernel's numerics run in a pass of
+  /// their own after the launch), so the grid runs inline in every mode.
+  bool cost_only = false;
 };
 
 /// Context handed to block functors.

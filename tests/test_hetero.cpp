@@ -410,6 +410,33 @@ TEST(HeteroEnergy, ReusedPoolCallEnergyMatchesFreshPool) {
   EXPECT_DOUBLE_EQ(kth.energy.seconds, first.energy.seconds);
 }
 
+TEST(Hetero, CpuExecutorHiddenTimelineHoldsOnlyTheLastCall) {
+  // The CPU executor's hidden queue hosts the shared kernel math; nothing
+  // reads its records, so every call starts them afresh. Its clock keeps
+  // running: plan_potrf times executor 0's metadata sweep by clock deltas.
+  Rng rng(71);
+  const auto sizes = gaussian_sizes(rng, 40, 128);
+  DevicePool pool = DevicePool::parse("cpu,k40c,p100");
+  ASSERT_FALSE(pool.executor(0).is_gpu());
+  const sim::Device& hidden = pool.executor(0).queue().device();
+  std::vector<std::string> first;
+  double clock = 0.0;
+  for (int k = 1; k <= 5; ++k) {
+    Queue q;
+    Batch<double> batch(q, sizes);
+    Rng fill(3);
+    batch.fill_spd(fill);
+    (void)potrf_vbatched_hetero<double>(pool, Uplo::Lower, batch);
+    std::vector<std::string> names;
+    for (const auto& rec : hidden.timeline().records()) names.push_back(rec.name);
+    EXPECT_FALSE(names.empty()) << "call " << k;
+    if (k == 1) first = names;
+    EXPECT_EQ(names, first) << "call " << k;  // the same call's records, not k calls' worth
+    EXPECT_GT(hidden.time(), clock) << "call " << k;
+    clock = hidden.time();
+  }
+}
+
 TEST(HeteroDeterminism, SameSeedSameSchedule) {
   Rng rng(61);
   const auto sizes = gaussian_sizes(rng, 400, 350);

@@ -4,17 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
+#include <complex>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "vbatch/blas/blas.hpp"
+#include "vbatch/blas/isa.hpp"
 #include "vbatch/kernels/aux_kernels.hpp"
 #include "vbatch/kernels/fused_potrf.hpp"
+#include "vbatch/kernels/fused_step_math.hpp"
 #include "vbatch/kernels/gemm_vbatched.hpp"
 #include "vbatch/kernels/potf2_panel.hpp"
 #include "vbatch/kernels/trsm_vbatched.hpp"
-#include "vbatch/kernels/trtri_diag.hpp"
 #include "vbatch/sim/device.hpp"
+#include "vbatch/util/flops.hpp"
 #include "vbatch/util/rng.hpp"
 
 namespace {
@@ -22,28 +26,52 @@ namespace {
 using namespace vbatch;
 using namespace vbatch::kernels;
 
-struct TestBatch {
+template <typename T>
+struct BatchOf {
   std::vector<int> n;
   std::vector<int> lda;
-  std::vector<std::vector<double>> data;
-  std::vector<double*> ptrs;
+  std::vector<std::vector<T>> data;
+  std::vector<T*> ptrs;
   std::vector<int> info;
 
-  explicit TestBatch(std::vector<int> sizes, std::uint64_t seed = 1) : n(std::move(sizes)) {
+  /// Matrices of orders `sizes`, filled SPD, with lda = n + pad (padding
+  /// rows hold values too, so a stray write shows).
+  explicit BatchOf(std::vector<int> sizes, std::uint64_t seed = 1, int pad = 0)
+      : n(std::move(sizes)) {
     Rng rng(seed);
     for (int s : n) {
-      lda.push_back(std::max(1, s));
-      data.emplace_back(static_cast<std::size_t>(std::max(1, s) * std::max(1, s)));
-      if (s > 0) fill_spd(rng, data.back().data(), s, s);
+      const int ld = std::max(1, s + pad);
+      lda.push_back(ld);
+      data.emplace_back(static_cast<std::size_t>(ld * std::max(1, s)));
+      if (pad > 0) fill_general<T>(rng, data.back().data(), ld, std::max(1, s), ld);
+      if (s > 0) fill_spd<T>(rng, data.back().data(), s, ld);
     }
     for (auto& d : data) ptrs.push_back(d.data());
     info.assign(n.size(), 0);
   }
 
-  [[nodiscard]] BatchArgs<double> args() const {
+  [[nodiscard]] BatchArgs<T> args() const {
     return {ptrs.data(), {n.data(), n.size()}, {lda.data(), lda.size()}};
   }
 };
+
+using TestBatch = BatchOf<double>;
+
+/// Byte equality (memcmp: NaN payloads count).
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/// Every x86 ISA the host can run, scalar first.
+std::vector<blas::micro::Isa> host_isas() {
+  std::vector<blas::micro::Isa> out;
+  for (auto isa : {blas::micro::Isa::Scalar, blas::micro::Isa::Sse2, blas::micro::Isa::Avx2,
+                   blas::micro::Isa::Avx512})
+    if (blas::micro::isa_supported(isa)) out.push_back(isa);
+  return out;
+}
 
 sim::Device make_dev() { return sim::Device(sim::DeviceSpec::k40c()); }
 
@@ -275,6 +303,105 @@ TEST(Potf2Panel, OffsetPastMatrixTriggersEtm) {
   EXPECT_EQ(dev.timeline().records().back().early_exits, 2);
 }
 
+/// The panel's per-matrix oracle: fused_step_math on the NB×NB diagonal
+/// block at (offset, offset), step by step, until the block is done or a
+/// pivot fails; a matrix that already carries an info is skipped.
+template <typename T>
+void panel_reference(Uplo uplo, MatrixView<T> a, int offset, int NB, int nb, int& info) {
+  const index_t ib = std::clamp<index_t>(a.rows() - offset, 0, NB);
+  if (info != 0 || ib == 0) return;
+  MatrixView<T> diag = a.block(offset, offset, ib, ib);
+  for (int step = 0; static_cast<index_t>(step) * nb < ib; ++step) {
+    const int local = fused_step_math<T>(uplo, diag, step, nb);
+    if (local != 0) {
+      info = offset + local;
+      return;
+    }
+  }
+}
+
+/// The panel is the fused launch on the diagonal blocks: factor bytes and
+/// info equal the per-block fused_step_math loop, at every host ISA. Nine
+/// orders above 64, four copies each, so both offsets put at least 32 live
+/// blocks on the worker pool's lane pass.
+template <typename T>
+void expect_panel_matches_fused_step_math(const char* type) {
+  std::vector<int> sizes;
+  for (int c = 0; c < 4; ++c)
+    for (int n : {0, 1, 15, 16, 17, 63, 64, 65, 80, 100, 127, 128, 129, 150, 200, 255})
+      sizes.push_back(n);
+  for (auto isa : host_isas()) {
+    blas::micro::IsaGuard guard(isa);
+    for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+      for (int offset : {0, 64}) {
+        const std::string what = std::string(blas::micro::to_string(isa)) + "/" +
+                                 (uplo == Uplo::Lower ? "L" : "U") + "/" + type +
+                                 " offset=" + std::to_string(offset);
+        BatchOf<T> got(sizes, 31 + static_cast<std::uint64_t>(offset), 3);
+        got.info[10] = 7;  // failed earlier: the panel must leave it alone
+        for (int i : {12, 29}) {  // a non-positive pivot inside the panel
+          const auto k = static_cast<std::size_t>(i);
+          const int p = offset + 5 + i;
+          got.data[k][static_cast<std::size_t>(p + p * got.lda[k])] = T(-1);
+        }
+        BatchOf<T> want = got;
+
+        sim::Device dev(sim::DeviceSpec::k40c());
+        Potf2PanelArgs<T> args;
+        args.batch = got.args();
+        args.uplo = uplo;
+        args.offset = offset;
+        args.NB = 64;
+        args.nb_inner = 16;
+        args.info = got.info;
+        launch_potf2_panel(dev, args);
+
+        for (std::size_t i = 0; i < sizes.size(); ++i) {
+          panel_reference<T>(uplo, MatrixView<T>(want.data[i].data(), sizes[i], sizes[i],
+                                                 want.lda[i]),
+                             offset, 64, 16, want.info[i]);
+          ASSERT_EQ(want.info[i], got.info[i]) << what << " matrix " << i;
+          ASSERT_TRUE(same_bytes(want.data[i], got.data[i])) << what << " matrix " << i;
+        }
+        EXPECT_EQ(dev.timeline().records().front().name, "vbatched_potf2_panel");
+      }
+  }
+}
+
+TEST(Potf2Panel, MatchesFusedStepMathFloat) { expect_panel_matches_fused_step_math<float>("s"); }
+
+TEST(Potf2Panel, MatchesFusedStepMathDouble) {
+  expect_panel_matches_fused_step_math<double>("d");
+}
+
+TEST(Potf2Panel, MatchesFusedStepMathComplexFloat) {
+  expect_panel_matches_fused_step_math<std::complex<float>>("c");
+}
+
+TEST(Potf2Panel, MatchesFusedStepMathComplexDouble) {
+  expect_panel_matches_fused_step_math<std::complex<double>>("z");
+}
+
+TEST(Potf2Panel, FailingPivotInSecondPanelReportsGlobalInfo) {
+  for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+    auto dev = make_dev();
+    TestBatch tb({100, 100}, 37);
+    // Matrix 1's diagonal block at offset 64 fails at its local column 20
+    // (inner step 1): info is 64 + 21, 1-based like LAPACK.
+    tb.data[1][static_cast<std::size_t>(84 + 84 * 100)] = -1.0;
+    Potf2PanelArgs<double> args;
+    args.batch = tb.args();
+    args.uplo = uplo;
+    args.offset = 64;
+    args.NB = 64;
+    args.nb_inner = 16;
+    args.info = tb.info;
+    launch_potf2_panel(dev, args);
+    EXPECT_EQ(tb.info[0], 0);
+    EXPECT_EQ(tb.info[1], 64 + 21);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // vbatched gemm / syrk
 // ---------------------------------------------------------------------------
@@ -427,143 +554,91 @@ TEST(SyrkVbatched, StreamedMatchesVbatched) {
 // trtri + composite trsm
 // ---------------------------------------------------------------------------
 
-TEST(TrtriDiag, InvertsDiagonalBlocks) {
-  auto dev = make_dev();
-  Rng rng(41);
+/// The composite solve against one blas::trsm per 512-row strip of each
+/// panel (a 600-row panel splits), memcmp-equal: ragged ib, inactive
+/// matrices (m = 0 or ib = 0) untouched, lda > ib and ldb > m so a stray
+/// write shows in the padding. Also pins the cost-only trtri launch.
+template <typename T>
+void expect_trsm_matches_blas(Uplo uplo, const char* type) {
+  const std::vector<int> m{50, 90, 0, 33, 1, 70, 129, 64, 600};
+  const std::vector<int> ib{64, 64, 64, 17, 1, 0, 40, 63, 64};
   const int NB = 64;
-  std::vector<double> panel(static_cast<std::size_t>(NB * NB));
-  fill_general(rng, panel.data(), NB, NB, NB);
-  for (int d = 0; d < NB; ++d) panel[static_cast<std::size_t>(d + d * NB)] = 5.0 + d;
-  // NaN-filled workspace: every entry the kernel is meant to write must be
-  // written, including the zeros of each block's unused triangle.
-  std::vector<double> inv(static_cast<std::size_t>(NB * NB),
-                          std::numeric_limits<double>::quiet_NaN());
+  Rng rng(43);
+  const bool lower = uplo == Uplo::Lower;
+  std::vector<std::vector<T>> tri, got, want;
+  std::vector<T*> ap, bp;
+  std::vector<int> lda, ldb;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    lda.push_back(NB + 2);
+    tri.emplace_back(static_cast<std::size_t>((NB + 2) * NB));
+    fill_general<T>(rng, tri.back().data(), NB + 2, NB, NB + 2);
+    for (int d = 0; d < NB; ++d)
+      tri.back()[static_cast<std::size_t>(d + d * (NB + 2))] = T(4 + d % 7);
+    const int rows = lower ? m[i] : ib[i];
+    const int cols = lower ? ib[i] : m[i];
+    ldb.push_back(rows + 3);
+    got.emplace_back(static_cast<std::size_t>((rows + 3) * std::max(1, cols)));
+    fill_general<T>(rng, got.back().data(), rows + 3, std::max(1, cols), rows + 3);
+    want.push_back(got.back());
+    ConstMatrixView<T> a(tri.back().data(), ib[i], ib[i], NB + 2);
+    for (int r0 = 0; ib[i] > 0 && r0 < m[i]; r0 += 512) {
+      const int len = std::min(512, m[i] - r0);
+      T* w = want.back().data();
+      if (lower) {
+        blas::trsm<T>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1), a,
+                      MatrixView<T>(w + r0, len, cols, rows + 3));
+      } else {
+        blas::trsm<T>(Side::Left, Uplo::Upper, Trans::Trans, Diag::NonUnit, T(1), a,
+                      MatrixView<T>(w + r0 * (rows + 3), rows, len, rows + 3));
+      }
+    }
+  }
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    ap.push_back(tri[i].data());
+    bp.push_back(got[i].data());
+  }
 
-  std::vector<double*> a{panel.data()};
-  std::vector<double*> iv{inv.data()};
-  std::vector<int> lda{NB}, ib{NB};
-  TrtriDiagArgs<double> args;
-  args.a = a.data();
+  auto dev = make_dev();
+  TrsmVbatchedArgs<T> args;
+  args.uplo = uplo;
+  args.a = ap.data();
   args.lda = lda;
   args.ib = ib;
-  args.NB = NB;
-  args.inv = iv.data();
-  args.inv_ld = NB;
-  launch_trtri_diag(dev, args);
+  args.b = bp.data();
+  args.ldb = ldb;
+  args.m = m;
+  args.max_ib = NB;
+  args.max_m = 600;
+  launch_trsm_vbatched(dev, args);
 
-  // Each 32×32 diagonal block of inv must invert the matching block of panel.
-  for (int b = 0; b < NB / 32; ++b) {
-    for (int i = 0; i < 32; ++i)
-      for (int j = 0; j <= i; ++j) {
-        double sum = 0.0;
-        for (int l = j; l <= i; ++l) {
-          sum += panel[static_cast<std::size_t>((b * 32 + i) + (b * 32 + l) * NB)] *
-                 inv[static_cast<std::size_t>((b * 32 + l) + (b * 32 + j) * NB)];
-        }
-        EXPECT_NEAR(sum, i == j ? 1.0 : 0.0, 1e-10);
-      }
-    // The block is stored dense: exact zeros above the diagonal, so the
-    // sweep can apply it as a gemm operand.
-    for (int j = 1; j < 32; ++j)
-      for (int i = 0; i < j; ++i)
-        EXPECT_EQ(inv[static_cast<std::size_t>((b * 32 + i) + (b * 32 + j) * NB)], 0.0)
-            << "block " << b << " (" << i << "," << j << ")";
-  }
+  for (std::size_t i = 0; i < m.size(); ++i)
+    EXPECT_TRUE(same_bytes(want[i], got[i])) << type << (lower ? "/L" : "/U") << " matrix " << i;
+  // The paper's launch sequence: one trtri, one sweep per 32-wide block.
+  ASSERT_EQ(dev.timeline().size(), 3u);
+  EXPECT_EQ(dev.timeline().count_with_prefix("vbatched_trsm_sweep"), 2u);
+  // The trtri costs two 32-wide blocks per matrix; a block starting at or
+  // past ib exits, a live one costs trtri of its order.
+  const auto& trtri = dev.timeline().records()[0];
+  EXPECT_EQ(trtri.name, "vbatched_trtri_diag");
+  EXPECT_EQ(trtri.grid_blocks, 18);
+  EXPECT_EQ(trtri.early_exits, 4);  // ib = 17 and 1: the second block; ib = 0: both
+  const double want_flops = 8 * flops::trtri(32) + flops::trtri(17) + flops::trtri(1) +
+                            2 * flops::trtri(32) + flops::trtri(8) + flops::trtri(31);
+  EXPECT_DOUBLE_EQ(trtri.flops, want_flops) << type;
 }
 
 TEST(TrsmVbatched, SolvesLowerRightTranspose) {
-  auto dev = make_dev();
-  Rng rng(43);
-  const int NB = 64;
-  const std::vector<int> mrows{50, 90, 0};  // matrix 2 inactive
-  std::vector<std::vector<double>> l11s, bs, brefs;
-  std::vector<double*> lp, bp, ip;
-  std::vector<std::vector<double>> invs;
-  std::vector<int> lda, ldb, ib;
-  for (std::size_t i = 0; i < mrows.size(); ++i) {
-    l11s.emplace_back(static_cast<std::size_t>(NB * NB));
-    fill_general(rng, l11s.back().data(), NB, NB, NB);
-    for (int d = 0; d < NB; ++d) l11s.back()[static_cast<std::size_t>(d + d * NB)] = 4.0 + d % 7;
-    const int m = std::max(1, mrows[i]);
-    bs.emplace_back(static_cast<std::size_t>(m * NB));
-    fill_general(rng, bs.back().data(), m, NB, m);
-    brefs.push_back(bs.back());
-    invs.emplace_back(static_cast<std::size_t>(NB * NB), 0.0);
-    lda.push_back(NB);
-    ldb.push_back(m);
-    ib.push_back(mrows[i] > 0 ? NB : 0);
-  }
-  for (std::size_t i = 0; i < mrows.size(); ++i) {
-    lp.push_back(l11s[i].data());
-    bp.push_back(bs[i].data());
-    ip.push_back(invs[i].data());
-  }
-
-  TrsmVbatchedArgs<double> args;
-  args.uplo = Uplo::Lower;
-  args.a = lp.data();
-  args.lda = lda;
-  args.ib = ib;
-  args.b = bp.data();
-  args.ldb = ldb;
-  args.m = mrows;
-  args.max_ib = NB;
-  args.max_m = 90;
-  args.inv = ip.data();
-  args.inv_ld = NB;
-  launch_trsm_vbatched(dev, args);
-
-  for (std::size_t i = 0; i < mrows.size(); ++i) {
-    const int m = mrows[i];
-    if (m == 0) {
-      EXPECT_EQ(bs[i], brefs[i]);  // inactive matrix untouched
-      continue;
-    }
-    MatrixView<double> expect(brefs[i].data(), m, NB, m);
-    blas::trsm<double>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, 1.0,
-                       ConstMatrixView<double>(l11s[i].data(), NB, NB, NB), expect);
-    for (int c = 0; c < NB; ++c)
-      for (int r = 0; r < m; ++r)
-        EXPECT_NEAR(bs[i][static_cast<std::size_t>(r + c * m)], expect(r, c), 1e-9)
-            << "matrix " << i;
-  }
+  expect_trsm_matches_blas<float>(Uplo::Lower, "s");
+  expect_trsm_matches_blas<double>(Uplo::Lower, "d");
+  expect_trsm_matches_blas<std::complex<float>>(Uplo::Lower, "c");
+  expect_trsm_matches_blas<std::complex<double>>(Uplo::Lower, "z");
 }
 
 TEST(TrsmVbatched, SolvesUpperLeftTranspose) {
-  auto dev = make_dev();
-  Rng rng(47);
-  const int NB = 64;
-  const int m = 70;
-  std::vector<double> u11(static_cast<std::size_t>(NB * NB));
-  fill_general(rng, u11.data(), NB, NB, NB);
-  for (int d = 0; d < NB; ++d) u11[static_cast<std::size_t>(d + d * NB)] = 6.0 + d % 5;
-  std::vector<double> b(static_cast<std::size_t>(NB * m));
-  fill_general(rng, b.data(), NB, m, NB);
-  auto bref = b;
-  std::vector<double> inv(static_cast<std::size_t>(NB * NB), 0.0);
-
-  std::vector<double*> up{u11.data()}, bp{b.data()}, ip{inv.data()};
-  std::vector<int> lda{NB}, ldb{NB}, ib{NB}, mr{m};
-  TrsmVbatchedArgs<double> args;
-  args.uplo = Uplo::Upper;
-  args.a = up.data();
-  args.lda = lda;
-  args.ib = ib;
-  args.b = bp.data();
-  args.ldb = ldb;
-  args.m = mr;
-  args.max_ib = NB;
-  args.max_m = m;
-  args.inv = ip.data();
-  args.inv_ld = NB;
-  launch_trsm_vbatched(dev, args);
-
-  MatrixView<double> expect(bref.data(), NB, m, NB);
-  blas::trsm<double>(Side::Left, Uplo::Upper, Trans::Trans, Diag::NonUnit, 1.0,
-                     ConstMatrixView<double>(u11.data(), NB, NB, NB), expect);
-  for (int c = 0; c < m; ++c)
-    for (int r = 0; r < NB; ++r)
-      EXPECT_NEAR(b[static_cast<std::size_t>(r + c * NB)], expect(r, c), 1e-9);
+  expect_trsm_matches_blas<float>(Uplo::Upper, "s");
+  expect_trsm_matches_blas<double>(Uplo::Upper, "d");
+  expect_trsm_matches_blas<std::complex<float>>(Uplo::Upper, "c");
+  expect_trsm_matches_blas<std::complex<double>>(Uplo::Upper, "z");
 }
 
 }  // namespace

@@ -703,19 +703,57 @@ TEST(Hybrid, FactorsCorrectlyAndSlowly) {
 // Timing-mode / Full-mode agreement
 // ---------------------------------------------------------------------------
 
-TEST(PotrfVbatched, TimingOnlyMatchesFullModeSeconds) {
+/// Bit equality of two kernel records, field by field (memcmp on the
+/// doubles, so -0.0 vs 0.0 or a last-ulp drift shows).
+bool same_record(const sim::KernelRecord& a, const sim::KernelRecord& b) {
+  auto bits = [](const auto& x, const auto& y) { return std::memcmp(&x, &y, sizeof(x)) == 0; };
+  return a.name == b.name && bits(a.start, b.start) && bits(a.end, b.end) &&
+         a.grid_blocks == b.grid_blocks && a.block_threads == b.block_threads &&
+         a.shared_mem == b.shared_mem && a.resident_per_sm == b.resident_per_sm &&
+         bits(a.flops, b.flops) && bits(a.bytes, b.bytes) && a.early_exits == b.early_exits &&
+         a.stream == b.stream && a.fault == b.fault;
+}
+
+/// The launch contract: TimingOnly runs the cost passes and nothing else,
+/// and no cost reads what a numerics pass writes, so a Full run's timeline
+/// is the TimingOnly timeline, record for record and bit for bit.
+template <typename T>
+void expect_timing_only_matches_full(PotrfPath path, Uplo uplo, const char* type) {
+  // Around both separated panel widths (64 and 96), plus a spread to 300.
+  std::vector<int> sizes{0, 1, 63, 64, 65, 95, 96, 97, 128, 129, 191, 192, 193, 300};
   Rng size_rng(41);
-  const auto sizes = uniform_sizes(size_rng, 30, 80);
+  for (int n : uniform_sizes(size_rng, 12, 300)) sizes.push_back(n);
 
   Queue qf(sim::DeviceSpec::k40c(), sim::ExecMode::Full);
   Queue qt(sim::DeviceSpec::k40c(), sim::ExecMode::TimingOnly);
-  Batch<double> bf(qf, sizes), bt(qt, sizes);
+  Batch<T> bf(qf, sizes), bt(qt, sizes);
   Rng fill(1);
   bf.fill_spd(fill);
+  PotrfOptions opts;
+  opts.path = path;
 
-  const auto rf = potrf_vbatched<double>(qf, Uplo::Lower, bf);
-  const auto rt = potrf_vbatched<double>(qt, Uplo::Lower, bt);
-  EXPECT_NEAR(rf.seconds, rt.seconds, rf.seconds * 1e-9);
+  const auto rf = potrf_vbatched<T>(qf, uplo, bf, opts);
+  const auto rt = potrf_vbatched<T>(qt, uplo, bt, opts);
+  const std::string what = std::string(to_string(path)) + (uplo == Uplo::Lower ? "/L/" : "/U/") +
+                           type;
+  for (int info : bf.info()) ASSERT_EQ(info, 0) << what;
+  EXPECT_EQ(0, std::memcmp(&rf.seconds, &rt.seconds, sizeof(double))) << what;
+  const auto& full = qf.device().timeline().records();
+  const auto& timing = qt.device().timeline().records();
+  ASSERT_EQ(full.size(), timing.size()) << what;
+  for (std::size_t r = 0; r < full.size(); ++r)
+    ASSERT_TRUE(same_record(full[r], timing[r])) << what << ": record " << r << " ("
+                                                 << full[r].name << ")";
+}
+
+TEST(PotrfVbatched, TimingOnlyMatchesFullModeSeconds) {
+  for (PotrfPath path : {PotrfPath::Fused, PotrfPath::Separated})
+    for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+      expect_timing_only_matches_full<float>(path, uplo, "s");
+      expect_timing_only_matches_full<double>(path, uplo, "d");
+      expect_timing_only_matches_full<std::complex<float>>(path, uplo, "c");
+      expect_timing_only_matches_full<std::complex<double>>(path, uplo, "z");
+    }
 }
 
 }  // namespace
