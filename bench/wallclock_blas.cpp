@@ -31,6 +31,20 @@
 //   * bit gate — factors and info memcmp-identical to the loop, any ISA;
 //   * lane gate — on a vector ISA, potf2_batch >= 1.5x the loop's rate.
 //
+// Part 4 is the rank-64 update series: the separated path's trailing
+// update C -= A·Aᵀ (lower, A m×64) at m = 128/256/448, two ways on
+// identical inputs:
+//   tile  the per-tile loop the syrk kernel used to issue: one syrk per
+//         64×64 diagonal tile, as the staged blocked syrk computed it
+//         before the pack-once path (32-wide blocks, each one gemm into a
+//         staging square whose lower triangle is written back, plus the
+//         gemm rectangles between them), and one blas::gemm per tile below;
+//   pass  the kernel's numerics pass: one pack-once blas::syrk per
+//         kSyrkStripCols-wide column strip plus one blas::gemm below it.
+// Both are timed as pairs, back to back (order alternating by round), and
+// the gate reads the median of the rounds' ratios of the summed times:
+//   * update gate — on a vector ISA, pass >= 1.2x tile.
+//
 // Output: a human-readable table on stdout plus one JSON line appended to
 // BENCH_blas.json (override with --out). The run fails (non-zero exit) on a
 // numerics problem or on a failed regression gate.
@@ -49,6 +63,7 @@
 #include "vbatch/core/autotune.hpp"
 #include "vbatch/core/potrf_vbatched.hpp"
 #include "vbatch/core/size_dist.hpp"
+#include "vbatch/kernels/gemm_vbatched.hpp"
 #include "vbatch/util/flops.hpp"
 #include "vbatch/util/rng.hpp"
 
@@ -247,6 +262,130 @@ Potf2BatchResult run_potf2_batch(const Options& o, int count, int max_n) {
   }
   r.loop_gflops = flops / loop_s * 1e-9;
   r.batch_gflops = flops / batch_s * 1e-9;
+  return r;
+}
+
+/// Part 4: one rank-64 lower update C -= A·Aᵀ, its operands and both ways
+/// of computing it.
+struct UpdateCase {
+  static constexpr index_t kRank = 64, kTile = 64, kStagedBlock = 32;
+  index_t m = 0;
+  std::vector<double> a, c, stage;
+
+  UpdateCase(Rng& rng, index_t rows) : m(rows), a(static_cast<std::size_t>(rows * kRank)),
+                                       c(static_cast<std::size_t>(rows * rows)) {
+    fill_general(rng, a.data(), m, kRank, m);
+    fill_general(rng, c.data(), m, m, m);
+  }
+  [[nodiscard]] ConstMatrixView<double> rows(index_t r, index_t len) const {
+    return {a.data() + r, len, kRank, m};
+  }
+  [[nodiscard]] double flops() const { return flops::syrk(m, kRank); }
+
+  /// One diagonal tile C(r, r) -= A_r·A_rᵀ as the staged blocked syrk did
+  /// it: per kStagedBlock-wide block, a gemm into the staging square and
+  /// its lower triangle added back, then the gemm rectangle below.
+  void staged_syrk(index_t r, index_t n) {
+    stage.resize(static_cast<std::size_t>(kStagedBlock * kStagedBlock));
+    MatrixView<double> cv(c.data(), m, m, m);
+    for (index_t j = 0; j < n; j += kStagedBlock) {
+      const index_t jb = std::min(kStagedBlock, n - j);
+      MatrixView<double> sq(stage.data(), jb, jb, jb);
+      blas::gemm<double>(Trans::NoTrans, Trans::Trans, -1.0, rows(r + j, jb), rows(r + j, jb),
+                         0.0, sq);
+      for (index_t q = 0; q < jb; ++q)
+        for (index_t p = q; p < jb; ++p) cv(r + j + p, r + j + q) += sq(p, q);
+      if (n - j - jb > 0)
+        blas::gemm<double>(Trans::NoTrans, Trans::Trans, -1.0, rows(r + j + jb, n - j - jb),
+                           rows(r + j, jb), 1.0, cv.block(r + j + jb, r + j, n - j - jb, jb));
+    }
+  }
+
+  /// The per-tile loop: the 64-tiles of the lower triangle, as the syrk
+  /// kernel's blocks issued them.
+  void tile() {
+    MatrixView<double> cv(c.data(), m, m, m);
+    for (index_t c0 = 0; c0 < m; c0 += kTile) {
+      const index_t tn = std::min(kTile, m - c0);
+      staged_syrk(c0, tn);
+      for (index_t r0 = c0 + kTile; r0 < m; r0 += kTile) {
+        const index_t tm = std::min(kTile, m - r0);
+        blas::gemm<double>(Trans::NoTrans, Trans::Trans, -1.0, rows(r0, tm), rows(c0, tn), 1.0,
+                           cv.block(r0, c0, tm, tn));
+      }
+    }
+  }
+
+  /// The numerics pass: column strips of kSyrkStripCols.
+  void pass() {
+    MatrixView<double> cv(c.data(), m, m, m);
+    for (index_t c0 = 0; c0 < m; c0 += kernels::kSyrkStripCols) {
+      const index_t w = std::min<index_t>(kernels::kSyrkStripCols, m - c0);
+      blas::syrk<double>(Uplo::Lower, Trans::NoTrans, -1.0, rows(c0, w), 1.0,
+                         cv.block(c0, c0, w, w));
+      if (m - c0 - w > 0)
+        blas::gemm<double>(Trans::NoTrans, Trans::Trans, -1.0, rows(c0 + w, m - c0 - w),
+                           rows(c0, w), 1.0, cv.block(c0 + w, c0, m - c0 - w, w));
+    }
+  }
+};
+
+struct UpdateResult {
+  std::vector<int> m;
+  std::vector<double> tile_gflops, pass_gflops;  ///< best of the rounds, per m
+  double ratio = 0.0;       ///< median over rounds of Σ tile time / Σ pass time
+  double max_diff = 0.0;    ///< max |tile − pass| / max |C| after one update
+};
+
+UpdateResult run_rank64_update(const Options& o) {
+  Rng rng(o.seed + 3);
+  std::vector<UpdateCase> cases;
+  for (index_t m : {128, 256, 448}) cases.emplace_back(rng, m);
+
+  UpdateResult r;
+  for (UpdateCase& uc : cases) {
+    UpdateCase other = uc;
+    uc.tile();
+    other.pass();
+    double diff = 0.0, scale = 1.0;
+    for (index_t j = 0; j < uc.m; ++j)
+      for (index_t i = j; i < uc.m; ++i) {
+        const std::size_t at = static_cast<std::size_t>(i + j * uc.m);
+        diff = std::max(diff, std::abs(uc.c[at] - other.c[at]));
+        scale = std::max(scale, std::abs(uc.c[at]));
+      }
+    r.max_diff = std::max(r.max_diff, diff / scale);
+  }
+
+  constexpr int kRounds = 15;
+  std::vector<double> best_tile(cases.size(), 1e300), best_pass(cases.size(), 1e300);
+  std::vector<double> ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    double tile_s = 0.0, pass_s = 0.0;
+    for (std::size_t x = 0; x < cases.size(); ++x) {
+      UpdateCase& uc = cases[x];
+      double t = 0.0, p = 0.0;
+      if (round % 2 == 0) {
+        t = time_op(uc.flops(), [&] { uc.tile(); });
+        p = time_op(uc.flops(), [&] { uc.pass(); });
+      } else {
+        p = time_op(uc.flops(), [&] { uc.pass(); });
+        t = time_op(uc.flops(), [&] { uc.tile(); });
+      }
+      best_tile[x] = std::min(best_tile[x], t);
+      best_pass[x] = std::min(best_pass[x], p);
+      tile_s += t;
+      pass_s += p;
+    }
+    ratios.push_back(tile_s / pass_s);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + kRounds / 2, ratios.end());
+  r.ratio = ratios[kRounds / 2];
+  for (std::size_t x = 0; x < cases.size(); ++x) {
+    r.m.push_back(static_cast<int>(cases[x].m));
+    r.tile_gflops.push_back(cases[x].flops() / best_tile[x] * 1e-9);
+    r.pass_gflops.push_back(cases[x].flops() / best_pass[x] * 1e-9);
+  }
   return r;
 }
 
@@ -483,6 +622,14 @@ int main(int argc, char** argv) {
               "batch %.2f Gf/s, %.2fx\n",
               kPotf2Count, kPotf2MaxN, p2_lanes, p2.loop_gflops, p2.batch_gflops, p2_speedup);
 
+  // Part 4: the rank-64 update, per-tile loop against the numerics pass.
+  const UpdateResult up = run_rank64_update(o);
+  const bool update_ok = !vector_isa || up.ratio >= 1.2;
+  const bool update_bits_ok = up.max_diff < 1e-12;
+  for (std::size_t x = 0; x < up.m.size(); ++x)
+    std::printf("  rank-64 update m=%d: tile %.2f Gf/s, pass %.2f Gf/s\n", up.m[x],
+                up.tile_gflops[x], up.pass_gflops[x]);
+
   std::printf("  gemm double min speedup vs ref (n>=64): NN %.2fx, NT %.2fx\n", min_speedup_nn,
               min_speedup_nt);
   if (vector_gate_ran)
@@ -491,6 +638,11 @@ int main(int argc, char** argv) {
   if (nn512_ratio > 0.0)
     std::printf("  NN n=512 gate (>=0.9x of n=384): %.2fx (%s)\n", nn512_ratio,
                 nn512_ok ? "PASS" : "FAIL");
+  if (vector_isa)
+    std::printf("  rank-64 update gate (pass >=1.2x per-tile, paired): %.2fx (%s)\n", up.ratio,
+                update_ok ? "PASS" : "FAIL");
+  std::printf("  rank-64 update numerics (tile vs pass): %.1e (%s)\n", up.max_diff,
+              update_bits_ok ? "PASS" : "FAIL");
   std::printf("  residual gates: %s\n", residual_ok ? "PASS" : "FAIL");
   std::printf("  potf2_batch bit gate (memcmp vs looped potf2): %s\n",
               p2.bits_ok ? "PASS" : "FAIL");
@@ -532,15 +684,24 @@ int main(int argc, char** argv) {
                                          {"batch_gflops", p2.batch_gflops},
                                          {"speedup", p2_speedup},
                                          {"bits_ok", p2.bits_ok},
-                                         {"speedup_ok", p2_speedup_ok}});
+                                         {"speedup_ok", p2_speedup_ok}})
+      .add("rank64_update", gate::JsonLine{{"m", up.m},
+                                           {"k", static_cast<int>(UpdateCase::kRank)},
+                                           {"strip_cols", kernels::kSyrkStripCols},
+                                           {"tile_gflops", up.tile_gflops},
+                                           {"pass_gflops", up.pass_gflops},
+                                           {"ratio", up.ratio},
+                                           {"ok", update_ok},
+                                           {"max_diff", up.max_diff}});
   std::printf("%s\n", json.str().c_str());
   gate::append_json_lines(o.out, {json});
 
-  if (!residual_ok || !p2.bits_ok) {
-    std::fprintf(stderr, "FAILED: residual gate, info check or potf2_batch bit gate failed\n");
+  if (!residual_ok || !p2.bits_ok || !update_bits_ok) {
+    std::fprintf(stderr, "FAILED: residual gate, info check, potf2_batch bit gate or rank-64 "
+                         "update numerics failed\n");
     return 1;
   }
-  if (!nt_vector_2x_ok || !nn512_ok || !p2_speedup_ok) {
+  if (!nt_vector_2x_ok || !nn512_ok || !p2_speedup_ok || !update_ok) {
     std::fprintf(stderr, "FAILED: performance regression gate failed\n");
     return 1;
   }

@@ -41,7 +41,8 @@ void gemm_ref(Trans trans_a, Trans trans_b, T alpha, ConstMatrixView<T> a, Const
 /// C = alpha * op(A) * op(A)ᵀ + beta * C, updating only the `uplo` triangle
 /// of the n×n matrix C. op(A) is n×k. For complex scalars this is herk
 /// (op(A)·op(A)ᴴ) and the diagonal is kept exactly real. Large triangles
-/// dispatch their off-diagonal rectangles through the micro-kernel engine.
+/// run on the micro-kernel engine (micro::syrk_blocked). With alpha = 0 or
+/// k = 0 only the beta pass runs and A is not read.
 template <typename T>
 void syrk(Uplo uplo, Trans trans, T alpha, ConstMatrixView<T> a, T beta, MatrixView<T> c);
 

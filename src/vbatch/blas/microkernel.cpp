@@ -237,9 +237,53 @@ template std::vector<TilePair> supported_tiles<double>(Isa);
 template std::vector<TilePair> supported_tiles<std::complex<float>>(Isa);
 template std::vector<TilePair> supported_tiles<std::complex<double>>(Isa);
 
-template <typename T>
-void gemm_blocked_shaped(Trans trans_a, Trans trans_b, T alpha, ConstMatrixView<T> a,
-                         ConstMatrixView<T> b, T beta, MatrixView<T> c, const KernelShape& shape) {
+namespace {
+
+// The part of C the packed core writes: all of it (gemm) ...
+struct WholeC {
+  static constexpr bool strict = false;
+  static constexpr bool meets(index_t, index_t, index_t, index_t) noexcept { return true; }
+  static constexpr bool covers(index_t, index_t, index_t, index_t) noexcept { return true; }
+  static constexpr index_t lo(index_t, index_t r0, bool) noexcept { return r0; }
+  static constexpr index_t hi(index_t, index_t r1, bool) noexcept { return r1; }
+};
+
+// ... or its uplo triangle (syrk). `strict` leaves the diagonal out of the
+// write-back, for herk's real diagonal sum.
+struct Triangle {
+  Uplo uplo = Uplo::Lower;
+  bool strict = false;
+
+  // Does the tile rows [r0, r1) × columns [c0, c1) meet the triangle?
+  [[nodiscard]] bool meets(index_t r0, index_t r1, index_t c0, index_t c1) const noexcept {
+    return uplo == Uplo::Lower ? r1 - 1 >= c0 : r0 <= c1 - 1;
+  }
+  // Does the tile lie wholly inside the write-back, so that it needs no mask?
+  [[nodiscard]] bool covers(index_t r0, index_t r1, index_t c0, index_t c1) const noexcept {
+    const index_t s = strict ? 1 : 0;
+    return uplo == Uplo::Lower ? r0 >= c1 - 1 + s : r1 - 1 <= c0 - s;
+  }
+  // Rows [lo, hi) of column j inside both [r0, r1) and the triangle (with
+  // its diagonal when `diag`); empty when lo >= hi.
+  [[nodiscard]] index_t lo(index_t j, index_t r0, bool diag) const noexcept {
+    return uplo == Uplo::Lower ? std::max(r0, diag ? j : j + 1) : r0;
+  }
+  [[nodiscard]] index_t hi(index_t j, index_t r1, bool diag) const noexcept {
+    return uplo == Uplo::Upper ? std::min(r1, diag ? j + 1 : j) : r1;
+  }
+};
+
+// Shortest k block whose tiles prefetch the next tile's C (packed_core).
+constexpr index_t kPrefetchMinK = 32;
+
+// C = alpha·op(A)·op(B) + beta·C on `region` of C. The register tile grid is
+// anchored at C(0, 0) (the balanced m/n chunks start on MR/NR multiples), so
+// an element's tile, its packed slivers and its k-block order do not depend
+// on which other tiles of the grid run: a region's bits are gemm's bits.
+template <typename T, typename Region>
+void packed_core(Trans trans_a, Trans trans_b, T alpha, ConstMatrixView<T> a,
+                 ConstMatrixView<T> b, T beta, MatrixView<T> c, const KernelShape& shape,
+                 const Region& region) {
   require(shape.mr >= 1 && shape.mr <= kMaxMR && shape.nr >= 1 && shape.nr <= kMaxNR &&
               shape.kc >= 1 && shape.mc >= shape.mr && shape.nc >= shape.nr,
           "gemm_blocked_shaped: shape out of bounds");
@@ -260,7 +304,9 @@ void gemm_blocked_shaped(Trans trans_a, Trans trans_b, T alpha, ConstMatrixView<
   if (beta != T(1)) {
     for (index_t j = 0; j < n; ++j) {
       T* VBATCH_RESTRICT ccol = &c(0, j);
-      for (index_t i = 0; i < m; ++i) ccol[i] = beta == T(0) ? T(0) : beta * ccol[i];
+      const index_t hi = region.hi(j, m, true);
+      for (index_t i = region.lo(j, 0, true); i < hi; ++i)
+        ccol[i] = beta == T(0) ? T(0) : beta * ccol[i];
     }
   }
   if (k == 0 || alpha == T(0)) return;
@@ -276,6 +322,7 @@ void gemm_blocked_shaped(Trans trans_a, Trans trans_b, T alpha, ConstMatrixView<
 
   alignas(64) T acc[kMaxMR * kMaxNR];
 
+  const bool diag = !region.strict;
   const BalancedSplit nsplit(n, NC, NR);
   const BalancedSplit msplit(m, MC, MR);
   for (index_t jb = 0; jb < nsplit.count(); ++jb) {
@@ -287,21 +334,47 @@ void gemm_blocked_shaped(Trans trans_a, Trans trans_b, T alpha, ConstMatrixView<
       for (index_t ib = 0; ib < msplit.count(); ++ib) {
         const index_t ii = msplit.begin(ib);
         const index_t mc = msplit.length(ib);
+        if (!region.meets(ii, ii + mc, jj, jj + nc)) continue;
         pack_a(a, trans_a, ii, pp, mc, kc, MR, abuf.data());
         for (index_t jr = 0; jr < nc; jr += NR) {
           const index_t nr = std::min<index_t>(NR, nc - jr);
           const T* bp = bbuf.data() + (jr / NR) * (NR * kc);
           for (index_t ir = 0; ir < mc; ir += MR) {
             const index_t mr = std::min<index_t>(MR, mc - ir);
+            const index_t r0 = ii + ir;
+            if (!region.meets(r0, r0 + mr, jj + jr, jj + jr + nr)) continue;
             const T* ap = abuf.data() + (ir / MR) * (MR * kc);
+            // Fetch the next tile's C lines while this tile computes. The
+            // separated path's trailing matrices are far larger than the
+            // caches, so their C is cold, and its column runs are too short
+            // for the hardware prefetcher (about 15% of the in-place syrk's
+            // time on an AVX2 Xeon). A tile shorter than kPrefetchMinK steps
+            // hides too little behind its compute, and such short products
+            // come from small, cached matrices (the fused step's updates).
+            if (kc >= kPrefetchMinK && ir + MR < mc) {
+              const index_t next_mr = std::min<index_t>(MR, mc - ir - MR);
+              for (index_t j = 0; j < nr; ++j) {
+                const T* next = &c(r0 + MR, jj + jr + j);
+                __builtin_prefetch(next, 1);
+                __builtin_prefetch(next + next_mr - 1, 1);
+              }
+            }
             if (tile)
               tile(kc, ap, bp, acc);
             else
               detail::tile_generic<T>(kc, ap, bp, acc, MR, NR);
+            const bool whole = region.covers(r0, r0 + mr, jj + jr, jj + jr + nr);
             for (index_t j = 0; j < nr; ++j) {
-              T* VBATCH_RESTRICT ccol = &c(ii + ir, jj + jr + j);
+              const index_t cj = jj + jr + j;
+              T* VBATCH_RESTRICT ccol = &c(r0, cj);
               const T* VBATCH_RESTRICT av = acc + j * MR;
-              for (index_t i = 0; i < mr; ++i) ccol[i] += alpha * av[i];
+              if (whole) {
+                for (index_t i = 0; i < mr; ++i) ccol[i] += alpha * av[i];
+              } else {
+                const index_t hi = region.hi(cj, r0 + mr, diag) - r0;
+                for (index_t i = region.lo(cj, r0, diag) - r0; i < hi; ++i)
+                  ccol[i] += alpha * av[i];
+              }
             }
           }
         }
@@ -310,24 +383,48 @@ void gemm_blocked_shaped(Trans trans_a, Trans trans_b, T alpha, ConstMatrixView<
   }
 }
 
+}  // namespace
+
+template <typename T>
+void gemm_blocked_shaped(Trans trans_a, Trans trans_b, T alpha, ConstMatrixView<T> a,
+                         ConstMatrixView<T> b, T beta, MatrixView<T> c, const KernelShape& shape) {
+  packed_core(trans_a, trans_b, alpha, a, b, beta, c, shape, WholeC{});
+}
+
 template <typename T>
 void gemm_blocked(Trans trans_a, Trans trans_b, T alpha, ConstMatrixView<T> a,
                   ConstMatrixView<T> b, T beta, MatrixView<T> c) {
   gemm_blocked_shaped<T>(trans_a, trans_b, alpha, a, b, beta, c, shape_of<T>(active_profile()));
 }
 
-#define VBATCH_INSTANTIATE_GEMM(T)                                                      \
+template <typename T>
+void syrk_blocked(Uplo uplo, Trans trans, T alpha, ConstMatrixView<T> a, T beta,
+                  MatrixView<T> c) {
+  const Trans ta = trans == Trans::NoTrans ? Trans::NoTrans : Trans::Trans;
+  const Trans tb = trans == Trans::NoTrans ? Trans::Trans : Trans::NoTrans;
+  packed_core(ta, tb, alpha, a, a, beta, c, shape_of<T>(active_profile()),
+              Triangle{uplo, is_complex_v<T>});
+  if constexpr (is_complex_v<T>) {
+    const index_t k = trans == Trans::NoTrans ? a.cols() : a.rows();
+    if (k == 0 || alpha == T(0)) return;
+    for (index_t i = 0; i < c.rows(); ++i)
+      c(i, i) = alpha * T(herk_diag_sum(trans, a, i)) + c(i, i);
+  }
+}
+
+#define VBATCH_INSTANTIATE_PACKED(T)                                                    \
   template void gemm_blocked_shaped<T>(Trans, Trans, T, ConstMatrixView<T>,             \
                                        ConstMatrixView<T>, T, MatrixView<T>,            \
                                        const KernelShape&);                             \
   template void gemm_blocked<T>(Trans, Trans, T, ConstMatrixView<T>, ConstMatrixView<T>, T, \
-                                MatrixView<T>)
+                                MatrixView<T>);                                         \
+  template void syrk_blocked<T>(Uplo, Trans, T, ConstMatrixView<T>, T, MatrixView<T>)
 
-VBATCH_INSTANTIATE_GEMM(float);
-VBATCH_INSTANTIATE_GEMM(double);
-VBATCH_INSTANTIATE_GEMM(std::complex<float>);
-VBATCH_INSTANTIATE_GEMM(std::complex<double>);
+VBATCH_INSTANTIATE_PACKED(float);
+VBATCH_INSTANTIATE_PACKED(double);
+VBATCH_INSTANTIATE_PACKED(std::complex<float>);
+VBATCH_INSTANTIATE_PACKED(std::complex<double>);
 
-#undef VBATCH_INSTANTIATE_GEMM
+#undef VBATCH_INSTANTIATE_PACKED
 
 }  // namespace vbatch::blas::micro

@@ -97,6 +97,33 @@ template <typename T>
 void gemm_blocked(Trans trans_a, Trans trans_b, T alpha, ConstMatrixView<T> a,
                   ConstMatrixView<T> b, T beta, MatrixView<T> c);
 
+/// The uplo triangle of C = alpha·op(A)·op(A)ᴴ + beta·C (herk for complex T)
+/// on the packed core, as gemm_blocked(op(A), op(A)ᴴ) with only the register
+/// tiles that meet the triangle: per KC block op(A) is packed once as the A
+/// operand and once as the B operand (once per NC column chunk above n > NC),
+/// and the write-back is masked to the triangle, so every element of it is
+/// bit-identical to gemm_blocked on the same operands. For complex T the
+/// diagonal is alpha·herk_diag_sum + beta·c, exactly real for a real
+/// diagonal. With alpha = 0 or k = 0 only the beta pass runs; A is not read.
+template <typename T>
+void syrk_blocked(Uplo uplo, Trans trans, T alpha, ConstMatrixView<T> a, T beta,
+                  MatrixView<T> c);
+
+/// Diagonal element i of op(A)·op(A)ᴴ. It is mathematically real, so it is
+/// accumulated as a real scalar: no rounding-level (or FMA-contraction)
+/// imaginary residue is ever left on a complex c(i, i).
+template <typename T>
+[[nodiscard]] real_t<T> herk_diag_sum(Trans trans, ConstMatrixView<T> a, index_t i) {
+  const index_t k = trans == Trans::NoTrans ? a.cols() : a.rows();
+  real_t<T> sum(0);
+  if (trans == Trans::NoTrans) {
+    for (index_t l = 0; l < k; ++l) sum += real_val(a(i, l) * conj_val(a(i, l)));
+  } else {
+    for (index_t l = 0; l < k; ++l) sum += real_val(conj_val(a(l, i)) * a(l, i));
+  }
+  return sum;
+}
+
 /// One register-tile shape a compiled kernel exists for.
 struct TilePair {
   int mr, nr;

@@ -8,9 +8,10 @@
 // The launches are the modelled cost; the host numerics take host-shaped
 // forms of the same work. The panel factors its diagonal tiles in lane
 // groups, the trsm solves each panel with one blas::trsm (the inverted
-// blocks are never formed), and a syrk diagonal tile is a gemm on its
-// square of which only the requested triangle is written back. No step
-// reads the triangle LAPACK leaves unreferenced.
+// blocks are never formed), and the syrk updates each trailing matrix in
+// column strips, a pack-once blas::syrk of the strip's diagonal block plus
+// one blas::gemm beside it. No step reads the triangle LAPACK leaves
+// unreferenced.
 // Between steps, auxiliary kernels shift the size arrays and displace the
 // pointer arrays so fully factorized matrices are ignored without
 // out-of-bound accesses.

@@ -94,11 +94,10 @@ double launch_gemm_vbatched(sim::Device& dev, const GemmVbatchedArgs<T>& args) {
 
 namespace {
 
-// Shared implementation of one syrk tile block (used by both the vbatched
-// grid and the streamed per-matrix kernels).
+// Cost of one syrk tile block (used by both the vbatched grid and the
+// streamed per-matrix kernels). The arithmetic runs in syrk_numerics.
 template <typename T>
-sim::BlockCost syrk_tile_block(const SyrkVbatchedArgs<T>& args, const sim::ExecContext& ctx,
-                               int i, index_t ti, index_t tj) {
+sim::BlockCost syrk_tile_block(const SyrkVbatchedArgs<T>& args, int i, index_t ti, index_t tj) {
   const GemmTiling& t = args.tiling;
   const index_t ni = args.n[static_cast<std::size_t>(i)];
   const index_t ki = args.k[static_cast<std::size_t>(i)];
@@ -119,32 +118,47 @@ sim::BlockCost syrk_tile_block(const SyrkVbatchedArgs<T>& args, const sim::ExecC
 
   const index_t tm = std::min<index_t>(t.tm, ni - r0);
   const index_t tn = std::min<index_t>(t.tn, ni - c0);
-  const bool diagonal_tile = ti == tj;
-  sim::BlockCost cost = tile_cost(t, tm, tn, ki, sizeof(T), diagonal_tile);
+  return tile_cost(t, tm, tn, ki, sizeof(T), ti == tj);
+}
 
-  if (ctx.full()) {
-    const index_t lda = args.lda[static_cast<std::size_t>(i)];
-    const index_t ldc = args.ldc[static_cast<std::size_t>(i)];
-    MatrixView<T> c_tile(args.c[i] + r0 + c0 * ldc, tm, tn, ldc);
-    if (diagonal_tile) {
-      ConstMatrixView<T> a_rows = args.trans == Trans::NoTrans
-                                      ? ConstMatrixView<T>(args.a[i] + r0, tm, ki, lda)
-                                      : ConstMatrixView<T>(args.a[i] + r0 * lda, ki, tm, lda);
-      blas::syrk<T>(args.uplo, args.trans, args.alpha, a_rows, args.beta, c_tile);
-    } else {
-      ConstMatrixView<T> a_rows = args.trans == Trans::NoTrans
-                                      ? ConstMatrixView<T>(args.a[i] + r0, tm, ki, lda)
-                                      : ConstMatrixView<T>(args.a[i] + r0 * lda, ki, tm, lda);
-      ConstMatrixView<T> a_cols = args.trans == Trans::NoTrans
-                                      ? ConstMatrixView<T>(args.a[i] + c0, tn, ki, lda)
-                                      : ConstMatrixView<T>(args.a[i] + c0 * lda, ki, tn, lda);
-      // Off-diagonal tile: plain gemm with Bᵀ taken from A's other rows.
-      blas::gemm<T>(args.trans == Trans::NoTrans ? Trans::NoTrans : Trans::Trans,
-                    args.trans == Trans::NoTrans ? Trans::Trans : Trans::NoTrans, args.alpha,
-                    a_rows, a_cols, args.beta, c_tile);
+// The Full-mode numerics of both syrk launches: one item per (matrix,
+// kSyrkStripCols-wide column strip of its C), each the blas::syrk of the
+// strip's diagonal block plus one blas::gemm of the rectangle below it
+// (Lower) or above it (Upper). Strips write disjoint parts of the triangle
+// and the split is fixed, so the bits depend only on the matrix. `grid` is
+// the block count of the launches the pass stands for (the grain).
+template <typename T>
+void syrk_numerics(const SyrkVbatchedArgs<T>& args, int max_n, int grid) {
+  const int batch = static_cast<int>(args.n.size());
+  const int strips = (max_n + kSyrkStripCols - 1) / kSyrkStripCols;
+  const Trans ta = args.trans == Trans::NoTrans ? Trans::NoTrans : Trans::Trans;
+  const Trans tb = args.trans == Trans::NoTrans ? Trans::Trans : Trans::NoTrans;
+  sim::parallel_for_grained(batch * strips, grid, [&](int item) {
+    const auto i = static_cast<std::size_t>(item / strips);
+    const index_t c0 = static_cast<index_t>(item % strips) * kSyrkStripCols;
+    const index_t ni = args.n[i];
+    if (c0 >= ni) return;
+    const index_t w = std::min<index_t>(kSyrkStripCols, ni - c0);
+    const index_t ki = args.k[i];
+    const index_t lda = args.lda[i];
+    // op(A) rows [r, r + len) as an operand in its stored orientation.
+    auto rows_of = [&](index_t r, index_t len) {
+      return args.trans == Trans::NoTrans ? ConstMatrixView<T>(args.a[i] + r, len, ki, lda)
+                                          : ConstMatrixView<T>(args.a[i] + r * lda, ki, len, lda);
+    };
+    MatrixView<T> c(args.c[i], ni, ni, args.ldc[i]);
+    blas::syrk<T>(args.uplo, args.trans, args.alpha, rows_of(c0, w), args.beta,
+                  c.block(c0, c0, w, w));
+    if (args.uplo == Uplo::Lower) {
+      const index_t below = ni - c0 - w;
+      if (below > 0)
+        blas::gemm<T>(ta, tb, args.alpha, rows_of(c0 + w, below), rows_of(c0, w), args.beta,
+                      c.block(c0 + w, c0, below, w));
+    } else if (c0 > 0) {
+      blas::gemm<T>(ta, tb, args.alpha, rows_of(0, c0), rows_of(c0, w), args.beta,
+                    c.block(0, c0, c0, w));
     }
-  }
-  return cost;
+  });
 }
 
 }  // namespace
@@ -164,13 +178,16 @@ double launch_syrk_vbatched(sim::Device& dev, const SyrkVbatchedArgs<T>& args) {
   cfg.block_threads = t.threads;
   cfg.shared_mem = t.shared_mem(sizeof(T));
   cfg.precision = precision_v<T>;
+  cfg.cost_only = true;
 
-  return dev.launch(cfg, [&args, tiles](const sim::ExecContext& ctx, int block) {
+  const double seconds = dev.launch(cfg, [&args, tiles](const sim::ExecContext&, int block) {
     const int per_matrix = tiles * tiles;
     const int i = block / per_matrix;
     const int tile = block % per_matrix;
-    return syrk_tile_block(args, ctx, i, tile % tiles, tile / tiles);
+    return syrk_tile_block(args, i, tile % tiles, tile / tiles);
   });
+  if (dev.mode() == sim::ExecMode::Full) syrk_numerics(args, args.max_n, cfg.grid_blocks);
+  return seconds;
 }
 
 template <typename T>
@@ -184,6 +201,7 @@ double launch_syrk_streamed(sim::Device& dev, const SyrkVbatchedArgs<T>& args, i
   configs.reserve(static_cast<std::size_t>(batch));
   fns.reserve(static_cast<std::size_t>(batch));
 
+  int max_n = 0, grid = 0;
   for (int i = 0; i < batch; ++i) {
     const int ni = args.n[static_cast<std::size_t>(i)];
     if (ni <= 0) continue;  // host-side skip: one kernel per live matrix
@@ -194,13 +212,18 @@ double launch_syrk_streamed(sim::Device& dev, const SyrkVbatchedArgs<T>& args, i
     cfg.block_threads = t.threads;
     cfg.shared_mem = t.shared_mem(sizeof(T));
     cfg.precision = precision_v<T>;
+    cfg.cost_only = true;
     configs.push_back(cfg);
-    fns.push_back([&args, i, tiles](const sim::ExecContext& ctx, int block) {
-      return syrk_tile_block(args, ctx, i, block % tiles, block / tiles);
+    fns.push_back([&args, i, tiles](const sim::ExecContext&, int block) {
+      return syrk_tile_block(args, i, block % tiles, block / tiles);
     });
+    max_n = std::max(max_n, ni);
+    grid += cfg.grid_blocks;
   }
   if (configs.empty()) return 0.0;
-  return dev.launch_concurrent(configs, fns, num_streams);
+  const double seconds = dev.launch_concurrent(configs, fns, num_streams);
+  if (dev.mode() == sim::ExecMode::Full) syrk_numerics(args, max_n, grid);
+  return seconds;
 }
 
 template double launch_gemm_vbatched<float>(sim::Device&, const GemmVbatchedArgs<float>&);

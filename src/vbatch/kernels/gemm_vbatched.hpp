@@ -6,6 +6,14 @@
 // matrix exit through ETM-classic (aggressive is not applicable — all
 // threads of a live block cooperate on the shared-memory tile pipeline and
 // must stay in sync, §III-E2).
+//
+// The syrk launches (vbatched grid and streamed per-matrix kernels) keep
+// that grid as a cost-only pass: it is where the modelled time comes from.
+// Their arithmetic runs after it in Full mode, in host-shaped pieces: one
+// item per kSyrkStripCols-wide column strip of each matrix, a pack-once
+// blas::syrk of the strip's diagonal block plus one blas::gemm of the
+// rectangle beside it. Both launches share that pass, so their results are
+// memcmp-equal.
 #pragma once
 
 #include <span>
@@ -46,7 +54,13 @@ struct GemmVbatchedArgs {
 template <typename T>
 double launch_gemm_vbatched(sim::Device& dev, const GemmVbatchedArgs<T>& args);
 
-/// vbatched SYRK: C(n×n, uplo triangle) = alpha·A·Aᵀ + beta·C, realized as
+/// Column-strip width of the syrk numerics pass. Lower strips own the
+/// columns [c0, c0 + w) from the diagonal down, Upper strips from row 0 to
+/// the diagonal. Fixed, so results do not depend on the worker count; narrow
+/// enough that one tall matrix still spreads over the pool.
+inline constexpr int kSyrkStripCols = 96;
+
+/// vbatched SYRK: C(n×n, uplo triangle) = alpha·A·Aᵀ + beta·C, modelled as
 /// the gemm grid plus the upper/lower decision layer of §III-E3 — blocks on
 /// the wrong side of the diagonal terminate, diagonal blocks do triangular
 /// work.

@@ -20,6 +20,7 @@
 #include "vbatch/sim/device.hpp"
 #include "vbatch/util/flops.hpp"
 #include "vbatch/util/rng.hpp"
+#include "vbatch/util/thread_pool.hpp"
 
 namespace {
 
@@ -548,6 +549,98 @@ TEST(SyrkVbatched, StreamedMatchesVbatched) {
   launch_syrk_streamed(dev2, args, 8);
 
   EXPECT_EQ(c1, c2);
+}
+
+/// The syrk numerics pass against the strip decomposition applied to each
+/// matrix by hand: per kSyrkStripCols-wide column strip, one blas::syrk of
+/// the diagonal block plus one blas::gemm of the rectangle below (Lower) or
+/// above (Upper) it. Memcmp-equal over the whole buffers, so the other
+/// triangle and the lda/ldc padding rows stay untouched, for the vbatched
+/// and the streamed launch, at 1 and 4 workers. Ragged n (0, 1, 65 and 449
+/// among them) and a k = 0 entry, which beta ≠ 1 must still scale.
+template <typename T>
+class SyrkVbatchedStrips : public ::testing::Test {};
+using KernelPrecisions =
+    ::testing::Types<float, double, std::complex<float>, std::complex<double>>;
+TYPED_TEST_SUITE(SyrkVbatchedStrips, KernelPrecisions);
+
+TYPED_TEST(SyrkVbatchedStrips, MatchStripDecomposition) {
+  using T = TypeParam;
+  const std::vector<int> n{65, 0, 449, 1, 30, 128, 200}, k{64, 64, 64, 64, 0, 16, 64};
+  const int pad = 3;
+  const T alpha = T(-1), beta = T(0.5);
+  for (auto [uplo, trans] : {std::pair{Uplo::Lower, Trans::NoTrans},
+                             std::pair{Uplo::Upper, Trans::Trans}}) {
+    const bool notrans = trans == Trans::NoTrans;
+    Rng rng(43);
+    std::vector<std::vector<T>> abuf, corig;
+    std::vector<int> lda, ldc;
+    for (std::size_t i = 0; i < n.size(); ++i) {
+      const int ar = notrans ? n[i] : k[i], ac = notrans ? k[i] : n[i];
+      lda.push_back(ar + pad);
+      ldc.push_back(n[i] + pad);
+      abuf.emplace_back(static_cast<std::size_t>(lda.back() * std::max(ac, 1)));
+      corig.emplace_back(static_cast<std::size_t>(ldc.back() * std::max(n[i], 1)));
+      fill_general<T>(rng, abuf.back().data(), lda.back(), std::max(ac, 1), lda.back());
+      fill_general<T>(rng, corig.back().data(), ldc.back(), std::max(n[i], 1), ldc.back());
+    }
+
+    auto expect = corig;
+    for (std::size_t i = 0; i < n.size(); ++i) {
+      const index_t ni = n[i], ki = k[i];
+      auto rows_of = [&](index_t r, index_t len) {
+        return notrans ? ConstMatrixView<T>(abuf[i].data() + r, len, ki, lda[i])
+                       : ConstMatrixView<T>(abuf[i].data() + r * lda[i], ki, len, lda[i]);
+      };
+      MatrixView<T> c(expect[i].data(), ni, ni, ldc[i]);
+      const Trans ta = notrans ? Trans::NoTrans : Trans::Trans;
+      const Trans tb = notrans ? Trans::Trans : Trans::NoTrans;
+      for (index_t c0 = 0; c0 < ni; c0 += kSyrkStripCols) {
+        const index_t w = std::min<index_t>(kSyrkStripCols, ni - c0);
+        blas::syrk<T>(uplo, trans, alpha, rows_of(c0, w), beta, c.block(c0, c0, w, w));
+        if (uplo == Uplo::Lower && ni - c0 - w > 0)
+          blas::gemm<T>(ta, tb, alpha, rows_of(c0 + w, ni - c0 - w), rows_of(c0, w), beta,
+                        c.block(c0 + w, c0, ni - c0 - w, w));
+        if (uplo == Uplo::Upper && c0 > 0)
+          blas::gemm<T>(ta, tb, alpha, rows_of(0, c0), rows_of(c0, w), beta,
+                        c.block(0, c0, c0, w));
+      }
+    }
+
+    for (unsigned threads : {1u, 4u})
+      for (bool streamed : {false, true}) {
+        util::set_host_threads(threads);
+        auto cbuf = corig;
+        std::vector<T*> ap, cp;
+        for (std::size_t i = 0; i < n.size(); ++i) {
+          ap.push_back(abuf[i].data());
+          cp.push_back(cbuf[i].data());
+        }
+        SyrkVbatchedArgs<T> args;
+        args.uplo = uplo;
+        args.trans = trans;
+        args.n = n;
+        args.k = k;
+        args.max_n = 449;
+        args.alpha = alpha;
+        args.beta = beta;
+        args.a = ap.data();
+        args.lda = lda;
+        args.c = cp.data();
+        args.ldc = ldc;
+        auto dev = make_dev();
+        if (streamed) {
+          launch_syrk_streamed(dev, args, 4);
+        } else {
+          launch_syrk_vbatched(dev, args);
+        }
+        for (std::size_t i = 0; i < n.size(); ++i)
+          EXPECT_TRUE(same_bytes(cbuf[i], expect[i]))
+              << to_string(uplo) << (streamed ? " streamed" : " vbatched") << ", " << threads
+              << " workers, matrix " << i << " (n=" << n[i] << ", k=" << k[i] << ")";
+      }
+    util::set_host_threads(0);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 // multiples of the MR/NR/KC tiling parameters — including 0 and 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstring>
@@ -195,8 +196,8 @@ TYPED_TEST(MicrokernelTest, GemmMatchesRefUnderEverySupportedIsa) {
 
 TYPED_TEST(MicrokernelTest, SyrkMatchesRefAndPreservesOtherTriangle) {
   using T = TypeParam;
-  // Tail sizes around the 32-wide diagonal blocks, plus the separated
-  // path's syrk tile shapes (n ≤ 64, k = the panel width 64).
+  // Tail sizes around the register tiles, plus the separated path's
+  // diagonal-block shapes (k = the panel width 64).
   std::vector<std::pair<index_t, index_t>> shapes;
   for (index_t n : {0, 1, 5, 31, 32, 33, 70})
     for (index_t k : {0, 1, 8, 40}) shapes.emplace_back(n, k);
@@ -248,6 +249,67 @@ TYPED_TEST(MicrokernelTest, SyrkMatchesRefAndPreservesOtherTriangle) {
           }
         }
       }
+}
+
+// The pack-once syrk is gemm_blocked(op(A), op(A)ᴴ) restricted to the
+// triangle: memcmp-equal there (the complex diagonal aside, which is herk's
+// real sum), with the other triangle and the padding rows of C untouched.
+// Sizes straddle the tile (MR, NR), KC and the NC column chunk of the scalar
+// profile and of the host's default one.
+TYPED_TEST(MicrokernelTest, SyrkBlockedIsGemmBlockedOnTheTriangle) {
+  using T = TypeParam;
+  const T alpha = make_scalar<T>(-1.0, 0.0);
+  const T beta = make_scalar<T>(0.75, 0.0);
+  std::vector<Isa> isas{Isa::Scalar};
+  if (blas::micro::active_isa() != Isa::Scalar) isas.push_back(blas::micro::active_isa());
+  for (Isa isa : isas) {
+    IsaGuard guard(isa);
+    const auto& shape = blas::micro::shape_of<T>(blas::micro::active_profile());
+    const index_t MR = shape.mr, NR = shape.nr, KC = shape.kc;
+    Rng rng(23);
+    for (index_t n : {index_t{1}, MR - 1, MR, NR + 1, index_t{64}, index_t{65}, index_t{130},
+                      index_t{449}})
+      for (index_t k : {index_t{1}, index_t{8}, index_t{64}, KC, KC + 1}) {
+        if (n < 1) continue;
+        for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+          for (Trans trans : {Trans::NoTrans, Trans::Trans}) {
+            const index_t ar = trans == Trans::NoTrans ? n : k;
+            const index_t ac = trans == Trans::NoTrans ? k : n;
+            const index_t ldc = n + 3;
+            auto abuf = random_buffer<T>(rng, ar, ac, ar + 1);
+            auto corig = random_buffer<T>(rng, ldc, n, ldc);
+            // A Hermitian C: herk keeps its real diagonal exactly real.
+            for (index_t d = 0; d < n; ++d)
+              corig[static_cast<std::size_t>(d + d * ldc)] =
+                  T(real_val(corig[static_cast<std::size_t>(d + d * ldc)]));
+            ConstMatrixView<T> a(abuf.data(), ar, ac, ar + 1);
+            auto csyrk = corig, cgemm = corig;
+            blas::micro::syrk_blocked<T>(uplo, trans, alpha, a, beta,
+                                         MatrixView<T>(csyrk.data(), n, n, ldc));
+            blas::micro::gemm_blocked<T>(trans, trans == Trans::NoTrans ? Trans::Trans
+                                                                        : Trans::NoTrans,
+                                         alpha, a, a, beta,
+                                         MatrixView<T>(cgemm.data(), n, n, ldc));
+            const std::string where = std::string(to_string(isa)) + " n=" + std::to_string(n) +
+                                      " k=" + std::to_string(k) + " " +
+                                      std::string(vbatch::to_string(uplo)) + " " +
+                                      std::string(vbatch::to_string(trans));
+            for (index_t j = 0; j < n; ++j)
+              for (index_t i = 0; i < ldc; ++i) {
+                const std::size_t at = static_cast<std::size_t>(i + j * ldc);
+                const bool in_tri = i < n && (uplo == Uplo::Lower ? i >= j : i <= j);
+                const T& want = !in_tri ? corig[at] : cgemm[at];
+                if (in_tri && i == j && is_complex_v<T>) {
+                  ASSERT_EQ(std::imag(csyrk[at]), 0) << "diagonal " << i << ", " << where;
+                  continue;
+                }
+                ASSERT_EQ(std::memcmp(&csyrk[at], &want, sizeof(T)), 0)
+                    << (in_tri ? "triangle" : "outside") << " (" << i << "," << j << "), "
+                    << where;
+              }
+          }
+      }
+  }
 }
 
 // The complex tile's split-arithmetic pass hands any tile holding a NaN back
@@ -389,6 +451,55 @@ TYPED_TEST(TriangularAlphaZero, ZeroesBOnEveryPath) {
             }
           }
         }
+}
+
+// syrk with alpha = 0 (or k = 0) is the beta pass alone: A is not read, so
+// an Inf in A cannot turn 0·Inf into a NaN, and beta = 0 clears a NaN C.
+// The other triangle stays untouched.
+template <typename T>
+class SyrkAlphaZero : public ::testing::Test {};
+TYPED_TEST_SUITE(SyrkAlphaZero, Precisions);
+
+TYPED_TEST(SyrkAlphaZero, RunsOnlyTheBetaPass) {
+  using T = TypeParam;
+  const T inf = make_scalar<T>(std::numeric_limits<double>::infinity(), 0.0);
+  const T nan = make_scalar<T>(std::numeric_limits<double>::quiet_NaN(), 0.0);
+  const index_t k = 5;
+  for (index_t n : {3, 16})
+    for (double beta_re : {0.0, 1.0, 0.5})
+      for (bool zero_k : {false, true})
+        for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+          for (Trans trans : {Trans::NoTrans, Trans::Trans})
+            for (Dispatch d : {Dispatch::ForceRef, Dispatch::ForceBlocked}) {
+              const T beta = make_scalar<T>(beta_re, 0.0);
+              const T alpha = zero_k ? make_scalar<T>(-1.0, 0.0) : T(0);
+              const index_t kk = zero_k ? 0 : k;
+              const index_t ar = trans == Trans::NoTrans ? n : kk;
+              const index_t ac = trans == Trans::NoTrans ? kk : n;
+              std::vector<T> abuf(static_cast<std::size_t>(std::max<index_t>(ar * ac, 1)),
+                                  make_scalar<T>(0.25, -0.5));
+              abuf[0] = inf;
+              std::vector<T> cbuf(static_cast<std::size_t>(n * n), make_scalar<T>(2.0, 0.0));
+              if (beta_re == 0.0) std::fill(cbuf.begin(), cbuf.end(), nan);
+              const auto corig = cbuf;
+              {
+                DispatchGuard guard(d);
+                blas::syrk<T>(uplo, trans, alpha,
+                              ConstMatrixView<T>(abuf.data(), ar, ac, std::max<index_t>(ar, 1)),
+                              beta, MatrixView<T>(cbuf.data(), n, n, n));
+              }
+              for (index_t j = 0; j < n; ++j)
+                for (index_t i = 0; i < n; ++i) {
+                  const std::size_t at = static_cast<std::size_t>(i + j * n);
+                  const bool in_tri = uplo == Uplo::Lower ? i >= j : i <= j;
+                  const T want = !in_tri ? corig[at] : beta_re == 0.0 ? T(0) : beta * corig[at];
+                  ASSERT_EQ(std::memcmp(&cbuf[at], &want, sizeof(T)), 0)
+                      << "n=" << n << " beta=" << beta_re << (zero_k ? " k=0 " : " alpha=0 ")
+                      << vbatch::to_string(uplo) << " " << vbatch::to_string(trans) << " "
+                      << (d == Dispatch::ForceRef ? "ForceRef" : "ForceBlocked") << " at (" << i
+                      << "," << j << ")";
+                }
+            }
 }
 
 // ---------------------------------------------------------------------------

@@ -718,7 +718,8 @@ bool same_record(const sim::KernelRecord& a, const sim::KernelRecord& b) {
 /// and no cost reads what a numerics pass writes, so a Full run's timeline
 /// is the TimingOnly timeline, record for record and bit for bit.
 template <typename T>
-void expect_timing_only_matches_full(PotrfPath path, Uplo uplo, const char* type) {
+void expect_timing_only_matches_full(PotrfPath path, Uplo uplo, const char* type,
+                                     bool streamed_syrk = false) {
   // Around both separated panel widths (64 and 96), plus a spread to 300.
   std::vector<int> sizes{0, 1, 63, 64, 65, 95, 96, 97, 128, 129, 191, 192, 193, 300};
   Rng size_rng(41);
@@ -731,11 +732,12 @@ void expect_timing_only_matches_full(PotrfPath path, Uplo uplo, const char* type
   bf.fill_spd(fill);
   PotrfOptions opts;
   opts.path = path;
+  opts.streamed_syrk = streamed_syrk;
 
   const auto rf = potrf_vbatched<T>(qf, uplo, bf, opts);
   const auto rt = potrf_vbatched<T>(qt, uplo, bt, opts);
-  const std::string what = std::string(to_string(path)) + (uplo == Uplo::Lower ? "/L/" : "/U/") +
-                           type;
+  const std::string what = std::string(to_string(path)) + (streamed_syrk ? "/streamed" : "") +
+                           (uplo == Uplo::Lower ? "/L/" : "/U/") + type;
   for (int info : bf.info()) ASSERT_EQ(info, 0) << what;
   EXPECT_EQ(0, std::memcmp(&rf.seconds, &rt.seconds, sizeof(double))) << what;
   const auto& full = qf.device().timeline().records();
@@ -754,6 +756,13 @@ TEST(PotrfVbatched, TimingOnlyMatchesFullModeSeconds) {
       expect_timing_only_matches_full<std::complex<float>>(path, uplo, "c");
       expect_timing_only_matches_full<std::complex<double>>(path, uplo, "z");
     }
+  // The streamed syrk shares the vbatched syrk's cost-only launch contract.
+  for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+    expect_timing_only_matches_full<float>(PotrfPath::Separated, uplo, "s", true);
+    expect_timing_only_matches_full<double>(PotrfPath::Separated, uplo, "d", true);
+    expect_timing_only_matches_full<std::complex<float>>(PotrfPath::Separated, uplo, "c", true);
+    expect_timing_only_matches_full<std::complex<double>>(PotrfPath::Separated, uplo, "z", true);
+  }
 }
 
 }  // namespace
