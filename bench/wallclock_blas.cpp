@@ -45,6 +45,17 @@
 // the gate reads the median of the rounds' ratios of the summed times:
 //   * update gate — on a vector ISA, pass >= 1.2x tile.
 //
+// Part 5 is the panel-solve series: the separated path's panel solve
+// X·L11ᵀ = B (Right/Lower/Trans, B m×64) at m = 128/256/448, two ways on
+// identical inputs:
+//   ref    blas::trsm's recursion as it ran before the lane base case: one
+//          split at order 64, trsm_ref on each 32-order half and the same
+//          blas::gemm update between them;
+//   lanes  blas::trsm, whose base cases run on the SIMD lanes.
+// Paired rounds as in Part 4, two gates:
+//   * bit gate — memcmp-equal after one solve, any ISA;
+//   * solve gate — on a vector ISA, lanes >= 1.5x ref.
+//
 // Output: a human-readable table on stdout plus one JSON line appended to
 // BENCH_blas.json (override with --out). The run fails (non-zero exit) on a
 // numerics problem or on a failed regression gate.
@@ -389,6 +400,99 @@ UpdateResult run_rank64_update(const Options& o) {
   return r;
 }
 
+/// Part 5: one m×64 panel solve X·L11ᵀ = B, its operands and both ways of
+/// computing it. Each solve restores B first, so repeated solves time the
+/// same numbers.
+struct SolveCase {
+  static constexpr index_t kOrder = 64, kHalf = 32;
+  index_t m = 0;
+  std::vector<double> l, b0, b;
+
+  SolveCase(Rng& rng, index_t rows)
+      : m(rows), l(static_cast<std::size_t>(kOrder * kOrder)),
+        b0(static_cast<std::size_t>(rows * kOrder)) {
+    fill_general(rng, l.data(), kOrder, kOrder, kOrder);
+    for (index_t d = 0; d < kOrder; ++d)
+      l[static_cast<std::size_t>(d * (kOrder + 1))] = 4.0 + static_cast<double>(d);
+    fill_general(rng, b0.data(), m, kOrder, m);
+    b = b0;
+  }
+  [[nodiscard]] ConstMatrixView<double> tri() const { return {l.data(), kOrder, kOrder, kOrder}; }
+  [[nodiscard]] MatrixView<double> x() { return {b.data(), m, kOrder, m}; }
+  [[nodiscard]] double flops() const { return flops::trsm(m, kOrder, false); }
+
+  /// The recursion with trsm_ref base cases.
+  void ref() {
+    b = b0;
+    const auto a = tri();
+    const auto x1 = x().block(0, 0, m, kHalf), x2 = x().block(0, kHalf, m, kOrder - kHalf);
+    blas::trsm_ref<double>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, 1.0,
+                           a.block(0, 0, kHalf, kHalf), x1);
+    blas::gemm<double>(Trans::NoTrans, Trans::Trans, -1.0, x1,
+                       a.block(kHalf, 0, kOrder - kHalf, kHalf), 1.0, x2);
+    blas::trsm_ref<double>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, 1.0,
+                           a.block(kHalf, kHalf, kOrder - kHalf, kOrder - kHalf), x2);
+  }
+
+  void lanes() {
+    b = b0;
+    blas::trsm<double>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, 1.0, tri(), x());
+  }
+};
+
+struct SolveResult {
+  std::vector<int> m;
+  std::vector<double> ref_gflops, lanes_gflops;  ///< best of the rounds, per m
+  double ratio = 0.0;  ///< median over rounds of Σ ref time / Σ lanes time
+  bool bits_ok = true;
+};
+
+SolveResult run_panel_solve(const Options& o) {
+  Rng rng(o.seed + 4);
+  std::vector<SolveCase> cases;
+  for (index_t m : {128, 256, 448}) cases.emplace_back(rng, m);
+
+  SolveResult r;
+  for (SolveCase& sc : cases) {
+    sc.ref();
+    const std::vector<double> want = sc.b;
+    sc.lanes();
+    if (std::memcmp(want.data(), sc.b.data(), want.size() * sizeof(double)) != 0)
+      r.bits_ok = false;
+  }
+
+  constexpr int kRounds = 15;
+  std::vector<double> best_ref(cases.size(), 1e300), best_lanes(cases.size(), 1e300);
+  std::vector<double> ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    double ref_s = 0.0, lanes_s = 0.0;
+    for (std::size_t x = 0; x < cases.size(); ++x) {
+      SolveCase& sc = cases[x];
+      double t = 0.0, p = 0.0;
+      if (round % 2 == 0) {
+        t = time_op(sc.flops(), [&] { sc.ref(); });
+        p = time_op(sc.flops(), [&] { sc.lanes(); });
+      } else {
+        p = time_op(sc.flops(), [&] { sc.lanes(); });
+        t = time_op(sc.flops(), [&] { sc.ref(); });
+      }
+      best_ref[x] = std::min(best_ref[x], t);
+      best_lanes[x] = std::min(best_lanes[x], p);
+      ref_s += t;
+      lanes_s += p;
+    }
+    ratios.push_back(ref_s / lanes_s);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + kRounds / 2, ratios.end());
+  r.ratio = ratios[kRounds / 2];
+  for (std::size_t x = 0; x < cases.size(); ++x) {
+    r.m.push_back(static_cast<int>(cases[x].m));
+    r.ref_gflops.push_back(cases[x].flops() / best_ref[x] * 1e-9);
+    r.lanes_gflops.push_back(cases[x].flops() / best_lanes[x] * 1e-9);
+  }
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -630,6 +734,13 @@ int main(int argc, char** argv) {
     std::printf("  rank-64 update m=%d: tile %.2f Gf/s, pass %.2f Gf/s\n", up.m[x],
                 up.tile_gflops[x], up.pass_gflops[x]);
 
+  // Part 5: the panel solve, trsm_ref base cases against the lanes.
+  const SolveResult sv = run_panel_solve(o);
+  const bool solve_ok = !vector_isa || sv.ratio >= 1.5;
+  for (std::size_t x = 0; x < sv.m.size(); ++x)
+    std::printf("  panel solve m=%d x 64: ref %.2f Gf/s, lanes %.2f Gf/s\n", sv.m[x],
+                sv.ref_gflops[x], sv.lanes_gflops[x]);
+
   std::printf("  gemm double min speedup vs ref (n>=64): NN %.2fx, NT %.2fx\n", min_speedup_nn,
               min_speedup_nt);
   if (vector_gate_ran)
@@ -643,6 +754,11 @@ int main(int argc, char** argv) {
                 update_ok ? "PASS" : "FAIL");
   std::printf("  rank-64 update numerics (tile vs pass): %.1e (%s)\n", up.max_diff,
               update_bits_ok ? "PASS" : "FAIL");
+  if (vector_isa)
+    std::printf("  panel solve gate (lanes >=1.5x ref base cases, paired): %.2fx (%s)\n",
+                sv.ratio, solve_ok ? "PASS" : "FAIL");
+  std::printf("  panel solve bit gate (memcmp vs ref base cases): %s\n",
+              sv.bits_ok ? "PASS" : "FAIL");
   std::printf("  residual gates: %s\n", residual_ok ? "PASS" : "FAIL");
   std::printf("  potf2_batch bit gate (memcmp vs looped potf2): %s\n",
               p2.bits_ok ? "PASS" : "FAIL");
@@ -692,16 +808,23 @@ int main(int argc, char** argv) {
                                            {"pass_gflops", up.pass_gflops},
                                            {"ratio", up.ratio},
                                            {"ok", update_ok},
-                                           {"max_diff", up.max_diff}});
+                                           {"max_diff", up.max_diff}})
+      .add("panel_solve", gate::JsonLine{{"m", sv.m},
+                                         {"order", static_cast<int>(SolveCase::kOrder)},
+                                         {"ref_gflops", sv.ref_gflops},
+                                         {"lanes_gflops", sv.lanes_gflops},
+                                         {"ratio", sv.ratio},
+                                         {"ok", solve_ok},
+                                         {"bits_ok", sv.bits_ok}});
   std::printf("%s\n", json.str().c_str());
   gate::append_json_lines(o.out, {json});
 
-  if (!residual_ok || !p2.bits_ok || !update_bits_ok) {
-    std::fprintf(stderr, "FAILED: residual gate, info check, potf2_batch bit gate or rank-64 "
-                         "update numerics failed\n");
+  if (!residual_ok || !p2.bits_ok || !update_bits_ok || !sv.bits_ok) {
+    std::fprintf(stderr, "FAILED: residual gate, info check, potf2_batch bit gate, rank-64 "
+                         "update numerics or panel solve bit gate failed\n");
     return 1;
   }
-  if (!nt_vector_2x_ok || !nn512_ok || !p2_speedup_ok || !update_ok) {
+  if (!nt_vector_2x_ok || !nn512_ok || !p2_speedup_ok || !update_ok || !solve_ok) {
     std::fprintf(stderr, "FAILED: performance regression gate failed\n");
     return 1;
   }

@@ -1,37 +1,53 @@
-// Internal: the batch-interleaved unblocked Cholesky kernel behind
-// blas::potf2_batch (docs/blas.md, "Batch-interleaved potf2").
+// Internal: the exact-arithmetic SIMD lane kernels of the host BLAS — the
+// batch-interleaved unblocked Cholesky behind blas::potf2_batch and the
+// triangular-solve base case behind blas::trsm (docs/blas.md,
+// "Batch-interleaved potf2" and "The trsm lane base case").
 //
-// W equal-order real panels factor together, one per SIMD lane. The
-// referenced triangle of every panel is packed into a thread-local tile laid
-// out element-major, lane-minor — element (r, c) of lane l sits at
+// potf2_lanes: W equal-order real panels factor together, one per SIMD
+// lane. The referenced triangle of every panel is packed into a thread-local
+// tile laid out element-major, lane-minor — element (r, c) of lane l sits at
 // tile[(c·n + r)·W + l] — with a W×W in-register transpose per W-row column
 // segment. One sweep over the tile then runs blas::potf2's Lower recurrence
 // on W-wide vectors, and only the triangle potf2 would have written is
 // unpacked.
 //
-// Bit contract: every lane performs exactly potf2's operations in potf2's
-// order — the same products, subtracted in increasing l, sqrt, then a
-// multiply by the reciprocal — so each panel's factor and info equal
-// potf2's bit for bit at every W. That needs IEEE-exact vector arithmetic:
-// the translation units instantiating this header (potf2_lanes_*.cpp) are
-// compiled with -ffp-contract=off, because a contracted s − a·b (FMA) rounds
-// once instead of twice. Upper runs the same kernel on the transposed pack:
-// Upper's products a(l,j)·a(l,i) are Lower's a(i,l)·a(j,l) with the factors
-// swapped, and IEEE multiplication commutes (a NaN can only meet a non-NaN
-// factor here: a NaN in row j fails column j before row j is used).
+// trsm_lanes: the rows of B (Right side) or its columns (Left side) are
+// independent solves, so each lane runs one of them. Right: R·W rows stay in
+// R accumulators while column j is finished in trsm_ref's column order, A
+// read in place. Left: R·W columns are packed lane-minor into the tile (the
+// same transpose) and trsm_ref's dot-form row recurrence runs on it.
 //
-// A lane whose pivot is not positive keeps LAPACK's early-return state: the
-// offending value is stored on its diagonal and nothing after it is written.
-// The lane keeps computing garbage in the tile (never unpacked); the sweep
-// stops once every lane has failed.
+// Bit contract: every lane performs exactly the scalar oracle's operations
+// in its order, so each result equals it bit for bit at every W. potf2_lanes
+// matches potf2 — the same products, subtracted in increasing l, sqrt, then
+// a multiply by the reciprocal. trsm_lanes matches trsm_ref — Right: the
+// same b(i,l)·op(A)(l,j) products subtracted in trsm_ref's l order, exact
+// zero coefficients skipped, then a multiply by 1/op(A)(j,j); Left: the
+// same op(A)(i,l)·x(l) products subtracted in trsm_ref's l order (no zero
+// skip), then a division by op(A)(i,i). That needs IEEE-exact vector
+// arithmetic: the translation units instantiating this header
+// (potf2_lanes_*.cpp) are compiled with -ffp-contract=off, because a
+// contracted s − a·b (FMA) rounds once instead of twice, and so are the
+// oracles (potrf.cpp, triangular.cpp). potf2's Upper runs the same kernel on
+// the transposed pack: Upper's products a(l,j)·a(l,i) are Lower's
+// a(i,l)·a(j,l) with the factors swapped, and IEEE multiplication commutes
+// (a NaN can only meet a non-NaN factor here: a NaN in row j fails column j
+// before row j is used).
+//
+// A potf2 lane whose pivot is not positive keeps LAPACK's early-return
+// state: the offending value is stored on its diagonal and nothing after it
+// is written. The lane keeps computing garbage in the tile (never unpacked);
+// the sweep stops once every lane has failed.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 #include "vbatch/util/matrix_view.hpp"
+#include "vbatch/util/types.hpp"
 
 #if defined(__SSE2__)
 #include <immintrin.h>
@@ -45,18 +61,42 @@ namespace vbatch::blas::detail {
 template <typename T>
 using Potf2LanesFn = void (*)(bool upper, index_t n, T* const* a, const index_t* lda, int* info);
 
-/// One instruction set's kernels: the vector width in bytes (W = bytes /
-/// sizeof(T)) and the float / double entry points.
-struct Potf2LaneKernels {
+/// trsm_ref with unit alpha on the lanes: solves op(A)·X = B (Left) or
+/// X·op(A) = B (Right) for the m×n B (leading dimension ldb), A the
+/// triangle of order m (Left) or n (Right). Solves the first W·⌊m/W⌋ rows
+/// (Right) or W·⌊n/W⌋ columns (Left) and returns that count; the caller
+/// solves the rest with trsm_ref.
+template <typename T>
+using TrsmLanesFn = index_t (*)(Side side, Uplo uplo, Trans trans, Diag diag, index_t m,
+                                index_t n, const T* a, index_t lda, T* b, index_t ldb);
+
+template <typename T>
+struct LaneFns {
+  Potf2LanesFn<T> potf2 = nullptr;
+  TrsmLanesFn<T> trsm = nullptr;
+};
+
+/// One instruction set's lane kernels: the vector width in bytes (W =
+/// bytes / sizeof(T)) and the float / double entry points.
+struct LaneKernels {
   int vector_bytes = 0;
-  Potf2LanesFn<float> f = nullptr;
-  Potf2LanesFn<double> d = nullptr;
+  LaneFns<float> f;
+  LaneFns<double> d;
+
+  template <typename T>
+  [[nodiscard]] const LaneFns<T>& of() const noexcept {
+    if constexpr (std::is_same_v<T, float>) return f;
+    else return d;
+  }
 };
 
 /// Per-TU tables; an ISA whose TU was not compiled reports vector_bytes 0.
-Potf2LaneKernels potf2_lanes_v128() noexcept;
-Potf2LaneKernels potf2_lanes_avx2() noexcept;
-Potf2LaneKernels potf2_lanes_avx512() noexcept;
+LaneKernels lane_kernels_v128() noexcept;
+LaneKernels lane_kernels_avx2() noexcept;
+LaneKernels lane_kernels_avx512() noexcept;
+
+/// The active ISA's table (potrf.cpp); vector_bytes 0 under Isa::Scalar.
+LaneKernels active_lane_kernels() noexcept;
 
 namespace lanes {
 
@@ -101,6 +141,33 @@ inline Vec<T, W> vsqrt(Vec<T, W> v) {
     else v[l] = __builtin_sqrtf(v[l]);
   }
   return v;
+}
+
+// x in every lane (a plain broadcast: keeps -0 and NaN payloads as they are).
+template <typename T, int W>
+inline Vec<T, W> splat(T x) {
+  Vec<T, W> v{};
+  for (int l = 0; l < W; ++l) v[l] = x;
+  return v;
+}
+
+// Runs fn(R, first) over [0, count) in blocks of R·W lanes, R = 8, then one
+// block each of R = 4, 2 and 1 for what is left; returns the lanes covered
+// (count rounded down to a multiple of W).
+template <int W, typename Fn>
+inline index_t in_blocks(index_t count, Fn&& fn) {
+  index_t i = 0;
+  for (; i + 8 * W <= count; i += 8 * W) fn(std::integral_constant<int, 8>{}, i);
+  auto tail = [&](auto R) {
+    if (i + decltype(R)::value * W <= count) {
+      fn(R, i);
+      i += decltype(R)::value * W;
+    }
+  };
+  tail(std::integral_constant<int, 4>{});
+  tail(std::integral_constant<int, 2>{});
+  tail(std::integral_constant<int, 1>{});
+  return i;
 }
 
 // Index of the shuffle that interleaves b-element blocks of two vectors:
@@ -251,6 +318,117 @@ void potf2_lanes(bool upper, index_t n, T* const* a, const index_t* lda, int* in
       }
     if (info[l] != 0) a[l][done * lda[l] + done] = at(done, done)[l];
   }
+}
+
+// X·op(A) = B for R·W rows of B, each row one lane: column j of the block
+// lives in R accumulators while trsm_ref's updates from the finished columns
+// l are subtracted in trsm_ref's order (forward: l < j, columns ascending;
+// backward: l > j, columns descending), exact zero coefficients skipped,
+// then the multiply by 1/op(A)(j,j). op(A) is read in place.
+template <typename T, int W, int R>
+void trsm_right_rows(bool forward, bool trans, bool unit, index_t n, const T* a, index_t lda,
+                     T* b, index_t ldb) {
+  using V = lanes::Vec<T, W>;
+  using VU = lanes::VecU<T, W>;
+  auto op_a = [=](index_t l, index_t j) { return trans ? a[j + l * lda] : a[l + j * lda]; };
+  auto seg = [=](index_t j, int r) { return reinterpret_cast<VU*>(b + j * ldb + r * W); };
+  for (index_t step = 0; step < n; ++step) {
+    const index_t j = forward ? step : n - 1 - step;
+    V acc[R];
+    for (int r = 0; r < R; ++r) acc[r] = *seg(j, r);
+    const index_t l_end = forward ? j : n;
+    for (index_t l = forward ? 0 : j + 1; l < l_end; ++l) {
+      const T c = op_a(l, j);
+      if (c == T(0)) continue;
+      const V cv = lanes::splat<T, W>(c);
+      for (int r = 0; r < R; ++r) {
+        const V x = *seg(l, r);
+        acc[r] -= x * cv;
+      }
+    }
+    if (!unit) {
+      const V inv = lanes::splat<T, W>(T(1) / op_a(j, j));
+      for (int r = 0; r < R; ++r) acc[r] *= inv;
+    }
+    for (int r = 0; r < R; ++r) *seg(j, r) = acc[r];
+  }
+}
+
+// op(A)·X = B for R·W columns of B, each column one lane. The m×(R·W) block
+// is packed row-major, lane-minor — row i of group r at tile[i·R + r] — and
+// trsm_ref's dot-form recurrence runs on it: row i subtracts
+// op(A)(i,l)·x(l) in increasing l (l < i forward, l > i backward), then
+// divides by op(A)(i,i). The R groups are independent chains.
+template <typename T, int W, int R>
+void trsm_left_cols(bool forward, bool trans, bool unit, index_t m, const T* a, index_t lda,
+                    T* b, index_t ldb) {
+  using V = lanes::Vec<T, W>;
+  using VU = lanes::VecU<T, W>;
+  V* const P = lanes::tile<V>(static_cast<std::size_t>(m * R));
+  auto op_a = [=](index_t i, index_t l) { return trans ? a[l + i * lda] : a[i + l * lda]; };
+  // Element (q, lane l) of group r: column r·W + l of the block.
+  auto col = [=](int r, int l) { return b + (r * W + l) * ldb; };
+
+  for (int r = 0; r < R; ++r) {
+    index_t q = 0;
+    for (; q + W <= m; q += W) {
+      V v[W];
+      for (int l = 0; l < W; ++l) v[l] = *reinterpret_cast<const VU*>(col(r, l) + q);
+      lanes::transpose<T, W>(v);
+      for (int e = 0; e < W; ++e) P[(q + e) * R + r] = v[e];
+    }
+    for (; q < m; ++q) {
+      V v{};
+      for (int l = 0; l < W; ++l) v[l] = col(r, l)[q];
+      P[q * R + r] = v;
+    }
+  }
+
+  for (index_t step = 0; step < m; ++step) {
+    const index_t i = forward ? step : m - 1 - step;
+    V sum[R];
+    for (int r = 0; r < R; ++r) sum[r] = P[i * R + r];
+    const index_t l_end = forward ? i : m;
+    for (index_t l = forward ? 0 : i + 1; l < l_end; ++l) {
+      const V c = lanes::splat<T, W>(op_a(i, l));
+      for (int r = 0; r < R; ++r) sum[r] -= c * P[l * R + r];
+    }
+    if (!unit) {
+      const V d = lanes::splat<T, W>(op_a(i, i));
+      for (int r = 0; r < R; ++r) sum[r] /= d;
+    }
+    for (int r = 0; r < R; ++r) P[i * R + r] = sum[r];
+  }
+
+  for (int r = 0; r < R; ++r) {
+    index_t q = 0;
+    for (; q + W <= m; q += W) {
+      V v[W];
+      for (int e = 0; e < W; ++e) v[e] = P[(q + e) * R + r];
+      lanes::transpose<T, W>(v);
+      for (int l = 0; l < W; ++l) *reinterpret_cast<VU*>(col(r, l) + q) = v[l];
+    }
+    for (; q < m; ++q)
+      for (int l = 0; l < W; ++l) col(r, l)[q] = P[q * R + r][l];
+  }
+}
+
+template <typename T, int W>
+index_t trsm_lanes(Side side, Uplo uplo, Trans trans, Diag diag, index_t m, index_t n,
+                   const T* a, index_t lda, T* b, index_t ldb) {
+  const bool tr = trans == Trans::Trans;
+  const bool unit = diag == Diag::Unit;
+  // trsm_ref's direction: an effectively lower op(A) runs Left rows forward
+  // and Right columns backward.
+  const bool eff_lower = (uplo == Uplo::Lower) == (trans == Trans::NoTrans);
+  if (side == Side::Right) {
+    return lanes::in_blocks<W>(m, [&](auto R, index_t i) {
+      trsm_right_rows<T, W, decltype(R)::value>(!eff_lower, tr, unit, n, a, lda, b + i, ldb);
+    });
+  }
+  return lanes::in_blocks<W>(n, [&](auto R, index_t j) {
+    trsm_left_cols<T, W, decltype(R)::value>(eff_lower, tr, unit, m, a, lda, b + j * ldb, ldb);
+  });
 }
 
 }  // namespace vbatch::blas::detail

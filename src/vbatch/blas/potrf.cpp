@@ -10,11 +10,22 @@ namespace vbatch::blas {
 
 namespace detail {
 #if !defined(VBATCH_HAVE_AVX2_TU)
-Potf2LaneKernels potf2_lanes_avx2() noexcept { return {}; }
+LaneKernels lane_kernels_avx2() noexcept { return {}; }
 #endif
 #if !defined(VBATCH_HAVE_AVX512_TU)
-Potf2LaneKernels potf2_lanes_avx512() noexcept { return {}; }
+LaneKernels lane_kernels_avx512() noexcept { return {}; }
 #endif
+
+LaneKernels active_lane_kernels() noexcept {
+  switch (micro::active_isa()) {
+    case micro::Isa::Avx512: return lane_kernels_avx512();
+    case micro::Isa::Avx2: return lane_kernels_avx2();
+    case micro::Isa::Sse2:
+    case micro::Isa::Neon: return lane_kernels_v128();
+    case micro::Isa::Scalar: break;
+  }
+  return {};
+}
 }  // namespace detail
 
 namespace {
@@ -26,18 +37,9 @@ std::pair<detail::Potf2LanesFn<T>, int> lanes_kernel() noexcept {
   if constexpr (is_complex_v<T>) {
     return {nullptr, 1};
   } else {
-    detail::Potf2LaneKernels k;
-    switch (micro::active_isa()) {
-      case micro::Isa::Avx512: k = detail::potf2_lanes_avx512(); break;
-      case micro::Isa::Avx2: k = detail::potf2_lanes_avx2(); break;
-      case micro::Isa::Sse2:
-      case micro::Isa::Neon: k = detail::potf2_lanes_v128(); break;
-      case micro::Isa::Scalar: break;
-    }
+    const detail::LaneKernels k = detail::active_lane_kernels();
     if (k.vector_bytes == 0) return {nullptr, 1};
-    const int w = k.vector_bytes / static_cast<int>(sizeof(T));
-    if constexpr (std::is_same_v<T, float>) return {k.f, w};
-    else return {k.d, w};
+    return {k.of<T>().potf2, k.vector_bytes / static_cast<int>(sizeof(T))};
   }
 }
 

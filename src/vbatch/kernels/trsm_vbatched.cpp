@@ -166,8 +166,44 @@ template double launch_trsm_vbatched<std::complex<double>>(
 
 namespace {
 
+// Strip width of the general triangular launch: one block (and one item of
+// its numerics pass) per kTriStrip-wide strip of B's free dimension.
+constexpr int kTriStrip = 16;
+
+// The Full-mode numerics of the general launch: one item per (matrix,
+// strip), each a host blas::trsm / blas::trmm of the strip against the whole
+// triangle. Strips are independent columns (Left) or rows (Right) of B, so
+// the bits depend only on the matrix. `grid` is the launch's block count
+// (the grain).
+template <typename T, bool Solve>
+void triangular_numerics(const TriangularVbatchedArgs<T>& args, int strips, int grid) {
+  const int batch = static_cast<int>(args.m.size());
+  const bool left = args.side == Side::Left;
+  sim::parallel_for_grained(batch * strips, grid, [&args, strips, left](int item) {
+    const auto i = static_cast<std::size_t>(item / strips);
+    const index_t f0 = static_cast<index_t>(item % strips) * kTriStrip;
+    const index_t mi = args.m[i];
+    const index_t ni = args.n[i];
+    const index_t free_dim = left ? ni : mi;
+    if (mi <= 0 || ni <= 0 || f0 >= free_dim) return;
+    const index_t fw = std::min<index_t>(kTriStrip, free_dim - f0);
+    const index_t ka = left ? mi : ni;
+    const index_t ldb = args.ldb[i];
+    ConstMatrixView<T> tri(args.a[i], ka, ka, args.lda[i]);
+    MatrixView<T> strip = left ? MatrixView<T>(args.b[i] + f0 * ldb, mi, fw, ldb)
+                               : MatrixView<T>(args.b[i] + f0, fw, ni, ldb);
+    if constexpr (Solve) {
+      blas::trsm<T>(args.side, args.uplo, args.trans, args.diag, args.alpha, tri, strip);
+    } else {
+      blas::trmm<T>(args.side, args.uplo, args.trans, args.diag, args.alpha, tri, strip);
+    }
+  });
+}
+
 // Shared launcher for the general triangular solve/multiply: strips run
-// along B's free dimension (columns for Left, rows for Right).
+// along B's free dimension (columns for Left, rows for Right). The launch is
+// a cost pass whose cost reads only sizes; the numerics pass follows in
+// Full mode.
 template <typename T, bool Solve>
 double launch_triangular_general(sim::Device& dev, const TriangularVbatchedArgs<T>& args) {
   const int batch = static_cast<int>(args.m.size());
@@ -177,27 +213,27 @@ double launch_triangular_general(sim::Device& dev, const TriangularVbatchedArgs<
   const int ka_max = left ? args.max_m : args.max_n;
   if (free_max <= 0 || ka_max <= 0) return 0.0;
 
-  constexpr int kStrip = 16;
-  const int strips = (free_max + kStrip - 1) / kStrip;
+  const int strips = (free_max + kTriStrip - 1) / kTriStrip;
 
   sim::LaunchConfig cfg;
   cfg.name = Solve ? "vbatched_trsm_general" : "vbatched_trmm_general";
   cfg.grid_blocks = batch * strips;
   cfg.block_threads = round_up_warp(dev.spec(), std::min(ka_max, 512));
   cfg.shared_mem =
-      std::min<std::size_t>(static_cast<std::size_t>(ka_max) * kStrip * sizeof(T),
+      std::min<std::size_t>(static_cast<std::size_t>(ka_max) * kTriStrip * sizeof(T),
                             dev.spec().shared_mem_per_block);
   cfg.precision = precision_v<T>;
+  cfg.cost_only = true;
 
-  return dev.launch(cfg, [&args, strips, left, threads = cfg.block_threads](
-                             const sim::ExecContext& ctx, int block) -> sim::BlockCost {
+  auto cost_of = [&args, strips, left, threads = cfg.block_threads](
+                     const sim::ExecContext&, int block) -> sim::BlockCost {
     const int i = block / strips;
     const index_t strip = block % strips;
     const index_t mi = args.m[static_cast<std::size_t>(i)];
     const index_t ni = args.n[static_cast<std::size_t>(i)];
     const index_t free_dim = left ? ni : mi;
     const index_t ka = left ? mi : ni;
-    const index_t f0 = strip * kStrip;
+    const index_t f0 = strip * kTriStrip;
 
     sim::BlockCost cost;
     cost.live_threads = threads;
@@ -206,28 +242,20 @@ double launch_triangular_general(sim::Device& dev, const TriangularVbatchedArgs<
       return cost;
     }
 
-    const index_t fw = std::min<index_t>(kStrip, free_dim - f0);
+    const index_t fw = std::min<index_t>(kTriStrip, free_dim - f0);
     cost.active_threads = static_cast<int>(std::min<index_t>(ka, threads));
     cost.flops = left ? flops::trsm(ka, fw, true) : flops::trsm(fw, ka, false);
     cost.bytes = static_cast<double>(ka * ka / 2 + 2 * ka * fw) * sizeof(T);
     cost.sync_steps = static_cast<int>(ka + 2);
     cost.serial_ops = args.diag == Diag::NonUnit ? static_cast<double>(ka) : 0.0;
-
-    if (ctx.full()) {
-      const index_t lda = args.lda[static_cast<std::size_t>(i)];
-      const index_t ldb = args.ldb[static_cast<std::size_t>(i)];
-      ConstMatrixView<T> tri(args.a[i], ka, ka, lda);
-      MatrixView<T> strip_view = left
-                                     ? MatrixView<T>(args.b[i] + f0 * ldb, mi, fw, ldb)
-                                     : MatrixView<T>(args.b[i] + f0, fw, ni, ldb);
-      if constexpr (Solve) {
-        blas::trsm<T>(args.side, args.uplo, args.trans, args.diag, args.alpha, tri, strip_view);
-      } else {
-        blas::trmm<T>(args.side, args.uplo, args.trans, args.diag, args.alpha, tri, strip_view);
-      }
-    }
     return cost;
-  });
+  };
+  const double seconds = dev.launch(cfg, cost_of);
+
+  // Numerics pass (Full mode): no cost above reads what it writes.
+  if (dev.mode() == sim::ExecMode::Full)
+    triangular_numerics<T, Solve>(args, strips, cfg.grid_blocks);
+  return seconds;
 }
 
 }  // namespace

@@ -44,7 +44,8 @@ double launch_trsm_vbatched(sim::Device& dev, const TrsmVbatchedArgs<T>& args);
 /// free dimension), the triangle staged through shared memory, the strip
 /// swept by the recurrence in registers. Slower than the composite above
 /// for the Cholesky hot shapes, but the catch-all building block the
-/// public BLAS layer exposes.
+/// public BLAS layer exposes. The launch is a cost pass; in Full mode the
+/// numerics pass then runs one host blas::trsm / blas::trmm per strip.
 template <typename T>
 struct TriangularVbatchedArgs {
   Side side = Side::Left;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <complex>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -732,6 +733,156 @@ TEST(TrsmVbatched, SolvesUpperLeftTranspose) {
   expect_trsm_matches_blas<double>(Uplo::Upper, "d");
   expect_trsm_matches_blas<std::complex<float>>(Uplo::Upper, "c");
   expect_trsm_matches_blas<std::complex<double>>(Uplo::Upper, "z");
+}
+
+// ---------------------------------------------------------------------------
+// General triangular launch (behind trsm_vbatched / trmm_vbatched)
+// ---------------------------------------------------------------------------
+
+/// A ragged batch for the general launch: m×n operands (an empty one and
+/// ones wider than a 16-wide strip among them; 48 blocks on either side, so
+/// the numerics pass clears the parallel grain), ldb = m + 3 and lda = ka + 2
+/// with the padding filled, so a stray write shows.
+template <typename T>
+struct TriangularBatch {
+  std::vector<int> m{37, 0, 5, 70, 16, 1, 90, 24};
+  std::vector<int> n{20, 8, 33, 17, 1, 48, 12, 90};
+  std::vector<int> lda, ldb;
+  std::vector<std::vector<T>> tri, b;
+
+  explicit TriangularBatch(Side side) {
+    Rng rng(71);
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      const int ka = std::max(1, side == Side::Left ? m[i] : n[i]);
+      lda.push_back(ka + 2);
+      tri.emplace_back(static_cast<std::size_t>((ka + 2) * ka));
+      fill_general<T>(rng, tri.back().data(), ka + 2, ka, ka + 2);
+      for (int d = 0; d < ka; ++d)
+        tri.back()[static_cast<std::size_t>(d * (ka + 3))] = T(3 + d % 5);
+      ldb.push_back(m[i] + 3);
+      b.emplace_back(static_cast<std::size_t>((m[i] + 3) * std::max(1, n[i])));
+      fill_general<T>(rng, b.back().data(), m[i] + 3, std::max(1, n[i]), m[i] + 3);
+    }
+  }
+
+  /// Runs the general launch on `dev` over `bufs` (a copy of b).
+  double launch(sim::Device& dev, bool solve, Side side, Uplo uplo, Trans trans, Diag diag,
+                T alpha, std::vector<std::vector<T>>& bufs) {
+    std::vector<T*> ap, bp;
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      ap.push_back(tri[i].data());
+      bp.push_back(bufs[i].data());
+    }
+    TriangularVbatchedArgs<T> args;
+    args.side = side;
+    args.uplo = uplo;
+    args.trans = trans;
+    args.diag = diag;
+    args.alpha = alpha;
+    args.a = ap.data();
+    args.lda = lda;
+    args.b = bp.data();
+    args.ldb = ldb;
+    args.m = m;
+    args.n = n;
+    args.max_m = *std::max_element(m.begin(), m.end());
+    args.max_n = *std::max_element(n.begin(), n.end());
+    return solve ? launch_trsm_general(dev, args) : launch_trmm_general(dev, args);
+  }
+};
+
+template <typename T>
+class TriangularGeneral : public ::testing::Test {};
+TYPED_TEST_SUITE(TriangularGeneral, KernelPrecisions);
+
+/// Full mode against one host blas::trsm / blas::trmm per 16-wide strip of
+/// B's free dimension (columns for Left, rows for Right), memcmp-equal over
+/// the whole buffers, at 1 and 4 workers, for every combination.
+TYPED_TEST(TriangularGeneral, FullMatchesPerStripBlas) {
+  using T = TypeParam;
+  const T alpha = T(-1.25);
+  for (Side side : {Side::Left, Side::Right}) {
+    TriangularBatch<T> tb(side);
+    for (bool solve : {true, false})
+      for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+        for (Trans trans : {Trans::NoTrans, Trans::Trans})
+          for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
+            auto want = tb.b;
+            for (std::size_t i = 0; i < tb.m.size(); ++i) {
+              const index_t mi = tb.m[i], ni = tb.n[i];
+              const index_t ka = side == Side::Left ? mi : ni;
+              const index_t free_dim = side == Side::Left ? ni : mi;
+              if (mi == 0 || ni == 0) continue;
+              ConstMatrixView<T> a(tb.tri[i].data(), ka, ka, tb.lda[i]);
+              for (index_t f0 = 0; f0 < free_dim; f0 += 16) {
+                const index_t fw = std::min<index_t>(16, free_dim - f0);
+                const index_t ld = tb.ldb[i];
+                MatrixView<T> strip = side == Side::Left
+                                          ? MatrixView<T>(want[i].data() + f0 * ld, mi, fw, ld)
+                                          : MatrixView<T>(want[i].data() + f0, fw, ni, ld);
+                if (solve) blas::trsm<T>(side, uplo, trans, diag, alpha, a, strip);
+                else blas::trmm<T>(side, uplo, trans, diag, alpha, a, strip);
+              }
+            }
+            for (unsigned threads : {1u, 4u}) {
+              util::set_host_threads(threads);
+              auto got = tb.b;
+              auto dev = make_dev();
+              tb.launch(dev, solve, side, uplo, trans, diag, alpha, got);
+              for (std::size_t i = 0; i < got.size(); ++i)
+                ASSERT_TRUE(same_bytes(want[i], got[i]))
+                    << (solve ? "trsm " : "trmm ") << to_string(side) << " " << to_string(uplo)
+                    << " " << to_string(trans) << " " << to_string(diag) << ", " << threads
+                    << " workers, matrix " << i;
+            }
+          }
+  }
+  util::set_host_threads(0);
+}
+
+/// The launch's cost reads only sizes: TimingOnly and Full give the same
+/// seconds and the same timeline records, bit for bit.
+TYPED_TEST(TriangularGeneral, TimingOnlyMatchesFull) {
+  using T = TypeParam;
+  auto bits = [](double x) {
+    std::uint64_t u;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+  };
+  for (Side side : {Side::Left, Side::Right}) {
+    TriangularBatch<T> tb(side);
+    for (bool solve : {true, false}) {
+      sim::Device full(sim::DeviceSpec::k40c(), sim::ExecMode::Full);
+      sim::Device timing(sim::DeviceSpec::k40c(), sim::ExecMode::TimingOnly);
+      auto b1 = tb.b, b2 = tb.b;
+      const double s_full =
+          tb.launch(full, solve, side, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1), b1);
+      const double s_timing =
+          tb.launch(timing, solve, side, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1), b2);
+      EXPECT_EQ(bits(s_full), bits(s_timing));
+      EXPECT_GT(s_full, 0.0);
+      EXPECT_TRUE(same_bytes(b2[0], tb.b[0]));  // TimingOnly writes nothing
+      const auto& rf = full.timeline().records();
+      const auto& rt = timing.timeline().records();
+      ASSERT_EQ(rf.size(), 1u);
+      ASSERT_EQ(rt.size(), 1u);
+      const sim::KernelRecord& x = rf[0];
+      const sim::KernelRecord& y = rt[0];
+      EXPECT_EQ(x.name, solve ? "vbatched_trsm_general" : "vbatched_trmm_general");
+      EXPECT_EQ(x.name, y.name);
+      EXPECT_EQ(bits(x.start), bits(y.start));
+      EXPECT_EQ(bits(x.end), bits(y.end));
+      EXPECT_EQ(bits(x.flops), bits(y.flops));
+      EXPECT_EQ(bits(x.bytes), bits(y.bytes));
+      EXPECT_EQ(x.grid_blocks, y.grid_blocks);
+      EXPECT_EQ(x.block_threads, y.block_threads);
+      EXPECT_EQ(x.shared_mem, y.shared_mem);
+      EXPECT_EQ(x.resident_per_sm, y.resident_per_sm);
+      EXPECT_EQ(x.early_exits, y.early_exits);
+      EXPECT_EQ(x.stream, y.stream);
+      EXPECT_EQ(x.fault, y.fault);
+    }
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/blas/microkernel.hpp"
+#include "vbatch/blas/tuning.hpp"
 #include "vbatch/kernels/fused_step_math.hpp"
 #include "vbatch/util/rng.hpp"
 
@@ -364,17 +365,159 @@ TYPED_TEST(MicrokernelTest, TrsmMatchesRefAllCombos) {
               av(d, d) = make_scalar<T>(4.0 + static_cast<double>(d), 0.5);
             auto bblk = random_buffer<T>(rng, m, n, m);
             auto bref = bblk;
+            auto bforce_ref = bblk;
             MatrixView<T> b1(bblk.data(), m, n, m);
             MatrixView<T> b2(bref.data(), m, n, m);
             {
               DispatchGuard guard(Dispatch::ForceBlocked);
               blas::trsm<T>(side, uplo, trans, diag, alpha, av, b1);
             }
+            {
+              DispatchGuard guard(Dispatch::ForceRef);
+              blas::trsm<T>(side, uplo, trans, diag, alpha, av,
+                            MatrixView<T>(bforce_ref.data(), m, n, m));
+            }
             blas::trsm_ref<T>(side, uplo, trans, diag, alpha, av, b2);
-            ASSERT_LT(max_rel_diff<T>(b1, b2), tol_for<T>(ka))
-                << "m=" << m << " n=" << n << " " << to_string(side) << " " << to_string(uplo)
-                << " " << to_string(trans) << " " << to_string(diag);
+            const std::string what = "m=" + std::to_string(m) + " n=" + std::to_string(n) + " " +
+                                     std::string(to_string(side)) + " " +
+                                     std::string(to_string(uplo)) + " " +
+                                     std::string(to_string(trans)) + " " +
+                                     std::string(to_string(diag));
+            // Unblocked orders (the lane base case for real T) and ForceRef
+            // reproduce trsm_ref bit for bit; the recursion's gemm updates
+            // only agree within rounding.
+            ASSERT_EQ(std::memcmp(bforce_ref.data(), bref.data(), bref.size() * sizeof(T)), 0)
+                << what << " (ForceRef)";
+            if (ka <= 32) {
+              ASSERT_EQ(std::memcmp(bblk.data(), bref.data(), bref.size() * sizeof(T)), 0)
+                  << what;
+            } else {
+              ASSERT_LT(max_rel_diff<T>(b1, b2), tol_for<T>(ka)) << what;
+            }
           }
+}
+
+// ---------------------------------------------------------------------------
+// trsm's lane base case (potf2_lanes.hpp) against trsm_ref: memcmp-equal
+// over the whole B buffer, padding rows beyond m included, under every ISA
+// the host supports. A profile whose crossover is out of reach keeps every
+// order unblocked, so blas::trsm runs the lanes at orders above 32 as well.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+class TrsmLanes : public ::testing::Test {};
+using RealPrecisions = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(TrsmLanes, RealPrecisions);
+
+constexpr Side kSides[] = {Side::Left, Side::Right};
+constexpr Uplo kUplos[] = {Uplo::Lower, Uplo::Upper};
+constexpr Trans kTranses[] = {Trans::NoTrans, Trans::Trans};
+constexpr Diag kDiags[] = {Diag::NonUnit, Diag::Unit};
+
+// Pins `isa` with a profile that never blocks a trsm.
+struct UnblockedTrsm {
+  explicit UnblockedTrsm(Isa isa) : isa_guard(isa), profile_guard(never_blocked()) {}
+  static blas::micro::TuningProfile never_blocked() {
+    blas::micro::TuningProfile p = blas::micro::active_profile();
+    for (auto& s : p.shapes) s.min_mnk = 1e12;
+    return p;
+  }
+  IsaGuard isa_guard;
+  blas::micro::ProfileGuard profile_guard;
+};
+
+// Solves the m×n B (leading dimension m + 3, the padding filled too) with
+// blas::trsm and with trsm_ref; the two buffers must match byte for byte.
+template <typename T>
+::testing::AssertionResult lanes_match_ref(Side side, Uplo uplo, Trans trans, Diag diag,
+                                           T alpha, ConstMatrixView<T> a,
+                                           const std::vector<T>& b0, index_t m, index_t n) {
+  auto got = b0, want = b0;
+  const index_t ldb = m + 3;
+  blas::trsm<T>(side, uplo, trans, diag, alpha, a, MatrixView<T>(got.data(), m, n, ldb));
+  blas::trsm_ref<T>(side, uplo, trans, diag, alpha, a, MatrixView<T>(want.data(), m, n, ldb));
+  if (std::memcmp(got.data(), want.data(), got.size() * sizeof(T)) == 0)
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << to_string(side) << " " << to_string(uplo) << " " << to_string(trans) << " "
+         << to_string(diag) << " m=" << m << " n=" << n;
+}
+
+template <typename T>
+std::vector<T> lanes_b(Rng& rng, index_t m, index_t n) {
+  std::vector<T> b(static_cast<std::size_t>((m + 3) * n));
+  fill_general(rng, b.data(), m + 3, n, m + 3);
+  return b;
+}
+
+// Every combination, orders 1…33 and 40, and free counts W − 1, W, W + 1
+// and 15·W + 1 (the eight-vector block, each narrower one and the trsm_ref
+// rest all run), alpha 1 and not.
+TYPED_TEST(TrsmLanes, MatchTrsmRefAllCombosOrdersAndTails) {
+  using T = TypeParam;
+  for (Isa isa : {Isa::Sse2, Isa::Neon, Isa::Avx2, Isa::Avx512}) {
+    if (!isa_supported(isa)) continue;
+    UnblockedTrsm pin(isa);
+    const index_t w = blas::potf2_lanes<T>();  // the trsm lanes share potf2's width
+    ASSERT_GT(w, 1) << to_string(isa);
+    Rng rng(61);
+    std::vector<index_t> orders;
+    for (index_t k = 1; k <= 33; ++k) orders.push_back(k);
+    orders.push_back(40);
+    for (index_t ka : orders) {
+      std::vector<T> abuf(static_cast<std::size_t>((ka + 2) * ka));
+      fill_general(rng, abuf.data(), ka + 2, ka, ka + 2);
+      for (index_t d = 0; d < ka; ++d)
+        abuf[static_cast<std::size_t>(d * (ka + 3))] = T(2) + static_cast<T>(d % 5);
+      ConstMatrixView<T> a(abuf.data(), ka, ka, ka + 2);
+      for (index_t free : {w - 1, w, w + 1, 15 * w + 1})
+        for (Side side : kSides) {
+          const index_t m = side == Side::Left ? ka : free;
+          const index_t n = side == Side::Left ? free : ka;
+          const auto b = lanes_b<T>(rng, m, n);
+          for (Uplo uplo : kUplos)
+            for (Trans trans : kTranses)
+              for (Diag diag : kDiags)
+                for (T alpha : {T(1), T(-0.75)})
+                  ASSERT_TRUE(lanes_match_ref<T>(side, uplo, trans, diag, alpha, a, b, m, n))
+                      << to_string(isa) << " alpha=" << alpha;
+        }
+    }
+  }
+}
+
+// Exact zeros in A (the Right side skips them, the Left side multiplies
+// them), NaN and ±Inf in B, and a zero pivot.
+TYPED_TEST(TrsmLanes, MatchTrsmRefOnZerosNonFiniteAndZeroPivot) {
+  using T = TypeParam;
+  const T inf = std::numeric_limits<T>::infinity();
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  for (Isa isa : {Isa::Sse2, Isa::Neon, Isa::Avx2, Isa::Avx512}) {
+    if (!isa_supported(isa)) continue;
+    UnblockedTrsm pin(isa);
+    const index_t w = blas::potf2_lanes<T>();
+    Rng rng(67);
+    for (index_t ka : {7, 32}) {
+      std::vector<T> abuf(static_cast<std::size_t>(ka * ka));
+      fill_general(rng, abuf.data(), ka, ka, ka);
+      for (std::size_t e = 0; e < abuf.size(); e += 3) abuf[e] = e % 2 ? T(0) : -T(0);
+      for (index_t d = 0; d < ka; ++d) abuf[static_cast<std::size_t>(d * (ka + 1))] = T(3);
+      abuf[static_cast<std::size_t>((ka / 2) * (ka + 1))] = T(0);  // zero pivot
+      ConstMatrixView<T> a(abuf.data(), ka, ka, ka);
+      for (Side side : kSides) {
+        const index_t m = side == Side::Left ? ka : 15 * w + 1;
+        const index_t n = side == Side::Left ? 15 * w + 1 : ka;
+        auto b = lanes_b<T>(rng, m, n);
+        for (std::size_t e = 0; e < b.size(); e += 11)
+          b[e] = e % 3 == 0 ? nan : e % 3 == 1 ? inf : -inf;
+        for (Uplo uplo : kUplos)
+          for (Trans trans : kTranses)
+            for (Diag diag : kDiags)
+              ASSERT_TRUE(lanes_match_ref<T>(side, uplo, trans, diag, T(1), a, b, m, n))
+                  << to_string(isa) << " ka=" << ka;
+      }
+    }
+  }
 }
 
 TYPED_TEST(MicrokernelTest, TrmmMatchesRefAllCombos) {
