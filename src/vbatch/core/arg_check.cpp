@@ -46,7 +46,7 @@ void launch_sweep(sim::Device& dev, const char* name, int count, double bytes_pe
   cfg.block_threads = 256;
   cfg.grid_blocks = std::max(1, (count + 255) / 256);
   cfg.precision = Precision::Single;
-  dev.launch(cfg, [count, bytes_per_elem](const sim::ExecContext&, int block) {
+  dev.launch(cfg, [count, bytes_per_elem](int block) {
     sim::BlockCost c;
     const int lo = block * 256;
     const int elems = std::clamp(count - lo, 0, 256);

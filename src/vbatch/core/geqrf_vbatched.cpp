@@ -98,7 +98,7 @@ FactorResult apply_qt_kernel(Queue& q, RectBatch<T>& factors, const TauArrays<T>
 
   result.seconds = kernels::launch_rhs_strips<T>(
       q.device(), name, frows, fcols, rcols, {},
-      [&](const sim::ExecContext& ctx, const kernels::RhsStrip& s, sim::BlockCost& cost) {
+      [&](const kernels::RhsStrip& s, sim::BlockCost& cost) {
         const auto k = static_cast<std::size_t>(s.i);
         const index_t m = frows[k];
         const index_t n = fcols[k];
@@ -113,33 +113,36 @@ FactorResult apply_qt_kernel(Queue& q, RectBatch<T>& factors, const TauArrays<T>
           cost.sync_steps += static_cast<int>(n);
           cost.serial_ops += static_cast<double>(n);
         }
-
-        if (ctx.full()) {
-          const index_t lda = fldas[k];
-          const index_t ldb = rldas[k];
-          const T* A = fptrs[s.i];
-          T* B = rptrs[s.i] + s.c0 * ldb;
-          const T* tv = tptrs[s.i];
-          // Apply H(0) … H(n-1) to the strip: Qᵀ = H(n-1)…H(0) applied in
-          // ascending order.
-          for (index_t kk = 0; kk < n; ++kk) {
-            const T tk = tv[kk];
-            if (tk == T(0)) continue;
-            const T* v = A + kk + kk * lda;  // v(0) implicit 1
-            for (index_t c = 0; c < nc; ++c) {
-              T* col = B + c * ldb;
-              T w = col[kk];
-              for (index_t r = kk + 1; r < m; ++r) w += v[r - kk] * col[r];
-              w *= tk;
-              col[kk] -= w;
-              for (index_t r = kk + 1; r < m; ++r) col[r] -= v[r - kk] * w;
-            }
+      },
+      [&](const kernels::RhsStrip& s) {
+        const auto k = static_cast<std::size_t>(s.i);
+        const index_t m = frows[k];
+        const index_t n = fcols[k];
+        const index_t nc = s.nc;
+        const index_t lda = fldas[k];
+        const index_t ldb = rldas[k];
+        const T* A = fptrs[s.i];
+        T* B = rptrs[s.i] + s.c0 * ldb;
+        const T* tv = tptrs[s.i];
+        // Apply H(0) … H(n-1) to the strip: Qᵀ = H(n-1)…H(0) applied in
+        // ascending order.
+        for (index_t kk = 0; kk < n; ++kk) {
+          const T tk = tv[kk];
+          if (tk == T(0)) continue;
+          const T* v = A + kk + kk * lda;  // v(0) implicit 1
+          for (index_t c = 0; c < nc; ++c) {
+            T* col = B + c * ldb;
+            T w = col[kk];
+            for (index_t r = kk + 1; r < m; ++r) w += v[r - kk] * col[r];
+            w *= tk;
+            col[kk] -= w;
+            for (index_t r = kk + 1; r < m; ++r) col[r] -= v[r - kk] * w;
           }
-          if (backsolve) {
-            ConstMatrixView<T> R(A, n, n, lda);
-            MatrixView<T> x(B, n, nc, ldb);
-            blas::trsm<T>(Side::Left, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, T(1), R, x);
-          }
+        }
+        if (backsolve) {
+          ConstMatrixView<T> R(A, n, n, lda);
+          MatrixView<T> x(B, n, nc, ldb);
+          blas::trsm<T>(Side::Left, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, T(1), R, x);
         }
       });
   return result;

@@ -142,22 +142,23 @@ FactorResult getrs_vbatched(Queue& q, Batch<T>& factors, const PivotArrays& ipiv
   // interchanges, then the unit-lower and upper triangular sweeps.
   result.seconds = kernels::launch_rhs_strips<T>(
       q.device(), "vbatched_getrs", fsizes, fsizes, rcols, factors.info(),
-      [&](const sim::ExecContext& ctx, const kernels::RhsStrip& s, sim::BlockCost& cost) {
-        const auto k = static_cast<std::size_t>(s.i);
-        const index_t n = fsizes[k];
+      [&](const kernels::RhsStrip& s, sim::BlockCost& cost) {
+        const index_t n = fsizes[static_cast<std::size_t>(s.i)];
         cost.flops = 2.0 * flops::trsm(n, s.nc, true);
         cost.bytes = static_cast<double>(n * n + 2 * n * s.nc) * sizeof(T);
         cost.sync_steps = static_cast<int>(2 * n);
         cost.serial_ops = static_cast<double>(n);  // upper sweep reciprocal chain
-        if (ctx.full()) {
-          const index_t ldb = rldas[k];
-          ConstMatrixView<T> lu(fptrs[s.i], n, n, fldas[k]);
-          MatrixView<T> b(rptrs[s.i] + s.c0 * ldb, n, s.nc, ldb);
-          std::span<const int> pv{piv[s.i], static_cast<std::size_t>(n)};
-          blas::laswp<T>(b, pv, 0, n);
-          blas::trsm<T>(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::Unit, T(1), lu, b);
-          blas::trsm<T>(Side::Left, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, T(1), lu, b);
-        }
+      },
+      [&](const kernels::RhsStrip& s) {
+        const auto k = static_cast<std::size_t>(s.i);
+        const index_t n = fsizes[k];
+        const index_t ldb = rldas[k];
+        ConstMatrixView<T> lu(fptrs[s.i], n, n, fldas[k]);
+        MatrixView<T> b(rptrs[s.i] + s.c0 * ldb, n, s.nc, ldb);
+        std::span<const int> pv{piv[s.i], static_cast<std::size_t>(n)};
+        blas::laswp<T>(b, pv, 0, n);
+        blas::trsm<T>(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::Unit, T(1), lu, b);
+        blas::trsm<T>(Side::Left, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, T(1), lu, b);
       });
   return result;
 }

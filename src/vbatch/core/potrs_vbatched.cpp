@@ -30,18 +30,19 @@ FactorResult potrs_vbatched(Queue& q, Uplo uplo, Batch<T>& factors, RectBatch<T>
   // into a single kernel, the rhs strip staged through shared memory.
   result.seconds = kernels::launch_rhs_strips<T>(
       q.device(), "vbatched_potrs", fsizes, fsizes, rcols, factors.info(),
-      [&](const sim::ExecContext& ctx, const kernels::RhsStrip& s, sim::BlockCost& cost) {
-        const auto k = static_cast<std::size_t>(s.i);
-        const index_t n = fsizes[k];
+      [&](const kernels::RhsStrip& s, sim::BlockCost& cost) {
+        const index_t n = fsizes[static_cast<std::size_t>(s.i)];
         cost.flops = flops::potrs(n, s.nc);
         cost.bytes = static_cast<double>(n * n / 2 + 2 * n * s.nc) * sizeof(T);
         cost.sync_steps = static_cast<int>(2 * n);  // forward + backward column sweeps
         cost.serial_ops = static_cast<double>(2 * n);
-        if (ctx.full()) {
-          ConstMatrixView<T> a(fptrs[s.i], n, n, fldas[k]);
-          MatrixView<T> b(rptrs[s.i] + s.c0 * rldas[k], n, s.nc, rldas[k]);
-          blas::potrs<T>(uplo, a, b);
-        }
+      },
+      [&](const kernels::RhsStrip& s) {
+        const auto k = static_cast<std::size_t>(s.i);
+        const index_t n = fsizes[k];
+        ConstMatrixView<T> a(fptrs[s.i], n, n, fldas[k]);
+        MatrixView<T> b(rptrs[s.i] + s.c0 * rldas[k], n, s.nc, rldas[k]);
+        blas::potrs<T>(uplo, a, b);
       });
   return result;
 }
@@ -88,28 +89,28 @@ FactorResult potri_vbatched(Queue& q, Uplo uplo, Batch<T>& factors) {
   auto info = factors.info();
   T** ptrs = factors.device_ptrs();
 
-  result.seconds =
-      dev.launch(cfg, [&, threads = cfg.block_threads](const sim::ExecContext& ctx, int i) {
-        const index_t n = sizes[static_cast<std::size_t>(i)];
-        sim::BlockCost cost;
-        cost.live_threads = threads;
-        if (n == 0 || info[static_cast<std::size_t>(i)] != 0) {
-          cost.early_exit = true;
-          return cost;
-        }
-        cost.active_threads = static_cast<int>(std::min<index_t>(n, threads));
-        cost.flops = 2.0 * flops::trtri(n);
-        cost.bytes = static_cast<double>(2 * n * n) * sizeof(T);
-        cost.sync_steps = static_cast<int>(2 * n);
-        cost.serial_ops = static_cast<double>(n);  // the trtri reciprocal chain
-
-        if (ctx.full()) {
-          MatrixView<T> a(ptrs[i], n, n, ldas[static_cast<std::size_t>(i)]);
-          const int local = blas::potri<T>(uplo, a);
-          if (local != 0) info[static_cast<std::size_t>(i)] = local;
-        }
-        return cost;
-      });
+  // The cost reads info[i]; only block i's numerics write it, after the cost pass.
+  auto cost_of = [&, threads = cfg.block_threads](int i) {
+    const index_t n = sizes[static_cast<std::size_t>(i)];
+    sim::BlockCost cost;
+    cost.live_threads = threads;
+    if (n == 0 || info[static_cast<std::size_t>(i)] != 0) {
+      cost.early_exit = true;
+      return cost;
+    }
+    cost.active_threads = static_cast<int>(std::min<index_t>(n, threads));
+    cost.flops = 2.0 * flops::trtri(n);
+    cost.bytes = static_cast<double>(2 * n * n) * sizeof(T);
+    cost.sync_steps = static_cast<int>(2 * n);
+    cost.serial_ops = static_cast<double>(n);  // the trtri reciprocal chain
+    return cost;
+  };
+  auto math = [&](int i) {
+    const auto k = static_cast<std::size_t>(i);
+    const int local = blas::potri<T>(uplo, MatrixView<T>(ptrs[i], sizes[k], sizes[k], ldas[k]));
+    if (local != 0) info[k] = local;
+  };
+  result.seconds = dev.launch(cfg, cost_of, math);
   return result;
 }
 

@@ -38,16 +38,12 @@ sim::BlockCost int_sweep_cost(int count, int block, double extra_bytes_per_elem 
 int imax_reduce(sim::Device& dev, std::span<const int> host_mirror) {
   const int count = static_cast<int>(host_mirror.size());
   auto cfg = int_sweep_config("aux_imax_reduce", count);
-  dev.launch(cfg, [count](const sim::ExecContext&, int block) {
-    return int_sweep_cost(count, block);
-  });
+  dev.launch(cfg, [count](int block) { return int_sweep_cost(count, block); });
   // Stage 2: reduce the per-block partials (single block).
   if (cfg.grid_blocks > 1) {
     auto cfg2 = int_sweep_config("aux_imax_reduce_stage2", cfg.grid_blocks);
     cfg2.grid_blocks = 1;
-    dev.launch(cfg2, [blocks = cfg.grid_blocks](const sim::ExecContext&, int) {
-      return int_sweep_cost(blocks, 0);
-    });
+    dev.launch(cfg2, [blocks = cfg.grid_blocks](int) { return int_sweep_cost(blocks, 0); });
   }
   int m = 0;
   for (int v : host_mirror) m = std::max(m, v);
@@ -62,7 +58,7 @@ std::array<int, 3> imax_reduce3(sim::Device& dev, std::span<const int> a,
   for (const auto& s : {a, b, c})
     if (!s.empty()) ++arrays;
   auto cfg = int_sweep_config("aux_imax_reduce3", count);
-  dev.launch(cfg, [count, arrays](const sim::ExecContext&, int block) {
+  dev.launch(cfg, [count, arrays](int block) {
     // Same sweep as imax_reduce, but each thread reads one entry of every
     // array; the per-block partials carry all three running maxima.
     return int_sweep_cost(count, block, static_cast<double>(arrays - 1) * sizeof(int));
@@ -70,7 +66,7 @@ std::array<int, 3> imax_reduce3(sim::Device& dev, std::span<const int> a,
   if (cfg.grid_blocks > 1) {
     auto cfg2 = int_sweep_config("aux_imax_reduce3_stage2", cfg.grid_blocks);
     cfg2.grid_blocks = 1;
-    dev.launch(cfg2, [blocks = cfg.grid_blocks, arrays](const sim::ExecContext&, int) {
+    dev.launch(cfg2, [blocks = cfg.grid_blocks, arrays](int) {
       return int_sweep_cost(blocks, 0, static_cast<double>(arrays - 1) * sizeof(int));
     });
   }
@@ -84,7 +80,7 @@ std::array<int, 3> imax_reduce3(sim::Device& dev, std::span<const int> a,
 double shift_sizes(sim::Device& dev, std::span<const int> in, std::span<int> out, int offset) {
   const int count = static_cast<int>(in.size());
   auto cfg = int_sweep_config("aux_shift_sizes", count);
-  const double t = dev.launch(cfg, [count](const sim::ExecContext&, int block) {
+  const double t = dev.launch(cfg, [count](int block) {
     return int_sweep_cost(count, block, sizeof(int));  // read + write
   });
   for (int i = 0; i < count; ++i) out[static_cast<std::size_t>(i)] = std::max(0, in[static_cast<std::size_t>(i)] - offset);
@@ -95,7 +91,7 @@ double build_size_window(sim::Device& dev, std::span<const int> sizes, int lo, i
                          std::vector<int>& out) {
   const int count = static_cast<int>(sizes.size());
   auto cfg = int_sweep_config("aux_build_window", count);
-  const double t = dev.launch(cfg, [count](const sim::ExecContext&, int block) {
+  const double t = dev.launch(cfg, [count](int block) {
     return int_sweep_cost(count, block, sizeof(int));  // read size, write index
   });
   out.clear();
@@ -110,7 +106,7 @@ double build_size_partition(sim::Device& dev, std::span<const int> sizes, int ba
                             int live_max, int width, std::vector<std::vector<int>>& windows) {
   const int count = static_cast<int>(sizes.size());
   auto cfg = int_sweep_config("aux_build_partition", count);
-  const double t = dev.launch(cfg, [count](const sim::ExecContext&, int block) {
+  const double t = dev.launch(cfg, [count](int block) {
     return int_sweep_cost(count, block, sizeof(int));  // read size, write (window, index)
   });
   const int nwin = static_cast<int>(windows.size());
@@ -127,9 +123,7 @@ double build_size_partition(sim::Device& dev, std::span<const int> sizes, int ba
 int count_live(sim::Device& dev, std::span<const int> sizes, int offset) {
   const int count = static_cast<int>(sizes.size());
   auto cfg = int_sweep_config("aux_count_live", count);
-  dev.launch(cfg, [count](const sim::ExecContext&, int block) {
-    return int_sweep_cost(count, block);
-  });
+  dev.launch(cfg, [count](int block) { return int_sweep_cost(count, block); });
   int live = 0;
   for (int s : sizes)
     if (s > offset) ++live;

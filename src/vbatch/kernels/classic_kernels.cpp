@@ -32,15 +32,14 @@ double launch_classic_potf2(sim::Device& dev, const ClassicPotf2Args<T>& args) {
   cfg.shared_mem = static_cast<std::size_t>(args.nb) * sizeof(T);  // column staging only
   cfg.precision = precision_v<T>;
 
+  // The cost reads info[i]; only block i's numerics write it, after the cost pass.
   const auto& a = args.batch;
-  return dev.launch(cfg, [&args, &a, threads = cfg.block_threads,
-                          dev_global_latency = dev.spec().global_latency_cycles](
-                             const sim::ExecContext& ctx, int i) -> sim::BlockCost {
-    const int n = a.n[static_cast<std::size_t>(i)];
-    const index_t j = args.offset;
+  const index_t j = args.offset;
+  auto cost_of = [&args, &a, j, threads = cfg.block_threads,
+                  dev_global_latency = dev.spec().global_latency_cycles](int i) {
     sim::BlockCost cost;
     cost.live_threads = threads;
-    const index_t ib = std::clamp<index_t>(n - j, 0, args.nb);
+    const index_t ib = std::clamp<index_t>(a.n[static_cast<std::size_t>(i)] - j, 0, args.nb);
     if (ib <= 0 || args.info[static_cast<std::size_t>(i)] != 0) {
       cost.early_exit = true;
       return cost;
@@ -56,17 +55,17 @@ double launch_classic_potf2(sim::Device& dev, const ClassicPotf2Args<T>& args) {
     // memory (load → sqrt → scale → store), fully exposed because nothing
     // is staged in shared memory. This latency chain is the core cost the
     // fused kernel eliminates (§III-D).
-    cost.latency_cycles =
-        static_cast<double>(ib) * dev_global_latency;
-
-    if (ctx.full()) {
-      const index_t lda = a.lda[static_cast<std::size_t>(i)];
-      MatrixView<T> A(a.ptrs[i], n, n, lda);
-      const int local = blas::potf2<T>(args.uplo, A.block(j, j, ib, ib));
-      if (local != 0) args.info[static_cast<std::size_t>(i)] = static_cast<int>(j) + local;
-    }
+    cost.latency_cycles = static_cast<double>(ib) * dev_global_latency;
     return cost;
-  });
+  };
+  auto math = [&args, &a, j](int i) {
+    const auto k = static_cast<std::size_t>(i);
+    const int n = a.n[k];
+    const index_t ib = std::clamp<index_t>(n - j, 0, args.nb);
+    const int local = blas::potf2<T>(args.uplo, a.view(i, n, n).block(j, j, ib, ib));
+    if (local != 0) args.info[k] = static_cast<int>(j) + local;
+  };
+  return dev.launch(cfg, cost_of, math);
 }
 
 template <typename T>
@@ -86,15 +85,13 @@ double launch_classic_trsm(sim::Device& dev, const ClassicTrsmArgs<T>& args) {
   cfg.precision = precision_v<T>;
 
   const auto& a = args.batch;
-  return dev.launch(cfg, [&args, &a, threads = cfg.block_threads,
-                          dev_global_latency = dev.spec().global_latency_cycles](
-                             const sim::ExecContext& ctx, int i) -> sim::BlockCost {
-    const int n = a.n[static_cast<std::size_t>(i)];
-    const index_t j = args.offset;
+  const index_t j = args.offset;
+  auto cost_of = [&args, &a, j, threads = cfg.block_threads,
+                  dev_global_latency = dev.spec().global_latency_cycles](int i) {
     sim::BlockCost cost;
     cost.live_threads = threads;
-    const index_t ib = std::clamp<index_t>(n - j, 0, args.nb);
-    const index_t m2 = std::max<index_t>(0, n - j - ib);
+    const index_t ib = std::clamp<index_t>(a.n[static_cast<std::size_t>(i)] - j, 0, args.nb);
+    const index_t m2 = trailing_rows(args, i);
     if (ib <= 0 || m2 <= 0 || args.info[static_cast<std::size_t>(i)] != 0) {
       cost.early_exit = true;
       return cost;
@@ -109,20 +106,22 @@ double launch_classic_trsm(sim::Device& dev, const ClassicTrsmArgs<T>& args) {
     // The column recurrence round-trips global memory once per column; the
     // rows of the panel hide part of the latency, not all of it.
     cost.latency_cycles = static_cast<double>(ib) * dev_global_latency * 0.5;
-
-    if (ctx.full()) {
-      const index_t lda = a.lda[static_cast<std::size_t>(i)];
-      MatrixView<T> A(a.ptrs[i], n, n, lda);
-      if (args.uplo == Uplo::Lower) {
-        blas::trsm<T>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1),
-                      A.block(j, j, ib, ib), A.block(j + ib, j, m2, ib));
-      } else {
-        blas::trsm<T>(Side::Left, Uplo::Upper, Trans::Trans, Diag::NonUnit, T(1),
-                      A.block(j, j, ib, ib), A.block(j, j + ib, ib, m2));
-      }
-    }
     return cost;
-  });
+  };
+  auto math = [&args, &a, j](int i) {
+    const int n = a.n[static_cast<std::size_t>(i)];
+    const index_t ib = std::clamp<index_t>(n - j, 0, args.nb);
+    const index_t m2 = trailing_rows(args, i);
+    MatrixView<T> A = a.view(i, n, n);
+    if (args.uplo == Uplo::Lower) {
+      blas::trsm<T>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1),
+                    A.block(j, j, ib, ib), A.block(j + ib, j, m2, ib));
+    } else {
+      blas::trsm<T>(Side::Left, Uplo::Upper, Trans::Trans, Diag::NonUnit, T(1),
+                    A.block(j, j, ib, ib), A.block(j, j + ib, ib, m2));
+    }
+  };
+  return dev.launch(cfg, cost_of, math);
 }
 
 template double launch_classic_potf2<float>(sim::Device&, const ClassicPotf2Args<float>&);

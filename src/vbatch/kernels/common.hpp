@@ -41,13 +41,14 @@ struct RhsStrip {
 /// the largest operator's rows (capped at 512) times one strip. A block
 /// exits early (ETM-classic) when its operator is empty, its strip starts
 /// past the matrix's rhs count, or its factorization failed (info nonzero;
-/// an empty `info` skips that test). Otherwise `body(ctx, strip, cost)`
-/// fills the work and runs the numerics; live and active threads are set
-/// here. Returns the modelled seconds, 0 with no rows or no rhs (no launch).
-template <typename T, typename Body>
+/// an empty `info` skips that test). Otherwise `cost_of(strip, cost)` fills
+/// the work (live and active threads are set here) and, in Full mode,
+/// `math(strip)` runs the numerics after the cost pass. Returns the modelled
+/// seconds, 0 with no rows or no rhs (no launch).
+template <typename T, typename CostOf, typename Math>
 double launch_rhs_strips(sim::Device& dev, const char* name, std::span<const int> m,
                          std::span<const int> n, std::span<const int> nrhs,
-                         std::span<const int> info, Body&& body) {
+                         std::span<const int> info, CostOf&& cost_of, Math&& math) {
   constexpr int kStrip = 8;
   int max_m = 0, max_rhs = 0;
   for (std::size_t i = 0; i < m.size(); ++i) {
@@ -66,21 +67,26 @@ double launch_rhs_strips(sim::Device& dev, const char* name, std::span<const int
                                          dev.spec().shared_mem_per_block);
   cfg.precision = precision_v<T>;
 
-  return dev.launch(cfg, [&, threads = cfg.block_threads](const sim::ExecContext& ctx,
-                                                          int block) {
-    const auto i = static_cast<std::size_t>(block / strips);
+  // Block → strip; nc is 0 for a strip past the matrix's rhs count.
+  auto strip_of = [&](int block) {
     RhsStrip s{block / strips, static_cast<index_t>(block % strips) * kStrip, 0};
+    s.nc = std::clamp<index_t>(nrhs[static_cast<std::size_t>(s.i)] - s.c0, 0, kStrip);
+    return s;
+  };
+  auto report = [&, threads = cfg.block_threads](int block) {
+    const RhsStrip s = strip_of(block);
+    const auto i = static_cast<std::size_t>(s.i);
     sim::BlockCost cost;
     cost.live_threads = threads;
-    if (m[i] == 0 || n[i] == 0 || s.c0 >= nrhs[i] || (!info.empty() && info[i] != 0)) {
+    if (m[i] == 0 || n[i] == 0 || s.nc == 0 || (!info.empty() && info[i] != 0)) {
       cost.early_exit = true;
       return cost;
     }
-    s.nc = std::min<index_t>(kStrip, nrhs[i] - s.c0);
     cost.active_threads = static_cast<int>(std::min<index_t>(m[i], threads));
-    body(ctx, s, cost);
+    cost_of(s, cost);
     return cost;
-  });
+  };
+  return dev.launch(cfg, report, [&](int block) { math(strip_of(block)); });
 }
 
 /// Non-owning description of a vbatched operand set: a device pointer array
@@ -113,7 +119,7 @@ void displace_ptrs(sim::Device& dev, std::span<T* const> base, std::span<const i
   cfg.block_threads = 256;
   cfg.grid_blocks = std::max(1, (count + 255) / 256);
   cfg.precision = Precision::Single;
-  dev.launch(cfg, [count](const sim::ExecContext&, int block) {
+  dev.launch(cfg, [count](int block) {
     sim::BlockCost c;
     const int lo = block * 256;
     const int elems = std::clamp(count - lo, 0, 256);

@@ -153,12 +153,11 @@ double launch_fused_step(sim::Device& dev, const FusedStepArgs<T>& args) {
   cfg.block_threads = args.block_threads;
   cfg.shared_mem = fused_shared_mem(args.block_threads, args.nb, sizeof(T));
   cfg.precision = precision_v<T>;
-  cfg.cost_only = true;
 
   // Cost pass: every block's report, read from info before the step's math.
   const auto& a = args.batch;
   const double seconds =
-      dev.launch(cfg, [&args, &a](const sim::ExecContext&, int block) -> sim::BlockCost {
+      dev.launch(cfg, [&args, &a](int block) -> sim::BlockCost {
         const int i = args.active.empty() ? block : args.active[static_cast<std::size_t>(block)];
         const int n = a.n[static_cast<std::size_t>(i)];
         const index_t j = static_cast<index_t>(args.step) * args.nb;

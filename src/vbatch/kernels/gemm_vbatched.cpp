@@ -47,49 +47,51 @@ double launch_gemm_vbatched(sim::Device& dev, const GemmVbatchedArgs<T>& args) {
   cfg.shared_mem = t.shared_mem(sizeof(T));
   cfg.precision = precision_v<T>;
 
-  return dev.launch(cfg, [&args, tiles_m, tiles_n, &t](const sim::ExecContext& ctx,
-                                                       int block) -> sim::BlockCost {
-    const int per_matrix = tiles_m * tiles_n;
-    const int i = block / per_matrix;
-    const int tile = block % per_matrix;
-    const index_t ti = tile % tiles_m;  // tile row
-    const index_t tj = tile / tiles_m;  // tile col
-
-    const index_t mi = args.m[static_cast<std::size_t>(i)];
-    const index_t ni = args.n[static_cast<std::size_t>(i)];
-    const index_t ki = args.k[static_cast<std::size_t>(i)];
-
-    const index_t r0 = ti * t.tm;
-    const index_t c0 = tj * t.tn;
-    if (r0 >= mi || c0 >= ni || mi == 0 || ni == 0) {
+  // Block → (matrix, clip [r0, r0 + tm) × [c0, c0 + tn) of its C tile); an
+  // empty clip is a tile past the matrix.
+  struct TileClip {
+    int i;
+    index_t r0, c0, tm, tn;
+  };
+  auto clip_of = [&args, tiles_m, tiles_n, &t](int block) {
+    const int i = block / (tiles_m * tiles_n);
+    const int tile = block % (tiles_m * tiles_n);
+    const index_t r0 = static_cast<index_t>(tile % tiles_m) * t.tm;
+    const index_t c0 = static_cast<index_t>(tile / tiles_m) * t.tn;
+    return TileClip{i, r0, c0, std::min<index_t>(t.tm, args.m[static_cast<std::size_t>(i)] - r0),
+                    std::min<index_t>(t.tn, args.n[static_cast<std::size_t>(i)] - c0)};
+  };
+  auto cost_of = [&args, &t, clip_of](int block) {
+    const TileClip c = clip_of(block);
+    if (c.tm <= 0 || c.tn <= 0) {
       sim::BlockCost cost;
       cost.live_threads = t.threads;
       cost.early_exit = true;  // ETM-classic
       return cost;
     }
-
-    const index_t tm = std::min<index_t>(t.tm, mi - r0);
-    const index_t tn = std::min<index_t>(t.tn, ni - c0);
-    sim::BlockCost cost = tile_cost(t, tm, tn, ki, sizeof(T));
-
-    if (ctx.full() && ki >= 0) {
-      const index_t lda = args.lda[static_cast<std::size_t>(i)];
-      const index_t ldb = args.ldb[static_cast<std::size_t>(i)];
-      const index_t ldc = args.ldc[static_cast<std::size_t>(i)];
-      // op(A) is mi×ki, op(B) is ki×ni; slice the tile's operands.
-      ConstMatrixView<T> a_tile =
-          args.trans_a == Trans::NoTrans
-              ? ConstMatrixView<T>(args.a[i] + r0, tm, ki, lda)
-              : ConstMatrixView<T>(args.a[i] + r0 * lda, ki, tm, lda);
-      ConstMatrixView<T> b_tile =
-          args.trans_b == Trans::NoTrans
-              ? ConstMatrixView<T>(args.b[i] + c0 * ldb, ki, tn, ldb)
-              : ConstMatrixView<T>(args.b[i] + c0, tn, ki, ldb);
-      MatrixView<T> c_tile(args.c[i] + r0 + c0 * ldc, tm, tn, ldc);
-      blas::gemm<T>(args.trans_a, args.trans_b, args.alpha, a_tile, b_tile, args.beta, c_tile);
-    }
-    return cost;
-  });
+    return tile_cost(t, c.tm, c.tn, args.k[static_cast<std::size_t>(c.i)], sizeof(T));
+  };
+  auto math = [&args, clip_of](int block) {
+    const auto [i, r0, c0, tm, tn] = clip_of(block);
+    const auto k = static_cast<std::size_t>(i);
+    const index_t ki = args.k[k];
+    if (ki < 0) return;
+    const index_t lda = args.lda[k];
+    const index_t ldb = args.ldb[k];
+    const index_t ldc = args.ldc[k];
+    // op(A) is mi×ki, op(B) is ki×ni; slice the tile's operands.
+    ConstMatrixView<T> a_tile =
+        args.trans_a == Trans::NoTrans
+            ? ConstMatrixView<T>(args.a[i] + r0, tm, ki, lda)
+            : ConstMatrixView<T>(args.a[i] + r0 * lda, ki, tm, lda);
+    ConstMatrixView<T> b_tile =
+        args.trans_b == Trans::NoTrans
+            ? ConstMatrixView<T>(args.b[i] + c0 * ldb, ki, tn, ldb)
+            : ConstMatrixView<T>(args.b[i] + c0, tn, ki, ldb);
+    MatrixView<T> c_tile(args.c[i] + r0 + c0 * ldc, tm, tn, ldc);
+    blas::gemm<T>(args.trans_a, args.trans_b, args.alpha, a_tile, b_tile, args.beta, c_tile);
+  };
+  return dev.launch(cfg, cost_of, math);
 }
 
 namespace {
@@ -178,9 +180,8 @@ double launch_syrk_vbatched(sim::Device& dev, const SyrkVbatchedArgs<T>& args) {
   cfg.block_threads = t.threads;
   cfg.shared_mem = t.shared_mem(sizeof(T));
   cfg.precision = precision_v<T>;
-  cfg.cost_only = true;
 
-  const double seconds = dev.launch(cfg, [&args, tiles](const sim::ExecContext&, int block) {
+  const double seconds = dev.launch(cfg, [&args, tiles](int block) {
     const int per_matrix = tiles * tiles;
     const int i = block / per_matrix;
     const int tile = block % per_matrix;
@@ -212,9 +213,8 @@ double launch_syrk_streamed(sim::Device& dev, const SyrkVbatchedArgs<T>& args, i
     cfg.block_threads = t.threads;
     cfg.shared_mem = t.shared_mem(sizeof(T));
     cfg.precision = precision_v<T>;
-    cfg.cost_only = true;
     configs.push_back(cfg);
-    fns.push_back([&args, i, tiles](const sim::ExecContext&, int block) {
+    fns.push_back([&args, i, tiles](int block) {
       return syrk_tile_block(args, i, block % tiles, block / tiles);
     });
     max_n = std::max(max_n, ni);

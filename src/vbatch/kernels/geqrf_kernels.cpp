@@ -1,6 +1,8 @@
 #include "vbatch/kernels/geqrf_kernels.hpp"
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/util/error.hpp"
@@ -27,16 +29,17 @@ double launch_geqrf_panel(sim::Device& dev, const GeqrfPanelArgs<T>& args) {
   cfg.shared_mem = std::min(cfg.shared_mem, dev.spec().shared_mem_per_block);
   cfg.precision = precision_v<T>;
 
-  return dev.launch(cfg, [&args, threads = cfg.block_threads](const sim::ExecContext& ctx,
-                                                              int i) -> sim::BlockCost {
-    const index_t mi = args.m[static_cast<std::size_t>(i)];
-    const index_t ni = args.n[static_cast<std::size_t>(i)];
-    const index_t j = args.offset;
-
+  // Block → (rows from the diagonal down, reflectors of this panel).
+  const index_t j = args.offset;
+  auto panel_of = [&args, j](int i) {
+    const auto k = static_cast<std::size_t>(i);
+    const index_t mi = args.m[k];
+    return std::pair{mi - j, std::min<index_t>(args.NB, std::min<index_t>(mi, args.n[k]) - j)};
+  };
+  auto cost_of = [panel_of, threads = cfg.block_threads](int i) {
+    const auto [rows, jb] = panel_of(i);
     sim::BlockCost cost;
     cost.live_threads = threads;
-    const index_t rows = mi - j;
-    const index_t jb = std::min<index_t>(args.NB, std::min(mi, ni) - j);
     if (rows <= 0 || jb <= 0) {
       cost.early_exit = true;
       return cost;
@@ -47,15 +50,15 @@ double launch_geqrf_panel(sim::Device& dev, const GeqrfPanelArgs<T>& args) {
     cost.bytes = static_cast<double>(2 * rows * jb) * sizeof(T);
     cost.sync_steps = static_cast<int>(3 * jb);          // norm, scale, update per column
     cost.serial_ops = static_cast<double>(3 * jb);       // norm reduce + sqrt + reciprocal
-
-    if (ctx.full()) {
-      const index_t lda = args.lda[static_cast<std::size_t>(i)];
-      MatrixView<T> panel(args.a[i] + j + j * lda, rows, jb, lda);
-      std::span<T> tau{args.tau[i] + j, static_cast<std::size_t>(jb)};
-      blas::geqr2<T>(panel, tau);
-    }
     return cost;
-  });
+  };
+  auto math = [&args, j, panel_of](int i) {
+    const auto [rows, jb] = panel_of(i);
+    const index_t lda = args.lda[static_cast<std::size_t>(i)];
+    MatrixView<T> panel(args.a[i] + j + j * lda, rows, jb, lda);
+    blas::geqr2<T>(panel, std::span<T>{args.tau[i] + j, static_cast<std::size_t>(jb)});
+  };
+  return dev.launch(cfg, cost_of, math);
 }
 
 template <typename T>
@@ -73,54 +76,57 @@ double launch_larfb_update(sim::Device& dev, const LarfbArgs<T>& args) {
   cfg.shared_mem = t.shared_mem(sizeof(T));
   cfg.precision = precision_v<T>;
 
-  return dev.launch(cfg, [&args, strips, &t](const sim::ExecContext& ctx,
-                                             int block) -> sim::BlockCost {
+  // Block → (matrix, reflectors of the panel, columns [c0, c0 + tn) of its
+  // strip of the trailing matrix).
+  const index_t j = args.offset;
+  auto strip_of = [&args, strips, &t, j](int block) {
     const int i = block / strips;
-    const index_t strip = block % strips;
-    const index_t mi = args.m[static_cast<std::size_t>(i)];
-    const index_t ni = args.n[static_cast<std::size_t>(i)];
-    const index_t j = args.offset;
-    const index_t rows = mi - j;
-    const index_t jb = std::min<index_t>(args.NB, std::min(mi, ni) - j);
-    const index_t c0 = j + jb + strip * t.tn;
-
+    const auto k = static_cast<std::size_t>(i);
+    const index_t ni = args.n[k];
+    const index_t jb = std::min<index_t>(args.NB, std::min<index_t>(args.m[k], ni) - j);
+    const index_t c0 = j + jb + static_cast<index_t>(block % strips) * t.tn;
+    return std::tuple{i, jb, c0, std::min<index_t>(t.tn, ni - c0)};
+  };
+  auto cost_of = [&args, &t, j, strip_of](int block) {
+    const auto [i, jb, c0, tn] = strip_of(block);
+    const index_t rows = args.m[static_cast<std::size_t>(i)] - j;
     sim::BlockCost cost;
     cost.live_threads = t.threads;
-    if (rows <= 0 || jb <= 0 || c0 >= ni) {
+    if (rows <= 0 || jb <= 0 || tn <= 0) {
       cost.early_exit = true;
       return cost;
     }
 
-    const index_t tn = std::min<index_t>(t.tn, ni - c0);
     cost.active_threads = std::max(32, static_cast<int>(t.threads * tn / t.tn));
     // Applying jb reflectors of length `rows` to tn columns: 4·rows·jb·tn.
     cost.flops = 4.0 * static_cast<double>(rows) * static_cast<double>(jb) *
                  static_cast<double>(tn);
     cost.bytes = static_cast<double>(rows * jb + 2 * rows * tn) * sizeof(T);
     cost.sync_steps = static_cast<int>(2 * jb);
-
-    if (ctx.full()) {
-      const index_t lda = args.lda[static_cast<std::size_t>(i)];
-      // Apply H(j) … H(j+jb-1) one reflector at a time to the strip.
-      for (index_t k = 0; k < jb; ++k) {
-        const index_t col = j + k;
-        const T tk = args.tau[i][col];
-        if (tk == T(0)) continue;
-        const T* v = args.a[i] + col + col * lda;  // v(0) implicit 1, rest below diag
-        T* strip_base = args.a[i] + col + c0 * lda;
-        const index_t vm = mi - col;
-        for (index_t c = 0; c < tn; ++c) {
-          T* cptr = strip_base + c * lda;
-          T w = cptr[0];
-          for (index_t r = 1; r < vm; ++r) w += v[r] * cptr[r];
-          w *= tk;
-          cptr[0] -= w;
-          for (index_t r = 1; r < vm; ++r) cptr[r] -= v[r] * w;
-        }
+    return cost;
+  };
+  auto math = [&args, j, strip_of](int block) {
+    const auto [i, jb, c0, tn] = strip_of(block);
+    const index_t lda = args.lda[static_cast<std::size_t>(i)];
+    // Apply H(j) … H(j+jb-1) one reflector at a time to the strip.
+    for (index_t k = 0; k < jb; ++k) {
+      const index_t col = j + k;
+      const T tk = args.tau[i][col];
+      if (tk == T(0)) continue;
+      const T* v = args.a[i] + col + col * lda;  // v(0) implicit 1, rest below diag
+      T* strip_base = args.a[i] + col + c0 * lda;
+      const index_t vm = args.m[static_cast<std::size_t>(i)] - col;
+      for (index_t c = 0; c < tn; ++c) {
+        T* cptr = strip_base + c * lda;
+        T w = cptr[0];
+        for (index_t r = 1; r < vm; ++r) w += v[r] * cptr[r];
+        w *= tk;
+        cptr[0] -= w;
+        for (index_t r = 1; r < vm; ++r) cptr[r] -= v[r] * w;
       }
     }
-    return cost;
-  });
+  };
+  return dev.launch(cfg, cost_of, math);
 }
 
 template double launch_geqrf_panel<float>(sim::Device&, const GeqrfPanelArgs<float>&);

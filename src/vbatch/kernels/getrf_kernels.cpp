@@ -1,6 +1,7 @@
 #include "vbatch/kernels/getrf_kernels.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/util/error.hpp"
@@ -26,17 +27,14 @@ double launch_getrf_panel(sim::Device& dev, const GetrfPanelArgs<T>& args) {
   cfg.shared_mem = std::min(cfg.shared_mem, dev.spec().shared_mem_per_block);
   cfg.precision = precision_v<T>;
 
+  // The cost reads info[i]; only block i's numerics write it, after the cost pass.
   const auto& a = args.batch;
-  return dev.launch(cfg, [&args, &a, threads = cfg.block_threads](const sim::ExecContext& ctx,
-                                                                  int i) -> sim::BlockCost {
-    const int n = a.n[static_cast<std::size_t>(i)];
-    const int mi = args.m[static_cast<std::size_t>(i)];
-    const index_t j = args.offset;
-
+  const index_t j = args.offset;
+  auto cost_of = [&args, &a, j, threads = cfg.block_threads](int i) {
     sim::BlockCost cost;
     cost.live_threads = threads;
-    const index_t rows = mi - j;
-    const index_t jb = std::min<index_t>(args.NB, n - j);
+    const index_t rows = args.m[static_cast<std::size_t>(i)] - j;
+    const index_t jb = std::min<index_t>(args.NB, a.n[static_cast<std::size_t>(i)] - j);
     if (rows <= 0 || jb <= 0 || args.info[static_cast<std::size_t>(i)] < 0) {
       cost.early_exit = true;
       return cost;
@@ -47,20 +45,19 @@ double launch_getrf_panel(sim::Device& dev, const GetrfPanelArgs<T>& args) {
     cost.bytes = static_cast<double>(2 * rows * jb) * sizeof(T);
     cost.sync_steps = static_cast<int>(2 * jb);           // pivot search + swap per column
     cost.serial_ops = static_cast<double>(2 * jb);        // max-reduce + reciprocal chains
-
-    if (ctx.full()) {
-      const index_t lda = a.lda[static_cast<std::size_t>(i)];
-      MatrixView<T> panel(a.ptrs[i] + j + j * lda, rows, jb, lda);
-      std::span<int> piv{args.ipiv[i] + j, static_cast<std::size_t>(jb)};
-      const int local = blas::getf2<T>(panel, piv);
-      // Globalize pivot rows.
-      for (index_t k = 0; k < jb; ++k) piv[static_cast<std::size_t>(k)] += static_cast<int>(j);
-      if (local != 0 && args.info[static_cast<std::size_t>(i)] == 0) {
-        args.info[static_cast<std::size_t>(i)] = static_cast<int>(j) + local;
-      }
-    }
     return cost;
-  });
+  };
+  auto math = [&args, &a, j](int i) {
+    const auto k = static_cast<std::size_t>(i);
+    const index_t jb = std::min<index_t>(args.NB, a.n[k] - j);
+    MatrixView<T> panel(a.ptrs[i] + j + j * a.lda[k], args.m[k] - j, jb, a.lda[k]);
+    std::span<int> piv{args.ipiv[i] + j, static_cast<std::size_t>(jb)};
+    const int local = blas::getf2<T>(panel, piv);
+    // Globalize pivot rows.
+    for (int& p : piv) p += static_cast<int>(j);
+    if (local != 0 && args.info[k] == 0) args.info[k] = static_cast<int>(j) + local;
+  };
+  return dev.launch(cfg, cost_of, math);
 }
 
 template <typename T>
@@ -79,15 +76,16 @@ double launch_laswp(sim::Device& dev, const LaswpArgs<T>& args) {
   cfg.shared_mem = 0;
   cfg.precision = precision_v<T>;
 
+  // Block → (matrix, columns [c0, c1) of its strip).
   const auto& a = args.batch;
-  return dev.launch(cfg, [&args, &a, strips](const sim::ExecContext& ctx,
-                                             int block) -> sim::BlockCost {
+  auto strip_of = [&args, &a, strips](int block) {
     const int i = block / strips;
-    const int strip = block % strips;
-    const int n = a.n[static_cast<std::size_t>(i)];
-    const index_t c0 = args.col0 + static_cast<index_t>(strip) * 64;
-    const index_t c1 = std::min<index_t>({args.col1, n, c0 + 64});
-
+    const index_t c0 = args.col0 + static_cast<index_t>(block % strips) * 64;
+    const index_t c1 = std::min<index_t>({args.col1, a.n[static_cast<std::size_t>(i)], c0 + 64});
+    return std::tuple{i, c0, c1};
+  };
+  auto cost_of = [&args, strip_of](int block) {
+    const auto [i, c0, c1] = strip_of(block);
     sim::BlockCost cost;
     cost.live_threads = 128;
     if (c0 >= c1 || args.m[static_cast<std::size_t>(i)] <= args.k1) {
@@ -100,16 +98,16 @@ double launch_laswp(sim::Device& dev, const LaswpArgs<T>& args) {
     cost.active_threads = static_cast<int>(std::min<index_t>(ncols * 2, 128));
     cost.bytes = static_cast<double>(4 * swaps * ncols) * sizeof(T);  // 2 reads + 2 writes
     cost.sync_steps = static_cast<int>(swaps);
-
-    if (ctx.full()) {
-      const index_t lda = a.lda[static_cast<std::size_t>(i)];
-      MatrixView<T> cols(a.ptrs[i] + c0 * lda, args.m[static_cast<std::size_t>(i)],
-                         ncols, lda);
-      std::span<const int> piv{args.ipiv[i], static_cast<std::size_t>(args.k2)};
-      blas::laswp<T>(cols, piv, args.k1, std::min<index_t>(args.k2, a.n[static_cast<std::size_t>(i)]));
-    }
     return cost;
-  });
+  };
+  auto math = [&args, &a, strip_of](int block) {
+    const auto [i, c0, c1] = strip_of(block);
+    const auto k = static_cast<std::size_t>(i);
+    MatrixView<T> cols(a.ptrs[i] + c0 * a.lda[k], args.m[k], c1 - c0, a.lda[k]);
+    std::span<const int> piv{args.ipiv[i], static_cast<std::size_t>(args.k2)};
+    blas::laswp<T>(cols, piv, args.k1, std::min<index_t>(args.k2, a.n[k]));
+  };
+  return dev.launch(cfg, cost_of, math);
 }
 
 template <typename T>
@@ -128,36 +126,36 @@ double launch_lu_trsm(sim::Device& dev, const LuTrsmArgs<T>& args) {
   cfg.shared_mem = t.shared_mem(sizeof(T));
   cfg.precision = precision_v<T>;
 
-  return dev.launch(cfg, [&args, strips, &t](const sim::ExecContext& ctx,
-                                             int block) -> sim::BlockCost {
+  // Block → (matrix, columns [c0, c0 + tn) of its strip).
+  auto strip_of = [&args, strips, &t](int block) {
     const int i = block / strips;
-    const index_t strip = block % strips;
+    const index_t c0 = static_cast<index_t>(block % strips) * t.tn;
+    return std::tuple{i, c0, std::min<index_t>(t.tn, args.n2[static_cast<std::size_t>(i)] - c0)};
+  };
+  auto cost_of = [&args, &t, strip_of](int block) {
+    const auto [i, c0, tn] = strip_of(block);
     const index_t ibi = args.ib[static_cast<std::size_t>(i)];
-    const index_t n2i = args.n2[static_cast<std::size_t>(i)];
-    const index_t c0 = strip * t.tn;
-
     sim::BlockCost cost;
     cost.live_threads = t.threads;
-    if (ibi <= 0 || c0 >= n2i) {
+    if (ibi <= 0 || tn <= 0) {
       cost.early_exit = true;
       return cost;
     }
 
-    const index_t tn = std::min<index_t>(t.tn, n2i - c0);
     cost.active_threads = std::max(32, static_cast<int>(t.threads * tn / t.tn));
     cost.flops = flops::trsm(ibi, tn, true);
     cost.bytes = static_cast<double>(ibi * ibi / 2 + 2 * ibi * tn) * sizeof(T);
     cost.sync_steps = static_cast<int>(ibi + 2);
-
-    if (ctx.full()) {
-      const index_t lda = args.lda[static_cast<std::size_t>(i)];
-      const index_t ldb = args.ldb[static_cast<std::size_t>(i)];
-      ConstMatrixView<T> l11(args.l11[i], ibi, ibi, lda);
-      MatrixView<T> tile(args.b[i] + c0 * ldb, ibi, tn, ldb);
-      blas::trsm<T>(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::Unit, T(1), l11, tile);
-    }
     return cost;
-  });
+  };
+  auto math = [&args, strip_of](int block) {
+    const auto [i, c0, tn] = strip_of(block);
+    const auto k = static_cast<std::size_t>(i);
+    ConstMatrixView<T> l11(args.l11[i], args.ib[k], args.ib[k], args.lda[k]);
+    MatrixView<T> tile(args.b[i] + c0 * args.ldb[k], args.ib[k], tn, args.ldb[k]);
+    blas::trsm<T>(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::Unit, T(1), l11, tile);
+  };
+  return dev.launch(cfg, cost_of, math);
 }
 
 template double launch_getrf_panel<float>(sim::Device&, const GetrfPanelArgs<float>&);

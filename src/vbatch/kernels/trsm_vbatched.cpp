@@ -30,10 +30,8 @@ double launch_trtri(sim::Device& dev, std::span<const int> ib, int NB) {
   cfg.block_threads = 128;
   cfg.shared_mem = static_cast<std::size_t>(kTrtriBlock) * kTrtriBlock * sizeof(T);
   cfg.precision = precision_v<T>;
-  cfg.cost_only = true;
 
-  return dev.launch(cfg, [ib, blocks_per_matrix](const sim::ExecContext&,
-                                                 int block) -> sim::BlockCost {
+  return dev.launch(cfg, [ib, blocks_per_matrix](int block) -> sim::BlockCost {
     const int i = block / blocks_per_matrix;
     const int t = block % blocks_per_matrix;
     const index_t ibi = ib[static_cast<std::size_t>(i)];
@@ -73,10 +71,8 @@ double launch_sweep(sim::Device& dev, const TrsmVbatchedArgs<T>& args, int k0) {
   cfg.block_threads = t.threads;
   cfg.shared_mem = t.shared_mem(sizeof(T));
   cfg.precision = precision_v<T>;
-  cfg.cost_only = true;
 
-  return dev.launch(cfg, [&args, k0, strips, &t](const sim::ExecContext&,
-                                                 int block) -> sim::BlockCost {
+  return dev.launch(cfg, [&args, k0, strips, &t](int block) -> sim::BlockCost {
     const int i = block / strips;
     const index_t strip = block % strips;
     const index_t mi = args.m[static_cast<std::size_t>(i)];
@@ -223,10 +219,8 @@ double launch_triangular_general(sim::Device& dev, const TriangularVbatchedArgs<
       std::min<std::size_t>(static_cast<std::size_t>(ka_max) * kTriStrip * sizeof(T),
                             dev.spec().shared_mem_per_block);
   cfg.precision = precision_v<T>;
-  cfg.cost_only = true;
 
-  auto cost_of = [&args, strips, left, threads = cfg.block_threads](
-                     const sim::ExecContext&, int block) -> sim::BlockCost {
+  auto cost_of = [&args, strips, left, threads = cfg.block_threads](int block) -> sim::BlockCost {
     const int i = block / strips;
     const index_t strip = block % strips;
     const index_t mi = args.m[static_cast<std::size_t>(i)];

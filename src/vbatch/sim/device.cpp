@@ -46,22 +46,13 @@ void Device::device_free(void* p) {
   throw_error(Status::InvalidArgument, "device_free of unknown pointer");
 }
 
-const std::vector<BlockCost>& Device::run_blocks(const LaunchConfig& cfg, const BlockFn& fn) {
+const std::vector<BlockCost>& Device::run_blocks(const LaunchConfig& cfg, const BlockFn& cost) {
   require(cfg.grid_blocks >= 0, "launch: negative grid");
   // Reused scratch: assign() keeps capacity across launches, so a driver's
   // hundreds of same-shaped steps allocate once instead of once per launch.
+  // Cost reports are cheap, never worth a pool dispatch.
   cost_scratch_.assign(static_cast<std::size_t>(cfg.grid_blocks), BlockCost{});
-  const ExecContext ctx{mode_};
-
-  // Grid blocks are independent by CUDA semantics, so Full-mode numerics run
-  // across the shared host worker pool. Every block writes only its own
-  // costs_[b] slot (and, through the functor, its own matrix), so the merge
-  // is in block-index order and results are identical for any worker count.
-  // TimingOnly and cost-only functors are trivial cost reports — never
-  // worth the dispatch.
-  const bool cheap = mode_ == ExecMode::TimingOnly || cfg.cost_only;
-  parallel_for_grained(cfg.grid_blocks, cheap ? 0 : cfg.grid_blocks,
-                       [&](int b) { cost_scratch_[static_cast<std::size_t>(b)] = fn(ctx, b); });
+  for (int b = 0; b < cfg.grid_blocks; ++b) cost_scratch_[static_cast<std::size_t>(b)] = cost(b);
   return cost_scratch_;
 }
 
@@ -105,8 +96,8 @@ void Device::retime_tail(std::size_t first_record, double base, double start, do
   clock_ = std::max(clock_, tail);
 }
 
-double Device::launch(const LaunchConfig& cfg, const BlockFn& fn) {
-  const auto& costs = run_blocks(cfg, fn);
+double Device::launch(const LaunchConfig& cfg, const BlockFn& cost, const NumericsFn& numerics) {
+  const auto& costs = run_blocks(cfg, cost);
   const KernelTiming timing = schedule_kernel(spec_, cfg, costs, true, &plan_cache_);
 
   KernelRecord rec;
@@ -123,6 +114,15 @@ double Device::launch(const LaunchConfig& cfg, const BlockFn& fn) {
   timeline_.add(std::move(rec));
 
   clock_ += timing.seconds;
+
+  // Numerics after the whole cost pass, so no report sees a block's writes.
+  // Grid blocks are independent by CUDA semantics and each writes only its
+  // own data, so the bits are the same for any worker count.
+  if (numerics && mode_ == ExecMode::Full) {
+    parallel_for_grained(cfg.grid_blocks, cfg.grid_blocks, [&](int b) {
+      if (!costs[static_cast<std::size_t>(b)].early_exit) numerics(b);
+    });
+  }
   return timing.seconds;
 }
 

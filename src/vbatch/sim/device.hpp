@@ -12,15 +12,14 @@
 //     reusable per-launch BlockCost scratch buffer (docs/simulator.md,
 //     "Execution engine").
 //
-// In ExecMode::Full, launches run every block functor (the real numerics)
-// on the host — partitioned across the shared worker pool
-// (vbatch::util::host_pool), which is safe because CUDA semantics already
-// require grid blocks to be independent. Per-block results are merged in
-// block-index order, so modelled times and factorized bits are identical
-// for any worker count. In ExecMode::TimingOnly the functors are invoked
-// with a context telling them to skip the math and only report costs;
-// allocations are then virtual (tracked against capacity but not backed by
-// host memory).
+// Every launch runs its blocks' cost functors inline, in block order, and
+// schedules the reports. In ExecMode::Full it then runs the numerics functor
+// of every block that did not exit early — across the shared worker pool
+// (vbatch::util::host_pool) for grids worth the dispatch, which is safe
+// because CUDA semantics already require grid blocks to be independent —
+// so modelled times and factorized bits are identical for any worker count.
+// ExecMode::TimingOnly runs the cost functors and nothing else; allocations
+// are then virtual (tracked against capacity but not backed by host memory).
 #pragma once
 
 #include <cstddef>
@@ -37,17 +36,16 @@
 
 namespace vbatch::sim {
 
-/// Full-mode grids below this many blocks run serially: pool dispatch costs
-/// more than the blocks themselves (the aux metadata sweeps are 1–4 trivial
-/// blocks).
+/// The numerics of grids below this many blocks run serially: pool dispatch
+/// costs more than a few small blocks' arithmetic.
 inline constexpr int kParallelGrainBlocks = 32;
 
 /// The one grain rule of the Full-mode numerics: runs fn(0) … fn(count − 1)
 /// serially when `work` (the blocks the items stand for) is below
 /// kParallelGrainBlocks or the host pool has one worker, else across
-/// util::host_pool(). Device::run_blocks and every numerics pass that runs
-/// outside the block functors use it. Items must write disjoint data, so
-/// the result is the same for any worker count.
+/// util::host_pool(). Device::launch's per-block numerics and every numerics
+/// pass of its own (lane groups, strips) use it. Items must write disjoint
+/// data, so the result is the same for any worker count.
 template <typename Fn>
 void parallel_for_grained(int count, int work, Fn&& fn) {
   if (work < kParallelGrainBlocks || util::host_pool().size() == 1) {
@@ -88,16 +86,19 @@ class Device {
 
   // --- Execution ----------------------------------------------------------
 
-  /// Launches a kernel synchronously: runs all block functors (Full mode),
-  /// schedules the reported costs, advances the device clock, records the
-  /// kernel in the timeline. Returns the modelled kernel duration (s).
-  double launch(const LaunchConfig& cfg, const BlockFn& fn);
+  /// Launches a kernel synchronously: runs every block's cost functor,
+  /// schedules the reports, advances the device clock and records the kernel
+  /// in the timeline; in Full mode it then runs `numerics(b)` for every block
+  /// b whose report is not an early exit, with the grid as the grain.
+  /// Returns the modelled kernel duration (s).
+  double launch(const LaunchConfig& cfg, const BlockFn& cost, const NumericsFn& numerics = {});
 
   /// Launches `configs.size()` kernels distributed round-robin over
   /// `num_streams` streams with concurrent execution (the streamed syrk
   /// pattern): the host pays an enqueue overhead per kernel, kernels on
-  /// different streams share the device's block slots. Returns total wall
-  /// time from first enqueue to last completion.
+  /// different streams share the device's block slots. Cost functors only;
+  /// the caller runs the numerics. Returns total wall time from first
+  /// enqueue to last completion.
   double launch_concurrent(const std::vector<LaunchConfig>& configs,
                            const std::vector<BlockFn>& fns, int num_streams);
 
@@ -136,10 +137,9 @@ class Device {
   [[nodiscard]] const LaunchPlanCache& plan_cache() const noexcept { return plan_cache_; }
 
  private:
-  /// Runs the grid (pool-parallel in Full mode for grids worth the
-  /// dispatch) into cost_scratch_; the result is valid until the next
-  /// launch on this device.
-  const std::vector<BlockCost>& run_blocks(const LaunchConfig& cfg, const BlockFn& fn);
+  /// Runs the grid's cost functors inline into cost_scratch_; the result is
+  /// valid until the next launch on this device.
+  const std::vector<BlockCost>& run_blocks(const LaunchConfig& cfg, const BlockFn& cost);
 
   DeviceSpec spec_;
   ExecMode mode_;

@@ -1,11 +1,14 @@
 // Kernel launch descriptors and per-block cost reports.
 //
-// A simulated kernel is a grid of thread blocks. Each block is a callable
-// that (a) performs the real numerical work on host memory when the device
-// runs in ExecMode::Full, and (b) returns a BlockCost describing what it did
-// — flops, global-memory traffic, how many threads had work, how many
-// barriers it crossed, whether it exited through an early-termination
-// mechanism. The scheduler turns those reports into time.
+// A simulated kernel is a grid of thread blocks described by two per-block
+// callables. The cost functor returns a BlockCost describing what the block
+// does — flops, global-memory traffic, how many threads have work, how many
+// barriers it crosses, whether it exits through an early-termination
+// mechanism — and the scheduler turns those reports into time. The optional
+// numerics functor performs the block's real arithmetic on host memory; it
+// runs only in ExecMode::Full, only for blocks that did not exit early, and
+// only after every block's cost report (docs/simulator.md, "The launch
+// contract").
 #pragma once
 
 #include <cstdint>
@@ -43,18 +46,12 @@ struct LaunchConfig {
   int block_threads = 0;
   std::size_t shared_mem = 0;
   Precision precision = Precision::Double;
-  /// The functor only reports costs (the kernel's numerics run in a pass of
-  /// their own after the launch), so the grid runs inline in every mode.
-  bool cost_only = false;
 };
 
-/// Context handed to block functors.
-struct ExecContext {
-  ExecMode mode = ExecMode::Full;
-  [[nodiscard]] bool full() const noexcept { return mode == ExecMode::Full; }
-};
+/// Cost functor: reports what block `block_id` of the grid does.
+using BlockFn = std::function<BlockCost(int block_id)>;
 
-/// Block functor: executes block `block_id` of the grid and reports cost.
-using BlockFn = std::function<BlockCost(const ExecContext&, int block_id)>;
+/// Numerics functor: performs the arithmetic of block `block_id`.
+using NumericsFn = std::function<void(int block_id)>;
 
 }  // namespace vbatch::sim

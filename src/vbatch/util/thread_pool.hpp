@@ -1,8 +1,8 @@
 // The process-wide host worker pool behind the parallel execution engine.
 //
 // Originally this lived in vbatch::cpu and only ran the CPU baselines'
-// numerics; it is now shared by the simulator (Device::launch runs block
-// functors across it), the CPU baselines and the factorization drivers, so
+// numerics; it is now shared by the simulator (Device::launch runs per-block
+// numerics across it), the CPU baselines and the factorization drivers, so
 // the whole library pays thread start-up exactly once per process instead
 // of once per kernel launch.
 //

@@ -532,7 +532,8 @@ std::vector<RequestOutcome> closed_loop(Service& svc, int launches) {
 
 TEST(ServiceLiveAdmission, CapacityCalibratesOnWallLaunchSeconds) {
   hetero::DevicePool pool = warm_pool();
-  Service svc(pool, calibrating_config());
+  const ServiceConfig cfg = calibrating_config();
+  Service svc(pool, cfg);
   const auto t0 = std::chrono::steady_clock::now();
   (void)closed_loop(svc, 40);
   const double elapsed =
@@ -541,42 +542,53 @@ TEST(ServiceLiveAdmission, CapacityCalibratesOnWallLaunchSeconds) {
   ASSERT_EQ(report.batches, 40);
   std::map<int, double> complete;
   for (const RequestOutcome& o : report.outcomes) complete[o.batch_id] = o.complete_time;
-  double flops = 0.0;
+  // The capacity estimate replayed: an EWMA (alpha 0.3) seeded at the pool's
+  // nominal peak times the initial efficiency, fed each launch's flops over
+  // its wall seconds in launch order.
+  double capacity = 0.0;
+  for (int e = 0; e < pool.size(); ++e)
+    capacity += pool.executor(e).peak_gflops(Precision::Double);
+  capacity *= cfg.admission.initial_efficiency;
   double wall = 0.0;
   for (const BatchRecord& b : report.batch_log) {
-    flops += b.flops;
-    wall += complete.at(b.id) - b.dispatch_time;
+    const double seconds = complete.at(b.id) - b.dispatch_time;
+    wall += seconds;
+    if (seconds > 0.0 && b.flops > 0.0)
+      capacity = 0.7 * capacity + 0.3 * (b.flops / seconds * 1e-9);
   }
   // Launches are timed on the wall clock: back to back with a zero budget,
   // they fill most of the closed loop's elapsed time.
   EXPECT_LT(wall, elapsed);
   EXPECT_GT(wall, 0.25 * elapsed);
-  const double wall_gflops = flops / wall * 1e-9;
-  EXPECT_GT(report.capacity_gflops, wall_gflops / 2.0);
-  EXPECT_LT(report.capacity_gflops, wall_gflops * 2.0);
+  EXPECT_NEAR(report.capacity_gflops, capacity, 1e-9 * capacity);
 }
 
 TEST(ServiceLiveAdmission, DeadlineBelowWallServiceTimeRejectedAtSubmit) {
   hetero::DevicePool pool = warm_pool();
   Service svc(pool, calibrating_config());
-  double flops = 0.0;
-  double wall = 0.0;
+  // One request per launch. The capacity EWMA averages the launches' wall
+  // throughputs (its seed's weight is 0.7^40 by now), so the fastest one
+  // bounds it from above.
+  double fastest = 0.0;
   for (const RequestOutcome& o : closed_loop(svc, 40)) {
-    flops += o.flops;
-    wall += o.complete_time - o.dispatch_time;
+    ASSERT_GT(o.complete_time, o.dispatch_time);
+    fastest = std::max(fastest, o.flops / (o.complete_time - o.dispatch_time));
   }
-  // Half the request's service time at the wall throughput the launches
-  // achieved: infeasible for an estimate under twice that throughput, but
-  // feasible at the pool's modelled throughput.
+  // Half the request's service time at that throughput: infeasible on the
+  // wall-calibrated estimate, feasible at the pool's modelled throughput.
   Request r = calibration_request();
-  r.deadline = 0.5 * r.flops() * wall / flops;
+  r.deadline = 0.5 * r.flops() / fastest;
   const JobTicket ticket = svc.submit(r);
   EXPECT_TRUE(ticket.done());  // admission ran inside submit
   const RequestOutcome o = svc.wait(ticket);
   EXPECT_EQ(o.status, RequestStatus::RejectedDeadline);
   EXPECT_EQ(o.batch_id, -1);
   EXPECT_EQ(o.complete_time, o.submit_time);
-  (void)svc.drain();
+  // The two clocks stay apart: every launch's modelled throughput is more
+  // than twice the fastest wall throughput.
+  const ServiceReport report = svc.drain();
+  ASSERT_EQ(report.batches, 40);
+  for (const BatchRecord& b : report.batch_log) EXPECT_GT(b.flops / b.seconds, 2.0 * fastest);
 }
 
 // ---------------------------------------------------------------------------

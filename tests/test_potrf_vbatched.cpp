@@ -13,15 +13,21 @@
 #include <vector>
 
 #include "vbatch/blas/blas.hpp"
+#include "vbatch/core/blas_vbatched.hpp"
 #include "vbatch/core/crossover.hpp"
+#include "vbatch/core/geqrf_vbatched.hpp"
+#include "vbatch/core/getrf_vbatched.hpp"
 #include "vbatch/core/hybrid.hpp"
 #include "vbatch/core/padding.hpp"
 #include "vbatch/core/potrf_batched_fixed.hpp"
+#include "vbatch/core/potrf_classic.hpp"
 #include "vbatch/core/potrf_vbatched.hpp"
+#include "vbatch/core/potrs_vbatched.hpp"
 #include "vbatch/core/size_dist.hpp"
 #include "vbatch/hetero/device_pool.hpp"
 #include "vbatch/hetero/potrf_hetero.hpp"
 #include "vbatch/util/error.hpp"
+#include "vbatch/util/thread_pool.hpp"
 
 namespace {
 
@@ -762,6 +768,140 @@ TEST(PotrfVbatched, TimingOnlyMatchesFullModeSeconds) {
     expect_timing_only_matches_full<double>(PotrfPath::Separated, uplo, "d", true);
     expect_timing_only_matches_full<std::complex<float>>(PotrfPath::Separated, uplo, "c", true);
     expect_timing_only_matches_full<std::complex<double>>(PotrfPath::Separated, uplo, "z", true);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The launch contract on every driver whose numerics run per block
+// ---------------------------------------------------------------------------
+
+/// One run of the drivers: the device timeline and, in Full mode, every
+/// output byte (factors, info, pivots, tau, solutions) in call order.
+struct ContractRun {
+  std::vector<sim::KernelRecord> records;
+  std::vector<unsigned char> bytes;
+};
+
+template <typename T>
+ContractRun run_contract_drivers(sim::ExecMode mode) {
+  constexpr bool real = !is_complex_v<T>;
+  // Ragged around the panel widths, with empty matrices; 40 matrices, so
+  // every per-matrix grid is past the pool grain.
+  std::vector<int> sizes{0, 1, 7, 8, 9, 31, 32, 33, 64, 65, 0, 97};
+  Rng size_rng(43);
+  for (int n : uniform_sizes(size_rng, 28, 120)) sizes.push_back(n);
+  std::vector<int> nrhs, rows, cols;
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    nrhs.push_back(static_cast<int>(k % 11));          // includes 0 rhs
+    rows.push_back(sizes[k] + static_cast<int>(k % 5));  // m ≥ n for QR
+    cols.push_back(static_cast<int>((sizes[k] * 7 + 3) % 90));
+  }
+
+  Queue q(sim::DeviceSpec::k40c(), mode);
+  ContractRun run;
+  auto keep = [&run, &q](auto& batch) {
+    for (int v : batch.info()) {
+      EXPECT_EQ(v, 0);
+      run.bytes.insert(run.bytes.end(), reinterpret_cast<const unsigned char*>(&v),
+                       reinterpret_cast<const unsigned char*>(&v + 1));
+    }
+    if (!q.full()) return;
+    for (int i = 0; i < batch.count(); ++i) {
+      const std::vector<T> m = batch.copy_matrix(i);
+      const auto* p = reinterpret_cast<const unsigned char*>(m.data());
+      run.bytes.insert(run.bytes.end(), p, p + m.size() * sizeof(T));
+    }
+  };
+  auto keep_slab = [&run, &q](const auto& slab) {
+    if (!q.full()) return;
+    for (int i = 0; i < slab.count(); ++i) {
+      const auto* p = reinterpret_cast<const unsigned char*>(slab.item(i).data());
+      run.bytes.insert(run.bytes.end(), p, p + slab.item(i).size_bytes());
+    }
+  };
+  Rng fill(5);
+
+  Batch<T> spd(q, sizes);
+  spd.fill_spd(fill);
+  RectBatch<T> rhs(q, sizes, nrhs);
+  rhs.fill_general(fill);
+  posv_vbatched<T>(q, Uplo::Lower, spd, rhs, {});
+  potrs_vbatched<T>(q, Uplo::Lower, spd, rhs);
+  potri_vbatched<T>(q, Uplo::Lower, spd);
+  keep(spd);
+  keep(rhs);
+
+  RectBatch<T> a(q, rows, sizes), b(q, sizes, cols), c(q, rows, cols);
+  a.fill_general(fill);
+  b.fill_general(fill);
+  c.fill_general(fill);
+  gemm_vbatched<T>(q, Trans::NoTrans, Trans::NoTrans, T(1.5f), a, b, T(0.5f), c);
+  keep(c);
+
+  if constexpr (real) {
+    for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+      Batch<T> classic(q, sizes);
+      classic.fill_spd(fill);
+      potrf_batched_classic<T>(q, uplo, classic);
+      keep(classic);
+    }
+
+    Batch<T> lu(q, sizes);
+    lu.fill_general(fill);
+    PivotArrays ipiv(q, sizes);
+    RectBatch<T> lu_rhs(q, sizes, nrhs);
+    lu_rhs.fill_general(fill);
+    getrf_vbatched<T>(q, lu, ipiv);
+    getrs_vbatched<T>(q, lu, ipiv, lu_rhs);
+    keep(lu);
+    keep(lu_rhs);
+    keep_slab(ipiv);
+
+    RectBatch<T> qr(q, rows, sizes);
+    qr.fill_general(fill);
+    TauArrays<T> tau(q, sizes);
+    RectBatch<T> qt_rhs(q, rows, nrhs), ls_rhs(q, rows, nrhs);
+    qt_rhs.fill_general(fill);
+    ls_rhs.fill_general(fill);
+    geqrf_vbatched<T>(q, qr, tau);
+    ormqr_vbatched<T>(q, qr, tau, qt_rhs);
+    geqrs_vbatched<T>(q, qr, tau, ls_rhs);
+    keep(qr);
+    keep(qt_rhs);
+    keep(ls_rhs);
+    keep_slab(tau);
+  }
+  run.records = q.device().timeline().records();
+  return run;
+}
+
+template <typename T>
+class LaunchContract : public ::testing::Test {
+ protected:
+  void TearDown() override { util::set_host_threads(0); }
+};
+
+using ContractTypes = ::testing::Types<float, double, std::complex<float>, std::complex<double>>;
+TYPED_TEST_SUITE(LaunchContract, ContractTypes);
+
+/// Cost functors report, numerics functors compute: TimingOnly records the
+/// Full run's timeline bit for bit, and the Full outputs do not depend on
+/// how many workers ran the numerics.
+TYPED_TEST(LaunchContract, TimingOnlyMatchesFull) {
+  util::set_host_threads(1);
+  const ContractRun serial = run_contract_drivers<TypeParam>(sim::ExecMode::Full);
+  util::set_host_threads(4);
+  const ContractRun pooled = run_contract_drivers<TypeParam>(sim::ExecMode::Full);
+  const ContractRun timing = run_contract_drivers<TypeParam>(sim::ExecMode::TimingOnly);
+
+  ASSERT_FALSE(serial.bytes.empty());
+  ASSERT_EQ(serial.bytes.size(), pooled.bytes.size());
+  EXPECT_EQ(0, std::memcmp(serial.bytes.data(), pooled.bytes.data(), serial.bytes.size()));
+  for (const ContractRun* other : {&pooled, &timing}) {
+    ASSERT_EQ(serial.records.size(), other->records.size());
+    for (std::size_t r = 0; r < serial.records.size(); ++r)
+      ASSERT_TRUE(same_record(serial.records[r], other->records[r]))
+          << "record " << r << " (" << serial.records[r].name << ")";
   }
 }
 

@@ -278,7 +278,7 @@ TEST(LaunchPlanCache, MemoizesPlansAndCountsHits) {
 
 TEST(LaunchPlanCache, DeviceLaunchesPopulateCache) {
   Device dev(spec(), ExecMode::TimingOnly);
-  auto fn = [](const ExecContext&, int) { return work_block(1e4, 64, 64); };
+  auto fn = [](int) { return work_block(1e4, 64, 64); };
   dev.launch(cfg(10, 64), fn);
   dev.launch(cfg(10, 64), fn);
   dev.launch(cfg(10, 64), fn);
@@ -327,7 +327,7 @@ TEST(Device, FreeingUnknownPointerThrows) {
 TEST(Device, LaunchAdvancesClockAndRecords) {
   Device dev(spec());
   LaunchConfig c = cfg(10, 64);
-  const double t = dev.launch(c, [](const ExecContext&, int) {
+  const double t = dev.launch(c, [](int) {
     return work_block(1e4, 64, 64);
   });
   EXPECT_GT(t, 0.0);
@@ -337,25 +337,46 @@ TEST(Device, LaunchAdvancesClockAndRecords) {
   EXPECT_DOUBLE_EQ(dev.timeline().records()[0].flops, 1e5);
 }
 
-TEST(Device, FullModeRunsFunctorsExactlyOncePerBlock) {
+TEST(Device, FullModeRunsNumericsOncePerLiveBlockAfterEveryCost) {
+  // 200 blocks (pooled numerics), every third one an early exit.
   Device dev(spec());
-  std::vector<std::atomic<int>> counts(200);
-  LaunchConfig c = cfg(200, 64);
-  dev.launch(c, [&counts](const ExecContext& ctx, int b) {
-    EXPECT_TRUE(ctx.full());
-    counts[static_cast<std::size_t>(b)].fetch_add(1);
-    return work_block(1.0, 1, 64);
-  });
-  for (auto& cnt : counts) EXPECT_EQ(cnt.load(), 1);
+  constexpr int kBlocks = 200;
+  std::vector<std::atomic<int>> costs(kBlocks), numerics(kBlocks);
+  std::atomic<int> reports{0};
+  std::atomic<bool> before_last_cost{false};
+  dev.launch(
+      cfg(kBlocks, 64),
+      [&](int b) {
+        costs[static_cast<std::size_t>(b)].fetch_add(1);
+        reports.fetch_add(1);
+        BlockCost c = work_block(1.0, 1, 64);
+        c.early_exit = b % 3 == 0;
+        return c;
+      },
+      [&](int b) {
+        if (reports.load() != kBlocks) before_last_cost = true;
+        numerics[static_cast<std::size_t>(b)].fetch_add(1);
+      });
+  EXPECT_FALSE(before_last_cost.load());
+  for (int b = 0; b < kBlocks; ++b) {
+    EXPECT_EQ(costs[static_cast<std::size_t>(b)].load(), 1) << b;
+    EXPECT_EQ(numerics[static_cast<std::size_t>(b)].load(), b % 3 == 0 ? 0 : 1) << b;
+  }
 }
 
-TEST(Device, TimingOnlyContextReportsNotFull) {
+TEST(Device, TimingOnlyRunsCostsOnceAndNumericsNever) {
   Device dev(spec(), ExecMode::TimingOnly);
-  LaunchConfig c = cfg(4, 64);
-  dev.launch(c, [](const ExecContext& ctx, int) {
-    EXPECT_FALSE(ctx.full());
-    return work_block(1.0, 1, 64);
-  });
+  std::vector<int> costs(40, 0);
+  int numerics = 0;
+  dev.launch(
+      cfg(40, 64),
+      [&costs](int b) {
+        ++costs[static_cast<std::size_t>(b)];
+        return work_block(1.0, 1, 64);
+      },
+      [&numerics](int) { ++numerics; });
+  for (int c : costs) EXPECT_EQ(c, 1);
+  EXPECT_EQ(numerics, 0);
 }
 
 TEST(Device, ConcurrentStreamsOverlapKernels) {
@@ -365,7 +386,7 @@ TEST(Device, ConcurrentStreamsOverlapKernels) {
   // blocks pool across the slot machine and the tails overlap.
   Device serial_dev(spec());
   Device stream_dev(spec());
-  auto fn = [](const ExecContext&, int) { return work_block(2e5, 8, 256); };
+  auto fn = [](int) { return work_block(2e5, 8, 256); };
 
   double serial = 0.0;
   for (int k = 0; k < 8; ++k) serial += serial_dev.launch(cfg(30, 256), fn);
@@ -379,7 +400,7 @@ TEST(Device, ConcurrentStreamsOverlapKernels) {
 TEST(Device, StreamsRespectPerStreamOrdering) {
   // One stream: kernels serialize; result close to the serial sum.
   Device dev(spec());
-  auto fn = [](const ExecContext&, int) { return work_block(2e6, 256, 256); };
+  auto fn = [](int) { return work_block(2e6, 256, 256); };
   std::vector<LaunchConfig> cfgs(4, cfg(60, 256));
   std::vector<BlockFn> fns(4, fn);
   const double t1 = dev.launch_concurrent(cfgs, fns, 1);
@@ -396,7 +417,7 @@ TEST(Device, StreamClampIsVisibleInTimeline) {
   Device dev(spec());
   const int limit = dev.spec().max_concurrent_streams;
   const int kernels = limit + 16;
-  auto fn = [](const ExecContext&, int) { return work_block(1e4, 8, 64); };
+  auto fn = [](int) { return work_block(1e4, 8, 64); };
   std::vector<LaunchConfig> cfgs(static_cast<std::size_t>(kernels), cfg(4, 64));
   std::vector<BlockFn> fns(static_cast<std::size_t>(kernels), fn);
   dev.launch_concurrent(cfgs, fns, 4 * limit);
@@ -416,7 +437,7 @@ TEST(Device, StreamsClampToKernelCount) {
   // the used-stream count equals the batch, and the run must behave exactly
   // like a run with num_streams == batch.
   Device dev(spec());
-  auto fn = [](const ExecContext&, int) { return work_block(1e4, 8, 64); };
+  auto fn = [](int) { return work_block(1e4, 8, 64); };
   std::vector<LaunchConfig> cfgs(5, cfg(4, 64));
   std::vector<BlockFn> fns(5, fn);
   const double wide = dev.launch_concurrent(cfgs, fns, 16);
@@ -435,8 +456,8 @@ TEST(Device, StreamsClampToKernelCount) {
 
 TEST(Timeline, BusyAndPrefixQueries) {
   Device dev(spec());
-  dev.launch(cfg(5, 64), [](const ExecContext&, int) { return work_block(10.0, 8, 64); });
-  dev.launch(cfg(5, 64), [](const ExecContext&, int) { return work_block(10.0, 8, 64); });
+  dev.launch(cfg(5, 64), [](int) { return work_block(10.0, 8, 64); });
+  dev.launch(cfg(5, 64), [](int) { return work_block(10.0, 8, 64); });
   EXPECT_EQ(dev.timeline().count_with_prefix("test"), 2u);
   EXPECT_GT(dev.timeline().busy_seconds(), 0.0);
   EXPECT_DOUBLE_EQ(dev.timeline().total_flops(), 100.0);
