@@ -15,27 +15,36 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// One chunk occupying a stream slot between dispatch and commit. `dur` is
-/// kept explicit (est / rate) rather than recomputed from end − start so a
-/// rate-1.0 chunk charges exactly its estimate to the busy ledger — the
-/// bitwise guarantee the single-stream compatibility tests pin.
+/// One chunk occupying a pipeline slot between dispatch and commit, with its
+/// whole trajectory: H2D over [h2d_start, h2d_end), compute over [start,
+/// start + dur), D2H over [d2h_start, d2h_end), commit at d2h_end. A resident
+/// chunk's copies take zero seconds and hold zero bytes, so its trajectory
+/// is the compute interval alone. `dur` is kept explicit (est / rate) rather
+/// than recomputed from an end − start difference so a rate-1.0 chunk charges
+/// exactly its estimate to the busy ledger — the bitwise guarantee the
+/// single-stream compatibility tests pin.
 struct InFlight {
   int chunk = -1;
   int stream = 0;
   int attempt = 0;
   bool stolen = false;
-  double start = 0.0;  ///< compute start (== dispatch clock when resident)
-  double dur = 0.0;    ///< compute duration (est / rate)
-  double end = 0.0;    ///< commit time: compute end, or d2h end when streamed
   double occ = 1.0;
   double rate = 1.0;
-  // Out-of-core staging trajectory (all zero for a resident chunk).
-  bool streamed = false;
   double bytes = 0.0;
   double h2d_start = 0.0;
   double h2d_end = 0.0;
+  double start = 0.0;
+  double dur = 0.0;
   double d2h_start = 0.0;
   double d2h_end = 0.0;
+};
+
+/// Where a chunk computes: its start, the device slot share the chunks
+/// still computing then leave free, and the stream it takes.
+struct ComputeSlot {
+  double start = 0.0;
+  double share = 1.0;
+  int stream = 0;
 };
 
 /// One executor's mutable state inside the event loop.
@@ -56,7 +65,7 @@ struct ExecState {
   int completed = 0;
   std::vector<int> tried;     ///< per-chunk attempt counters
   std::vector<char> gave_up;  ///< per-chunk retry-exhaustion flags
-  /// Stream slots currently holding a dispatched-but-uncommitted chunk.
+  /// Pipeline slots currently holding a dispatched-but-uncommitted chunk.
   std::vector<InFlight> fly;
   /// Busy intervals (the occupied union) and compute + transfer intervals
   /// (the pipeline span).
@@ -161,11 +170,17 @@ ScheduleResult run_schedule(const ScheduleParams& params,
   auto streamed_of = [&](int e) {
     return !params.h2d.empty() && !params.h2d[static_cast<std::size_t>(e)].empty();
   };
+  // A resident executor's copies take zero seconds and hold zero bytes.
   auto h2d_of = [&](int e, int c) {
-    return params.h2d[static_cast<std::size_t>(e)][static_cast<std::size_t>(c)];
+    return streamed_of(e) ? params.h2d[static_cast<std::size_t>(e)][static_cast<std::size_t>(c)]
+                          : 0.0;
   };
   auto d2h_of = [&](int e, int c) {
-    return params.d2h[static_cast<std::size_t>(e)][static_cast<std::size_t>(c)];
+    return streamed_of(e) ? params.d2h[static_cast<std::size_t>(e)][static_cast<std::size_t>(c)]
+                          : 0.0;
+  };
+  auto bytes_of = [&](int e, int c) {
+    return streamed_of(e) ? params.chunk_bytes[static_cast<std::size_t>(c)] : 0.0;
   };
   auto arena_of = [&](int e) {
     return params.arena.empty() ? 0.0 : params.arena[static_cast<std::size_t>(e)];
@@ -193,23 +208,63 @@ ScheduleResult run_schedule(const ScheduleParams& params,
     if (on_fault) on_fault(ev);
     res.events.push_back(ev);
   };
+  // Logs a wasted attempt ending at t_end: its seconds join the busy ledger
+  // and, over [ev.start, t_end), the occupied union — and a streaming
+  // executor's pipeline span when `staged` (its copies were wasted too).
+  auto waste = [&](const fault::FaultEvent& ev, double t_end, bool staged) {
+    ExecState& x = st(ev.exec);
+    ExecutorSchedule& r = rec(ev.exec);
+    r.busy_seconds += ev.waste_seconds;
+    r.finish_seconds = std::max(r.finish_seconds, t_end);
+    if (ev.waste_seconds > 0.0) {
+      x.busy_iv.emplace_back(ev.start, t_end);
+      if (staged && streamed_of(ev.exec)) x.pipe_iv.emplace_back(ev.start, t_end);
+    }
+    emit(ev);
+  };
   // Earliest time executor e can start another chunk: its dispatch clock if
-  // a stream slot is free, else the first in-flight completion. With one
+  // a pipeline slot is free, else the first in-flight commit. With one
   // stream this is exactly the post-execution clock of the serial schedule.
   auto dispatch_ready = [&](int e) {
     const ExecState& x = st(e);
     if (static_cast<int>(x.fly.size()) < capacity_of(e)) return x.clock;
     double first_free = kInf;
-    for (const InFlight& f : x.fly) first_free = std::min(first_free, f.end);
+    for (const InFlight& f : x.fly) first_free = std::min(first_free, f.d2h_end);
     return std::max(x.clock, first_free);
   };
-  // Lowest stream index not occupied by an in-flight chunk.
-  auto free_stream = [&](int e) {
-    for (int s = 0;; ++s) {
-      bool used = false;
-      for (const InFlight& f : st(e).fly) used |= (f.stream == s);
-      if (!used) return s;
+  // Compute placement of a chunk whose input is on the device at `ready`:
+  // it starts once one of the streams_of compute slots frees (the prefetch
+  // slot stages, it never computes early), contends with the n chunks still
+  // computing then (staging phases hold no device slots) for the free share
+  // s = max(1 − Σ occ, 1/(n+1)), and takes the lowest stream none of them
+  // holds. At most streams_of − 1 are still computing, so the stream exists.
+  auto compute_slot = [&](int e, double ready) {
+    const std::vector<InFlight>& fl = st(e).fly;
+    const auto k = static_cast<std::size_t>(streams_of(e));
+    ComputeSlot cs;
+    cs.start = ready;
+    if (fl.size() >= k) {
+      std::vector<double> ends;
+      ends.reserve(fl.size());
+      for (const InFlight& g : fl) ends.push_back(g.start + g.dur);
+      std::sort(ends.begin(), ends.end());
+      cs.start = std::max(ready, ends[fl.size() - k]);
     }
+    auto computing = [&](const InFlight& g) { return g.start + g.dur > cs.start; };
+    double used = 0.0;
+    int n = 0;
+    for (const InFlight& g : fl) {
+      if (!computing(g)) continue;
+      used += g.occ;
+      ++n;
+    }
+    cs.share = std::max(1.0 - used, 1.0 / (static_cast<double>(n) + 1.0));
+    auto held = [&](int s) {
+      return std::any_of(fl.begin(), fl.end(),
+                         [&](const InFlight& g) { return g.stream == s && computing(g); });
+    };
+    while (held(cs.stream)) ++cs.stream;
+    return cs;
   };
 
   // Re-dispatches an orphaned chunk to the surviving executor that can
@@ -270,18 +325,11 @@ ScheduleResult run_schedule(const ScheduleParams& params,
       iv.chunk = f.chunk;
       iv.attempt = f.attempt;
       iv.stream = f.stream;
-      // A streamed chunk starts burning time at its H2D start — the staging
-      // already done when the executor died is waste too.
-      const double t_begin = f.streamed ? f.h2d_start : f.start;
-      iv.start = t_begin;
-      iv.waste_seconds = std::max(0.0, t_death - t_begin);
-      rec(e).busy_seconds += iv.waste_seconds;
-      rec(e).finish_seconds = std::max(rec(e).finish_seconds, t_death);
-      if (iv.waste_seconds > 0.0) {
-        x.busy_iv.emplace_back(t_begin, t_death);
-        if (f.streamed) x.pipe_iv.emplace_back(t_begin, t_death);
-      }
-      emit(iv);
+      // The chunk burns time from its H2D start — the staging already done
+      // when the executor died is waste too.
+      iv.start = f.h2d_start;
+      iv.waste_seconds = std::max(0.0, t_death - f.h2d_start);
+      waste(iv, t_death, true);
     }
     for (const InFlight& f : doomed) redispatch(f.chunk);
     for (int c : orphans) redispatch(c);
@@ -296,8 +344,8 @@ ScheduleResult run_schedule(const ScheduleParams& params,
     for (int e = 0; e < E; ++e) {
       const auto& fl = st(e).fly;
       for (std::size_t i = 0; i < fl.size(); ++i) {
-        if (fl[i].end < ct) {
-          ct = fl[i].end;
+        if (fl[i].d2h_end < ct) {
+          ct = fl[i].d2h_end;
           ce = e;
           ci = i;
         }
@@ -345,41 +393,35 @@ ScheduleResult run_schedule(const ScheduleParams& params,
     if (committing) {
       const InFlight f = a.fly[ci];
       a.fly.erase(a.fly.begin() + static_cast<std::ptrdiff_t>(ci));
+      ChunkSchedule& done = res.chunks[static_cast<std::size_t>(f.chunk)];
       StreamSlot slot{f.stream, f.start, f.rate};
-      if (f.streamed) {
-        slot.h2d_start = f.h2d_start;
+      if (streamed_of(actor)) {
+        // Only a chunk that stages reports its copies' placement.
+        slot.h2d_start = done.h2d_start = f.h2d_start;
         slot.h2d_seconds = f.h2d_end - f.h2d_start;
-        slot.d2h_start = f.d2h_start;
+        slot.d2h_start = done.d2h_start = f.d2h_start;
         slot.d2h_seconds = f.d2h_end - f.d2h_start;
         slot.bytes = f.bytes;
         slot.chunk = f.chunk;
+        done.h2d_end = f.h2d_end;
+        done.d2h_end = f.d2h_end;
       }
       execute(actor, f.chunk, slot);
-      a.clock = std::max(a.clock, f.end);
+      a.clock = std::max(a.clock, f.d2h_end);
       out.busy_seconds += f.dur;
-      out.finish_seconds = std::max(out.finish_seconds, f.end);
+      out.finish_seconds = std::max(out.finish_seconds, f.d2h_end);
       out.chunks += 1;
       if (f.stolen) out.stolen += 1;
-      ChunkSchedule& done = res.chunks[static_cast<std::size_t>(f.chunk)];
       done.executor = actor;
       a.completed += 1;
-      if (f.streamed) {
-        // Busy/occupied track compute only; the staging ledger and the
-        // pipeline span carry the transfers.
-        a.busy_iv.emplace_back(f.start, f.start + f.dur);
-        a.pipe_iv.emplace_back(f.h2d_start, f.end);
-        out.h2d_seconds += f.h2d_end - f.h2d_start;
-        out.d2h_seconds += f.d2h_end - f.d2h_start;
-        out.h2d_bytes += f.bytes;
-        out.d2h_bytes += f.bytes;
-        done.h2d_start = f.h2d_start;
-        done.h2d_end = f.h2d_end;
-        done.d2h_start = f.d2h_start;
-        done.d2h_end = f.d2h_end;
-      } else {
-        a.busy_iv.emplace_back(f.start, f.end);
-        a.pipe_iv.emplace_back(f.start, f.end);
-      }
+      // Busy/occupied track compute only; the staging ledger and the
+      // pipeline span carry the transfers.
+      a.busy_iv.emplace_back(f.start, f.start + f.dur);
+      a.pipe_iv.emplace_back(f.h2d_start, f.d2h_end);
+      out.h2d_seconds += f.h2d_end - f.h2d_start;
+      out.d2h_seconds += f.d2h_end - f.d2h_start;
+      out.h2d_bytes += f.bytes;
+      out.d2h_bytes += f.bytes;
       --left;
       continue;
     }
@@ -444,99 +486,59 @@ ScheduleResult run_schedule(const ScheduleParams& params,
         plan != nullptr ? plan->attempt_outcome(actor, chunk, attempt) : fault::FaultKind::None;
 
     if (outcome == fault::FaultKind::None) {
-      const auto& fl = a.fly;
-      const double occ = occupancy_of(actor, chunk);
+      // The whole trajectory is fixed now, from the per-direction lane
+      // clocks, the arena admission and the compute slots — deterministic
+      // because every in-flight release time is already known.
       InFlight f;
       f.chunk = chunk;
-      f.stream = free_stream(actor);
       f.attempt = attempt;
       f.stolen = stolen;
-      f.occ = occ;
-      if (!streamed_of(actor)) {
-        // Resident dispatch (the classic schedule, kept bitwise intact).
-        // Reserve a stream slot. The chunk contends with the occupancy the
-        // chunks already in flight left behind: with free share s it runs
-        // at rate min(1, s / occ) — an empty device always yields rate
-        // exactly 1.0, which keeps single-stream durations bitwise equal to
-        // the estimates. The rate is fixed at dispatch (later arrivals
-        // yield instead of re-timing earlier chunks), keeping the event
-        // loop causal and deterministic.
-        double used = 0.0;
-        for (const InFlight& g : fl) used += g.occ;
-        const double share =
-            std::max(1.0 - used, 1.0 / (static_cast<double>(fl.size()) + 1.0));
-        f.rate = occ <= share ? 1.0 : share / occ;
-        f.start = a.clock;
-        f.dur = estimate_of(actor, chunk) / f.rate;
-        f.end = f.start + f.dur;
-      } else {
-        // Out-of-core dispatch: the whole trajectory is fixed now, from the
-        // per-direction lane clocks and the arena admission — deterministic
-        // because every in-flight release time is already known.
-        f.streamed = true;
-        f.bytes = params.chunk_bytes[static_cast<std::size_t>(chunk)];
-        const double h2d_sec = h2d_of(actor, chunk);
-        const double d2h_sec = d2h_of(actor, chunk);
-        // Arena admission: H2D may begin once the lane is free AND the
-        // in-flight resident bytes leave room. In-flight chunks hold their
-        // bytes until their D2H completes; walk the release times forward
-        // until the chunk fits. Earlier chunks' H2D starts are all <= this
-        // one's (the lane serializes), so the resident set at time t is
-        // exactly the in-flight chunks with d2h_end > t.
-        double t = std::max(a.clock, a.h2d_free);
-        const double budget = arena_of(actor);
-        if (budget > 0.0) {
-          std::vector<std::pair<double, double>> releases;  // (d2h_end, bytes)
-          double resident = 0.0;
-          for (const InFlight& g : fl) {
-            if (!g.streamed || g.d2h_end <= t) continue;
-            resident += g.bytes;
-            releases.emplace_back(g.d2h_end, g.bytes);
-          }
-          std::sort(releases.begin(), releases.end());
-          std::size_t r = 0;
-          while (resident + f.bytes > budget && r < releases.size()) {
-            t = std::max(t, releases[r].first);
-            resident -= releases[r].second;
-            ++r;
-          }
-          require(resident + f.bytes <= budget,
-                  "run_schedule: a single chunk's footprint exceeds the staging arena "
-                  "(raise the arena budget or chunks_per_executor)");
+      f.occ = occupancy_of(actor, chunk);
+      f.bytes = bytes_of(actor, chunk);
+      // H2D on the serializing lane, once the arena admits the chunk's
+      // bytes. In-flight chunks hold their bytes until their D2H completes;
+      // walk the release times forward until the chunk fits. Earlier chunks'
+      // H2D starts are all <= this one's (the lane serializes), so the
+      // resident set at time t is exactly the in-flight chunks with d2h_end
+      // > t. A chunk that holds no bytes (every resident one) never waits.
+      double t = std::max(a.clock, a.h2d_free);
+      const double budget = arena_of(actor);
+      if (budget > 0.0 && f.bytes > 0.0) {
+        std::vector<std::pair<double, double>> releases;  // (d2h_end, bytes)
+        double resident = 0.0;
+        for (const InFlight& g : a.fly) {
+          if (g.d2h_end <= t) continue;
+          resident += g.bytes;
+          releases.emplace_back(g.d2h_end, g.bytes);
         }
-        f.h2d_start = t;
-        f.h2d_end = t + h2d_sec;
-        a.h2d_free = f.h2d_end;
-        // Compute waits for the copy and for one of the streams_of compute
-        // slots — the prefetch slot stages, it never computes early.
-        double avail = f.h2d_end;
-        const int k = streams_of(actor);
-        if (static_cast<int>(fl.size()) >= k) {
-          std::vector<double> ends;
-          ends.reserve(fl.size());
-          for (const InFlight& g : fl) ends.push_back(g.start + g.dur);
-          std::sort(ends.begin(), ends.end());
-          avail = std::max(avail, ends[fl.size() - static_cast<std::size_t>(k)]);
+        std::sort(releases.begin(), releases.end());
+        std::size_t r = 0;
+        while (resident + f.bytes > budget && r < releases.size()) {
+          t = std::max(t, releases[r].first);
+          resident -= releases[r].second;
+          ++r;
         }
-        f.start = avail;
-        // Contention counts only the chunks still computing when this one
-        // starts (the pipeline's staging phases don't occupy device slots).
-        double used = 0.0;
-        std::size_t computing = 0;
-        for (const InFlight& g : fl) {
-          if (g.start + g.dur <= avail) continue;
-          used += g.occ;
-          ++computing;
-        }
-        const double share =
-            std::max(1.0 - used, 1.0 / (static_cast<double>(computing) + 1.0));
-        f.rate = occ <= share ? 1.0 : share / occ;
-        f.dur = estimate_of(actor, chunk) / f.rate;
-        f.d2h_start = std::max(f.start + f.dur, a.d2h_free);
-        f.d2h_end = f.d2h_start + d2h_sec;
-        a.d2h_free = f.d2h_end;
-        f.end = f.d2h_end;
+        require(resident + f.bytes <= budget,
+                "run_schedule: a single chunk's footprint exceeds the staging arena "
+                "(raise the arena budget or chunks_per_executor)");
       }
+      f.h2d_start = t;
+      f.h2d_end = t + h2d_of(actor, chunk);
+      a.h2d_free = f.h2d_end;
+      // Compute at rate min(1, s / occ): an empty device yields exactly 1.0,
+      // so single-stream durations equal the estimates bitwise. The rate is
+      // fixed at dispatch (later arrivals yield instead of re-timing earlier
+      // chunks), keeping the event loop causal and deterministic.
+      const ComputeSlot cs = compute_slot(actor, f.h2d_end);
+      f.stream = cs.stream;
+      f.start = cs.start;
+      f.rate = f.occ <= cs.share ? 1.0 : cs.share / f.occ;
+      f.dur = estimate_of(actor, chunk) / f.rate;
+      // The write-back queues on the D2H lane only when there is one to
+      // queue on; a resident chunk commits the moment its compute ends.
+      f.d2h_start = streamed_of(actor) ? std::max(f.start + f.dur, a.d2h_free) : f.start + f.dur;
+      f.d2h_end = f.d2h_start + d2h_of(actor, chunk);
+      a.d2h_free = f.d2h_end;
       a.fly.push_back(f);
       out.max_in_flight = std::max(out.max_in_flight, static_cast<int>(a.fly.size()));
       continue;
@@ -546,7 +548,7 @@ ScheduleResult run_schedule(const ScheduleParams& params,
     ev.exec = actor;
     ev.chunk = chunk;
     ev.attempt = attempt;
-    ev.stream = free_stream(actor);
+    ev.stream = compute_slot(actor, a.clock).stream;
     ev.start = a.clock;
     if (outcome == fault::FaultKind::Hang) {
       // The attempt never completes; the watchdog declares the executor
@@ -555,11 +557,8 @@ ScheduleResult run_schedule(const ScheduleParams& params,
       ev.kind = fault::FaultKind::Hang;
       ev.waste_seconds = params.retry.watchdog_seconds;
       a.clock += ev.waste_seconds;
-      out.busy_seconds += ev.waste_seconds;
-      out.finish_seconds = std::max(out.finish_seconds, a.clock);
-      if (ev.waste_seconds > 0.0) a.busy_iv.emplace_back(ev.start, ev.start + ev.waste_seconds);
       ++res.hangs;
-      emit(ev);
+      waste(ev, a.clock, false);
       kill(actor, a.clock);
       redispatch(chunk);
       continue;
@@ -569,32 +568,22 @@ ScheduleResult run_schedule(const ScheduleParams& params,
     // time is wasted, a deterministic exponential backoff precedes the
     // retry. The work never commits — numerics run only on success. The
     // wasted attempt serializes on the dispatch clock (the slot never
-    // carried a live chunk); in-flight peers keep running. On a streaming
-    // executor the staging is wasted too: the retry re-stages the chunk
-    // from the pristine host input, so the faulted attempt charges its
-    // transfers alongside the compute.
+    // carried a live chunk); in-flight peers keep running. Its copies are
+    // wasted too: the retry re-stages the chunk from the pristine host input.
     ev.kind = fault::FaultKind::Transient;
-    ev.waste_seconds = estimate_of(actor, chunk);
-    if (streamed_of(actor)) {
-      ev.waste_seconds += h2d_of(actor, chunk) + d2h_of(actor, chunk);
-    }
+    ev.waste_seconds = estimate_of(actor, chunk) + (h2d_of(actor, chunk) + d2h_of(actor, chunk));
     ev.backoff_seconds =
         params.retry.backoff_seconds *
         std::pow(params.retry.backoff_multiplier, static_cast<double>(attempt - 1));
     a.clock += ev.waste_seconds + ev.backoff_seconds;
-    out.busy_seconds += ev.waste_seconds;
     out.finish_seconds = std::max(out.finish_seconds, a.clock);
-    if (ev.waste_seconds > 0.0) a.busy_iv.emplace_back(ev.start, ev.start + ev.waste_seconds);
     out.retries += 1;
     ++res.retries_total;
     res.backoff_seconds += ev.backoff_seconds;
-    if (streamed_of(actor)) {
-      // The failed attempt held both DMA lanes; they free with the clock.
-      a.h2d_free = std::max(a.h2d_free, a.clock);
-      a.d2h_free = std::max(a.d2h_free, a.clock);
-      a.pipe_iv.emplace_back(ev.start, ev.start + ev.waste_seconds);
-    }
-    emit(ev);
+    // The failed attempt held both DMA lanes; they free with the clock.
+    a.h2d_free = std::max(a.h2d_free, a.clock);
+    a.d2h_free = std::max(a.d2h_free, a.clock);
+    waste(ev, ev.start + ev.waste_seconds, true);
     if (attempt >= params.retry.max_attempts) {
       // This executor gives the chunk up; a surviving peer inherits it.
       a.gave_up[static_cast<std::size_t>(chunk)] = 1;

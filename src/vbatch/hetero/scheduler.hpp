@@ -11,18 +11,30 @@
 // to migrate and the classic candidates for rebalancing a size-sorted
 // batch.
 //
-// Multi-stream overlap (streams[e] > 1): an executor keeps up to streams[e]
-// chunks in flight. A chunk dispatched while others are in flight contends
-// for the device's modelled slot capacity — with occupancy occ and free
-// share s = max(1 − Σ occ_inflight, 1/(inflight+1)), it progresses at rate
-// min(1, s/occ), i.e. a low-occupancy chunk overlaps for free while
-// device-filling chunks degrade gracefully to the serial makespan. The
+// One chunk trajectory (docs/heterogeneous.md, "Out-of-core streaming"):
+// every chunk's trajectory is fixed at dispatch. Its H2D copy runs on the
+// executor's (serializing) host→device DMA lane once the bounded staging
+// arena admits its bytes; its compute starts once the copy lands and one of
+// the streams[e] compute slots frees; its write-back runs on the independent
+// D2H lane; and it commits when the write-back completes. An executor with
+// empty h2d/d2h rows is resident: its copies take zero seconds and hold zero
+// bytes, so its chunks compute from the dispatch clock and commit when the
+// compute ends. With prefetch on, a streaming executor holds one extra
+// pipeline slot, so chunk k+1's H2D overlaps chunk k's compute and chunk
+// k-1's D2H (double buffering); with prefetch off the stages serialize per
+// slot (synchronous staging — the bench baseline).
+//
+// Multi-stream overlap (streams[e] > 1): up to streams[e] chunks compute at
+// once. A chunk contends with the chunks still computing at its compute
+// start for the device's modelled slot capacity — with occupancy occ and
+// free share s = max(1 − Σ occ_computing, 1/(computing+1)), it progresses at
+// rate min(1, s/occ), i.e. a low-occupancy chunk overlaps for free while
+// device-filling chunks degrade gracefully to the serial makespan — and
+// takes the lowest stream in [0, streams[e]) none of them holds. The
 // numerics of a chunk run exactly once, at COMMIT time, in global virtual-
 // time order — dispatch only reserves the slot — so factors and info are
 // bit-identical to the single-stream schedule for every stream count; only
-// the virtual-time placement (and hence the makespan) changes. With
-// streams[e] == 1 everywhere the loop reproduces the classic serial
-// schedule clock-for-clock.
+// the virtual-time placement (and hence the makespan) changes.
 //
 // Victim selection is deterministic: StealPolicy::MostLoaded picks the peer
 // with the largest remaining modelled load, and all ties (and the Random
@@ -32,35 +44,21 @@
 // on every executor, even a *different* schedule reproduces the same bits;
 // only the modelled makespan moves.
 //
-// Out-of-core streaming (docs/heterogeneous.md, "Out-of-core streaming"):
-// an executor whose h2d/d2h rows are set stages every chunk through a
-// bounded arena instead of assuming residency. A streamed chunk's
-// trajectory is fixed at dispatch: H2D on the executor's (serializing)
-// host→device DMA lane as soon as the arena admits the chunk's bytes,
-// compute once the copy lands and one of the streams[e] compute slots
-// frees, write-back on the independent D2H lane — and the chunk commits
-// (numerics run, exactly once, in global virtual-time order) when the
-// write-back completes. With prefetch on, the executor holds one extra
-// pipeline slot, so chunk k+1's H2D overlaps chunk k's compute and chunk
-// k-1's D2H (double buffering); with prefetch off the stages serialize per
-// slot (synchronous staging — the bench baseline). Executors without
-// transfer rows run the classic resident schedule clock-for-clock.
-//
 // Fault recovery (docs/robustness.md): when a FaultPlan is attached, every
 // attempt is first checked against the injection oracle. A transient fault
-// charges the attempt's modelled time plus a deterministic exponential
-// backoff and the executor retries; after RetryPolicy::max_attempts
-// failures the chunk is re-dispatched to the best surviving peer (LPT over
-// current clocks). A hang charges the watchdog interval and converts into
-// permanent executor loss; a scheduled death orphans the executor's deque,
-// which is likewise re-dispatched — down to a single survivor (CPU-only as
-// the last resort). A dying executor also aborts every chunk still in
-// flight on its streams (their numerics never committed, so they
-// re-dispatch cleanly; the partial intervals are logged as InFlightLost
-// waste). The execute callback runs only for the one successful attempt of
-// each chunk, so recovered runs stay bit-identical to fault-free ones; a
-// chunk no survivor could complete is marked poisoned instead of aborting
-// the call.
+// charges the attempt's modelled time (its copies included) plus a
+// deterministic exponential backoff and the executor retries; after
+// RetryPolicy::max_attempts failures the chunk is re-dispatched to the best
+// surviving peer (LPT over current clocks). A hang charges the watchdog
+// interval and converts into permanent executor loss; a scheduled death
+// orphans the executor's deque, which is likewise re-dispatched — down to a
+// single survivor (CPU-only as the last resort). A dying executor also
+// aborts every chunk still in flight (their numerics never committed, so
+// they re-dispatch cleanly; the partial intervals from each H2D start are
+// logged as InFlightLost waste). The execute callback runs only for the one
+// successful attempt of each chunk, so recovered runs stay bit-identical to
+// fault-free ones; a chunk no survivor could complete is marked poisoned
+// instead of aborting the call.
 //
 // The pool size is the number of estimate rows. The result carries one
 // ExecutorSchedule record per executor (run_chunked extends it into the
@@ -113,9 +111,10 @@ struct ScheduleParams {
   /// Retry/backoff/watchdog bounds for the recovery loop.
   fault::RetryPolicy retry;
 
-  // --- Out-of-core staging (empty = every executor resident, the classic
-  //     schedule). h2d[e][c] / d2h[e][c] are the per-chunk staging seconds
-  //     for executor e; an empty row e keeps that executor resident.
+  // --- Out-of-core staging (empty = every executor resident).
+  //     h2d[e][c] / d2h[e][c] are the per-chunk staging seconds for
+  //     executor e; an empty row e keeps that executor resident — its
+  //     copies take zero seconds and hold zero bytes.
   std::vector<std::vector<double>> h2d;
   std::vector<std::vector<double>> d2h;
   /// chunk_bytes[c]: payload footprint a streamed chunk holds in the arena
@@ -149,15 +148,16 @@ struct ExecutorSchedule {
   int retries = 0;              ///< transient attempts wasted on this executor
   bool lost = false;            ///< permanently lost (death or hung watchdog)
 
-  // --- Out-of-core staging slice (zeros for resident executors) ----------
+  // --- Out-of-core staging slice (copies are zero for resident executors)
   bool streamed = false;        ///< ran the chunked out-of-core pipeline
   double h2d_seconds = 0.0;     ///< committed host→device copy seconds
   double d2h_seconds = 0.0;     ///< committed device→host copy seconds
   double h2d_bytes = 0.0;       ///< bytes staged in
   double d2h_bytes = 0.0;       ///< bytes written back
-  /// Union of compute + transfer intervals. (busy + h2d + d2h) / pipeline
-  /// measures how much staging traffic the double buffering hid; 1.0 means
-  /// everything overlapped, higher means exposed transfer time.
+  /// Union of compute + transfer intervals (a resident executor's committed
+  /// compute alone). (busy + h2d + d2h) / pipeline measures how much staging
+  /// traffic the double buffering hid; 1.0 means everything overlapped,
+  /// higher means exposed transfer time.
   double pipeline_seconds = 0.0;
 };
 

@@ -1,12 +1,12 @@
 // StreamSlot: where the virtual-time scheduler placed one chunk inside its
 // executor's concurrent stream slots.
 //
-// Executors with set_streams(k > 1) keep up to k chunks in flight; the
+// Executors with set_streams(k > 1) compute up to k chunks at once; the
 // scheduler hands every execution its slot so the executor can align the
 // chunk's timeline records with the schedule (a GPU executor retimes the
-// records it just appended into [start, start + serial/rate) on `stream`).
-// With a single stream the slot is always {0, clock, 1.0} and the placement
-// degenerates to the classic back-to-back layout.
+// records it just appended into [start, start + serial/rate) on `stream`,
+// one of its own k streams). A resident single-stream executor's slot is
+// always {0, clock, 1.0}: its chunks run back to back.
 #pragma once
 
 namespace vbatch::hetero {
@@ -19,10 +19,11 @@ struct StreamSlot {
   /// occupancy fits in the device's free slot share at dispatch).
   double rate = 1.0;
 
-  // --- Out-of-core staging placement (all zero for a resident chunk). A
-  // streamed chunk's inputs occupy the executor's arena over
-  // [h2d_start, d2h_start + d2h_seconds); the GPU executor records the two
-  // copies on its timeline's transfer lane at these positions.
+  // --- Out-of-core staging placement (all zero for a resident chunk, whose
+  // copies take zero seconds and hold zero bytes). A streamed chunk's inputs
+  // occupy the executor's arena over [h2d_start, d2h_start + d2h_seconds);
+  // the GPU executor records the two copies on its timeline's transfer lane
+  // at these positions.
   double h2d_start = 0.0;
   double h2d_seconds = 0.0;
   double d2h_start = 0.0;

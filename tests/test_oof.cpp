@@ -210,32 +210,225 @@ TEST(HeteroOofSchedule, SingleChunkOverBudgetFailsLoudly) {
   EXPECT_THROW((void)run_schedule(sp, unit), vbatch::Error);
 }
 
+/// A schedule plus every slot its execute callback saw, in commit order.
+struct Traced {
+  ScheduleResult res;
+  std::vector<StreamSlot> slots;
+};
+
+Traced traced_run(const ScheduleParams& sp) {
+  Traced t;
+  t.res = run_schedule(sp, [&](int, int, const StreamSlot& slot) {
+    t.slots.push_back(slot);
+    return 1.0;
+  });
+  return t;
+}
+
+/// Two schedules field by field; EXPECT_EQ on a double is exact equality.
+void expect_same_schedule(const Traced& got, const Traced& want, const std::string& what) {
+  const ScheduleResult& a = got.res;
+  const ScheduleResult& b = want.res;
+  EXPECT_EQ(a.makespan, b.makespan) << what;
+  EXPECT_EQ(a.retries_total, b.retries_total) << what;
+  EXPECT_EQ(a.hangs, b.hangs) << what;
+  EXPECT_EQ(a.executors_lost, b.executors_lost) << what;
+  EXPECT_EQ(a.chunks_poisoned, b.chunks_poisoned) << what;
+  EXPECT_EQ(a.backoff_seconds, b.backoff_seconds) << what;
+  ASSERT_EQ(a.executors.size(), b.executors.size()) << what;
+  for (std::size_t e = 0; e < b.executors.size(); ++e) {
+    const ExecutorSchedule& x = a.executors[e];
+    const ExecutorSchedule& y = b.executors[e];
+    const std::string at = what + ", executor " + std::to_string(e);
+    EXPECT_EQ(x.busy_seconds, y.busy_seconds) << at;
+    EXPECT_EQ(x.finish_seconds, y.finish_seconds) << at;
+    EXPECT_EQ(x.chunks, y.chunks) << at;
+    EXPECT_EQ(x.stolen, y.stolen) << at;
+    EXPECT_EQ(x.streams, y.streams) << at;
+    EXPECT_EQ(x.occupied_seconds, y.occupied_seconds) << at;
+    EXPECT_EQ(x.overlap, y.overlap) << at;
+    EXPECT_EQ(x.max_in_flight, y.max_in_flight) << at;
+    EXPECT_EQ(x.retries, y.retries) << at;
+    EXPECT_EQ(x.lost, y.lost) << at;
+    EXPECT_EQ(x.streamed, y.streamed) << at;
+    EXPECT_EQ(x.h2d_seconds, y.h2d_seconds) << at;
+    EXPECT_EQ(x.d2h_seconds, y.d2h_seconds) << at;
+    EXPECT_EQ(x.h2d_bytes, y.h2d_bytes) << at;
+    EXPECT_EQ(x.d2h_bytes, y.d2h_bytes) << at;
+    EXPECT_EQ(x.pipeline_seconds, y.pipeline_seconds) << at;
+  }
+  ASSERT_EQ(a.chunks.size(), b.chunks.size()) << what;
+  for (std::size_t c = 0; c < b.chunks.size(); ++c) {
+    EXPECT_EQ(a.chunks[c].executor, b.chunks[c].executor) << what << ", chunk " << c;
+    EXPECT_EQ(a.chunks[c].attempts, b.chunks[c].attempts) << what << ", chunk " << c;
+    EXPECT_EQ(staging_of(a.chunks[c]), staging_of(b.chunks[c])) << what << ", chunk " << c;
+  }
+  ASSERT_EQ(a.events.size(), b.events.size()) << what;
+  for (std::size_t i = 0; i < b.events.size(); ++i) {
+    const fault::FaultEvent& x = a.events[i];
+    const fault::FaultEvent& y = b.events[i];
+    const std::string at = what + ", event " + std::to_string(i);
+    EXPECT_EQ(x.kind, y.kind) << at;
+    EXPECT_EQ(x.exec, y.exec) << at;
+    EXPECT_EQ(x.chunk, y.chunk) << at;
+    EXPECT_EQ(x.attempt, y.attempt) << at;
+    EXPECT_EQ(x.start, y.start) << at;
+    EXPECT_EQ(x.waste_seconds, y.waste_seconds) << at;
+    EXPECT_EQ(x.backoff_seconds, y.backoff_seconds) << at;
+    EXPECT_EQ(x.stream, y.stream) << at;
+  }
+  ASSERT_EQ(got.slots.size(), want.slots.size()) << what;
+  for (std::size_t i = 0; i < want.slots.size(); ++i) {
+    const StreamSlot& x = got.slots[i];
+    const StreamSlot& y = want.slots[i];
+    const std::string at = what + ", slot " + std::to_string(i);
+    EXPECT_EQ(x.stream, y.stream) << at;
+    EXPECT_EQ(x.start, y.start) << at;
+    EXPECT_EQ(x.rate, y.rate) << at;
+    EXPECT_EQ((std::array<double, 5>{x.h2d_start, x.h2d_seconds, x.d2h_start, x.d2h_seconds,
+                                     x.bytes}),
+              (std::array<double, 5>{y.h2d_start, y.h2d_seconds, y.d2h_start, y.d2h_seconds,
+                                     y.bytes}))
+        << at;
+    EXPECT_EQ(x.chunk, y.chunk) << at;
+  }
+}
+
 TEST(HeteroOofSchedule, EmptyTransferRowsReplayTheResidentScheduleExactly) {
   // Attaching the staging fields with every row empty must not perturb the
-  // classic schedule by a single clock tick.
-  ScheduleParams plain;
-  plain.owner = {0, 0, 0, 0};
-  plain.estimate = {{1.0, 1.0, 1.0, 1.0}, {1.5, 1.5, 1.5, 1.5}};
-  const auto base = run_schedule(plain, [&](int, int, const StreamSlot&) { return 1.0; });
+  // resident schedule by a single clock tick: on one stream, under stream
+  // contention from a nonzero initial clock, and through the transient and
+  // death recovery paths. The resident executors' arena is far below the
+  // chunk payloads — a resident chunk holds zero bytes, so it never waits.
+  ScheduleParams base;
+  base.owner = {0, 0, 0, 1, 0, 1, 1, 0};
+  base.estimate = {{1.0, 0.75, 1.25, 0.5, 1.0, 0.5, 2.0, 0.25},
+                   {1.5, 1.5, 1.0, 1.75, 0.5, 1.25, 1.0, 1.5}};
+  const std::vector<double> occ{0.3, 0.6, 0.45, 0.9, 0.2, 1.0, 0.35, 0.5};
 
-  ScheduleParams oof = plain;
-  oof.h2d = {{}, {}};
-  oof.d2h = {{}, {}};
-  oof.arena = {0.0, 0.0};
-  oof.prefetch = true;
-  const auto res = run_schedule(oof, [&](int, int, const StreamSlot&) { return 1.0; });
-  EXPECT_DOUBLE_EQ(res.makespan, base.makespan);
-  ASSERT_EQ(res.chunks.size(), base.chunks.size());
-  for (std::size_t c = 0; c < base.chunks.size(); ++c)
-    EXPECT_EQ(res.chunks[c].executor, base.chunks[c].executor);
-  for (std::size_t e = 0; e < base.executors.size(); ++e) {
-    EXPECT_DOUBLE_EQ(res.executors[e].finish_seconds, base.executors[e].finish_seconds);
-    EXPECT_DOUBLE_EQ(res.executors[e].busy_seconds, base.executors[e].busy_seconds);
-    EXPECT_DOUBLE_EQ(res.executors[e].h2d_seconds, 0.0);
-    EXPECT_DOUBLE_EQ(res.executors[e].pipeline_seconds, res.executors[e].occupied_seconds);
+  struct Case {
+    const char* name;
+    bool contended;
+    const char* faults;
+    int retries;          // transient attempts the case wastes
+    bool in_flight_loss;  // the death aborts a chunk mid-flight
+  };
+  const Case cases[] = {
+      {"one stream", false, "", 0, false},
+      {"one stream, transient and death", false,
+       "transient:exec=0,chunk=1,times=2;die:exec=1,after=1", 2, false},
+      {"streams {2,4}", true, "", 0, false},
+      {"streams {2,4}, targeted transient", true,
+       "transient:exec=0,chunk=1,times=2;transient:exec=1,chunk=3,times=1", 3, false},
+      {"streams {2,4}, death", true, "die:exec=0,after=2", 0, true}};
+  for (const Case& cs : cases) {
+    ScheduleParams plain = base;
+    if (cs.contended) {
+      plain.streams = {2, 4};
+      plain.occupancy = {occ, occ};
+      plain.initial_clock = {0.375, 0.125};
+    }
+    const fault::FaultPlan plan(fault::parse_fault_spec(cs.faults));
+    plain.faults = &plan;
+    ScheduleParams oof = plain;
+    oof.h2d = {{}, {}};
+    oof.d2h = {{}, {}};
+    oof.chunk_bytes.assign(base.owner.size(), 100.0);
+    oof.arena = {50.0, 0.0};
+    oof.prefetch = true;
+    const Traced want = traced_run(plain);
+    const Traced got = traced_run(oof);
+    expect_same_schedule(got, want, cs.name);
+    // The case reaches the path it names.
+    EXPECT_EQ(want.res.retries_total, cs.retries) << cs.name;
+    EXPECT_EQ(std::any_of(want.res.events.begin(), want.res.events.end(),
+                          [](const fault::FaultEvent& ev) {
+                            return ev.kind == fault::FaultKind::InFlightLost;
+                          }),
+              cs.in_flight_loss)
+        << cs.name;
+
+    for (const ExecutorSchedule& x : got.res.executors) {
+      EXPECT_FALSE(x.streamed) << cs.name;
+      EXPECT_EQ(x.h2d_seconds + x.d2h_seconds + x.h2d_bytes + x.d2h_bytes, 0.0) << cs.name;
+      if (plan.empty()) {
+        EXPECT_EQ(x.pipeline_seconds, x.occupied_seconds) << cs.name;
+      }
+    }
+    for (const ChunkSchedule& ch : got.res.chunks)
+      EXPECT_EQ(staging_of(ch), (std::array<double, 4>{0.0, 0.0, 0.0, 0.0})) << cs.name;
+    for (const StreamSlot& slot : got.slots) {
+      EXPECT_EQ(slot.h2d_start + slot.h2d_seconds + slot.d2h_start + slot.d2h_seconds + slot.bytes,
+                0.0)
+          << cs.name;
+      EXPECT_EQ(slot.chunk, -1) << cs.name;
+    }
   }
-  for (const ChunkSchedule& ch : res.chunks)
-    EXPECT_EQ(staging_of(ch), (std::array<double, 4>{0.0, 0.0, 0.0, 0.0}));
+}
+
+TEST(HeteroOofSchedule, ResidentChunkCommitsWhenItsComputeEnds) {
+  // A resident chunk has no write-back to queue: on two streams, chunk 1
+  // finishes under the longer chunk 0 at t = 1 and its stream takes chunk 2
+  // right away, so the makespan stays 2 s.
+  ScheduleParams sp;
+  sp.owner = {0, 0, 0};
+  sp.estimate = {{2.0, 1.0, 1.0}};
+  sp.occupancy = {{0.5, 0.5, 0.5}};
+  sp.streams = {2};
+  const Traced t = traced_run(sp);
+  EXPECT_EQ(t.res.makespan, 2.0);
+  ASSERT_EQ(t.slots.size(), 3u);  // commit order: chunks 1, 0, 2
+  EXPECT_EQ(t.slots[2].stream, 1);
+  EXPECT_EQ(t.slots[2].start, 1.0);
+  EXPECT_EQ(t.slots[2].rate, 1.0);
+}
+
+TEST(HeteroOofSchedule, PrefetchedChunksComputeOnStreamsTheExecutorHas) {
+  // With prefetch a streaming executor holds streams + 1 chunks; the extra
+  // one only stages, and when it computes it takes a real stream — the
+  // lowest one no chunk still computing then holds. Two chunks computing at
+  // once never share a stream, and faulted attempts and in-flight losses
+  // name real streams too.
+  constexpr int kChunks = 10;
+  for (const int k : {1, 2, 3}) {
+    for (const char* faults : {"", "seed=3;transient:rate=0.3;die:exec=0,after=6"}) {
+      const std::string what = std::to_string(k) + " streams, faults '" + faults + "'";
+      ScheduleParams sp;
+      sp.owner.assign(kChunks, 0);
+      sp.estimate = {std::vector<double>(kChunks, 1.0), std::vector<double>(kChunks, 4.0)};
+      sp.occupancy = {std::vector<double>(kChunks, 0.3), std::vector<double>(kChunks, 1.0)};
+      sp.streams = {k, 1};
+      sp.h2d = {std::vector<double>(kChunks, 0.25), {}};
+      sp.d2h = {std::vector<double>(kChunks, 0.5), {}};
+      sp.chunk_bytes.assign(kChunks, 100.0);
+      sp.prefetch = true;
+      const fault::FaultPlan plan(fault::parse_fault_spec(faults));
+      sp.faults = &plan;
+      struct Placed {
+        int stream;
+        double start, end;
+      };
+      std::vector<Placed> placed;  // executor 0's compute intervals
+      const auto res = run_schedule(sp, [&](int e, int, const StreamSlot& slot) {
+        if (e == 0) placed.push_back({slot.stream, slot.start, slot.start + 1.0 / slot.rate});
+        return 1.0;
+      });
+      if (plan.empty()) {
+        EXPECT_EQ(res.executors[0].max_in_flight, k + 1) << what;
+      }
+      for (std::size_t i = 0; i < placed.size(); ++i) {
+        EXPECT_GE(placed[i].stream, 0) << what;
+        EXPECT_LT(placed[i].stream, k) << what;
+        for (std::size_t j = i + 1; j < placed.size(); ++j) {
+          const bool apart = placed[i].end <= placed[j].start || placed[j].end <= placed[i].start;
+          EXPECT_TRUE(placed[i].stream != placed[j].stream || apart)
+              << what << ": chunks " << i << "/" << j << " share stream " << placed[i].stream;
+        }
+      }
+      for (const fault::FaultEvent& ev : res.events)
+        EXPECT_TRUE(ev.exec != 0 || ev.stream < k) << what << ": event stream " << ev.stream;
+    }
+  }
 }
 
 TEST(HeteroOofSchedule, TransferBoundPipelineHidesComputeEntirely)
@@ -322,6 +515,11 @@ TEST(HeteroOofIdentity, ArenaSmallerThanFootprintMatchesInCoreBitForBit) {
             EXPECT_EQ(base_info[static_cast<std::size_t>(i)],
                       batch.info()[static_cast<std::size_t>(i)])
                 << what << ": info " << i;
+          // A prefetched chunk computes on one of the executor's own streams.
+          for (int e = 0; e < pool.size(); ++e)
+            EXPECT_LE(pool.executor(e).queue().device().timeline().streams_used(),
+                      pool.executor(e).streams())
+                << what << ": executor " << e;
         }
       }
     }
@@ -353,9 +551,9 @@ TEST(HeteroOofIdentity, ForcedStreamingMatchesResidentClockToClockInFactors) {
 }
 
 TEST(HeteroOofIdentity, HugeArenaReproducesTheResidentScheduleClockForClock) {
-  // Staging::Auto with an arena far above the footprint must take the
-  // classic resident path — same factors AND the same virtual-time result,
-  // to the last bit of the makespan.
+  // Staging::Auto with an arena far above the footprint must keep the
+  // executor resident — same factors AND the same virtual-time result, to
+  // the last bit of the makespan.
   const auto sizes = test_sizes(60, 220, 5);
   DevicePool plain = DevicePool::parse("k40c,cpu");
   Queue q1;
