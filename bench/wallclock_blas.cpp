@@ -56,6 +56,16 @@
 //   * bit gate — memcmp-equal after one solve, any ISA;
 //   * solve gate — on a vector ISA, lanes >= 1.5x ref.
 //
+// Part 6 is the potrf series: blas::potrf, the recursive Cholesky, against
+// the blocked left-looking NB = 64 loop it replaced (kept here as the
+// baseline), on one SPD matrix per order n = 64…512. Paired rounds as in
+// Part 4, two gates:
+//   * residual gate — both factors' residuals below 1e-12;
+//   * potrf gate — under AVX2 or AVX-512, summed over n >= 128, recursive
+//     >= 1.1x blocked (1.18-1.21x in three runs on a shared 4-vCPU AVX2
+//     host; the rest is margin). Scalar and SSE2 read 1.06-1.07x there,
+//     too close to gate, so they only report.
+//
 // Output: a human-readable table on stdout plus one JSON line appended to
 // BENCH_blas.json (override with --out). The run fails (non-zero exit) on a
 // numerics problem or on a failed regression gate.
@@ -493,6 +503,111 @@ SolveResult run_panel_solve(const Options& o) {
   return r;
 }
 
+/// Part 6: the blocked left-looking Cholesky blas::potrf ran before the
+/// recursion (Lower, NB = 64): per panel, a syrk and a gemm with every
+/// column to its left, then potf2 and a trsm of the panel.
+int potrf_blocked64(MatrixView<double> a) {
+  constexpr index_t nb = 64;
+  const index_t n = a.rows();
+  for (index_t j = 0; j < n; j += nb) {
+    const index_t jb = std::min(nb, n - j);
+    const index_t rem = n - j - jb;
+    if (j > 0)
+      blas::syrk<double>(Uplo::Lower, Trans::NoTrans, -1.0, a.block(j, 0, jb, j), 1.0,
+                         a.block(j, j, jb, jb));
+    const int info = blas::potf2<double>(Uplo::Lower, a.block(j, j, jb, jb));
+    if (info != 0) return static_cast<int>(j) + info;
+    if (rem == 0) continue;
+    if (j > 0)
+      blas::gemm<double>(Trans::NoTrans, Trans::Trans, -1.0, a.block(j + jb, 0, rem, j),
+                         a.block(j, 0, jb, j), 1.0, a.block(j + jb, j, rem, jb));
+    blas::trsm<double>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, 1.0,
+                       a.block(j, j, jb, jb), a.block(j + jb, j, rem, jb));
+  }
+  return 0;
+}
+
+/// One SPD matrix and both ways of factoring it; each factorization starts
+/// from the original, so repeated runs time the same numbers.
+struct PotrfCase {
+  index_t n = 0;
+  std::vector<double> a0, a;
+
+  PotrfCase(Rng& rng, index_t order)
+      : n(order), a0(static_cast<std::size_t>(order * order)) {
+    fill_spd(rng, a0.data(), n, n);
+    a = a0;
+  }
+  [[nodiscard]] MatrixView<double> view() { return {a.data(), n, n, n}; }
+  [[nodiscard]] double flops() const { return flops::potrf(n); }
+  int blocked() {
+    a = a0;
+    return potrf_blocked64(view());
+  }
+  int recursive() {
+    a = a0;
+    return blas::potrf<double>(Uplo::Lower, view());
+  }
+  [[nodiscard]] double residual() const {
+    return blas::potrf_residual<double>(Uplo::Lower, ConstMatrixView<double>(a0.data(), n, n, n),
+                                        ConstMatrixView<double>(a.data(), n, n, n));
+  }
+};
+
+struct PotrfSeries {
+  std::vector<int> n;
+  std::vector<double> blocked_gflops, recursive_gflops;  ///< best of the rounds, per n
+  double ratio = 0.0;  ///< median over rounds of Σ blocked / Σ recursive time, n >= 128
+  double max_residual = 0.0;
+};
+
+PotrfSeries run_potrf_series(const Options& o) {
+  Rng rng(o.seed + 5);
+  std::vector<PotrfCase> cases;
+  for (index_t n : {64, 128, 192, 256, 384, 512}) cases.emplace_back(rng, n);
+
+  PotrfSeries r;
+  for (PotrfCase& pc : cases) {
+    if (pc.blocked() != 0) r.max_residual = 1e300;
+    r.max_residual = std::max(r.max_residual, pc.residual());
+    if (pc.recursive() != 0) r.max_residual = 1e300;
+    r.max_residual = std::max(r.max_residual, pc.residual());
+  }
+
+  constexpr int kRounds = 9;
+  std::vector<double> best_blk(cases.size(), 1e300), best_rec(cases.size(), 1e300);
+  std::vector<double> ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    double blk_s = 0.0, rec_s = 0.0;
+    for (std::size_t x = 0; x < cases.size(); ++x) {
+      PotrfCase& pc = cases[x];
+      double b = 0.0, c = 0.0;
+      if (round % 2 == 0) {
+        b = time_op(pc.flops(), [&] { (void)pc.blocked(); });
+        c = time_op(pc.flops(), [&] { (void)pc.recursive(); });
+      } else {
+        c = time_op(pc.flops(), [&] { (void)pc.recursive(); });
+        b = time_op(pc.flops(), [&] { (void)pc.blocked(); });
+      }
+      best_blk[x] = std::min(best_blk[x], b);
+      best_rec[x] = std::min(best_rec[x], c);
+      if (pc.n >= 128) {
+        blk_s += b;
+        rec_s += c;
+      }
+    }
+    ratios.push_back(blk_s / rec_s);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + kRounds / 2, ratios.end());
+  r.ratio = ratios[kRounds / 2];
+  for (std::size_t x = 0; x < cases.size(); ++x) {
+    r.n.push_back(static_cast<int>(cases[x].n));
+    r.blocked_gflops.push_back(cases[x].flops() / best_blk[x] * 1e-9);
+    r.recursive_gflops.push_back(cases[x].flops() / best_rec[x] * 1e-9);
+  }
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -741,6 +856,15 @@ int main(int argc, char** argv) {
     std::printf("  panel solve m=%d x 64: ref %.2f Gf/s, lanes %.2f Gf/s\n", sv.m[x],
                 sv.ref_gflops[x], sv.lanes_gflops[x]);
 
+  // Part 6: the recursive potrf against the blocked NB = 64 loop.
+  const PotrfSeries pf = run_potrf_series(o);
+  const bool potrf_gated = isa == blas::micro::Isa::Avx2 || isa == blas::micro::Isa::Avx512;
+  const bool potrf_ok = !potrf_gated || pf.ratio >= 1.1;
+  const bool potrf_residual_ok = pf.max_residual < 1e-12;
+  for (std::size_t x = 0; x < pf.n.size(); ++x)
+    std::printf("  potrf n=%d: blocked %.2f Gf/s, recursive %.2f Gf/s\n", pf.n[x],
+                pf.blocked_gflops[x], pf.recursive_gflops[x]);
+
   std::printf("  gemm double min speedup vs ref (n>=64): NN %.2fx, NT %.2fx\n", min_speedup_nn,
               min_speedup_nt);
   if (vector_gate_ran)
@@ -759,6 +883,10 @@ int main(int argc, char** argv) {
                 sv.ratio, solve_ok ? "PASS" : "FAIL");
   std::printf("  panel solve bit gate (memcmp vs ref base cases): %s\n",
               sv.bits_ok ? "PASS" : "FAIL");
+  std::printf("  potrf gate (recursive >=1.1x blocked NB=64, n>=128, paired): %.2fx (%s)\n",
+              pf.ratio, !potrf_gated ? "not gated on this ISA" : potrf_ok ? "PASS" : "FAIL");
+  std::printf("  potrf residual gate (both < 1e-12): %.1e (%s)\n", pf.max_residual,
+              potrf_residual_ok ? "PASS" : "FAIL");
   std::printf("  residual gates: %s\n", residual_ok ? "PASS" : "FAIL");
   std::printf("  potf2_batch bit gate (memcmp vs looped potf2): %s\n",
               p2.bits_ok ? "PASS" : "FAIL");
@@ -766,8 +894,8 @@ int main(int argc, char** argv) {
     std::printf("  potf2_batch lane gate (>=1.5x looped potf2): %.2fx (%s)\n", p2_speedup,
                 p2_speedup_ok ? "PASS" : "FAIL");
 
-  gate::JsonLine json{{"bench", "wallclock_blas"}, {"isa", to_string(isa)}, {"tuned", o.tune},
-                      {"sizes", o.sizes}};
+  gate::JsonLine json{{"bench", "wallclock_blas"}, {"clock", "wall"}, {"isa", to_string(isa)},
+                      {"tuned", o.tune},        {"sizes", o.sizes}};
   const struct { const char* name; const KernelSeries* s; } named[] = {
       {"gemm_nn", &gemm_nn}, {"gemm_nt", &gemm_nt}, {"syrk", &syrk_s}, {"trsm", &trsm_s}};
   for (const auto& [name, s] : named) {
@@ -815,16 +943,24 @@ int main(int argc, char** argv) {
                                          {"lanes_gflops", sv.lanes_gflops},
                                          {"ratio", sv.ratio},
                                          {"ok", solve_ok},
-                                         {"bits_ok", sv.bits_ok}});
+                                         {"bits_ok", sv.bits_ok}})
+      .add("potrf", gate::JsonLine{{"n", pf.n},
+                                   {"blocked_nb", 64},
+                                   {"blocked_gflops", pf.blocked_gflops},
+                                   {"recursive_gflops", pf.recursive_gflops},
+                                   {"ratio", pf.ratio},
+                                   {"ok", potrf_ok},
+                                   {"max_residual", pf.max_residual}});
   std::printf("%s\n", json.str().c_str());
   gate::append_json_lines(o.out, {json});
 
-  if (!residual_ok || !p2.bits_ok || !update_bits_ok || !sv.bits_ok) {
+  if (!residual_ok || !p2.bits_ok || !update_bits_ok || !sv.bits_ok || !potrf_residual_ok) {
     std::fprintf(stderr, "FAILED: residual gate, info check, potf2_batch bit gate, rank-64 "
-                         "update numerics or panel solve bit gate failed\n");
+                         "update numerics, panel solve bit gate or potrf residual failed\n");
     return 1;
   }
-  if (!nt_vector_2x_ok || !nn512_ok || !p2_speedup_ok || !update_ok || !solve_ok) {
+  if (!nt_vector_2x_ok || !nn512_ok || !p2_speedup_ok || !update_ok || !solve_ok ||
+      !potrf_ok) {
     std::fprintf(stderr, "FAILED: performance regression gate failed\n");
     return 1;
   }

@@ -104,9 +104,17 @@ inline constexpr int kMaxPotf2Lanes = 16;
 template <typename T>
 void potf2_batch(Uplo uplo, std::span<const MatrixView<T>> a, std::span<int> info);
 
-/// Blocked Cholesky (LAPACK xPOTRF) with block size nb.
+/// Order at or below which potrf's recursion ends in one potf2. Leaves of
+/// 16, 24 and 32 time within 2 % of each other on the Fig. 9 batch
+/// (docs/blas.md, "Recursive potrf"); 16 matches the split quantum.
+inline constexpr index_t kPotrfLeaf = 16;
+
+/// Cholesky (LAPACK xPOTRF), recursive: halves the order at a multiple of
+/// 16, with trsm and syrk between the halves and potf2 on leaves of
+/// kPotrfLeaf or fewer. Returns 0 or, like LAPACK, the 1-based column of
+/// the first non-positive pivot.
 template <typename T>
-int potrf(Uplo uplo, MatrixView<T> a, index_t nb = 64);
+int potrf(Uplo uplo, MatrixView<T> a);
 
 /// Unblocked LU with partial pivoting (xGETF2). ipiv is 1-based like LAPACK.
 template <typename T>

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -120,50 +121,36 @@ void potf2_batch(Uplo uplo, std::span<const MatrixView<T>> a, std::span<int> inf
   for (; p < a.size(); ++p) info[p] = potf2(uplo, a[p]);
 }
 
-// Blocked right-looking Cholesky, the LAPACK xPOTRF structure: factor an
-// nb-wide panel, trsm the sub-panel, syrk the trailing matrix.
+// Recursive Cholesky: split the order in two at a multiple of 16, factor
+// the leading block, solve the off-diagonal block against it (trsm), update
+// the trailing block (syrk) and factor that. Every update has the rank of
+// the leading block, not one fixed panel width, so the operands stream
+// through the cache far fewer times than in a blocked loop. Leaves of
+// kPotrfLeaf columns or fewer run potf2. The blocks LAPACK leaves
+// unreferenced are never read.
 template <typename T>
-int potrf(Uplo uplo, MatrixView<T> a, index_t nb) {
+int potrf(Uplo uplo, MatrixView<T> a) {
   const index_t n = a.rows();
   require(a.cols() == n, "potrf: A must be square");
-  require(nb >= 1, "potrf: nb must be positive");
-  if (n <= nb) return potf2(uplo, a);
+  if (n <= kPotrfLeaf) return potf2(uplo, a);
 
-  for (index_t j = 0; j < n; j += nb) {
-    const index_t jb = std::min(nb, n - j);
-    // Left-looking update of the diagonal block.
-    if (j > 0) {
-      if (uplo == Uplo::Lower) {
-        syrk<T>(Uplo::Lower, Trans::NoTrans, T(-1), a.block(j, 0, jb, j), T(1),
-                a.block(j, j, jb, jb));
-      } else {
-        syrk<T>(Uplo::Upper, Trans::Trans, T(-1), a.block(0, j, j, jb), T(1),
-                a.block(j, j, jb, jb));
-      }
-    }
-    const int info = potf2(uplo, a.block(j, j, jb, jb));
-    if (info != 0) return static_cast<int>(j) + info;
-
-    if (j + jb < n) {
-      const index_t rem = n - j - jb;
-      if (uplo == Uplo::Lower) {
-        if (j > 0) {
-          gemm<T>(Trans::NoTrans, Trans::Trans, T(-1), a.block(j + jb, 0, rem, j),
-                  a.block(j, 0, jb, j), T(1), a.block(j + jb, j, rem, jb));
-        }
-        trsm<T>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1),
-                a.block(j, j, jb, jb), a.block(j + jb, j, rem, jb));
-      } else {
-        if (j > 0) {
-          gemm<T>(Trans::Trans, Trans::NoTrans, T(-1), a.block(0, j, j, jb),
-                  a.block(0, j + jb, j, rem), T(1), a.block(j, j + jb, jb, rem));
-        }
-        trsm<T>(Side::Left, Uplo::Upper, Trans::Trans, Diag::NonUnit, T(1),
-                a.block(j, j, jb, jb), a.block(j, j + jb, jb, rem));
-      }
-    }
+  const index_t n1 = std::max<index_t>(16, n / 32 * 16);
+  const index_t n2 = n - n1;
+  const int info = potrf<T>(uplo, a.block(0, 0, n1, n1));
+  if (info != 0) return info;
+  if (uplo == Uplo::Lower) {
+    trsm<T>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1), a.block(0, 0, n1, n1),
+            a.block(n1, 0, n2, n1));
+    syrk<T>(Uplo::Lower, Trans::NoTrans, T(-1), a.block(n1, 0, n2, n1), T(1),
+            a.block(n1, n1, n2, n2));
+  } else {
+    trsm<T>(Side::Left, Uplo::Upper, Trans::Trans, Diag::NonUnit, T(1), a.block(0, 0, n1, n1),
+            a.block(0, n1, n1, n2));
+    syrk<T>(Uplo::Upper, Trans::Trans, T(-1), a.block(0, n1, n1, n2), T(1),
+            a.block(n1, n1, n2, n2));
   }
-  return 0;
+  const int trailing = potrf<T>(uplo, a.block(n1, n1, n2, n2));
+  return trailing != 0 ? static_cast<int>(n1) + trailing : 0;
 }
 
 template <typename T>
@@ -193,14 +180,14 @@ template void potf2_batch<std::complex<float>>(Uplo,
 template void potf2_batch<std::complex<double>>(Uplo,
                                                 std::span<const MatrixView<std::complex<double>>>,
                                                 std::span<int>);
-template int potrf<float>(Uplo, MatrixView<float>, index_t);
-template int potrf<double>(Uplo, MatrixView<double>, index_t);
+template int potrf<float>(Uplo, MatrixView<float>);
+template int potrf<double>(Uplo, MatrixView<double>);
 template void potrs<float>(Uplo, ConstMatrixView<float>, MatrixView<float>);
 template void potrs<double>(Uplo, ConstMatrixView<double>, MatrixView<double>);
 template int potf2<std::complex<float>>(Uplo, MatrixView<std::complex<float>>);
 template int potf2<std::complex<double>>(Uplo, MatrixView<std::complex<double>>);
-template int potrf<std::complex<float>>(Uplo, MatrixView<std::complex<float>>, index_t);
-template int potrf<std::complex<double>>(Uplo, MatrixView<std::complex<double>>, index_t);
+template int potrf<std::complex<float>>(Uplo, MatrixView<std::complex<float>>);
+template int potrf<std::complex<double>>(Uplo, MatrixView<std::complex<double>>);
 template void potrs<std::complex<float>>(Uplo, ConstMatrixView<std::complex<float>>,
                                          MatrixView<std::complex<float>>);
 template void potrs<std::complex<double>>(Uplo, ConstMatrixView<std::complex<double>>,

@@ -5,19 +5,24 @@
 //   potf2 (NB panel, the fused step on the panel's diagonal blocks) → trsm
 //   (trtri of 32×32 diagonal blocks + gemm sweeps) → syrk trailing update
 //   (vbatched grid or streamed per-matrix kernels).
-// The launches are the modelled cost; the host numerics take host-shaped
-// forms of the same work. The panel factors its diagonal tiles in lane
-// groups, the trsm solves each panel with one blas::trsm (the inverted
-// blocks are never formed), and the syrk updates each trailing matrix in
-// column strips, a pack-once blas::syrk of the strip's diagonal block plus
-// one blas::gemm beside it. No step reads the triangle LAPACK leaves
-// unreferenced.
 // Between steps, auxiliary kernels shift the size arrays and displace the
 // pointer arrays so fully factorized matrices are ignored without
 // out-of-bound accesses.
+//
+// That launch sequence is the modelled cost, and each of its launches is a
+// cost pass only. The host numerics run matrix-major instead: in Full mode,
+// before the first launch, one item per matrix factors it from its first
+// column to its last with the recursive blas::potrf (cpu::potrf_each). One
+// matrix's work then runs while its data is hot; step by step across the
+// whole batch, every matrix came back from memory at every panel step. The
+// factors are bit for bit blas::potrf's. The panel costs read info (ETM-classic), so the driver
+// keeps each matrix's final info aside and the panel releases it after the
+// inner step that holds the failing column, where factoring step by step
+// finds it: the launches report what step-major numerics would make them.
 #include <vector>
 
 #include "vbatch/core/potrf_vbatched.hpp"
+#include "vbatch/cpu/cpu_batched.hpp"
 #include "vbatch/kernels/aux_kernels.hpp"
 #include "vbatch/kernels/gemm_vbatched.hpp"
 #include "vbatch/kernels/potf2_panel.hpp"
@@ -41,28 +46,34 @@ double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, 
   sim::Device& dev = q.device();
   double seconds = 0.0;
 
+  // The numerics, matrix-major (see the top of this file); TimingOnly has
+  // no factors, so nothing fails and final_info stays empty.
+  std::vector<int> final_info;
+  if (dev.mode() == sim::ExecMode::Full) {
+    final_info.resize(static_cast<std::size_t>(batch));
+    cpu::potrf_each<T>(uplo, prob.n, prob.ptrs, prob.lda, final_info);
+  }
+
   std::vector<int> trail_m(static_cast<std::size_t>(batch));
   std::vector<int> trail_ib(static_cast<std::size_t>(batch));
-  // Displaced-pointer scratch and the panel's sub-batch mirrors, reused
-  // across panel steps (one buffer per operand for the whole call instead
-  // of allocations per step).
-  std::vector<T*> diag_ptrs, sub_ptrs, trail_ptrs;
-  kernels::PanelScratch<T> panel_scratch;
+  // The displaced pointer arrays a device would hand the trsm and syrk
+  // kernels; the cost passes read only extents, so one buffer serves all
+  // three displacements.
+  std::vector<T*> displaced;
 
   for (int j = 0; j < max_n; j += NB) {
     // §III-F: the driver checks whether any matrix still has work; fully
     // factorized matrices are ignored from here on.
     if (kernels::count_live(dev, prob.n, j) == 0) break;
 
-    kernels::Potf2PanelArgs<T> panel;
-    panel.batch = {prob.ptrs, prob.n, prob.lda};
-    panel.uplo = uplo;
+    kernels::Potf2PanelArgs panel;
+    panel.n = prob.n;
     panel.offset = j;
     panel.NB = NB;
     panel.nb_inner = 16;
     panel.info = prob.info;
-    panel.scratch = &panel_scratch;
-    seconds += kernels::launch_potf2_panel(dev, panel);
+    panel.final_info = final_info;
+    seconds += kernels::launch_potf2_panel<T>(dev, panel);
 
     const int max_m2 = max_n - j - NB;
     if (max_m2 <= 0) continue;
@@ -78,43 +89,28 @@ double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, 
     if (live_trailing == 0) continue;
 
     std::span<T* const> base{prob.ptrs, static_cast<std::size_t>(batch)};
-    kernels::displace_ptrs<T>(dev, base, prob.lda, j, j, diag_ptrs);
+    kernels::displace_ptrs<T>(dev, base, prob.lda, j, j, displaced);
     if (uplo == Uplo::Lower) {
-      kernels::displace_ptrs<T>(dev, base, prob.lda, j + NB, j, sub_ptrs);
+      kernels::displace_ptrs<T>(dev, base, prob.lda, j + NB, j, displaced);
     } else {
-      kernels::displace_ptrs<T>(dev, base, prob.lda, j, j + NB, sub_ptrs);
+      kernels::displace_ptrs<T>(dev, base, prob.lda, j, j + NB, displaced);
     }
-    kernels::displace_ptrs<T>(dev, base, prob.lda, j + NB, j + NB, trail_ptrs);
+    kernels::displace_ptrs<T>(dev, base, prob.lda, j + NB, j + NB, displaced);
 
-    kernels::TrsmVbatchedArgs<T> trsm;
-    trsm.uplo = uplo;
-    trsm.a = diag_ptrs.data();
-    trsm.lda = prob.lda;
+    kernels::TrsmVbatchedArgs trsm;
     trsm.ib = trail_ib;
-    trsm.b = sub_ptrs.data();
-    trsm.ldb = prob.lda;
     trsm.m = trail_m;
     trsm.max_ib = NB;
     trsm.max_m = max_m2;
-    seconds += kernels::launch_trsm_vbatched(dev, trsm);
+    seconds += kernels::launch_trsm_vbatched<T>(dev, trsm);
 
     kernels::SyrkVbatchedArgs<T> syrk;
     syrk.uplo = uplo;
-    syrk.trans = uplo == Uplo::Lower ? Trans::NoTrans : Trans::Trans;
     syrk.n = trail_m;
     syrk.k = trail_ib;
     syrk.max_n = max_m2;
-    syrk.alpha = T(-1);
-    syrk.beta = T(1);
-    syrk.a = sub_ptrs.data();
-    syrk.lda = prob.lda;
-    syrk.c = trail_ptrs.data();
-    syrk.ldc = prob.lda;
-    if (streamed_syrk) {
-      seconds += kernels::launch_syrk_streamed(dev, syrk, num_streams);
-    } else {
-      seconds += kernels::launch_syrk_vbatched(dev, syrk);
-    }
+    seconds += streamed_syrk ? kernels::launch_syrk_streamed(dev, syrk, num_streams)
+                             : kernels::launch_syrk_vbatched_cost(dev, syrk);
   }
   return seconds;
 }

@@ -5,14 +5,21 @@
 
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/util/flops.hpp"
-#include "vbatch/util/thread_pool.hpp"
+#include "vbatch/sim/device.hpp"
 
 namespace vbatch::cpu {
 
-// Full-mode numerics run on the library-wide worker pool
-// (vbatch::util::host_pool) — sized to the host, not to the modelled CPU;
-// the model decides the reported time.
-using util::host_pool;
+template <typename T>
+void potrf_each(Uplo uplo, std::span<const int> n, T* const* a, std::span<const int> lda,
+                std::span<int> info) {
+  const int count = static_cast<int>(n.size());
+  int steps = 0;
+  for (int ni : n) steps += (ni + 15) / 16;
+  sim::parallel_for_grained(count, steps, [&](int i) {
+    const auto k = static_cast<std::size_t>(i);
+    info[k] = blas::potrf<T>(uplo, MatrixView<T>(a[i], n[k], n[k], lda[k]));
+  });
+}
 
 double per_core_makespan(const CpuSpec& spec, Schedule schedule, Precision prec,
                          std::span<const int> n) {
@@ -46,18 +53,11 @@ CpuBatchResult potrf_batched_per_core(const CpuSpec& spec, Schedule schedule, Up
                                       std::span<const int> n, T* const* a,
                                       std::span<const int> lda, std::span<int> info,
                                       bool execute) {
-  const int count = static_cast<int>(n.size());
   CpuBatchResult result;
   result.flops = flops::potrf_batch(n);
   result.seconds = per_core_makespan(spec, schedule, precision_v<T>, n);
 
-  if (execute) {
-    host_pool().parallel_for(count, [&](int i) {
-      const int ni = n[static_cast<std::size_t>(i)];
-      MatrixView<T> ai(a[i], ni, ni, lda[static_cast<std::size_t>(i)]);
-      info[static_cast<std::size_t>(i)] = blas::potrf<T>(uplo, ai);
-    });
-  }
+  if (execute) potrf_each<T>(uplo, n, a, lda, info);
   return result;
 }
 
@@ -73,15 +73,18 @@ CpuBatchResult potrf_batched_multithreaded(const CpuSpec& spec, Uplo uplo,
     const int ni = n[static_cast<std::size_t>(i)];
     result.seconds += spec.multithreaded_seconds(precision_v<T>, ni, flops::potrf(ni));
   }
-  if (execute) {
-    host_pool().parallel_for(count, [&](int i) {
-      const int ni = n[static_cast<std::size_t>(i)];
-      MatrixView<T> ai(a[i], ni, ni, lda[static_cast<std::size_t>(i)]);
-      info[static_cast<std::size_t>(i)] = blas::potrf<T>(uplo, ai);
-    });
-  }
+  if (execute) potrf_each<T>(uplo, n, a, lda, info);
   return result;
 }
+
+#define VBATCH_INSTANTIATE_POTRF_EACH(T)                                                     \
+  template void potrf_each<T>(Uplo, std::span<const int>, T* const*, std::span<const int>,  \
+                              std::span<int>);
+VBATCH_INSTANTIATE_POTRF_EACH(float)
+VBATCH_INSTANTIATE_POTRF_EACH(double)
+VBATCH_INSTANTIATE_POTRF_EACH(std::complex<float>)
+VBATCH_INSTANTIATE_POTRF_EACH(std::complex<double>)
+#undef VBATCH_INSTANTIATE_POTRF_EACH
 
 template CpuBatchResult potrf_batched_per_core<float>(const CpuSpec&, Schedule, Uplo,
                                                       std::span<const int>, float* const*,

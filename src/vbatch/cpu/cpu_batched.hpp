@@ -35,6 +35,16 @@ struct CpuBatchResult {
 [[nodiscard]] double per_core_makespan(const CpuSpec& spec, Schedule schedule, Precision prec,
                                        std::span<const int> n);
 
+/// The host numerics of every per-matrix Cholesky: one blas::potrf per
+/// matrix, info[i] for matrix i, on the worker pool (vbatch::util::host_pool,
+/// sized to the host, not to a modelled CPU) through
+/// sim::parallel_for_grained, a matrix of order n counting as its ⌈n/16⌉
+/// 16-wide column steps. Matrices are independent, so the bits do not
+/// depend on the worker count.
+template <typename T>
+void potrf_each(Uplo uplo, std::span<const int> n, T* const* a, std::span<const int> lda,
+                std::span<int> info);
+
 /// One core per matrix; `schedule` picks static round-robin or dynamic
 /// (work-queue) assignment. `a` is the per-matrix pointer array.
 template <typename T>

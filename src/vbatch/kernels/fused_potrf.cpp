@@ -83,7 +83,7 @@ void run_group(const FusedStepArgs<T>& args, std::span<const int> mats) {
       fused_step_solve(args.uplo, view(mats[k]), args.step, args.nb);
     } else {
       args.info[static_cast<std::size_t>(mats[k])] =
-          args.info_offset + fused_step_info(args.step, args.nb, local[k]);
+          fused_step_info(args.step, args.nb, local[k]);
     }
   }
 }
@@ -141,7 +141,7 @@ void fused_step_numerics(const FusedStepArgs<T>& args, int covered) {
 }  // namespace
 
 template <typename T>
-double launch_fused_step(sim::Device& dev, const FusedStepArgs<T>& args) {
+double launch_fused_step_cost(sim::Device& dev, const FusedStepArgs<T>& args) {
   const int batch = args.batch.count();
   const int covered = args.active.empty() ? batch : static_cast<int>(args.active.size());
   require(covered > 0, "fused step: empty launch");
@@ -154,38 +154,45 @@ double launch_fused_step(sim::Device& dev, const FusedStepArgs<T>& args) {
   cfg.shared_mem = fused_shared_mem(args.block_threads, args.nb, sizeof(T));
   cfg.precision = precision_v<T>;
 
-  // Cost pass: every block's report, read from info before the step's math.
+  // Every block's report, read from info before the step's math.
   const auto& a = args.batch;
-  const double seconds =
-      dev.launch(cfg, [&args, &a](int block) -> sim::BlockCost {
-        const int i = args.active.empty() ? block : args.active[static_cast<std::size_t>(block)];
-        const int n = a.n[static_cast<std::size_t>(i)];
-        const index_t j = static_cast<index_t>(args.step) * args.nb;
+  return dev.launch(cfg, [&args, &a](int block) -> sim::BlockCost {
+    const int i = args.active.empty() ? block : args.active[static_cast<std::size_t>(block)];
+    const int n = a.n[static_cast<std::size_t>(i)];
+    const index_t j = static_cast<index_t>(args.step) * args.nb;
 
-        sim::BlockCost cost;
-        cost.live_threads = args.block_threads;
+    sim::BlockCost cost;
+    cost.live_threads = args.block_threads;
 
-        // ETM: this matrix is fully factorized (or previously failed) — the
-        // whole block exits. Both ETM flavours terminate whole idle blocks.
-        if (j >= n || args.info[static_cast<std::size_t>(i)] != 0) {
-          cost.early_exit = true;
-          return cost;
-        }
-        fused_step_cost(cost, n, args.step, args.nb, args.block_threads, args.etm, sizeof(T));
-        return cost;
-      });
+    // ETM: this matrix is fully factorized (or previously failed) — the
+    // whole block exits. Both ETM flavours terminate whole idle blocks.
+    if (j >= n || args.info[static_cast<std::size_t>(i)] != 0) {
+      cost.early_exit = true;
+      return cost;
+    }
+    fused_step_cost(cost, n, args.step, args.nb, args.block_threads, args.etm, sizeof(T));
+    return cost;
+  });
+}
 
+template <typename T>
+double launch_fused_step(sim::Device& dev, const FusedStepArgs<T>& args) {
+  const double seconds = launch_fused_step_cost(dev, args);
   // Numerics pass (Full mode): the same live blocks, their diagonal tiles
   // factored in lane groups (docs/simulator.md, "Fused step").
-  if (dev.mode() == sim::ExecMode::Full) fused_step_numerics(args, covered);
+  if (dev.mode() == sim::ExecMode::Full)
+    fused_step_numerics(args, args.active.empty() ? args.batch.count()
+                                                  : static_cast<int>(args.active.size()));
   return seconds;
 }
 
-template double launch_fused_step<float>(sim::Device&, const FusedStepArgs<float>&);
-template double launch_fused_step<double>(sim::Device&, const FusedStepArgs<double>&);
-template double launch_fused_step<std::complex<float>>(
-    sim::Device&, const FusedStepArgs<std::complex<float>>&);
-template double launch_fused_step<std::complex<double>>(
-    sim::Device&, const FusedStepArgs<std::complex<double>>&);
+#define VBATCH_INSTANTIATE_FUSED_STEP(T)                                        \
+  template double launch_fused_step_cost<T>(sim::Device&, const FusedStepArgs<T>&); \
+  template double launch_fused_step<T>(sim::Device&, const FusedStepArgs<T>&);
+VBATCH_INSTANTIATE_FUSED_STEP(float)
+VBATCH_INSTANTIATE_FUSED_STEP(double)
+VBATCH_INSTANTIATE_FUSED_STEP(std::complex<float>)
+VBATCH_INSTANTIATE_FUSED_STEP(std::complex<double>)
+#undef VBATCH_INSTANTIATE_FUSED_STEP
 
 }  // namespace vbatch::kernels

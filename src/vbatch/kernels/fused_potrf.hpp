@@ -34,12 +34,17 @@ struct FusedStepArgs {
   EtmMode etm = EtmMode::Aggressive;
   std::span<int> info;            ///< host mirror of the device info array
   const char* name = "fused_potrf_step";  ///< timeline name of the launch
-  int info_offset = 0;            ///< added to a failing pivot's info (a sub-batch's origin)
 };
 
-/// Launches one fused factorization step. Returns modelled kernel seconds.
+/// Launches one fused factorization step: the cost pass, then in Full mode
+/// the numerics pass. Returns modelled kernel seconds.
 template <typename T>
 double launch_fused_step(sim::Device& dev, const FusedStepArgs<T>& args);
+
+/// The cost pass of launch_fused_step alone, in either mode: the separated
+/// panel's launches, whose numerics the driver ran per matrix beforehand.
+template <typename T>
+double launch_fused_step_cost(sim::Device& dev, const FusedStepArgs<T>& args);
 
 /// Shared-memory footprint of a fused step block: the panel plus a small
 /// double-buffer staging area for the rank-k update.

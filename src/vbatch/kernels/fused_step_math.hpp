@@ -2,8 +2,9 @@
 // step (§III-D). launch_fused_step reports fused_step_cost per block, then
 // runs the three pieces (update, diagonal tile, solve) around a
 // lane-grouped blas::potf2_batch of many matrices' diagonal tiles. The
-// separated path's panel kernel (launch_potf2_panel) is that same launch on
-// the panels' diagonal blocks, as the paper builds it (§III-E1).
+// separated path's panel kernel (launch_potf2_panel) is that same launch's
+// cost pass on the panels' diagonal blocks, as the paper builds it
+// (§III-E1).
 #pragma once
 
 #include <algorithm>

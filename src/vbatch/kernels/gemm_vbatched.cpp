@@ -97,7 +97,7 @@ double launch_gemm_vbatched(sim::Device& dev, const GemmVbatchedArgs<T>& args) {
 namespace {
 
 // Cost of one syrk tile block (used by both the vbatched grid and the
-// streamed per-matrix kernels). The arithmetic runs in syrk_numerics.
+// streamed per-matrix kernels).
 template <typename T>
 sim::BlockCost syrk_tile_block(const SyrkVbatchedArgs<T>& args, int i, index_t ti, index_t tj) {
   const GemmTiling& t = args.tiling;
@@ -123,16 +123,18 @@ sim::BlockCost syrk_tile_block(const SyrkVbatchedArgs<T>& args, int i, index_t t
   return tile_cost(t, tm, tn, ki, sizeof(T), ti == tj);
 }
 
-// The Full-mode numerics of both syrk launches: one item per (matrix,
+// The Full-mode numerics of launch_syrk_vbatched: one item per (matrix,
 // kSyrkStripCols-wide column strip of its C), each the blas::syrk of the
 // strip's diagonal block plus one blas::gemm of the rectangle below it
 // (Lower) or above it (Upper). Strips write disjoint parts of the triangle
-// and the split is fixed, so the bits depend only on the matrix. `grid` is
-// the block count of the launches the pass stands for (the grain).
+// and the split is fixed, so the bits depend only on the matrix. The grain
+// is the block count of the launch's grid.
 template <typename T>
-void syrk_numerics(const SyrkVbatchedArgs<T>& args, int max_n, int grid) {
+void syrk_numerics(const SyrkVbatchedArgs<T>& args) {
   const int batch = static_cast<int>(args.n.size());
-  const int strips = (max_n + kSyrkStripCols - 1) / kSyrkStripCols;
+  const int strips = (args.max_n + kSyrkStripCols - 1) / kSyrkStripCols;
+  const int tiles = (args.max_n + args.tiling.tm - 1) / args.tiling.tm;
+  const int grid = batch * tiles * tiles;
   const Trans ta = args.trans == Trans::NoTrans ? Trans::NoTrans : Trans::Trans;
   const Trans tb = args.trans == Trans::NoTrans ? Trans::Trans : Trans::NoTrans;
   sim::parallel_for_grained(batch * strips, grid, [&](int item) {
@@ -166,7 +168,7 @@ void syrk_numerics(const SyrkVbatchedArgs<T>& args, int max_n, int grid) {
 }  // namespace
 
 template <typename T>
-double launch_syrk_vbatched(sim::Device& dev, const SyrkVbatchedArgs<T>& args) {
+double launch_syrk_vbatched_cost(sim::Device& dev, const SyrkVbatchedArgs<T>& args) {
   const int batch = static_cast<int>(args.n.size());
   require(batch > 0, "syrk_vbatched: empty batch");
   require(args.max_n > 0, "syrk_vbatched: max_n not set");
@@ -181,13 +183,18 @@ double launch_syrk_vbatched(sim::Device& dev, const SyrkVbatchedArgs<T>& args) {
   cfg.shared_mem = t.shared_mem(sizeof(T));
   cfg.precision = precision_v<T>;
 
-  const double seconds = dev.launch(cfg, [&args, tiles](int block) {
+  return dev.launch(cfg, [&args, tiles](int block) {
     const int per_matrix = tiles * tiles;
     const int i = block / per_matrix;
     const int tile = block % per_matrix;
     return syrk_tile_block(args, i, tile % tiles, tile / tiles);
   });
-  if (dev.mode() == sim::ExecMode::Full) syrk_numerics(args, args.max_n, cfg.grid_blocks);
+}
+
+template <typename T>
+double launch_syrk_vbatched(sim::Device& dev, const SyrkVbatchedArgs<T>& args) {
+  const double seconds = launch_syrk_vbatched_cost(dev, args);
+  if (dev.mode() == sim::ExecMode::Full) syrk_numerics(args);
   return seconds;
 }
 
@@ -202,7 +209,6 @@ double launch_syrk_streamed(sim::Device& dev, const SyrkVbatchedArgs<T>& args, i
   configs.reserve(static_cast<std::size_t>(batch));
   fns.reserve(static_cast<std::size_t>(batch));
 
-  int max_n = 0, grid = 0;
   for (int i = 0; i < batch; ++i) {
     const int ni = args.n[static_cast<std::size_t>(i)];
     if (ni <= 0) continue;  // host-side skip: one kernel per live matrix
@@ -217,17 +223,20 @@ double launch_syrk_streamed(sim::Device& dev, const SyrkVbatchedArgs<T>& args, i
     fns.push_back([&args, i, tiles](int block) {
       return syrk_tile_block(args, i, block % tiles, block / tiles);
     });
-    max_n = std::max(max_n, ni);
-    grid += cfg.grid_blocks;
   }
   if (configs.empty()) return 0.0;
-  const double seconds = dev.launch_concurrent(configs, fns, num_streams);
-  if (dev.mode() == sim::ExecMode::Full) syrk_numerics(args, max_n, grid);
-  return seconds;
+  return dev.launch_concurrent(configs, fns, num_streams);
 }
 
 template double launch_gemm_vbatched<float>(sim::Device&, const GemmVbatchedArgs<float>&);
 template double launch_gemm_vbatched<double>(sim::Device&, const GemmVbatchedArgs<double>&);
+template double launch_syrk_vbatched_cost<float>(sim::Device&, const SyrkVbatchedArgs<float>&);
+template double launch_syrk_vbatched_cost<double>(sim::Device&,
+                                                  const SyrkVbatchedArgs<double>&);
+template double launch_syrk_vbatched_cost<std::complex<float>>(
+    sim::Device&, const SyrkVbatchedArgs<std::complex<float>>&);
+template double launch_syrk_vbatched_cost<std::complex<double>>(
+    sim::Device&, const SyrkVbatchedArgs<std::complex<double>>&);
 template double launch_syrk_vbatched<float>(sim::Device&, const SyrkVbatchedArgs<float>&);
 template double launch_syrk_vbatched<double>(sim::Device&, const SyrkVbatchedArgs<double>&);
 template double launch_syrk_streamed<float>(sim::Device&, const SyrkVbatchedArgs<float>&, int);

@@ -7,13 +7,13 @@
 // threads of a live block cooperate on the shared-memory tile pipeline and
 // must stay in sync, §III-E2).
 //
-// The syrk launches (vbatched grid and streamed per-matrix kernels) keep
-// that grid as a cost-only pass: it is where the modelled time comes from.
-// Their arithmetic runs after it in Full mode, in host-shaped pieces: one
-// item per kSyrkStripCols-wide column strip of each matrix, a pack-once
-// blas::syrk of the strip's diagonal block plus one blas::gemm of the
-// rectangle beside it. Both launches share that pass, so their results are
-// memcmp-equal.
+// The vbatched syrk launch keeps that grid as its cost pass: it is where
+// the modelled time comes from. Its arithmetic runs after it in Full mode,
+// in host-shaped pieces: one item per kSyrkStripCols-wide column strip of
+// each matrix, a pack-once blas::syrk of the strip's diagonal block plus
+// one blas::gemm of the rectangle beside it. The separated Cholesky driver
+// launches the syrk grid (or the streamed per-matrix kernels) as a cost
+// pass alone: it computes every factor per matrix before its first launch.
 #pragma once
 
 #include <span>
@@ -54,10 +54,10 @@ struct GemmVbatchedArgs {
 template <typename T>
 double launch_gemm_vbatched(sim::Device& dev, const GemmVbatchedArgs<T>& args);
 
-/// Column-strip width of the syrk numerics pass. Lower strips own the
-/// columns [c0, c0 + w) from the diagonal down, Upper strips from row 0 to
-/// the diagonal. Fixed, so results do not depend on the worker count; narrow
-/// enough that one tall matrix still spreads over the pool.
+/// Column-strip width of the vbatched syrk's numerics pass. Lower strips
+/// own the columns [c0, c0 + w) from the diagonal down, Upper strips from
+/// row 0 to the diagonal. Fixed, so results do not depend on the worker
+/// count; narrow enough that one tall matrix still spreads over the pool.
 inline constexpr int kSyrkStripCols = 96;
 
 /// vbatched SYRK: C(n×n, uplo triangle) = alpha·A·Aᵀ + beta·C, modelled as
@@ -78,11 +78,17 @@ struct SyrkVbatchedArgs {
   GemmTiling tiling{};
 };
 
+/// The syrk grid's cost pass, then in Full mode its numerics pass.
 template <typename T>
 double launch_syrk_vbatched(sim::Device& dev, const SyrkVbatchedArgs<T>& args);
 
-/// Streamed alternative (§III-E3): one syrk kernel per matrix, launched on
-/// `num_streams` concurrent streams (the CUBLAS-per-matrix pattern).
+/// The syrk grid's cost pass alone, in either mode (the separated driver's).
+template <typename T>
+double launch_syrk_vbatched_cost(sim::Device& dev, const SyrkVbatchedArgs<T>& args);
+
+/// Streamed alternative (§III-E3): one syrk kernel per live matrix, launched
+/// on `num_streams` concurrent streams (the CUBLAS-per-matrix pattern).
+/// Cost passes only, in either mode; reads n, k and the tiling.
 template <typename T>
 double launch_syrk_streamed(sim::Device& dev, const SyrkVbatchedArgs<T>& args, int num_streams);
 

@@ -1,6 +1,7 @@
 #include "vbatch/kernels/potf2_panel.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "vbatch/kernels/fused_potrf.hpp"
 #include "vbatch/util/error.hpp"
@@ -13,49 +14,47 @@ namespace vbatch::kernels {
 // diagonal blocks, with ETM-classic terminating blocks whose matrix is
 // already past the offset (or whose panel finished early).
 template <typename T>
-double launch_potf2_panel(sim::Device& dev, const Potf2PanelArgs<T>& args) {
-  const int batch = args.batch.count();
+double launch_potf2_panel(sim::Device& dev, const Potf2PanelArgs& args) {
+  const int batch = static_cast<int>(args.n.size());
   require(batch > 0, "potf2_panel: empty batch");
   require(args.NB > 0 && args.nb_inner > 0, "potf2_panel: bad blocking");
+  require(args.final_info.empty() || static_cast<int>(args.final_info.size()) == batch,
+          "potf2_panel: one final info per matrix");
 
-  // The diagonal blocks as a batch of their own: matrix i's block starts at
-  // (offset, offset), has order clamp(n_i − offset, 0, NB) and keeps lda_i.
-  // The kernel indexes its block in place, so this is host arithmetic on
-  // the mirrors, not a device pointer displacement.
-  const auto& a = args.batch;
-  PanelScratch<T> local;
-  PanelScratch<T>& sub = args.scratch != nullptr ? *args.scratch : local;
-  sub.ptrs.resize(static_cast<std::size_t>(batch));
-  sub.n.resize(static_cast<std::size_t>(batch));
-  const index_t off = args.offset;
-  for (std::size_t i = 0; i < sub.ptrs.size(); ++i) {
-    const int ni = std::clamp(a.n[i] - args.offset, 0, args.NB);
-    sub.n[i] = ni;
-    sub.ptrs[i] = ni > 0 ? a.ptrs[i] + off + off * a.lda[i] : a.ptrs[i];  // never past the end
-  }
+  // The diagonal blocks as a batch of their own: matrix i's block has order
+  // clamp(n_i − offset, 0, NB). The costs read only the orders and info,
+  // so the sub-batch has no matrix pointers.
+  std::vector<int> sub_n(static_cast<std::size_t>(batch));
+  for (std::size_t i = 0; i < sub_n.size(); ++i)
+    sub_n[i] = std::clamp(args.n[i] - args.offset, 0, args.NB);
 
   FusedStepArgs<T> step;
-  step.batch = {sub.ptrs.data(), sub.n, a.lda};
-  step.uplo = args.uplo;
+  step.batch.n = sub_n;
   step.nb = args.nb_inner;
   step.etm = EtmMode::Classic;
   step.info = args.info;
   step.name = "vbatched_potf2_panel";
-  step.info_offset = args.offset;
 
   double seconds = 0.0;
   for (step.step = 0; step.step * args.nb_inner < args.NB; ++step.step) {
+    const int lo = args.offset + step.step * args.nb_inner;
+    const int hi = args.offset + std::min(args.NB, (step.step + 1) * args.nb_inner);
     step.block_threads = round_up_warp(dev.spec(), args.NB - step.step * args.nb_inner);
-    seconds += launch_fused_step(dev, step);
+    seconds += launch_fused_step_cost(dev, step);
+    // Release the failures whose column (c − 1) this step covered.
+    for (std::size_t i = 0; i < args.final_info.size(); ++i) {
+      const int c = args.final_info[i];
+      if (c > lo && c <= hi && args.info[i] == 0) args.info[i] = c;
+    }
   }
   return seconds;
 }
 
-template double launch_potf2_panel<float>(sim::Device&, const Potf2PanelArgs<float>&);
-template double launch_potf2_panel<double>(sim::Device&, const Potf2PanelArgs<double>&);
-template double launch_potf2_panel<std::complex<float>>(
-    sim::Device&, const Potf2PanelArgs<std::complex<float>>&);
-template double launch_potf2_panel<std::complex<double>>(
-    sim::Device&, const Potf2PanelArgs<std::complex<double>>&);
+template double launch_potf2_panel<float>(sim::Device&, const Potf2PanelArgs&);
+template double launch_potf2_panel<double>(sim::Device&, const Potf2PanelArgs&);
+template double launch_potf2_panel<std::complex<float>>(sim::Device&,
+                                                       const Potf2PanelArgs&);
+template double launch_potf2_panel<std::complex<double>>(sim::Device&,
+                                                        const Potf2PanelArgs&);
 
 }  // namespace vbatch::kernels

@@ -16,8 +16,8 @@ constexpr int kTrtriBlock = 32;
 // size typically 32×32 using a vbatched trtri routine": one grid block per
 // 32×32 diagonal sub-block of one matrix's NB-wide panel; blocks at or past
 // ib exit through ETM-classic (the threads of a live block stay in sync, so
-// aggressive is not applicable). Cost only: the host numerics never form
-// the inverted blocks (trsm_numerics).
+// aggressive is not applicable). Cost only, like every launch of the
+// composite solve.
 template <typename T>
 double launch_trtri(sim::Device& dev, std::span<const int> ib, int NB) {
   const int batch = static_cast<int>(ib.size());
@@ -57,10 +57,9 @@ double launch_trtri(sim::Device& dev, std::span<const int> ib, int NB) {
 // One sweep kernel per 32-wide diagonal block k: each grid block owns a
 // TM-long strip of the panel and performs the rank-update against already
 // solved strips followed by the multiply with the inverted diagonal block,
-// mirroring the custom gemm variants MAGMA's batched trsm launches. Cost
-// only, like the trtri launch.
+// mirroring the custom gemm variants MAGMA's batched trsm launches.
 template <typename T>
-double launch_sweep(sim::Device& dev, const TrsmVbatchedArgs<T>& args, int k0) {
+double launch_sweep(sim::Device& dev, const TrsmVbatchedArgs& args, int k0) {
   const int batch = static_cast<int>(args.ib.size());
   const GemmTiling& t = args.tiling;
   const int strips = (args.max_m + t.tm - 1) / t.tm;
@@ -97,68 +96,27 @@ double launch_sweep(sim::Device& dev, const TrsmVbatchedArgs<T>& args, int k0) {
   });
 }
 
-// Rows of B per item of the numerics pass. One host blas::trsm over a whole
-// panel runs faster than over TM-long strips of it (about 1.3× for the
-// separated path's 64-wide panels on one AVX2 core), so panels up to this
-// height are one item; taller ones split, so that a batch of a few tall
-// panels still spreads over the pool. The split is fixed, so the bits
-// depend only on the matrix.
-constexpr index_t kSolveStripRows = 512;
-
-// The Full-mode numerics of the composite solve: one item per (matrix,
-// kSolveStripRows-long strip of its panel), each a blas::trsm of the strip
-// against the whole triangle, rows of B for Lower (X·L11ᵀ = B) and columns
-// for Upper (U11ᵀ·X = B). Strips are independent solves and no inverted
-// block is ever formed. The grain counts every block of the trtri and
-// sweep launches the pass stands for.
-template <typename T>
-void trsm_numerics(const TrsmVbatchedArgs<T>& args) {
-  const int batch = static_cast<int>(args.ib.size());
-  const int strips = static_cast<int>((args.max_m + kSolveStripRows - 1) / kSolveStripRows);
-  const int sweep_grid = batch * ((args.max_m + args.tiling.tm - 1) / args.tiling.tm);
-  const int launch_blocks = (args.max_ib + kTrtriBlock - 1) / kTrtriBlock * (batch + sweep_grid);
-  sim::parallel_for_grained(batch * strips, launch_blocks, [&args, strips](int item) {
-    const auto i = static_cast<std::size_t>(item / strips);
-    const index_t r0 = static_cast<index_t>(item % strips) * kSolveStripRows;
-    const index_t mi = args.m[i];
-    const index_t ibi = args.ib[i];
-    if (ibi <= 0 || r0 >= mi) return;
-    const index_t rows = std::min(kSolveStripRows, mi - r0);
-    const index_t ldb = args.ldb[i];
-    ConstMatrixView<T> a(args.a[i], ibi, ibi, args.lda[i]);
-    if (args.uplo == Uplo::Lower) {
-      blas::trsm<T>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1), a,
-                    MatrixView<T>(args.b[i] + r0, rows, ibi, ldb));
-    } else {
-      blas::trsm<T>(Side::Left, Uplo::Upper, Trans::Trans, Diag::NonUnit, T(1), a,
-                    MatrixView<T>(args.b[i] + r0 * ldb, ibi, rows, ldb));
-    }
-  });
-}
-
 }  // namespace
 
 template <typename T>
-double launch_trsm_vbatched(sim::Device& dev, const TrsmVbatchedArgs<T>& args) {
+double launch_trsm_vbatched(sim::Device& dev, const TrsmVbatchedArgs& args) {
   require(args.max_ib > 0, "trsm_vbatched: max_ib not set");
   if (args.max_m <= 0) return 0.0;
 
-  // Cost pass, the paper's launch sequence: invert the diagonal 32×32
-  // blocks, then sweep the panel one diagonal block at a time.
+  // The paper's launch sequence: invert the diagonal 32×32 blocks, then
+  // sweep the panel one diagonal block at a time.
   double seconds = launch_trtri<T>(dev, args.ib, args.max_ib);
-  for (int k0 = 0; k0 < args.max_ib; k0 += kTrtriBlock) seconds += launch_sweep(dev, args, k0);
-
-  // Numerics pass (Full mode): no cost above reads what it writes.
-  if (dev.mode() == sim::ExecMode::Full) trsm_numerics(args);
+  for (int k0 = 0; k0 < args.max_ib; k0 += kTrtriBlock)
+    seconds += launch_sweep<T>(dev, args, k0);
   return seconds;
 }
 
-template double launch_trsm_vbatched<float>(sim::Device&, const TrsmVbatchedArgs<float>&);
-template double launch_trsm_vbatched<double>(sim::Device&, const TrsmVbatchedArgs<double>&);
-template double launch_trsm_vbatched<std::complex<float>>(
-    sim::Device&, const TrsmVbatchedArgs<std::complex<float>>&);
-template double launch_trsm_vbatched<std::complex<double>>(
-    sim::Device&, const TrsmVbatchedArgs<std::complex<double>>&);
+template double launch_trsm_vbatched<float>(sim::Device&, const TrsmVbatchedArgs&);
+template double launch_trsm_vbatched<double>(sim::Device&, const TrsmVbatchedArgs&);
+template double launch_trsm_vbatched<std::complex<float>>(sim::Device&,
+                                                         const TrsmVbatchedArgs&);
+template double launch_trsm_vbatched<std::complex<double>>(sim::Device&,
+                                                          const TrsmVbatchedArgs&);
 
 namespace {
 

@@ -5,13 +5,11 @@
 // solution panel with vbatched gemm kernels — a rank-update against the
 // already-solved columns plus a multiply by the inverted diagonal block.
 // Everything launches as vbatched kernels with ETM-classic, and that launch
-// sequence is the modelled cost. The launches are cost passes only; in
-// Full mode the numerics pass then solves each panel with host blas::trsm
-// calls, one per 512-row strip, so no inverted-block workspace exists.
-//
-// Two shapes are provided, matching what the Cholesky driver needs:
-//   Lower:  solves X · L11ᵀ = B   (Side::Right, Trans::Trans), B is m×ib
-//   Upper:  solves U11ᵀ · X = B   (Side::Left,  Trans::Trans), B is ib×m
+// sequence is the modelled cost of the separated Cholesky's panel solve
+// (X · L11ᵀ = B for Lower, U11ᵀ · X = B for Upper; B is m×ib or ib×m). The
+// launches are cost passes only and read nothing but the extents: the
+// separated driver computes every factor, this solve included, in its
+// per-matrix numerics pass before its first launch.
 #pragma once
 
 #include <span>
@@ -20,24 +18,18 @@
 
 namespace vbatch::kernels {
 
-template <typename T>
 struct TrsmVbatchedArgs {
-  Uplo uplo = Uplo::Lower;
-  T* const* a = nullptr;        ///< per-matrix pointer to the ib×ib triangular factor
-  std::span<const int> lda;
   std::span<const int> ib;      ///< triangle extent per matrix (0 = inactive)
-  T* const* b = nullptr;        ///< per-matrix pointer to the panel being solved
-  std::span<const int> ldb;
   std::span<const int> m;       ///< panel extent orthogonal to ib (0 = inactive)
   int max_ib = 0;
   int max_m = 0;
   GemmTiling tiling{};
 };
 
-/// Runs the full composite solve. Returns the summed modelled seconds of
-/// all launched kernels (trtri + gemm sweep).
+/// Launches the composite solve's cost passes for element type T. Returns
+/// the summed modelled seconds of all launched kernels (trtri + gemm sweep).
 template <typename T>
-double launch_trsm_vbatched(sim::Device& dev, const TrsmVbatchedArgs<T>& args);
+double launch_trsm_vbatched(sim::Device& dev, const TrsmVbatchedArgs& args);
 
 /// General-purpose vbatched triangular solve/multiply covering all
 /// side/uplo/trans/diag combinations: one block per (matrix, strip of the

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "poison.hpp"
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/blas/isa.hpp"
 #include "vbatch/core/potrf_vbatched.hpp"
@@ -30,6 +31,9 @@ namespace {
 using namespace vbatch;
 using blas::micro::Isa;
 using blas::micro::IsaGuard;
+using vbatch::testing::kPoisons;
+using vbatch::testing::plant;
+using vbatch::testing::Poison;
 
 /// Every x86 ISA the host can run, scalar first.
 std::vector<Isa> host_isas() {
@@ -49,36 +53,6 @@ template <typename T>
 bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
   return a.size() == b.size() &&
          (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
-}
-
-/// What to plant in a panel before factoring it.
-enum class Poison { None, NanRef, PosInfRef, NegInfRef, DenormalRef, NanUnref, NotSpd };
-constexpr Poison kPoisons[] = {Poison::NanRef,      Poison::PosInfRef, Poison::NegInfRef,
-                               Poison::DenormalRef, Poison::NanUnref,  Poison::NotSpd};
-
-/// Plants `p` in the n×n panel `a` (`uplo` names the referenced triangle),
-/// at a spot chosen by `salt` so lanes of one group differ.
-template <typename T>
-void plant(Poison p, MatrixView<T> a, Uplo uplo, int salt) {
-  const index_t n = a.rows();
-  if (n == 0 || p == Poison::None) return;
-  const index_t c = salt % n;                  // a column (and diagonal) index
-  const index_t r = c + (salt / n) % (n - c);  // a row, r >= c
-  auto ref = [&](index_t i, index_t j) -> T& { return uplo == Uplo::Lower ? a(i, j) : a(j, i); };
-  switch (p) {
-    case Poison::NanRef: ref(r, c) = std::numeric_limits<T>::quiet_NaN(); break;
-    case Poison::PosInfRef: ref(r, c) = std::numeric_limits<T>::infinity(); break;
-    case Poison::NegInfRef: ref(r, c) = -std::numeric_limits<T>::infinity(); break;
-    case Poison::DenormalRef:
-      ref(r, c) = std::numeric_limits<T>::denorm_min() * T(3);
-      ref(c, c) = std::numeric_limits<T>::min() / T(4);  // a denormal pivot too
-      break;
-    case Poison::NanUnref:
-      if (n > 1) ref(0, n - 1) = std::numeric_limits<T>::quiet_NaN();  // (0, n-1): unreferenced
-      break;
-    case Poison::NotSpd: ref(c, c) = T(-1); break;
-    case Poison::None: break;
-  }
 }
 
 /// `count` panels of order n with leading dimension ld, filled SPD, panel k

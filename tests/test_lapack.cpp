@@ -32,7 +32,7 @@ TEST_P(PotrfTest, ResidualSmallDouble) {
   auto orig = spd_matrix<double>(rng, n, n);
   auto fac = orig;
   MatrixView<double> a(fac.data(), n, n, n);
-  ASSERT_EQ(blas::potrf<double>(uplo, a, 8), 0);
+  ASSERT_EQ(blas::potrf<double>(uplo, a), 0);
   ConstMatrixView<double> ov(orig.data(), n, n, n);
   EXPECT_LT(blas::potrf_residual<double>(uplo, ov, a), 1e-14);
 }
@@ -45,7 +45,7 @@ TEST_P(PotrfTest, BlockedMatchesUnblocked) {
   MatrixView<double> a1(f1.data(), n, n, n);
   MatrixView<double> a2(f2.data(), n, n, n);
   ASSERT_EQ(blas::potf2<double>(uplo, a1), 0);
-  ASSERT_EQ(blas::potrf<double>(uplo, a2, 4), 0);
+  ASSERT_EQ(blas::potrf<double>(uplo, a2), 0);
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i < n; ++i) {
       const bool in_tri = uplo == Uplo::Lower ? i >= j : i <= j;
@@ -63,7 +63,7 @@ TEST(Potrf, SinglePrecisionResidual) {
   auto orig = spd_matrix<float>(rng, n, n);
   auto fac = orig;
   MatrixView<float> a(fac.data(), n, n, n);
-  ASSERT_EQ(blas::potrf<float>(Uplo::Lower, a, 16), 0);
+  ASSERT_EQ(blas::potrf<float>(Uplo::Lower, a), 0);
   ConstMatrixView<float> ov(orig.data(), n, n, n);
   EXPECT_LT(blas::potrf_residual<float>(Uplo::Lower, ov, a), 1e-5);
 }
@@ -76,7 +76,7 @@ TEST(Potrf, NonSpdReportsFirstBadPivot) {
   auto buf = spd_matrix<double>(rng, n, n);
   MatrixView<double> a(buf.data(), n, n, n);
   a(4, 4) = -100.0;  // breaks positivity at step 5
-  const int info = blas::potrf<double>(Uplo::Lower, a, 2);
+  const int info = blas::potrf<double>(Uplo::Lower, a);
   EXPECT_EQ(info, 5);
 }
 
@@ -95,7 +95,7 @@ TEST(Potrf, RespectsLeadingDimensionPadding) {
   for (index_t j = 0; j < n; ++j)
     for (index_t i = n; i < ld; ++i) fac[static_cast<std::size_t>(i + j * ld)] = -7.5;
   MatrixView<double> a(fac.data(), n, n, ld);
-  ASSERT_EQ(blas::potrf<double>(Uplo::Lower, a, 8), 0);
+  ASSERT_EQ(blas::potrf<double>(Uplo::Lower, a), 0);
   for (index_t j = 0; j < n; ++j)
     for (index_t i = n; i < ld; ++i)
       EXPECT_DOUBLE_EQ(fac[static_cast<std::size_t>(i + j * ld)], -7.5);
@@ -109,7 +109,7 @@ TEST(Potrs, SolvesSpdSystem) {
   auto orig = spd_matrix<double>(rng, n, n);
   auto fac = orig;
   MatrixView<double> a(fac.data(), n, n, n);
-  ASSERT_EQ(blas::potrf<double>(Uplo::Lower, a, 8), 0);
+  ASSERT_EQ(blas::potrf<double>(Uplo::Lower, a), 0);
 
   std::vector<double> x_true(static_cast<std::size_t>(n * nrhs));
   for (auto& v : x_true) v = rng.uniform(-1.0, 1.0);
