@@ -16,7 +16,8 @@
 //     scalar engine at every n in {128, 256, 384};
 //   * NN n=512 gate — blk NN at 512 must hold >= 0.9x its n=384 rate (the
 //     balanced NC split removed the historical tail dip; this keeps it out),
-//     timed as back-to-back pairs of the two sizes, median of the pairs.
+//     timed as interleaved calls of the two sizes in samples spread over
+//     the run, each size's minimum.
 //
 // Part 2 measures the end-to-end Full-mode wall clock of a vbatched
 // Cholesky run with the engine disabled (ForceRef) and enabled (Auto, the
@@ -679,6 +680,47 @@ int main(int argc, char** argv) {
     cases.push_back(std::move(sc));
   }
 
+  // Gate 2: the n=512 NN rate must hold >= 0.9x the n=384 rate — the
+  // balanced NC split removed the historical tail dip; keep it out. The
+  // sweep's two blk cells sit a second or more apart, so a shift in host
+  // speed between them reads as a dip. The gate therefore takes its own
+  // samples: each times one blk NN call at both sizes per round (order
+  // alternating by round), and the gate compares each size's minimum over
+  // every sample. Load on a shared host only ever adds time, so minima are
+  // the estimator the sweep table uses. The samples are spread over the
+  // whole run (after each sweep pass and each later part): a slow spell of
+  // a few seconds slows 512 more than 384, whose operands fill less of the
+  // shared cache, and must not cover all of them.
+  const auto it384 = std::find(o.sizes.begin(), o.sizes.end(), 384);
+  const auto it512 = std::find(o.sizes.begin(), o.sizes.end(), 512);
+  const bool nn512_gated = it384 != o.sizes.end() && it512 != o.sizes.end();
+  double nn_best384 = 1e300, nn_best512 = 1e300;
+  auto nn512_sample = [&] {
+    if (!nn512_gated) return;
+    auto call = [](SizeCase& sc, double& best) {
+      const index_t n = sc.n;
+      ConstMatrixView<double> av(sc.a.data(), n, n, n);
+      ConstMatrixView<double> bv(sc.b.data(), n, n, n);
+      MatrixView<double> cv(sc.c.data(), n, n, n);
+      const double t0 = now_seconds();
+      blas::gemm<double>(Trans::NoTrans, Trans::NoTrans, 1.0, av, bv, 0.0, cv);
+      best = std::min(best, now_seconds() - t0);
+    };
+    SizeCase& c384 = cases[static_cast<std::size_t>(it384 - o.sizes.begin())];
+    SizeCase& c512 = cases[static_cast<std::size_t>(it512 - o.sizes.begin())];
+    blas::micro::DispatchGuard guard(blas::micro::Dispatch::ForceBlocked);
+    constexpr int kRounds = 20;
+    for (int r = 0; r < kRounds; ++r) {
+      if (r % 2 == 0) {
+        call(c384, nn_best384);
+        call(c512, nn_best512);
+      } else {
+        call(c512, nn_best512);
+        call(c384, nn_best384);
+      }
+    }
+  };
+
   // Each cell is the best of --reps passes, and every pass sweeps all sizes
   // under all three pins back to back. The gates compare cells across pins
   // and sizes, so a slow spell on a shared host then slows one pass of every
@@ -703,6 +745,7 @@ int main(int argc, char** argv) {
         measure(sc, sc.best[2]);
       }
     }
+    nn512_sample();
   }
 
   KernelSeries gemm_nn, gemm_nt, syrk_s, trsm_s;
@@ -754,51 +797,6 @@ int main(int argc, char** argv) {
   const bool nt_vector_2x_ok = !vector_gate_ran || min_vector_ratio_nt >= 2.0;
   if (min_vector_ratio_nt > 1e299) min_vector_ratio_nt = 0.0;
 
-  // Gate 2: the n=512 NN rate must hold >= 0.9x the n=384 rate — the
-  // balanced NC split removed the historical tail dip; keep it out. The
-  // sweep's two blk cells sit a second or more apart (the ref and scalar
-  // cells at 512 run between them), so a shift in host speed between them
-  // reads as a dip. The gate therefore times them as pairs: each round
-  // takes one blk NN window at both sizes back to back (order alternating
-  // by round), and the ratio is the median of the rounds' ratios.
-  double nn512_ratio = 0.0;
-  bool nn512_ok = true;
-  {
-    const auto it384 = std::find(o.sizes.begin(), o.sizes.end(), 384);
-    const auto it512 = std::find(o.sizes.begin(), o.sizes.end(), 512);
-    if (it384 != o.sizes.end() && it512 != o.sizes.end()) {
-      SizeCase& c384 = cases[static_cast<std::size_t>(it384 - o.sizes.begin())];
-      SizeCase& c512 = cases[static_cast<std::size_t>(it512 - o.sizes.begin())];
-      blas::micro::DispatchGuard guard(blas::micro::Dispatch::ForceBlocked);
-      auto nn_gflops = [](SizeCase& sc) {
-        const index_t n = sc.n;
-        ConstMatrixView<double> av(sc.a.data(), n, n, n);
-        ConstMatrixView<double> bv(sc.b.data(), n, n, n);
-        MatrixView<double> cv(sc.c.data(), n, n, n);
-        const double f = flops::gemm(n, n, n);
-        return f / time_op(f, [&] {
-          blas::gemm<double>(Trans::NoTrans, Trans::NoTrans, 1.0, av, bv, 0.0, cv);
-        }) * 1e-9;
-      };
-      constexpr int kRounds = 15;
-      std::vector<double> ratios;
-      for (int r = 0; r < kRounds; ++r) {
-        double g384 = 0.0, g512 = 0.0;
-        if (r % 2 == 0) {
-          g384 = nn_gflops(c384);
-          g512 = nn_gflops(c512);
-        } else {
-          g512 = nn_gflops(c512);
-          g384 = nn_gflops(c384);
-        }
-        ratios.push_back(g512 / g384);
-      }
-      std::nth_element(ratios.begin(), ratios.begin() + kRounds / 2, ratios.end());
-      nn512_ratio = ratios[kRounds / 2];
-      nn512_ok = nn512_ratio >= 0.9;
-    }
-  }
-
   // End-to-end Full-mode wall clock, engine off vs on, per distribution.
   struct E2ePoint {
     SizeDist dist;
@@ -830,10 +828,12 @@ int main(int argc, char** argv) {
                 pt.ref.max_residual, pt.blk.max_residual);
     e2e.push_back(pt);
   }
+  nn512_sample();
 
   // Part 3: potf2_batch against looped potf2.
   constexpr int kPotf2Count = 1000, kPotf2MaxN = 32;
   const Potf2BatchResult p2 = run_potf2_batch(o, kPotf2Count, kPotf2MaxN);
+  nn512_sample();
   const double p2_speedup = p2.loop_gflops > 0.0 ? p2.batch_gflops / p2.loop_gflops : 0.0;
   const int p2_lanes = blas::potf2_lanes<double>();
   const bool p2_speedup_ok = p2_lanes == 1 || p2_speedup >= 1.5;
@@ -843,6 +843,7 @@ int main(int argc, char** argv) {
 
   // Part 4: the rank-64 update, per-tile loop against the numerics pass.
   const UpdateResult up = run_rank64_update(o);
+  nn512_sample();
   const bool update_ok = !vector_isa || up.ratio >= 1.2;
   const bool update_bits_ok = up.max_diff < 1e-12;
   for (std::size_t x = 0; x < up.m.size(); ++x)
@@ -851,6 +852,7 @@ int main(int argc, char** argv) {
 
   // Part 5: the panel solve, trsm_ref base cases against the lanes.
   const SolveResult sv = run_panel_solve(o);
+  nn512_sample();
   const bool solve_ok = !vector_isa || sv.ratio >= 1.5;
   for (std::size_t x = 0; x < sv.m.size(); ++x)
     std::printf("  panel solve m=%d x 64: ref %.2f Gf/s, lanes %.2f Gf/s\n", sv.m[x],
@@ -858,6 +860,11 @@ int main(int argc, char** argv) {
 
   // Part 6: the recursive potrf against the blocked NB = 64 loop.
   const PotrfSeries pf = run_potrf_series(o);
+  nn512_sample();
+  const double nn512_ratio = nn512_gated ? (flops::gemm(512, 512, 512) / nn_best512) /
+                                               (flops::gemm(384, 384, 384) / nn_best384)
+                                         : 0.0;
+  const bool nn512_ok = !nn512_gated || nn512_ratio >= 0.9;
   const bool potrf_gated = isa == blas::micro::Isa::Avx2 || isa == blas::micro::Isa::Avx512;
   const bool potrf_ok = !potrf_gated || pf.ratio >= 1.1;
   const bool potrf_residual_ok = pf.max_residual < 1e-12;

@@ -39,14 +39,14 @@ void check_matrix(std::span<const ArgRule> rules, int i, std::span<int> info,
 }
 
 /// The modelled sweep: one 256-thread block per 256 metadata entries,
-/// reading `bytes_per_elem` per entry.
-void launch_sweep(sim::Device& dev, const char* name, int count, double bytes_per_elem) {
+/// reading `bytes_per_elem` per entry. Returns its modelled seconds.
+double launch_sweep(sim::Device& dev, const char* name, int count, double bytes_per_elem) {
   sim::LaunchConfig cfg;
   cfg.name = name;
   cfg.block_threads = 256;
   cfg.grid_blocks = std::max(1, (count + 255) / 256);
   cfg.precision = Precision::Single;
-  dev.launch(cfg, [count, bytes_per_elem](int block) {
+  return dev.launch(cfg, [count, bytes_per_elem](int block) {
     sim::BlockCost c;
     const int lo = block * 256;
     const int elems = std::clamp(count - lo, 0, 256);
@@ -86,8 +86,8 @@ ArgSweep check_args_reduce(sim::Device& dev, std::span<const ArgRule> rules,
   double bytes_per_elem = static_cast<double>(rules.size()) * 2.0 * sizeof(int);
   if (!maxed.empty()) bytes_per_elem += sizeof(int);
   if (!info.empty()) bytes_per_elem += sizeof(int);
-  launch_sweep(dev, !maxed.empty() ? "aux_imax_reduce_check" : "aux_check_args", count,
-               bytes_per_elem);
+  sweep.seconds = launch_sweep(dev, !maxed.empty() ? "aux_imax_reduce_check" : "aux_check_args",
+                               count, bytes_per_elem);
 
   for (int i = 0; i < count; ++i) {
     if (!info.empty()) info[static_cast<std::size_t>(i)] = 0;

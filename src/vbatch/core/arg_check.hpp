@@ -53,6 +53,7 @@ ArgCheckReport check_args(sim::Device& dev, std::span<const ArgRule> rules,
 struct ArgSweep {
   ArgCheckReport report;
   int max_value = 0;  ///< max over `maxed` (0 when no reduction requested)
+  double seconds = 0.0;  ///< modelled seconds of the sweep kernel
 };
 
 /// One-pass metadata sweep for the vbatched entry points: zeroes `info`,

@@ -35,11 +35,10 @@ PotrfPlan plan_potrf(Queue& q, const VbatchedProblem<T>& prob, std::optional<int
   const ArgRule rules[] = {{ArgRule::Kind::NonNegative, prob.n, {}, 2, "n"},
                            {ArgRule::Kind::AtLeastOther, prob.lda, prob.n, 4, "lda"}};
   PotrfPlan plan;
-  const double t0 = q.time();
   const ArgSweep sweep = check_args_reduce(
       q.device(), rules, max_n ? std::span<const int>{} : prob.n, prob.info);
   require_args_ok(sweep.report, who);
-  plan.sweep_seconds = q.time() - t0;
+  plan.sweep_seconds = sweep.seconds;
   plan.max_n = max_n.value_or(sweep.max_value);
   check(plan.max_n >= 1, max_n ? "max_n must be positive" : "all matrices are empty");
 

@@ -33,6 +33,8 @@ void Executor::set_arena_bytes(double bytes) {
   arena_explicit_ = true;
 }
 
+void Executor::execute(const ChunkEstimate& /*est*/, const StreamSlot& /*slot*/) {}
+
 void Executor::charge_fault(const std::string& /*what*/, double /*seconds*/, double /*start*/) {}
 
 // --- GpuExecutor -----------------------------------------------------------
@@ -64,43 +66,84 @@ void GpuExecutor::begin_call(sim::ExecMode mode) {
 int GpuExecutor::max_streams() const noexcept { return queue_.spec().max_concurrent_streams; }
 
 ChunkEstimate GpuExecutor::estimate(const ChunkWork& work) {
+  if (work.key.empty()) return dry_run(work);
+  if (const auto hit = memo_index_.find(work.key); hit != memo_index_.end()) {
+    memo_.splice(memo_.begin(), memo_, hit->second);
+    ChunkEstimate ce = memo_.front().second;
+    ce.memo_hit = true;
+    return ce;
+  }
+  if (memo_.size() == kEstimateMemoCapacity) {
+    memo_index_.erase(memo_.back().first);
+    memo_.pop_back();
+  }
+  memo_.emplace_front(work.key, dry_run(work));
+  memo_index_.emplace(memo_.front().first, memo_.begin());
+  return memo_.front().second;
+}
+
+ChunkEstimate GpuExecutor::dry_run(const ChunkWork& work) {
   // Dry-run the chunk's driver on the timing-only twin: identical spec,
   // identical launch sequence, so the modelled seconds are exact — not a
   // fit. The twin's clock and timeline are scratch state.
-  scratch_.device().reset_time();
-  scratch_.device().clear_timeline();
+  sim::Device& twin = scratch_.device();
+  twin.reset_time();
+  twin.clear_timeline();
   scratch_info_.assign(work.n.size(), 0);
   ChunkEstimate ce;
   ce.seconds = work.run(scratch_, scratch_info_);
-  if (ce.seconds > 0.0) {
-    // Duration-weighted slot occupancy over the dry-run timeline: each
-    // launch fills grid_blocks of the device's num_sms × resident slots.
-    // Launch/enqueue gaps (intervals with no record) count as zero
-    // occupancy, which is exactly the headroom overlapping streams hide.
-    double weighted = 0.0;
-    for (const auto& rec : scratch_.device().timeline().records()) {
-      const double dur = rec.end - rec.start;
-      if (dur <= 0.0 || rec.resident_per_sm <= 0 || rec.grid_blocks <= 0) continue;
-      const double slots =
-          static_cast<double>(queue_.spec().num_sms) * static_cast<double>(rec.resident_per_sm);
-      weighted += std::min(1.0, static_cast<double>(rec.grid_blocks) / slots) * dur;
-    }
-    ce.occupancy = std::clamp(weighted / ce.seconds, 0.05, 1.0);
+  const auto& recs = twin.timeline().records();
+  auto records = std::make_shared<std::vector<DryRecord>>();
+  records->reserve(recs.size());
+  double weighted = 0.0;
+  for (const sim::KernelRecord& rec : recs) {
+    const auto name = static_cast<int>(
+        std::find(kernel_names_.begin(), kernel_names_.end(), rec.name) - kernel_names_.begin());
+    if (name == static_cast<int>(kernel_names_.size())) kernel_names_.push_back(rec.name);
+    records->push_back({rec.start, rec.end, rec.flops, rec.bytes, rec.shared_mem,
+                        rec.grid_blocks, rec.block_threads, rec.resident_per_sm,
+                        rec.early_exits, rec.stream, name});
+    // Duration-weighted slot occupancy: each launch fills grid_blocks of the
+    // device's num_sms × resident slots. Launch/enqueue gaps (intervals
+    // with no record) count as zero occupancy, which is exactly the
+    // headroom overlapping streams hide.
+    const double dur = rec.end - rec.start;
+    if (dur <= 0.0 || rec.resident_per_sm <= 0 || rec.grid_blocks <= 0) continue;
+    const double slots =
+        static_cast<double>(queue_.spec().num_sms) * static_cast<double>(rec.resident_per_sm);
+    weighted += std::min(1.0, static_cast<double>(rec.grid_blocks) / slots) * dur;
   }
+  if (ce.seconds > 0.0) ce.occupancy = std::clamp(weighted / ce.seconds, 0.05, 1.0);
+  ce.records = std::move(records);
   return ce;
 }
 
-double GpuExecutor::execute(const ChunkWork& work, std::span<int> info, const StreamSlot& slot) {
+void GpuExecutor::execute(const ChunkEstimate& est, const StreamSlot& slot) {
   sim::Device& dev = queue_.device();
-  const std::size_t first = dev.timeline().size();
-  const double base = dev.time();
-  const double serial = work.run(queue_, info);
-  // Move the records the chunk just appended into its scheduled slot. With
-  // one stream this is the identity placement (slot.start is the executor
-  // clock, rate 1) and the tag stays -1 so single-stream profiles look
-  // exactly like before.
-  dev.retime_tail(first, base, call_t0_ + slot.start, slot.rate,
-                  streams() > 1 ? slot.stream : -1);
+  // Replay the dry run's records in the chunk's scheduled slot: a record
+  // time t becomes the slot start + t / rate (rate < 1 stretches the chunk,
+  // the modelled cost of contending for the device's stream slots). With
+  // one stream the slot starts where the previous chunk ended and has rate
+  // 1, and untagged records stay untagged so single-stream profiles look
+  // unchanged; inner tags (the streamed syrk's) are kept.
+  const double start = call_t0_ + slot.start;
+  const double rate = slot.rate > 0.0 ? slot.rate : 1.0;
+  const int stream = streams() > 1 ? slot.stream : -1;
+  for (const DryRecord& r : *est.records) {
+    sim::KernelRecord rec;
+    rec.name = kernel_name(r.name);
+    rec.start = start + r.start / rate;
+    rec.end = start + r.end / rate;
+    rec.grid_blocks = r.grid_blocks;
+    rec.block_threads = r.block_threads;
+    rec.shared_mem = r.shared_mem;
+    rec.resident_per_sm = r.resident_per_sm;
+    rec.flops = r.flops;
+    rec.bytes = r.bytes;
+    rec.early_exits = r.early_exits;
+    rec.stream = r.stream >= 0 ? r.stream : stream;
+    dev.place_record(std::move(rec));
+  }
   // A streamed chunk also lands its two staging copies on the timeline's
   // transfer lane at the schedule's placement (resident chunks carry no
   // transfer fields and record nothing).
@@ -110,7 +153,6 @@ double GpuExecutor::execute(const ChunkWork& work, std::span<int> info, const St
   if (slot.d2h_seconds > 0.0)
     dev.record_transfer(sim::TransferDir::D2H, slot.chunk, slot.bytes,
                         call_t0_ + slot.d2h_start, slot.d2h_seconds);
-  return serial;
 }
 
 void GpuExecutor::charge_fault(const std::string& what, double seconds, double start) {
@@ -131,30 +173,25 @@ CpuExecutor::CpuExecutor(std::string name, const cpu::CpuSpec& spec,
                          const energy::PowerModel& power)
     : Executor(std::move(name), power),
       spec_(spec),
-      // The hidden queue exists to host the shared kernel math; any spec
-      // works because its modelled clock is discarded.
-      numerics_(sim::DeviceSpec::k40c(), sim::ExecMode::Full) {}
+      // The hidden queue exists to host plan_potrf's metadata sweep; any
+      // spec works because its modelled clock is discarded.
+      sweep_(sim::DeviceSpec::k40c(), sim::ExecMode::Full) {}
 
 CpuExecutor::~CpuExecutor() = default;
 
 void CpuExecutor::begin_call(sim::ExecMode mode) {
   Executor::begin_call(mode);
-  numerics_.device().clear_timeline();
+  sweep_.device().clear_timeline();
 }
 
 ChunkEstimate CpuExecutor::estimate(const ChunkWork& work) {
   // The paper's best CPU strategy (§IV-F): one core per matrix, dynamic
-  // scheduling. Purely analytic, so estimate == execute time. Every core is
-  // already busy under that schedule — occupancy 1, no overlap headroom.
-  return {cpu::per_core_makespan(spec_, cpu::Schedule::Dynamic, work.prec, work.n), 1.0};
-}
-
-double CpuExecutor::execute(const ChunkWork& work, std::span<int> info,
-                            const StreamSlot& /*slot*/) {
-  if (numerics_.full()) {
-    work.run(numerics_, info);  // modelled GPU seconds discarded
-  }
-  return cpu::per_core_makespan(spec_, cpu::Schedule::Dynamic, work.prec, work.n);
+  // scheduling. Purely analytic, so the estimate is the charged time. Every
+  // core is already busy under that schedule — occupancy 1, no overlap
+  // headroom.
+  ChunkEstimate ce;
+  ce.seconds = cpu::per_core_makespan(spec_, cpu::Schedule::Dynamic, work.prec, work.n);
+  return ce;
 }
 
 energy::EnergyResult CpuExecutor::call_energy(Precision prec, double busy_seconds,

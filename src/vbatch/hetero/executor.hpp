@@ -5,24 +5,32 @@
 // host CPU pool interchangeable targets for one variable-size batch. An
 // Executor accepts nb-aligned chunks of a size-sorted batch and provides
 //   * an exact cost estimate per chunk (a timing-only dry run of the very
-//     same driver the chunk would execute — the partitioner's input), and
-//   * chunk execution: numerics (Full mode) plus modelled seconds.
+//     same pinned driver — the partitioner's input), and
+//   * chunk execution at commit: the estimate's modelled time placed at the
+//     chunk's scheduled stream slot.
 //
-// Numerics are device-independent by construction: every executor runs the
-// identical pinned single-device driver (same path, same blocking), so a
-// matrix factors to the same bits no matter which executor the partitioner
-// or the work-stealing scheduler hands it to. Only the *time* differs:
+// Executors model time only. The numerics of a call run once, after the
+// schedule, in one pass over every committed chunk's matrices (the hetero
+// front's, see run_chunked.hpp), so a matrix factors to the same bits no
+// matter which executor the partitioner or the work-stealing scheduler
+// hands it to. Only the *time* differs:
 //   * GpuExecutor charges its own sim::Device clock (occupancy, launch
-//     overheads, roofline — everything the simulator models);
+//     overheads, roofline — everything the simulator models), simulating
+//     each distinct chunk once: its estimates are memoized, records
+//     included, and execute replays them;
 //   * CpuExecutor charges the calibrated one-core-per-matrix dynamic
-//     schedule of cpu::CpuSpec (the paper's best CPU competitor, §IV-F)
-//     while still running the shared kernel math for the payload.
+//     schedule of cpu::CpuSpec (the paper's best CPU competitor, §IV-F).
 #pragma once
 
+#include <cstddef>
 #include <functional>
+#include <list>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "vbatch/core/queue.hpp"
@@ -34,10 +42,10 @@
 namespace vbatch::hetero {
 
 /// One chunk of a vbatched problem, ready for any executor. The metadata
-/// spans view chunk-local gathered arrays owned by the hetero driver; `run`
-/// is the pinned single-device driver bound to those arrays — calling it on
-/// a queue executes the chunk there (numerics follow the queue's ExecMode)
-/// and returns the modelled device seconds.
+/// spans view gathered arrays owned by the hetero driver; `run` is the
+/// pinned single-device driver bound to those arrays — calling it on a
+/// TimingOnly queue dry-runs the chunk there and returns the modelled
+/// device seconds.
 struct ChunkWork {
   std::span<const int> n;    ///< gathered per-matrix orders (descending)
   double flops = 0.0;        ///< useful flops of the chunk
@@ -45,8 +53,33 @@ struct ChunkWork {
   Precision prec = Precision::Double;
   double bytes = 0.0;        ///< staged footprint each way (stored columns, lda × n)
   /// Runs the chunk's driver on `q`, writing statuses into `info` (sized
-  /// like `n`). The same closure serves execution and dry-run estimation.
+  /// like `n`).
   std::function<double(Queue& q, std::span<int> info)> run;
+  /// Estimate-memo key: packs everything a dry run of `run` reads — the
+  /// pinned plan and driver options, the uplo and scalar type, the chunk's
+  /// max_n and its exact sorted orders — and nothing else (not the
+  /// pointers, not lda). Equal keys mean equal dry runs on one executor.
+  /// Empty = not memoized: every estimate dry-runs.
+  std::string key;
+};
+
+/// One kernel record of a dry run, as estimates carry it: the fields of
+/// sim::KernelRecord a launch sets, timed from clock 0, with the kernel's
+/// name as an index into the estimating executor's name table. A dry run
+/// holds a few distinct names; whole KernelRecords, a name string each,
+/// would take 1.8x the memo's memory.
+struct DryRecord {
+  double start = 0.0;
+  double end = 0.0;
+  double flops = 0.0;
+  double bytes = 0.0;
+  std::size_t shared_mem = 0;
+  int grid_blocks = 0;
+  int block_threads = 0;
+  int resident_per_sm = 0;
+  int early_exits = 0;
+  int stream = -1;
+  int name = 0;
 };
 
 /// What an executor predicts for one chunk: the exact serial seconds (a
@@ -57,6 +90,11 @@ struct ChunkWork {
 struct ChunkEstimate {
   double seconds = 0.0;
   double occupancy = 1.0;
+  /// The dry run's kernel records, which execute places at the chunk's
+  /// stream slot. Shared with the executor's memo; null for the CPU model,
+  /// which has no timeline.
+  std::shared_ptr<const std::vector<DryRecord>> records;
+  bool memo_hit = false;  ///< answered from the executor's estimate memo
 };
 
 class Executor {
@@ -77,9 +115,10 @@ class Executor {
   /// calibrate against observed launches.
   [[nodiscard]] virtual double peak_gflops(Precision prec) const noexcept = 0;
 
-  /// The queue numerics run through. For a GPU executor this is also the
-  /// timing authority; the CPU executor uses it only to host the shared
-  /// kernel math (its clock is ignored in favour of the CPU model).
+  /// The executor's queue: the front's metadata sweep runs on executor 0's.
+  /// For a GPU executor it is also the timing authority whose timeline
+  /// execute fills; the CPU executor's clock is unused in favour of the CPU
+  /// model.
   [[nodiscard]] virtual Queue& queue() noexcept = 0;
 
   /// Aligns the executor with the caller's execution mode and marks the
@@ -111,14 +150,16 @@ class Executor {
   [[nodiscard]] bool arena_explicit() const noexcept { return arena_explicit_; }
 
   /// Exact modelled cost of the chunk here: serial seconds from a
-  /// timing-only dry run of the same driver `execute` uses, plus the
-  /// chunk's modelled device occupancy (the overlap headroom).
+  /// timing-only dry run of the chunk's driver, plus the chunk's modelled
+  /// device occupancy (the overlap headroom).
   [[nodiscard]] virtual ChunkEstimate estimate(const ChunkWork& work) = 0;
 
-  /// Executes the chunk (numerics in Full mode) into `info` and places its
-  /// timeline records into the scheduled stream slot; returns the serial
-  /// modelled seconds of the chunk.
-  virtual double execute(const ChunkWork& work, std::span<int> info, const StreamSlot& slot) = 0;
+  /// Commits a chunk this executor estimated as `est`: a GPU executor
+  /// appends the estimate's records at the scheduled stream slot and the
+  /// slot's staging copies on its transfer lane. It simulates nothing and
+  /// computes nothing (the call's numerics pass does). The CPU model has
+  /// no timeline: the schedule's busy accounting carries its time.
+  virtual void execute(const ChunkEstimate& est, const StreamSlot& slot);
 
   /// Charges a fault-recovery interval (a wasted faulted attempt, a retry
   /// backoff, a watchdog stall) to this executor's timing authority. GPU
@@ -160,24 +201,43 @@ class GpuExecutor final : public Executor {
     return spec().peak_gflops(prec);
   }
 
+  /// Distinct chunk keys the estimate memo holds at most; the least
+  /// recently used entry is evicted beyond it.
+  static constexpr std::size_t kEstimateMemoCapacity = 512;
+
   void begin_call(sim::ExecMode mode) override;
   [[nodiscard]] int max_streams() const noexcept override;
+  /// A keyed chunk whose key is memoized returns the stored estimate
+  /// (memo_hit set); otherwise the chunk is dry-run and, when keyed, stored.
   [[nodiscard]] ChunkEstimate estimate(const ChunkWork& work) override;
-  double execute(const ChunkWork& work, std::span<int> info, const StreamSlot& slot) override;
+  void execute(const ChunkEstimate& est, const StreamSlot& slot) override;
   void charge_fault(const std::string& what, double seconds, double start) override;
   [[nodiscard]] energy::EnergyResult call_energy(Precision prec, double busy_seconds,
                                                  double flops) const override;
 
+  /// Entries the estimate memo holds now (at most kEstimateMemoCapacity).
+  [[nodiscard]] std::size_t memo_size() const noexcept { return memo_.size(); }
+  /// The kernel name a DryRecord of this executor's estimates stands for.
+  [[nodiscard]] const std::string& kernel_name(int name) const {
+    return kernel_names_[static_cast<std::size_t>(name)];
+  }
+
  private:
-  Queue queue_;    ///< the executor device (numerics + timing authority)
+  [[nodiscard]] ChunkEstimate dry_run(const ChunkWork& work);
+
+  Queue queue_;    ///< the executor device (timing authority)
   Queue scratch_;  ///< same spec, pinned TimingOnly — the dry-run estimator
   std::vector<int> scratch_info_;
+  std::vector<std::string> kernel_names_;  ///< DryRecord::name → kernel name
+  /// The estimate memo, most recently used first, indexed by key (the
+  /// views point into the list's own keys).
+  std::list<std::pair<std::string, ChunkEstimate>> memo_;
+  std::unordered_map<std::string_view, decltype(memo_)::iterator> memo_index_;
   double call_t0_ = 0.0;  ///< device clock at begin_call (energy slice start)
   std::size_t call_first_record_ = 0;  ///< timeline record count at begin_call
 };
 
-/// The host CPU pool as a first-class executor: numerics run through the
-/// shared kernel math (bit-identical to every other executor); time follows
+/// The host CPU pool as a first-class executor: time follows
 /// cpu::per_core_makespan's dynamic one-core-per-matrix schedule.
 class CpuExecutor final : public Executor {
  public:
@@ -185,26 +245,24 @@ class CpuExecutor final : public Executor {
   ~CpuExecutor() override;
 
   [[nodiscard]] bool is_gpu() const noexcept override { return false; }
-  [[nodiscard]] Queue& queue() noexcept override { return numerics_; }
+  [[nodiscard]] Queue& queue() noexcept override { return sweep_; }
   [[nodiscard]] const cpu::CpuSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] double peak_gflops(Precision prec) const noexcept override {
     return spec_.total_peak_gflops(prec);
   }
 
-  /// Also drops the hidden queue's timeline records, which nothing reads;
-  /// its clock stays (plan_potrf times its sweep by clock deltas).
+  /// Also drops the hidden queue's timeline records, which nothing reads.
   void begin_call(sim::ExecMode mode) override;
   [[nodiscard]] int max_streams() const noexcept override { return 1; }
   [[nodiscard]] ChunkEstimate estimate(const ChunkWork& work) override;
-  double execute(const ChunkWork& work, std::span<int> info, const StreamSlot& slot) override;
   [[nodiscard]] energy::EnergyResult call_energy(Precision prec, double busy_seconds,
                                                  double flops) const override;
 
  private:
   cpu::CpuSpec spec_;
-  /// Hosts the shared kernel math so CPU-executed matrices factor to the
-  /// same bits as GPU-executed ones; its modelled clock is never reported.
-  Queue numerics_;
+  /// Hosts plan_potrf's metadata sweep when the CPU is executor 0; its
+  /// modelled clock is never reported.
+  Queue sweep_;
 };
 
 }  // namespace vbatch::hetero

@@ -22,10 +22,12 @@
 // the sweep), potrf_vbatched_hetero_max takes it from the caller.
 //
 // Driver structure: this front is the potrf-specific half — the shared
-// plan (argument sweep, path and blocking), the gather into chunk-local
-// arrays, one ChunkWork closure per chunk running the plan's driver, and
-// the info scatter. run_chunked (run_chunked.hpp) is the type-independent
-// half: estimation, staging, partition, fault plan, schedule and report.
+// plan (argument sweep, path and blocking), the gather into size-sorted
+// arrays, one ChunkWork per chunk (the plan's driver as a dry-run closure,
+// keyed for the executors' estimate memos), the call's one numerics pass
+// over the committed chunks, and the info scatter. run_chunked
+// (run_chunked.hpp) is the type-independent half: estimation, staging,
+// partition, fault plan, schedule and report.
 //
 // Self-healing: when the pool carries a fault spec (DevicePool::set_faults,
 // CLI --inject-faults, or VBATCH_INJECT_FAULTS read when the pool was
@@ -34,10 +36,14 @@
 // re-dispatch of chunks orphaned by executor loss, a watchdog converting
 // hangs into loss. As
 // long as one executor survives, the factors and info stay bit-identical
-// to the fault-free run (numerics only ever run on the one successful
-// attempt); unrecoverable chunks poison their problems' info with
-// kInfoChunkLost instead of throwing. See docs/robustness.md.
+// to the fault-free run (numerics run once, after the schedule, on the
+// completed chunks only); unrecoverable chunks are never computed and
+// poison their problems' info with kInfoChunkLost instead of throwing.
+// See docs/robustness.md.
 #pragma once
+
+#include <span>
+#include <string>
 
 #include "vbatch/hetero/run_chunked.hpp"
 
@@ -54,5 +60,16 @@ HeteroResult potrf_vbatched_hetero(DevicePool& pool, Uplo uplo, Batch<T>& batch,
 template <typename T>
 HeteroResult potrf_vbatched_hetero_max(DevicePool& pool, Uplo uplo, Batch<T>& batch, int max_n,
                                        const HeteroOptions& opts = {});
+
+/// The estimate-memo key (ChunkWork::key) of a potrf chunk whose sorted
+/// orders are `n` and whose driver runs with `max_n`: the plan's path and
+/// blocking, uplo, the scalar type, max_n, the PotrfOptions fields the
+/// drivers read (etm, implicit_sorting, sort_window, streamed_syrk,
+/// num_streams) and the orders themselves. Pointers and leading dimensions
+/// are left out: a dry run reads neither. Exposed for the memo tests.
+template <typename T>
+[[nodiscard]] std::string potrf_chunk_key(const detail::PotrfPlan& plan, Uplo uplo,
+                                          const PotrfOptions& opts, int max_n,
+                                          std::span<const int> n);
 
 }  // namespace vbatch::hetero

@@ -9,7 +9,8 @@ namespace vbatch::hetero {
 
 HeteroResult run_chunked(DevicePool& pool, std::span<const Chunk> chunks,
                          std::span<const ChunkWork> work, std::span<int> info,
-                         const HeteroOptions& opts, double sweep_seconds) {
+                         const HeteroOptions& opts, double sweep_seconds,
+                         const ChunkNumerics& numerics) {
   const int E = pool.size();
   const int C = static_cast<int>(chunks.size());
   require(C >= 1 && work.size() == chunks.size() &&
@@ -22,19 +23,26 @@ HeteroResult run_chunked(DevicePool& pool, std::span<const Chunk> chunks,
   };
 
   // --- Estimate every (executor, chunk) pair: dry runs on the timing twins
-  // (GPU) or the analytic CPU model. Exact by construction. The dry run
-  // also yields the chunk's device occupancy — the overlap headroom the
-  // multi-stream schedule exploits.
+  // (GPU, memoized per distinct chunk) or the analytic CPU model. Exact by
+  // construction. The dry run also yields the chunk's device occupancy —
+  // the overlap headroom the multi-stream schedule exploits — and the
+  // records a commit places.
+  HeteroResult result;
+  std::vector<std::vector<ChunkEstimate>> est(static_cast<std::size_t>(E),
+                                              std::vector<ChunkEstimate>(static_cast<std::size_t>(C)));
   ScheduleParams sp;
   sp.estimate.assign(static_cast<std::size_t>(E), std::vector<double>(static_cast<std::size_t>(C)));
   sp.occupancy = sp.estimate;
   sp.streams.assign(static_cast<std::size_t>(E), 1);
   for (int e = 0; e < E; ++e) {
-    sp.streams[static_cast<std::size_t>(e)] = pool.executor(e).streams();
+    Executor& ex = pool.executor(e);
+    sp.streams[static_cast<std::size_t>(e)] = ex.streams();
     for (int c = 0; c < C; ++c) {
-      const ChunkEstimate ce = pool.executor(e).estimate(work[static_cast<std::size_t>(c)]);
+      ChunkEstimate& ce = est[static_cast<std::size_t>(e)][static_cast<std::size_t>(c)];
+      ce = ex.estimate(work[static_cast<std::size_t>(c)]);
       sp.estimate[static_cast<std::size_t>(e)][static_cast<std::size_t>(c)] = ce.seconds;
       sp.occupancy[static_cast<std::size_t>(e)][static_cast<std::size_t>(c)] = ce.occupancy;
+      if (ex.is_gpu()) ++(ce.memo_hit ? result.estimate_memo_hits : result.estimate_memo_misses);
     }
   }
 
@@ -87,10 +95,10 @@ HeteroResult run_chunked(DevicePool& pool, std::span<const Chunk> chunks,
 
   ScheduleResult sched = run_schedule(
       sp,
-      std::function<double(int, int, const StreamSlot&)>(
-          [&](int e, int c, const StreamSlot& slot) {
-            return pool.executor(e).execute(work[static_cast<std::size_t>(c)], info_of(c), slot);
-          }),
+      [&](int e, int c, const StreamSlot& slot) {
+        pool.executor(e).execute(est[static_cast<std::size_t>(e)][static_cast<std::size_t>(c)],
+                                 slot);
+      },
       [&](const fault::FaultEvent& ev) {
         // Make the wasted virtual time visible on the acting executor's
         // timing authority (GPU timeline records → profiler fault column
@@ -106,9 +114,14 @@ HeteroResult run_chunked(DevicePool& pool, std::span<const Chunk> chunks,
           ex.charge_fault("fault.backoff", ev.backoff_seconds, ev.start + ev.waste_seconds);
       });
 
-  // --- An uncompleted chunk (poisoned: no surviving executor could
-  // complete it) marks every one of its problems with kInfoChunkLost; its
-  // matrices were never written (failed launches do not commit).
+  // --- One numerics pass over every completed chunk's matrices. An
+  // uncompleted chunk (poisoned: no surviving executor could complete it)
+  // is never computed and marks every one of its problems with
+  // kInfoChunkLost.
+  std::vector<int> committed;
+  for (int c = 0; c < C; ++c)
+    if (sched.chunks[static_cast<std::size_t>(c)].executor >= 0) committed.push_back(c);
+  if (numerics && !committed.empty()) numerics(committed);
   for (int c = 0; c < C; ++c)
     if (sched.chunks[static_cast<std::size_t>(c)].executor < 0) {
       const std::span<int> lost = info_of(c);
@@ -117,7 +130,6 @@ HeteroResult run_chunked(DevicePool& pool, std::span<const Chunk> chunks,
 
   // --- Assemble the report: per-executor flops (in chunk order), energy in
   // executor order, pool totals.
-  HeteroResult result;
   result.seconds = sched.makespan;
   result.chunks = C;
   result.retries = sched.retries_total;

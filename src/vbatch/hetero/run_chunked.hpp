@@ -1,14 +1,17 @@
 // run_chunked: the type-independent half of a heterogeneous vbatched call.
 //
 // A hetero front (potrf_vbatched_hetero) validates its arguments, pins the
-// routine's options, cuts the size-sorted batch into chunks and binds one
-// ChunkWork closure per chunk. Everything after that seam depends neither on
-// the element type nor on the routine: estimating every (executor, chunk)
-// pair, the out-of-core staging decision, the static partition, the fault
-// plan, the work-stealing schedule, fault charging and the report. That is
-// run_chunked, compiled once for every routine and precision.
+// routine's options, cuts the size-sorted batch into chunks, binds one
+// ChunkWork dry-run closure per chunk and one numerics pass for the call.
+// Everything after that seam depends neither on the element type nor on the
+// routine: estimating every (executor, chunk) pair, the out-of-core staging
+// decision, the static partition, the fault plan, the work-stealing
+// schedule (whose commits place each chunk's estimated records), fault
+// charging, the numerics pass over the committed chunks, and the report.
+// That is run_chunked, compiled once for every routine and precision.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -66,6 +69,10 @@ struct HeteroResult {
   std::vector<ExecutorReport> executors;
   double h2d_bytes = 0.0;       ///< pool-wide bytes staged host→device
   double d2h_bytes = 0.0;       ///< pool-wide bytes written back
+  /// GPU estimates answered from the executors' memos / that dry-ran the
+  /// chunk (GpuExecutor::estimate; the CPU model counts in neither).
+  int estimate_memo_hits = 0;
+  int estimate_memo_misses = 0;
 
   // --- Fault-recovery ledger (all zero/empty on a fault-free run) --------
   int retries = 0;              ///< transient attempts wasted pool-wide
@@ -84,14 +91,21 @@ struct HeteroResult {
   }
 };
 
+/// The call's numerics: factors every matrix of the listed chunks (indices
+/// into the call's chunk list, ascending) and writes their statuses.
+using ChunkNumerics = std::function<void(std::span<const int> committed)>;
+
 /// Runs the chunks on the pool (begin_call already issued by the front).
-/// `info` holds the statuses in size-sorted order, so chunk c writes
-/// info[chunks[c].begin, chunks[c].end); a chunk no survivor could complete
-/// gets kInfoChunkLost there instead. `sweep_seconds` is what executor 0
-/// already spent before the first chunk. Fills everything but `flops` and
-/// `path_taken`, which belong to the front.
+/// `info` holds the statuses in size-sorted order, so chunk c owns
+/// info[chunks[c].begin, chunks[c].end). After the schedule, `numerics`
+/// (when set, i.e. in Full mode) runs once over every completed chunk; a
+/// chunk no survivor could complete is never computed — its matrices keep
+/// their input bits and its statuses read kInfoChunkLost. `sweep_seconds`
+/// is what executor 0 already spent before the first chunk. Fills
+/// everything but `flops` and `path_taken`, which belong to the front.
 [[nodiscard]] HeteroResult run_chunked(DevicePool& pool, std::span<const Chunk> chunks,
                                        std::span<const ChunkWork> work, std::span<int> info,
-                                       const HeteroOptions& opts, double sweep_seconds);
+                                       const HeteroOptions& opts, double sweep_seconds,
+                                       const ChunkNumerics& numerics);
 
 }  // namespace vbatch::hetero

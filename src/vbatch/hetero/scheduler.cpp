@@ -95,7 +95,7 @@ double union_seconds(std::vector<std::pair<double, double>>& iv) {
 }  // namespace
 
 ScheduleResult run_schedule(const ScheduleParams& params,
-                            const std::function<double(int, int, const StreamSlot&)>& execute,
+                            const std::function<void(int, int, const StreamSlot&)>& execute,
                             const std::function<void(const fault::FaultEvent&)>& on_fault) {
   const int E = static_cast<int>(params.estimate.size());
   const int C = static_cast<int>(params.owner.size());

@@ -30,9 +30,10 @@
 // free share s = max(1 − Σ occ_computing, 1/(computing+1)), it progresses at
 // rate min(1, s/occ), i.e. a low-occupancy chunk overlaps for free while
 // device-filling chunks degrade gracefully to the serial makespan — and
-// takes the lowest stream in [0, streams[e]) none of them holds. The
-// numerics of a chunk run exactly once, at COMMIT time, in global virtual-
-// time order — dispatch only reserves the slot — so factors and info are
+// takes the lowest stream in [0, streams[e]) none of them holds. A chunk
+// is committed exactly once, at COMMIT time, in global virtual-time order
+// — dispatch only reserves the slot — and the hetero front computes only
+// committed chunks, after the schedule, so factors and info are
 // bit-identical to the single-stream schedule for every stream count; only
 // the virtual-time placement (and hence the makespan) changes.
 //
@@ -53,8 +54,8 @@
 // interval and converts into permanent executor loss; a scheduled death
 // orphans the executor's deque, which is likewise re-dispatched — down to a
 // single survivor (CPU-only as the last resort). A dying executor also
-// aborts every chunk still in flight (their numerics never committed, so
-// they re-dispatch cleanly; the partial intervals from each H2D start are
+// aborts every chunk still in flight (they never committed, so they
+// re-dispatch cleanly; the partial intervals from each H2D start are
 // logged as InFlightLost waste). The execute callback runs only for the one
 // successful attempt of each chunk, so recovered runs stay bit-identical to
 // fault-free ones; a chunk no survivor could complete is marked poisoned
@@ -189,16 +190,16 @@ struct ScheduleResult {
   double backoff_seconds = 0.0;     ///< total virtual backoff across the pool
 };
 
-/// Runs the virtual-time loop. `execute(e, c, slot)` must run chunk c on
-/// executor e in the given stream slot and return the serial modelled
-/// seconds; it is called exactly once for the successful attempt of each
-/// completed chunk (never for faulted or aborted-in-flight attempts, never
-/// for poisoned chunks), in global commit order. `on_fault`, when set,
+/// Runs the virtual-time loop. `execute(e, c, slot)` commits chunk c on
+/// executor e in the given stream slot; it is called exactly once for the
+/// successful attempt of each completed chunk (never for faulted or
+/// aborted-in-flight attempts, never for poisoned chunks), in global commit
+/// order. `on_fault`, when set,
 /// observes every fault event as it is logged — run_chunked uses it to
 /// charge wasted intervals to the GPU timelines.
 [[nodiscard]] ScheduleResult run_schedule(
     const ScheduleParams& params,
-    const std::function<double(int, int, const StreamSlot&)>& execute,
+    const std::function<void(int, int, const StreamSlot&)>& execute,
     const std::function<void(const fault::FaultEvent&)>& on_fault = {});
 
 }  // namespace vbatch::hetero

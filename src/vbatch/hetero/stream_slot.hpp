@@ -2,9 +2,9 @@
 // executor's concurrent stream slots.
 //
 // Executors with set_streams(k > 1) compute up to k chunks at once; the
-// scheduler hands every execution its slot so the executor can align the
-// chunk's timeline records with the schedule (a GPU executor retimes the
-// records it just appended into [start, start + serial/rate) on `stream`,
+// scheduler hands every commit its slot so the executor can align the
+// chunk's timeline records with the schedule (a GPU executor places the
+// chunk's dry-run records into [start, start + serial/rate) on `stream`,
 // one of its own k streams). A resident single-stream executor's slot is
 // always {0, clock, 1.0}: its chunks run back to back.
 #pragma once

@@ -186,9 +186,22 @@ double launch_fused_step(sim::Device& dev, const FusedStepArgs<T>& args) {
   return seconds;
 }
 
+template <typename T>
+void fused_potrf_numerics(Uplo uplo, const BatchArgs<T>& batch, int nb, std::span<int> info) {
+  require(nb > 0, "fused numerics: nb must be positive");
+  FusedStepArgs<T> args;
+  args.batch = batch;
+  args.uplo = uplo;
+  args.nb = nb;
+  args.info = info;
+  const int max_n = batch.n.empty() ? 0 : *std::max_element(batch.n.begin(), batch.n.end());
+  for (; args.step * nb < max_n; ++args.step) fused_step_numerics(args, batch.count());
+}
+
 #define VBATCH_INSTANTIATE_FUSED_STEP(T)                                        \
   template double launch_fused_step_cost<T>(sim::Device&, const FusedStepArgs<T>&); \
-  template double launch_fused_step<T>(sim::Device&, const FusedStepArgs<T>&);
+  template double launch_fused_step<T>(sim::Device&, const FusedStepArgs<T>&);     \
+  template void fused_potrf_numerics<T>(Uplo, const BatchArgs<T>&, int, std::span<int>);
 VBATCH_INSTANTIATE_FUSED_STEP(float)
 VBATCH_INSTANTIATE_FUSED_STEP(double)
 VBATCH_INSTANTIATE_FUSED_STEP(std::complex<float>)

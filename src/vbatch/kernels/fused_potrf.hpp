@@ -46,6 +46,17 @@ double launch_fused_step(sim::Device& dev, const FusedStepArgs<T>& args);
 template <typename T>
 double launch_fused_step_cost(sim::Device& dev, const FusedStepArgs<T>& args);
 
+/// The fused path's numerics for a whole batch, without a launch: every
+/// factorization step of every matrix with nb-wide blocking, step-major.
+/// At each step the matrices still live (j < n_i, info 0) factor in lane
+/// groups exactly as one fused step's numerics pass does, so the factors
+/// and info are the fused driver's Full-mode ones whatever windows or
+/// sub-batches its launches covered. The hetero front runs it once per
+/// call over every committed chunk's matrices (an order-0 entry is never
+/// touched).
+template <typename T>
+void fused_potrf_numerics(Uplo uplo, const BatchArgs<T>& batch, int nb, std::span<int> info);
+
 /// Shared-memory footprint of a fused step block: the panel plus a small
 /// double-buffer staging area for the rank-k update.
 [[nodiscard]] std::size_t fused_shared_mem(int block_threads, int nb, std::size_t elem_size);

@@ -81,19 +81,9 @@ void Device::record_transfer(TransferDir dir, int chunk, double bytes, double at
   clock_ = std::max(clock_, at + seconds);
 }
 
-void Device::retime_tail(std::size_t first_record, double base, double start, double rate,
-                         int stream) {
-  if (rate <= 0.0) rate = 1.0;
-  auto& recs = timeline_.mutable_records();
-  double tail = start;
-  for (std::size_t i = first_record; i < recs.size(); ++i) {
-    KernelRecord& rec = recs[i];
-    rec.start = start + (rec.start - base) / rate;
-    rec.end = start + (rec.end - base) / rate;
-    if (stream >= 0 && rec.stream < 0) rec.stream = stream;
-    tail = std::max(tail, rec.end);
-  }
-  clock_ = std::max(clock_, tail);
+void Device::place_record(KernelRecord rec) {
+  clock_ = std::max(clock_, rec.end);
+  timeline_.add(std::move(rec));
 }
 
 double Device::launch(const LaunchConfig& cfg, const BlockFn& cost, const NumericsFn& numerics) {

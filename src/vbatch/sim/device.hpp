@@ -111,14 +111,11 @@ class Device {
   /// only moves forward.
   void charge_interval_at(const std::string& name, double at, double seconds);
 
-  /// Remaps the records appended since `first_record` from the serial clock
-  /// window starting at `base` into the scheduled stream slot: a record time
-  /// t becomes start + (t - base) / rate (rate < 1 stretches the chunk, the
-  /// modelled cost of contending for the device's stream slots). Records not
-  /// yet stream-tagged get `stream` (>= 0); inner tags (e.g. the streamed
-  /// syrk) are preserved. The clock advances to the latest retimed end but
-  /// never moves backward — concurrent chunks may retime out of order.
-  void retime_tail(std::size_t first_record, double base, double start, double rate, int stream);
+  /// Appends a kernel record at its own [start, end) on the device clock
+  /// (the hetero executors place a dry run's records into the chunk's
+  /// scheduled stream slot). The clock advances to the record's end but
+  /// never moves backward — concurrent chunks may be placed out of order.
+  void place_record(KernelRecord rec);
 
   /// Appends a host↔device staging copy to the timeline's transfer lane at
   /// an absolute clock interval [at, at + seconds). Transfers overlap

@@ -63,9 +63,6 @@ class Timeline {
   }
 
   [[nodiscard]] const std::vector<KernelRecord>& records() const noexcept { return records_; }
-  /// Mutable access for the device's retime pass (Device::retime_tail moves
-  /// freshly appended records into their scheduled stream slot).
-  [[nodiscard]] std::vector<KernelRecord>& mutable_records() noexcept { return records_; }
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
 
   /// Total busy time (sum of kernel durations; kernels on streams may

@@ -411,9 +411,9 @@ TEST(HeteroEnergy, ReusedPoolCallEnergyMatchesFreshPool) {
 }
 
 TEST(Hetero, CpuExecutorHiddenTimelineHoldsOnlyTheLastCall) {
-  // The CPU executor's hidden queue hosts the shared kernel math; nothing
-  // reads its records, so every call starts them afresh. Its clock keeps
-  // running: plan_potrf times executor 0's metadata sweep by clock deltas.
+  // The CPU executor's hidden queue hosts executor 0's metadata sweep;
+  // nothing reads its records, so every call starts them afresh. Its clock
+  // keeps running.
   Rng rng(71);
   const auto sizes = gaussian_sizes(rng, 40, 128);
   DevicePool pool = DevicePool::parse("cpu,k40c,p100");
