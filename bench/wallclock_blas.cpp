@@ -67,6 +67,22 @@
 //     host; the rest is margin). Scalar and SSE2 read 1.06-1.07x there,
 //     too close to gate, so they only report.
 //
+// Part 7 is the potf2 group series: the diagonal tiles of 200 launches
+// shaped like replay_storm's (1–16 matrices of orders up to 128, fused nb
+// 32), grouped as the fused step's numerics pass groups them — whole
+// same-order groups, then the pooled rests, partial groups included — and
+// factored four ways on identical inputs: looped potf2, the lanes for
+// whole groups only, every group forced onto the lanes, and
+// blas::potf2_batch with its lanes-or-scalar rule (which this series
+// fitted). s and d, paired rounds as in Part 4, two gates:
+//   * bit gate — every way memcmp-identical to the loop, any ISA;
+//   * group gate — under AVX2, the rule >= 1.3x the loop (s and d),
+//     >= 1.1x whole groups only for float and >= 0.9x for double. In runs
+//     on a shared 4-vCPU AVX2 host the rule read 1.6-2.4x the loop, and
+//     against whole groups 1.28-1.45x (s) but 1.01-1.45x (d): at W = 4
+//     the rests are small and fewer groups are partial, so double is only
+//     held to not falling behind the earlier contract.
+//
 // Output: a human-readable table on stdout plus one JSON line appended to
 // BENCH_blas.json (override with --out). The run fails (non-zero exit) on a
 // numerics problem or on a failed regression gate.
@@ -82,6 +98,7 @@
 #include "gate_common.hpp"
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/blas/microkernel.hpp"
+#include "vbatch/blas/potf2_lanes.hpp"
 #include "vbatch/core/autotune.hpp"
 #include "vbatch/core/potrf_vbatched.hpp"
 #include "vbatch/core/size_dist.hpp"
@@ -504,6 +521,180 @@ SolveResult run_panel_solve(const Options& o) {
   return r;
 }
 
+/// Part 7: potf2 groups shaped like replay_storm's fused launches. Each
+/// launch holds 1–16 matrices of orders uniform in [1, 128]; its fused steps
+/// (nb = 32, or the largest order rounded up to 8 when that is smaller) give
+/// the diagonal tiles of the live matrices. Each step's tiles are grouped as
+/// the fused step's numerics pass groups them: whole groups of W of one
+/// order, then every order's rest below W, ascending, cut into groups of W
+/// from the largest order down. Four ways of factoring the same groups:
+///   loop    looped blas::potf2 over every tile;
+///   whole   the lanes for whole same-order groups only, the rest looped
+///           (potf2_batch's earlier contract);
+///   forced  every group on the lanes, whatever its orders;
+///   rule    blas::potf2_batch, which puts a group on the lanes only where
+///           its lanes-or-scalar rule says they pay.
+/// Each launch is restored before it is factored and only the factoring is
+/// timed; rounds are paired as in Part 4 (order rotating by round), and the
+/// gates read the median of the rounds' ratios.
+template <typename T>
+struct GroupSeries {
+  int lanes = 1;
+  int tiles = 0, groups = 0, partial_groups = 0;
+  double loop_gflops = 0.0, whole_gflops = 0.0, forced_gflops = 0.0, rule_gflops = 0.0;
+  double vs_loop = 0.0;   ///< median over rounds of loop time / rule time
+  double vs_whole = 0.0;  ///< median over rounds of whole time / rule time
+  bool bits_ok = true;
+};
+
+template <typename T>
+GroupSeries<T> run_potf2_groups(const Options& o, int launches) {
+  const blas::detail::LaneKernels lk = blas::detail::active_lane_kernels();
+  const blas::detail::Potf2LanesFn<T> kernel = lk.vector_bytes > 0 ? lk.of<T>().potf2 : nullptr;
+  const int w = blas::potf2_lanes<T>();
+
+  struct Group {
+    int begin = 0, count = 0;
+    bool whole = false;  ///< w panels of one order
+  };
+  struct Launch {
+    std::vector<std::vector<T>> orig, work;
+    std::vector<MatrixView<T>> panels;
+    std::vector<Group> groups;
+    std::vector<int> info;
+  };
+  Rng rng(o.seed + 7);
+  std::vector<Launch> ls(static_cast<std::size_t>(launches));
+  GroupSeries<T> r;
+  r.lanes = w;
+  double flop_total = 0.0;
+  for (Launch& l : ls) {
+    const int count = static_cast<int>(rng.uniform_int(1, 16));
+    std::vector<index_t> n(static_cast<std::size_t>(count));
+    for (index_t& x : n) x = rng.uniform_int(1, 128);
+    const index_t max_n = *std::max_element(n.begin(), n.end());
+    const index_t nb = max_n >= 32 ? 32 : (max_n + 7) / 8 * 8;
+    for (const index_t x : n) {
+      l.orig.emplace_back(static_cast<std::size_t>(x * x));
+      fill_spd(rng, l.orig.back().data(), x, x);
+    }
+    l.work = l.orig;
+    for (index_t j = 0; j < max_n; j += nb) {
+      // This step's live tiles, ascending by order (stable in matrix order).
+      std::vector<std::pair<index_t, int>> live;
+      for (int i = 0; i < count; ++i)
+        if (n[static_cast<std::size_t>(i)] > j)
+          live.emplace_back(std::min(nb, n[static_cast<std::size_t>(i)] - j), i);
+      std::stable_sort(live.begin(), live.end(),
+                       [](const auto& a, const auto& b) { return a.first < b.first; });
+      auto panel = [&](const std::pair<index_t, int>& t) {
+        const index_t ld = n[static_cast<std::size_t>(t.second)];
+        return MatrixView<T>(l.work[static_cast<std::size_t>(t.second)].data() + j * ld + j,
+                             t.first, t.first, ld);
+      };
+      std::vector<std::pair<index_t, int>> rest;
+      for (std::size_t b = 0, e = 0; b < live.size(); b = e) {
+        while (e < live.size() && live[e].first == live[b].first) ++e;
+        std::size_t k = b;
+        for (; k + static_cast<std::size_t>(w) <= e; k += static_cast<std::size_t>(w)) {
+          l.groups.push_back({static_cast<int>(l.panels.size()), w, true});
+          for (std::size_t q = k; q < k + static_cast<std::size_t>(w); ++q)
+            l.panels.push_back(panel(live[q]));
+        }
+        rest.insert(rest.end(), live.begin() + static_cast<std::ptrdiff_t>(k),
+                    live.begin() + static_cast<std::ptrdiff_t>(e));
+      }
+      const int first = static_cast<int>(l.panels.size());
+      for (const auto& t : rest) l.panels.push_back(panel(t));
+      for (int e = static_cast<int>(l.panels.size()); e > first; e -= w)
+        l.groups.push_back({std::max(first, e - w), std::min(w, e - first), false});
+      for (const auto& t : live) flop_total += flops::potrf(t.first);
+    }
+    l.info.assign(l.panels.size(), 0);
+    r.tiles += static_cast<int>(l.panels.size());
+    r.groups += static_cast<int>(l.groups.size());
+    for (const Group& g : l.groups) r.partial_groups += g.count < w ? 1 : 0;
+  }
+
+  // The four ways (loop, whole, forced, rule) of factoring one group.
+  auto factor = [kernel, w](int way, Launch& l, const Group& g) {
+    const auto b = static_cast<std::size_t>(g.begin), c = static_cast<std::size_t>(g.count);
+    if (way == 2 && kernel != nullptr) {
+      T* ptrs[blas::kMaxPotf2Lanes] = {};
+      index_t ord[blas::kMaxPotf2Lanes] = {}, ld[blas::kMaxPotf2Lanes] = {};
+      int info[blas::kMaxPotf2Lanes] = {};
+      for (std::size_t q = 0; q < static_cast<std::size_t>(w); ++q) {
+        ld[q] = q < c ? l.panels[b + q].ld() : 1;
+        if (q >= c) continue;
+        ptrs[q] = l.panels[b + q].data();
+        ord[q] = l.panels[b + q].rows();
+      }
+      kernel(false, ord, ptrs, ld, info);
+      std::copy_n(info, c, l.info.begin() + g.begin);
+    } else if (way == 3 || (way == 1 && g.whole)) {
+      blas::potf2_batch<T>(Uplo::Lower, std::span<const MatrixView<T>>(l.panels).subspan(b, c),
+                           std::span<int>(l.info).subspan(b, c));
+    } else {
+      for (std::size_t p = b; p < b + c; ++p) l.info[p] = blas::potf2<T>(Uplo::Lower, l.panels[p]);
+    }
+  };
+  // Seconds spent factoring every launch one way, each launch restored first.
+  auto time_way = [&](int way) {
+    double spent = 0.0;
+    for (Launch& l : ls) {
+      for (std::size_t i = 0; i < l.work.size(); ++i)
+        std::copy(l.orig[i].begin(), l.orig[i].end(), l.work[i].begin());
+      const double t0 = now_seconds();
+      for (const Group& g : l.groups) factor(way, l, g);
+      spent += now_seconds() - t0;
+    }
+    return spent;
+  };
+
+  // Bits: every way against the loop, factors and info.
+  time_way(0);
+  std::vector<std::vector<T>> want;
+  std::vector<int> want_info;
+  for (Launch& l : ls) {
+    want.insert(want.end(), l.work.begin(), l.work.end());
+    want_info.insert(want_info.end(), l.info.begin(), l.info.end());
+  }
+  for (int v = 1; v < 4; ++v) {
+    time_way(v);
+    std::size_t m = 0, k = 0;
+    for (Launch& l : ls) {
+      for (const auto& buf : l.work)
+        r.bits_ok = r.bits_ok && std::memcmp(buf.data(), want[m++].data(), buf.size() * sizeof(T)) == 0;
+      for (const int i : l.info) r.bits_ok = r.bits_ok && i == want_info[k++];
+    }
+  }
+
+  constexpr int kRounds = 9;
+  double best[4] = {1e300, 1e300, 1e300, 1e300};
+  std::vector<double> vs_loop, vs_whole;
+  for (int round = 0; round < kRounds; ++round) {
+    double t[4];
+    for (int step = 0; step < 4; ++step) {
+      const int v = (step + round) % 4;
+      t[v] = time_way(v);
+      best[v] = std::min(best[v], t[v]);
+    }
+    vs_loop.push_back(t[0] / t[3]);
+    vs_whole.push_back(t[1] / t[3]);
+  }
+  auto median = [](std::vector<double>& x) {
+    std::nth_element(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(x.size() / 2), x.end());
+    return x[x.size() / 2];
+  };
+  r.vs_loop = median(vs_loop);
+  r.vs_whole = median(vs_whole);
+  r.loop_gflops = flop_total / best[0] * 1e-9;
+  r.whole_gflops = flop_total / best[1] * 1e-9;
+  r.forced_gflops = flop_total / best[2] * 1e-9;
+  r.rule_gflops = flop_total / best[3] * 1e-9;
+  return r;
+}
+
 /// Part 6: the blocked left-looking Cholesky blas::potrf ran before the
 /// recursion (Lower, NB = 64): per panel, a syrk and a gemm with every
 /// column to its left, then potf2 and a trsm of the panel.
@@ -861,6 +1052,25 @@ int main(int argc, char** argv) {
   // Part 6: the recursive potrf against the blocked NB = 64 loop.
   const PotrfSeries pf = run_potrf_series(o);
   nn512_sample();
+
+  // Part 7: replay-shaped potf2 groups, double and float.
+  constexpr int kGroupLaunches = 200;
+  const GroupSeries<double> gd = run_potf2_groups<double>(o, kGroupLaunches);
+  nn512_sample();
+  const GroupSeries<float> gs = run_potf2_groups<float>(o, kGroupLaunches);
+  nn512_sample();
+  const bool groups_bits_ok = gd.bits_ok && gs.bits_ok;
+  const bool groups_gated = isa == blas::micro::Isa::Avx2;
+  const bool groups_ok = !groups_gated || (gd.vs_loop >= 1.3 && gs.vs_loop >= 1.3 &&
+                                           gs.vs_whole >= 1.1 && gd.vs_whole >= 0.9);
+  auto print_groups = [](const char* type, const auto& g) {
+    std::printf("  potf2 groups %s (%d lanes, %d tiles, %d groups, %d partial): loop %.2f, "
+                "whole %.2f, forced %.2f, rule %.2f Gf/s; rule/loop %.2fx, rule/whole %.2fx\n",
+                type, g.lanes, g.tiles, g.groups, g.partial_groups, g.loop_gflops,
+                g.whole_gflops, g.forced_gflops, g.rule_gflops, g.vs_loop, g.vs_whole);
+  };
+  print_groups("d", gd);
+  print_groups("s", gs);
   const double nn512_ratio = nn512_gated ? (flops::gemm(512, 512, 512) / nn_best512) /
                                                (flops::gemm(384, 384, 384) / nn_best384)
                                          : 0.0;
@@ -900,7 +1110,25 @@ int main(int argc, char** argv) {
   if (p2_lanes > 1)
     std::printf("  potf2_batch lane gate (>=1.5x looped potf2): %.2fx (%s)\n", p2_speedup,
                 p2_speedup_ok ? "PASS" : "FAIL");
+  std::printf("  potf2 groups bit gate (every way memcmp vs looped potf2): %s\n",
+              groups_bits_ok ? "PASS" : "FAIL");
+  std::printf("  potf2 groups gate (rule >=1.3x loop, s and d; >=1.1x whole s, >=0.9x whole d; "
+              "paired): %.2fx/%.2fx d, %.2fx/%.2fx s (%s)\n",
+              gd.vs_loop, gd.vs_whole, gs.vs_loop, gs.vs_whole,
+              !groups_gated ? "not gated on this ISA" : groups_ok ? "PASS" : "FAIL");
 
+  auto groups_json = [](const auto& g) {
+    return gate::JsonLine{{"lanes", g.lanes},
+                          {"tiles", g.tiles},
+                          {"groups", g.groups},
+                          {"partial_groups", g.partial_groups},
+                          {"loop_gflops", g.loop_gflops},
+                          {"whole_gflops", g.whole_gflops},
+                          {"forced_gflops", g.forced_gflops},
+                          {"rule_gflops", g.rule_gflops},
+                          {"rule_vs_loop", g.vs_loop},
+                          {"rule_vs_whole", g.vs_whole}};
+  };
   gate::JsonLine json{{"bench", "wallclock_blas"}, {"clock", "wall"}, {"isa", to_string(isa)},
                       {"tuned", o.tune},        {"sizes", o.sizes}};
   const struct { const char* name; const KernelSeries* s; } named[] = {
@@ -951,6 +1179,11 @@ int main(int argc, char** argv) {
                                          {"ratio", sv.ratio},
                                          {"ok", solve_ok},
                                          {"bits_ok", sv.bits_ok}})
+      .add("potf2_groups", gate::JsonLine{{"launches", kGroupLaunches},
+                                          {"d", groups_json(gd)},
+                                          {"s", groups_json(gs)},
+                                          {"bits_ok", groups_bits_ok},
+                                          {"ok", groups_ok}})
       .add("potrf", gate::JsonLine{{"n", pf.n},
                                    {"blocked_nb", 64},
                                    {"blocked_gflops", pf.blocked_gflops},
@@ -961,13 +1194,15 @@ int main(int argc, char** argv) {
   std::printf("%s\n", json.str().c_str());
   gate::append_json_lines(o.out, {json});
 
-  if (!residual_ok || !p2.bits_ok || !update_bits_ok || !sv.bits_ok || !potrf_residual_ok) {
+  if (!residual_ok || !p2.bits_ok || !update_bits_ok || !sv.bits_ok || !potrf_residual_ok ||
+      !groups_bits_ok) {
     std::fprintf(stderr, "FAILED: residual gate, info check, potf2_batch bit gate, rank-64 "
-                         "update numerics, panel solve bit gate or potrf residual failed\n");
+                         "update numerics, panel solve bit gate, potrf residual or potf2 "
+                         "groups bit gate failed\n");
     return 1;
   }
   if (!nt_vector_2x_ok || !nn512_ok || !p2_speedup_ok || !update_ok || !solve_ok ||
-      !potrf_ok) {
+      !potrf_ok || !groups_ok) {
     std::fprintf(stderr, "FAILED: performance regression gate failed\n");
     return 1;
   }

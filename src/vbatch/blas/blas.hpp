@@ -96,11 +96,14 @@ template <typename T>
 /// Upper bound of potf2_lanes<T>(): the float lanes of a 512-bit vector.
 inline constexpr int kMaxPotf2Lanes = 16;
 
-/// potf2 on every panel of `a`, info[p] for panel p. Consecutive runs of
-/// potf2_lanes<T>() panels of one order factor together in the
-/// batch-interleaved kernel, one panel per SIMD lane; the rest loop potf2.
-/// Factors and info are bit-identical to looping potf2 at every ISA
-/// (docs/blas.md, "Batch-interleaved potf2").
+/// potf2 on every panel of `a`, info[p] for panel p. Every W =
+/// potf2_lanes<T>() consecutive square panels (fewer at the end) form one
+/// group, whatever their orders; pass the panels sorted by order so a
+/// group's orders are close. A group factors in the batch-interleaved
+/// kernel, one panel per SIMD lane, where that is measured faster than
+/// looping potf2 over it, and loops potf2 otherwise. Factors and info are
+/// bit-identical to looping potf2 at every ISA (docs/blas.md,
+/// "Batch-interleaved potf2").
 template <typename T>
 void potf2_batch(Uplo uplo, std::span<const MatrixView<T>> a, std::span<int> info);
 

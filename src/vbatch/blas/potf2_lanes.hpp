@@ -3,19 +3,23 @@
 // triangular-solve base case behind blas::trsm (docs/blas.md,
 // "Batch-interleaved potf2" and "The trsm lane base case").
 //
-// potf2_lanes: W equal-order real panels factor together, one per SIMD
-// lane. The referenced triangle of every panel is packed into a thread-local
-// tile laid out element-major, lane-minor — element (r, c) of lane l sits at
-// tile[(c·n + r)·W + l] — with a W×W in-register transpose per W-row column
-// segment. One sweep over the tile then runs blas::potf2's Lower recurrence
-// on W-wide vectors, and only the triangle potf2 would have written is
-// unpacked.
+// potf2_lanes: up to W real panels of any orders factor together, one per
+// SIMD lane. The referenced triangle of every panel is packed into a
+// thread-local tile of the largest order n laid out element-major,
+// lane-minor — element (r, c) of lane l sits at tile[(c·n + r)·W + l] —
+// with a W×W in-register transpose per W-row column segment that every lane
+// holds; a lane past its own order holds identity padding. One sweep over
+// the tile then runs blas::potf2's Lower recurrence on W-wide vectors, and
+// each lane unpacks only the triangle potf2 would have written on its own
+// panel.
 //
 // trsm_lanes: the rows of B (Right side) or its columns (Left side) are
 // independent solves, so each lane runs one of them. Right: R·W rows stay in
 // R accumulators while column j is finished in trsm_ref's column order, A
 // read in place. Left: R·W columns are packed lane-minor into the tile (the
-// same transpose) and trsm_ref's dot-form row recurrence runs on it.
+// same transpose) and trsm_ref's dot-form row recurrence runs on it. The
+// rest below a multiple of W is solved the same way on a zero-padded copy
+// one vector wide.
 //
 // Bit contract: every lane performs exactly the scalar oracle's operations
 // in its order, so each result equals it bit for bit at every W. potf2_lanes
@@ -37,7 +41,9 @@
 // A potf2 lane whose pivot is not positive keeps LAPACK's early-return
 // state: the offending value is stored on its diagonal and nothing after it
 // is written. The lane keeps computing garbage in the tile (never unpacked);
-// the sweep stops once every lane has failed.
+// the sweep stops once no lane with a panel has a column left. Padding never
+// reaches a lane's real entries (element (r, c) reads only columns l < c of
+// rows r and c) and never fails a lane: info counts only its own columns.
 #pragma once
 
 #include <cstddef>
@@ -55,20 +61,21 @@
 
 namespace vbatch::blas::detail {
 
-/// Factors W panels of order n: panel l is a[l] with leading dimension
-/// lda[l]; info[l] receives its LAPACK info (0, or the 1-based failing
-/// column).
+/// Factors up to W panels, one per lane: lane l holds the panel a[l] of
+/// order n[l] and leading dimension lda[l] (order 0 for a lane without a
+/// panel); info[l] receives its LAPACK info (0, or the 1-based failing
+/// column). Every array has W entries.
 template <typename T>
-using Potf2LanesFn = void (*)(bool upper, index_t n, T* const* a, const index_t* lda, int* info);
+using Potf2LanesFn = void (*)(bool upper, const index_t* n, T* const* a, const index_t* lda,
+                              int* info);
 
 /// trsm_ref with unit alpha on the lanes: solves op(A)·X = B (Left) or
 /// X·op(A) = B (Right) for the m×n B (leading dimension ldb), A the
-/// triangle of order m (Left) or n (Right). Solves the first W·⌊m/W⌋ rows
-/// (Right) or W·⌊n/W⌋ columns (Left) and returns that count; the caller
-/// solves the rest with trsm_ref.
+/// triangle of order m (Left) or n (Right). Every row (Right) or column
+/// (Left) is solved, the rest below a multiple of W on a padded vector.
 template <typename T>
-using TrsmLanesFn = index_t (*)(Side side, Uplo uplo, Trans trans, Diag diag, index_t m,
-                                index_t n, const T* a, index_t lda, T* b, index_t ldb);
+using TrsmLanesFn = void (*)(Side side, Uplo uplo, Trans trans, Diag diag, index_t m, index_t n,
+                             const T* a, index_t lda, T* b, index_t ldb);
 
 template <typename T>
 struct LaneFns {
@@ -203,8 +210,8 @@ inline void transpose(Vec<T, W> (&v)[W]) {
 }
 
 // Grow-only, vector-aligned per-thread tile: a launch reuses it, so the
-// steady state makes no heap allocation.
-template <typename V>
+// steady state makes no heap allocation. Slots are separate tiles.
+template <typename V, int Slot = 0>
 V* tile(std::size_t count) {
   struct Tile {
     struct Free {
@@ -221,55 +228,108 @@ V* tile(std::size_t count) {
   return t.p.get();
 }
 
+// A per-thread identity matrix of order at least n, grown on demand; `ld`
+// receives its leading dimension (its order).
+template <typename T, int W>
+T* identity(index_t n, index_t& ld) {
+  thread_local index_t order = 0;
+  T* const eye = reinterpret_cast<T*>(tile<Vec<T, W>, 2>(std::size_t((n * n + W - 1) / W)));
+  if (n > order) {
+    for (index_t e = 0; e < n * n; ++e) eye[e] = e % (n + 1) == 0 ? T(1) : T(0);
+    order = n;
+  }
+  ld = order;
+  return eye;
+}
+
 }  // namespace lanes
 
 template <typename T, int W>
-void potf2_lanes(bool upper, index_t n, T* const* a, const index_t* lda, int* info) {
+void potf2_lanes(bool upper, const index_t* panel_order, T* const* panel, const index_t* panel_ld,
+                 int* info) {
   using V = lanes::Vec<T, W>;
   using VU = lanes::VecU<T, W>;
+  // The tile has the largest order n. A lane without a panel factors an
+  // identity of order n instead: the identity factors to itself bit for bit
+  // and never fails, and it keeps the lane in the transposed (whole-vector)
+  // pack and unpack. Rows and columns below `common` are real in every lane.
+  index_t n = 0;
+  bool lane_free = false;
+  for (int l = 0; l < W; ++l) {
+    n = panel_order[l] > n ? panel_order[l] : n;
+    lane_free |= panel_order[l] == 0;
+  }
+  index_t eye_ld = 0;
+  T* const eye = lane_free ? lanes::identity<T, W>(n, eye_ld) : nullptr;
+  T* a[W];
+  index_t order[W], lda[W];
+  index_t common = n;
+  for (int l = 0; l < W; ++l) {
+    const bool none = panel_order[l] == 0;
+    a[l] = none ? eye : panel[l];
+    lda[l] = none ? eye_ld : panel_ld[l];
+    order[l] = none ? n : panel_order[l];
+    common = order[l] < common ? order[l] : common;
+  }
   V* const P = lanes::tile<V>(static_cast<std::size_t>(n * n));
   // Packed element (r, c), r ≥ c, of the Lower-form tile. Source element
   // (q, s) of column s maps to P(q, s) for Lower and to P(s, q) for Upper.
   auto at = [P, n](index_t r, index_t c) -> V& { return P[c * n + r]; };
   auto src_at = [upper, &at](index_t q, index_t s) -> V& { return upper ? at(s, q) : at(q, s); };
-  // Rows of source column s in the referenced triangle: [s, n) or [0, s].
+  // Rows of source column s in the referenced triangle, [begin, end), and
+  // the prefix [begin, whole) that every lane holds: Lower [s, n), Upper
+  // [0, s]. Source element (q, s) is lane l's iff max(q, s) < order[l].
   struct Rows {
-    index_t begin, end;
+    index_t begin, end, whole;
   };
-  auto rows = [upper, n](index_t s) { return upper ? Rows{0, s + 1} : Rows{s, n}; };
+  auto rows = [upper, n, common](index_t s) {
+    if (upper) return Rows{0, s + 1, s < common ? s + 1 : 0};
+    return Rows{s, n, s > common ? s : common};
+  };
+  auto real = [&order](int l, index_t q, index_t s) { return q < order[l] && s < order[l]; };
 
   for (index_t s = 0; s < n; ++s) {
-    auto [q, end] = rows(s);
-    for (; q + W <= end; q += W) {
+    auto [q, end, whole] = rows(s);
+    for (; q + W <= whole; q += W) {
       V v[W];
       for (int l = 0; l < W; ++l) v[l] = *reinterpret_cast<const VU*>(a[l] + s * lda[l] + q);
       lanes::transpose<T, W>(v);
       for (int e = 0; e < W; ++e) src_at(q + e, s) = v[e];
     }
+    // Gathered in a register (lane stores to memory would stall the vector
+    // reload); a lane past its own order holds identity padding.
+    const T pad_diag(1), pad_off(0);
     for (; q < end; ++q) {
-      V v{};  // assembled in a register: lane stores to memory would stall the vector reload
-      for (int l = 0; l < W; ++l) v[l] = a[l][s * lda[l] + q];
+      V v{};
+      for (int l = 0; l < W; ++l)
+        v[l] = real(l, q, s) ? a[l][s * lda[l] + q] : q == s ? pad_diag : pad_off;
       src_at(q, s) = v;
     }
   }
 
   for (int l = 0; l < W; ++l) info[l] = 0;
-  int failed = 0;
+  bool failed = false;
   const V zero{}, one = zero + T(1);
   for (index_t j = 0; j < n; ++j) {
     V ajj = at(j, j);
     for (index_t l = 0; l < j; ++l) ajj -= at(j, l) * at(j, l);
     const auto ok = ajj > zero;
-    for (int l = 0; l < W; ++l)
-      if (!ok[l] && info[l] == 0) {
+    // Only a lane's own columns can fail it; padding columns never do.
+    bool more = false;
+    for (int l = 0; l < W; ++l) {
+      if (info[l] != 0 || j >= panel_order[l]) continue;
+      if (!ok[l]) {
         info[l] = static_cast<int>(j) + 1;
-        ++failed;
+        failed = true;
+      } else {
+        more |= j + 1 < order[l];
       }
+    }
     const V root = lanes::vsqrt<T, W>(ajj);
     // A failing lane stores the offending value itself (LAPACK's early
     // return); lanes that failed earlier never unpack this column.
     at(j, j) = ok ? root : ajj;
-    if (failed == W) break;
+    if (!more) break;  // no lane has a column left to factor
     const V inv = one / root;
     index_t i = j + 1;
     for (; i + 4 <= n; i += 4) {
@@ -293,26 +353,27 @@ void potf2_lanes(bool upper, index_t n, T* const* a, const index_t* lda, int* in
     }
   }
 
-  if (failed == 0) {
+  if (!failed) {
     for (index_t s = 0; s < n; ++s) {
-      auto [q, end] = rows(s);
-      for (; q + W <= end; q += W) {
+      auto [q, end, whole] = rows(s);
+      for (; q + W <= whole; q += W) {
         V v[W];
         for (int e = 0; e < W; ++e) v[e] = src_at(q + e, s);
         lanes::transpose<T, W>(v);
         for (int l = 0; l < W; ++l) *reinterpret_cast<VU*>(a[l] + s * lda[l] + q) = v[l];
       }
       for (; q < end; ++q)
-        for (int l = 0; l < W; ++l) a[l][s * lda[l] + q] = src_at(q, s)[l];
+        for (int l = 0; l < W; ++l)
+          if (real(l, q, s)) a[l][s * lda[l] + q] = src_at(q, s)[l];
     }
     return;
   }
   // Some lane failed: write back per lane exactly what potf2 writes —
   // columns before the failing one, then the offending diagonal value.
   for (int l = 0; l < W; ++l) {
-    const index_t done = info[l] == 0 ? n : info[l] - 1;
+    const index_t done = info[l] == 0 ? order[l] : info[l] - 1;
     for (index_t c = 0; c < done; ++c)
-      for (index_t r = c; r < n; ++r) {
+      for (index_t r = c; r < order[l]; ++r) {
         const index_t q = upper ? c : r, s = upper ? r : c;
         a[l][s * lda[l] + q] = at(r, c)[l];
       }
@@ -414,21 +475,41 @@ void trsm_left_cols(bool forward, bool trans, bool unit, index_t m, const T* a, 
 }
 
 template <typename T, int W>
-index_t trsm_lanes(Side side, Uplo uplo, Trans trans, Diag diag, index_t m, index_t n,
-                   const T* a, index_t lda, T* b, index_t ldb) {
+void trsm_lanes(Side side, Uplo uplo, Trans trans, Diag diag, index_t m, index_t n, const T* a,
+                index_t lda, T* b, index_t ldb) {
   const bool tr = trans == Trans::Trans;
   const bool unit = diag == Diag::Unit;
   // trsm_ref's direction: an effectively lower op(A) runs Left rows forward
   // and Right columns backward.
   const bool eff_lower = (uplo == Uplo::Lower) == (trans == Trans::NoTrans);
+  // The rest below W rows (Right) or columns (Left) is copied into a
+  // zero-padded scratch one vector wide, solved there, and only its real
+  // lanes are copied back: the lanes are independent solves.
   if (side == Side::Right) {
-    return lanes::in_blocks<W>(m, [&](auto R, index_t i) {
+    const index_t done = lanes::in_blocks<W>(m, [&](auto R, index_t i) {
       trsm_right_rows<T, W, decltype(R)::value>(!eff_lower, tr, unit, n, a, lda, b + i, ldb);
     });
+    const index_t rest = m - done;
+    if (rest == 0) return;
+    T* const S = reinterpret_cast<T*>(lanes::tile<lanes::Vec<T, W>, 1>(std::size_t(n)));
+    for (index_t j = 0; j < n; ++j)
+      for (index_t r = 0; r < W; ++r) S[j * W + r] = r < rest ? b[j * ldb + done + r] : T(0);
+    trsm_right_rows<T, W, 1>(!eff_lower, tr, unit, n, a, lda, S, W);
+    for (index_t j = 0; j < n; ++j)
+      for (index_t r = 0; r < rest; ++r) b[j * ldb + done + r] = S[j * W + r];
+    return;
   }
-  return lanes::in_blocks<W>(n, [&](auto R, index_t j) {
+  const index_t done = lanes::in_blocks<W>(n, [&](auto R, index_t j) {
     trsm_left_cols<T, W, decltype(R)::value>(eff_lower, tr, unit, m, a, lda, b + j * ldb, ldb);
   });
+  const index_t rest = n - done;
+  if (rest == 0) return;
+  T* const S = reinterpret_cast<T*>(lanes::tile<lanes::Vec<T, W>, 1>(std::size_t(m)));
+  for (index_t c = 0; c < W; ++c)
+    for (index_t i = 0; i < m; ++i) S[c * m + i] = c < rest ? b[(done + c) * ldb + i] : T(0);
+  trsm_left_cols<T, W, 1>(eff_lower, tr, unit, m, a, lda, S, m);
+  for (index_t c = 0; c < rest; ++c)
+    for (index_t i = 0; i < m; ++i) b[(done + c) * ldb + i] = S[c * m + i];
 }
 
 }  // namespace vbatch::blas::detail

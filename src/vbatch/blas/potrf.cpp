@@ -44,6 +44,23 @@ std::pair<detail::Potf2LanesFn<T>, int> lanes_kernel() noexcept {
   }
 }
 
+// Whether one lane group of width w beats looping potf2 over the panels of
+// `orders` (at most w of them). A panel of order n costs the scalar loop
+// about c(n) = n³ + 96n + 192 (the cubic work, a sqrt and a divide per
+// column, a call), and a group whose largest order is N costs the lanes
+// about 10w/(N + 10) panels of order N: lanes pay once the panels' scalar
+// cost reaches that. Fitted to bench/wallclock_blas's potf2 group series
+// (docs/blas.md, "Batch-interleaved potf2").
+bool lanes_pay(int w, std::span<const index_t> orders) {
+  auto cost = [](index_t n) { return n * n * n + 96 * n + 192; };
+  index_t top = 0, sum = 0;
+  for (const index_t n : orders) {
+    top = std::max(top, n);
+    sum += cost(n);
+  }
+  return sum * (top + 10) >= 10 * w * cost(top);
+}
+
 }  // namespace
 
 // Unblocked Cholesky; for complex scalars this is the Hermitian xPOTF2
@@ -102,23 +119,28 @@ template <typename T>
 void potf2_batch(Uplo uplo, std::span<const MatrixView<T>> a, std::span<int> info) {
   require(info.size() == a.size(), "potf2_batch: one info slot per panel");
   const auto [kernel, w] = lanes_kernel<T>();
-  std::size_t p = 0;
-  if (kernel != nullptr) {
+  const auto width = static_cast<std::size_t>(w);
+  for (std::size_t p = 0; p < a.size(); p += width) {
+    const std::size_t count = std::min(width, a.size() - p);
+    // Lanes past `count` hold no panel (order 0).
+    index_t n[kMaxPotf2Lanes];
     T* ptrs[kMaxPotf2Lanes];
     index_t ld[kMaxPotf2Lanes];
-    for (; p + static_cast<std::size_t>(w) <= a.size(); p += static_cast<std::size_t>(w)) {
-      const index_t n = a[p].rows();
-      for (int l = 0; l < w; ++l) {
-        const MatrixView<T>& v = a[p + static_cast<std::size_t>(l)];
-        require(v.rows() == n && v.cols() == n,
-                "potf2_batch: a lane group needs one square order");
-        ptrs[l] = v.data();
-        ld[l] = v.ld();
-      }
-      kernel(uplo == Uplo::Upper, n, ptrs, ld, info.data() + p);
+    for (std::size_t l = 0; l < width; ++l) {
+      const bool panel = l < count;
+      if (panel) require(a[p + l].cols() == a[p + l].rows(), "potf2_batch: panels must be square");
+      n[l] = panel ? a[p + l].rows() : 0;
+      ptrs[l] = panel ? a[p + l].data() : nullptr;
+      ld[l] = panel ? a[p + l].ld() : 1;
     }
+    if (kernel == nullptr || !lanes_pay(w, {n, count})) {
+      for (std::size_t l = 0; l < count; ++l) info[p + l] = potf2(uplo, a[p + l]);
+      continue;
+    }
+    int got[kMaxPotf2Lanes];
+    kernel(uplo == Uplo::Upper, n, ptrs, ld, got);
+    std::copy_n(got, count, info.begin() + static_cast<std::ptrdiff_t>(p));
   }
-  for (; p < a.size(); ++p) info[p] = potf2(uplo, a[p]);
 }
 
 // Recursive Cholesky: split the order in two at a multiple of 16, factor

@@ -26,20 +26,31 @@ void tri_check(const char* what, Side side, ConstMatrixView<T> a, MatrixView<T> 
   require(a.rows() == ka && a.cols() == ka, what);
 }
 
+// Whether the rest of `rest` rows (Right) or columns (Left) below a
+// multiple of w solves faster on one zero-padded vector of `bytes` than in
+// trsm_ref. Fitted to timings of the rest alone on SSE2, AVX2 and AVX-512
+// (orders 4…32, double and float; docs/blas.md, "The trsm lane base
+// case"): a Right rest pays on vectors of up to 256 bits (trsm_ref's own
+// row loop is vectorized, and a 512-bit vector gains nothing on it), a
+// Left rest from rest ≥ w(w + 8)/32 (the padded solve costs one column
+// chain plus a copy growing with w).
+bool tail_pays(Side side, index_t w, int bytes, index_t rest) {
+  return side == Side::Right ? bytes <= 32 : 32 * rest >= w * (w + 8);
+}
+
 // The lane base case of the unblocked apply (tri_rec's base case and
 // tri_apply's small-shape branch). For a real solve on a vector ISA it
 // solves the m×n B on the active ISA's lanes, bit-identical to trsm_ref:
-// alpha scales B first exactly as trsm_ref does, the lanes solve the full
-// vectors of rows (Right) or columns (Left), and trsm_ref solves the rest —
-// rows (Right) and columns (Left) are independent solves — and it returns
-// true. It returns false, B untouched, for complex T, Isa::Scalar,
-// Dispatch::ForceRef and B narrower than one vector; the caller then runs
-// the reference loops. Callers skip the call when B has a single row
-// (Right) or column (Left), which no vector can take: the solves behind
-// potrs with one right-hand side stay as cheap as before. Scalar arguments
-// and an out-of-line body keep the callers' reference path as lean too
-// (passing the views by value one call deeper cost an 8×1 solve about
-// 30 ns, a fifth of it, on an AVX2 Xeon).
+// alpha scales B first exactly as trsm_ref does, and the lanes solve the
+// full vectors of rows (Right) or columns (Left) plus the rest where
+// tail_pays; trsm_ref solves a rest that does not pay — rows (Right) and
+// columns (Left) are independent solves — and it returns true. It returns
+// false, B untouched, for complex T, Isa::Scalar, Dispatch::ForceRef and a
+// B whose only rows (Right) or columns (Left) are a rest that does not pay;
+// the caller then runs the reference loops. Scalar arguments and an
+// out-of-line body keep the callers' reference path lean (passing the
+// views by value one call deeper cost an 8×1 solve about 30 ns, a fifth of
+// it, on an AVX2 Xeon).
 template <typename T>
 [[gnu::noinline]] bool trsm_on_lanes(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
                                      const T* a, index_t lda, T* b, index_t m, index_t n,
@@ -49,19 +60,24 @@ template <typename T>
   } else {
     if (micro::dispatch() == micro::Dispatch::ForceRef) return false;
     const detail::LaneKernels k = detail::active_lane_kernels();
-    const index_t lanes = side == Side::Left ? n : m;
-    if (k.vector_bytes == 0 || lanes * static_cast<index_t>(sizeof(T)) < k.vector_bytes)
-      return false;
+    if (k.vector_bytes == 0) return false;
+    const index_t w = k.vector_bytes / static_cast<index_t>(sizeof(T));
+    const index_t count = side == Side::Left ? n : m;
+    const index_t lanes =
+        tail_pays(side, w, k.vector_bytes, count % w) ? count : count - count % w;
+    if (lanes == 0) return false;
     MatrixView<T> bv(b, m, n, ldb);
     if (alpha != T(1)) {
       for (index_t j = 0; j < n; ++j)
         for (index_t i = 0; i < m; ++i) bv(i, j) *= alpha;
     }
-    const index_t done = k.of<T>().trsm(side, uplo, trans, diag, m, n, a, lda, b, ldb);
-    const index_t ka = side == Side::Left ? m : n;
-    trsm_ref<T>(side, uplo, trans, diag, T(1), ConstMatrixView<T>(a, ka, ka, lda),
-                side == Side::Left ? bv.block(0, done, m, n - done)
-                                   : bv.block(done, 0, m - done, n));
+    const bool left = side == Side::Left;
+    k.of<T>().trsm(side, uplo, trans, diag, left ? m : lanes, left ? lanes : n, a, lda, b, ldb);
+    if (lanes < count) {
+      const index_t ka = left ? m : n;
+      trsm_ref<T>(side, uplo, trans, diag, T(1), ConstMatrixView<T>(a, ka, ka, lda),
+                  left ? bv.block(0, lanes, m, n - lanes) : bv.block(lanes, 0, m - lanes, n));
+    }
     return true;
   }
 }
@@ -79,7 +95,7 @@ void tri_rec(Side side, Uplo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
              MatrixView<T> b) {
   const index_t ka = a.rows();
   if (ka <= kTriBaseOrder) {
-    if (Solve && (side == Side::Left ? b.cols() : b.rows()) >= 2 &&
+    if (Solve &&
         trsm_on_lanes(side, uplo, trans, diag, T(1), a.data(), a.ld(), b.data(), b.rows(),
                       b.cols(), b.ld()))
       return;
@@ -145,7 +161,7 @@ void tri_apply(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, ConstMatri
        (d == micro::Dispatch::Auto &&
         work >= 8.0 * micro::shape_of<T>(micro::active_profile()).min_mnk));
   if (!blocked) {
-    if (Solve && (side == Side::Left ? n : m) >= 2 &&
+    if (Solve &&
         trsm_on_lanes(side, uplo, trans, diag, alpha, a.data(), a.ld(), b.data(), m, n, b.ld()))
       return;
     Solve ? trsm_ref(side, uplo, trans, diag, alpha, a, b)

@@ -45,23 +45,25 @@ int choose_fused_nb(const sim::DeviceSpec& spec, int max_n, std::size_t elem_siz
 
 namespace {
 
-/// One unit of the numerics pass: live matrices whose diagonal tiles have
-/// one order and factor together (a whole lane group, or a shorter rest).
+/// One unit of the numerics pass: at most one lane group of live matrices
+/// whose diagonal tiles factor together.
 struct LaneGroup {
-  int begin = 0;  ///< into NumericsScratch::order
+  int begin = 0;  ///< into NumericsScratch::grouped
   int count = 0;
 };
 
 /// Per-thread scratch of the numerics pass, reused across launches.
 struct NumericsScratch {
-  std::vector<int> live;    ///< live matrices in block order
-  std::vector<int> offset;  ///< counting-sort cursor per diagonal-tile order
-  std::vector<int> order;   ///< live matrices, bucketed by diagonal-tile order
+  std::vector<int> live;     ///< live matrices in block order
+  std::vector<int> offset;   ///< counting-sort cursor per diagonal-tile order
+  std::vector<int> order;    ///< live matrices, bucketed by diagonal-tile order
+  std::vector<int> grouped;  ///< the same, whole same-order groups first
+  std::vector<int> rest;     ///< each bucket's rest below one group, ascending
   std::vector<LaneGroup> groups;
 };
 
-/// Update, lane-grouped potf2 and solve for the matrices `mats`, whose
-/// diagonal tiles share one order.
+/// Update, lane-grouped potf2 and solve for the matrices `mats`, one lane
+/// group sorted by diagonal-tile order.
 template <typename T>
 void run_group(const FusedStepArgs<T>& args, std::span<const int> mats) {
   const auto& a = args.batch;
@@ -90,9 +92,12 @@ void run_group(const FusedStepArgs<T>& args, std::span<const int> mats) {
 
 /// The Full-mode numerics of one fused step over the blocks that were live
 /// in the cost pass (info is still as the cost pass read it). The live
-/// matrices are bucketed by diagonal-tile order and cut into groups of
-/// blas::potf2_lanes<T>(); groups touch disjoint matrices, so running them
-/// on the worker pool gives the same bits as running every block alone.
+/// matrices are bucketed by diagonal-tile order, and each bucket gives
+/// whole groups of W = blas::potf2_lanes<T>(). The buckets' rests below W,
+/// ascending by order, are cut into groups of W from the largest order
+/// down, so similar orders share a group and only the smallest orders may
+/// form a partial one. Groups touch disjoint matrices, so running them on
+/// the worker pool gives the same bits as running every block alone.
 template <typename T>
 void fused_step_numerics(const FusedStepArgs<T>& args, int covered) {
   thread_local NumericsScratch scratch;
@@ -119,20 +124,27 @@ void fused_step_numerics(const FusedStepArgs<T>& args, int covered) {
 
   // offset[ib] now ends bucket ib.
   const int w = blas::potf2_lanes<T>();
+  s.grouped.clear();
+  s.rest.clear();
   s.groups.clear();
   int begin = 0;
   for (const int end : s.offset) {
-    while (begin < end) {
-      const int count = std::min(w, end - begin);
-      s.groups.push_back({begin, count});
-      begin += count;
+    for (; begin + w <= end; begin += w) {
+      s.groups.push_back({static_cast<int>(s.grouped.size()), w});
+      s.grouped.insert(s.grouped.end(), s.order.begin() + begin, s.order.begin() + begin + w);
     }
+    s.rest.insert(s.rest.end(), s.order.begin() + begin, s.order.begin() + end);
+    begin = end;
   }
+  const int first_rest = static_cast<int>(s.grouped.size());
+  s.grouped.insert(s.grouped.end(), s.rest.begin(), s.rest.end());
+  for (int end = static_cast<int>(s.grouped.size()); end > first_rest; end -= w)
+    s.groups.push_back({std::max(first_rest, end - w), std::min(w, end - first_rest)});
 
   auto run = [&s, &args](int g) {
     const LaneGroup grp = s.groups[static_cast<std::size_t>(g)];
-    run_group(args, std::span<const int>(s.order).subspan(static_cast<std::size_t>(grp.begin),
-                                                          static_cast<std::size_t>(grp.count)));
+    run_group(args, std::span<const int>(s.grouped).subspan(static_cast<std::size_t>(grp.begin),
+                                                            static_cast<std::size_t>(grp.count)));
   };
   sim::parallel_for_grained(static_cast<int>(s.groups.size()), static_cast<int>(s.live.size()),
                             run);

@@ -282,14 +282,14 @@ class Engine {
     busy_until_ = t_dispatch + flops / (admission_.capacity_gflops() * 1e9);
 
     lock.unlock();
-    const LaunchResult lr = run_flush(*pool_, flush, cfg_);
+    LaunchResult lr = run_flush(*pool_, flush, cfg_);
     const double seconds = clock_ == Clock::Wall ? now() - t_dispatch : lr.seconds;
     lock.lock();
 
     const double t_done = t_dispatch + seconds;
     busy_until_ = t_done;
     batch_log_.push_back(record_of(batch_seq_++, flush, lr, t_dispatch));
-    for (RequestOutcome o : lr.outcomes) {
+    for (RequestOutcome& o : lr.outcomes) {
       o.dispatch_time = t_dispatch;
       o.complete_time = t_done;
       o.batch_id = batch_log_.back().id;

@@ -138,13 +138,13 @@ double Device::launch_concurrent(const std::vector<LaunchConfig>& configs,
   if (resident == 0) {
     throw_error(Status::LaunchFailure, "streamed kernel shape exceeds device limits");
   }
-  SlotPool slots(spec_.num_sms * resident);
   std::vector<double> stream_ready(static_cast<std::size_t>(num_streams), 0.0);
 
   // Blocks from all streams co-occupy the device; their lane/bandwidth
   // share follows the effective residency of the pooled grid.
   std::int64_t total_blocks = 0;
   for (const auto& c : configs) total_blocks += c.grid_blocks;
+  SlotPool slots(static_cast<int>(std::min<std::int64_t>(spec_.num_sms * resident, total_blocks)));
   const int eff_resident = effective_residency(total_blocks, spec_.num_sms, resident);
 
   const double enqueue = spec_.stream_enqueue_overhead_us * 1e-6;

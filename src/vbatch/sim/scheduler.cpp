@@ -65,8 +65,9 @@ KernelTiming schedule_kernel(const DeviceSpec& spec, const LaunchConfig& cfg,
   const int eff_resident = effective_residency(static_cast<std::int64_t>(blocks.size()),
                                                spec.num_sms, t.resident_per_sm);
 
-  // Greedy list scheduling: each block goes to the earliest-free slot.
-  SlotPool slots(t.slots);
+  // Greedy list scheduling: each block goes to the earliest-free slot. A
+  // grid smaller than the device only ever touches its first slots.
+  SlotPool slots(static_cast<int>(std::min<std::int64_t>(t.slots, std::ssize(blocks))));
   for (const BlockCost& b : blocks) {
     const double dur = dispatch + block_seconds(spec, cfg.precision, eff_resident, b);
     slots.assign(dur);

@@ -51,6 +51,12 @@ struct KernelTiming {
 /// O(n log s) while replicating the scan's tie-breaking exactly (equal free
 /// times resolve to the lowest slot index), so schedules — and hence
 /// modelled times — are bit-identical to the scan's.
+///
+/// Callers size the pool to min(device slots, blocks to place). That is
+/// exact: every slot still unused is free at time 0 and ties go to the
+/// lowest index, so each claim takes either a used slot or the lowest
+/// unused one. The used slots are always a prefix of the indices, and
+/// `blocks` claims never reach an index of `blocks` or more.
 class SlotPool {
  public:
   explicit SlotPool(int slots) {

@@ -19,6 +19,7 @@
 #include "poison.hpp"
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/blas/isa.hpp"
+#include "vbatch/blas/potf2_lanes.hpp"
 #include "vbatch/core/potrf_vbatched.hpp"
 #include "vbatch/hetero/potrf_hetero.hpp"
 #include "vbatch/kernels/fused_step_math.hpp"
@@ -157,18 +158,129 @@ TEST(FusedInterleave, Potf2BatchKeepsEdgeCaseBitsInEveryLaneDouble) {
   sweep_edge_cases<double>("d");
 }
 
-TEST(FusedInterleave, Potf2BatchRejectsMixedOrdersInOneGroup) {
-  IsaGuard guard(blas::micro::detect_isa());
-  const int w = blas::potf2_lanes<double>();
-  if (w == 1) GTEST_SKIP() << "no vector ISA on this host";
-  std::vector<double> a(64, 0.0);
-  std::vector<MatrixView<double>> views;
-  for (int l = 0; l < w; ++l) {
-    const index_t n = l == 1 ? 3 : 4;  // lane 1 breaks the group's order
-    views.emplace_back(a.data(), n, n, 8);
+/// Panels of the given orders (0 allowed), each with its own leading
+/// dimension ≥ its order and values in the padding rows, filled SPD, panel
+/// k poisoned with poisons[k].
+template <typename T>
+struct MixedPanels {
+  std::vector<index_t> n, ld;
+  std::vector<std::vector<T>> data;
+
+  MixedPanels(const std::vector<index_t>& orders, Uplo uplo, const std::vector<Poison>& poisons,
+              std::uint64_t seed)
+      : n(orders) {
+    Rng rng(seed);
+    for (std::size_t k = 0; k < n.size(); ++k) {
+      ld.push_back(n[k] + static_cast<index_t>((seed + k) % 3));
+      std::vector<T> buf(static_cast<std::size_t>(std::max<index_t>(1, ld[k] * n[k])));
+      fill_general<T>(rng, buf.data(), ld[k], n[k], ld[k]);
+      if (n[k] > 0) fill_spd<T>(rng, buf.data(), n[k], ld[k]);
+      plant(poisons[k], MatrixView<T>(buf.data(), n[k], n[k], ld[k]), uplo,
+            static_cast<index_t>(seed % 97 + 5 * k));
+      data.push_back(std::move(buf));
+    }
   }
-  std::vector<int> info(static_cast<std::size_t>(w));
-  EXPECT_THROW(blas::potf2_batch<double>(Uplo::Lower, views, info), Error);
+  MatrixView<T> view(std::size_t k) { return {data[k].data(), n[k], n[k], ld[k]}; }
+};
+
+/// One group of panels of mixed orders, factored by potf2_batch (lanes =
+/// false) or by the active ISA's lane kernel directly, whatever
+/// potf2_batch's lanes-or-scalar rule picks (lanes = true); info and every
+/// buffer byte must equal potf2 per panel.
+template <typename T>
+::testing::AssertionResult factored_like_potf2(Uplo uplo, const std::vector<index_t>& orders,
+                                               const std::vector<Poison>& poisons,
+                                               std::uint64_t seed, bool lanes) {
+  MixedPanels<T> want(orders, uplo, poisons, seed), got(orders, uplo, poisons, seed);
+  const std::size_t count = orders.size();
+  std::vector<int> want_info(count), got_info(count, -7);
+  for (std::size_t k = 0; k < count; ++k) want_info[k] = blas::potf2<T>(uplo, want.view(k));
+  if (lanes) {
+    const blas::detail::LaneKernels kernels = blas::detail::active_lane_kernels();
+    T* ptrs[blas::kMaxPotf2Lanes] = {};
+    index_t n[blas::kMaxPotf2Lanes] = {}, ld[blas::kMaxPotf2Lanes];
+    int info[blas::kMaxPotf2Lanes];
+    for (int l = 0; l < blas::potf2_lanes<T>(); ++l) {
+      const auto k = static_cast<std::size_t>(l);
+      ld[l] = 1;
+      if (k >= count) continue;
+      ptrs[l] = got.data[k].data();
+      n[l] = got.n[k];
+      ld[l] = got.ld[k];
+    }
+    kernels.of<T>().potf2(uplo == Uplo::Upper, n, ptrs, ld, info);
+    std::copy_n(info, count, got_info.begin());
+  } else {
+    std::vector<MatrixView<T>> views;
+    for (std::size_t k = 0; k < count; ++k) views.push_back(got.view(k));
+    blas::potf2_batch<T>(uplo, views, got_info);
+  }
+  for (std::size_t k = 0; k < count; ++k)
+    if (want_info[k] != got_info[k] || !same_bytes(want.data[k], got.data[k]))
+      return ::testing::AssertionFailure()
+             << (lanes ? "lane kernel" : "potf2_batch") << " panel " << k << " of " << count
+             << " (order " << orders[k] << ", info " << got_info[k] << " want " << want_info[k]
+             << ") differs";
+  return ::testing::AssertionSuccess();
+}
+
+/// factored_like_potf2 through potf2_batch and, on a vector ISA, through the
+/// lane kernel.
+template <typename T>
+::testing::AssertionResult group_matches(Uplo uplo, const std::vector<index_t>& orders,
+                                         const std::vector<Poison>& poisons, std::uint64_t seed) {
+  const auto batch = factored_like_potf2<T>(uplo, orders, poisons, seed, false);
+  if (!batch || blas::potf2_lanes<T>() == 1) return batch;
+  return factored_like_potf2<T>(uplo, orders, poisons, seed, true);
+}
+
+/// Groups of 1…W panels with random orders 0…32 (unsorted, so any lane may
+/// hold the largest), clean and with every poison in every lane position.
+template <typename T>
+void sweep_mixed_groups(const char* type) {
+  for (Isa isa : host_isas()) {
+    IsaGuard guard(isa);
+    const int w = blas::potf2_lanes<T>();
+    Rng rng(static_cast<std::uint64_t>(w) * 31 + sizeof(T));
+    for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+      const std::string what = label(isa, uplo, type);
+      auto orders = [&](int count) {
+        std::vector<index_t> o(static_cast<std::size_t>(count));
+        for (index_t& n : o) n = rng.uniform_int(0, 32);
+        return o;
+      };
+      for (int trial = 0; trial < 8 * w; ++trial) {
+        const int count = 1 + trial % w;
+        const auto o = orders(count);
+        const std::vector<Poison> clean(o.size(), Poison::None);
+        const auto seed = static_cast<std::uint64_t>(trial);
+        ASSERT_TRUE(group_matches<T>(uplo, o, clean, seed)) << what;
+      }
+      for (Poison p : kPoisons)
+        for (int lane = 0; lane < w; ++lane) {
+          // The poisoned panel at `lane` of a partial group (a whole one at
+          // lane W − 1), and its order the largest, the smallest or random.
+          auto o = orders(lane + 1);
+          if (lane % 3 == 0) o[static_cast<std::size_t>(lane)] = 32;
+          if (lane % 3 == 1) o[static_cast<std::size_t>(lane)] = std::max<index_t>(1, lane % 4);
+          std::vector<Poison> poisons(o.size(), Poison::None);
+          poisons[static_cast<std::size_t>(lane)] = p;
+          const auto seed = static_cast<std::uint64_t>(100 + lane);
+          ASSERT_TRUE(group_matches<T>(uplo, o, poisons, seed)) << what;
+          // Every panel poisoned: the sweep stops once every lane failed.
+          ASSERT_TRUE(group_matches<T>(uplo, o, std::vector<Poison>(o.size(), p), seed + 1))
+              << what;
+        }
+    }
+  }
+}
+
+TEST(FusedInterleave, MixedOrderAndPartialGroupsMatchPotf2Float) {
+  sweep_mixed_groups<float>("s");
+}
+
+TEST(FusedInterleave, MixedOrderAndPartialGroupsMatchPotf2Double) {
+  sweep_mixed_groups<double>("d");
 }
 
 // ---------------------------------------------------------------------------
@@ -222,9 +334,11 @@ void reference_factor(std::vector<T>& a, index_t n, index_t ld, Uplo uplo, int n
   }
 }
 
-template <typename T, typename Factor>
-void expect_fused_matches_reference(int nmax, int nb, Factor&& factor, const char* type) {
-  const auto sizes = fused_sizes(nmax);
+/// Fused factorization of `sizes` with blocking nb, poisoned by `poison`,
+/// against the per-matrix oracle at every host ISA.
+template <typename T, typename Factor, typename Poisoner>
+void expect_fused_matches_reference(const std::vector<int>& sizes, int nb, Factor&& factor,
+                                    const char* type, Poisoner&& poison) {
   for (Isa isa : host_isas()) {
     IsaGuard guard(isa);
     for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
@@ -232,7 +346,7 @@ void expect_fused_matches_reference(int nmax, int nb, Factor&& factor, const cha
       Batch<T> batch(q, sizes, 3);
       Rng rng(2016);
       batch.fill_spd(rng);
-      poison_batch(batch, uplo);
+      poison(batch, uplo);
       std::vector<std::vector<T>> want;
       for (int i = 0; i < batch.count(); ++i) want.push_back(storage(batch, i));
 
@@ -271,20 +385,52 @@ void hetero_pool(Queue&, Uplo uplo, Batch<T>& batch, const PotrfOptions& opts) {
 }
 
 TEST(FusedInterleave, SingleDeviceWholeMatrixStepMatchesPerMatrixMath) {
-  expect_fused_matches_reference<float>(32, 32, single_device<float>, "s");
-  expect_fused_matches_reference<double>(32, 32, single_device<double>, "d");
+  expect_fused_matches_reference<float>(fused_sizes(32), 32, single_device<float>, "s",
+                                        poison_batch<float>);
+  expect_fused_matches_reference<double>(fused_sizes(32), 32, single_device<double>, "d",
+                                         poison_batch<double>);
 }
 
 TEST(FusedInterleave, SingleDeviceMultiStepMatchesPerMatrixMath) {
-  expect_fused_matches_reference<float>(128, 16, single_device<float>, "s");
-  expect_fused_matches_reference<double>(128, 16, single_device<double>, "d");
-  expect_fused_matches_reference<double>(128, 24, single_device<double>, "d");
+  expect_fused_matches_reference<float>(fused_sizes(128), 16, single_device<float>, "s",
+                                        poison_batch<float>);
+  expect_fused_matches_reference<double>(fused_sizes(128), 16, single_device<double>, "d",
+                                         poison_batch<double>);
+  expect_fused_matches_reference<double>(fused_sizes(128), 24, single_device<double>, "d",
+                                         poison_batch<double>);
 }
 
 TEST(FusedInterleave, HeteroPoolMatchesPerMatrixMath) {
-  expect_fused_matches_reference<float>(128, 16, hetero_pool<float>, "s");
-  expect_fused_matches_reference<double>(128, 16, hetero_pool<double>, "d");
-  expect_fused_matches_reference<double>(32, 32, hetero_pool<double>, "d");
+  expect_fused_matches_reference<float>(fused_sizes(128), 16, hetero_pool<float>, "s",
+                                        poison_batch<float>);
+  expect_fused_matches_reference<double>(fused_sizes(128), 16, hetero_pool<double>, "d",
+                                         poison_batch<double>);
+  expect_fused_matches_reference<double>(fused_sizes(32), 32, hetero_pool<double>, "d",
+                                         poison_batch<double>);
+}
+
+/// Batches shaped like replay_storm's launches: 1–16 matrices of orders
+/// uniform in [1, 128], so the diagonal tiles of a step mix orders and the
+/// numerics pass forms mixed-order and partial lane groups; every fourth
+/// matrix gets a non-positive pivot or a NaN.
+template <typename T, typename Factor>
+void expect_replay_shaped_matches_reference(Factor&& factor, const char* type) {
+  Rng rng(sizeof(T) * 1000 + 28);
+  for (int b = 0; b < 6; ++b) {
+    std::vector<int> sizes(static_cast<std::size_t>(rng.uniform_int(1, 16)));
+    for (int& n : sizes) n = static_cast<int>(rng.uniform_int(1, 128));
+    expect_fused_matches_reference<T>(sizes, 32, factor, type, [](Batch<T>& batch, Uplo uplo) {
+      for (int i = 0; i < batch.count(); i += 4)
+        plant(i % 8 == 0 ? Poison::NotSpd : Poison::NanRef, batch.matrix(i), uplo, 13 * i + 3);
+    });
+  }
+}
+
+TEST(FusedInterleave, ReplayShapedBatchesMatchPerMatrixMath) {
+  expect_replay_shaped_matches_reference<float>(single_device<float>, "s");
+  expect_replay_shaped_matches_reference<double>(single_device<double>, "d");
+  expect_replay_shaped_matches_reference<float>(hetero_pool<float>, "s");
+  expect_replay_shaped_matches_reference<double>(hetero_pool<double>, "d");
 }
 
 TEST(FusedInterleave, ResultsDoNotDependOnWorkerCount) {

@@ -16,6 +16,7 @@
 
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/blas/microkernel.hpp"
+#include "vbatch/blas/potf2_lanes.hpp"
 #include "vbatch/blas/tuning.hpp"
 #include "vbatch/kernels/fused_step_math.hpp"
 #include "vbatch/util/rng.hpp"
@@ -482,6 +483,51 @@ TYPED_TEST(TrsmLanes, MatchTrsmRefAllCombosOrdersAndTails) {
                   ASSERT_TRUE(lanes_match_ref<T>(side, uplo, trans, diag, alpha, a, b, m, n))
                       << to_string(isa) << " alpha=" << alpha;
         }
+    }
+  }
+}
+
+// The rest below a multiple of W: m mod W = 1…W−1 rows (Right) or n mod W
+// columns (Left), alone and after whole vectors, solved by the lane kernel
+// itself (its zero-padded tail, whatever trsm's tail rule picks) and by
+// blas::trsm (the rule's choice), both memcmp-equal to trsm_ref over the
+// whole buffer, padding rows included.
+TYPED_TEST(TrsmLanes, TailsMatchTrsmRef) {
+  using T = TypeParam;
+  for (Isa isa : {Isa::Sse2, Isa::Neon, Isa::Avx2, Isa::Avx512}) {
+    if (!isa_supported(isa)) continue;
+    UnblockedTrsm pin(isa);
+    const blas::detail::LaneKernels kernels = blas::detail::active_lane_kernels();
+    const index_t w = blas::potf2_lanes<T>();
+    Rng rng(71);
+    for (index_t ka : {1, 5, 16, 32}) {
+      std::vector<T> abuf(static_cast<std::size_t>((ka + 2) * ka));
+      fill_general(rng, abuf.data(), ka + 2, ka, ka + 2);
+      for (index_t d = 0; d < ka; ++d)
+        abuf[static_cast<std::size_t>(d * (ka + 3))] = T(2) + static_cast<T>(d % 5);
+      ConstMatrixView<T> a(abuf.data(), ka, ka, ka + 2);
+      for (index_t rest = 1; rest < w; ++rest)
+        for (index_t free : {rest, w + rest, 8 * w + rest})
+          for (Side side : kSides) {
+            const index_t m = side == Side::Left ? ka : free;
+            const index_t n = side == Side::Left ? free : ka;
+            const auto b = lanes_b<T>(rng, m, n);
+            for (Uplo uplo : kUplos)
+              for (Trans trans : kTranses)
+                for (Diag diag : kDiags) {
+                  ASSERT_TRUE(lanes_match_ref<T>(side, uplo, trans, diag, T(1), a, b, m, n))
+                      << to_string(isa) << " rest=" << rest;
+                  auto got = b, want = b;
+                  kernels.of<T>().trsm(side, uplo, trans, diag, m, n, a.data(), a.ld(),
+                                       got.data(), m + 3);
+                  blas::trsm_ref<T>(side, uplo, trans, diag, T(1), a,
+                                    MatrixView<T>(want.data(), m, n, m + 3));
+                  ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(T)), 0)
+                      << to_string(isa) << " lane kernel " << to_string(side) << " "
+                      << to_string(uplo) << " " << to_string(trans) << " " << to_string(diag)
+                      << " m=" << m << " n=" << n;
+                }
+          }
     }
   }
 }

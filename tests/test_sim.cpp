@@ -6,6 +6,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "vbatch/sim/device.hpp"
@@ -237,6 +240,162 @@ TEST(SlotPool, MatchesLinearScanOnRandomLoads) {
     EXPECT_DOUBLE_EQ(pool.assign(dur), *it);
   }
   EXPECT_DOUBLE_EQ(pool.makespan(), *std::max_element(scan.begin(), scan.end()));
+}
+
+// The launches size their pool to min(device slots, blocks). The oracle is
+// the same greedy schedule on a pool of every device slot; KernelTiming and
+// every launch_concurrent record must match it bit for bit (%a), on grids
+// below, at and above the device's slot count.
+std::string hex(double x) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", x);
+  return buf;
+}
+
+std::string dump(const KernelTiming& t) {
+  return hex(t.seconds) + " " + hex(t.exec_seconds) + " " + std::to_string(t.slots) + " " +
+         std::to_string(t.resident_per_sm) + " " + hex(t.total_flops) + " " +
+         hex(t.total_bytes) + " " + std::to_string(t.early_exits);
+}
+
+std::string dump(const KernelRecord& r) {
+  return r.name + " " + hex(r.start) + " " + hex(r.end) + " " + std::to_string(r.grid_blocks) +
+         " " + std::to_string(r.block_threads) + " " + std::to_string(r.shared_mem) + " " +
+         std::to_string(r.resident_per_sm) + " " + hex(r.flops) + " " + hex(r.bytes) + " " +
+         std::to_string(r.early_exits) + " " + std::to_string(r.stream);
+}
+
+/// A random block report: any mix of work, memory traffic, idle threads,
+/// serial chains and early exits.
+BlockCost random_cost(std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  BlockCost c;
+  c.early_exit = u(rng) < 0.2;
+  c.flops = u(rng) < 0.1 ? 0.0 : 1e7 * u(rng);
+  c.bytes = 1e6 * u(rng);
+  c.live_threads = 32 + static_cast<int>(480 * u(rng));
+  c.active_threads = static_cast<int>(c.live_threads * u(rng));
+  c.sync_steps = static_cast<int>(64 * u(rng));
+  c.serial_ops = 500 * u(rng);
+  c.latency_cycles = 2000 * u(rng);
+  return c;
+}
+
+LaunchConfig random_config(std::mt19937_64& rng, const DeviceSpec& spec, int grid) {
+  LaunchConfig c;
+  c.name = "k" + std::to_string(grid);
+  c.grid_blocks = grid;
+  c.block_threads = 32 * static_cast<int>(1 + rng() % 16);
+  c.shared_mem = static_cast<std::size_t>(rng() % (spec.shared_mem_per_block / 2 + 1));
+  c.precision = rng() % 2 ? Precision::Double : Precision::Single;
+  return c;
+}
+
+/// A grid size around the device's slot count: none, a few, just below,
+/// at and just above it, or several waves.
+int random_grid(std::mt19937_64& rng, int slots) {
+  switch (rng() % 6) {
+    case 0: return static_cast<int>(rng() % 3);
+    case 1: return 1 + static_cast<int>(rng() % 16);
+    case 2: return std::max(1, slots - static_cast<int>(rng() % 4));
+    case 3: return slots + static_cast<int>(rng() % 4);
+    case 4: return static_cast<int>(rng() % static_cast<std::uint64_t>(slots + 1));
+    default: return static_cast<int>(rng() % static_cast<std::uint64_t>(4 * slots + 1));
+  }
+}
+
+TEST(SlotPool, GridSizedPoolSchedulesLikeTheFullPool) {
+  std::mt19937_64 rng(28);
+  for (const DeviceSpec& spec : {DeviceSpec::k40c(), DeviceSpec::p100()}) {
+    const double dispatch = spec.block_dispatch_cycles * spec.cycle_seconds();
+    for (int trial = 0; trial < 300; ++trial) {
+      // schedule_kernel against a full-pool greedy schedule.
+      LaunchConfig cfg = random_config(rng, spec, 0);
+      const int resident = blocks_per_sm(spec, {cfg.block_threads, cfg.shared_mem});
+      ASSERT_GT(resident, 0);
+      const int slots = spec.num_sms * resident;
+      cfg.grid_blocks = random_grid(rng, slots);
+      std::vector<BlockCost> blocks;
+      for (int b = 0; b < cfg.grid_blocks; ++b) blocks.push_back(random_cost(rng));
+
+      KernelTiming want;
+      want.resident_per_sm = resident;
+      want.slots = slots;
+      const int eff = effective_residency(cfg.grid_blocks, spec.num_sms, resident);
+      SlotPool full(slots);
+      for (const BlockCost& b : blocks) {
+        full.assign(dispatch + block_seconds(spec, cfg.precision, eff, b));
+        want.total_flops += b.flops;
+        want.total_bytes += b.bytes;
+        if (b.early_exit) ++want.early_exits;
+      }
+      want.exec_seconds = full.makespan();
+      want.seconds = want.exec_seconds + spec.kernel_launch_overhead_us * 1e-6;
+      ASSERT_EQ(dump(schedule_kernel(spec, cfg, blocks)), dump(want))
+          << spec.name << " grid " << cfg.grid_blocks << " of " << slots << " slots";
+
+      // launch_concurrent against the same loop on a full pool.
+      const int kernels = 1 + static_cast<int>(rng() % 6);
+      const int streams = 1 + static_cast<int>(rng() % 4);
+      std::vector<LaunchConfig> configs;
+      std::vector<std::vector<BlockCost>> costs;
+      std::vector<BlockFn> fns;
+      const LaunchConfig shape = random_config(rng, spec, 0);
+      const int res0 = blocks_per_sm(spec, {shape.block_threads, shape.shared_mem});
+      for (int k = 0; k < kernels; ++k) {
+        LaunchConfig c = shape;
+        c.grid_blocks = random_grid(rng, spec.num_sms * res0) / kernels;
+        c.name = "stream" + std::to_string(k);
+        configs.push_back(c);
+        costs.emplace_back();
+        for (int b = 0; b < c.grid_blocks; ++b) costs.back().push_back(random_cost(rng));
+      }
+      for (const auto& cs : costs) fns.push_back([&cs](int b) { return cs[static_cast<std::size_t>(b)]; });
+      Device dev(spec, ExecMode::TimingOnly);
+      dev.launch_concurrent(configs, fns, streams);
+
+      const int used = std::min({streams, spec.max_concurrent_streams, kernels});
+      std::int64_t total = 0;
+      for (const auto& c : configs) total += c.grid_blocks;
+      const int eff_c = effective_residency(total, spec.num_sms, res0);
+      const double enqueue = spec.stream_enqueue_overhead_us * 1e-6;
+      SlotPool pool(spec.num_sms * res0);
+      std::vector<double> ready(static_cast<std::size_t>(used), 0.0);
+      std::vector<std::string> want_records;
+      for (int k = 0; k < kernels; ++k) {
+        const auto ku = static_cast<std::size_t>(k);
+        const int stream = k % used;
+        const double start = std::max((k + 1) * enqueue, ready[static_cast<std::size_t>(stream)]);
+        double end = start, flops = 0.0, bytes = 0.0;
+        int exits = 0;
+        for (const BlockCost& b : costs[ku]) {
+          end = std::max(end, pool.assign(dispatch + block_seconds(spec, shape.precision, eff_c, b),
+                                          start));
+          flops += b.flops;
+          bytes += b.bytes;
+          if (b.early_exit) ++exits;
+        }
+        ready[static_cast<std::size_t>(stream)] = end;
+        KernelRecord r;
+        r.name = configs[ku].name;
+        r.start = start;
+        r.end = end;
+        r.grid_blocks = configs[ku].grid_blocks;
+        r.block_threads = shape.block_threads;
+        r.shared_mem = shape.shared_mem;
+        r.resident_per_sm = res0;
+        r.flops = flops;
+        r.bytes = bytes;
+        r.early_exits = exits;
+        r.stream = stream;
+        want_records.push_back(dump(r));
+      }
+      const auto& got = dev.timeline().records();
+      ASSERT_EQ(got.size(), want_records.size());
+      for (std::size_t k = 0; k < got.size(); ++k)
+        ASSERT_EQ(dump(got[k]), want_records[k]) << spec.name << " kernel " << k;
+    }
+  }
 }
 
 TEST(Scheduler, EffectiveResidencyBasics) {
