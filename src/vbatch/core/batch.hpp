@@ -4,9 +4,10 @@
 // and the metadata arrays live on the GPU).
 //
 // Metadata arrays (ints, pointers) are host-shadowed: their device residency
-// is accounted against the arena and aux kernels model the cost of touching
-// them, while the functional values are directly readable — which is what
-// lets TimingOnly runs proceed without dereferencing matrix payloads.
+// is charged against the arena (no device-side copy is allocated) and aux
+// kernels model the cost of touching them, while the functional values are
+// directly readable — which is what lets TimingOnly runs proceed without
+// dereferencing matrix payloads.
 #pragma once
 
 #include <optional>
@@ -20,18 +21,19 @@
 namespace vbatch {
 
 /// A device-resident array with a host shadow. Matrix *payloads* do not use
-/// this class (they live purely in the arena); metadata does.
+/// this class (they live purely in the arena); metadata does. The shadow is
+/// the only copy: the arena is charged its bytes, nothing is allocated there.
 template <typename T>
 class DeviceVector {
  public:
   DeviceVector(Queue& q, std::size_t count)
-      : queue_(&q), data_(count), accounting_(q.device().device_malloc(count * sizeof(T))) {}
+      : queue_(&q), data_(count), charged_(q.device().charge_memory(count * sizeof(T))) {}
   ~DeviceVector() {
-    if (accounting_ != nullptr) queue_->device().device_free(accounting_);
+    if (charged_ != 0) queue_->device().release_memory(charged_);
   }
   DeviceVector(DeviceVector&& other) noexcept
-      : queue_(other.queue_), data_(std::move(other.data_)), accounting_(other.accounting_) {
-    other.accounting_ = nullptr;
+      : queue_(other.queue_), data_(std::move(other.data_)), charged_(other.charged_) {
+    other.charged_ = 0;
   }
   DeviceVector& operator=(DeviceVector&&) = delete;
   DeviceVector(const DeviceVector&) = delete;
@@ -46,7 +48,7 @@ class DeviceVector {
  private:
   Queue* queue_;
   std::vector<T> data_;
-  void* accounting_;
+  std::size_t charged_;  ///< arena bytes charged; 0 once moved from
 };
 
 /// Low-level, MAGMA-style view of a vbatched problem handed to drivers.

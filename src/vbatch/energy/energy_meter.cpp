@@ -5,8 +5,7 @@
 namespace vbatch::energy {
 
 EnergyResult gpu_timeline_energy(const sim::DeviceSpec& spec, const PowerModel& gpu,
-                                 const sim::Timeline& timeline, Precision prec, double t0,
-                                 std::size_t first_record) {
+                                 const sim::Timeline& timeline, Precision prec, double t0) {
   // Each kernel contributes its utilisation-dependent power *above idle*
   // for its own duration; the idle baseline is charged once over the whole
   // [t0, t_end] span. For a serial timeline this is algebraically the old
@@ -18,9 +17,7 @@ EnergyResult gpu_timeline_energy(const sim::DeviceSpec& spec, const PowerModel& 
   const double peak = spec.peak_gflops(prec) * 1e9;
   const double idle_watts = gpu.watts(0.0);
   double t_end = t0;
-  const auto& records = timeline.records();
-  for (std::size_t i = first_record; i < records.size(); ++i) {
-    const auto& rec = records[i];
+  for (const auto& rec : timeline.records()) {
     if (rec.start < t0) continue;
     const double dur = rec.end - rec.start;
     if (dur <= 0.0) continue;

@@ -9,7 +9,14 @@
 
 namespace vbatch::hetero {
 
-void Executor::begin_call(sim::ExecMode mode) { queue().device().set_mode(mode); }
+void Executor::begin_call(sim::ExecMode mode) {
+  // The queue's timeline holds only the latest call, so a long-lived pool's
+  // memory and per-call walks stay bounded by one call. The clock keeps
+  // running: records still sit at their device-clock instants.
+  sim::Device& dev = queue().device();
+  dev.set_mode(mode);
+  dev.clear_timeline();
+}
 
 void Executor::set_streams(int k) {
   if (k < 1)
@@ -60,7 +67,6 @@ GpuExecutor::~GpuExecutor() = default;
 void GpuExecutor::begin_call(sim::ExecMode mode) {
   Executor::begin_call(mode);
   call_t0_ = queue_.time();
-  call_first_record_ = queue_.device().timeline().size();
 }
 
 int GpuExecutor::max_streams() const noexcept { return queue_.spec().max_concurrent_streams; }
@@ -161,10 +167,9 @@ void GpuExecutor::charge_fault(const std::string& what, double seconds, double s
 
 energy::EnergyResult GpuExecutor::call_energy(Precision prec, double /*busy_seconds*/,
                                               double /*flops*/) const {
-  // Only this call's records: a long-lived executor's timeline keeps every
-  // earlier call, and re-walking it would grow each call's cost with uptime.
+  // The timeline holds this call alone (begin_call cleared it).
   return energy::gpu_timeline_energy(queue_.spec(), power(), queue_.device().timeline(), prec,
-                                     call_t0_, call_first_record_);
+                                     call_t0_);
 }
 
 // --- CpuExecutor -----------------------------------------------------------
@@ -178,11 +183,6 @@ CpuExecutor::CpuExecutor(std::string name, const cpu::CpuSpec& spec,
       sweep_(sim::DeviceSpec::k40c(), sim::ExecMode::Full) {}
 
 CpuExecutor::~CpuExecutor() = default;
-
-void CpuExecutor::begin_call(sim::ExecMode mode) {
-  Executor::begin_call(mode);
-  sweep_.device().clear_timeline();
-}
 
 ChunkEstimate CpuExecutor::estimate(const ChunkWork& work) {
   // The paper's best CPU strategy (§IV-F): one core per matrix, dynamic

@@ -122,7 +122,9 @@ class Executor {
   [[nodiscard]] virtual Queue& queue() noexcept = 0;
 
   /// Aligns the executor with the caller's execution mode and marks the
-  /// start of a hetero call (energy slicing, busy accounting).
+  /// start of a hetero call (energy slicing, busy accounting). It also drops
+  /// the previous call's records: the queue's timeline holds only the latest
+  /// call, while its clock keeps running.
   virtual void begin_call(sim::ExecMode mode);
 
   /// Concurrent stream slots the scheduler may keep in flight here. Values
@@ -171,8 +173,9 @@ class Executor {
   virtual void charge_fault(const std::string& what, double seconds, double start);
 
   /// ∫P dt of this executor's busy interval since begin_call. GPU executors
-  /// integrate their timeline slice; the CPU executor integrates the given
-  /// busy interval at the utilisation implied by `flops`.
+  /// integrate their timeline, which holds this call alone; the CPU
+  /// executor integrates the given busy interval at the utilisation implied
+  /// by `flops`.
   [[nodiscard]] virtual energy::EnergyResult call_energy(Precision prec, double busy_seconds,
                                                          double flops) const = 0;
 
@@ -234,7 +237,6 @@ class GpuExecutor final : public Executor {
   std::list<std::pair<std::string, ChunkEstimate>> memo_;
   std::unordered_map<std::string_view, decltype(memo_)::iterator> memo_index_;
   double call_t0_ = 0.0;  ///< device clock at begin_call (energy slice start)
-  std::size_t call_first_record_ = 0;  ///< timeline record count at begin_call
 };
 
 /// The host CPU pool as a first-class executor: time follows
@@ -251,8 +253,6 @@ class CpuExecutor final : public Executor {
     return spec_.total_peak_gflops(prec);
   }
 
-  /// Also drops the hidden queue's timeline records, which nothing reads.
-  void begin_call(sim::ExecMode mode) override;
   [[nodiscard]] int max_streams() const noexcept override { return 1; }
   [[nodiscard]] ChunkEstimate estimate(const ChunkWork& work) override;
   [[nodiscard]] energy::EnergyResult call_energy(Precision prec, double busy_seconds,

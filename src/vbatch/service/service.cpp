@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -393,6 +394,36 @@ struct TicketState {
 };
 }  // namespace detail
 
+namespace {
+
+/// The request ids a live Service has accepted, as disjoint closed runs
+/// [first, last] keyed by first. Auto-assigned and trace ids are
+/// consecutive, so the set holds one entry per gap, not one per request.
+class IdRuns {
+ public:
+  /// Adds `id`; false when it is already present.
+  bool insert(std::uint64_t id) {
+    auto next = runs_.upper_bound(id);  // the first run starting after id
+    const auto prev = next == runs_.begin() ? runs_.end() : std::prev(next);
+    if (prev != runs_.end() && id <= prev->second) return false;
+    std::uint64_t last = id;
+    if (next != runs_.end() && next->first == id + 1) {  // absorb the run right above
+      last = next->second;
+      next = runs_.erase(next);
+    }
+    if (prev != runs_.end() && prev->second + 1 == id)  // extend the run right below
+      prev->second = last;
+    else
+      runs_.emplace_hint(next, id, last);
+    return true;
+  }
+
+ private:
+  std::map<std::uint64_t, std::uint64_t> runs_;
+};
+
+}  // namespace
+
 std::uint64_t JobTicket::id() const noexcept { return state_ ? state_->id : 0; }
 
 bool JobTicket::done() const {
@@ -406,7 +437,10 @@ struct Service::Impl {
   /// Wakes the dispatcher: a flush became due earlier, or intake closed.
   std::condition_variable wake;
   // Guarded by engine.mutex:
+  /// Unresolved requests only: the map routes each outcome to its ticket
+  /// and lets go of it, so its size follows the backlog, not the uptime.
   std::map<std::uint64_t, std::shared_ptr<detail::TicketState>> tickets;
+  IdRuns seen;  ///< every accepted id, for duplicate rejection
   std::uint64_t next_id = 0;
   bool closing = false;
   std::optional<ServiceReport> report;  ///< set by the first drain()
@@ -415,17 +449,22 @@ struct Service::Impl {
   Impl(hetero::DevicePool& pool, ServiceConfig cfg)
       : engine(pool, std::move(cfg), Engine::Clock::Wall) {
     // Every terminal outcome (launch completion or admission rejection)
-    // signals its ticket, so a shed request's wait() returns too.
+    // signals its ticket, so a shed request's wait() returns too. The map
+    // lets go of the ticket; the outcome is copied only when a client still
+    // holds it (nobody else can reach a state the map alone owns, and
+    // submit() holds its own reference until it returns the ticket).
     engine.on_resolve = [this](const RequestOutcome& o) {
       const auto it = tickets.find(o.id);
       if (it == tickets.end()) return;
-      detail::TicketState& st = *it->second;
+      const std::shared_ptr<detail::TicketState> st = std::move(it->second);
+      tickets.erase(it);
+      if (st.use_count() == 1) return;
       {
-        std::lock_guard<std::mutex> tl(st.mutex);
-        st.outcome = o;
-        st.done = true;
+        std::lock_guard<std::mutex> tl(st->mutex);
+        st->outcome = o;
+        st->done = true;
       }
-      st.cv.notify_all();
+      st->cv.notify_all();
     };
   }
 
@@ -477,9 +516,10 @@ JobTicket Service::submit(Request r) {
     if (r.id == 0) r.id = ++impl_->next_id;
     else impl_->next_id = std::max(impl_->next_id, r.id);
     state->id = r.id;
-    if (!impl_->tickets.emplace(r.id, state).second)
+    if (!impl_->seen.insert(r.id))
       throw_error(Status::InvalidArgument,
                   "Service: duplicate request id " + std::to_string(r.id));
+    impl_->tickets.emplace(r.id, state);
     // Admission runs here, at the submit instant, against the same backlog
     // the dispatcher drains, so the watermark counts every pending request.
     r.submit_time = engine.now();

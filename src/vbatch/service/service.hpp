@@ -79,7 +79,11 @@ namespace detail {
 struct TicketState;
 }
 
-/// Handle to one in-flight wall-clock request (see Service::submit).
+/// Handle to one wall-clock request (see Service::submit). The ticket, not
+/// the service, keeps the request's outcome once it resolves: the service
+/// lets go of it at resolution and copies the outcome into it only while a
+/// client holds a copy of the ticket. A dropped ticket's outcome still
+/// appears in drain()'s report.
 class JobTicket {
  public:
   JobTicket() = default;
@@ -107,7 +111,8 @@ class Service {
   /// Thread-safe. Stamps the request's submit_time with the service wall
   /// clock and runs admission at once: a shed request's ticket is already
   /// resolved on return. Id 0 auto-assigns the next free id. Duplicate ids
-  /// and submissions after drain() raise Status::InvalidArgument.
+  /// (an id stays taken after its request resolves) and submissions after
+  /// drain() raise Status::InvalidArgument.
   [[nodiscard]] JobTicket submit(Request r);
 
   /// Blocks until the ticket's request completes; returns its outcome.

@@ -10,7 +10,7 @@ Device::Device(DeviceSpec spec, ExecMode mode) : spec_(std::move(spec)), mode_(m
 
 Device::~Device() = default;
 
-void* Device::device_malloc(std::size_t bytes) {
+std::size_t Device::charge_memory(std::size_t bytes) {
   if (bytes == 0) bytes = 1;
   if (mem_used_ + bytes > spec_.global_mem_bytes) {
     throw_error(Status::OutOfDeviceMemory,
@@ -19,6 +19,11 @@ void* Device::device_malloc(std::size_t bytes) {
                     std::to_string(spec_.global_mem_bytes) + " in use)");
   }
   mem_used_ += bytes;
+  return bytes;
+}
+
+void* Device::device_malloc(std::size_t bytes) {
+  bytes = charge_memory(bytes);
   if (mode_ == ExecMode::TimingOnly) {
     void* tag = reinterpret_cast<void*>(fake_next_);
     fake_next_ += (bytes + 0xFF) & ~std::uintptr_t{0xFF};

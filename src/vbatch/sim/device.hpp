@@ -76,6 +76,14 @@ class Device {
   [[nodiscard]] void* device_malloc(std::size_t bytes);
   void device_free(void* p);
 
+  /// Charges `bytes` against the arena without allocating anything: the
+  /// residency of an array whose values live in a host shadow
+  /// (DeviceVector's metadata arrays). Same capacity rule and
+  /// OutOfDeviceMemory point as device_malloc (0 bytes count as 1).
+  /// Returns the bytes charged, which release_memory takes back.
+  [[nodiscard]] std::size_t charge_memory(std::size_t bytes);
+  void release_memory(std::size_t bytes) noexcept { mem_used_ -= bytes; }
+
   template <typename T>
   [[nodiscard]] T* device_malloc_array(std::size_t count) {
     return static_cast<T*>(device_malloc(count * sizeof(T)));

@@ -1,7 +1,11 @@
-// Execution timeline: an append-only record of every kernel the simulated
-// device ran, with timing and cost detail. Tests use it to assert scheduling
-// invariants; the energy meter integrates power over it; benches can dump it
-// for inspection.
+// Execution timeline: a record of the kernels the simulated device ran, with
+// timing and cost detail. Tests use it to assert scheduling invariants; the
+// energy meter integrates power over it; benches can dump it for inspection.
+//
+// Retention: a device's timeline is append-only until clear(). A plain
+// Queue keeps every launch of its life; a hetero pool executor keeps one
+// call (Executor::begin_call clears it), so a long-running service holds
+// one call's records per executor, not its whole history.
 #pragma once
 
 #include <string>

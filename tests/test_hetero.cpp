@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -372,11 +373,11 @@ TEST(HeteroEnergy, PoolEnergyCoversActiveAndIdleDevices) {
 }
 
 TEST(HeteroEnergy, ReusedPoolCallEnergyMatchesFreshPool) {
-  // A long-lived pool's GPU timelines keep every earlier call. A call's
-  // energy integrates only the records it appended: exactly what a walk of
-  // the whole timeline from the call's start instant gives, and the same
-  // energy the call has on a fresh pool (up to the rounding of absolute
-  // record times, which sit later on the reused device clock).
+  // A long-lived pool's GPU timelines hold the latest call only. A call's
+  // energy integrates its own records: exactly what a walk of the whole
+  // timeline from the call's start instant gives, and the same energy the
+  // call has on a fresh pool (up to the rounding of absolute record times,
+  // which sit later on the reused device clock).
   Rng rng(67);
   const auto sizes = gaussian_sizes(rng, 200, 256);
   auto call = [&](DevicePool& pool) {
@@ -435,6 +436,133 @@ TEST(Hetero, CpuExecutorHiddenTimelineHoldsOnlyTheLastCall) {
     EXPECT_GT(hidden.time(), clock) << "call " << k;
     clock = hidden.time();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Timeline retention: a pool executor's timeline holds its latest call only
+// ---------------------------------------------------------------------------
+
+/// A GPU executor's timeline, one line per record: the kernel's name,
+/// flops, stream and fault flag, then each staging copy's name and bytes.
+/// `times` adds every record's start, end and duration (%a), which only a
+/// device clock started where a fresh pool's starts can match: placed
+/// instants carry the clock's rounding.
+std::vector<std::string> timeline_lines(const sim::Timeline& tl, bool times) {
+  std::vector<std::string> lines;
+  char buf[256];
+  for (const sim::KernelRecord& r : tl.records()) {
+    std::snprintf(buf, sizeof buf, "%s flops=%a stream=%d fault=%d", r.name.c_str(), r.flops,
+                  r.stream, r.fault ? 1 : 0);
+    lines.emplace_back(buf);
+    if (!times) continue;
+    std::snprintf(buf, sizeof buf, " start=%a end=%a dur=%a", r.start, r.end, r.end - r.start);
+    lines.back() += buf;
+  }
+  for (const sim::TransferRecord& t : tl.transfers()) {
+    std::snprintf(buf, sizeof buf, "%s bytes=%a", t.name.c_str(), t.bytes);
+    lines.emplace_back(buf);
+    if (!times) continue;
+    std::snprintf(buf, sizeof buf, " start=%a end=%a dur=%a", t.start, t.end, t.end - t.start);
+    lines.back() += buf;
+  }
+  return lines;
+}
+
+/// One TimingOnly call of `sizes` on `pool`; `streamed` stages every chunk
+/// through the arena so the transfer lane fills too.
+HeteroResult timeline_call(DevicePool& pool, const std::vector<int>& sizes, bool streamed) {
+  Queue q(sim::DeviceSpec::k40c(), sim::ExecMode::TimingOnly);
+  Batch<double> batch(q, sizes);
+  HeteroOptions opts;
+  if (streamed) opts.staging = HeteroOptions::Staging::Streamed;
+  return potrf_vbatched_hetero<double>(pool, Uplo::Lower, batch, opts);
+}
+
+DevicePool timeline_pool() {
+  DevicePool pool = DevicePool::parse("cpu,k40c,p100");
+  pool.executor(2).set_streams(2);  // stream-tagged records on the P100
+  return pool;
+}
+
+TEST(HeteroTimeline, ReusedPoolHoldsOneCallLikeAFreshPool) {
+  // Two reused pools against a fresh pool's single call. On `restarted`
+  // every GPU clock is set back to 0 before each call, so call k must
+  // reproduce the fresh timeline record for record, %a instants and
+  // durations included. On `running` the clocks keep running: the same
+  // records (instants aside), all placed after call k - 1 ended.
+  const auto sizes = test_sizes(160, 256, 91);
+  for (const bool streamed : {false, true}) {
+    DevicePool fresh = timeline_pool();
+    (void)timeline_call(fresh, sizes, streamed);
+    DevicePool restarted = timeline_pool();
+    DevicePool running = timeline_pool();
+    std::vector<double> clock(static_cast<std::size_t>(running.size()), 0.0);
+    for (int k = 1; k <= 5; ++k) {
+      for (int e = 0; e < restarted.size(); ++e)
+        if (restarted.executor(e).is_gpu()) restarted.executor(e).queue().device().reset_time();
+      (void)timeline_call(restarted, sizes, streamed);
+      (void)timeline_call(running, sizes, streamed);
+      std::size_t transfers = 0;
+      for (int e = 0; e < fresh.size(); ++e) {
+        if (!fresh.executor(e).is_gpu()) continue;
+        const std::string what = fresh.executor(e).name() + " call " + std::to_string(k) +
+                                 (streamed ? " streamed" : " resident");
+        const sim::Timeline& one = fresh.executor(e).queue().device().timeline();
+        const sim::Timeline& again = restarted.executor(e).queue().device().timeline();
+        const sim::Device& dev = running.executor(e).queue().device();
+        ASSERT_FALSE(one.records().empty()) << what;
+        EXPECT_EQ(again.size(), one.size()) << what;
+        EXPECT_EQ(again.transfers().size(), one.transfers().size()) << what;
+        EXPECT_EQ(timeline_lines(again, true), timeline_lines(one, true)) << what;
+        EXPECT_EQ(timeline_lines(dev.timeline(), false), timeline_lines(one, false)) << what;
+        for (const sim::KernelRecord& r : dev.timeline().records())
+          EXPECT_GE(r.start, clock[static_cast<std::size_t>(e)]) << what << " " << r.name;
+        EXPECT_GT(dev.time(), clock[static_cast<std::size_t>(e)]) << what;
+        clock[static_cast<std::size_t>(e)] = dev.time();
+        transfers += again.transfers().size();
+      }
+      EXPECT_EQ(transfers > 0, streamed) << "call " << k;
+    }
+  }
+}
+
+TEST(HeteroTimeline, CallEnergyIsTheWalkOverTheHeldCall) {
+  const auto sizes = test_sizes(160, 256, 93);
+  DevicePool pool = timeline_pool();
+  for (int k = 1; k <= 5; ++k) {
+    std::vector<double> t0;
+    for (int e = 0; e < pool.size(); ++e) t0.push_back(pool.executor(e).queue().time());
+    const HeteroResult r = timeline_call(pool, sizes, /*streamed=*/k % 2 == 0);
+    for (int e = 0; e < pool.size(); ++e) {
+      if (!pool.executor(e).is_gpu()) continue;
+      auto& gpu = static_cast<GpuExecutor&>(pool.executor(e));
+      const double walk =
+          energy::gpu_timeline_energy(gpu.spec(), gpu.power(), gpu.queue().device().timeline(),
+                                      Precision::Double, t0[static_cast<std::size_t>(e)])
+              .joules;
+      const double joules = r.executors[static_cast<std::size_t>(e)].joules;
+      EXPECT_EQ(0, std::memcmp(&joules, &walk, sizeof(double))) << gpu.name() << " call " << k;
+    }
+  }
+}
+
+TEST(HeteroTimeline, RejectedCallKeepsThePreviousCall) {
+  // Validation runs before begin_call: a rejected call neither clears the
+  // previous call's records nor moves the clock.
+  const auto sizes = test_sizes(60, 160, 95);
+  DevicePool pool = timeline_pool();
+  (void)timeline_call(pool, sizes, false);
+  const sim::Device& dev = pool.executor(1).queue().device();
+  const std::vector<std::string> before = timeline_lines(dev.timeline(), true);
+  const double clock = dev.time();
+  ASSERT_FALSE(before.empty());
+  Queue q(sim::DeviceSpec::k40c(), sim::ExecMode::TimingOnly);
+  Batch<double> batch(q, sizes);
+  HeteroOptions opts;
+  opts.chunks_per_executor = 0;
+  EXPECT_THROW((void)potrf_vbatched_hetero<double>(pool, Uplo::Lower, batch, opts), Error);
+  EXPECT_EQ(timeline_lines(dev.timeline(), true), before);
+  EXPECT_EQ(dev.time(), clock);
 }
 
 TEST(HeteroDeterminism, SameSeedSameSchedule) {

@@ -125,6 +125,44 @@ TEST(BatchContainer, NegativeSizeRejected) {
   EXPECT_THROW(Batch<double>(q, sizes), Error);
 }
 
+TEST(BatchContainer, ArenaChargesEveryByteAndOverflowsAtTheSameCount) {
+  // A square batch charges its n, lda and info arrays (one int per matrix
+  // each), its payload pointer array and its payload slab (Σ lda·n
+  // elements). The metadata arrays are charged, not allocated; the byte
+  // count at which a batch stops fitting is what it always was.
+  const std::vector<int> sizes{3, 5, 0};
+  constexpr int kPad = 2;  // lda = 5, 7, 2
+  const std::size_t need =
+      3 * 3 * sizeof(int) + 3 * sizeof(double*) + (5 * 3 + 7 * 5 + 2 * 0) * sizeof(double);
+  for (const sim::ExecMode mode : {sim::ExecMode::Full, sim::ExecMode::TimingOnly}) {
+    sim::DeviceSpec spec = sim::DeviceSpec::k40c();
+    spec.global_mem_bytes = need;
+    Queue exact(spec, mode);
+    {
+      const Batch<double> fits(exact, sizes, kPad);
+      EXPECT_EQ(exact.device().mem_used(), need);
+    }
+    EXPECT_EQ(exact.device().mem_used(), 0u);
+    spec.global_mem_bytes = need - 1;
+    Queue tight(spec, mode);
+    try {
+      const Batch<double> over(tight, sizes, kPad);
+      ADD_FAILURE() << "a batch one byte over the arena fitted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.status(), Status::OutOfDeviceMemory);
+    }
+    EXPECT_EQ(tight.device().mem_used(), 0u);  // the partial batch released its charges
+    // An empty array still charges one byte, as an empty allocation does.
+    spec.global_mem_bytes = 1 + sizeof(double);
+    Queue tiny(spec, mode);
+    {
+      const SlabArrays<double> empty(tiny, std::span<const int>{});
+      EXPECT_EQ(tiny.device().mem_used(), 1 + sizeof(double));
+    }
+    EXPECT_EQ(tiny.device().mem_used(), 0u);
+  }
+}
+
 TEST(RectBatchContainer, MismatchedDimensionArraysRejected) {
   Queue q;
   std::vector<int> m{4, 5}, n{4};

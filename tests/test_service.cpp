@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -752,4 +753,188 @@ TEST(ServiceLive, DuplicateExplicitIdRejected) {
   (void)svc.submit(make_request(99, "a", {16}));
   EXPECT_THROW((void)svc.submit(make_request(99, "a", {16})), Error);
   (void)svc.drain();
+}
+
+// ---------------------------------------------------------------------------
+// Ticket lifetime: the live Service lets go of every resolved request
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+}  // namespace
+
+TEST(ServiceTickets, HeldTicketKeepsItsOutcomeAfterResolution) {
+  hetero::DevicePool pool = hetero::DevicePool::parse("k40c");
+  ServiceConfig cfg;
+  cfg.coalesce.latency_budget = 1e-3;
+  cfg.mode = sim::ExecMode::Full;
+  Service svc(pool, cfg);
+  const JobTicket held = svc.submit(make_request(7, "a", {12, 20}));
+  const JobTicket copy = held;
+  // The dispatcher resolves the request while nobody waits on it.
+  while (!held.done()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(copy.done());
+  const RequestOutcome first = svc.wait(held);
+  const RequestOutcome again = svc.wait(copy);
+  EXPECT_EQ(first.id, 7u);
+  EXPECT_EQ(first.status, RequestStatus::Ok);
+  EXPECT_EQ(first.info, (std::vector<int>{0, 0}));
+  EXPECT_EQ(again.info, first.info);
+  EXPECT_EQ(bits_of(again.complete_time), bits_of(first.complete_time));
+  const ServiceReport report = svc.drain();
+  ASSERT_EQ(report.outcomes.size(), 1u);
+  EXPECT_EQ(report.outcomes[0].info, first.info);
+  EXPECT_EQ(bits_of(report.outcomes[0].complete_time), bits_of(first.complete_time));
+  EXPECT_EQ(report.outcomes[0].batch_id, first.batch_id);
+  EXPECT_EQ(svc.wait(held).status, RequestStatus::Ok);  // still readable after drain
+}
+
+TEST(ServiceTickets, ShedInsideSubmitReturnsADoneTicket) {
+  hetero::DevicePool pool = hetero::DevicePool::parse("k40c");
+  ServiceConfig cfg;
+  cfg.coalesce.latency_budget = 60.0;  // held until drain()
+  cfg.admission.enabled = true;
+  cfg.admission.max_queue = 1;
+  Service svc(pool, cfg);
+  const JobTicket queued = svc.submit(make_request(1, "a", {16}));
+  const JobTicket shed = svc.submit(make_request(2, "a", {16}));
+  EXPECT_TRUE(shed.done());  // resolved before submit() returned the ticket
+  EXPECT_FALSE(queued.done());
+  const RequestOutcome rejected = svc.wait(shed);
+  EXPECT_EQ(rejected.id, 2u);
+  EXPECT_EQ(rejected.status, RequestStatus::RejectedQueueFull);
+  (void)svc.submit(make_request(3, "a", {16}));  // shed, ticket dropped at once
+  const ServiceReport report = svc.drain();
+  EXPECT_EQ(report.requests, 3);
+  EXPECT_EQ(report.accepted, 1);
+  EXPECT_EQ(report.shed, 2);
+  EXPECT_EQ(svc.wait(queued).status, RequestStatus::Ok);
+  EXPECT_EQ(svc.wait(shed).status, RequestStatus::RejectedQueueFull);
+}
+
+TEST(ServiceTickets, DuplicateIdRejectedAfterItResolved) {
+  hetero::DevicePool pool = hetero::DevicePool::parse("k40c");
+  ServiceConfig cfg;
+  cfg.coalesce.latency_budget = 2e-4;
+  Service svc(pool, cfg);
+  const JobTicket first = svc.submit(make_request(5, "a", {4}));
+  EXPECT_EQ(svc.wait(first).status, RequestStatus::Ok);
+  EXPECT_THROW((void)svc.submit(make_request(5, "a", {4})), Error);
+
+  // Thousands of other requests with dropped tickets, ids out of order so
+  // runs of ids start apart and merge: the evens 100..7998 rising, then the
+  // odds 7999..101 falling, then 99 below the merged run. Every 500th ticket
+  // is kept and waited on.
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t id = 100; id < 8000; id += 2) ids.push_back(id);
+  for (std::uint64_t id = 7999; id > 100; id -= 2) ids.push_back(id);
+  ids.push_back(99);
+  std::vector<JobTicket> kept;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const JobTicket t = svc.submit(make_request(ids[i], "a", {2}));
+    if (i % 500 == 0) kept.push_back(t);
+  }
+  for (const JobTicket& t : kept) EXPECT_EQ(svc.wait(t).status, RequestStatus::Ok);
+  for (const std::uint64_t dup : {std::uint64_t{5}, std::uint64_t{99}, std::uint64_t{100},
+                                  std::uint64_t{101}, std::uint64_t{4000}, std::uint64_t{4001},
+                                  std::uint64_t{7998}, std::uint64_t{7999}})
+    EXPECT_THROW((void)svc.submit(make_request(dup, "a", {2})), Error) << "id " << dup;
+  for (const JobTicket& t : kept)
+    EXPECT_THROW((void)svc.submit(make_request(t.id(), "a", {2})), Error) << "id " << t.id();
+  // Ids in the gaps are free; id 0 takes the next id above every id seen.
+  EXPECT_NO_THROW((void)svc.submit(make_request(6, "a", {2})));
+  EXPECT_NO_THROW((void)svc.submit(make_request(98, "a", {2})));
+  EXPECT_NO_THROW((void)svc.submit(make_request(8000, "a", {2})));
+  EXPECT_EQ(svc.submit(make_request(0, "a", {2})).id(), 8001u);
+  const ServiceReport report = svc.drain();
+  EXPECT_EQ(report.requests, static_cast<int>(ids.size()) + 5);
+  std::vector<std::uint64_t> served;
+  for (const RequestOutcome& o : report.outcomes) served.push_back(o.id);
+  std::sort(served.begin(), served.end());
+  EXPECT_EQ(std::adjacent_find(served.begin(), served.end()), served.end());
+}
+
+TEST(ServiceTickets, DroppedTicketOutcomesAppearInTheReport) {
+  TraceGenConfig g;
+  g.count = 240;
+  g.tenants = 3;
+  g.nmax = 24;
+  g.max_matrices = 3;
+  g.mix_ops = true;
+  g.mix_precisions = true;
+  g.seed = 11;
+  const Trace trace = make_trace(g);
+  ServiceConfig cfg;
+  cfg.coalesce.latency_budget = 1e-3;
+  cfg.mode = sim::ExecMode::Full;
+  hetero::DevicePool pool = hetero::DevicePool::parse("cpu,k40c,p100");
+  ServiceReport report;
+  RequestOutcome waited;
+  {
+    Service svc(pool, cfg);
+    JobTicket kept;
+    for (std::size_t i = 0; i < trace.requests.size(); ++i) {
+      const JobTicket t = svc.submit(trace.requests[i]);
+      if (i == trace.requests.size() / 2) kept = t;  // every other ticket is dropped
+    }
+    waited = svc.wait(kept);
+    report = svc.drain();
+  }
+  ASSERT_EQ(report.outcomes.size(), trace.requests.size());
+  std::map<std::uint64_t, const RequestOutcome*> by_id;
+  for (const RequestOutcome& o : report.outcomes) {
+    EXPECT_TRUE(by_id.emplace(o.id, &o).second) << "id " << o.id << " reported twice";
+    EXPECT_EQ(o.status, RequestStatus::Ok) << "id " << o.id;
+  }
+  for (const Request& r : trace.requests) {
+    const auto it = by_id.find(r.id);
+    ASSERT_NE(it, by_id.end()) << "id " << r.id << " missing";
+    EXPECT_EQ(it->second->info, std::vector<int>(r.sizes.size(), 0)) << "id " << r.id;
+  }
+  const RequestOutcome& logged = *by_id.at(waited.id);
+  EXPECT_EQ(logged.info, waited.info);
+  EXPECT_EQ(logged.batch_id, waited.batch_id);
+  EXPECT_EQ(bits_of(logged.complete_time), bits_of(waited.complete_time));
+
+  // The pool that served the live stream holds one call per executor, so a
+  // replay of the same trace on it reads what a fresh pool's replay reads:
+  // every modelled time, count and status bit for bit. Energy integrates
+  // absolute record instants, which sit later on the reused device clocks,
+  // so it may differ in the last bits.
+  const ServiceReport a = replay_trace(pool, trace, replay_config());
+  hetero::DevicePool fresh = hetero::DevicePool::parse("cpu,k40c,p100");
+  const ServiceReport b = replay_trace(fresh, trace, replay_config());
+  ASSERT_EQ(a.requests, b.requests);
+  ASSERT_EQ(a.batch_log.size(), b.batch_log.size());
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  EXPECT_EQ(a.batches, b.batches);
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.peak_queue_depth, b.peak_queue_depth);
+  for (const auto& [x, y] :
+       {std::pair{a.makespan, b.makespan}, {a.flops, b.flops}, {a.p50_latency, b.p50_latency},
+        {a.p99_latency, b.p99_latency}, {a.goodput_flops, b.goodput_flops},
+        {a.mean_queue_depth, b.mean_queue_depth}, {a.capacity_gflops, b.capacity_gflops}})
+    EXPECT_EQ(bits_of(x), bits_of(y));
+  EXPECT_NEAR(a.joules, b.joules, 1e-12 * b.joules);
+  for (std::size_t i = 0; i < a.batch_log.size(); ++i) {
+    const BatchRecord &x = a.batch_log[i], &y = b.batch_log[i];
+    EXPECT_EQ(x.requests, y.requests) << "batch " << i;
+    EXPECT_EQ(x.reason, y.reason) << "batch " << i;
+    EXPECT_EQ(bits_of(x.dispatch_time), bits_of(y.dispatch_time)) << "batch " << i;
+    EXPECT_EQ(bits_of(x.seconds), bits_of(y.seconds)) << "batch " << i;
+    EXPECT_NEAR(x.joules, y.joules, 1e-12 * y.joules) << "batch " << i;
+  }
+  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+    const RequestOutcome &x = a.outcomes[i], &y = b.outcomes[i];
+    EXPECT_EQ(x.id, y.id);
+    EXPECT_EQ(x.status, y.status) << "id " << x.id;
+    EXPECT_EQ(x.batch_id, y.batch_id) << "id " << x.id;
+    EXPECT_EQ(bits_of(x.complete_time), bits_of(y.complete_time)) << "id " << x.id;
+  }
 }

@@ -349,6 +349,7 @@ int run(const CliOptions& o) {
 
   if (o.profile) {
     if (!o.hetero.empty()) {
+      // A pool executor's timeline holds its latest call: here, the run's only one.
       for (int e = 0; e < pool->size(); ++e) {
         if (!pool->executor(e).is_gpu()) continue;
         std::printf("\nkernel profile (%s):\n", pool->executor(e).name().c_str());
