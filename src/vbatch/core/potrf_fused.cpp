@@ -9,6 +9,10 @@
 // largest sizes downward (window width defaults to nb): each window's
 // matrices form a ready queue processed as a sub-batch of nearly similar
 // sizes, improving occupancy and wave balance (§III-D2).
+//
+// The launches are cost passes. The front ran the call's numerics first
+// (detail::potrf_numerics), so they read each matrix's final info, and
+// finished or failed matrices terminate through the selected ETM.
 #include <algorithm>
 
 #include "vbatch/core/potrf_vbatched.hpp"

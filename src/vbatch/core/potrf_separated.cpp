@@ -10,19 +10,15 @@
 // out-of-bound accesses.
 //
 // That launch sequence is the modelled cost, and each of its launches is a
-// cost pass only. The host numerics run matrix-major instead: in Full mode,
-// before the first launch, one item per matrix factors it from its first
-// column to its last with the recursive blas::potrf (cpu::potrf_each). One
-// matrix's work then runs while its data is hot; step by step across the
-// whole batch, every matrix came back from memory at every panel step. The
-// factors are bit for bit blas::potrf's. The panel costs read info (ETM-classic), so the driver
-// keeps each matrix's final info aside and the panel releases it after the
-// inner step that holds the failing column, where factoring step by step
-// finds it: the launches report what step-major numerics would make them.
+// cost pass only. The numerics run matrix-major instead, once per call
+// before the launches (detail::potrf_numerics): one item per matrix factors
+// it from its first column to its last with the recursive blas::potrf
+// (cpu::potrf_each), while its data is hot. The panel costs then read each
+// matrix's final info and exit once an inner step has passed the failing
+// column, as step-major numerics would have made them.
 #include <vector>
 
 #include "vbatch/core/potrf_vbatched.hpp"
-#include "vbatch/cpu/cpu_batched.hpp"
 #include "vbatch/kernels/aux_kernels.hpp"
 #include "vbatch/kernels/gemm_vbatched.hpp"
 #include "vbatch/kernels/potf2_panel.hpp"
@@ -46,14 +42,6 @@ double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, 
   sim::Device& dev = q.device();
   double seconds = 0.0;
 
-  // The numerics, matrix-major (see the top of this file); TimingOnly has
-  // no factors, so nothing fails and final_info stays empty.
-  std::vector<int> final_info;
-  if (dev.mode() == sim::ExecMode::Full) {
-    final_info.resize(static_cast<std::size_t>(batch));
-    cpu::potrf_each<T>(uplo, prob.n, prob.ptrs, prob.lda, final_info);
-  }
-
   std::vector<int> trail_m(static_cast<std::size_t>(batch));
   std::vector<int> trail_ib(static_cast<std::size_t>(batch));
   // The displaced pointer arrays a device would hand the trsm and syrk
@@ -72,7 +60,6 @@ double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, 
     panel.NB = NB;
     panel.nb_inner = 16;
     panel.info = prob.info;
-    panel.final_info = final_info;
     seconds += kernels::launch_potf2_panel<T>(dev, panel);
 
     const int max_m2 = max_n - j - NB;

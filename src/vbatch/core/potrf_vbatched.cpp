@@ -7,6 +7,7 @@
 
 #include "vbatch/core/arg_check.hpp"
 #include "vbatch/core/crossover.hpp"
+#include "vbatch/cpu/cpu_batched.hpp"
 #include "vbatch/kernels/fused_potrf.hpp"
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/flops.hpp"
@@ -78,6 +79,15 @@ double run_potrf_plan(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int m
                                 opts.num_streams);
 }
 
+template <typename T>
+void potrf_numerics(Uplo uplo, const PotrfPlan& plan, const VbatchedProblem<T>& prob) {
+  if (plan.path == PotrfPath::Fused) {
+    kernels::fused_potrf_numerics<T>(uplo, {prob.ptrs, prob.n, prob.lda}, plan.nb, prob.info);
+  } else {
+    cpu::potrf_each<T>(uplo, prob.n, prob.ptrs, prob.lda, prob.info);
+  }
+}
+
 }  // namespace detail
 
 namespace {
@@ -90,6 +100,14 @@ PotrfResult potrf_front(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob,
   const sim::DeviceSpec* target = &q.spec();
   const detail::PotrfPlan plan =
       detail::plan_potrf<T>(q, prob, max_n, opts, q.spec(), {&target, 1}, "potrf_vbatched");
+  // Full mode: the call's math first, so every launch reads final info. A
+  // pinned fused plan past the device's bound is rejected before it.
+  if (q.full()) {
+    require(plan.path != PotrfPath::Fused ||
+                plan.max_n <= kernels::fused_max_size(q.spec(), plan.nb, sizeof(T)),
+            "potrf_fused: batch exceeds the fused kernel's shared-memory bound");
+    detail::potrf_numerics<T>(uplo, plan, prob);
+  }
   PotrfResult result;
   result.flops = flops::potrf_batch(prob.n);
   result.path_taken = plan.path;
@@ -126,6 +144,8 @@ PotrfResult potrf_vbatched(Queue& q, Uplo uplo, Batch<T>& batch, const PotrfOpti
       const sim::DeviceSpec&, std::span<const sim::DeviceSpec* const>, const char*);         \
   template double detail::run_potrf_plan<T>(Queue&, Uplo, const VbatchedProblem<T>&, int,    \
                                             const detail::PotrfPlan&, const PotrfOptions&);  \
+  template void detail::potrf_numerics<T>(Uplo, const detail::PotrfPlan&,                    \
+                                          const VbatchedProblem<T>&);                        \
   template PotrfResult potrf_vbatched_max<T>(Queue&, Uplo, const VbatchedProblem<T>&, int,   \
                                              const PotrfOptions&);                           \
   template PotrfResult potrf_vbatched_max<T>(Queue&, Uplo, Batch<T>&, int,                   \

@@ -94,10 +94,18 @@ PotrfPlan plan_potrf(Queue& q, const VbatchedProblem<T>& prob, std::optional<int
                      std::span<const sim::DeviceSpec* const> targets, const char* who);
 
 /// Runs the plan's driver on a (sub-)batch whose largest order is max_n;
-/// returns the modelled seconds of its launches.
+/// returns the modelled seconds of its launches, which compute nothing.
 template <typename T>
 double run_potrf_plan(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, int max_n,
                       const PotrfPlan& plan, const PotrfOptions& opts);
+
+/// The call's per-matrix math under `plan`, run once per call by both potrf
+/// fronts (Full mode only): the fused plan's step-major lane-grouped steps
+/// (kernels::fused_potrf_numerics with the plan's nb), or the separated
+/// plan's one recursive blas::potrf per matrix (cpu::potrf_each). Writes
+/// prob.info; the drivers' launches are cost passes that read it.
+template <typename T>
+void potrf_numerics(Uplo uplo, const PotrfPlan& plan, const VbatchedProblem<T>& prob);
 
 /// Approach 1: fused kernels with ETMs and optional implicit sorting.
 template <typename T>

@@ -9,13 +9,11 @@
 
 namespace vbatch::hetero {
 
-void Executor::begin_call(sim::ExecMode mode) {
+void Executor::begin_call() {
   // The queue's timeline holds only the latest call, so a long-lived pool's
   // memory and per-call walks stay bounded by one call. The clock keeps
   // running: records still sit at their device-clock instants.
-  sim::Device& dev = queue().device();
-  dev.set_mode(mode);
-  dev.clear_timeline();
+  queue().device().clear_timeline();
 }
 
 void Executor::set_streams(int k) {
@@ -64,8 +62,8 @@ GpuExecutor::GpuExecutor(std::string name, const sim::DeviceSpec& spec,
 
 GpuExecutor::~GpuExecutor() = default;
 
-void GpuExecutor::begin_call(sim::ExecMode mode) {
-  Executor::begin_call(mode);
+void GpuExecutor::begin_call() {
+  Executor::begin_call();
   call_t0_ = queue_.time();
 }
 

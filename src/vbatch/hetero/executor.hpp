@@ -121,11 +121,10 @@ class Executor {
   /// model.
   [[nodiscard]] virtual Queue& queue() noexcept = 0;
 
-  /// Aligns the executor with the caller's execution mode and marks the
-  /// start of a hetero call (energy slicing, busy accounting). It also drops
-  /// the previous call's records: the queue's timeline holds only the latest
-  /// call, while its clock keeps running.
-  virtual void begin_call(sim::ExecMode mode);
+  /// Marks the start of a hetero call (energy slicing, busy accounting). It
+  /// also drops the previous call's records: the queue's timeline holds only
+  /// the latest call, while its clock keeps running.
+  virtual void begin_call();
 
   /// Concurrent stream slots the scheduler may keep in flight here. Values
   /// above max_streams() clamp silently (mirroring launch_concurrent's
@@ -208,7 +207,7 @@ class GpuExecutor final : public Executor {
   /// recently used entry is evicted beyond it.
   static constexpr std::size_t kEstimateMemoCapacity = 512;
 
-  void begin_call(sim::ExecMode mode) override;
+  void begin_call() override;
   [[nodiscard]] int max_streams() const noexcept override;
   /// A keyed chunk whose key is memoized returns the stored estimate
   /// (memo_hit set); otherwise the chunk is dry-run and, when keyed, stored.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "vbatch/cpu/cpu_batched.hpp"
-#include "vbatch/kernels/fused_potrf.hpp"
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/flops.hpp"
 
@@ -44,7 +42,7 @@ HeteroResult hetero_impl(DevicePool& pool, Uplo uplo, Batch<T>& batch,
   const int E = pool.size();
   std::vector<const sim::DeviceSpec*> targets;
   for (int e = 0; e < E; ++e) {
-    pool.executor(e).begin_call(batch.queue().mode());
+    pool.executor(e).begin_call();
     targets.push_back(&pool.executor(e).queue().spec());
   }
 
@@ -116,12 +114,7 @@ HeteroResult hetero_impl(DevicePool& pool, Uplo uplo, Batch<T>& batch,
         std::copy(sorted_n.begin() + ck.begin, sorted_n.begin() + ck.end,
                   live_n.begin() + ck.begin);
       }
-      if (plan.path == PotrfPath::Fused) {
-        kernels::fused_potrf_numerics<T>(uplo, {sorted_ptrs.data(), live_n, sorted_lda}, plan.nb,
-                                         sorted_info);
-      } else {
-        cpu::potrf_each<T>(uplo, live_n, sorted_ptrs.data(), sorted_lda, sorted_info);
-      }
+      detail::potrf_numerics<T>(uplo, plan, {sorted_ptrs.data(), live_n, sorted_lda, sorted_info});
     };
   }
 

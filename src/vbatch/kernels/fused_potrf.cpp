@@ -52,9 +52,9 @@ struct LaneGroup {
   int count = 0;
 };
 
-/// Per-thread scratch of the numerics pass, reused across launches.
+/// Per-thread scratch of the numerics pass, reused across steps.
 struct NumericsScratch {
-  std::vector<int> live;     ///< live matrices in block order
+  std::vector<int> live;     ///< live matrices in batch order
   std::vector<int> offset;   ///< counting-sort cursor per diagonal-tile order
   std::vector<int> order;    ///< live matrices, bucketed by diagonal-tile order
   std::vector<int> grouped;  ///< the same, whole same-order groups first
@@ -63,9 +63,9 @@ struct NumericsScratch {
 };
 
 /// Update, lane-grouped potf2 and solve for the matrices `mats`, one lane
-/// group sorted by diagonal-tile order.
+/// group sorted by diagonal-tile order; a failure goes to `info`.
 template <typename T>
-void run_group(const FusedStepArgs<T>& args, std::span<const int> mats) {
+void run_group(const FusedStepArgs<T>& args, std::span<int> info, std::span<const int> mats) {
   const auto& a = args.batch;
   auto view = [&a](int i) {
     const int n = a.n[static_cast<std::size_t>(i)];
@@ -84,24 +84,22 @@ void run_group(const FusedStepArgs<T>& args, std::span<const int> mats) {
     if (local[k] == 0) {
       fused_step_solve(args.uplo, view(mats[k]), args.step, args.nb);
     } else {
-      args.info[static_cast<std::size_t>(mats[k])] =
-          fused_step_info(args.step, args.nb, local[k]);
+      info[static_cast<std::size_t>(mats[k])] = fused_step_info(args.step, args.nb, local[k]);
     }
   }
 }
 
-/// The Full-mode numerics of one fused step over the blocks that were live
-/// in the cost pass (info is still as the cost pass read it). The live
-/// matrices are bucketed by diagonal-tile order, and each bucket gives
+/// Step args.step of the numerics over the matrices still live (j < n_i,
+/// info 0). They are bucketed by diagonal-tile order, and each bucket gives
 /// whole groups of W = blas::potf2_lanes<T>(). The buckets' rests below W,
 /// ascending by order, are cut into groups of W from the largest order
 /// down, so similar orders share a group and only the smallest orders may
 /// form a partial one. Groups touch disjoint matrices, so running them on
-/// the worker pool gives the same bits as running every block alone.
+/// the worker pool gives the same bits as running every matrix alone.
 template <typename T>
-void fused_step_numerics(const FusedStepArgs<T>& args, int covered) {
+void fused_step_numerics(const FusedStepArgs<T>& args, std::span<int> info) {
   thread_local NumericsScratch scratch;
-  NumericsScratch& s = scratch;  // the launching thread's, also inside pool tasks
+  NumericsScratch& s = scratch;  // the calling thread's, also inside pool tasks
   const auto& a = args.batch;
   const index_t j = static_cast<index_t>(args.step) * args.nb;
   auto tile_order = [&a, &args, j](int i) {
@@ -110,9 +108,8 @@ void fused_step_numerics(const FusedStepArgs<T>& args, int covered) {
 
   s.live.clear();
   s.offset.assign(static_cast<std::size_t>(args.nb) + 1, 0);
-  for (int block = 0; block < covered; ++block) {
-    const int i = args.active.empty() ? block : args.active[static_cast<std::size_t>(block)];
-    if (j >= a.n[static_cast<std::size_t>(i)] || args.info[static_cast<std::size_t>(i)] != 0)
+  for (int i = 0; i < a.count(); ++i) {
+    if (j >= a.n[static_cast<std::size_t>(i)] || info[static_cast<std::size_t>(i)] != 0)
       continue;
     s.live.push_back(i);
     ++s.offset[static_cast<std::size_t>(tile_order(i))];
@@ -141,10 +138,11 @@ void fused_step_numerics(const FusedStepArgs<T>& args, int covered) {
   for (int end = static_cast<int>(s.grouped.size()); end > first_rest; end -= w)
     s.groups.push_back({std::max(first_rest, end - w), std::min(w, end - first_rest)});
 
-  auto run = [&s, &args](int g) {
+  auto run = [&s, &args, info](int g) {
     const LaneGroup grp = s.groups[static_cast<std::size_t>(g)];
-    run_group(args, std::span<const int>(s.grouped).subspan(static_cast<std::size_t>(grp.begin),
-                                                            static_cast<std::size_t>(grp.count)));
+    run_group(args, info,
+              std::span<const int>(s.grouped).subspan(static_cast<std::size_t>(grp.begin),
+                                                      static_cast<std::size_t>(grp.count)));
   };
   sim::parallel_for_grained(static_cast<int>(s.groups.size()), static_cast<int>(s.live.size()),
                             run);
@@ -153,7 +151,7 @@ void fused_step_numerics(const FusedStepArgs<T>& args, int covered) {
 }  // namespace
 
 template <typename T>
-double launch_fused_step_cost(sim::Device& dev, const FusedStepArgs<T>& args) {
+double launch_fused_step(sim::Device& dev, const FusedStepArgs<T>& args) {
   const int batch = args.batch.count();
   const int covered = args.active.empty() ? batch : static_cast<int>(args.active.size());
   require(covered > 0, "fused step: empty launch");
@@ -166,19 +164,20 @@ double launch_fused_step_cost(sim::Device& dev, const FusedStepArgs<T>& args) {
   cfg.shared_mem = fused_shared_mem(args.block_threads, args.nb, sizeof(T));
   cfg.precision = precision_v<T>;
 
-  // Every block's report, read from info before the step's math.
   const auto& a = args.batch;
   return dev.launch(cfg, [&args, &a](int block) -> sim::BlockCost {
     const int i = args.active.empty() ? block : args.active[static_cast<std::size_t>(block)];
     const int n = a.n[static_cast<std::size_t>(i)];
     const index_t j = static_cast<index_t>(args.step) * args.nb;
+    const int info = args.info[static_cast<std::size_t>(i)];
 
     sim::BlockCost cost;
     cost.live_threads = args.block_threads;
 
-    // ETM: this matrix is fully factorized (or previously failed) — the
-    // whole block exits. Both ETM flavours terminate whole idle blocks.
-    if (j >= n || args.info[static_cast<std::size_t>(i)] != 0) {
+    // ETM: this matrix is fully factorized, or failed at a column an
+    // earlier step covered — the whole block exits. Both ETM flavours
+    // terminate whole idle blocks.
+    if (j >= n || (info > 0 && info <= args.column0 + j)) {
       cost.early_exit = true;
       return cost;
     }
@@ -188,31 +187,18 @@ double launch_fused_step_cost(sim::Device& dev, const FusedStepArgs<T>& args) {
 }
 
 template <typename T>
-double launch_fused_step(sim::Device& dev, const FusedStepArgs<T>& args) {
-  const double seconds = launch_fused_step_cost(dev, args);
-  // Numerics pass (Full mode): the same live blocks, their diagonal tiles
-  // factored in lane groups (docs/simulator.md, "Fused step").
-  if (dev.mode() == sim::ExecMode::Full)
-    fused_step_numerics(args, args.active.empty() ? args.batch.count()
-                                                  : static_cast<int>(args.active.size()));
-  return seconds;
-}
-
-template <typename T>
 void fused_potrf_numerics(Uplo uplo, const BatchArgs<T>& batch, int nb, std::span<int> info) {
   require(nb > 0, "fused numerics: nb must be positive");
   FusedStepArgs<T> args;
   args.batch = batch;
   args.uplo = uplo;
   args.nb = nb;
-  args.info = info;
   const int max_n = batch.n.empty() ? 0 : *std::max_element(batch.n.begin(), batch.n.end());
-  for (; args.step * nb < max_n; ++args.step) fused_step_numerics(args, batch.count());
+  for (; args.step * nb < max_n; ++args.step) fused_step_numerics(args, info);
 }
 
-#define VBATCH_INSTANTIATE_FUSED_STEP(T)                                        \
-  template double launch_fused_step_cost<T>(sim::Device&, const FusedStepArgs<T>&); \
-  template double launch_fused_step<T>(sim::Device&, const FusedStepArgs<T>&);     \
+#define VBATCH_INSTANTIATE_FUSED_STEP(T)                                    \
+  template double launch_fused_step<T>(sim::Device&, const FusedStepArgs<T>&); \
   template void fused_potrf_numerics<T>(Uplo, const BatchArgs<T>&, int, std::span<int>);
 VBATCH_INSTANTIATE_FUSED_STEP(float)
 VBATCH_INSTANTIATE_FUSED_STEP(double)

@@ -12,9 +12,14 @@
 // The m×nb panel lives in shared memory for the whole step.
 //
 // Variable sizes are handled by the ETMs (§III-D1): a block whose matrix is
-// already fully factorized exits immediately (classic); with
+// already fully factorized, or has failed, exits immediately (classic); with
 // EtmMode::Aggressive, threads beyond the matrix's remaining panel height
 // also exit, reducing the idle-thread issue drag.
+//
+// A launch is a cost pass only. The math runs once per call, before the
+// launches, through fused_potrf_numerics (or the separated path's per-matrix
+// potrf), so a launch reads each matrix's final info and a block exits once
+// its step has passed the failing column.
 #pragma once
 
 #include <span>
@@ -32,28 +37,28 @@ struct FusedStepArgs {
   int nb = 16;                    ///< fused blocking size (compile-time template in MAGMA)
   int block_threads = 0;          ///< threads per block (≥ max live panel height)
   EtmMode etm = EtmMode::Aggressive;
-  std::span<int> info;            ///< host mirror of the device info array
+  /// Each matrix's final status (0, or the 1-based failing column; all 0 in
+  /// TimingOnly, where nothing is factored).
+  std::span<const int> info;
+  int column0 = 0;  ///< global column of local column 0 (the separated panel's offset)
   const char* name = "fused_potrf_step";  ///< timeline name of the launch
 };
 
-/// Launches one fused factorization step: the cost pass, then in Full mode
-/// the numerics pass. Returns modelled kernel seconds.
+/// Launches one fused factorization step as a cost pass; it computes
+/// nothing. Block i exits when j ≥ n_i or 0 < info_i ≤ column0 + j (j =
+/// step · nb): the step that fails a matrix, at a column in (j, j + nb],
+/// still runs, and every later one sees the failure. Returns modelled
+/// kernel seconds.
 template <typename T>
 double launch_fused_step(sim::Device& dev, const FusedStepArgs<T>& args);
 
-/// The cost pass of launch_fused_step alone, in either mode: the separated
-/// panel's launches, whose numerics the driver ran per matrix beforehand.
-template <typename T>
-double launch_fused_step_cost(sim::Device& dev, const FusedStepArgs<T>& args);
-
-/// The fused path's numerics for a whole batch, without a launch: every
-/// factorization step of every matrix with nb-wide blocking, step-major.
-/// At each step the matrices still live (j < n_i, info 0) factor in lane
-/// groups exactly as one fused step's numerics pass does, so the factors
-/// and info are the fused driver's Full-mode ones whatever windows or
-/// sub-batches its launches covered. The hetero front runs it once per
-/// call over every committed chunk's matrices (an order-0 entry is never
-/// touched).
+/// The fused path's numerics for a whole batch: every factorization step
+/// of every matrix with nb-wide blocking, step-major. At each step the
+/// matrices still live (j < n_i, info 0) are bucketed by diagonal-tile
+/// order and their tiles factor in lane groups of blas::potf2_batch; a
+/// group's update and solve are its matrices' own. The bits depend only on
+/// each matrix's data, its order and nb. Both potrf fronts run it once per
+/// call (an order-0 entry is never touched).
 template <typename T>
 void fused_potrf_numerics(Uplo uplo, const BatchArgs<T>& batch, int nb, std::span<int> info);
 

@@ -1,10 +1,10 @@
 // The numerical payload and cost report of one fused left-looking Cholesky
-// step (§III-D). launch_fused_step reports fused_step_cost per block, then
-// runs the three pieces (update, diagonal tile, solve) around a
-// lane-grouped blas::potf2_batch of many matrices' diagonal tiles. The
-// separated path's panel kernel (launch_potf2_panel) is that same launch's
-// cost pass on the panels' diagonal blocks, as the paper builds it
-// (§III-E1).
+// step (§III-D). launch_fused_step reports fused_step_cost per live block
+// and computes nothing; fused_potrf_numerics runs the three pieces
+// (update, diagonal tile, solve) around a lane-grouped blas::potf2_batch
+// of many matrices' diagonal tiles, step by step over a whole batch. The
+// separated path's panel kernel (launch_potf2_panel) is the same launch on
+// the panels' diagonal blocks, as the paper builds it (§III-E1).
 #pragma once
 
 #include <algorithm>

@@ -13,7 +13,7 @@
 // each matrix, a pack-once blas::syrk of the strip's diagonal block plus
 // one blas::gemm of the rectangle beside it. The separated Cholesky driver
 // launches the syrk grid (or the streamed per-matrix kernels) as a cost
-// pass alone: it computes every factor per matrix before its first launch.
+// pass alone: the potrf front computes every factor per matrix before it.
 #pragma once
 
 #include <span>

@@ -18,8 +18,6 @@ double launch_potf2_panel(sim::Device& dev, const Potf2PanelArgs& args) {
   const int batch = static_cast<int>(args.n.size());
   require(batch > 0, "potf2_panel: empty batch");
   require(args.NB > 0 && args.nb_inner > 0, "potf2_panel: bad blocking");
-  require(args.final_info.empty() || static_cast<int>(args.final_info.size()) == batch,
-          "potf2_panel: one final info per matrix");
 
   // The diagonal blocks as a batch of their own: matrix i's block has order
   // clamp(n_i − offset, 0, NB). The costs read only the orders and info,
@@ -33,19 +31,13 @@ double launch_potf2_panel(sim::Device& dev, const Potf2PanelArgs& args) {
   step.nb = args.nb_inner;
   step.etm = EtmMode::Classic;
   step.info = args.info;
+  step.column0 = args.offset;
   step.name = "vbatched_potf2_panel";
 
   double seconds = 0.0;
   for (step.step = 0; step.step * args.nb_inner < args.NB; ++step.step) {
-    const int lo = args.offset + step.step * args.nb_inner;
-    const int hi = args.offset + std::min(args.NB, (step.step + 1) * args.nb_inner);
     step.block_threads = round_up_warp(dev.spec(), args.NB - step.step * args.nb_inner);
-    seconds += launch_fused_step_cost(dev, step);
-    // Release the failures whose column (c − 1) this step covered.
-    for (std::size_t i = 0; i < args.final_info.size(); ++i) {
-      const int c = args.final_info[i];
-      if (c > lo && c <= hi && args.info[i] == 0) args.info[i] = c;
-    }
+    seconds += launch_fused_step(dev, step);
   }
   return seconds;
 }

@@ -7,11 +7,10 @@
 // already past the offset, or whose panel finished early, exit through
 // ETM-classic.
 //
-// The launches are cost passes only: the separated driver factors every
-// matrix before its first launch and hands the panel each matrix's final
-// info, which the panel releases into `info` at the inner step that holds
-// the failing column — where factoring step by step would have found it —
-// so the later costs read `info` as they always did.
+// The launches are cost passes only. The call's numerics ran before them,
+// so `info` holds each matrix's final status, and a block exits once its
+// inner step has passed the failing column (the fused step's rule, with
+// the panel offset as column0).
 #pragma once
 
 #include <span>
@@ -25,11 +24,7 @@ struct Potf2PanelArgs {
   int offset = 0;    ///< global diagonal offset of the panel (j)
   int NB = 64;       ///< panel size (ib_i = clamp(n_i - offset, 0, NB))
   int nb_inner = 16; ///< internal fused blocking
-  std::span<int> info;
-  /// Each matrix's info once factored (empty: none fails, e.g. TimingOnly).
-  /// A final info c > 0 is copied to a still-zero info right after the cost
-  /// of the inner step whose columns hold c − 1; before that, info stays.
-  std::span<const int> final_info;
+  std::span<const int> info;  ///< each matrix's final status (0 if it factors)
 };
 
 /// Launches the panel's cost passes for element type T. Returns modelled

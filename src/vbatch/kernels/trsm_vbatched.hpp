@@ -8,8 +8,8 @@
 // sequence is the modelled cost of the separated Cholesky's panel solve
 // (X · L11ᵀ = B for Lower, U11ᵀ · X = B for Upper; B is m×ib or ib×m). The
 // launches are cost passes only and read nothing but the extents: the
-// separated driver computes every factor, this solve included, in its
-// per-matrix numerics pass before its first launch.
+// potrf front computes every factor, this solve included, in the call's
+// per-matrix numerics before the driver's first launch.
 #pragma once
 
 #include <span>

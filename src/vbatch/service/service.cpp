@@ -12,6 +12,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <utility>
 
 #include "vbatch/core/batch.hpp"
 #include "vbatch/core/potrs_vbatched.hpp"
@@ -443,7 +444,8 @@ struct Service::Impl {
   IdRuns seen;  ///< every accepted id, for duplicate rejection
   std::uint64_t next_id = 0;
   bool closing = false;
-  std::optional<ServiceReport> report;  ///< set by the first drain()
+  /// The first drain()'s report without its outcome and batch logs.
+  std::optional<ServiceReport> report;
   std::thread worker;
 
   Impl(hetero::DevicePool& pool, ServiceConfig cfg)
@@ -542,8 +544,15 @@ RequestOutcome Service::wait(const JobTicket& ticket) const {
 ServiceReport Service::drain() {
   impl_->close();
   std::lock_guard<std::mutex> lock(impl_->engine.mutex);
-  if (!impl_->report) impl_->report = impl_->engine.report();
-  return *impl_->report;
+  if (impl_->report) return *impl_->report;
+  // The logs go to the caller; the service keeps the aggregates only.
+  ServiceReport rep = impl_->engine.report();
+  std::vector<RequestOutcome> outcomes = std::exchange(rep.outcomes, {});
+  std::vector<BatchRecord> batch_log = std::exchange(rep.batch_log, {});
+  impl_->report = rep;
+  rep.outcomes = std::move(outcomes);
+  rep.batch_log = std::move(batch_log);
+  return rep;
 }
 
 }  // namespace vbatch::service

@@ -119,8 +119,9 @@ class Service {
   [[nodiscard]] RequestOutcome wait(const JobTicket& ticket) const;
 
   /// Closes intake, flushes every pending request, stops the dispatcher and
-  /// returns the aggregate report. Idempotent (later calls return the same
-  /// report).
+  /// returns the report. The first call moves the outcome and batch logs
+  /// out to its caller; later calls return the same aggregates with empty
+  /// `outcomes` and `batch_log`.
   [[nodiscard]] ServiceReport drain();
 
  private:

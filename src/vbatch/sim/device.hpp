@@ -65,7 +65,6 @@ class Device {
 
   [[nodiscard]] const DeviceSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] ExecMode mode() const noexcept { return mode_; }
-  void set_mode(ExecMode mode) noexcept { mode_ = mode; }
 
   // --- Memory arena -------------------------------------------------------
 

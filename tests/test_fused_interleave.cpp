@@ -8,9 +8,11 @@
 // position of a panel and whatever sits in it (NaN, ±Inf and denormals in
 // the referenced triangle, NaN in the unreferenced one, a non-positive
 // pivot at any column). Whole buffers are compared, padding rows of
-// lda > n included, so a stray write anywhere shows.
+// lda > n included, so a stray write anywhere shows. FusedEarlyExits pins
+// the fused launches' early exits against each matrix's failing column.
 #include <gtest/gtest.h>
 
+#include <complex>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -22,6 +24,7 @@
 #include "vbatch/blas/potf2_lanes.hpp"
 #include "vbatch/core/potrf_vbatched.hpp"
 #include "vbatch/hetero/potrf_hetero.hpp"
+#include "vbatch/kernels/fused_potrf.hpp"
 #include "vbatch/kernels/fused_step_math.hpp"
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/rng.hpp"
@@ -457,6 +460,77 @@ TEST(FusedInterleave, ResultsDoNotDependOnWorkerCount) {
           << "matrix " << i;
   }
   util::set_host_threads(0);
+}
+
+// ---------------------------------------------------------------------------
+// The fused launches' early exits follow the failing column.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+class FusedEarlyExits : public ::testing::Test {};
+using Precisions = ::testing::Types<float, double, std::complex<float>, std::complex<double>>;
+TYPED_TEST_SUITE(FusedEarlyExits, Precisions);
+
+/// The fused twin of SeparatedMatrixMajor.PanelEarlyExitsFollowTheFailingColumn.
+/// Failures are planted at columns 1, nb, nb + 1, 150 and the last (1-based)
+/// of order-300 matrices, beside clean ones of orders 300, 40 and 0; order 300
+/// runs the sorting driver's single-launch steps as well as its windows. At
+/// step column j a block exits once j >= n_i or j >= c_i, its final info.
+/// Without sorting every step is one launch over the batch, whose early exits
+/// equal that hand count; with sorting a step's launches together run
+/// Σ(grid_blocks − early_exits) = the live count. Steps start at the
+/// sorting driver's aux_build_window / aux_build_partition sweep.
+TYPED_TEST(FusedEarlyExits, FollowTheFailingColumn) {
+  using T = TypeParam;
+  constexpr int kOrder = 300;
+  constexpr int kClean = std::numeric_limits<int>::max();
+  const int nb = kernels::choose_fused_nb(sim::DeviceSpec::k40c(), kOrder, sizeof(T));
+  const std::vector<int> fail_at{1, nb, nb + 1, 150, kOrder, kClean, kClean, kClean};
+  const std::vector<int> sizes{kOrder, kOrder, kOrder, kOrder, kOrder, kOrder, 40, 0};
+  auto exits_at = [&](int j) {
+    int exits = 0;
+    for (std::size_t i = 0; i < sizes.size(); ++i)
+      if (j >= sizes[i] || j >= fail_at[i]) ++exits;
+    return exits;
+  };
+  const int count = static_cast<int>(sizes.size());
+  for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+    for (bool sorting : {false, true}) {
+      Queue q;
+      Batch<T> batch(q, sizes, 1);
+      Rng rng(77);
+      batch.fill_spd(rng);
+      for (std::size_t i = 0; i < sizes.size(); ++i)
+        if (fail_at[i] != kClean) {
+          const index_t c = fail_at[i] - 1;
+          batch.matrix(static_cast<int>(i))(c, c) = T(-1);
+        }
+      PotrfOptions opts;
+      opts.path = PotrfPath::Fused;
+      opts.implicit_sorting = sorting;
+      potrf_vbatched<T>(q, uplo, batch, opts);
+
+      std::vector<int> want, got;
+      for (int j = 0; j < kOrder; j += nb)
+        want.push_back(sorting ? count - exits_at(j) : exits_at(j));
+      for (const auto& r : q.device().timeline().records()) {
+        if (r.name == "aux_build_window" || r.name == "aux_build_partition") got.push_back(0);
+        if (r.name != "fused_potrf_step") continue;
+        if (sorting) {
+          ASSERT_FALSE(got.empty()) << "a fused launch before the first step's sweep";
+          got.back() += r.grid_blocks - r.early_exits;
+        } else {
+          EXPECT_EQ(r.grid_blocks, count);
+          got.push_back(r.early_exits);
+        }
+      }
+      const std::string what = std::string(to_string(uplo)) + (sorting ? ", sorting" : "") +
+                               ", nb=" + std::to_string(nb);
+      EXPECT_EQ(got, want) << what;
+      for (std::size_t i = 0; i < sizes.size(); ++i)
+        EXPECT_EQ(batch.info()[i], fail_at[i] == kClean ? 0 : fail_at[i])
+            << what << ", matrix " << i;
+    }
 }
 
 }  // namespace

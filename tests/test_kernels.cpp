@@ -133,13 +133,16 @@ TEST(FusedPotrf, SharedMemAndFeasibility) {
   EXPECT_GE(choose_fused_nb(spec, 700, sizeof(double)), 8);
 }
 
-// Runs the full fused factorization of a batch, step by step, like the
-// driver does, and checks every factor against the reference.
-void run_fused_to_completion(sim::Device& dev, TestBatch& tb, EtmMode etm, int nb) {
+// Runs the full fused factorization of a batch like the driver does: the
+// numerics once (fused_potrf_numerics), then every step's cost launch over
+// the whole batch, which reads the final info.
+void run_fused_to_completion(sim::Device& dev, TestBatch& tb, EtmMode etm, int nb,
+                             Uplo uplo = Uplo::Lower) {
   const int max_n = *std::max_element(tb.n.begin(), tb.n.end());
+  fused_potrf_numerics<double>(uplo, tb.args(), nb, tb.info);
   FusedStepArgs<double> args;
   args.batch = tb.args();
-  args.uplo = Uplo::Lower;
+  args.uplo = uplo;
   args.nb = nb;
   args.etm = etm;
   args.info = tb.info;
@@ -148,6 +151,14 @@ void run_fused_to_completion(sim::Device& dev, TestBatch& tb, EtmMode etm, int n
     args.block_threads = round_up_warp(dev.spec(), max_n - step * nb);
     launch_fused_step(dev, args);
   }
+}
+
+/// The fused_potrf_step records' early exits, in launch order.
+std::vector<int> fused_step_exits(const sim::Device& dev) {
+  std::vector<int> out;
+  for (const auto& r : dev.timeline().records())
+    if (r.name == "fused_potrf_step") out.push_back(r.early_exits);
+  return out;
 }
 
 class FusedEtmTest : public ::testing::TestWithParam<EtmMode> {};
@@ -168,6 +179,8 @@ TEST_P(FusedEtmTest, FactorsMatchReference) {
         EXPECT_NEAR(tb.data[i][static_cast<std::size_t>(r + c * n)], expect(r, c), 1e-10)
             << "matrix " << i;
   }
+  // One cost launch per step; a block exits once its matrix is finished.
+  EXPECT_EQ(fused_step_exits(dev), (std::vector<int>{0, 2, 3, 5}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Etms, FusedEtmTest,
@@ -177,19 +190,9 @@ TEST(FusedPotrf, UpperFactorsMatchReference) {
   auto dev = make_dev();
   TestBatch tb({24, 40}, 11);
   TestBatch ref = tb;
-  const int max_n = 40, nb = 8;
-  FusedStepArgs<double> args;
-  args.batch = tb.args();
-  args.uplo = Uplo::Upper;
-  args.nb = nb;
-  args.etm = EtmMode::Aggressive;
-  args.info = tb.info;
-  for (int step = 0; step * nb < max_n; ++step) {
-    args.step = step;
-    args.block_threads = round_up_warp(dev.spec(), max_n - step * nb);
-    launch_fused_step(dev, args);
-  }
+  run_fused_to_completion(dev, tb, EtmMode::Aggressive, 8, Uplo::Upper);
   for (std::size_t i = 0; i < tb.n.size(); ++i) {
+    EXPECT_EQ(tb.info[i], 0);
     const int n = tb.n[i];
     MatrixView<double> expect(ref.data[i].data(), n, n, n);
     ASSERT_EQ(blas::potrf<double>(Uplo::Upper, expect), 0);
@@ -197,6 +200,7 @@ TEST(FusedPotrf, UpperFactorsMatchReference) {
       for (int r = 0; r <= c; ++r)
         EXPECT_NEAR(tb.data[i][static_cast<std::size_t>(r + c * n)], expect(r, c), 1e-10);
   }
+  EXPECT_EQ(fused_step_exits(dev), (std::vector<int>{0, 0, 0, 1, 1}));
 }
 
 TEST(FusedPotrf, EtmExitsAreCountedForFinishedMatrices) {
@@ -215,12 +219,14 @@ TEST(FusedPotrf, EtmExitsAreCountedForFinishedMatrices) {
 
 TEST(FusedPotrf, NonSpdMatrixSetsGlobalInfoAndSkipsFurtherSteps) {
   auto dev = make_dev();
-  TestBatch tb({32, 32}, 13);
-  // Corrupt matrix 1 beyond the first panel: fails at step 2 (j=16).
-  tb.data[1][static_cast<std::size_t>(20 + 20 * 32)] = -1e6;
+  TestBatch tb({48, 48}, 13);
+  // Corrupt matrix 1 beyond the first panel: fails at step 1 (j=16).
+  tb.data[1][static_cast<std::size_t>(20 + 20 * 48)] = -1e6;
   run_fused_to_completion(dev, tb, EtmMode::Aggressive, 16);
   EXPECT_EQ(tb.info[0], 0);
   EXPECT_EQ(tb.info[1], 21);  // 1-based global index of the bad pivot
+  // The failing step still runs; the step after it sees the failure.
+  EXPECT_EQ(fused_step_exits(dev), (std::vector<int>{0, 0, 1}));
 }
 
 TEST(FusedPotrf, ActiveListRestrictsLaunch) {
@@ -237,11 +243,12 @@ TEST(FusedPotrf, ActiveListRestrictsLaunch) {
   args.step = 0;
   args.block_threads = 32;
   launch_fused_step(dev, args);
-  // Matrix 1 factored; matrices 0 and 2 untouched.
-  EXPECT_NE(tb.data[1], ref.data[1]);
-  EXPECT_EQ(tb.data[0], ref.data[0]);
-  EXPECT_EQ(tb.data[2], ref.data[2]);
   EXPECT_EQ(dev.timeline().records().back().grid_blocks, 1);
+  EXPECT_EQ(dev.timeline().records().back().early_exits, 0);
+  // A launch is a cost pass: every matrix and info is untouched.
+  for (std::size_t i = 0; i < tb.n.size(); ++i)
+    EXPECT_TRUE(same_bytes(tb.data[i], ref.data[i])) << "matrix " << i;
+  EXPECT_EQ(tb.info, ref.info);
 }
 
 // ---------------------------------------------------------------------------
@@ -290,26 +297,26 @@ TEST(Potf2Panel, OffsetPastMatrixTriggersEtm) {
 TEST(Potf2Panel, FailingPivotInSecondPanelReportsGlobalInfo) {
   auto dev = make_dev();
   TestBatch tb({100, 100, 100}, 37);
-  // Matrix 1 fails at global column 85: local column 20 of the panel at
-  // offset 64, inner step 1. Matrix 2 fails in the first panel, which this
-  // launch does not cover, so its info stays.
-  const std::vector<int> final_info{0, 64 + 21, 30};
+  // Final statuses handed in through info: matrix 1 fails at global column
+  // 85, local column 20 of the panel at offset 64 (inner step 1); matrix 2
+  // failed at column 30, in the panel before this one.
+  tb.info = {0, 64 + 21, 30};
   Potf2PanelArgs args;
   args.n = tb.n;
   args.offset = 64;
   args.NB = 64;
   args.nb_inner = 16;
   args.info = tb.info;
-  args.final_info = final_info;
   launch_potf2_panel<double>(dev, args);
-  EXPECT_EQ(tb.info, (std::vector<int>{0, 64 + 21, 0}));
-  // Released after inner step 1's cost, so step 2 sees matrix 1 exit; at
-  // step 3 every block is past its 36 remaining columns.
+  EXPECT_EQ(tb.info, (std::vector<int>{0, 64 + 21, 30}));  // read, never written
+  // A block exits once 0 < info ≤ 64 + j: matrix 2 at every step, matrix 1
+  // from inner step 2 (j = 32) on, after its failing step 1 ran; at step 3
+  // every block is past its 36 remaining columns.
   const auto& recs = dev.timeline().records();
   ASSERT_EQ(recs.size(), 4u);
-  EXPECT_EQ(recs[0].early_exits, 0);
-  EXPECT_EQ(recs[1].early_exits, 0);
-  EXPECT_EQ(recs[2].early_exits, 1);
+  EXPECT_EQ(recs[0].early_exits, 1);
+  EXPECT_EQ(recs[1].early_exits, 1);
+  EXPECT_EQ(recs[2].early_exits, 2);
   EXPECT_EQ(recs[3].early_exits, 3);
 }
 

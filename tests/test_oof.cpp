@@ -18,10 +18,12 @@
 #include <string>
 #include <vector>
 
+#include "poison.hpp"
 #include "vbatch/core/potrf_vbatched.hpp"
 #include "vbatch/core/size_dist.hpp"
 #include "vbatch/energy/power_model.hpp"
 #include "vbatch/hetero/potrf_hetero.hpp"
+#include "vbatch/kernels/fused_potrf.hpp"
 #include "vbatch/sim/device.hpp"
 #include "vbatch/sim/profile.hpp"
 #include "vbatch/util/error.hpp"
@@ -600,6 +602,81 @@ TEST(HeteroOofFault, FaultsDuringStreamingKeepTheFactors) {
   EXPECT_GT(r2.retries, 0);
   EXPECT_GT(r2.seconds, r1.seconds);  // wasted attempts re-stage their copies
   expect_bit_identical(snapshot(b1), snapshot(b2), "faults during streaming");
+}
+
+/// Every poison at a column inside every nb step of order-150 matrices (nb
+/// the path's blocking), beside clean matrices of orders 150, 65, 17 and 0,
+/// lda = n + 1. A streamed k40c:2streams,p100 pool, with and without an
+/// executor death, gives info and whole buffers memcmp-equal to one K40c.
+template <typename T>
+void expect_oof_poisons_match_single_device(const char* type) {
+  constexpr int kOrder = 150;
+  for (PotrfPath path : {PotrfPath::Fused, PotrfPath::Separated}) {
+    const int nb = path == PotrfPath::Fused
+                       ? kernels::choose_fused_nb(sim::DeviceSpec::k40c(), kOrder, sizeof(T))
+                       : detail::default_separated_nb(sizeof(T));
+    std::vector<int> sizes;
+    std::vector<std::pair<vbatch::testing::Poison, index_t>> plan;
+    for (vbatch::testing::Poison p : vbatch::testing::kPoisons)
+      for (index_t c = 5; c < kOrder; c += nb) {
+        sizes.push_back(kOrder);
+        plan.emplace_back(p, c);
+      }
+    for (int n : {kOrder, 65, 17, 0}) {
+      sizes.push_back(n);
+      plan.emplace_back(vbatch::testing::Poison::None, 0);
+    }
+    for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+      PotrfOptions opts;
+      opts.path = path;
+      auto factor = [&](const char* faults) {
+        Queue q;
+        Batch<T> batch(q, sizes, 1);
+        Rng rng(41);
+        batch.fill_spd(rng);
+        for (std::size_t i = 0; i < plan.size(); ++i)
+          vbatch::testing::plant(plan[i].first, batch.matrix(static_cast<int>(i)), uplo,
+                                 plan[i].second + kOrder * static_cast<index_t>(i));
+        if (faults == nullptr) {
+          (void)potrf_vbatched<T>(q, uplo, batch, opts);
+        } else {
+          DevicePool pool = DevicePool::parse("k40c:2streams,p100");
+          if (*faults != '\0') pool.set_faults(fault::parse_fault_spec(faults));
+          HeteroOptions hopts;
+          hopts.potrf = opts;
+          hopts.staging = HeteroOptions::Staging::Streamed;
+          const auto r = potrf_vbatched_hetero<T>(pool, uplo, batch, hopts);
+          EXPECT_GT(r.h2d_bytes, 0.0) << faults;
+          EXPECT_EQ(r.executors_lost, *faults != '\0' ? 1 : 0) << faults;
+        }
+        std::vector<std::vector<T>> bufs;
+        for (int i = 0; i < batch.count(); ++i) {
+          const MatrixView<T> a = batch.matrix(i);
+          bufs.emplace_back(a.data(), a.data() + a.ld() * a.cols());
+        }
+        return std::make_pair(std::vector<int>(batch.info().begin(), batch.info().end()), bufs);
+      };
+      const auto [want_info, want] = factor(nullptr);
+      EXPECT_GT(std::count_if(want_info.begin(), want_info.end(), [](int c) { return c > 0; }),
+                0);
+      for (const char* faults : {"", "die:exec=0,after=1"}) {
+        const auto [info, got] = factor(faults);
+        const std::string what = std::string(type) + "/" + to_string(path) + "/" +
+                                 std::string(to_string(uplo)) + (*faults != '\0' ? "/die" : "");
+        EXPECT_EQ(info, want_info) << what;
+        for (std::size_t i = 0; i < got.size(); ++i)
+          EXPECT_TRUE(got[i].size() == want[i].size() &&
+                      (got[i].empty() ||
+                       std::memcmp(got[i].data(), want[i].data(), got[i].size() * sizeof(T)) == 0))
+              << what << ": matrix " << i;
+      }
+    }
+  }
+}
+
+TEST(HeteroOofPoisons, MatchSingleDeviceOnBothPaths) {
+  expect_oof_poisons_match_single_device<float>("s");
+  expect_oof_poisons_match_single_device<double>("d");
 }
 
 // ---------------------------------------------------------------------------

@@ -279,6 +279,23 @@ TEST(Crossover, FusedPathRejectsInfeasibleSizes) {
   EXPECT_THROW(potrf_vbatched<double>(q, Uplo::Lower, batch, opts), Error);
 }
 
+/// Full mode runs the call's numerics before the launches, so a pinned
+/// fused plan past the device's bound must be rejected before them: the
+/// matrices are left as they were.
+TEST(Crossover, RejectedFusedCallLeavesTheBatchUntouched) {
+  Queue q;
+  const std::vector<int> sizes{800, 16};
+  Batch<double> batch(q, sizes);
+  Rng rng(5);
+  batch.fill_spd(rng);
+  const std::vector<double> big = batch.copy_matrix(0), small = batch.copy_matrix(1);
+  PotrfOptions opts;
+  opts.path = PotrfPath::Fused;
+  EXPECT_THROW(potrf_vbatched<double>(q, Uplo::Lower, batch, opts), Error);
+  EXPECT_TRUE(batch.copy_matrix(0) == big);
+  EXPECT_TRUE(batch.copy_matrix(1) == small);
+}
+
 // ---------------------------------------------------------------------------
 // One potrf plan for a single device and the pool
 // ---------------------------------------------------------------------------

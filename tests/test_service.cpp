@@ -743,8 +743,14 @@ TEST(ServiceLive, DrainFlushesPendingAndRejectsLateSubmits) {
   EXPECT_TRUE(ticket.done());
   EXPECT_EQ(svc.wait(ticket).status, RequestStatus::Ok);
   EXPECT_THROW((void)svc.submit(make_request(0, "a", {16})), Error);
-  const ServiceReport again = svc.drain();  // idempotent
+  EXPECT_EQ(report.outcomes.size(), 1u);
+  EXPECT_EQ(report.batch_log.size(), 1u);
+  // Later calls return the same aggregates; the logs went to the first caller.
+  const ServiceReport again = svc.drain();
   EXPECT_EQ(again.requests, 1);
+  EXPECT_EQ(again.batches, report.batches);
+  EXPECT_TRUE(again.outcomes.empty());
+  EXPECT_TRUE(again.batch_log.empty());
 }
 
 TEST(ServiceLive, DuplicateExplicitIdRejected) {
