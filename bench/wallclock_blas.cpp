@@ -83,6 +83,14 @@
 //     the rests are small and fewer groups are partial, so double is only
 //     held to not falling behind the earlier contract.
 //
+// Part 8 is the payload fill series: fill_spd (payload rule v2,
+// util/payload.hpp) for float and double at n = 8, 32 and 128, under
+// Isa::Scalar (the portable path) and the active ISA, in ns per element.
+// Paired rounds as in Part 4, two gates:
+//   * bit gate — the two fills memcmp-equal, any ISA;
+//   * fill gate — under AVX2 or AVX-512, the dispatched fill >= 2x the
+//     scalar one (the median over rounds of the summed times' ratio).
+//
 // Output: a human-readable table on stdout plus one JSON line appended to
 // BENCH_blas.json (override with --out). The run fails (non-zero exit) on a
 // numerics problem or on a failed regression gate.
@@ -800,6 +808,98 @@ PotrfSeries run_potrf_series(const Options& o) {
   return r;
 }
 
+/// Part 8: fill_spd's ns per element, portable path against the active
+/// ISA. Every cell refills one n×n buffer for about kWindowEntries entries
+/// per timing, so each cell weighs alike in the summed times; each cell
+/// reads its best round.
+struct PayloadFillSeries {
+  std::vector<int> n;
+  std::vector<double> scalar_ns_s, dispatched_ns_s;  ///< float, per n
+  std::vector<double> scalar_ns_d, dispatched_ns_d;  ///< double, per n
+  double ratio = 0.0;  ///< median over rounds of Σ scalar / Σ dispatched time
+  bool bits_ok = true;
+};
+
+PayloadFillSeries run_payload_fill(const Options& o) {
+  constexpr int kOrders[] = {8, 32, 128};
+  constexpr index_t kWindowEntries = index_t{1} << 18;
+  constexpr int kRounds = 9;
+  struct Cell {
+    index_t n = 0;
+    bool dbl = false;
+    int fills = 0;
+    std::vector<float> s;
+    std::vector<double> d;
+    double best_scalar = 1e300, best_dispatched = 1e300;
+  };
+  std::vector<Cell> cells;
+  for (const bool dbl : {false, true})
+    for (const int n : kOrders) {
+      Cell c;
+      c.n = n;
+      c.dbl = dbl;
+      c.fills = static_cast<int>(std::max<index_t>(1, kWindowEntries / (c.n * c.n)));
+      if (dbl) c.d.resize(static_cast<std::size_t>(c.n * c.n));
+      else c.s.resize(static_cast<std::size_t>(c.n * c.n));
+      cells.push_back(std::move(c));
+    }
+  // One window of fills from one stream; returns its seconds.
+  auto window = [&o](Cell& c) {
+    Rng rng(o.seed + 8);
+    const double t0 = now_seconds();
+    for (int k = 0; k < c.fills; ++k) {
+      if (c.dbl) fill_spd(rng, c.d.data(), c.n, c.n);
+      else fill_spd(rng, c.s.data(), c.n, c.n);
+    }
+    return now_seconds() - t0;
+  };
+  // The scalar anchor pins the portable path; the ProfileGuard restores a
+  // tuned profile once the IsaGuard has switched the ISA back.
+  auto scalar_window = [&window](Cell& c) {
+    blas::micro::ProfileGuard pguard(blas::micro::active_profile());
+    blas::micro::IsaGuard iguard(blas::micro::Isa::Scalar);
+    return window(c);
+  };
+
+  PayloadFillSeries r;
+  for (Cell& c : cells) {
+    (void)scalar_window(c);
+    const std::vector<float> s0 = c.s;
+    const std::vector<double> d0 = c.d;
+    (void)window(c);
+    r.bits_ok = r.bits_ok && std::memcmp(s0.data(), c.s.data(), s0.size() * sizeof(float)) == 0 &&
+                std::memcmp(d0.data(), c.d.data(), d0.size() * sizeof(double)) == 0;
+  }
+  std::vector<double> ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    double scalar_s = 0.0, dispatched_s = 0.0;
+    for (Cell& c : cells) {
+      double sc = 0.0, di = 0.0;
+      if (round % 2 == 0) {
+        sc = scalar_window(c);
+        di = window(c);
+      } else {
+        di = window(c);
+        sc = scalar_window(c);
+      }
+      c.best_scalar = std::min(c.best_scalar, sc);
+      c.best_dispatched = std::min(c.best_dispatched, di);
+      scalar_s += sc;
+      dispatched_s += di;
+    }
+    ratios.push_back(scalar_s / dispatched_s);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + kRounds / 2, ratios.end());
+  r.ratio = ratios[kRounds / 2];
+  for (const Cell& c : cells) {
+    const double entries = static_cast<double>(c.fills) * static_cast<double>(c.n * c.n);
+    (c.dbl ? r.scalar_ns_d : r.scalar_ns_s).push_back(c.best_scalar / entries * 1e9);
+    (c.dbl ? r.dispatched_ns_d : r.dispatched_ns_s).push_back(c.best_dispatched / entries * 1e9);
+    if (!c.dbl) r.n.push_back(static_cast<int>(c.n));
+  }
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1071,6 +1171,16 @@ int main(int argc, char** argv) {
   };
   print_groups("d", gd);
   print_groups("s", gs);
+  // Part 8: the payload fill, portable path against the active ISA.
+  const PayloadFillSeries fill = run_payload_fill(o);
+  nn512_sample();
+  const bool fill_gated = isa == blas::micro::Isa::Avx2 || isa == blas::micro::Isa::Avx512;
+  const bool fill_ok = !fill_gated || fill.ratio >= 2.0;
+  for (std::size_t x = 0; x < fill.n.size(); ++x)
+    std::printf("  payload fill n=%d: s scalar %.2f / %s %.2f ns, d scalar %.2f / %s %.2f ns "
+                "per element\n",
+                fill.n[x], fill.scalar_ns_s[x], to_string(isa), fill.dispatched_ns_s[x],
+                fill.scalar_ns_d[x], to_string(isa), fill.dispatched_ns_d[x]);
   const double nn512_ratio = nn512_gated ? (flops::gemm(512, 512, 512) / nn_best512) /
                                                (flops::gemm(384, 384, 384) / nn_best384)
                                          : 0.0;
@@ -1116,6 +1226,10 @@ int main(int argc, char** argv) {
               "paired): %.2fx/%.2fx d, %.2fx/%.2fx s (%s)\n",
               gd.vs_loop, gd.vs_whole, gs.vs_loop, gs.vs_whole,
               !groups_gated ? "not gated on this ISA" : groups_ok ? "PASS" : "FAIL");
+
+  std::printf("  payload fill bit gate (memcmp vs scalar): %s\n", fill.bits_ok ? "PASS" : "FAIL");
+  std::printf("  payload fill gate (dispatched >=2.0x scalar, paired): %.2fx (%s)\n", fill.ratio,
+              !fill_gated ? "not gated on this ISA" : fill_ok ? "PASS" : "FAIL");
 
   auto groups_json = [](const auto& g) {
     return gate::JsonLine{{"lanes", g.lanes},
@@ -1190,19 +1304,27 @@ int main(int argc, char** argv) {
                                    {"recursive_gflops", pf.recursive_gflops},
                                    {"ratio", pf.ratio},
                                    {"ok", potrf_ok},
-                                   {"max_residual", pf.max_residual}});
+                                   {"max_residual", pf.max_residual}})
+      .add("payload_fill", gate::JsonLine{{"n", fill.n},
+                                          {"scalar_ns_s", fill.scalar_ns_s},
+                                          {"dispatched_ns_s", fill.dispatched_ns_s},
+                                          {"scalar_ns_d", fill.scalar_ns_d},
+                                          {"dispatched_ns_d", fill.dispatched_ns_d},
+                                          {"ratio", fill.ratio},
+                                          {"ok", fill_ok},
+                                          {"bits_ok", fill.bits_ok}});
   std::printf("%s\n", json.str().c_str());
   gate::append_json_lines(o.out, {json});
 
   if (!residual_ok || !p2.bits_ok || !update_bits_ok || !sv.bits_ok || !potrf_residual_ok ||
-      !groups_bits_ok) {
+      !groups_bits_ok || !fill.bits_ok) {
     std::fprintf(stderr, "FAILED: residual gate, info check, potf2_batch bit gate, rank-64 "
-                         "update numerics, panel solve bit gate, potrf residual or potf2 "
-                         "groups bit gate failed\n");
+                         "update numerics, panel solve bit gate, potrf residual, potf2 "
+                         "groups bit gate or payload fill bit gate failed\n");
     return 1;
   }
   if (!nt_vector_2x_ok || !nn512_ok || !p2_speedup_ok || !update_ok || !solve_ok ||
-      !potrf_ok || !groups_ok) {
+      !potrf_ok || !groups_ok || !fill_ok) {
     std::fprintf(stderr, "FAILED: performance regression gate failed\n");
     return 1;
   }

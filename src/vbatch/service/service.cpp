@@ -80,10 +80,14 @@ std::vector<unsigned char> to_bytes(const std::vector<T>& v) {
 }
 
 /// Executes one coalesced flush as a single variable-size launch and
-/// demultiplexes the per-request slices. Payload rule: every request is
-/// filled from its own payload_seed, sequentially over its own matrices —
-/// so its numerics are a pure function of the request, not of whatever the
-/// coalescer merged it with.
+/// demultiplexes the per-request slices. Payload rule (v2, util/payload.hpp):
+/// every request draws from its own Rng(payload_seed), one key per matrix,
+/// sequentially over its own matrices, and each entry of a matrix is a hash
+/// of (key, row, column) converted exactly to a real. So a request's
+/// numerics are a pure function of the request, not of whatever the
+/// coalescer merged it with, and its bits are the same under every ISA and
+/// leading dimension. A posv request's right-hand sides come the same way
+/// from a second stream, Rng(payload_seed ^ 0xD1B54A32D192ED03).
 template <typename T>
 LaunchResult run_merged(hetero::DevicePool& pool, const Coalescer::Flush& flush,
                         const ServiceConfig& cfg) {

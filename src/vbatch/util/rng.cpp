@@ -1,8 +1,11 @@
 #include "vbatch/util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
+#include "vbatch/util/error.hpp"
+#include "vbatch/util/payload.hpp"
 #include "vbatch/util/types.hpp"
 
 namespace vbatch {
@@ -73,49 +76,34 @@ double Rng::gaussian(double mean, double stddev) noexcept {
   return mean + stddev * gaussian();
 }
 
-void fill_uniform(Rng& rng, std::vector<double>& v, double lo, double hi) {
-  for (auto& x : v) x = rng.uniform(lo, hi);
+namespace {
+// One call of payload rule v2 (util/payload.hpp): one key from the stream,
+// its words for the real part and splitmix64(key)'s for the imaginary part.
+template <typename T>
+void fill_payload(Rng& rng, T* a, bool spd, std::int64_t m, std::int64_t n, std::int64_t ld) {
+  using R = real_t<T>;
+  const std::uint64_t key = rng.next();
+  std::uint64_t state = key;
+  const std::uint64_t im = splitmix64(state);
+  auto lo = [](std::uint64_t w) { return static_cast<std::uint32_t>(w); };
+  auto hi = [](std::uint64_t w) { return static_cast<std::uint32_t>(w >> 32); };
+  const detail::PayloadCall call{spd, lo(key), hi(key), lo(im), hi(im), m, n, ld};
+  const detail::PayloadFns<R> fns = detail::active_payload_kernels().of<R>();
+  (is_complex_v<T> ? fns.cplx : fns.real)(call, reinterpret_cast<R*>(a));
 }
-
-void fill_uniform(Rng& rng, std::vector<float>& v, float lo, float hi) {
-  for (auto& x : v) x = static_cast<float>(rng.uniform(lo, hi));
-}
+}  // namespace
 
 template <typename T>
 void fill_spd(Rng& rng, T* a, std::int64_t n, std::int64_t ld) {
-  using R = real_t<T>;
-  for (std::int64_t j = 0; j < n; ++j)
-    for (std::int64_t i = 0; i < n; ++i) {
-      if constexpr (is_complex_v<T>) {
-        a[i + j * ld] = T(static_cast<R>(rng.uniform()), static_cast<R>(rng.uniform(-0.5, 0.5)));
-      } else {
-        a[i + j * ld] = static_cast<T>(rng.uniform());
-      }
-    }
-  // Hermitian symmetrization (plain symmetric for real) + diagonal boost:
-  // strictly dominant real diagonal makes the matrix positive definite.
-  for (std::int64_t j = 0; j < n; ++j) {
-    for (std::int64_t i = j + 1; i < n; ++i) {
-      const T sym = T(R(0.5)) * (a[i + j * ld] + conj_val(a[j + i * ld]));
-      a[i + j * ld] = sym;
-      a[j + i * ld] = conj_val(sym);
-    }
-    a[j + j * ld] = T(real_val(a[j + j * ld]) + static_cast<R>(n));
-  }
+  require(n >= 0 && ld >= std::max<std::int64_t>(1, n), "fill_spd: need n >= 0, ld >= max(1, n)");
+  fill_payload(rng, a, true, n, n, ld);
 }
 
 template <typename T>
 void fill_general(Rng& rng, T* a, std::int64_t m, std::int64_t n, std::int64_t ld) {
-  using R = real_t<T>;
-  for (std::int64_t j = 0; j < n; ++j)
-    for (std::int64_t i = 0; i < m; ++i) {
-      if constexpr (is_complex_v<T>) {
-        a[i + j * ld] =
-            T(static_cast<R>(rng.uniform(-1.0, 1.0)), static_cast<R>(rng.uniform(-1.0, 1.0)));
-      } else {
-        a[i + j * ld] = static_cast<T>(rng.uniform(-1.0, 1.0));
-      }
-    }
+  require(m >= 0 && n >= 0 && ld >= std::max<std::int64_t>(1, m),
+          "fill_general: need m, n >= 0, ld >= max(1, m)");
+  fill_payload(rng, a, false, m, n, ld);
 }
 
 template void fill_spd<float>(Rng&, float*, std::int64_t, std::int64_t);

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace vbatch {
 
@@ -42,17 +41,23 @@ class Rng {
   double spare_ = 0.0;
 };
 
-/// Fills `v` with uniform values in [lo, hi).
-void fill_uniform(Rng& rng, std::vector<double>& v, double lo, double hi);
-void fill_uniform(Rng& rng, std::vector<float>& v, float lo, float hi);
+/// Payload rule v2 (util/payload.hpp). Each call draws exactly one key from
+/// `rng`, and every entry is a hash of (key, row, column) converted exactly
+/// to a real, so the bits are a pure function of the key and the position:
+/// the same under every ISA and leading dimension. Only the first rows of
+/// each column are written; pad rows up to `ld` keep their contents. Both
+/// throw Status::InvalidArgument on a negative extent or `ld < max(1, rows)`.
 
 /// Fills a column-major n×n buffer (leading dimension ld) with a random
-/// symmetric positive definite matrix: A = 0.5(B+Bᵀ) + n·I with B uniform
-/// in [0,1). Diagonal dominance guarantees SPD for any n ≥ 1.
+/// symmetric (Hermitian) positive definite matrix. Entry (i, j) hashes the
+/// unordered pair {i, j}, so the matrix is symmetric by construction: real
+/// parts in [0, 1), imaginary parts in [-1/2, 1/2) mirrored with conj, and
+/// a real diagonal boosted by +n (strict diagonal dominance for real T).
 template <typename T>
 void fill_spd(Rng& rng, T* a, std::int64_t n, std::int64_t ld);
 
-/// Fills a column-major m×n buffer with uniform values in [-1, 1).
+/// Fills a column-major m×n buffer with values in [-1, 1) (real and
+/// imaginary parts), entry (i, j) hashing the ordered pair.
 template <typename T>
 void fill_general(Rng& rng, T* a, std::int64_t m, std::int64_t n, std::int64_t ld);
 

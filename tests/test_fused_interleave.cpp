@@ -72,8 +72,10 @@ struct Panels {
     Rng rng(seed);
     for (int k = 0; k < count; ++k) {
       std::vector<T> buf(static_cast<std::size_t>(std::max<index_t>(1, ld * n)));
-      fill_general<T>(rng, buf.data(), ld, n, ld);  // padding rows hold values too
-      if (n > 0) fill_spd<T>(rng, buf.data(), n, ld);
+      if (n > 0) {
+        fill_general<T>(rng, buf.data(), ld, n, ld);  // padding rows hold values too
+        fill_spd<T>(rng, buf.data(), n, ld);
+      }
       const Poison p = k < static_cast<int>(poisons.size()) ? poisons[static_cast<std::size_t>(k)]
                                                              : Poison::None;
       plant(p, MatrixView<T>(buf.data(), n, n, ld), uplo, 5 * k + 3);
@@ -176,8 +178,10 @@ struct MixedPanels {
     for (std::size_t k = 0; k < n.size(); ++k) {
       ld.push_back(n[k] + static_cast<index_t>((seed + k) % 3));
       std::vector<T> buf(static_cast<std::size_t>(std::max<index_t>(1, ld[k] * n[k])));
-      fill_general<T>(rng, buf.data(), ld[k], n[k], ld[k]);
-      if (n[k] > 0) fill_spd<T>(rng, buf.data(), n[k], ld[k]);
+      if (n[k] > 0) {
+        fill_general<T>(rng, buf.data(), ld[k], n[k], ld[k]);
+        fill_spd<T>(rng, buf.data(), n[k], ld[k]);
+      }
       plant(poisons[k], MatrixView<T>(buf.data(), n[k], n[k], ld[k]), uplo,
             static_cast<index_t>(seed % 97 + 5 * k));
       data.push_back(std::move(buf));
