@@ -18,7 +18,10 @@ SlabArrays<T>::SlabArrays(Queue& q, std::span<const int> ld, std::span<const int
     const std::size_t width = cols.empty() ? 1 : static_cast<std::size_t>(std::max(0, cols[i]));
     offsets_[i + 1] = offsets_[i] + static_cast<std::size_t>(std::max(0, ld[i])) * width;
   }
-  slab_ = q.device().device_malloc(std::max<std::size_t>(1, offsets_.back()) * sizeof(T));
+  // Full mode backs the slab with host memory; TimingOnly only charges the
+  // arena, under a tag pointer no launch dereferences.
+  const std::size_t bytes = std::max<std::size_t>(1, offsets_.back()) * sizeof(T);
+  slab_ = q.full() ? q.device().device_malloc(bytes) : q.device().device_reserve(bytes);
   T* base = static_cast<T*>(slab_);
   for (std::size_t i = 0; i < ld.size(); ++i) ptrs_.host()[i] = base + offsets_[i];
 }

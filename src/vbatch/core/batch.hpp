@@ -67,8 +67,9 @@ struct VbatchedProblem {
 /// "per-item arrays in one allocation": the matrix payload of every batch
 /// container, the per-matrix pivot and tau arrays of the LU/QR extensions,
 /// and driver workspaces. The item pointer array is device metadata; the
-/// slab holds max(1, total) elements and is freed exactly once — on
-/// destruction, never by a moved-from owner.
+/// slab holds max(1, total) elements — host-backed on a Full queue, an
+/// arena charge under a tag pointer on a TimingOnly one — and is freed
+/// exactly once: on destruction, never by a moved-from owner.
 template <typename T>
 class SlabArrays {
  public:

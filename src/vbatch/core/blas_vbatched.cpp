@@ -59,22 +59,9 @@ BlasResult gemm_vbatched_max(Queue& q, Trans trans_a, Trans trans_b, T alpha, Re
   };
   require_args_ok(check_args(q.device(), rules, c.info()), "gemm_vbatched");
 
-  kernels::GemmVbatchedArgs<T> args;
-  args.trans_a = trans_a;
-  args.trans_b = trans_b;
-  args.m = c.rows();
-  args.n = c.cols();
-  args.k = opa.cols;
-  args.max_m = max_m;
-  args.max_n = max_n;
-  args.alpha = alpha;
-  args.beta = beta;
-  args.a = a.device_ptrs();
-  args.lda = a.ldas();
-  args.b = b.device_ptrs();
-  args.ldb = b.ldas();
-  args.c = c.device_ptrs();
-  args.ldc = c.ldas();
+  const kernels::GemmVbatchedArgs<T> args{
+      trans_a, trans_b, c.rows(), c.cols(), opa.cols, max_m, max_n, alpha, beta,
+      a.device_ptrs(), a.ldas(), b.device_ptrs(), b.ldas(), c.device_ptrs(), c.ldas()};
 
   BlasResult result;
   for (int i = 0; i < c.count(); ++i) {
@@ -83,6 +70,7 @@ BlasResult gemm_vbatched_max(Queue& q, Trans trans_a, Trans trans_b, T alpha, Re
                                 opa.cols[static_cast<std::size_t>(i)]);
   }
   result.seconds = kernels::launch_gemm_vbatched(q.device(), args);
+  if (q.full()) kernels::gemm_vbatched_numerics(args);
   return result;
 }
 
@@ -113,18 +101,9 @@ BlasResult syrk_vbatched_max(Queue& q, Uplo uplo, Trans trans, T alpha, RectBatc
   };
   require_args_ok(check_args(q.device(), rules, c.info()), "syrk_vbatched");
 
-  kernels::SyrkVbatchedArgs<T> args;
-  args.uplo = uplo;
-  args.trans = trans;
-  args.n = c.sizes();
-  args.k = opa.cols;
-  args.max_n = max_n;
-  args.alpha = alpha;
-  args.beta = beta;
-  args.a = a.device_ptrs();
-  args.lda = a.ldas();
-  args.c = c.device_ptrs();
-  args.ldc = c.ldas();
+  const kernels::SyrkVbatchedArgs<T> args{uplo, trans, c.sizes(), opa.cols, max_n, alpha,
+                                           beta, a.device_ptrs(), a.ldas(), c.device_ptrs(),
+                                           c.ldas()};
 
   BlasResult result;
   for (int i = 0; i < c.count(); ++i) {
@@ -132,6 +111,7 @@ BlasResult syrk_vbatched_max(Queue& q, Uplo uplo, Trans trans, T alpha, RectBatc
                                 opa.cols[static_cast<std::size_t>(i)]);
   }
   result.seconds = kernels::launch_syrk_vbatched(q.device(), args);
+  if (q.full()) kernels::syrk_vbatched_numerics(args);
   return result;
 }
 
@@ -166,20 +146,9 @@ BlasResult triangular_vbatched_max(Queue& q, Side side, Uplo uplo, Trans trans, 
   };
   require_args_ok(check_args(q.device(), rules, b.info()), routine);
 
-  kernels::TriangularVbatchedArgs<T> args;
-  args.side = side;
-  args.uplo = uplo;
-  args.trans = trans;
-  args.diag = diag;
-  args.alpha = alpha;
-  args.a = a.device_ptrs();
-  args.lda = a.ldas();
-  args.b = b.device_ptrs();
-  args.ldb = b.ldas();
-  args.m = b.rows();
-  args.n = b.cols();
-  args.max_m = max_m;
-  args.max_n = max_n;
+  const kernels::TriangularVbatchedArgs<T> args{
+      side, uplo, trans, diag, alpha, a.device_ptrs(), a.ldas(), b.device_ptrs(), b.ldas(),
+      b.rows(), b.cols(), max_m, max_n};
 
   BlasResult result;
   for (int i = 0; i < b.count(); ++i) {
@@ -187,8 +156,13 @@ BlasResult triangular_vbatched_max(Queue& q, Side side, Uplo uplo, Trans trans, 
     const int ni = b.cols()[static_cast<std::size_t>(i)];
     result.flops += side == Side::Left ? flops::trsm(mi, ni, true) : flops::trsm(mi, ni, false);
   }
-  result.seconds = Solve ? kernels::launch_trsm_general(q.device(), args)
-                         : kernels::launch_trmm_general(q.device(), args);
+  if constexpr (Solve) {
+    result.seconds = kernels::launch_trsm_general(q.device(), args);
+    if (q.full()) kernels::trsm_general_numerics(args);
+  } else {
+    result.seconds = kernels::launch_trmm_general(q.device(), args);
+    if (q.full()) kernels::trmm_general_numerics(args);
+  }
   return result;
 }
 

@@ -22,6 +22,9 @@ FactorResult geqrf_vbatched(Queue& q, RectBatch<T>& batch, TauArrays<T>& tau,
   const auto lda = batch.ldas();
   tau.require_min_extents("geqrf_vbatched: tau", m, n);
 
+  // Full mode: the call's math first; no launch below reads the payload.
+  if (q.full()) kernels::geqrf_numerics<T>(batch.device_ptrs(), lda, m, n, NB, tau.ptrs());
+
   FactorResult result;
   result.flops = flops::geqrf_batch(m, n);
 
@@ -38,29 +41,20 @@ FactorResult geqrf_vbatched(Queue& q, RectBatch<T>& batch, TauArrays<T>& tau,
   for (int j = 0; j < max_mn; j += NB) {
     if (kernels::count_live(dev, mn, j) == 0) break;
 
-    kernels::GeqrfPanelArgs<T> panel;
-    panel.a = batch.device_ptrs();
-    panel.lda = lda;
-    panel.m = m;
-    panel.n = n;
-    panel.offset = j;
-    panel.NB = NB;
-    panel.tau = tau.ptrs();
-    seconds += kernels::launch_geqrf_panel(dev, panel);
+    seconds += kernels::launch_geqrf_panel<T>(
+        dev, {batch.device_ptrs(), lda, m, n, j, NB, tau.ptrs()});
 
-    if (max_n - j - NB > 0) {
-      kernels::LarfbArgs<T> update;
-      update.a = batch.device_ptrs();
-      update.lda = lda;
-      update.m = m;
-      update.n = n;
-      update.offset = j;
-      update.NB = NB;
-      update.max_m = max_m;
-      update.max_n = max_n - j - NB;
-      update.tau = tau.ptrs();
-      seconds += kernels::launch_larfb_update(dev, update);
+    // The update covers each live panel's trailing columns, n_i − j − jb_i:
+    // wider than n_i − j − NB when a wide matrix's last panel is narrow.
+    int width = 0;
+    for (int i = 0; i < count; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      const int jb = std::min(NB, mn[k] - j);
+      if (jb > 0) width = std::max(width, n[k] - j - jb);
     }
+    if (width > 0)
+      seconds += kernels::launch_larfb_update<T>(
+          dev, {batch.device_ptrs(), lda, m, n, j, NB, max_m, width, tau.ptrs()});
   }
   result.seconds = seconds;
   return result;
@@ -69,7 +63,8 @@ FactorResult geqrf_vbatched(Queue& q, RectBatch<T>& batch, TauArrays<T>& tau,
 namespace {
 
 // Shared kernel for ormqr (apply Qᵀ) with an optional fused R-backsolve
-// (the geqrs case). One block per (matrix, rhs strip).
+// (the geqrs case). One block per (matrix, rhs strip); the numerics pass
+// follows the launch.
 template <typename T>
 FactorResult apply_qt_kernel(Queue& q, RectBatch<T>& factors, const TauArrays<T>& tau,
                              RectBatch<T>& rhs, bool backsolve, const char* name) {
@@ -96,9 +91,9 @@ FactorResult apply_qt_kernel(Queue& q, RectBatch<T>& factors, const TauArrays<T>
   tau.require_min_extents(backsolve ? "geqrs_vbatched: tau" : "ormqr_vbatched: tau", frows,
                           fcols);
 
+  const kernels::RhsStrips grid(frows, fcols, rcols, {});
   result.seconds = kernels::launch_rhs_strips<T>(
-      q.device(), name, frows, fcols, rcols, {},
-      [&](const kernels::RhsStrip& s, sim::BlockCost& cost) {
+      q.device(), name, grid, [&](const kernels::RhsStrip& s, sim::BlockCost& cost) {
         const auto k = static_cast<std::size_t>(s.i);
         const index_t m = frows[k];
         const index_t n = fcols[k];
@@ -113,38 +108,39 @@ FactorResult apply_qt_kernel(Queue& q, RectBatch<T>& factors, const TauArrays<T>
           cost.sync_steps += static_cast<int>(n);
           cost.serial_ops += static_cast<double>(n);
         }
-      },
-      [&](const kernels::RhsStrip& s) {
-        const auto k = static_cast<std::size_t>(s.i);
-        const index_t m = frows[k];
-        const index_t n = fcols[k];
-        const index_t nc = s.nc;
-        const index_t lda = fldas[k];
-        const index_t ldb = rldas[k];
-        const T* A = fptrs[s.i];
-        T* B = rptrs[s.i] + s.c0 * ldb;
-        const T* tv = tptrs[s.i];
-        // Apply H(0) … H(n-1) to the strip: Qᵀ = H(n-1)…H(0) applied in
-        // ascending order.
-        for (index_t kk = 0; kk < n; ++kk) {
-          const T tk = tv[kk];
-          if (tk == T(0)) continue;
-          const T* v = A + kk + kk * lda;  // v(0) implicit 1
-          for (index_t c = 0; c < nc; ++c) {
-            T* col = B + c * ldb;
-            T w = col[kk];
-            for (index_t r = kk + 1; r < m; ++r) w += v[r - kk] * col[r];
-            w *= tk;
-            col[kk] -= w;
-            for (index_t r = kk + 1; r < m; ++r) col[r] -= v[r - kk] * w;
-          }
-        }
-        if (backsolve) {
-          ConstMatrixView<T> R(A, n, n, lda);
-          MatrixView<T> x(B, n, nc, ldb);
-          blas::trsm<T>(Side::Left, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, T(1), R, x);
-        }
       });
+  if (!q.full()) return result;
+  kernels::rhs_strips_numerics(grid, [&](const kernels::RhsStrip& s) {
+    const auto k = static_cast<std::size_t>(s.i);
+    const index_t m = frows[k];
+    const index_t n = fcols[k];
+    const index_t nc = s.nc;
+    const index_t lda = fldas[k];
+    const index_t ldb = rldas[k];
+    const T* A = fptrs[s.i];
+    T* B = rptrs[s.i] + s.c0 * ldb;
+    const T* tv = tptrs[s.i];
+    // Apply H(0) … H(n-1) to the strip: Qᵀ = H(n-1)…H(0) applied in
+    // ascending order.
+    for (index_t kk = 0; kk < n; ++kk) {
+      const T tk = tv[kk];
+      if (tk == T(0)) continue;
+      const T* v = A + kk + kk * lda;  // v(0) implicit 1
+      for (index_t c = 0; c < nc; ++c) {
+        T* col = B + c * ldb;
+        T w = col[kk];
+        for (index_t r = kk + 1; r < m; ++r) w += v[r - kk] * col[r];
+        w *= tk;
+        col[kk] -= w;
+        for (index_t r = kk + 1; r < m; ++r) col[r] -= v[r - kk] * w;
+      }
+    }
+    if (backsolve) {
+      ConstMatrixView<T> R(A, n, n, lda);
+      MatrixView<T> x(B, n, nc, ldb);
+      blas::trsm<T>(Side::Left, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, T(1), R, x);
+    }
+  });
   return result;
 }
 

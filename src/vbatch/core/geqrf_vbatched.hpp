@@ -1,7 +1,7 @@
 // vbatched Householder QR — the second announced extension (§V), following
 // the block-reflector scheme of the batched QR in Haidar et al. [14].
-// Supports rectangular m_i ≥ n_i batches (the multifrontal sparse-QR use
-// case of the paper's introduction).
+// Factors any rectangular batch; the solves take m_i ≥ n_i (the
+// multifrontal sparse-QR use case of the paper's introduction).
 #pragma once
 
 #include <span>
@@ -21,8 +21,9 @@ struct GeqrfOptions {
   int panel_nb = 32;
 };
 
-/// Factors every matrix as A = Q·R (reflectors stored below the diagonal,
-/// scalars in `tau`).
+/// Factors every m_i × n_i matrix as A = Q·R (min(m_i, n_i) reflectors
+/// stored below the diagonal, scalars in `tau`): the bits of
+/// blas::geqrf(A_i, tau_i, panel_nb).
 template <typename T>
 FactorResult geqrf_vbatched(Queue& q, RectBatch<T>& batch, TauArrays<T>& tau,
                             const GeqrfOptions& opts = {});

@@ -21,6 +21,11 @@ FactorResult getrf_vbatched(Queue& q, Batch<T>& batch, PivotArrays& ipiv,
   const int NB = std::max(8, opts.panel_nb);
   for (int i = 0; i < batch_count; ++i) prob.info[static_cast<std::size_t>(i)] = 0;
 
+  // Full mode: the call's math first; no launch below reads what it writes
+  // (the panel's cost reads only a negative info).
+  const kernels::BatchArgs<T> all{prob.ptrs, prob.n, prob.lda};
+  if (q.full()) kernels::getrf_numerics<T>(all, NB, ipiv.ptrs(), prob.info);
+
   FactorResult result;
   result.flops = flops::getrf_batch(prob.n, prob.n);
   const int max_n = kernels::imax_reduce(dev, prob.n);
@@ -35,46 +40,18 @@ FactorResult getrf_vbatched(Queue& q, Batch<T>& batch, PivotArrays& ipiv,
   for (int j = 0; j < max_n; j += NB) {
     if (kernels::count_live(dev, prob.n, j) == 0) break;
     const int jb_max = std::min(NB, max_n - j);
-
-    kernels::GetrfPanelArgs<T> panel;
-    panel.batch = {prob.ptrs, prob.n, prob.lda};
-    panel.m = prob.n;  // square
-    panel.offset = j;
-    panel.NB = NB;
-    panel.ipiv = ipiv.ptrs();
-    panel.info = prob.info;
-    seconds += kernels::launch_getrf_panel(dev, panel);
-
+    seconds += kernels::launch_getrf_panel<T>(dev, {all, prob.n, j, NB, ipiv.ptrs(), prob.info});
     // Row interchanges left of the panel.
-    if (j > 0) {
-      kernels::LaswpArgs<T> left;
-      left.batch = {prob.ptrs, prob.n, prob.lda};
-      left.m = prob.n;
-      left.k1 = j;
-      left.k2 = j + jb_max;
-      left.col0 = 0;
-      left.col1 = j;
-      left.max_cols = j;
-      left.ipiv = ipiv.ptrs();
-      seconds += kernels::launch_laswp(dev, left);
-    }
+    if (j > 0)
+      seconds += kernels::launch_laswp<T>(dev, {all, prob.n, j, j + jb_max, 0, j, j, ipiv.ptrs()});
 
     const int max_t = max_n - j - NB;
     if (max_t <= 0) continue;
 
     // Row interchanges right of the panel, then the U12 solve and the
     // trailing gemm update — only matrices with n_i > j + NB participate.
-    kernels::LaswpArgs<T> right;
-    right.batch = {prob.ptrs, prob.n, prob.lda};
-    right.m = prob.n;
-    right.k1 = j;
-    right.k2 = j + NB;
-    right.col0 = j + NB;
-    right.col1 = max_n;
-    right.max_cols = max_t;
-    right.ipiv = ipiv.ptrs();
-    seconds += kernels::launch_laswp(dev, right);
-
+    seconds += kernels::launch_laswp<T>(
+        dev, {all, prob.n, j, j + NB, j + NB, max_n, max_t, ipiv.ptrs()});
     seconds += kernels::shift_sizes(dev, prob.n, trail, j + NB);
     for (int i = 0; i < batch_count; ++i)
       full_nb[static_cast<std::size_t>(i)] = trail[static_cast<std::size_t>(i)] > 0 ? NB : 0;
@@ -84,35 +61,11 @@ FactorResult getrf_vbatched(Queue& q, Batch<T>& batch, PivotArrays& ipiv,
     kernels::displace_ptrs<T>(dev, base, prob.lda, j, j + NB, u12_ptrs);
     kernels::displace_ptrs<T>(dev, base, prob.lda, j + NB, j, l21_ptrs);
     kernels::displace_ptrs<T>(dev, base, prob.lda, j + NB, j + NB, a22_ptrs);
-
-    kernels::LuTrsmArgs<T> trsm;
-    trsm.l11 = l11_ptrs.data();
-    trsm.lda = prob.lda;
-    trsm.ib = full_nb;
-    trsm.b = u12_ptrs.data();
-    trsm.ldb = prob.lda;
-    trsm.n2 = trail;
-    trsm.max_ib = NB;
-    trsm.max_n2 = max_t;
-    seconds += kernels::launch_lu_trsm(dev, trsm);
-
-    kernels::GemmVbatchedArgs<T> gemm;
-    gemm.trans_a = Trans::NoTrans;
-    gemm.trans_b = Trans::NoTrans;
-    gemm.m = trail;
-    gemm.n = trail;
-    gemm.k = full_nb;
-    gemm.max_m = max_t;
-    gemm.max_n = max_t;
-    gemm.alpha = T(-1);
-    gemm.beta = T(1);
-    gemm.a = l21_ptrs.data();
-    gemm.lda = prob.lda;
-    gemm.b = u12_ptrs.data();
-    gemm.ldb = prob.lda;
-    gemm.c = a22_ptrs.data();
-    gemm.ldc = prob.lda;
-    seconds += kernels::launch_gemm_vbatched(dev, gemm);
+    seconds += kernels::launch_lu_trsm<T>(dev, {l11_ptrs.data(), prob.lda, full_nb,
+                                                u12_ptrs.data(), prob.lda, trail, max_t});
+    seconds += kernels::launch_gemm_vbatched<T>(
+        dev, {Trans::NoTrans, Trans::NoTrans, trail, trail, full_nb, max_t, max_t, T(-1), T(1),
+              l21_ptrs.data(), prob.lda, u12_ptrs.data(), prob.lda, a22_ptrs.data(), prob.lda});
   }
   result.seconds = seconds;
   return result;
@@ -139,27 +92,29 @@ FactorResult getrs_vbatched(Queue& q, Batch<T>& factors, const PivotArrays& ipiv
   ipiv.require_min_extents("getrs_vbatched: ipiv", fsizes, fsizes);
 
   // One fused kernel block per (matrix, rhs strip): apply the row
-  // interchanges, then the unit-lower and upper triangular sweeps.
+  // interchanges, then the unit-lower and upper triangular sweeps. The
+  // numerics pass follows the launch.
+  const kernels::RhsStrips grid(fsizes, fsizes, rcols, factors.info());
   result.seconds = kernels::launch_rhs_strips<T>(
-      q.device(), "vbatched_getrs", fsizes, fsizes, rcols, factors.info(),
-      [&](const kernels::RhsStrip& s, sim::BlockCost& cost) {
+      q.device(), "vbatched_getrs", grid, [&](const kernels::RhsStrip& s, sim::BlockCost& cost) {
         const index_t n = fsizes[static_cast<std::size_t>(s.i)];
         cost.flops = 2.0 * flops::trsm(n, s.nc, true);
         cost.bytes = static_cast<double>(n * n + 2 * n * s.nc) * sizeof(T);
         cost.sync_steps = static_cast<int>(2 * n);
         cost.serial_ops = static_cast<double>(n);  // upper sweep reciprocal chain
-      },
-      [&](const kernels::RhsStrip& s) {
-        const auto k = static_cast<std::size_t>(s.i);
-        const index_t n = fsizes[k];
-        const index_t ldb = rldas[k];
-        ConstMatrixView<T> lu(fptrs[s.i], n, n, fldas[k]);
-        MatrixView<T> b(rptrs[s.i] + s.c0 * ldb, n, s.nc, ldb);
-        std::span<const int> pv{piv[s.i], static_cast<std::size_t>(n)};
-        blas::laswp<T>(b, pv, 0, n);
-        blas::trsm<T>(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::Unit, T(1), lu, b);
-        blas::trsm<T>(Side::Left, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, T(1), lu, b);
       });
+  if (!q.full()) return result;
+  kernels::rhs_strips_numerics(grid, [&](const kernels::RhsStrip& s) {
+    const auto k = static_cast<std::size_t>(s.i);
+    const index_t n = fsizes[k];
+    const index_t ldb = rldas[k];
+    ConstMatrixView<T> lu(fptrs[s.i], n, n, fldas[k]);
+    MatrixView<T> b(rptrs[s.i] + s.c0 * ldb, n, s.nc, ldb);
+    std::span<const int> pv{piv[s.i], static_cast<std::size_t>(n)};
+    blas::laswp<T>(b, pv, 0, n);
+    blas::trsm<T>(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::Unit, T(1), lu, b);
+    blas::trsm<T>(Side::Left, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, T(1), lu, b);
+  });
   return result;
 }
 

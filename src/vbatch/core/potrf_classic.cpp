@@ -24,36 +24,26 @@ PotrfResult potrf_batched_classic(Queue& q, Uplo uplo, Batch<T>& batch,
   const int max_n = kernels::imax_reduce(dev, prob.n);
   if (max_n == 0) return result;
 
+  const kernels::BatchArgs<T> all{prob.ptrs, prob.n, prob.lda};
   int nb = opts.nb;
   if (nb <= 0) nb = std::clamp((max_n / 8) / 8 * 8, 8, 64);
+  // Full mode: the call's math first, so every launch reads final info.
+  if (q.full()) kernels::classic_potrf_numerics<T>(uplo, all, nb, prob.info);
 
   std::vector<int> trail(static_cast<std::size_t>(batch_count));
   std::vector<int> kdim(static_cast<std::size_t>(batch_count));
 
   double seconds = 0.0;
   for (int j = 0; j < max_n; j += nb) {
-    kernels::ClassicPotf2Args<T> tile;
-    tile.batch = {prob.ptrs, prob.n, prob.lda};
-    tile.uplo = uplo;
-    tile.offset = j;
-    tile.nb = nb;
-    tile.info = prob.info;
-    seconds += kernels::launch_classic_potf2(dev, tile);
-
+    seconds += kernels::launch_classic_potf2<T>(dev, {all, uplo, j, nb, prob.info});
     const int max_m2 = max_n - j - nb;
     if (max_m2 <= 0) continue;
-
-    kernels::ClassicTrsmArgs<T> trsm;
-    trsm.batch = {prob.ptrs, prob.n, prob.lda};
-    trsm.uplo = uplo;
-    trsm.offset = j;
-    trsm.nb = nb;
-    trsm.info = prob.info;
-    seconds += kernels::launch_classic_trsm(dev, trsm);
+    seconds += kernels::launch_classic_trsm<T>(dev, {all, uplo, j, nb, prob.info});
 
     // Trailing update through the generic large-tile syrk, with the usual
     // aux kernels for size arithmetic and pointer displacement — none of
-    // the customization the fused kernel applies (§III-D).
+    // the customization the fused kernel applies (§III-D). The syrk reads
+    // no info: a failed matrix's trailing matrix is still updated.
     seconds += kernels::shift_sizes(dev, prob.n, trail, j + nb);
     int live = 0;
     for (int i = 0; i < batch_count; ++i) {
@@ -67,20 +57,9 @@ PotrfResult potrf_batched_classic(Queue& q, Uplo uplo, Batch<T>& batch,
                               ? kernels::displace_ptrs<T>(dev, base, prob.lda, j + nb, j)
                               : kernels::displace_ptrs<T>(dev, base, prob.lda, j, j + nb);
     const auto trail_ptrs = kernels::displace_ptrs<T>(dev, base, prob.lda, j + nb, j + nb);
-
-    kernels::SyrkVbatchedArgs<T> syrk;
-    syrk.uplo = uplo;
-    syrk.trans = uplo == Uplo::Lower ? Trans::NoTrans : Trans::Trans;
-    syrk.n = trail;
-    syrk.k = kdim;
-    syrk.max_n = max_m2;
-    syrk.alpha = T(-1);
-    syrk.beta = T(1);
-    syrk.a = sub_ptrs.data();
-    syrk.lda = prob.lda;
-    syrk.c = trail_ptrs.data();
-    syrk.ldc = prob.lda;
-    seconds += kernels::launch_syrk_vbatched(dev, syrk);
+    seconds += kernels::launch_syrk_vbatched<T>(
+        dev, {uplo, uplo == Uplo::Lower ? Trans::NoTrans : Trans::Trans, trail, kdim, max_m2,
+              T(-1), T(1), sub_ptrs.data(), prob.lda, trail_ptrs.data(), prob.lda});
   }
   result.seconds = seconds;
   return result;

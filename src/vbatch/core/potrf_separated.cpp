@@ -97,7 +97,7 @@ double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, 
     syrk.k = trail_ib;
     syrk.max_n = max_m2;
     seconds += streamed_syrk ? kernels::launch_syrk_streamed(dev, syrk, num_streams)
-                             : kernels::launch_syrk_vbatched_cost(dev, syrk);
+                             : kernels::launch_syrk_vbatched(dev, syrk);
   }
   return seconds;
 }

@@ -27,23 +27,25 @@ FactorResult potrs_vbatched(Queue& q, Uplo uplo, Batch<T>& factors, RectBatch<T>
   }
 
   // One block per (matrix, rhs strip): the two triangular sweeps are fused
-  // into a single kernel, the rhs strip staged through shared memory.
+  // into a single kernel, the rhs strip staged through shared memory. The
+  // numerics pass follows the launch.
+  const kernels::RhsStrips grid(fsizes, fsizes, rcols, factors.info());
   result.seconds = kernels::launch_rhs_strips<T>(
-      q.device(), "vbatched_potrs", fsizes, fsizes, rcols, factors.info(),
-      [&](const kernels::RhsStrip& s, sim::BlockCost& cost) {
+      q.device(), "vbatched_potrs", grid, [&](const kernels::RhsStrip& s, sim::BlockCost& cost) {
         const index_t n = fsizes[static_cast<std::size_t>(s.i)];
         cost.flops = flops::potrs(n, s.nc);
         cost.bytes = static_cast<double>(n * n / 2 + 2 * n * s.nc) * sizeof(T);
         cost.sync_steps = static_cast<int>(2 * n);  // forward + backward column sweeps
         cost.serial_ops = static_cast<double>(2 * n);
-      },
-      [&](const kernels::RhsStrip& s) {
-        const auto k = static_cast<std::size_t>(s.i);
-        const index_t n = fsizes[k];
-        ConstMatrixView<T> a(fptrs[s.i], n, n, fldas[k]);
-        MatrixView<T> b(rptrs[s.i] + s.c0 * rldas[k], n, s.nc, rldas[k]);
-        blas::potrs<T>(uplo, a, b);
       });
+  if (!q.full()) return result;
+  kernels::rhs_strips_numerics(grid, [&](const kernels::RhsStrip& s) {
+    const auto k = static_cast<std::size_t>(s.i);
+    const index_t n = fsizes[k];
+    ConstMatrixView<T> a(fptrs[s.i], n, n, fldas[k]);
+    MatrixView<T> b(rptrs[s.i] + s.c0 * rldas[k], n, s.nc, rldas[k]);
+    blas::potrs<T>(uplo, a, b);
+  });
   return result;
 }
 
@@ -75,22 +77,19 @@ FactorResult potri_vbatched(Queue& q, Uplo uplo, Batch<T>& factors) {
   result.flops = total_flops;
   if (max_n == 0) return result;
 
-  sim::LaunchConfig cfg;
-  cfg.name = "vbatched_potri";
-  cfg.grid_blocks = count;
-  cfg.block_threads = kernels::round_up_warp(dev.spec(), std::min(max_n, 512));
-  cfg.shared_mem = std::min<std::size_t>(
-      static_cast<std::size_t>(std::min(max_n, 256)) * 16 * sizeof(T),
-      dev.spec().shared_mem_per_block);
-  cfg.precision = precision_v<T>;
-
+  const int threads = kernels::round_up_warp(dev.spec(), std::min(max_n, 512));
+  const sim::LaunchConfig cfg{
+      "vbatched_potri", count, threads,
+      std::min<std::size_t>(static_cast<std::size_t>(std::min(max_n, 256)) * 16 * sizeof(T),
+                            dev.spec().shared_mem_per_block),
+      precision_v<T>};
   auto sizes = factors.sizes();
   auto ldas = factors.ldas();
   auto info = factors.info();
   T** ptrs = factors.device_ptrs();
 
-  // The cost reads info[i]; only block i's numerics write it, after the cost pass.
-  auto cost_of = [&, threads = cfg.block_threads](int i) {
+  // The cost reads info[i], which the numerics pass after the launch writes.
+  auto cost_of = [&, threads](int i) {
     const index_t n = sizes[static_cast<std::size_t>(i)];
     sim::BlockCost cost;
     cost.live_threads = threads;
@@ -105,12 +104,14 @@ FactorResult potri_vbatched(Queue& q, Uplo uplo, Batch<T>& factors) {
     cost.serial_ops = static_cast<double>(n);  // the trtri reciprocal chain
     return cost;
   };
-  auto math = [&](int i) {
+  result.seconds = dev.launch(cfg, cost_of);
+  if (!q.full()) return result;
+  kernels::parallel_for_grained(count, count, [&](int i) {
     const auto k = static_cast<std::size_t>(i);
+    if (sizes[k] == 0 || info[k] != 0) return;
     const int local = blas::potri<T>(uplo, MatrixView<T>(ptrs[i], sizes[k], sizes[k], ldas[k]));
     if (local != 0) info[k] = local;
-  };
-  result.seconds = dev.launch(cfg, cost_of, math);
+  });
   return result;
 }
 

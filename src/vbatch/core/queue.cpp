@@ -3,7 +3,7 @@
 namespace vbatch {
 
 Queue::Queue(sim::DeviceSpec spec, sim::ExecMode mode)
-    : device_(std::make_unique<sim::Device>(std::move(spec), mode)) {}
+    : device_(std::make_unique<sim::Device>(std::move(spec))), mode_(mode) {}
 
 Queue::~Queue() = default;
 

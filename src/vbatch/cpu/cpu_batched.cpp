@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "vbatch/blas/blas.hpp"
+#include "vbatch/kernels/common.hpp"
 #include "vbatch/util/flops.hpp"
-#include "vbatch/sim/device.hpp"
 
 namespace vbatch::cpu {
 
@@ -15,7 +15,7 @@ void potrf_each(Uplo uplo, std::span<const int> n, T* const* a, std::span<const 
   const int count = static_cast<int>(n.size());
   int steps = 0;
   for (int ni : n) steps += (ni + 15) / 16;
-  sim::parallel_for_grained(count, steps, [&](int i) {
+  kernels::parallel_for_grained(count, steps, [&](int i) {
     const auto k = static_cast<std::size_t>(i);
     info[k] = blas::potrf<T>(uplo, MatrixView<T>(a[i], n[k], n[k], lda[k]));
   });

@@ -38,7 +38,7 @@ struct CpuBatchResult {
 /// The host numerics of every per-matrix Cholesky: one blas::potrf per
 /// matrix, info[i] for matrix i, on the worker pool (vbatch::util::host_pool,
 /// sized to the host, not to a modelled CPU) through
-/// sim::parallel_for_grained, a matrix of order n counting as its ⌈n/16⌉
+/// kernels::parallel_for_grained, a matrix of order n counting as its ⌈n/16⌉
 /// 16-wide column steps. Matrices are independent, so the bits do not
 /// depend on the worker count.
 template <typename T>

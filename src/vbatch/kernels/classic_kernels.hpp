@@ -8,6 +8,9 @@
 // launches, potf2's column recurrence round-trips global memory, and the
 // trailing update goes through the generic large-tile gemm/syrk shapes.
 // That is precisely the overhead profile kernel fusion removes.
+//
+// Every launch is a cost pass reading each matrix's final info; the math is
+// classic_potrf_numerics, once per call before the launches.
 #pragma once
 
 #include <span>
@@ -22,11 +25,13 @@ struct ClassicPotf2Args {
   Uplo uplo = Uplo::Lower;
   int offset = 0;  ///< diagonal offset of the nb×nb tile
   int nb = 8;
-  std::span<int> info;
+  std::span<const int> info;  ///< each matrix's final status (read only)
 };
 
-/// Unblocked potf2 of the nb×nb diagonal tile, one block per matrix,
-/// operating in global memory (per-column round trips).
+/// Launches the unblocked potf2 of the nb×nb diagonal tile, one block per
+/// matrix, operating in global memory (per-column round trips). Block i
+/// exits when j ≥ n_i or 0 < info_i ≤ j (j = offset): the tile that fails a
+/// matrix still runs.
 template <typename T>
 double launch_classic_potf2(sim::Device& dev, const ClassicPotf2Args<T>& args);
 
@@ -36,12 +41,24 @@ struct ClassicTrsmArgs {
   Uplo uplo = Uplo::Lower;
   int offset = 0;  ///< panel offset j; solves the sub-diagonal panel of width nb
   int nb = 8;
-  std::span<int> info;
+  std::span<const int> info;  ///< each matrix's final status (read only)
 };
 
-/// Triangular solve of the (n−j−nb)×nb sub-panel against the freshly
-/// factored tile, one block per matrix, global-memory resident.
+/// Launches the triangular solve of the (n−j−ib)×ib sub-panel against the
+/// freshly factored tile, one block per matrix, global-memory resident.
+/// Block i exits with no sub-panel or when 0 < info_i ≤ j + ib_i.
 template <typename T>
 double launch_classic_trsm(sim::Device& dev, const ClassicTrsmArgs<T>& args);
+
+/// The classic driver's numerics for a whole batch with nb-wide tiles: each
+/// matrix runs its steps back to back, in step order — the potf2 tile
+/// unless the matrix failed at an earlier step (setting info at a failing
+/// column), the trsm of the sub-panel unless it failed at this step or
+/// before, and the syrk trailing update, which reads no info, through the
+/// syrk launch's kSyrkStripCols-wide strips on the matrix as a batch of one.
+/// One item per matrix; a matrix of order n counts as its ⌈n/nb⌉ steps for
+/// the grain.
+template <typename T>
+void classic_potrf_numerics(Uplo uplo, const BatchArgs<T>& batch, int nb, std::span<int> info);
 
 }  // namespace vbatch::kernels

@@ -144,8 +144,7 @@ void fused_step_numerics(const FusedStepArgs<T>& args, std::span<int> info) {
               std::span<const int>(s.grouped).subspan(static_cast<std::size_t>(grp.begin),
                                                       static_cast<std::size_t>(grp.count)));
   };
-  sim::parallel_for_grained(static_cast<int>(s.groups.size()), static_cast<int>(s.live.size()),
-                            run);
+  parallel_for_grained(static_cast<int>(s.groups.size()), static_cast<int>(s.live.size()), run);
 }
 
 }  // namespace
@@ -157,13 +156,9 @@ double launch_fused_step(sim::Device& dev, const FusedStepArgs<T>& args) {
   require(covered > 0, "fused step: empty launch");
   require(args.block_threads > 0, "fused step: block_threads not set");
 
-  sim::LaunchConfig cfg;
-  cfg.name = args.name;
-  cfg.grid_blocks = covered;
-  cfg.block_threads = args.block_threads;
-  cfg.shared_mem = fused_shared_mem(args.block_threads, args.nb, sizeof(T));
-  cfg.precision = precision_v<T>;
-
+  const sim::LaunchConfig cfg{args.name, covered, args.block_threads,
+                              fused_shared_mem(args.block_threads, args.nb, sizeof(T)),
+                              precision_v<T>};
   const auto& a = args.batch;
   return dev.launch(cfg, [&args, &a](int block) -> sim::BlockCost {
     const int i = args.active.empty() ? block : args.active[static_cast<std::size_t>(block)];

@@ -28,41 +28,50 @@ sim::BlockCost tile_cost(const GemmTiling& t, index_t tm, index_t tn, index_t k,
   return cost;
 }
 
-}  // namespace
+// The gemm grid: batch × tiles(max_m) × tiles(max_n), block → (matrix,
+// clip [r0, r0 + tm) × [c0, c0 + tn) of its C tile); an empty clip is a
+// tile past the matrix. The launch and the numerics pass share it.
+struct TileClip {
+  int i;
+  index_t r0, c0, tm, tn;
+};
 
 template <typename T>
-double launch_gemm_vbatched(sim::Device& dev, const GemmVbatchedArgs<T>& args) {
-  const int batch = static_cast<int>(args.m.size());
-  require(batch > 0, "gemm_vbatched: empty batch");
-  require(args.max_m > 0 && args.max_n > 0, "gemm_vbatched: max dims not set");
+struct GemmGrid {
+  const GemmVbatchedArgs<T>& args;
+  int tiles_m, tiles_n;
 
-  const GemmTiling& t = args.tiling;
-  const int tiles_m = (args.max_m + t.tm - 1) / t.tm;
-  const int tiles_n = (args.max_n + t.tn - 1) / t.tn;
-
-  sim::LaunchConfig cfg;
-  cfg.name = "vbatched_gemm";
-  cfg.grid_blocks = batch * tiles_m * tiles_n;
-  cfg.block_threads = t.threads;
-  cfg.shared_mem = t.shared_mem(sizeof(T));
-  cfg.precision = precision_v<T>;
-
-  // Block → (matrix, clip [r0, r0 + tm) × [c0, c0 + tn) of its C tile); an
-  // empty clip is a tile past the matrix.
-  struct TileClip {
-    int i;
-    index_t r0, c0, tm, tn;
-  };
-  auto clip_of = [&args, tiles_m, tiles_n, &t](int block) {
+  explicit GemmGrid(const GemmVbatchedArgs<T>& a)
+      : args(a),
+        tiles_m((a.max_m + a.tiling.tm - 1) / a.tiling.tm),
+        tiles_n((a.max_n + a.tiling.tn - 1) / a.tiling.tn) {
+    require(!a.m.empty(), "gemm_vbatched: empty batch");
+    require(a.max_m > 0 && a.max_n > 0, "gemm_vbatched: max dims not set");
+  }
+  [[nodiscard]] int blocks() const noexcept {
+    return static_cast<int>(args.m.size()) * tiles_m * tiles_n;
+  }
+  [[nodiscard]] TileClip clip(int block) const noexcept {
+    const GemmTiling& t = args.tiling;
     const int i = block / (tiles_m * tiles_n);
     const int tile = block % (tiles_m * tiles_n);
     const index_t r0 = static_cast<index_t>(tile % tiles_m) * t.tm;
     const index_t c0 = static_cast<index_t>(tile / tiles_m) * t.tn;
     return TileClip{i, r0, c0, std::min<index_t>(t.tm, args.m[static_cast<std::size_t>(i)] - r0),
                     std::min<index_t>(t.tn, args.n[static_cast<std::size_t>(i)] - c0)};
-  };
-  auto cost_of = [&args, &t, clip_of](int block) {
-    const TileClip c = clip_of(block);
+  }
+};
+
+}  // namespace
+
+template <typename T>
+double launch_gemm_vbatched(sim::Device& dev, const GemmVbatchedArgs<T>& args) {
+  const GemmGrid<T> grid(args);
+  const GemmTiling& t = args.tiling;
+  const sim::LaunchConfig cfg{"vbatched_gemm", grid.blocks(), t.threads,
+                              t.shared_mem(sizeof(T)), precision_v<T>};
+  return dev.launch(cfg, [&args, &t, &grid](int block) {
+    const TileClip c = grid.clip(block);
     if (c.tm <= 0 || c.tn <= 0) {
       sim::BlockCost cost;
       cost.live_threads = t.threads;
@@ -70,12 +79,17 @@ double launch_gemm_vbatched(sim::Device& dev, const GemmVbatchedArgs<T>& args) {
       return cost;
     }
     return tile_cost(t, c.tm, c.tn, args.k[static_cast<std::size_t>(c.i)], sizeof(T));
-  };
-  auto math = [&args, clip_of](int block) {
-    const auto [i, r0, c0, tm, tn] = clip_of(block);
+  });
+}
+
+template <typename T>
+void gemm_vbatched_numerics(const GemmVbatchedArgs<T>& args) {
+  const GemmGrid<T> grid(args);
+  parallel_for_grained(grid.blocks(), grid.blocks(), [&args, &grid](int block) {
+    const auto [i, r0, c0, tm, tn] = grid.clip(block);
     const auto k = static_cast<std::size_t>(i);
     const index_t ki = args.k[k];
-    if (ki < 0) return;
+    if (tm <= 0 || tn <= 0 || ki < 0) return;
     const index_t lda = args.lda[k];
     const index_t ldb = args.ldb[k];
     const index_t ldc = args.ldc[k];
@@ -90,8 +104,7 @@ double launch_gemm_vbatched(sim::Device& dev, const GemmVbatchedArgs<T>& args) {
             : ConstMatrixView<T>(args.b[i] + c0, tn, ki, ldb);
     MatrixView<T> c_tile(args.c[i] + r0 + c0 * ldc, tm, tn, ldc);
     blas::gemm<T>(args.trans_a, args.trans_b, args.alpha, a_tile, b_tile, args.beta, c_tile);
-  };
-  return dev.launch(cfg, cost_of, math);
+  });
 }
 
 namespace {
@@ -123,21 +136,22 @@ sim::BlockCost syrk_tile_block(const SyrkVbatchedArgs<T>& args, int i, index_t t
   return tile_cost(t, tm, tn, ki, sizeof(T), ti == tj);
 }
 
-// The Full-mode numerics of launch_syrk_vbatched: one item per (matrix,
-// kSyrkStripCols-wide column strip of its C), each the blas::syrk of the
-// strip's diagonal block plus one blas::gemm of the rectangle below it
-// (Lower) or above it (Upper). Strips write disjoint parts of the triangle
-// and the split is fixed, so the bits depend only on the matrix. The grain
-// is the block count of the launch's grid.
+}  // namespace
+
+// One item per (matrix, kSyrkStripCols-wide column strip of its C), each
+// the blas::syrk of the strip's diagonal block plus one blas::gemm of the
+// rectangle below it (Lower) or above it (Upper). Strips write disjoint
+// parts of the triangle and the split is fixed, so the bits depend only on
+// the matrix. The grain is the block count of the launch's grid.
 template <typename T>
-void syrk_numerics(const SyrkVbatchedArgs<T>& args) {
+void syrk_vbatched_numerics(const SyrkVbatchedArgs<T>& args) {
   const int batch = static_cast<int>(args.n.size());
   const int strips = (args.max_n + kSyrkStripCols - 1) / kSyrkStripCols;
   const int tiles = (args.max_n + args.tiling.tm - 1) / args.tiling.tm;
   const int grid = batch * tiles * tiles;
   const Trans ta = args.trans == Trans::NoTrans ? Trans::NoTrans : Trans::Trans;
   const Trans tb = args.trans == Trans::NoTrans ? Trans::Trans : Trans::NoTrans;
-  sim::parallel_for_grained(batch * strips, grid, [&](int item) {
+  parallel_for_grained(batch * strips, grid, [&](int item) {
     const auto i = static_cast<std::size_t>(item / strips);
     const index_t c0 = static_cast<index_t>(item % strips) * kSyrkStripCols;
     const index_t ni = args.n[i];
@@ -165,37 +179,22 @@ void syrk_numerics(const SyrkVbatchedArgs<T>& args) {
   });
 }
 
-}  // namespace
-
 template <typename T>
-double launch_syrk_vbatched_cost(sim::Device& dev, const SyrkVbatchedArgs<T>& args) {
+double launch_syrk_vbatched(sim::Device& dev, const SyrkVbatchedArgs<T>& args) {
   const int batch = static_cast<int>(args.n.size());
   require(batch > 0, "syrk_vbatched: empty batch");
   require(args.max_n > 0, "syrk_vbatched: max_n not set");
 
   const GemmTiling& t = args.tiling;
   const int tiles = (args.max_n + t.tm - 1) / t.tm;
-
-  sim::LaunchConfig cfg;
-  cfg.name = "vbatched_syrk";
-  cfg.grid_blocks = batch * tiles * tiles;
-  cfg.block_threads = t.threads;
-  cfg.shared_mem = t.shared_mem(sizeof(T));
-  cfg.precision = precision_v<T>;
-
+  const sim::LaunchConfig cfg{"vbatched_syrk", batch * tiles * tiles, t.threads,
+                              t.shared_mem(sizeof(T)), precision_v<T>};
   return dev.launch(cfg, [&args, tiles](int block) {
     const int per_matrix = tiles * tiles;
     const int i = block / per_matrix;
     const int tile = block % per_matrix;
     return syrk_tile_block(args, i, tile % tiles, tile / tiles);
   });
-}
-
-template <typename T>
-double launch_syrk_vbatched(sim::Device& dev, const SyrkVbatchedArgs<T>& args) {
-  const double seconds = launch_syrk_vbatched_cost(dev, args);
-  if (dev.mode() == sim::ExecMode::Full) syrk_numerics(args);
-  return seconds;
 }
 
 template <typename T>
@@ -213,13 +212,8 @@ double launch_syrk_streamed(sim::Device& dev, const SyrkVbatchedArgs<T>& args, i
     const int ni = args.n[static_cast<std::size_t>(i)];
     if (ni <= 0) continue;  // host-side skip: one kernel per live matrix
     const int tiles = (ni + t.tm - 1) / t.tm;
-    sim::LaunchConfig cfg;
-    cfg.name = "streamed_syrk";
-    cfg.grid_blocks = tiles * tiles;
-    cfg.block_threads = t.threads;
-    cfg.shared_mem = t.shared_mem(sizeof(T));
-    cfg.precision = precision_v<T>;
-    configs.push_back(cfg);
+    configs.push_back(
+        {"streamed_syrk", tiles * tiles, t.threads, t.shared_mem(sizeof(T)), precision_v<T>});
     fns.push_back([&args, i, tiles](int block) {
       return syrk_tile_block(args, i, block % tiles, block / tiles);
     });
@@ -228,30 +222,16 @@ double launch_syrk_streamed(sim::Device& dev, const SyrkVbatchedArgs<T>& args, i
   return dev.launch_concurrent(configs, fns, num_streams);
 }
 
-template double launch_gemm_vbatched<float>(sim::Device&, const GemmVbatchedArgs<float>&);
-template double launch_gemm_vbatched<double>(sim::Device&, const GemmVbatchedArgs<double>&);
-template double launch_syrk_vbatched_cost<float>(sim::Device&, const SyrkVbatchedArgs<float>&);
-template double launch_syrk_vbatched_cost<double>(sim::Device&,
-                                                  const SyrkVbatchedArgs<double>&);
-template double launch_syrk_vbatched_cost<std::complex<float>>(
-    sim::Device&, const SyrkVbatchedArgs<std::complex<float>>&);
-template double launch_syrk_vbatched_cost<std::complex<double>>(
-    sim::Device&, const SyrkVbatchedArgs<std::complex<double>>&);
-template double launch_syrk_vbatched<float>(sim::Device&, const SyrkVbatchedArgs<float>&);
-template double launch_syrk_vbatched<double>(sim::Device&, const SyrkVbatchedArgs<double>&);
-template double launch_syrk_streamed<float>(sim::Device&, const SyrkVbatchedArgs<float>&, int);
-template double launch_syrk_streamed<double>(sim::Device&, const SyrkVbatchedArgs<double>&, int);
-template double launch_gemm_vbatched<std::complex<float>>(
-    sim::Device&, const GemmVbatchedArgs<std::complex<float>>&);
-template double launch_gemm_vbatched<std::complex<double>>(
-    sim::Device&, const GemmVbatchedArgs<std::complex<double>>&);
-template double launch_syrk_vbatched<std::complex<float>>(
-    sim::Device&, const SyrkVbatchedArgs<std::complex<float>>&);
-template double launch_syrk_vbatched<std::complex<double>>(
-    sim::Device&, const SyrkVbatchedArgs<std::complex<double>>&);
-template double launch_syrk_streamed<std::complex<float>>(
-    sim::Device&, const SyrkVbatchedArgs<std::complex<float>>&, int);
-template double launch_syrk_streamed<std::complex<double>>(
-    sim::Device&, const SyrkVbatchedArgs<std::complex<double>>&, int);
+#define VBATCH_INSTANTIATE_GEMM(T)                                                         \
+  template double launch_gemm_vbatched<T>(sim::Device&, const GemmVbatchedArgs<T>&);     \
+  template void gemm_vbatched_numerics<T>(const GemmVbatchedArgs<T>&);                   \
+  template double launch_syrk_vbatched<T>(sim::Device&, const SyrkVbatchedArgs<T>&);     \
+  template void syrk_vbatched_numerics<T>(const SyrkVbatchedArgs<T>&);                   \
+  template double launch_syrk_streamed<T>(sim::Device&, const SyrkVbatchedArgs<T>&, int);
+VBATCH_INSTANTIATE_GEMM(float)
+VBATCH_INSTANTIATE_GEMM(double)
+VBATCH_INSTANTIATE_GEMM(std::complex<float>)
+VBATCH_INSTANTIATE_GEMM(std::complex<double>)
+#undef VBATCH_INSTANTIATE_GEMM
 
 }  // namespace vbatch::kernels

@@ -7,13 +7,13 @@
 // threads of a live block cooperate on the shared-memory tile pipeline and
 // must stay in sync, §III-E2).
 //
-// The vbatched syrk launch keeps that grid as its cost pass: it is where
-// the modelled time comes from. Its arithmetic runs after it in Full mode,
-// in host-shaped pieces: one item per kSyrkStripCols-wide column strip of
-// each matrix, a pack-once blas::syrk of the strip's diagonal block plus
-// one blas::gemm of the rectangle beside it. The separated Cholesky driver
-// launches the syrk grid (or the streamed per-matrix kernels) as a cost
-// pass alone: the potrf front computes every factor per matrix before it.
+// Every launch is a cost pass: the grid is where the modelled time comes
+// from. The arithmetic is a separate numerics pass the front runs in Full
+// mode: gemm_vbatched_numerics computes the grid's tiles, and
+// syrk_vbatched_numerics works in host-shaped pieces, one item per
+// kSyrkStripCols-wide column strip of each matrix (a pack-once blas::syrk
+// of the strip's diagonal block plus one blas::gemm of the rectangle beside
+// it).
 #pragma once
 
 #include <span>
@@ -50,9 +50,14 @@ struct GemmVbatchedArgs {
   GemmTiling tiling{};
 };
 
-/// Launches the vbatched gemm. Returns modelled kernel seconds.
+/// Launches the vbatched gemm's cost pass. Returns modelled kernel seconds.
 template <typename T>
 double launch_gemm_vbatched(sim::Device& dev, const GemmVbatchedArgs<T>& args);
+
+/// The gemm's numerics: one blas::gemm per live tile of the grid, the grid
+/// as the grain.
+template <typename T>
+void gemm_vbatched_numerics(const GemmVbatchedArgs<T>& args);
 
 /// Column-strip width of the vbatched syrk's numerics pass. Lower strips
 /// own the columns [c0, c0 + w) from the diagonal down, Upper strips from
@@ -78,17 +83,18 @@ struct SyrkVbatchedArgs {
   GemmTiling tiling{};
 };
 
-/// The syrk grid's cost pass, then in Full mode its numerics pass.
+/// Launches the syrk grid's cost pass. Returns modelled kernel seconds.
 template <typename T>
 double launch_syrk_vbatched(sim::Device& dev, const SyrkVbatchedArgs<T>& args);
 
-/// The syrk grid's cost pass alone, in either mode (the separated driver's).
+/// The syrk's numerics: one item per kSyrkStripCols-wide column strip of
+/// each matrix, the grid's block count as the grain.
 template <typename T>
-double launch_syrk_vbatched_cost(sim::Device& dev, const SyrkVbatchedArgs<T>& args);
+void syrk_vbatched_numerics(const SyrkVbatchedArgs<T>& args);
 
 /// Streamed alternative (§III-E3): one syrk kernel per live matrix, launched
 /// on `num_streams` concurrent streams (the CUBLAS-per-matrix pattern).
-/// Cost passes only, in either mode; reads n, k and the tiling.
+/// Reads n, k and the tiling.
 template <typename T>
 double launch_syrk_streamed(sim::Device& dev, const SyrkVbatchedArgs<T>& args, int num_streams);
 

@@ -4,7 +4,11 @@
 //
 // Two kernels: the panel factorization (geqr2 of an m×NB panel, one block
 // per matrix) and the trailing-matrix update applying the panel's
-// reflectors to TN-wide column strips (gemm-shaped grid, ETM-classic).
+// reflectors to TN-wide column strips (gemm-shaped grid, ETM-classic). Both
+// launches are cost passes. The numerics are one host blas::geqrf per
+// matrix with the same panel width: its panel geqr2 and its
+// reflector-at-a-time trailing update are the kernels' arithmetic, column
+// for column, so the bits are the step-major driver's.
 #pragma once
 
 #include <span>
@@ -24,7 +28,7 @@ struct GeqrfPanelArgs {
   T* const* tau = nullptr;        ///< per-matrix reflector scalars (length min(m,n))
 };
 
-/// Factors each live panel with unblocked Householder QR. Returns seconds.
+/// Launches the unblocked Householder QR of each live panel. Returns seconds.
 template <typename T>
 double launch_geqrf_panel(sim::Device& dev, const GeqrfPanelArgs<T>& args);
 
@@ -40,8 +44,16 @@ struct LarfbArgs {
   GemmTiling tiling{};
 };
 
-/// Applies the panel's block of reflectors to the trailing columns.
+/// Launches the application of the panel's block of reflectors to the
+/// trailing columns: max_n is the largest trailing width n_i − j − jb_i.
 template <typename T>
 double launch_larfb_update(sim::Device& dev, const LarfbArgs<T>& args);
+
+/// The QR's numerics for a whole batch: blas::geqrf(A_i, tau_i, NB) per
+/// matrix (m_i × n_i at lda_i, min(m_i, n_i) reflectors), one item per
+/// matrix; a matrix counts as its ⌈min(m, n)/NB⌉ panels for the grain.
+template <typename T>
+void geqrf_numerics(T* const* a, std::span<const int> lda, std::span<const int> m,
+                    std::span<const int> n, int NB, T* const* tau);
 
 }  // namespace vbatch::kernels

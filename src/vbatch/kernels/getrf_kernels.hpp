@@ -5,7 +5,9 @@
 // The LU driver reuses launch_gemm_vbatched for the trailing update; this
 // header adds the LU-specific pieces: the pivoted panel factorization, the
 // row-interchange kernel, and the unit-lower triangular solve of the U12
-// block row.
+// block row. Each launch is a cost pass; each kernel's numerics entry point
+// computes what its live blocks stand for, and getrf_numerics runs them per
+// matrix for the whole factorization.
 #pragma once
 
 #include <span>
@@ -25,11 +27,16 @@ struct GetrfPanelArgs {
   std::span<int> info;
 };
 
-/// Factors the m_i−j × min(NB, n_i−j) panel of each live matrix with partial
-/// pivoting (one thread block per matrix, panel staged through shared
-/// memory). Pivot indices are stored globally. Returns kernel seconds.
+/// Launches the factorization of the m_i−j × min(NB, n_i−j) panel of each
+/// live matrix with partial pivoting (one thread block per matrix, panel
+/// staged through shared memory). Returns kernel seconds.
 template <typename T>
 double launch_getrf_panel(sim::Device& dev, const GetrfPanelArgs<T>& args);
+
+/// The panel's numerics: getf2 of every live panel, pivot indices stored
+/// globally, info set at a matrix's first zero pivot.
+template <typename T>
+void getrf_panel_numerics(const GetrfPanelArgs<T>& args);
 
 template <typename T>
 struct LaswpArgs {
@@ -41,9 +48,14 @@ struct LaswpArgs {
   int* const* ipiv = nullptr;
 };
 
-/// Applies row interchanges to the given column range (vbatched xLASWP).
+/// Launches the row interchanges of the given column range (vbatched
+/// xLASWP, one block per 64-column strip of each matrix).
 template <typename T>
 double launch_laswp(sim::Device& dev, const LaswpArgs<T>& args);
+
+/// The interchanges' numerics: blas::laswp on every live strip.
+template <typename T>
+void laswp_numerics(const LaswpArgs<T>& args);
 
 template <typename T>
 struct LuTrsmArgs {
@@ -53,12 +65,27 @@ struct LuTrsmArgs {
   T* const* b = nullptr;          ///< per-matrix pointer to the ib×n2 block row
   std::span<const int> ldb;
   std::span<const int> n2;        ///< trailing columns per matrix
-  int max_ib = 0, max_n2 = 0;
+  int max_n2 = 0;
   GemmTiling tiling{};
 };
 
-/// Solves L11 · X = B (Left, Lower, NoTrans, Unit) for the U12 block row.
+/// Launches the solve L11 · X = B (Left, Lower, NoTrans, Unit) for the U12
+/// block row, one block per tn-wide column strip of each matrix.
 template <typename T>
 double launch_lu_trsm(sim::Device& dev, const LuTrsmArgs<T>& args);
+
+/// The solve's numerics: one blas::trsm per live strip.
+template <typename T>
+void lu_trsm_numerics(const LuTrsmArgs<T>& args);
+
+/// The LU's numerics for a whole batch with NB-wide panels: each matrix
+/// runs its steps back to back, in step order, each through the kernels'
+/// own numerics on the matrix as a batch of one — panel, interchanges left
+/// and right of it, the lu_trsm strips and the gemm tiles of the trailing
+/// update. Blocks touch only their own matrix, so the bits are the
+/// step-major driver's. One item per matrix; a matrix of order n counts as
+/// its ⌈n/NB⌉ steps for the grain. Sets info[i] at the first zero pivot.
+template <typename T>
+void getrf_numerics(const BatchArgs<T>& batch, int NB, int* const* ipiv, std::span<int> info);
 
 }  // namespace vbatch::kernels

@@ -24,13 +24,9 @@ double launch_trtri(sim::Device& dev, std::span<const int> ib, int NB) {
   require(batch > 0, "trsm_vbatched: empty batch");
   const int blocks_per_matrix = (NB + kTrtriBlock - 1) / kTrtriBlock;
 
-  sim::LaunchConfig cfg;
-  cfg.name = "vbatched_trtri_diag";
-  cfg.grid_blocks = batch * blocks_per_matrix;
-  cfg.block_threads = 128;
-  cfg.shared_mem = static_cast<std::size_t>(kTrtriBlock) * kTrtriBlock * sizeof(T);
-  cfg.precision = precision_v<T>;
-
+  const sim::LaunchConfig cfg{"vbatched_trtri_diag", batch * blocks_per_matrix, 128,
+                              static_cast<std::size_t>(kTrtriBlock) * kTrtriBlock * sizeof(T),
+                              precision_v<T>};
   return dev.launch(cfg, [ib, blocks_per_matrix](int block) -> sim::BlockCost {
     const int i = block / blocks_per_matrix;
     const int t = block % blocks_per_matrix;
@@ -64,13 +60,8 @@ double launch_sweep(sim::Device& dev, const TrsmVbatchedArgs& args, int k0) {
   const GemmTiling& t = args.tiling;
   const int strips = (args.max_m + t.tm - 1) / t.tm;
 
-  sim::LaunchConfig cfg;
-  cfg.name = "vbatched_trsm_sweep";
-  cfg.grid_blocks = batch * strips;
-  cfg.block_threads = t.threads;
-  cfg.shared_mem = t.shared_mem(sizeof(T));
-  cfg.precision = precision_v<T>;
-
+  const sim::LaunchConfig cfg{"vbatched_trsm_sweep", batch * strips, t.threads,
+                              t.shared_mem(sizeof(T)), precision_v<T>};
   return dev.launch(cfg, [&args, k0, strips, &t](int block) -> sim::BlockCost {
     const int i = block / strips;
     const index_t strip = block % strips;
@@ -124,61 +115,34 @@ namespace {
 // its numerics pass) per kTriStrip-wide strip of B's free dimension.
 constexpr int kTriStrip = 16;
 
-// The Full-mode numerics of the general launch: one item per (matrix,
-// strip), each a host blas::trsm / blas::trmm of the strip against the whole
-// triangle. Strips are independent columns (Left) or rows (Right) of B, so
-// the bits depend only on the matrix. `grid` is the launch's block count
-// (the grain).
-template <typename T, bool Solve>
-void triangular_numerics(const TriangularVbatchedArgs<T>& args, int strips, int grid) {
-  const int batch = static_cast<int>(args.m.size());
-  const bool left = args.side == Side::Left;
-  sim::parallel_for_grained(batch * strips, grid, [&args, strips, left](int item) {
-    const auto i = static_cast<std::size_t>(item / strips);
-    const index_t f0 = static_cast<index_t>(item % strips) * kTriStrip;
-    const index_t mi = args.m[i];
-    const index_t ni = args.n[i];
-    const index_t free_dim = left ? ni : mi;
-    if (mi <= 0 || ni <= 0 || f0 >= free_dim) return;
-    const index_t fw = std::min<index_t>(kTriStrip, free_dim - f0);
-    const index_t ka = left ? mi : ni;
-    const index_t ldb = args.ldb[i];
-    ConstMatrixView<T> tri(args.a[i], ka, ka, args.lda[i]);
-    MatrixView<T> strip = left ? MatrixView<T>(args.b[i] + f0 * ldb, mi, fw, ldb)
-                               : MatrixView<T>(args.b[i] + f0, fw, ni, ldb);
-    if constexpr (Solve) {
-      blas::trsm<T>(args.side, args.uplo, args.trans, args.diag, args.alpha, tri, strip);
-    } else {
-      blas::trmm<T>(args.side, args.uplo, args.trans, args.diag, args.alpha, tri, strip);
-    }
-  });
-}
-
-// Shared launcher for the general triangular solve/multiply: strips run
-// along B's free dimension (columns for Left, rows for Right). The launch is
-// a cost pass whose cost reads only sizes; the numerics pass follows in
-// Full mode.
-template <typename T, bool Solve>
-double launch_triangular_general(sim::Device& dev, const TriangularVbatchedArgs<T>& args) {
-  const int batch = static_cast<int>(args.m.size());
-  require(batch > 0, "triangular_vbatched: empty batch");
+// Strips per matrix of the general launch (columns of B for Left, rows for
+// Right); 0 when the batch has no free or no triangle extent (no launch).
+template <typename T>
+int triangular_strips(const TriangularVbatchedArgs<T>& args) {
+  require(!args.m.empty(), "triangular_vbatched: empty batch");
   const bool left = args.side == Side::Left;
   const int free_max = left ? args.max_n : args.max_m;
   const int ka_max = left ? args.max_m : args.max_n;
-  if (free_max <= 0 || ka_max <= 0) return 0.0;
+  if (free_max <= 0 || ka_max <= 0) return 0;
+  return (free_max + kTriStrip - 1) / kTriStrip;
+}
 
-  const int strips = (free_max + kTriStrip - 1) / kTriStrip;
+// The general launch's cost pass: the cost reads only sizes.
+template <typename T, bool Solve>
+double launch_triangular_general(sim::Device& dev, const TriangularVbatchedArgs<T>& args) {
+  const int strips = triangular_strips(args);
+  if (strips == 0) return 0.0;
+  const bool left = args.side == Side::Left;
+  const int ka_max = left ? args.max_m : args.max_n;
 
-  sim::LaunchConfig cfg;
-  cfg.name = Solve ? "vbatched_trsm_general" : "vbatched_trmm_general";
-  cfg.grid_blocks = batch * strips;
-  cfg.block_threads = round_up_warp(dev.spec(), std::min(ka_max, 512));
-  cfg.shared_mem =
+  const int threads = round_up_warp(dev.spec(), std::min(ka_max, 512));
+  const sim::LaunchConfig cfg{
+      Solve ? "vbatched_trsm_general" : "vbatched_trmm_general",
+      static_cast<int>(args.m.size()) * strips, threads,
       std::min<std::size_t>(static_cast<std::size_t>(ka_max) * kTriStrip * sizeof(T),
-                            dev.spec().shared_mem_per_block);
-  cfg.precision = precision_v<T>;
-
-  auto cost_of = [&args, strips, left, threads = cfg.block_threads](int block) -> sim::BlockCost {
+                            dev.spec().shared_mem_per_block),
+      precision_v<T>};
+  return dev.launch(cfg, [&args, strips, left, threads](int block) -> sim::BlockCost {
     const int i = block / strips;
     const index_t strip = block % strips;
     const index_t mi = args.m[static_cast<std::size_t>(i)];
@@ -201,13 +165,37 @@ double launch_triangular_general(sim::Device& dev, const TriangularVbatchedArgs<
     cost.sync_steps = static_cast<int>(ka + 2);
     cost.serial_ops = args.diag == Diag::NonUnit ? static_cast<double>(ka) : 0.0;
     return cost;
-  };
-  const double seconds = dev.launch(cfg, cost_of);
+  });
+}
 
-  // Numerics pass (Full mode): no cost above reads what it writes.
-  if (dev.mode() == sim::ExecMode::Full)
-    triangular_numerics<T, Solve>(args, strips, cfg.grid_blocks);
-  return seconds;
+// The general launch's numerics: one item per (matrix, strip), each a host
+// blas::trsm / blas::trmm of the strip against the whole triangle. Strips
+// are independent columns (Left) or rows (Right) of B, so the bits depend
+// only on the matrix. The launch's block count is the grain.
+template <typename T, bool Solve>
+void triangular_general_numerics(const TriangularVbatchedArgs<T>& args) {
+  const int strips = triangular_strips(args);
+  const int grid = static_cast<int>(args.m.size()) * strips;
+  const bool left = args.side == Side::Left;
+  parallel_for_grained(grid, grid, [&args, strips, left](int item) {
+    const auto i = static_cast<std::size_t>(item / strips);
+    const index_t f0 = static_cast<index_t>(item % strips) * kTriStrip;
+    const index_t mi = args.m[i];
+    const index_t ni = args.n[i];
+    const index_t free_dim = left ? ni : mi;
+    if (mi <= 0 || ni <= 0 || f0 >= free_dim) return;
+    const index_t fw = std::min<index_t>(kTriStrip, free_dim - f0);
+    const index_t ka = left ? mi : ni;
+    const index_t ldb = args.ldb[i];
+    ConstMatrixView<T> tri(args.a[i], ka, ka, args.lda[i]);
+    MatrixView<T> strip = left ? MatrixView<T>(args.b[i] + f0 * ldb, mi, fw, ldb)
+                               : MatrixView<T>(args.b[i] + f0, fw, ni, ldb);
+    if constexpr (Solve) {
+      blas::trsm<T>(args.side, args.uplo, args.trans, args.diag, args.alpha, tri, strip);
+    } else {
+      blas::trmm<T>(args.side, args.uplo, args.trans, args.diag, args.alpha, tri, strip);
+    }
+  });
 }
 
 }  // namespace
@@ -222,19 +210,25 @@ double launch_trmm_general(sim::Device& dev, const TriangularVbatchedArgs<T>& ar
   return launch_triangular_general<T, false>(dev, args);
 }
 
-template double launch_trsm_general<float>(sim::Device&, const TriangularVbatchedArgs<float>&);
-template double launch_trsm_general<double>(sim::Device&,
-                                            const TriangularVbatchedArgs<double>&);
-template double launch_trmm_general<float>(sim::Device&, const TriangularVbatchedArgs<float>&);
-template double launch_trmm_general<double>(sim::Device&,
-                                            const TriangularVbatchedArgs<double>&);
-template double launch_trsm_general<std::complex<float>>(
-    sim::Device&, const TriangularVbatchedArgs<std::complex<float>>&);
-template double launch_trsm_general<std::complex<double>>(
-    sim::Device&, const TriangularVbatchedArgs<std::complex<double>>&);
-template double launch_trmm_general<std::complex<float>>(
-    sim::Device&, const TriangularVbatchedArgs<std::complex<float>>&);
-template double launch_trmm_general<std::complex<double>>(
-    sim::Device&, const TriangularVbatchedArgs<std::complex<double>>&);
+template <typename T>
+void trsm_general_numerics(const TriangularVbatchedArgs<T>& args) {
+  triangular_general_numerics<T, true>(args);
+}
+
+template <typename T>
+void trmm_general_numerics(const TriangularVbatchedArgs<T>& args) {
+  triangular_general_numerics<T, false>(args);
+}
+
+#define VBATCH_INSTANTIATE_TRIANGULAR(T)                                                        \
+  template double launch_trsm_general<T>(sim::Device&, const TriangularVbatchedArgs<T>&);    \
+  template double launch_trmm_general<T>(sim::Device&, const TriangularVbatchedArgs<T>&);    \
+  template void trsm_general_numerics<T>(const TriangularVbatchedArgs<T>&);                  \
+  template void trmm_general_numerics<T>(const TriangularVbatchedArgs<T>&);
+VBATCH_INSTANTIATE_TRIANGULAR(float)
+VBATCH_INSTANTIATE_TRIANGULAR(double)
+VBATCH_INSTANTIATE_TRIANGULAR(std::complex<float>)
+VBATCH_INSTANTIATE_TRIANGULAR(std::complex<double>)
+#undef VBATCH_INSTANTIATE_TRIANGULAR
 
 }  // namespace vbatch::kernels

@@ -36,8 +36,8 @@ double launch_trsm_vbatched(sim::Device& dev, const TrsmVbatchedArgs& args);
 /// free dimension), the triangle staged through shared memory, the strip
 /// swept by the recurrence in registers. Slower than the composite above
 /// for the Cholesky hot shapes, but the catch-all building block the
-/// public BLAS layer exposes. The launch is a cost pass; in Full mode the
-/// numerics pass then runs one host blas::trsm / blas::trmm per strip.
+/// public BLAS layer exposes. The launch is a cost pass; the front's
+/// numerics pass runs one host blas::trsm / blas::trmm per strip.
 template <typename T>
 struct TriangularVbatchedArgs {
   Side side = Side::Left;
@@ -60,5 +60,12 @@ double launch_trsm_general(sim::Device& dev, const TriangularVbatchedArgs<T>& ar
 /// B_i := alpha · op(A_i) B_i (Left) or alpha · B_i op(A_i) (Right).
 template <typename T>
 double launch_trmm_general(sim::Device& dev, const TriangularVbatchedArgs<T>& args);
+
+/// The general launches' numerics: one item per 16-wide strip of B's free
+/// dimension (columns for Left, rows for Right), the grid as the grain.
+template <typename T>
+void trsm_general_numerics(const TriangularVbatchedArgs<T>& args);
+template <typename T>
+void trmm_general_numerics(const TriangularVbatchedArgs<T>& args);
 
 }  // namespace vbatch::kernels

@@ -6,7 +6,7 @@
 
 namespace vbatch::sim {
 
-Device::Device(DeviceSpec spec, ExecMode mode) : spec_(std::move(spec)), mode_(mode) {}
+Device::Device(DeviceSpec spec) : spec_(std::move(spec)) {}
 
 Device::~Device() = default;
 
@@ -22,14 +22,16 @@ std::size_t Device::charge_memory(std::size_t bytes) {
   return bytes;
 }
 
+void* Device::device_reserve(std::size_t bytes) {
+  bytes = charge_memory(bytes);
+  void* tag = reinterpret_cast<void*>(fake_next_);
+  fake_next_ += (bytes + 0xFF) & ~std::uintptr_t{0xFF};
+  fake_allocs_.emplace(tag, bytes);
+  return tag;
+}
+
 void* Device::device_malloc(std::size_t bytes) {
   bytes = charge_memory(bytes);
-  if (mode_ == ExecMode::TimingOnly) {
-    void* tag = reinterpret_cast<void*>(fake_next_);
-    fake_next_ += (bytes + 0xFF) & ~std::uintptr_t{0xFF};
-    fake_allocs_.emplace(tag, bytes);
-    return tag;
-  }
   auto storage = std::make_unique<char[]>(bytes);
   void* p = storage.get();
   allocs_.emplace(p, std::make_pair(std::move(storage), bytes));
@@ -91,9 +93,9 @@ void Device::place_record(KernelRecord rec) {
   timeline_.add(std::move(rec));
 }
 
-double Device::launch(const LaunchConfig& cfg, const BlockFn& cost, const NumericsFn& numerics) {
-  const auto& costs = run_blocks(cfg, cost);
-  const KernelTiming timing = schedule_kernel(spec_, cfg, costs, true, &plan_cache_);
+double Device::launch(const LaunchConfig& cfg, const BlockFn& cost) {
+  const KernelTiming timing =
+      schedule_kernel(spec_, cfg, run_blocks(cfg, cost), true, &plan_cache_);
 
   KernelRecord rec;
   rec.name = cfg.name;
@@ -109,15 +111,6 @@ double Device::launch(const LaunchConfig& cfg, const BlockFn& cost, const Numeri
   timeline_.add(std::move(rec));
 
   clock_ += timing.seconds;
-
-  // Numerics after the whole cost pass, so no report sees a block's writes.
-  // Grid blocks are independent by CUDA semantics and each writes only its
-  // own data, so the bits are the same for any worker count.
-  if (numerics && mode_ == ExecMode::Full) {
-    parallel_for_grained(cfg.grid_blocks, cfg.grid_blocks, [&](int b) {
-      if (!costs[static_cast<std::size_t>(b)].early_exit) numerics(b);
-    });
-  }
   return timing.seconds;
 }
 

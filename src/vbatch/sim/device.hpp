@@ -12,14 +12,13 @@
 //     reusable per-launch BlockCost scratch buffer (docs/simulator.md,
 //     "Execution engine").
 //
-// Every launch runs its blocks' cost functors inline, in block order, and
-// schedules the reports. In ExecMode::Full it then runs the numerics functor
-// of every block that did not exit early — across the shared worker pool
-// (vbatch::util::host_pool) for grids worth the dispatch, which is safe
-// because CUDA semantics already require grid blocks to be independent —
-// so modelled times and factorized bits are identical for any worker count.
-// ExecMode::TimingOnly runs the cost functors and nothing else; allocations
-// are then virtual (tracked against capacity but not backed by host memory).
+// The device models time only. Every launch runs its blocks' cost functors
+// inline, in block order, schedules the reports, advances the clock and
+// records the kernel; it computes nothing. The arithmetic is the fronts':
+// each runs one host numerics pass per call in Full mode
+// (docs/simulator.md, "The launch contract"). Arena allocations are
+// host-backed (device_malloc) or virtual tags (device_reserve), as the
+// allocating container decides.
 #pragma once
 
 #include <cstddef>
@@ -32,47 +31,30 @@
 #include "vbatch/sim/launch_plan.hpp"
 #include "vbatch/sim/scheduler.hpp"
 #include "vbatch/sim/timeline.hpp"
-#include "vbatch/util/thread_pool.hpp"
 
 namespace vbatch::sim {
 
-/// The numerics of grids below this many blocks run serially: pool dispatch
-/// costs more than a few small blocks' arithmetic.
-inline constexpr int kParallelGrainBlocks = 32;
-
-/// The one grain rule of the Full-mode numerics: runs fn(0) … fn(count − 1)
-/// serially when `work` (the blocks the items stand for) is below
-/// kParallelGrainBlocks or the host pool has one worker, else across
-/// util::host_pool(). Device::launch's per-block numerics and every numerics
-/// pass of its own (lane groups, strips) use it. Items must write disjoint
-/// data, so the result is the same for any worker count.
-template <typename Fn>
-void parallel_for_grained(int count, int work, Fn&& fn) {
-  if (work < kParallelGrainBlocks || util::host_pool().size() == 1) {
-    for (int k = 0; k < count; ++k) fn(k);
-  } else {
-    util::host_pool().parallel_for(count, fn);
-  }
-}
-
 class Device {
  public:
-  explicit Device(DeviceSpec spec = DeviceSpec::k40c(), ExecMode mode = ExecMode::Full);
+  explicit Device(DeviceSpec spec = DeviceSpec::k40c());
   ~Device();
 
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
   [[nodiscard]] const DeviceSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] ExecMode mode() const noexcept { return mode_; }
 
   // --- Memory arena -------------------------------------------------------
 
-  /// Allocates `bytes` of device memory. Throws Status::OutOfDeviceMemory
-  /// when the arena capacity (spec().global_mem_bytes) is exceeded. In
-  /// TimingOnly mode the returned pointer is a unique tag that must not be
-  /// dereferenced (kernels skip their numerical payload in that mode).
+  /// Allocates `bytes` of device memory, backed by host memory. Throws
+  /// Status::OutOfDeviceMemory when the arena capacity
+  /// (spec().global_mem_bytes) is exceeded.
   [[nodiscard]] void* device_malloc(std::size_t bytes);
+  /// Allocates `bytes` of the arena without host backing (a TimingOnly
+  /// batch's payload): same capacity rule, but the returned pointer is a
+  /// unique tag that must not be dereferenced.
+  [[nodiscard]] void* device_reserve(std::size_t bytes);
+  /// Frees a device_malloc or device_reserve pointer.
   void device_free(void* p);
 
   /// Charges `bytes` against the arena without allocating anything: the
@@ -83,29 +65,22 @@ class Device {
   [[nodiscard]] std::size_t charge_memory(std::size_t bytes);
   void release_memory(std::size_t bytes) noexcept { mem_used_ -= bytes; }
 
-  template <typename T>
-  [[nodiscard]] T* device_malloc_array(std::size_t count) {
-    return static_cast<T*>(device_malloc(count * sizeof(T)));
-  }
-
   [[nodiscard]] std::size_t mem_used() const noexcept { return mem_used_; }
   [[nodiscard]] std::size_t mem_capacity() const noexcept { return spec_.global_mem_bytes; }
 
   // --- Execution ----------------------------------------------------------
 
-  /// Launches a kernel synchronously: runs every block's cost functor,
-  /// schedules the reports, advances the device clock and records the kernel
-  /// in the timeline; in Full mode it then runs `numerics(b)` for every block
-  /// b whose report is not an early exit, with the grid as the grain.
-  /// Returns the modelled kernel duration (s).
-  double launch(const LaunchConfig& cfg, const BlockFn& cost, const NumericsFn& numerics = {});
+  /// Launches a kernel synchronously: runs every block's cost functor once,
+  /// in block order, schedules the reports, advances the device clock and
+  /// records the kernel in the timeline. Returns the modelled kernel
+  /// duration (s).
+  double launch(const LaunchConfig& cfg, const BlockFn& cost);
 
   /// Launches `configs.size()` kernels distributed round-robin over
   /// `num_streams` streams with concurrent execution (the streamed syrk
   /// pattern): the host pays an enqueue overhead per kernel, kernels on
-  /// different streams share the device's block slots. Cost functors only;
-  /// the caller runs the numerics. Returns total wall time from first
-  /// enqueue to last completion.
+  /// different streams share the device's block slots. Returns total wall
+  /// time from first enqueue to last completion.
   double launch_concurrent(const std::vector<LaunchConfig>& configs,
                            const std::vector<BlockFn>& fns, int num_streams);
 
@@ -146,14 +121,13 @@ class Device {
   const std::vector<BlockCost>& run_blocks(const LaunchConfig& cfg, const BlockFn& cost);
 
   DeviceSpec spec_;
-  ExecMode mode_;
   std::size_t mem_used_ = 0;
   double clock_ = 0.0;
   Timeline timeline_;
   LaunchPlanCache plan_cache_;
   std::vector<BlockCost> cost_scratch_;
-  // Real allocations (Full mode) and their sizes; TimingOnly allocations are
-  // tag pointers tracked in fake_allocs_.
+  // Host-backed allocations and their sizes; device_reserve's tag pointers
+  // are tracked in fake_allocs_.
   std::unordered_map<void*, std::pair<std::unique_ptr<char[]>, std::size_t>> allocs_;
   std::unordered_map<void*, std::size_t> fake_allocs_;
   std::uintptr_t fake_next_ = 0x1000;

@@ -1,14 +1,12 @@
 // Kernel launch descriptors and per-block cost reports.
 //
-// A simulated kernel is a grid of thread blocks described by two per-block
-// callables. The cost functor returns a BlockCost describing what the block
-// does — flops, global-memory traffic, how many threads have work, how many
+// A simulated kernel is a grid of thread blocks described by a per-block
+// cost functor: it returns a BlockCost describing what the block does —
+// flops, global-memory traffic, how many threads have work, how many
 // barriers it crosses, whether it exits through an early-termination
-// mechanism — and the scheduler turns those reports into time. The optional
-// numerics functor performs the block's real arithmetic on host memory; it
-// runs only in ExecMode::Full, only for blocks that did not exit early, and
-// only after every block's cost report (docs/simulator.md, "The launch
-// contract").
+// mechanism — and the scheduler turns those reports into time. A launch
+// computes nothing: the device prices blocks and the front computes, in one
+// host numerics pass per call (docs/simulator.md, "The launch contract").
 #pragma once
 
 #include <cstdint>
@@ -19,10 +17,11 @@
 
 namespace vbatch::sim {
 
-/// Whether kernels execute their numerical payload or only report costs.
-/// Full mode is the default and is what the tests verify; TimingOnly lets
-/// the benchmark harness sweep large batches without paying host time for
-/// arithmetic whose cost is analytic anyway (DESIGN.md §5).
+/// Whether a queue's fronts run their numerics pass or only launch. Full
+/// mode is the default and is what the tests verify; TimingOnly lets the
+/// benchmark harness sweep large batches without paying host time for
+/// arithmetic whose cost is analytic anyway (DESIGN.md §5): its batches hold
+/// no payload, only arena charges (SlabArrays).
 enum class ExecMode : std::uint8_t { Full, TimingOnly };
 
 /// What one thread block did during a kernel, as reported by its functor.
@@ -50,8 +49,5 @@ struct LaunchConfig {
 
 /// Cost functor: reports what block `block_id` of the grid does.
 using BlockFn = std::function<BlockCost(int block_id)>;
-
-/// Numerics functor: performs the arithmetic of block `block_id`.
-using NumericsFn = std::function<void(int block_id)>;
 
 }  // namespace vbatch::sim

@@ -1,10 +1,10 @@
 // The process-wide host worker pool behind the parallel execution engine.
 //
 // Originally this lived in vbatch::cpu and only ran the CPU baselines'
-// numerics; it is now shared by the simulator (Device::launch runs per-block
-// numerics across it), the CPU baselines and the factorization drivers, so
-// the whole library pays thread start-up exactly once per process instead
-// of once per kernel launch.
+// numerics; it is now shared by every front's numerics pass (through
+// kernels::parallel_for_grained) and the CPU baselines, so the whole
+// library pays thread start-up exactly once per process instead of once per
+// kernel launch.
 //
 // Determinism contract: parallel_for distributes indices dynamically, but
 // every index writes only its own output slot, so results are independent

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "vbatch/blas/blas.hpp"
@@ -11,6 +12,7 @@
 #include "vbatch/core/potrf_vbatched.hpp"
 #include "vbatch/core/size_dist.hpp"
 #include "vbatch/sim/scheduler.hpp"
+#include "vbatch/util/thread_pool.hpp"
 
 namespace {
 
@@ -63,6 +65,105 @@ TEST(Classic, VariableSizesAndIdenticalFactorsToFused) {
     auto a2 = b2.matrix(i);
     for (int c = 0; c < n; ++c)
       for (int r = c; r < n; ++r) EXPECT_NEAR(a1(r, c), a2(r, c), 1e-11);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Classic driver edge cases: non-finite and non-SPD inputs
+// ---------------------------------------------------------------------------
+
+/// One poison per matrix of order 100, set at (r, c) and (c, r) so either
+/// triangle reads it, and the column the factorization must report. With
+/// nb = 16 the tiles start at 0, 16, …, 96.
+struct ClassicPoison {
+  int r, c;
+  double value;
+  int info;
+  const char* what;
+};
+
+template <typename T>
+class ClassicEdgeCases : public ::testing::Test {
+ protected:
+  void TearDown() override { util::set_host_threads(0); }
+};
+using ClassicTypes = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(ClassicEdgeCases, ClassicTypes);
+
+/// info is the first failing column; each classic_potf2 launch exits the
+/// blocks with j ≥ n_i or 0 < info_i ≤ j, each classic_trsm launch those
+/// with no sub-panel or 0 < info_i ≤ j + ib_i; the factors' bytes (lda
+/// padding included) are the same at 1 and 4 workers.
+TYPED_TEST(ClassicEdgeCases, InfoAndEarlyExitsFollowTheFailingColumn) {
+  using T = TypeParam;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<ClassicPoison> poisons{
+      {0, 0, 0.0, 0, "clean"},
+      {3, 3, -1e6, 4, "non-SPD pivot inside the first tile"},
+      {31, 31, -1e6, 32, "non-SPD pivot ending a tile"},
+      {32, 32, -1e6, 33, "non-SPD pivot at a tile boundary"},
+      {98, 98, -1e6, 99, "non-SPD pivot inside the last tile"},
+      {40, 5, kNaN, 41, "NaN below the diagonal"},
+      {50, 50, kNaN, 51, "NaN on the diagonal"},
+      {60, 20, kInf, 61, "+Inf below the diagonal"},
+      {70, 70, -kInf, 71, "-Inf on the diagonal"},
+      {80, 80, kInf, 0, "+Inf on the diagonal (a finite factor's inf pivot)"},
+  };
+  std::vector<int> sizes(poisons.size(), 100);
+  sizes.push_back(0);
+  sizes.push_back(40);
+  constexpr int kNb = 16;
+
+  for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+    std::vector<std::vector<unsigned char>> bytes;
+    for (unsigned threads : {1u, 4u}) {
+      util::set_host_threads(threads);
+      Queue q;
+      Batch<T> batch(q, sizes, 3);
+      Rng rng(409);
+      batch.fill_spd(rng);
+      for (std::size_t k = 1; k < poisons.size(); ++k) {
+        const ClassicPoison& p = poisons[k];
+        batch.matrix(static_cast<int>(k))(p.r, p.c) = static_cast<T>(p.value);
+        batch.matrix(static_cast<int>(k))(p.c, p.r) = static_cast<T>(p.value);
+      }
+      potrf_batched_classic<T>(q, uplo, batch, ClassicOptions{kNb});
+
+      const auto info = batch.info();
+      for (std::size_t k = 0; k < poisons.size(); ++k)
+        EXPECT_EQ(info[k], poisons[k].info) << poisons[k].what << ", " << to_string(uplo);
+      EXPECT_EQ(info[poisons.size()], 0);
+      EXPECT_EQ(info[poisons.size() + 1], 0);
+
+      int potf2_step = 0, trsm_step = 0;
+      for (const sim::KernelRecord& rec : q.device().timeline().records()) {
+        const bool potf2 = rec.name == "classic_potf2";
+        if (!potf2 && rec.name != "classic_trsm") continue;
+        const int j = (potf2 ? potf2_step++ : trsm_step++) * kNb;
+        int want = 0;
+        for (std::size_t i = 0; i < sizes.size(); ++i) {
+          const int ib = std::clamp(sizes[i] - j, 0, kNb);
+          const int last = potf2 ? j : j + ib;
+          const bool no_work = ib == 0 || (!potf2 && sizes[i] - j - ib <= 0);
+          if (no_work || (info[i] > 0 && info[i] <= last)) ++want;
+        }
+        EXPECT_EQ(rec.early_exits, want) << rec.name << " at j = " << j << ", "
+                                         << to_string(uplo);
+      }
+      EXPECT_EQ(potf2_step, 7);
+      EXPECT_EQ(trsm_step, 6);
+
+      bytes.emplace_back();
+      for (int i = 0; i < batch.count(); ++i) {
+        const auto k = static_cast<std::size_t>(i);
+        const auto* p = reinterpret_cast<const unsigned char*>(batch.device_ptrs()[i]);
+        bytes.back().insert(bytes.back().end(), p,
+                            p + sizeof(T) * static_cast<std::size_t>(batch.ldas()[k]) *
+                                    static_cast<std::size_t>(std::max(1, sizes[k])));
+      }
+    }
+    EXPECT_TRUE(bytes[0] == bytes[1]) << to_string(uplo);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <utility>
@@ -204,6 +205,44 @@ TEST_P(GeqrfVbatchedTest, ResidualsSmallAcrossRectangularBatch) {
 INSTANTIATE_TEST_SUITE_P(Shapes, GeqrfVbatchedTest,
                          ::testing::Values(std::tuple{15, 24}, std::tuple{20, 60},
                                            std::tuple{10, 90}));
+
+/// Wide matrices (m < n) whose last panel is narrower than the panel width:
+/// their trailing columns reach past n_i − j − NB. Each shape alone and
+/// all in one batch, memcmp-equal to blas::geqrf with the same panel width
+/// (factor and tau), residual under the suite's bound.
+TEST(GeqrfVbatched, WideMatricesMatchHostGeqrf) {
+  const std::vector<int> rows{8, 40, 40, 40, 100, 64}, cols{30, 60, 114, 100, 40, 64};
+  auto check = [](const std::vector<int>& m, const std::vector<int>& n) {
+    Queue q;
+    Rng rng(79);
+    RectBatch<double> batch(q, m, n);
+    batch.fill_general(rng);
+    std::vector<int> mn(m.size());
+    for (std::size_t i = 0; i < m.size(); ++i) mn[i] = std::min(m[i], n[i]);
+    TauArrays<double> tau(q, mn);
+    std::vector<std::vector<double>> originals;
+    for (int i = 0; i < batch.count(); ++i) originals.push_back(batch.copy_matrix(i));
+    geqrf_vbatched<double>(q, batch, tau);
+
+    for (int i = 0; i < batch.count(); ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      std::vector<double> want = originals[k];
+      std::vector<double> want_tau(static_cast<std::size_t>(mn[k]));
+      blas::geqrf<double>(MatrixView<double>(want.data(), m[k], n[k], m[k]), want_tau, 32);
+      const std::vector<double> got = batch.copy_matrix(i);
+      const std::string what =
+          "matrix " + std::to_string(i) + " " + std::to_string(m[k]) + "x" + std::to_string(n[k]);
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(double))) << what;
+      EXPECT_EQ(0, std::memcmp(tau.item(i).data(), want_tau.data(),
+                               want_tau.size() * sizeof(double)))
+          << what;
+      ConstMatrixView<double> orig(originals[k].data(), m[k], n[k], m[k]);
+      EXPECT_LT(blas::geqrf_residual<double>(orig, batch.matrix(i), tau.item(i)), 1e-12) << what;
+    }
+  };
+  for (std::size_t k = 0; k < rows.size(); ++k) check({rows[k]}, {cols[k]});
+  check(rows, cols);
+}
 
 TEST(OrmqrVbatched, QtQisIdentityAction) {
   // Applying Qᵀ then checking ‖Qᵀb‖ == ‖b‖ (orthogonality preserved).

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "vbatch/blas/blas.hpp"
+#include "vbatch/core/blas_vbatched.hpp"
 #include "vbatch/kernels/aux_kernels.hpp"
 #include "vbatch/kernels/fused_potrf.hpp"
 #include "vbatch/kernels/gemm_vbatched.hpp"
@@ -325,7 +326,6 @@ TEST(Potf2Panel, FailingPivotInSecondPanelReportsGlobalInfo) {
 // ---------------------------------------------------------------------------
 
 TEST(GemmVbatched, MatchesReferencePerMatrix) {
-  auto dev = make_dev();
   Rng rng(29);
   const std::vector<int> m{33, 70, 1}, n{65, 20, 1}, k{16, 50, 1};
   std::vector<std::vector<double>> abuf, bbuf, cbuf, cref;
@@ -363,7 +363,7 @@ TEST(GemmVbatched, MatchesReferencePerMatrix) {
   args.ldb = ldb;
   args.c = cp.data();
   args.ldc = ldc;
-  launch_gemm_vbatched(dev, args);
+  gemm_vbatched_numerics(args);
 
   for (std::size_t i = 0; i < m.size(); ++i) {
     MatrixView<double> expect(cref[i].data(), m[i], n[i], m[i]);
@@ -378,7 +378,6 @@ TEST(GemmVbatched, MatchesReferencePerMatrix) {
 }
 
 TEST(SyrkVbatched, LowerUpdateMatchesReference) {
-  auto dev = make_dev();
   Rng rng(31);
   const std::vector<int> n{40, 100, 7}, k{16, 16, 16};
   std::vector<std::vector<double>> abuf, cbuf, cref;
@@ -409,7 +408,7 @@ TEST(SyrkVbatched, LowerUpdateMatchesReference) {
   args.lda = lda;
   args.c = cp.data();
   args.ldc = ldc;
-  launch_syrk_vbatched(dev, args);
+  syrk_vbatched_numerics(args);
 
   for (std::size_t i = 0; i < n.size(); ++i) {
     MatrixView<double> expect(cref[i].data(), n[i], n[i], n[i]);
@@ -422,9 +421,9 @@ TEST(SyrkVbatched, LowerUpdateMatchesReference) {
   }
 }
 
-/// The streamed syrk is a cost pass only (the separated driver's): one
-/// kernel per live matrix, the same live tiles and flops as the vbatched
-/// grid's cost pass, and in Full mode no byte of C changes.
+/// The streamed syrk, like the vbatched grid, is a cost pass only: one
+/// kernel per live matrix, the same live tiles and flops as the grid, and
+/// no byte of C changes.
 TEST(SyrkVbatched, StreamedIsCostOnlyAndMatchesGridFlops) {
   Rng rng(37);
   const std::vector<int> n{30, 0, 90}, k{24, 24, 24}, lda{30, 1, 90};
@@ -453,7 +452,7 @@ TEST(SyrkVbatched, StreamedIsCostOnlyAndMatchesGridFlops) {
   args.ldc = lda;
 
   auto grid = make_dev();
-  launch_syrk_vbatched_cost(grid, args);
+  launch_syrk_vbatched(grid, args);
   auto streamed = make_dev();
   launch_syrk_streamed(streamed, args, 8);
   EXPECT_EQ(c, c_before);
@@ -543,8 +542,7 @@ TYPED_TEST(SyrkVbatchedStrips, MatchStripDecomposition) {
       args.lda = lda;
       args.c = cp.data();
       args.ldc = ldc;
-      auto dev = make_dev();
-      launch_syrk_vbatched(dev, args);
+      syrk_vbatched_numerics(args);
       for (std::size_t i = 0; i < n.size(); ++i)
         EXPECT_TRUE(same_bytes(cbuf[i], expect[i]))
             << to_string(uplo) << ", " << threads << " workers, matrix " << i
@@ -630,9 +628,9 @@ struct TriangularBatch {
     }
   }
 
-  /// Runs the general launch on `dev` over `bufs` (a copy of b).
-  double launch(sim::Device& dev, bool solve, Side side, Uplo uplo, Trans trans, Diag diag,
-                T alpha, std::vector<std::vector<T>>& bufs) {
+  /// Runs the general launch's numerics over `bufs` (a copy of b).
+  void numerics(bool solve, Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
+                std::vector<std::vector<T>>& bufs) {
     std::vector<T*> ap, bp;
     for (std::size_t i = 0; i < m.size(); ++i) {
       ap.push_back(tri[i].data());
@@ -652,7 +650,11 @@ struct TriangularBatch {
     args.n = n;
     args.max_m = *std::max_element(m.begin(), m.end());
     args.max_n = *std::max_element(n.begin(), n.end());
-    return solve ? launch_trsm_general(dev, args) : launch_trmm_general(dev, args);
+    if (solve) {
+      trsm_general_numerics(args);
+    } else {
+      trmm_general_numerics(args);
+    }
   }
 };
 
@@ -692,8 +694,7 @@ TYPED_TEST(TriangularGeneral, FullMatchesPerStripBlas) {
             for (unsigned threads : {1u, 4u}) {
               util::set_host_threads(threads);
               auto got = tb.b;
-              auto dev = make_dev();
-              tb.launch(dev, solve, side, uplo, trans, diag, alpha, got);
+              tb.numerics(solve, side, uplo, trans, diag, alpha, got);
               for (std::size_t i = 0; i < got.size(); ++i)
                 ASSERT_TRUE(same_bytes(want[i], got[i]))
                     << (solve ? "trsm " : "trmm ") << to_string(side) << " " << to_string(uplo)
@@ -705,8 +706,8 @@ TYPED_TEST(TriangularGeneral, FullMatchesPerStripBlas) {
   util::set_host_threads(0);
 }
 
-/// The launch's cost reads only sizes: TimingOnly and Full give the same
-/// seconds and the same timeline records, bit for bit.
+/// The front's launches read only sizes: a TimingOnly queue records the
+/// Full queue's timeline, seconds and records bit for bit.
 TYPED_TEST(TriangularGeneral, TimingOnlyMatchesFull) {
   using T = TypeParam;
   auto bits = [](double x) {
@@ -716,36 +717,53 @@ TYPED_TEST(TriangularGeneral, TimingOnlyMatchesFull) {
   };
   for (Side side : {Side::Left, Side::Right}) {
     TriangularBatch<T> tb(side);
+    std::vector<int> ka;
+    for (std::size_t i = 0; i < tb.m.size(); ++i)
+      ka.push_back(side == Side::Left ? tb.m[i] : tb.n[i]);
     for (bool solve : {true, false}) {
-      sim::Device full(sim::DeviceSpec::k40c(), sim::ExecMode::Full);
-      sim::Device timing(sim::DeviceSpec::k40c(), sim::ExecMode::TimingOnly);
-      auto b1 = tb.b, b2 = tb.b;
-      const double s_full =
-          tb.launch(full, solve, side, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1), b1);
-      const double s_timing =
-          tb.launch(timing, solve, side, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1), b2);
-      EXPECT_EQ(bits(s_full), bits(s_timing));
-      EXPECT_GT(s_full, 0.0);
-      EXPECT_TRUE(same_bytes(b2[0], tb.b[0]));  // TimingOnly writes nothing
-      const auto& rf = full.timeline().records();
-      const auto& rt = timing.timeline().records();
-      ASSERT_EQ(rf.size(), 1u);
-      ASSERT_EQ(rt.size(), 1u);
-      const sim::KernelRecord& x = rf[0];
-      const sim::KernelRecord& y = rt[0];
-      EXPECT_EQ(x.name, solve ? "vbatched_trsm_general" : "vbatched_trmm_general");
-      EXPECT_EQ(x.name, y.name);
-      EXPECT_EQ(bits(x.start), bits(y.start));
-      EXPECT_EQ(bits(x.end), bits(y.end));
-      EXPECT_EQ(bits(x.flops), bits(y.flops));
-      EXPECT_EQ(bits(x.bytes), bits(y.bytes));
-      EXPECT_EQ(x.grid_blocks, y.grid_blocks);
-      EXPECT_EQ(x.block_threads, y.block_threads);
-      EXPECT_EQ(x.shared_mem, y.shared_mem);
-      EXPECT_EQ(x.resident_per_sm, y.resident_per_sm);
-      EXPECT_EQ(x.early_exits, y.early_exits);
-      EXPECT_EQ(x.stream, y.stream);
-      EXPECT_EQ(x.fault, y.fault);
+      Queue full(sim::DeviceSpec::k40c(), sim::ExecMode::Full);
+      Queue timing(sim::DeviceSpec::k40c(), sim::ExecMode::TimingOnly);
+      double seconds[2];
+      for (Queue* q : {&full, &timing}) {
+        Batch<T> a(*q, ka, 2);
+        RectBatch<T> b(*q, tb.m, tb.n);
+        if (q->full()) {
+          for (int i = 0; i < a.count(); ++i) {
+            const auto k = static_cast<std::size_t>(i);
+            for (int c = 0; c < ka[k]; ++c)
+              for (int r = 0; r < ka[k]; ++r)
+                a.matrix(i)(r, c) = tb.tri[k][static_cast<std::size_t>(r + c * tb.lda[k])];
+            for (int c = 0; c < tb.n[k]; ++c)
+              for (int r = 0; r < tb.m[k]; ++r)
+                b.matrix(i)(r, c) = tb.b[k][static_cast<std::size_t>(r + c * tb.ldb[k])];
+          }
+        }
+        const auto run = solve ? trsm_vbatched<T> : trmm_vbatched<T>;
+        seconds[q == &full ? 0 : 1] =
+            run(*q, side, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1), a, b).seconds;
+      }
+      EXPECT_EQ(bits(seconds[0]), bits(seconds[1]));
+      EXPECT_GT(seconds[0], 0.0);
+      const auto& rf = full.device().timeline().records();
+      const auto& rt = timing.device().timeline().records();
+      ASSERT_EQ(rf.size(), rt.size());
+      EXPECT_EQ(rf.back().name, solve ? "vbatched_trsm_general" : "vbatched_trmm_general");
+      for (std::size_t r = 0; r < rf.size(); ++r) {
+        const sim::KernelRecord& x = rf[r];
+        const sim::KernelRecord& y = rt[r];
+        EXPECT_EQ(x.name, y.name);
+        EXPECT_EQ(bits(x.start), bits(y.start));
+        EXPECT_EQ(bits(x.end), bits(y.end));
+        EXPECT_EQ(bits(x.flops), bits(y.flops));
+        EXPECT_EQ(bits(x.bytes), bits(y.bytes));
+        EXPECT_EQ(x.grid_blocks, y.grid_blocks);
+        EXPECT_EQ(x.block_threads, y.block_threads);
+        EXPECT_EQ(x.shared_mem, y.shared_mem);
+        EXPECT_EQ(x.resident_per_sm, y.resident_per_sm);
+        EXPECT_EQ(x.early_exits, y.early_exits);
+        EXPECT_EQ(x.stream, y.stream);
+        EXPECT_EQ(x.fault, y.fault);
+      }
     }
   }
 }

@@ -224,6 +224,7 @@ TEST(TriangularGeneral, ZeroSizeMatricesExitCleanly) {
   args.max_m = 6;
   args.max_n = 4;
   EXPECT_NO_THROW(kernels::launch_trsm_general(dev, args));
+  EXPECT_NO_THROW(kernels::trsm_general_numerics(args));
 }
 
 TEST(KernelHelpers, RoundUpWarpBounds) {

@@ -789,7 +789,7 @@ TEST(PotrfVbatched, TimingOnlyMatchesFullModeSeconds) {
 }
 
 // ---------------------------------------------------------------------------
-// The launch contract on every driver whose numerics run per block
+// The launch contract on every front other than potrf
 // ---------------------------------------------------------------------------
 
 /// One run of the drivers: the device timeline and, in Full mode, every
@@ -901,9 +901,9 @@ class LaunchContract : public ::testing::Test {
 using ContractTypes = ::testing::Types<float, double, std::complex<float>, std::complex<double>>;
 TYPED_TEST_SUITE(LaunchContract, ContractTypes);
 
-/// Cost functors report, numerics functors compute: TimingOnly records the
-/// Full run's timeline bit for bit, and the Full outputs do not depend on
-/// how many workers ran the numerics.
+/// Launches report, each front's numerics pass computes: TimingOnly
+/// records the Full run's timeline bit for bit, and the Full outputs do not
+/// depend on how many workers ran the numerics.
 TYPED_TEST(LaunchContract, TimingOnlyMatchesFull) {
   util::set_host_threads(1);
   const ContractRun serial = run_contract_drivers<TypeParam>(sim::ExecMode::Full);

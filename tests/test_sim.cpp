@@ -4,13 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "vbatch/core/batch.hpp"
 #include "vbatch/sim/device.hpp"
 #include "vbatch/sim/occupancy.hpp"
 #include "vbatch/sim/profile.hpp"
@@ -351,7 +351,7 @@ TEST(SlotPool, GridSizedPoolSchedulesLikeTheFullPool) {
         for (int b = 0; b < c.grid_blocks; ++b) costs.back().push_back(random_cost(rng));
       }
       for (const auto& cs : costs) fns.push_back([&cs](int b) { return cs[static_cast<std::size_t>(b)]; });
-      Device dev(spec, ExecMode::TimingOnly);
+      Device dev(spec);
       dev.launch_concurrent(configs, fns, streams);
 
       const int used = std::min({streams, spec.max_concurrent_streams, kernels});
@@ -436,7 +436,7 @@ TEST(LaunchPlanCache, MemoizesPlansAndCountsHits) {
 }
 
 TEST(LaunchPlanCache, DeviceLaunchesPopulateCache) {
-  Device dev(spec(), ExecMode::TimingOnly);
+  Device dev(spec());
   auto fn = [](int) { return work_block(1e4, 64, 64); };
   dev.launch(cfg(10, 64), fn);
   dev.launch(cfg(10, 64), fn);
@@ -469,12 +469,19 @@ TEST(Device, ArenaOverflowThrowsOutOfMemory) {
 }
 
 TEST(Device, TimingOnlyAllocationsAreVirtual) {
-  Device dev(spec(), ExecMode::TimingOnly);
-  // 11 GB "allocation" must succeed without touching host memory.
-  void* p = dev.device_malloc(11ull << 30);
-  EXPECT_GT(dev.mem_used(), 10ull << 30);
-  dev.device_free(p);
-  EXPECT_EQ(dev.mem_used(), 0u);
+  // An 11 GB TimingOnly payload must fit without touching host memory: the
+  // slab only charges the arena, under a tag pointer.
+  vbatch::Queue q(spec(), ExecMode::TimingOnly);
+  const std::vector<int> ld{1 << 15}, cols{11 << 12};
+  {
+    const vbatch::SlabArrays<double> slab(q, ld, cols);
+    EXPECT_GT(q.device().mem_used(), 10ull << 30);
+  }
+  EXPECT_EQ(q.device().mem_used(), 0u);
+  void* p = q.device().device_reserve(11ull << 30);
+  EXPECT_GT(q.device().mem_used(), 10ull << 30);
+  q.device().device_free(p);
+  EXPECT_EQ(q.device().mem_used(), 0u);
 }
 
 TEST(Device, FreeingUnknownPointerThrows) {
@@ -496,46 +503,21 @@ TEST(Device, LaunchAdvancesClockAndRecords) {
   EXPECT_DOUBLE_EQ(dev.timeline().records()[0].flops, 1e5);
 }
 
-TEST(Device, FullModeRunsNumericsOncePerLiveBlockAfterEveryCost) {
-  // 200 blocks (pooled numerics), every third one an early exit.
+TEST(Device, LaunchRunsEachCostOnceInBlockOrder) {
+  // 200 blocks, every third one an early exit: each cost functor runs
+  // once, inline, in block order.
   Device dev(spec());
   constexpr int kBlocks = 200;
-  std::vector<std::atomic<int>> costs(kBlocks), numerics(kBlocks);
-  std::atomic<int> reports{0};
-  std::atomic<bool> before_last_cost{false};
-  dev.launch(
-      cfg(kBlocks, 64),
-      [&](int b) {
-        costs[static_cast<std::size_t>(b)].fetch_add(1);
-        reports.fetch_add(1);
-        BlockCost c = work_block(1.0, 1, 64);
-        c.early_exit = b % 3 == 0;
-        return c;
-      },
-      [&](int b) {
-        if (reports.load() != kBlocks) before_last_cost = true;
-        numerics[static_cast<std::size_t>(b)].fetch_add(1);
-      });
-  EXPECT_FALSE(before_last_cost.load());
-  for (int b = 0; b < kBlocks; ++b) {
-    EXPECT_EQ(costs[static_cast<std::size_t>(b)].load(), 1) << b;
-    EXPECT_EQ(numerics[static_cast<std::size_t>(b)].load(), b % 3 == 0 ? 0 : 1) << b;
-  }
-}
-
-TEST(Device, TimingOnlyRunsCostsOnceAndNumericsNever) {
-  Device dev(spec(), ExecMode::TimingOnly);
-  std::vector<int> costs(40, 0);
-  int numerics = 0;
-  dev.launch(
-      cfg(40, 64),
-      [&costs](int b) {
-        ++costs[static_cast<std::size_t>(b)];
-        return work_block(1.0, 1, 64);
-      },
-      [&numerics](int) { ++numerics; });
-  for (int c : costs) EXPECT_EQ(c, 1);
-  EXPECT_EQ(numerics, 0);
+  std::vector<int> order;
+  dev.launch(cfg(kBlocks, 64), [&](int b) {
+    order.push_back(b);
+    BlockCost c = work_block(1.0, 1, 64);
+    c.early_exit = b % 3 == 0;
+    return c;
+  });
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kBlocks));
+  for (int b = 0; b < kBlocks; ++b) EXPECT_EQ(order[static_cast<std::size_t>(b)], b);
+  EXPECT_EQ(dev.timeline().records().back().early_exits, (kBlocks + 2) / 3);
 }
 
 TEST(Device, ConcurrentStreamsOverlapKernels) {
