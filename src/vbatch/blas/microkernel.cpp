@@ -12,7 +12,6 @@ namespace vbatch::blas::micro {
 namespace {
 
 using detail::KernelEntry;
-using detail::MicroFn;
 using detail::type_index_v;
 
 std::atomic<int> g_dispatch{static_cast<int>(Dispatch::Auto)};
@@ -30,64 +29,6 @@ template <typename T>
 std::vector<T>& pack_buffer_b() {
   static thread_local std::vector<T> buf;
   return buf;
-}
-
-// Packs op(A)(i0 : i0+mc, p0 : p0+kc) into MR-row slivers: sliver s holds
-// rows [s·MR, s·MR+MR) with the kc index varying fastest across slivers and
-// the MR rows contiguous within one k-slice. Partial slivers are zero-padded
-// so the micro-kernel never needs a row mask.
-template <typename T>
-void pack_a(ConstMatrixView<T> a, Trans trans, index_t i0, index_t p0, index_t mc, index_t kc,
-            int MR, T* VBATCH_RESTRICT dst) {
-  for (index_t ip = 0; ip < mc; ip += MR) {
-    const index_t mr = std::min<index_t>(MR, mc - ip);
-    T* VBATCH_RESTRICT panel = dst + (ip / MR) * (MR * kc);
-    if (trans == Trans::NoTrans) {
-      for (index_t l = 0; l < kc; ++l) {
-        const T* VBATCH_RESTRICT col = &a(i0 + ip, p0 + l);
-        T* VBATCH_RESTRICT out = panel + l * MR;
-        for (index_t r = 0; r < mr; ++r) out[r] = col[r];
-        for (index_t r = mr; r < MR; ++r) out[r] = T(0);
-      }
-    } else {
-      // op(A)(i, l) = conj(A(p0+l, i0+i)): each packed row reads one
-      // unit-stride column of the stored matrix.
-      for (index_t r = 0; r < mr; ++r) {
-        const T* VBATCH_RESTRICT col = &a(p0, i0 + ip + r);
-        for (index_t l = 0; l < kc; ++l) panel[l * MR + r] = conj_val(col[l]);
-      }
-      for (index_t r = mr; r < MR; ++r)
-        for (index_t l = 0; l < kc; ++l) panel[l * MR + r] = T(0);
-    }
-  }
-}
-
-// Packs op(B)(p0 : p0+kc, j0 : j0+nc) into NR-column slivers (NR entries of
-// one k-slice contiguous), zero-padding partial slivers.
-template <typename T>
-void pack_b(ConstMatrixView<T> b, Trans trans, index_t p0, index_t j0, index_t kc, index_t nc,
-            int NR, T* VBATCH_RESTRICT dst) {
-  for (index_t jp = 0; jp < nc; jp += NR) {
-    const index_t nr = std::min<index_t>(NR, nc - jp);
-    T* VBATCH_RESTRICT panel = dst + (jp / NR) * (NR * kc);
-    if (trans == Trans::NoTrans) {
-      for (index_t cidx = 0; cidx < nr; ++cidx) {
-        const T* VBATCH_RESTRICT col = &b(p0, j0 + jp + cidx);
-        for (index_t l = 0; l < kc; ++l) panel[l * NR + cidx] = col[l];
-      }
-      for (index_t cidx = nr; cidx < NR; ++cidx)
-        for (index_t l = 0; l < kc; ++l) panel[l * NR + cidx] = T(0);
-    } else {
-      // op(B)(l, j) = conj(B(j0+j, p0+l)): one k-slice reads a unit-stride
-      // row segment of the stored matrix.
-      for (index_t l = 0; l < kc; ++l) {
-        const T* VBATCH_RESTRICT row = &b(j0 + jp, p0 + l);
-        T* VBATCH_RESTRICT out = panel + l * NR;
-        for (index_t cidx = 0; cidx < nr; ++cidx) out[cidx] = conj_val(row[cidx]);
-        for (index_t cidx = nr; cidx < NR; ++cidx) out[cidx] = T(0);
-      }
-    }
-  }
 }
 
 // The per-ISA kernel tables, searched best-first: every vector set falls
@@ -122,17 +63,6 @@ Isa next_lower(Isa isa) noexcept {
     case Isa::Sse2:
     case Isa::Neon:
     default: return Isa::Scalar;
-  }
-}
-
-template <typename T>
-MicroFn<T> find_tile(Isa isa, int mr, int nr) noexcept {
-  for (;;) {
-    for (const KernelEntry& e : table_for(isa))
-      if (e.type == type_index_v<T> && e.mr == mr && e.nr == nr)
-        return reinterpret_cast<MicroFn<T>>(const_cast<void*>(e.fn));
-    if (isa == Isa::Scalar) return nullptr;
-    isa = next_lower(isa);
   }
 }
 
@@ -174,25 +104,24 @@ namespace {
 
 // Compile-time scalar tiles for the default (anchor) shapes of each scalar
 // type; every other shape the tuner may pick resolves to the runtime-shaped
-// generic tile. The accumulation order is identical either way.
+// generic tile. The accumulation order is identical either way. The base
+// TU's packers carry W = 1. Scalar tiles register no updating form, so
+// their whole tiles take the acc path.
+#define VBATCH_SCALAR_ENTRY(T, MR, NR) \
+  VBATCH_KERNEL_ENTRY(Isa::Scalar, T, MR, NR, (tile_scalar<T, MR, NR>), nullptr, 1)
+
 const KernelEntry kScalarEntries[] = {
-    {Isa::Scalar, type_index_v<float>, 8, 4,
-     reinterpret_cast<const void*>(&tile_scalar<float, 8, 4>)},
-    {Isa::Scalar, type_index_v<float>, 4, 4,
-     reinterpret_cast<const void*>(&tile_scalar<float, 4, 4>)},
-    {Isa::Scalar, type_index_v<double>, 4, 4,
-     reinterpret_cast<const void*>(&tile_scalar<double, 4, 4>)},
-    {Isa::Scalar, type_index_v<double>, 8, 4,
-     reinterpret_cast<const void*>(&tile_scalar<double, 8, 4>)},
-    {Isa::Scalar, type_index_v<std::complex<float>>, 4, 2,
-     reinterpret_cast<const void*>(&tile_scalar<std::complex<float>, 4, 2>)},
-    {Isa::Scalar, type_index_v<std::complex<float>>, 4, 4,
-     reinterpret_cast<const void*>(&tile_scalar<std::complex<float>, 4, 4>)},
-    {Isa::Scalar, type_index_v<std::complex<double>>, 2, 2,
-     reinterpret_cast<const void*>(&tile_scalar<std::complex<double>, 2, 2>)},
-    {Isa::Scalar, type_index_v<std::complex<double>>, 4, 4,
-     reinterpret_cast<const void*>(&tile_scalar<std::complex<double>, 4, 4>)},
+    VBATCH_SCALAR_ENTRY(float, 8, 4),
+    VBATCH_SCALAR_ENTRY(float, 4, 4),
+    VBATCH_SCALAR_ENTRY(double, 4, 4),
+    VBATCH_SCALAR_ENTRY(double, 8, 4),
+    VBATCH_SCALAR_ENTRY(std::complex<float>, 4, 2),
+    VBATCH_SCALAR_ENTRY(std::complex<float>, 4, 4),
+    VBATCH_SCALAR_ENTRY(std::complex<double>, 2, 2),
+    VBATCH_SCALAR_ENTRY(std::complex<double>, 4, 4),
 };
+
+#undef VBATCH_SCALAR_ENTRY
 
 }  // namespace
 
@@ -204,6 +133,41 @@ std::span<const KernelEntry> kernels_avx2() noexcept { return {}; }
 #if !defined(VBATCH_HAVE_AVX512_TU)
 std::span<const KernelEntry> kernels_avx512() noexcept { return {}; }
 #endif
+
+template <typename T>
+TileKernels<T> find_kernels(Isa isa, int mr, int nr) noexcept {
+  for (;;) {
+    for (const KernelEntry& e : table_for(isa))
+      if (e.type == type_index_v<T> && e.mr == mr && e.nr == nr)
+        return {reinterpret_cast<MicroFn<T>>(const_cast<void*>(e.tile)),
+                reinterpret_cast<UpdateFn<T>>(const_cast<void*>(e.update)),
+                reinterpret_cast<PackAFn<T>>(const_cast<void*>(e.pack_a)),
+                reinterpret_cast<PackBFn<T>>(const_cast<void*>(e.pack_b))};
+    if (isa == Isa::Scalar) return {};
+    isa = next_lower(isa);
+  }
+}
+
+template <typename T>
+void generic_tile(index_t kc, const T* ap, const T* bp, T* acc, int mr, int nr) {
+  tile_generic<T>(kc, ap, bp, acc, mr, nr);
+}
+
+template void generic_tile<float>(index_t, const float*, const float*, float*, int, int);
+template void generic_tile<double>(index_t, const double*, const double*, double*, int, int);
+template void generic_tile<std::complex<float>>(index_t, const std::complex<float>*,
+                                                const std::complex<float>*,
+                                                std::complex<float>*, int, int);
+template void generic_tile<std::complex<double>>(index_t, const std::complex<double>*,
+                                                 const std::complex<double>*,
+                                                 std::complex<double>*, int, int);
+
+template TileKernels<float> find_kernels<float>(Isa, int, int) noexcept;
+template TileKernels<double> find_kernels<double>(Isa, int, int) noexcept;
+template TileKernels<std::complex<float>> find_kernels<std::complex<float>>(Isa, int,
+                                                                            int) noexcept;
+template TileKernels<std::complex<double>> find_kernels<std::complex<double>>(Isa, int,
+                                                                              int) noexcept;
 
 }  // namespace detail
 
@@ -276,6 +240,44 @@ struct Triangle {
 // Shortest k block whose tiles prefetch the next tile's C (packed_core).
 constexpr index_t kPrefetchMinK = 32;
 
+// One call's tile functions, resolved once from the per-ISA tables; a shape
+// no TU compiled runs the runtime-shaped generic tile and packers, which
+// share the scalar tile's accumulation order.
+template <typename T>
+class Kernels {
+ public:
+  Kernels(int mr, int nr) noexcept
+      : fn_(detail::find_kernels<T>(active_isa(), mr, nr)), mr_(mr), nr_(nr) {}
+
+  void pack_a(ConstMatrixView<T> a, Trans trans, index_t i0, index_t p0, index_t mc, index_t kc,
+              T* dst) const {
+    if (fn_.pack_a) return fn_.pack_a(a, trans, i0, p0, mc, kc, dst);
+    for (index_t ip = 0; ip < mc; ip += mr_)
+      detail::pack_a_sliver<T, 1>(a, trans, i0 + ip, p0, std::min<index_t>(mr_, mc - ip), kc,
+                                  mr_, dst + (ip / mr_) * (mr_ * kc));
+  }
+  void pack_b(ConstMatrixView<T> b, Trans trans, index_t p0, index_t j0, index_t kc, index_t nc,
+              T* dst) const {
+    if (fn_.pack_b) return fn_.pack_b(b, trans, p0, j0, kc, nc, dst);
+    for (index_t jp = 0; jp < nc; jp += nr_)
+      detail::pack_b_sliver<T, 1>(b, trans, p0, j0 + jp, kc, std::min<index_t>(nr_, nc - jp),
+                                  nr_, dst + (jp / nr_) * (nr_ * kc));
+  }
+  void tile(index_t kc, const T* ap, const T* bp, T* acc) const {
+    if (fn_.tile) return fn_.tile(kc, ap, bp, acc);
+    detail::tile_generic<T>(kc, ap, bp, acc, mr_, nr_);
+  }
+  /// Whether the tile has an updating form (the vector tiles do).
+  [[nodiscard]] bool updates() const noexcept { return fn_.update != nullptr; }
+  void update(index_t kc, const T* ap, const T* bp, T alpha, T* c, index_t ldc) const {
+    fn_.update(kc, ap, bp, alpha, c, ldc);
+  }
+
+ private:
+  detail::TileKernels<T> fn_;
+  int mr_, nr_;
+};
+
 // C = alpha·op(A)·op(B) + beta·C on `region` of C. The register tile grid is
 // anchored at C(0, 0) (the balanced m/n chunks start on MR/NR multiples), so
 // an element's tile, its packed slivers and its k-block order do not depend
@@ -311,7 +313,11 @@ void packed_core(Trans trans_a, Trans trans_b, T alpha, ConstMatrixView<T> a,
   }
   if (k == 0 || alpha == T(0)) return;
 
-  const detail::MicroFn<T> tile = find_tile<T>(active_isa(), MR, NR);
+  const Kernels<T> kernels(MR, NR);
+  // Whole vector tiles with alpha = ±1 update C in registers: c + alpha·Σ is
+  // then c ± Σ whatever the tile's TU contracts. Every other tile takes the
+  // acc path, whose write-back rounds alpha·Σ and the sum separately.
+  const bool in_registers = kernels.updates() && (alpha == T(1) || alpha == T(-1));
 
   auto& abuf = pack_buffer_a<T>();
   auto& bbuf = pack_buffer_b<T>();
@@ -330,12 +336,12 @@ void packed_core(Trans trans_a, Trans trans_b, T alpha, ConstMatrixView<T> a,
     const index_t nc = nsplit.length(jb);
     for (index_t pp = 0; pp < k; pp += KC) {
       const index_t kc = std::min(KC, k - pp);
-      pack_b(b, trans_b, pp, jj, kc, nc, NR, bbuf.data());
+      kernels.pack_b(b, trans_b, pp, jj, kc, nc, bbuf.data());
       for (index_t ib = 0; ib < msplit.count(); ++ib) {
         const index_t ii = msplit.begin(ib);
         const index_t mc = msplit.length(ib);
         if (!region.meets(ii, ii + mc, jj, jj + nc)) continue;
-        pack_a(a, trans_a, ii, pp, mc, kc, MR, abuf.data());
+        kernels.pack_a(a, trans_a, ii, pp, mc, kc, abuf.data());
         for (index_t jr = 0; jr < nc; jr += NR) {
           const index_t nr = std::min<index_t>(NR, nc - jr);
           const T* bp = bbuf.data() + (jr / NR) * (NR * kc);
@@ -359,11 +365,12 @@ void packed_core(Trans trans_a, Trans trans_b, T alpha, ConstMatrixView<T> a,
                 __builtin_prefetch(next + next_mr - 1, 1);
               }
             }
-            if (tile)
-              tile(kc, ap, bp, acc);
-            else
-              detail::tile_generic<T>(kc, ap, bp, acc, MR, NR);
             const bool whole = region.covers(r0, r0 + mr, jj + jr, jj + jr + nr);
+            if (whole && in_registers && mr == MR && nr == NR) {
+              kernels.update(kc, ap, bp, alpha, &c(r0, jj + jr), c.ld());
+              continue;
+            }
+            kernels.tile(kc, ap, bp, acc);
             for (index_t j = 0; j < nr; ++j) {
               const index_t cj = jj + jr + j;
               T* VBATCH_RESTRICT ccol = &c(r0, cj);

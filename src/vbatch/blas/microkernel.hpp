@@ -13,7 +13,13 @@
 //   * an MR×NR register tile accumulates KC-long rank-1 updates. The tile
 //     is an explicitly vectorized kernel selected at runtime from the
 //     per-ISA tables (isa.hpp: SSE2/NEON, AVX2+FMA, AVX-512F) with a
-//     scalar fallback that reproduces the original engine bit for bit;
+//     scalar fallback that reproduces the original engine bit for bit.
+//     One table lookup per call resolves the tile together with its
+//     updating form and its two packers, all compiled with MR/NR fixed
+//     for the tile's ISA: a whole vector tile with alpha = ±1 adds its sum
+//     into C in registers, every other tile writes an acc block that the
+//     engine adds into C with the same rounding (docs/blas.md,
+//     "Numerical contracts");
 //   * the m/n/k loops are blocked by MC/KC/NC so the packed A block stays
 //     L2-resident and each packed B sliver stays L1-resident. The m and n
 //     ranges are split into *balanced*, tile-aligned chunks (never a
@@ -25,7 +31,8 @@
 // applies the transposition and, for complex scalars, the library's
 // conjugate convention: Trans on a complex operand means Aᴴ). Arbitrary
 // m, n, k are handled by zero-padding partial slivers and masking the
-// write-back, so the engine is exact for every size including 0 and 1.
+// acc write-back of partial tiles, so the engine is exact for every size
+// including 0 and 1.
 //
 // Blocking depths and the register tile are no longer compile-time: the
 // engine reads the active TuningProfile (tuning.hpp), which defaults per

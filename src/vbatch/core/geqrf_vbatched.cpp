@@ -32,9 +32,10 @@ FactorResult geqrf_vbatched(Queue& q, RectBatch<T>& batch, TauArrays<T>& tau,
   for (int i = 0; i < count; ++i)
     mn[static_cast<std::size_t>(i)] =
         std::min(m[static_cast<std::size_t>(i)], n[static_cast<std::size_t>(i)]);
-  // All three maxima come from one metadata sweep instead of three
-  // back-to-back reduction launches.
-  const auto [max_mn, max_m, max_n] = kernels::imax_reduce3(dev, mn, m, n);
+  // Both maxima come from one metadata sweep instead of two back-to-back
+  // reduction launches; the empty third span reads no bytes.
+  const auto maxima = kernels::imax_reduce3(dev, mn, m, {});
+  const int max_mn = maxima[0], max_m = maxima[1];
   if (max_mn == 0) return result;
 
   double seconds = 0.0;

@@ -21,9 +21,9 @@ namespace vbatch::kernels {
 [[nodiscard]] int imax_reduce(sim::Device& dev, std::span<const int> host_mirror);
 
 /// Reduces the maxima of up to three arrays in one sweep kernel: returns
-/// {max(a), max(b), max(c)}, 0 for an empty span. The QR driver uses it to
-/// fetch max(m), max(n) and max(min(m,n)) with a single metadata pass
-/// instead of three back-to-back reductions.
+/// {max(a), max(b), max(c)}, 0 for an empty span, which the sweep does not
+/// read. The QR driver uses it to fetch max(min(m,n)) and max(m) with a
+/// single metadata pass instead of two back-to-back reductions.
 [[nodiscard]] std::array<int, 3> imax_reduce3(sim::Device& dev, std::span<const int> a,
                                               std::span<const int> b, std::span<const int> c);
 

@@ -493,8 +493,11 @@ TEST(ServiceLiveAdmission, ConcurrentSubmittersFillWatermarkExactly) {
 namespace {
 
 /// One uniform launch's worth of work: every calibration launch is alike, so
-/// the capacity EWMA settles on their common wall throughput.
-Request calibration_request() { return make_request(0, "a", {128, 128, 128, 128}); }
+/// the capacity EWMA settles on their common wall throughput. 64 matrices of
+/// order 64 keep the modelled pool well ahead of the host: about 8× the
+/// wall throughput of a 4-vCPU AVX2 host, where four matrices of order 128
+/// read under 2× (the deadline test below needs more than 2×).
+Request calibration_request() { return make_request(0, "a", std::vector<int>(64, 64)); }
 
 /// Admission on with no limit set: everything is admitted and every launch
 /// calibrates the capacity estimate. A zero budget launches each submit alone.

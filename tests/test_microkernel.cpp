@@ -16,6 +16,7 @@
 
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/blas/microkernel.hpp"
+#include "vbatch/blas/microkernel_tile.hpp"
 #include "vbatch/blas/potf2_lanes.hpp"
 #include "vbatch/blas/tuning.hpp"
 #include "vbatch/kernels/fused_step_math.hpp"
@@ -689,6 +690,214 @@ TYPED_TEST(SyrkAlphaZero, RunsOnlyTheBetaPass) {
                       << "," << j << ")";
                 }
             }
+}
+
+// ---------------------------------------------------------------------------
+// MicrokernelUpdate: a whole vector tile with alpha = ±1 updates C in
+// registers (the tile's updating form); every other tile writes acc and the engine
+// adds alpha·acc. Either way each element must be c + alpha·acc as the
+// registered acc-writing tile and a per-element write-back compute it. The
+// oracle packs op(A)/op(B) itself on the MR×NR grid anchored at C(0, 0),
+// runs the registered tile (or the generic one) per KC block in order and
+// adds alpha·acc element by element. Power-of-two alphas make alpha·acc
+// exact, so the oracle holds under any contraction flags. A NaN injected
+// into A or C is the hardware's default NaN (made at run time as ∞ − ∞),
+// the pattern arithmetic produces, so no element depends on which of two
+// NaN operands an add returns: IEEE 754 leaves that open, and the compiler
+// may commute an add.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+class MicrokernelUpdate : public ::testing::Test {};
+TYPED_TEST_SUITE(MicrokernelUpdate, Precisions);
+
+/// op(X)(i, l) of a stored X; Trans conjugates a complex X.
+template <typename T>
+T op_at(ConstMatrixView<T> x, Trans t, index_t i, index_t l) {
+  return t == Trans::NoTrans ? x(i, l) : conj_val(x(l, i));
+}
+
+/// C = alpha·op(A)·op(B) + beta·C, tile by tile. `region(i, j, diag)` says
+/// whether element (i, j) is written; the beta pass takes the diagonal and
+/// the tiles take it when `diag`.
+template <typename T, typename Region>
+void update_oracle(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b,
+                   T beta, MatrixView<T> c, const blas::micro::KernelShape& s, bool diag,
+                   Region region) {
+  const index_t m = c.rows(), n = c.cols(), k = ta == Trans::NoTrans ? a.cols() : a.rows();
+  const int MR = s.mr, NR = s.nr;
+  if (beta != T(1))
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < m; ++i)
+        if (region(i, j, true)) c(i, j) = beta == T(0) ? T(0) : beta * c(i, j);
+  if (k == 0 || alpha == T(0)) return;
+  const auto fn = blas::micro::detail::find_kernels<T>(blas::micro::active_isa(), MR, NR);
+  std::vector<T> ap(static_cast<std::size_t>(MR * s.kc)), bp(static_cast<std::size_t>(NR * s.kc)),
+      acc(static_cast<std::size_t>(MR * NR));
+  for (index_t pp = 0; pp < k; pp += s.kc) {
+    const index_t kc = std::min(s.kc, k - pp);
+    for (index_t j0 = 0; j0 < n; j0 += NR)
+      for (index_t i0 = 0; i0 < m; i0 += MR) {
+        for (index_t l = 0; l < kc; ++l) {
+          for (int r = 0; r < MR; ++r)
+            ap[static_cast<std::size_t>(l * MR + r)] =
+                i0 + r < m ? op_at(a, ta, i0 + r, pp + l) : T(0);
+          for (int q = 0; q < NR; ++q)
+            bp[static_cast<std::size_t>(l * NR + q)] =
+                j0 + q < n ? op_at(b, tb, pp + l, j0 + q) : T(0);
+        }
+        if (fn.tile)
+          fn.tile(kc, ap.data(), bp.data(), acc.data());
+        else
+          blas::micro::detail::generic_tile<T>(kc, ap.data(), bp.data(), acc.data(), MR, NR);
+        for (int q = 0; q < NR && j0 + q < n; ++q)
+          for (int r = 0; r < MR && i0 + r < m; ++r)
+            if (region(i0 + r, j0 + q, diag))
+              c(i0 + r, j0 + q) += alpha * acc[static_cast<std::size_t>(q * MR + r)];
+      }
+  }
+}
+
+/// A rows × cols operand with ld = rows + pad; the padding holds `sentinel`.
+template <typename T>
+std::vector<T> padded(Rng& rng, index_t rows, index_t cols, index_t ld, T sentinel) {
+  std::vector<T> buf(static_cast<std::size_t>(ld * cols), sentinel);
+  fill_general(rng, buf.data(), rows, cols, ld);
+  return buf;
+}
+
+template <typename T>
+std::string first_difference(const std::vector<T>& got, const std::vector<T>& want,
+                             index_t ld) {
+  for (std::size_t x = 0; x < got.size(); ++x)
+    if (std::memcmp(&got[x], &want[x], sizeof(T)) != 0)
+      return "first difference at (" + std::to_string(static_cast<index_t>(x) % ld) + "," +
+             std::to_string(static_cast<index_t>(x) / ld) + ")";
+  return "equal";
+}
+
+TYPED_TEST(MicrokernelUpdate, WholeAndPartialTilesMatchTheAccTileAndWriteBack) {
+  using T = TypeParam;
+  using R = real_t<T>;
+  volatile R inf_v = std::numeric_limits<R>::infinity();
+  const R dnan = inf_v - inf_v;  // the hardware's default NaN
+  const R inf = inf_v;
+  const double alphas[] = {1.0, -1.0, 0.5, -2.0};
+  const double betas[] = {0.0, 1.0, -0.5};
+  int counter = 0;
+  for (Isa isa : {Isa::Scalar, Isa::Sse2, Isa::Neon, Isa::Avx2, Isa::Avx512}) {
+    if (!isa_supported(isa)) continue;
+    IsaGuard isa_guard(isa);
+    auto tiles = blas::micro::supported_tiles<T>(isa);
+    tiles.push_back({3, 5});  // no TU compiles it: the generic tile
+    for (const blas::micro::TilePair tp : tiles) {
+      const blas::micro::KernelShape shape{tp.mr, tp.nr, 8, 2 * tp.mr, 2 * tp.nr, tp.mr, 4096.0};
+      blas::micro::TuningProfile profile = blas::micro::active_profile();
+      profile.shapes[blas::micro::detail::type_index_v<T>] = shape;
+      blas::micro::ProfileGuard profile_guard(profile);
+      const index_t MR = shape.mr, NR = shape.nr;
+      std::vector<index_t> ms{1, MR - 1, MR, MR + 1, shape.mc + 1, shape.nc + 1};
+      std::vector<index_t> ns{1, NR - 1, NR, NR + 1, shape.mc + 1, shape.nc + 1};
+      const index_t ks[] = {1, MR + 1, shape.kc + 3, 2 * shape.kc + 1};
+      Rng rng(41);
+      // Sets the next (alpha, beta) pair, k and poisoning from one counter,
+      // so every combination recurs across the shapes.
+      auto next = [&](T& alpha, T& beta, index_t& k, bool& poison) {
+        alpha = make_scalar<T>(alphas[counter % 4], 0.0);
+        beta = make_scalar<T>(betas[(counter / 4) % 3], 0.0);
+        k = ks[(counter / 3) % 4];
+        poison = counter % 5 == 0;
+        ++counter;
+      };
+      const std::string tile =
+          std::string(to_string(isa)) + " " + std::to_string(MR) + "x" + std::to_string(NR);
+
+      for (Trans ta : {Trans::NoTrans, Trans::Trans})
+        for (Trans tb : {Trans::NoTrans, Trans::Trans})
+          for (index_t m : ms)
+            for (index_t n : ns) {
+              if (m < 1 || n < 1) continue;
+              T alpha, beta;
+              index_t k;
+              bool poison;
+              next(alpha, beta, k, poison);
+              const index_t ar = ta == Trans::NoTrans ? m : k, ac = ta == Trans::NoTrans ? k : m;
+              const index_t br = tb == Trans::NoTrans ? k : n, bc = tb == Trans::NoTrans ? n : k;
+              auto abuf = padded<T>(rng, ar, ac, ar + 2, T(dnan));
+              auto bbuf = padded<T>(rng, br, bc, br + 1, T(dnan));
+              auto cbuf = padded<T>(rng, m, n, m + 3, make_scalar<T>(7.0, -7.0));
+              if (poison) {
+                abuf[static_cast<std::size_t>(ar - 1)] = T(inf);
+                abuf[static_cast<std::size_t>((ac - 1) * (ar + 2))] = T(dnan);
+                cbuf[static_cast<std::size_t>((n - 1) * (m + 3))] = T(dnan);
+                cbuf[static_cast<std::size_t>(m - 1)] = T(-inf);
+              }
+              auto want = cbuf;
+              ConstMatrixView<T> a(abuf.data(), ar, ac, ar + 2), b(bbuf.data(), br, bc, br + 1);
+              blas::micro::gemm_blocked_shaped<T>(ta, tb, alpha, a, b, beta,
+                                                  MatrixView<T>(cbuf.data(), m, n, m + 3), shape);
+              update_oracle<T>(ta, tb, alpha, a, b, beta, MatrixView<T>(want.data(), m, n, m + 3),
+                               shape, true, [](index_t, index_t, bool) { return true; });
+              ASSERT_EQ(std::memcmp(cbuf.data(), want.data(), cbuf.size() * sizeof(T)), 0)
+                  << "gemm " << tile << " " << to_string(ta) << " " << to_string(tb) << " m=" << m
+                  << " n=" << n << " k=" << k << " alpha=" << std::real(alpha)
+                  << " beta=" << std::real(beta) << (poison ? " poisoned, " : ", ")
+                  << first_difference(cbuf, want, m + 3);
+            }
+
+      for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+        for (Trans trans : {Trans::NoTrans, Trans::Trans})
+          for (index_t n : ns) {
+            if (n < 1) continue;
+            T alpha, beta;
+            index_t k;
+            bool poison;
+            next(alpha, beta, k, poison);
+            const index_t ar = trans == Trans::NoTrans ? n : k;
+            const index_t ac = trans == Trans::NoTrans ? k : n;
+            const index_t ldc = n + 3;
+            auto abuf = padded<T>(rng, ar, ac, ar + 2, T(dnan));
+            // The untouched triangle and the padding rows keep these values.
+            auto cbuf = padded<T>(rng, ldc, n, ldc, make_scalar<T>(7.0, -7.0));
+            for (index_t d = 0; d < n; ++d)  // herk keeps a real diagonal real
+              cbuf[static_cast<std::size_t>(d + d * ldc)] =
+                  T(real_val(cbuf[static_cast<std::size_t>(d + d * ldc)]));
+            if (poison) {
+              abuf[static_cast<std::size_t>(ar - 1)] = T(inf);
+              cbuf[static_cast<std::size_t>(n - 1)] = T(dnan);
+            }
+            auto want = cbuf;
+            ConstMatrixView<T> a(abuf.data(), ar, ac, ar + 2);
+            blas::micro::syrk_blocked<T>(uplo, trans, alpha, a, beta,
+                                         MatrixView<T>(cbuf.data(), n, n, ldc));
+            const Trans ta = trans == Trans::NoTrans ? Trans::NoTrans : Trans::Trans;
+            const Trans tb = trans == Trans::NoTrans ? Trans::Trans : Trans::NoTrans;
+            update_oracle<T>(ta, tb, alpha, a, a, beta, MatrixView<T>(want.data(), n, n, ldc),
+                             shape, !is_complex_v<T>, [uplo](index_t i, index_t j, bool diag) {
+                               return uplo == Uplo::Lower ? (diag ? i >= j : i > j)
+                                                          : (diag ? i <= j : i < j);
+                             });
+            if constexpr (is_complex_v<T>) {
+              // herk's diagonal is no tile's: it is a real sum the library
+              // adds after the tiles, in its own rounding (a -march build
+              // contracts it). Only its realness on finite inputs is
+              // checked here.
+              for (index_t i = 0; i < n; ++i) {
+                const std::size_t at = static_cast<std::size_t>(i + i * ldc);
+                if (k > 0 && !poison) {
+                  ASSERT_EQ(std::imag(cbuf[at]), 0) << "diagonal " << i;
+                }
+                want[at] = cbuf[at];
+              }
+            }
+            ASSERT_EQ(std::memcmp(cbuf.data(), want.data(), cbuf.size() * sizeof(T)), 0)
+                << "syrk " << tile << " " << vbatch::to_string(uplo) << " "
+                << vbatch::to_string(trans) << " n=" << n << " k=" << k
+                << " alpha=" << std::real(alpha) << " beta=" << std::real(beta)
+                << (poison ? " poisoned, " : ", ") << first_difference(cbuf, want, ldc);
+          }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

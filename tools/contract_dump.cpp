@@ -14,6 +14,12 @@
 // ragged around the panel widths, hold empty matrices, and carry singular
 // (LU) and non-SPD (Cholesky) matrices. Wide QR matrices (m < n) print in a
 // section of their own.
+//
+// A first section hashes the host BLAS the fronts compute with: blas::gemm
+// (every trans pair, alpha 1, -1 and 0.3), syrk (both uplos and trans),
+// trsm/trmm (every side/uplo/trans/diag) and potrf (Lower/Upper), s/d/c/z,
+// on ragged sizes up to 520, each operand's padding rows included. Its bits
+// depend on the active ISA, so compare two builds under one VBATCH_ISA.
 #include <algorithm>
 #include <cmath>
 #include <complex>
@@ -21,8 +27,10 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "vbatch/blas/blas.hpp"
 #include "vbatch/core/blas_vbatched.hpp"
 #include "vbatch/core/geqrf_vbatched.hpp"
 #include "vbatch/core/getrf_vbatched.hpp"
@@ -36,6 +44,15 @@ namespace {
 using namespace vbatch;
 
 void put(double x) { std::printf(" %a", x); }
+
+/// The FNV-1a hash of an array's bytes: equal outputs mean equal bits.
+template <typename T>
+unsigned long long fnv1a(const T* p, std::size_t count) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto* c = reinterpret_cast<const unsigned char*>(p);
+  for (std::size_t k = 0; k < count * sizeof(T); ++k) h = (h ^ c[k]) * 0x100000001b3ull;
+  return static_cast<unsigned long long>(h);
+}
 
 /// Prints one call's result and the records it appended to the timeline.
 class Dumper {
@@ -86,13 +103,9 @@ class Dumper {
   }
 
  private:
-  /// The FNV-1a hash of an array's bytes: equal outputs mean equal bits.
   template <typename T>
   static void bytes(const char* what, int i, const T* p, std::size_t count) {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    const auto* c = reinterpret_cast<const unsigned char*>(p);
-    for (std::size_t k = 0; k < count * sizeof(T); ++k) h = (h ^ c[k]) * 0x100000001b3ull;
-    std::printf("  %s[%d] %016llx\n", what, i, static_cast<unsigned long long>(h));
+    std::printf("  %s[%d] %016llx\n", what, i, fnv1a(p, count));
   }
 
   Queue& q_;
@@ -239,6 +252,99 @@ void dump_qr(Queue& q, Dumper& d, Rng& fill, const std::vector<int>& rows,
   d.batch("ls_rhs", ls_rhs);
 }
 
+/// A host operand: rows × cols, column-major, three padding rows holding a
+/// sentinel.
+template <typename T>
+struct HostMatrix {
+  HostMatrix(Rng& fill, index_t r, index_t c, bool spd = false)
+      : rows(r), cols(c), buf(static_cast<std::size_t>((r + 3) * std::max<index_t>(c, 1)), T(-7)) {
+    if (r == 0 || c == 0) return;
+    if (spd)
+      fill_spd(fill, buf.data(), r, r + 3);
+    else
+      fill_general(fill, buf.data(), r, c, r + 3);
+  }
+  MatrixView<T> view() { return MatrixView<T>(buf.data(), rows, cols, rows + 3); }
+  void print(const std::string& what) const {
+    std::printf("%s %016llx\n", what.c_str(), fnv1a(buf.data(), buf.size()));
+  }
+
+  index_t rows, cols;
+  std::vector<T> buf;
+};
+
+/// "op d0 d1 …" followed by each word.
+std::string shape(const char* op, std::initializer_list<index_t> dims,
+                  std::initializer_list<std::string_view> words) {
+  std::string s = op;
+  for (index_t d : dims) s += " " + std::to_string(d);
+  for (std::string_view w : words) (s += " ") += w;
+  return s;
+}
+
+template <typename T>
+void dump_host_blas(const char* type) {
+  std::printf("== host blas %s\n", type);
+  Rng fill(11);
+  const index_t gemm_shapes[][3] = {{1, 1, 1},    {7, 5, 9},     {33, 64, 31},
+                                    {97, 130, 8}, {520, 9, 40},  {13, 520, 65},
+                                    {64, 31, 520}, {263, 130, 97}};
+  // (alpha, beta): the recursion's update, a plain product, a general one.
+  const double gemm_scalars[][2] = {{-1.0, 1.0}, {1.0, 0.0}, {0.3, -0.5}};
+  for (Trans ta : {Trans::NoTrans, Trans::Trans})
+    for (Trans tb : {Trans::NoTrans, Trans::Trans})
+      for (const auto& ab : gemm_scalars)
+        for (const auto& s : gemm_shapes) {
+          const index_t m = s[0], n = s[1], k = s[2];
+          HostMatrix<T> a(fill, ta == Trans::NoTrans ? m : k, ta == Trans::NoTrans ? k : m);
+          HostMatrix<T> b(fill, tb == Trans::NoTrans ? k : n, tb == Trans::NoTrans ? n : k);
+          HostMatrix<T> c(fill, m, n);
+          blas::gemm<T>(ta, tb, T(ab[0]), a.view(), b.view(), T(ab[1]), c.view());
+          c.print(shape("gemm", {m, n, k},
+                        {to_string(ta), to_string(tb), std::to_string(ab[0])}));
+        }
+
+  const index_t syrk_shapes[][2] = {{1, 1}, {9, 40}, {64, 64}, {130, 97}, {520, 33}, {263, 263}};
+  for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+    for (Trans trans : {Trans::NoTrans, Trans::Trans})
+      for (const auto& ab : {gemm_scalars[0], gemm_scalars[2]})
+        for (const auto& s : syrk_shapes) {
+          const index_t n = s[0], k = s[1];
+          HostMatrix<T> a(fill, trans == Trans::NoTrans ? n : k, trans == Trans::NoTrans ? k : n);
+          HostMatrix<T> c(fill, n, n, true);
+          blas::syrk<T>(uplo, trans, T(ab[0]), a.view(), T(ab[1]), c.view());
+          c.print(shape("syrk", {n, k}, {to_string(uplo), to_string(trans), std::to_string(ab[0])}));
+        }
+
+  const index_t tri_shapes[][2] = {{9, 40}, {130, 64}, {520, 33}, {64, 263}};
+  for (Side side : {Side::Left, Side::Right})
+    for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+      for (Trans trans : {Trans::NoTrans, Trans::Trans})
+        for (Diag diag : {Diag::NonUnit, Diag::Unit})
+          for (const double alpha : {1.0, -1.25})
+            for (const auto& s : tri_shapes) {
+              const index_t m = s[0], n = s[1], ka = side == Side::Left ? m : n;
+              HostMatrix<T> a(fill, ka, ka, true);
+              HostMatrix<T> x(fill, m, n), y(fill, m, n);
+              blas::trsm<T>(side, uplo, trans, diag, T(alpha), a.view(), x.view());
+              blas::trmm<T>(side, uplo, trans, diag, T(alpha), a.view(), y.view());
+              const std::string a_str = std::to_string(alpha);
+              x.print(shape("trsm", {m, n}, {to_string(side), to_string(uplo), to_string(trans),
+                                             to_string(diag), a_str}));
+              y.print(shape("trmm", {m, n}, {to_string(side), to_string(uplo), to_string(trans),
+                                             to_string(diag), a_str}));
+            }
+
+  for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+    for (const index_t n : {1, 7, 64, 65, 130, 200, 257, 333, 520}) {
+      HostMatrix<T> a(fill, n, n, true);
+      // n = 200 is not positive definite: a pivot fails inside the matrix.
+      if (n == 200) a.view()(150, 150) = T(-1e6);
+      const int info = blas::potrf<T>(uplo, a.view());
+      a.print(shape("potrf", {n}, {to_string(uplo), "info", std::to_string(info)}));
+    }
+}
+
 template <typename T>
 void dump_type(sim::ExecMode mode, const char* type) {
   Queue q(sim::DeviceSpec::k40c(), mode);
@@ -269,6 +375,10 @@ void dump_type(sim::ExecMode mode, const char* type) {
 
 int main(int argc, char** argv) {
   util::Flags(argv[0]).parse(argc, argv);
+  dump_host_blas<float>("s");
+  dump_host_blas<double>("d");
+  dump_host_blas<std::complex<float>>("c");
+  dump_host_blas<std::complex<double>>("z");
   for (sim::ExecMode mode : {sim::ExecMode::Full, sim::ExecMode::TimingOnly}) {
     dump_type<float>(mode, "s");
     dump_type<double>(mode, "d");
