@@ -19,11 +19,11 @@ FactorResult geqrf_vbatched(Queue& q, RectBatch<T>& batch, TauArrays<T>& tau,
   const int NB = std::max(8, opts.panel_nb);
   const auto m = batch.rows();
   const auto n = batch.cols();
-  const auto lda = batch.ldas();
   tau.require_min_extents("geqrf_vbatched: tau", m, n);
 
   // Full mode: the call's math first; no launch below reads the payload.
-  if (q.full()) kernels::geqrf_numerics<T>(batch.device_ptrs(), lda, m, n, NB, tau.ptrs());
+  if (q.full())
+    kernels::geqrf_numerics<T>(batch.device_ptrs(), batch.ldas(), m, n, NB, tau.ptrs());
 
   FactorResult result;
   result.flops = flops::geqrf_batch(m, n);
@@ -42,8 +42,7 @@ FactorResult geqrf_vbatched(Queue& q, RectBatch<T>& batch, TauArrays<T>& tau,
   for (int j = 0; j < max_mn; j += NB) {
     if (kernels::count_live(dev, mn, j) == 0) break;
 
-    seconds += kernels::launch_geqrf_panel<T>(
-        dev, {batch.device_ptrs(), lda, m, n, j, NB, tau.ptrs()});
+    seconds += kernels::launch_geqrf_panel<T>(dev, {m, n, j, NB});
 
     // The update covers each live panel's trailing columns, n_i − j − jb_i:
     // wider than n_i − j − NB when a wide matrix's last panel is narrow.
@@ -54,8 +53,7 @@ FactorResult geqrf_vbatched(Queue& q, RectBatch<T>& batch, TauArrays<T>& tau,
       if (jb > 0) width = std::max(width, n[k] - j - jb);
     }
     if (width > 0)
-      seconds += kernels::launch_larfb_update<T>(
-          dev, {batch.device_ptrs(), lda, m, n, j, NB, max_m, width, tau.ptrs()});
+      seconds += kernels::launch_larfb_update<T>(dev, {m, n, j, NB, max_m, width});
   }
   result.seconds = seconds;
   return result;

@@ -4,7 +4,6 @@
 
 #include "vbatch/blas/blas.hpp"
 #include "vbatch/kernels/aux_kernels.hpp"
-#include "vbatch/kernels/common.hpp"
 #include "vbatch/kernels/getrf_kernels.hpp"
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/flops.hpp"
@@ -21,10 +20,10 @@ FactorResult getrf_vbatched(Queue& q, Batch<T>& batch, PivotArrays& ipiv,
   const int NB = std::max(8, opts.panel_nb);
   for (int i = 0; i < batch_count; ++i) prob.info[static_cast<std::size_t>(i)] = 0;
 
-  // Full mode: the call's math first; no launch below reads what it writes
-  // (the panel's cost reads only a negative info).
-  const kernels::BatchArgs<T> all{prob.ptrs, prob.n, prob.lda};
-  if (q.full()) kernels::getrf_numerics<T>(all, NB, ipiv.ptrs(), prob.info);
+  // Full mode: the call's math first, one blas::getrf per matrix; no
+  // launch below reads what it writes.
+  if (q.full())
+    kernels::getrf_numerics<T>(prob.ptrs, prob.lda, prob.n, NB, ipiv.ptrs(), prob.info);
 
   FactorResult result;
   result.flops = flops::getrf_batch(prob.n, prob.n);
@@ -33,39 +32,35 @@ FactorResult getrf_vbatched(Queue& q, Batch<T>& batch, PivotArrays& ipiv,
 
   std::vector<int> trail(static_cast<std::size_t>(batch_count));
   std::vector<int> full_nb(static_cast<std::size_t>(batch_count));
-  // Displaced-pointer scratch, reused across panel steps.
-  std::vector<T*> l11_ptrs, u12_ptrs, l21_ptrs, a22_ptrs;
 
   double seconds = 0.0;
   for (int j = 0; j < max_n; j += NB) {
     if (kernels::count_live(dev, prob.n, j) == 0) break;
     const int jb_max = std::min(NB, max_n - j);
-    seconds += kernels::launch_getrf_panel<T>(dev, {all, prob.n, j, NB, ipiv.ptrs(), prob.info});
+    seconds += kernels::launch_getrf_panel<T>(dev, {prob.n, prob.n, j, NB});
     // Row interchanges left of the panel.
-    if (j > 0)
-      seconds += kernels::launch_laswp<T>(dev, {all, prob.n, j, j + jb_max, 0, j, j, ipiv.ptrs()});
+    if (j > 0) seconds += kernels::launch_laswp<T>(dev, {prob.n, prob.n, j, j + jb_max, 0, j, j});
 
     const int max_t = max_n - j - NB;
     if (max_t <= 0) continue;
 
     // Row interchanges right of the panel, then the U12 solve and the
     // trailing gemm update — only matrices with n_i > j + NB participate.
-    seconds += kernels::launch_laswp<T>(
-        dev, {all, prob.n, j, j + NB, j + NB, max_n, max_t, ipiv.ptrs()});
+    seconds += kernels::launch_laswp<T>(dev, {prob.n, prob.n, j, j + NB, j + NB, max_n, max_t});
     seconds += kernels::shift_sizes(dev, prob.n, trail, j + NB);
     for (int i = 0; i < batch_count; ++i)
       full_nb[static_cast<std::size_t>(i)] = trail[static_cast<std::size_t>(i)] > 0 ? NB : 0;
 
-    std::span<T* const> base{prob.ptrs, static_cast<std::size_t>(batch_count)};
-    kernels::displace_ptrs<T>(dev, base, prob.lda, j, j, l11_ptrs);
-    kernels::displace_ptrs<T>(dev, base, prob.lda, j, j + NB, u12_ptrs);
-    kernels::displace_ptrs<T>(dev, base, prob.lda, j + NB, j, l21_ptrs);
-    kernels::displace_ptrs<T>(dev, base, prob.lda, j + NB, j + NB, a22_ptrs);
-    seconds += kernels::launch_lu_trsm<T>(dev, {l11_ptrs.data(), prob.lda, full_nb,
-                                                u12_ptrs.data(), prob.lda, trail, max_t});
-    seconds += kernels::launch_gemm_vbatched<T>(
-        dev, {Trans::NoTrans, Trans::NoTrans, trail, trail, full_nb, max_t, max_t, T(-1), T(1),
-              l21_ptrs.data(), prob.lda, u12_ptrs.data(), prob.lda, a22_ptrs.data(), prob.lda});
+    // The L11, U12, L21 and A22 pointer displacements.
+    for (int d = 0; d < 4; ++d) kernels::displace_ptrs(dev, batch_count);
+    seconds += kernels::launch_lu_trsm<T>(dev, {full_nb, trail, max_t});
+    kernels::GemmVbatchedArgs<T> update;
+    update.m = trail;
+    update.n = trail;
+    update.k = full_nb;
+    update.max_m = max_t;
+    update.max_n = max_t;
+    seconds += kernels::launch_gemm_vbatched<T>(dev, update);
   }
   result.seconds = seconds;
   return result;

@@ -30,7 +30,9 @@ struct FactorResult {
 };
 
 /// Factors every (square) matrix in the batch as P·A = L·U. Pivots land in
-/// `ipiv` (global 1-based row indices), statuses in batch.info().
+/// `ipiv` (global 1-based row indices), statuses in batch.info(). Factors,
+/// pivots and info are blas::getrf's with max(8, panel_nb)-wide panels, bit
+/// for bit.
 template <typename T>
 FactorResult getrf_vbatched(Queue& q, Batch<T>& batch, PivotArrays& ipiv,
                             const GetrfOptions& opts = {});

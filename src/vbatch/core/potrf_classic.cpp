@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "vbatch/cpu/cpu_batched.hpp"
 #include "vbatch/kernels/aux_kernels.hpp"
 #include "vbatch/kernels/classic_kernels.hpp"
 #include "vbatch/kernels/gemm_vbatched.hpp"
@@ -24,26 +25,26 @@ PotrfResult potrf_batched_classic(Queue& q, Uplo uplo, Batch<T>& batch,
   const int max_n = kernels::imax_reduce(dev, prob.n);
   if (max_n == 0) return result;
 
-  const kernels::BatchArgs<T> all{prob.ptrs, prob.n, prob.lda};
   int nb = opts.nb;
   if (nb <= 0) nb = std::clamp((max_n / 8) / 8 * 8, 8, 64);
-  // Full mode: the call's math first, so every launch reads final info.
-  if (q.full()) kernels::classic_potrf_numerics<T>(uplo, all, nb, prob.info);
+  // Full mode: the call's math first, one blas::potrf per matrix, so every
+  // launch reads final info.
+  if (q.full()) cpu::potrf_each<T>(uplo, prob.n, prob.ptrs, prob.lda, prob.info);
 
   std::vector<int> trail(static_cast<std::size_t>(batch_count));
   std::vector<int> kdim(static_cast<std::size_t>(batch_count));
 
   double seconds = 0.0;
   for (int j = 0; j < max_n; j += nb) {
-    seconds += kernels::launch_classic_potf2<T>(dev, {all, uplo, j, nb, prob.info});
+    seconds += kernels::launch_classic_potf2<T>(dev, {prob.n, j, nb, prob.info});
     const int max_m2 = max_n - j - nb;
     if (max_m2 <= 0) continue;
-    seconds += kernels::launch_classic_trsm<T>(dev, {all, uplo, j, nb, prob.info});
+    seconds += kernels::launch_classic_trsm<T>(dev, {prob.n, j, nb, prob.info});
 
     // Trailing update through the generic large-tile syrk, with the usual
     // aux kernels for size arithmetic and pointer displacement — none of
     // the customization the fused kernel applies (§III-D). The syrk reads
-    // no info: a failed matrix's trailing matrix is still updated.
+    // no info: a failed matrix's trailing launch blocks still run.
     seconds += kernels::shift_sizes(dev, prob.n, trail, j + nb);
     int live = 0;
     for (int i = 0; i < batch_count; ++i) {
@@ -52,14 +53,14 @@ PotrfResult potrf_batched_classic(Queue& q, Uplo uplo, Batch<T>& batch,
     }
     if (live == 0) break;
 
-    std::span<T* const> base{prob.ptrs, static_cast<std::size_t>(batch_count)};
-    const auto sub_ptrs = uplo == Uplo::Lower
-                              ? kernels::displace_ptrs<T>(dev, base, prob.lda, j + nb, j)
-                              : kernels::displace_ptrs<T>(dev, base, prob.lda, j, j + nb);
-    const auto trail_ptrs = kernels::displace_ptrs<T>(dev, base, prob.lda, j + nb, j + nb);
-    seconds += kernels::launch_syrk_vbatched<T>(
-        dev, {uplo, uplo == Uplo::Lower ? Trans::NoTrans : Trans::Trans, trail, kdim, max_m2,
-              T(-1), T(1), sub_ptrs.data(), prob.lda, trail_ptrs.data(), prob.lda});
+    // The sub-panel and trailing-matrix pointer displacements.
+    for (int d = 0; d < 2; ++d) kernels::displace_ptrs(dev, batch_count);
+    kernels::SyrkVbatchedArgs<T> syrk;
+    syrk.uplo = uplo;
+    syrk.n = trail;
+    syrk.k = kdim;
+    syrk.max_n = max_m2;
+    seconds += kernels::launch_syrk_vbatched<T>(dev, syrk);
   }
   result.seconds = seconds;
   return result;

@@ -18,7 +18,8 @@ struct ClassicOptions {
 };
 
 /// Factors a batch (fixed or variable sizes) with the classic separated
-/// building-block approach.
+/// building-block approach. The launches are the modelled cost; factors and
+/// info are blas::potrf's, bit for bit.
 template <typename T>
 PotrfResult potrf_batched_classic(Queue& q, Uplo uplo, Batch<T>& batch,
                                   const ClassicOptions& opts = {});

@@ -44,10 +44,6 @@ double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, 
 
   std::vector<int> trail_m(static_cast<std::size_t>(batch));
   std::vector<int> trail_ib(static_cast<std::size_t>(batch));
-  // The displaced pointer arrays a device would hand the trsm and syrk
-  // kernels; the cost passes read only extents, so one buffer serves all
-  // three displacements.
-  std::vector<T*> displaced;
 
   for (int j = 0; j < max_n; j += NB) {
     // §III-F: the driver checks whether any matrix still has work; fully
@@ -75,14 +71,9 @@ double potrf_separated_run(Queue& q, Uplo uplo, const VbatchedProblem<T>& prob, 
     }
     if (live_trailing == 0) continue;
 
-    std::span<T* const> base{prob.ptrs, static_cast<std::size_t>(batch)};
-    kernels::displace_ptrs<T>(dev, base, prob.lda, j, j, displaced);
-    if (uplo == Uplo::Lower) {
-      kernels::displace_ptrs<T>(dev, base, prob.lda, j + NB, j, displaced);
-    } else {
-      kernels::displace_ptrs<T>(dev, base, prob.lda, j, j + NB, displaced);
-    }
-    kernels::displace_ptrs<T>(dev, base, prob.lda, j + NB, j + NB, displaced);
+    // The diagonal-block, sub-panel and trailing-matrix pointer
+    // displacements; the trsm and syrk launches read only extents.
+    for (int d = 0; d < 3; ++d) kernels::displace_ptrs(dev, batch);
 
     kernels::TrsmVbatchedArgs trsm;
     trsm.ib = trail_ib;

@@ -120,6 +120,21 @@ double build_size_partition(sim::Device& dev, std::span<const int> sizes, int ba
   return t;
 }
 
+void displace_ptrs(sim::Device& dev, int count) {
+  const sim::LaunchConfig cfg{"aux_displace_ptrs", std::max(1, (count + 255) / 256), 256, 0,
+                              Precision::Single};
+  dev.launch(cfg, [count](int block) {
+    sim::BlockCost c;
+    const int elems = std::clamp(count - block * 256, 0, 256);
+    c.active_threads = elems;
+    c.live_threads = 256;
+    c.flops = 2.0 * elems;
+    // A pointer read and written plus the leading dimension per entry.
+    c.bytes = static_cast<double>(elems) * (sizeof(void*) * 2 + sizeof(int));
+    return c;
+  });
+}
+
 int count_live(sim::Device& dev, std::span<const int> sizes, int offset) {
   const int count = static_cast<int>(sizes.size());
   auto cfg = int_sweep_config("aux_count_live", count);

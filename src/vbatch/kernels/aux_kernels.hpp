@@ -3,9 +3,10 @@
 // A vbatched routine keeps sizes and leading dimensions in device int
 // arrays, so "any pointer displacement or any simple arithmetic operation on
 // the matrix size need to be performed on the whole array" with dedicated
-// GPU kernels. These are those kernels: integer reductions and element-wise
-// size arithmetic. Their (modelled) cost is what the paper calls "in most
-// cases negligible" — bench/aux_overhead quantifies it.
+// GPU kernels. These are those kernels: integer reductions, element-wise
+// size arithmetic and pointer displacement. Their (modelled) cost is what
+// the paper calls "in most cases negligible" — bench/aux_overhead
+// quantifies it.
 #pragma once
 
 #include <array>
@@ -44,6 +45,14 @@ double build_size_window(sim::Device& dev, std::span<const int> sizes, int lo, i
 /// so the driver pays one launch per step regardless of the window count.
 double build_size_partition(sim::Device& dev, std::span<const int> sizes, int base,
                             int live_max, int width, std::vector<std::vector<int>>& windows);
+
+/// The pointer-displacement kernel a device driver launches before each
+/// sub-matrix operation: out[i] = base[i] + row_off + col_off · lda[i] over
+/// a `count`-entry pointer array (§III-A, "any pointer displacement ...
+/// need[s] to be performed on the whole array"). Only its cost is modelled:
+/// the launches it precedes take extents, not pointers, so no array is
+/// written.
+void displace_ptrs(sim::Device& dev, int count);
 
 /// Counts entries still live (size > offset) — used by the driver to decide
 /// whether trsm/syrk launches are still needed (§III-F).

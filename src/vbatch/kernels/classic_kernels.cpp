@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "vbatch/blas/blas.hpp"
-#include "vbatch/kernels/gemm_vbatched.hpp"
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/flops.hpp"
 
@@ -14,7 +12,7 @@ namespace {
 // Trailing rows below the current tile for matrix i of a classic trsm step.
 template <typename T>
 int trailing_rows(const ClassicTrsmArgs<T>& args, int i) {
-  const int n = args.batch.n[static_cast<std::size_t>(i)];
+  const int n = args.n[static_cast<std::size_t>(i)];
   const int ib = std::clamp(n - args.offset, 0, args.nb);
   return std::max(0, n - args.offset - ib);
 }
@@ -23,7 +21,7 @@ int trailing_rows(const ClassicTrsmArgs<T>& args, int i) {
 
 template <typename T>
 double launch_classic_potf2(sim::Device& dev, const ClassicPotf2Args<T>& args) {
-  const int batch = args.batch.count();
+  const int batch = static_cast<int>(args.n.size());
   require(batch > 0, "classic_potf2: empty batch");
 
   const int threads = round_up_warp(dev.spec(), args.nb);
@@ -32,13 +30,12 @@ double launch_classic_potf2(sim::Device& dev, const ClassicPotf2Args<T>& args) {
                               precision_v<T>};
   // The cost reads the final info: the tile of a matrix that failed at an
   // earlier step exits.
-  const auto& a = args.batch;
   const index_t j = args.offset;
-  return dev.launch(cfg, [&args, &a, j, threads,
+  return dev.launch(cfg, [&args, j, threads,
                           dev_global_latency = dev.spec().global_latency_cycles](int i) {
     sim::BlockCost cost;
     cost.live_threads = threads;
-    const index_t ib = std::clamp<index_t>(a.n[static_cast<std::size_t>(i)] - j, 0, args.nb);
+    const index_t ib = std::clamp<index_t>(args.n[static_cast<std::size_t>(i)] - j, 0, args.nb);
     const int info = args.info[static_cast<std::size_t>(i)];
     if (ib <= 0 || (info > 0 && info <= j)) {
       cost.early_exit = true;
@@ -62,7 +59,7 @@ double launch_classic_potf2(sim::Device& dev, const ClassicPotf2Args<T>& args) {
 
 template <typename T>
 double launch_classic_trsm(sim::Device& dev, const ClassicTrsmArgs<T>& args) {
-  const int batch = args.batch.count();
+  const int batch = static_cast<int>(args.n.size());
   require(batch > 0, "classic_trsm: empty batch");
 
   int max_m2 = 0;
@@ -74,13 +71,12 @@ double launch_classic_trsm(sim::Device& dev, const ClassicTrsmArgs<T>& args) {
   const sim::LaunchConfig cfg{"classic_trsm", batch, threads,
                               static_cast<std::size_t>(args.nb) * args.nb * sizeof(T),
                               precision_v<T>};
-  const auto& a = args.batch;
   const index_t j = args.offset;
-  return dev.launch(cfg, [&args, &a, j, threads,
+  return dev.launch(cfg, [&args, j, threads,
                           dev_global_latency = dev.spec().global_latency_cycles](int i) {
     sim::BlockCost cost;
     cost.live_threads = threads;
-    const index_t ib = std::clamp<index_t>(a.n[static_cast<std::size_t>(i)] - j, 0, args.nb);
+    const index_t ib = std::clamp<index_t>(args.n[static_cast<std::size_t>(i)] - j, 0, args.nb);
     const index_t m2 = trailing_rows(args, i);
     const int info = args.info[static_cast<std::size_t>(i)];
     if (ib <= 0 || m2 <= 0 || (info > 0 && info <= j + ib)) {
@@ -101,47 +97,9 @@ double launch_classic_trsm(sim::Device& dev, const ClassicTrsmArgs<T>& args) {
   });
 }
 
-template <typename T>
-void classic_potrf_numerics(Uplo uplo, const BatchArgs<T>& batch, int nb, std::span<int> info) {
-  int steps = 0;
-  for (int n : batch.n) steps += (n + nb - 1) / nb;
-  const bool lower = uplo == Uplo::Lower;
-  parallel_for_grained(batch.count(), steps, [&](int i) {
-    const auto k = static_cast<std::size_t>(i);
-    const int n = batch.n[k];
-    MatrixView<T> A = batch.view(i, n, n);
-    for (int j = 0; j < n; j += nb) {
-      const int ib = std::min(nb, n - j);
-      if (info[k] == 0) {
-        const int local = blas::potf2<T>(uplo, A.block(j, j, ib, ib));
-        if (local != 0) info[k] = j + local;
-      }
-      const int m2 = n - j - ib;
-      if (m2 <= 0) continue;
-      if (info[k] == 0) {
-        if (lower) {
-          blas::trsm<T>(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, T(1),
-                        A.block(j, j, ib, ib), A.block(j + ib, j, m2, ib));
-        } else {
-          blas::trsm<T>(Side::Left, Uplo::Upper, Trans::Trans, Diag::NonUnit, T(1),
-                        A.block(j, j, ib, ib), A.block(j, j + ib, ib, m2));
-        }
-      }
-      // The trailing update reads no info: a failed matrix still gets it,
-      // through the syrk launch's strips on the matrix as a batch of one.
-      T* const panel = lower ? &A(j + ib, j) : &A(j, j + ib);
-      T* const trail = &A(j + ib, j + ib);
-      const std::span<const int> ld = batch.lda.subspan(k, 1);
-      syrk_vbatched_numerics<T>({uplo, lower ? Trans::NoTrans : Trans::Trans, {&m2, 1},
-                                 {&ib, 1}, m2, T(-1), T(1), &panel, ld, &trail, ld});
-    }
-  });
-}
-
 #define VBATCH_INSTANTIATE_CLASSIC(T)                                                      \
   template double launch_classic_potf2<T>(sim::Device&, const ClassicPotf2Args<T>&);     \
-  template double launch_classic_trsm<T>(sim::Device&, const ClassicTrsmArgs<T>&);       \
-  template void classic_potrf_numerics<T>(Uplo, const BatchArgs<T>&, int, std::span<int>);
+  template double launch_classic_trsm<T>(sim::Device&, const ClassicTrsmArgs<T>&);
 VBATCH_INSTANTIATE_CLASSIC(float)
 VBATCH_INSTANTIATE_CLASSIC(double)
 #undef VBATCH_INSTANTIATE_CLASSIC

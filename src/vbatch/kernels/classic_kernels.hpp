@@ -9,8 +9,9 @@
 // trailing update goes through the generic large-tile gemm/syrk shapes.
 // That is precisely the overhead profile kernel fusion removes.
 //
-// Every launch is a cost pass reading each matrix's final info; the math is
-// classic_potrf_numerics, once per call before the launches.
+// Every launch is a cost pass reading extents and each matrix's final info;
+// the math is one host blas::potrf per matrix (cpu::potrf_each), once per
+// call before the launches.
 #pragma once
 
 #include <span>
@@ -21,9 +22,8 @@ namespace vbatch::kernels {
 
 template <typename T>
 struct ClassicPotf2Args {
-  BatchArgs<T> batch;
-  Uplo uplo = Uplo::Lower;
-  int offset = 0;  ///< diagonal offset of the nb×nb tile
+  std::span<const int> n;     ///< per-matrix orders
+  int offset = 0;             ///< diagonal offset of the nb×nb tile
   int nb = 8;
   std::span<const int> info;  ///< each matrix's final status (read only)
 };
@@ -37,9 +37,8 @@ double launch_classic_potf2(sim::Device& dev, const ClassicPotf2Args<T>& args);
 
 template <typename T>
 struct ClassicTrsmArgs {
-  BatchArgs<T> batch;
-  Uplo uplo = Uplo::Lower;
-  int offset = 0;  ///< panel offset j; solves the sub-diagonal panel of width nb
+  std::span<const int> n;     ///< per-matrix orders
+  int offset = 0;             ///< panel offset j; solves the sub-diagonal panel of width nb
   int nb = 8;
   std::span<const int> info;  ///< each matrix's final status (read only)
 };
@@ -49,16 +48,5 @@ struct ClassicTrsmArgs {
 /// Block i exits with no sub-panel or when 0 < info_i ≤ j + ib_i.
 template <typename T>
 double launch_classic_trsm(sim::Device& dev, const ClassicTrsmArgs<T>& args);
-
-/// The classic driver's numerics for a whole batch with nb-wide tiles: each
-/// matrix runs its steps back to back, in step order — the potf2 tile
-/// unless the matrix failed at an earlier step (setting info at a failing
-/// column), the trsm of the sub-panel unless it failed at this step or
-/// before, and the syrk trailing update, which reads no info, through the
-/// syrk launch's kSyrkStripCols-wide strips on the matrix as a batch of one.
-/// One item per matrix; a matrix of order n counts as its ⌈n/nb⌉ steps for
-/// the grain.
-template <typename T>
-void classic_potrf_numerics(Uplo uplo, const BatchArgs<T>& batch, int nb, std::span<int> info);
 
 }  // namespace vbatch::kernels

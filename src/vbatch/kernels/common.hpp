@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <span>
-#include <vector>
 
 #include "vbatch/sim/device.hpp"
 #include "vbatch/util/matrix_view.hpp"
@@ -144,43 +143,5 @@ struct BatchArgs {
     return MatrixView<T>(ptrs[i], rows, cols, lda[static_cast<std::size_t>(i)]);
   }
 };
-
-/// Pointer displacement on the device (paper §III-A: "any pointer
-/// displacement ... need[s] to be performed on the whole array" by a GPU
-/// kernel). Builds out[i] = base[i] + row_off + col_off * lda[i]; the
-/// element-wise kernel's cost is modelled through a launch. `out` is caller
-/// scratch so the factorization drivers reuse one buffer per operand across
-/// their panel steps instead of allocating per launch.
-template <typename T>
-void displace_ptrs(sim::Device& dev, std::span<T* const> base, std::span<const int> lda,
-                   index_t row_off, index_t col_off, std::vector<T*>& out) {
-  const int count = static_cast<int>(base.size());
-  const sim::LaunchConfig cfg{"aux_displace_ptrs", std::max(1, (count + 255) / 256), 256, 0,
-                              Precision::Single};
-  dev.launch(cfg, [count](int block) {
-    sim::BlockCost c;
-    const int lo = block * 256;
-    const int elems = std::clamp(count - lo, 0, 256);
-    c.active_threads = elems;
-    c.live_threads = 256;
-    c.flops = 2.0 * elems;
-    c.bytes = static_cast<double>(elems) * (sizeof(T*) * 2 + sizeof(int));
-    return c;
-  });
-
-  out.resize(base.size());
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    out[i] = base[i] + row_off + col_off * static_cast<index_t>(lda[i]);
-  }
-}
-
-/// Allocating convenience wrapper for one-shot callers.
-template <typename T>
-std::vector<T*> displace_ptrs(sim::Device& dev, std::span<T* const> base,
-                              std::span<const int> lda, index_t row_off, index_t col_off) {
-  std::vector<T*> out;
-  displace_ptrs(dev, base, lda, row_off, col_off, out);
-  return out;
-}
 
 }  // namespace vbatch::kernels

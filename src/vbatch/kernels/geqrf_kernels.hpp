@@ -5,8 +5,8 @@
 // Two kernels: the panel factorization (geqr2 of an m×NB panel, one block
 // per matrix) and the trailing-matrix update applying the panel's
 // reflectors to TN-wide column strips (gemm-shaped grid, ETM-classic). Both
-// launches are cost passes. The numerics are one host blas::geqrf per
-// matrix with the same panel width: its panel geqr2 and its
+// launches are cost passes reading extents only. The numerics are one host
+// blas::geqrf per matrix with the same panel width: its panel geqr2 and its
 // reflector-at-a-time trailing update are the kernels' arithmetic, column
 // for column, so the bits are the step-major driver's.
 #pragma once
@@ -20,12 +20,9 @@ namespace vbatch::kernels {
 
 template <typename T>
 struct GeqrfPanelArgs {
-  T* const* a = nullptr;          ///< per-matrix base pointers
-  std::span<const int> lda;
   std::span<const int> m, n;      ///< per-matrix dims
   int offset = 0;                 ///< panel column offset (j)
   int NB = 32;
-  T* const* tau = nullptr;        ///< per-matrix reflector scalars (length min(m,n))
 };
 
 /// Launches the unblocked Householder QR of each live panel. Returns seconds.
@@ -34,13 +31,10 @@ double launch_geqrf_panel(sim::Device& dev, const GeqrfPanelArgs<T>& args);
 
 template <typename T>
 struct LarfbArgs {
-  T* const* a = nullptr;
-  std::span<const int> lda;
   std::span<const int> m, n;
   int offset = 0;                 ///< panel column offset whose reflectors are applied
   int NB = 32;
   int max_m = 0, max_n = 0;
-  T* const* tau = nullptr;
   GemmTiling tiling{};
 };
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -66,6 +67,41 @@ TEST(Classic, VariableSizesAndIdenticalFactorsToFused) {
     for (int c = 0; c < n; ++c)
       for (int r = c; r < n; ++r) EXPECT_NEAR(a1(r, c), a2(r, c), 1e-11);
   }
+}
+
+/// The classic driver's factors and info are one blas::potrf per matrix,
+/// bit for bit (lda padding included), whatever the blocking.
+template <typename T>
+void expect_classic_is_host_potrf(Uplo uplo, int nb) {
+  const std::vector<int> sizes{0, 1, 7, 16, 23, 40, 65, 100, 130};
+  Queue q;
+  Batch<T> batch(q, sizes, 3);
+  Rng rng(411);
+  batch.fill_spd(rng);
+  std::vector<std::vector<T>> want;
+  for (int i = 0; i < batch.count(); ++i) {
+    const T* p = batch.device_ptrs()[i];
+    want.emplace_back(p, p + batch.ldas()[static_cast<std::size_t>(i)] *
+                                 sizes[static_cast<std::size_t>(i)]);
+  }
+  potrf_batched_classic<T>(q, uplo, batch, ClassicOptions{nb});
+  for (int i = 0; i < batch.count(); ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    const int n = sizes[k];
+    EXPECT_EQ(batch.info()[k],
+              blas::potrf<T>(uplo, MatrixView<T>(want[k].data(), n, n, batch.ldas()[k])));
+    const std::size_t len = want[k].size() * sizeof(T);
+    EXPECT_EQ(0, len == 0 ? 0 : std::memcmp(batch.device_ptrs()[i], want[k].data(), len))
+        << "n=" << n << " nb=" << nb << " " << to_string(uplo);
+  }
+}
+
+TEST(Classic, FactorsAreHostPotrfBitForBit) {
+  for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+    for (int nb : {0, 8, 24}) {
+      expect_classic_is_host_potrf<double>(uplo, nb);
+      expect_classic_is_host_potrf<float>(uplo, nb);
+    }
 }
 
 // ---------------------------------------------------------------------------

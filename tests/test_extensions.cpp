@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "vbatch/core/size_dist.hpp"
 #include "vbatch/util/error.hpp"
 #include "vbatch/util/flops.hpp"
+#include "vbatch/util/thread_pool.hpp"
 
 namespace {
 
@@ -57,31 +59,63 @@ TEST_P(GetrfVbatchedTest, ResidualsSmallAcrossRandomBatch) {
 
 INSTANTIATE_TEST_SUITE_P(MaxSizes, GetrfVbatchedTest, ::testing::Values(20, 60, 100));
 
-TEST(GetrfVbatched, MatchesReferenceFactorsExactly) {
+/// One getrf_vbatched call on `sizes` (lda padded by 3) after `poke` edits
+/// the filled batch, checked against blas::getrf with max(8, panel_nb)-wide
+/// panels on a copy of each matrix's storage: info equal, factor bytes (lda
+/// padding included) and pivots memcmp-equal. Returns the info and those
+/// bytes, for comparisons across worker counts.
+struct GetrfOutput {
+  std::vector<int> info;
+  std::vector<unsigned char> bytes;
+};
+
+template <typename T>
+GetrfOutput expect_getrf_is_host_getrf(const std::vector<int>& sizes, int panel_nb,
+                                       const std::function<void(Batch<T>&)>& poke) {
   Queue q;
+  Batch<T> batch(q, sizes, 3);
   Rng rng(67);
-  std::vector<int> sizes{48, 70};
-  Batch<double> batch(q, sizes);
+  batch.fill_general(rng);
+  poke(batch);
+  std::vector<std::vector<T>> want;
   for (int i = 0; i < batch.count(); ++i) {
-    fill_general(rng, batch.matrix(i).data(), sizes[static_cast<std::size_t>(i)],
-                 sizes[static_cast<std::size_t>(i)], sizes[static_cast<std::size_t>(i)]);
+    const T* p = batch.device_ptrs()[i];
+    want.emplace_back(p, p + batch.ldas()[static_cast<std::size_t>(i)] *
+                                 sizes[static_cast<std::size_t>(i)]);
   }
-  std::vector<std::vector<double>> originals;
-  for (int i = 0; i < batch.count(); ++i) originals.push_back(batch.copy_matrix(i));
 
   PivotArrays ipiv(q, sizes);
-  getrf_vbatched<double>(q, batch, ipiv, {.panel_nb = 32});
+  getrf_vbatched<T>(q, batch, ipiv, {.panel_nb = panel_nb});
 
+  GetrfOutput out{{batch.info().begin(), batch.info().end()}, {}};
   for (int i = 0; i < batch.count(); ++i) {
-    const int n = sizes[static_cast<std::size_t>(i)];
-    std::vector<int> ref_piv(static_cast<std::size_t>(n));
-    MatrixView<double> ref(originals[static_cast<std::size_t>(i)].data(), n, n, n);
-    ASSERT_EQ(blas::getrf<double>(ref, ref_piv, 32), 0);
+    const auto k = static_cast<std::size_t>(i);
+    const int n = sizes[k];
+    const std::string what = "matrix " + std::to_string(i) + " n=" + std::to_string(n) +
+                             " panel_nb=" + std::to_string(panel_nb);
+    std::vector<int> want_piv(static_cast<std::size_t>(n));
+    const int want_info = blas::getrf<T>(MatrixView<T>(want[k].data(), n, n, batch.ldas()[k]),
+                                         want_piv, std::max(8, panel_nb));
+    EXPECT_EQ(batch.info()[k], want_info) << what;
+    const auto* got = reinterpret_cast<const unsigned char*>(batch.device_ptrs()[i]);
+    const std::size_t len = want[k].size() * sizeof(T);
+    EXPECT_EQ(0, len == 0 ? 0 : std::memcmp(got, want[k].data(), len)) << what;
     const auto piv = ipiv.item(i);
-    for (int k = 0; k < n; ++k) EXPECT_EQ(piv[static_cast<std::size_t>(k)], ref_piv[static_cast<std::size_t>(k)]);
-    auto a = batch.matrix(i);
-    for (int c = 0; c < n; ++c)
-      for (int r = 0; r < n; ++r) EXPECT_NEAR(a(r, c), ref(r, c), 1e-11);
+    EXPECT_TRUE(std::equal(piv.begin(), piv.end(), want_piv.begin(), want_piv.end())) << what;
+    out.bytes.insert(out.bytes.end(), got, got + len);
+    const auto* pb = reinterpret_cast<const unsigned char*>(piv.data());
+    out.bytes.insert(out.bytes.end(), pb, pb + piv.size() * sizeof(int));
+  }
+  return out;
+}
+
+TEST(GetrfVbatched, MatchesReferenceFactorsExactly) {
+  const std::vector<int> sizes{0, 1, 7, 8, 9, 31, 32, 33, 48, 70, 97, 130};
+  // The default width, one below the clamp to 8, and one not dividing the
+  // orders.
+  for (int nb : {GetrfOptions{}.panel_nb, 4, 48}) {
+    expect_getrf_is_host_getrf<double>(sizes, nb, [](Batch<double>&) {});
+    expect_getrf_is_host_getrf<float>(sizes, nb, [](Batch<float>&) {});
   }
 }
 
@@ -100,6 +134,66 @@ TEST(GetrfVbatched, SingularMatrixFlagged) {
   getrf_vbatched<double>(q, batch, ipiv);
   EXPECT_EQ(batch.info()[0], 0);
   EXPECT_GT(batch.info()[1], 0);
+}
+
+// ---------------------------------------------------------------------------
+// LU edge cases: non-finite, singular and empty inputs
+// ---------------------------------------------------------------------------
+
+template <typename T>
+class GetrfVbatchedEdgeCases : public ::testing::Test {
+ protected:
+  void TearDown() override { util::set_host_threads(0); }
+};
+using GetrfTypes = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(GetrfVbatchedEdgeCases, GetrfTypes);
+
+/// NaN and ±Inf entries, an exact zero pivot inside a panel, on a panel's
+/// last column and on the last column, an empty matrix, padded lda: info,
+/// pivots and factors are blas::getrf's, and the same at 1 and 4 workers.
+TYPED_TEST(GetrfVbatchedEdgeCases, MatchHostGetrfAtAnyWorkerCount) {
+  using T = TypeParam;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  struct Entry {
+    int r, c;
+    double value;
+  };
+  // Matrix k + 1 of order 100 carries entries[k]; with 16-wide panels the
+  // panels start at 0, 16, …, 96.
+  const std::vector<Entry> entries{
+      {50, 20, kNaN}, {30, 30, kNaN}, {60, 10, kInf}, {70, 70, -kInf}, {5, 90, kInf}};
+  // Exactly zero columns: inside panel 2, on its last column, on the last
+  // column. A zero column stays zero under every earlier step, so its
+  // pivot is exactly zero.
+  const std::vector<int> zero_cols{40, 47, 99};
+  std::vector<int> sizes(1 + entries.size() + zero_cols.size(), 100);
+  sizes.push_back(0);
+  sizes.push_back(23);
+  constexpr int kNb = 16;
+
+  auto poke = [&](Batch<T>& b) {
+    for (std::size_t k = 0; k < entries.size(); ++k)
+      b.matrix(static_cast<int>(k + 1))(entries[k].r, entries[k].c) =
+          static_cast<T>(entries[k].value);
+    for (std::size_t k = 0; k < zero_cols.size(); ++k) {
+      MatrixView<T> a = b.matrix(static_cast<int>(1 + entries.size() + k));
+      for (index_t r = 0; r < a.rows(); ++r) a(r, zero_cols[k]) = T(0);
+    }
+  };
+  std::vector<GetrfOutput> runs;
+  for (unsigned threads : {1u, 4u}) {
+    util::set_host_threads(threads);
+    runs.push_back(expect_getrf_is_host_getrf<T>(sizes, kNb, poke));
+  }
+  EXPECT_EQ(runs[0].info, runs[1].info);
+  EXPECT_TRUE(runs[0].bytes == runs[1].bytes);
+  // The clean matrix and the empty one succeed; each zero column is the
+  // first zero pivot of its matrix.
+  EXPECT_EQ(runs[0].info[0], 0);
+  EXPECT_EQ(runs[0].info[sizes.size() - 2], 0);
+  for (std::size_t k = 0; k < zero_cols.size(); ++k)
+    EXPECT_EQ(runs[0].info[1 + entries.size() + k], zero_cols[k] + 1);
 }
 
 TEST(GetrsVbatched, SolvesAgainstKnownSolutions) {

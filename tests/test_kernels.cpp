@@ -111,12 +111,34 @@ TEST(AuxKernels, CountLive) {
 }
 
 TEST(AuxKernels, DisplacePtrs) {
+  // 300 pointers: a full 256-entry block and a 44-entry tail, each entry a
+  // pointer read and written plus its ld read, two integer ops.
   auto dev = make_dev();
-  std::vector<double> buf(100);
-  std::vector<double*> base{buf.data()};
-  std::vector<int> lda{10};
-  auto out = displace_ptrs<double>(dev, {base.data(), 1}, lda, 3, 4);
-  EXPECT_EQ(out[0], buf.data() + 3 + 4 * 10);
+  displace_ptrs(dev, 300);
+  ASSERT_EQ(dev.timeline().size(), 1u);
+  const sim::KernelRecord& rec = dev.timeline().records().back();
+  EXPECT_EQ(rec.name, "aux_displace_ptrs");
+  EXPECT_EQ(rec.grid_blocks, 2);
+  EXPECT_EQ(rec.block_threads, 256);
+  EXPECT_EQ(rec.shared_mem, 0u);
+  EXPECT_EQ(rec.flops, 600.0);
+  EXPECT_EQ(rec.bytes, 300.0 * (2 * sizeof(double*) + sizeof(int)));
+
+  // The seconds are the element-wise kernel's, priced block by block.
+  auto ref = make_dev();
+  const double want = ref.launch({"aux_displace_ptrs", 2, 256, 0, Precision::Single},
+                                 [](int block) {
+                                   sim::BlockCost c;
+                                   const int elems = block == 0 ? 256 : 44;
+                                   c.active_threads = elems;
+                                   c.live_threads = 256;
+                                   c.flops = 2.0 * elems;
+                                   c.bytes = elems * (2.0 * sizeof(double*) + sizeof(int));
+                                   return c;
+                                 });
+  EXPECT_GT(want, 0.0);
+  EXPECT_EQ(rec.end - rec.start, want);
+  EXPECT_EQ(dev.time(), ref.time());
 }
 
 // ---------------------------------------------------------------------------

@@ -182,6 +182,34 @@ TEST(Getrf, SingularMatrixReportsInfo) {
   EXPECT_GT(blas::getf2<double>(a, ipiv), 0);
 }
 
+TEST(Laswp, AppliesPivotsToColumnRange) {
+  // Pivots swap rows 0<->3 and 1<->4 (1-based entries 4 and 5), applied to
+  // the column block [2, 10) only.
+  Rng rng(507);
+  const int n = 10;
+  std::vector<double> buf(static_cast<std::size_t>(n * n));
+  fill_general(rng, buf.data(), n, n, n);
+  const auto orig = buf;
+  const std::vector<int> ipiv{4, 5};
+  MatrixView<double> a(buf.data(), n, n, n);
+  blas::laswp<double>(a.block(0, 2, n, n - 2), ipiv, 0, 2);
+
+  for (int c = 0; c < n; ++c) {
+    for (int r = 0; r < n; ++r) {
+      int src_row = r;
+      if (c >= 2) {  // swapped range only
+        if (r == 0) src_row = 3;
+        else if (r == 3) src_row = 0;
+        else if (r == 1) src_row = 4;
+        else if (r == 4) src_row = 1;
+      }
+      EXPECT_EQ(buf[static_cast<std::size_t>(r + c * n)],
+                orig[static_cast<std::size_t>(src_row + c * n)])
+          << r << "," << c;
+    }
+  }
+}
+
 TEST(Getrf, RectangularTallResidual) {
   Rng rng(123);
   const int m = 30, n = 18;

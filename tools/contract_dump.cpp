@@ -1,19 +1,24 @@
-// contract_dump: prints what the vbatched fronts other than the potrf
-// drivers report and write — call seconds and flops, every field of every
-// timeline record (doubles with %a), info, and an FNV-1a hash of the bytes
-// of every factor (lda padding included), pivot array, tau array and
-// right-hand side — first in Full mode, then in TimingOnly mode (which has
-// no payload to hash). Two builds, or two worker counts, agree exactly when
-// their outputs are byte-identical:
+// contract_dump: prints what the vbatched fronts report and write — call
+// seconds and flops, the device clock, every field of every timeline record
+// (doubles with %a), info, and an FNV-1a hash of the bytes of every factor
+// (lda padding included), pivot array, tau array and right-hand side —
+// first in Full mode, then in TimingOnly mode (which has no payload to
+// hash). Two builds, or two worker counts, agree exactly when their outputs
+// are byte-identical:
 //
 //   VBATCH_NUM_THREADS=1 contract_dump > one.txt
 //   VBATCH_NUM_THREADS=4 contract_dump > four.txt && cmp one.txt four.txt
 //
-// The fronts: getrf/getrs, geqrf/ormqr/geqrs, potrs/posv/potri, the classic
-// Cholesky (Lower and Upper), and gemm/syrk/trsm/trmm vbatched. Batches are
-// ragged around the panel widths, hold empty matrices, and carry singular
-// (LU) and non-SPD (Cholesky) matrices. Wide QR matrices (m < n) print in a
-// section of their own.
+// The fronts: the potrf drivers (potrf_vbatched_max on the fused plan with
+// implicit sorting on and off under both ETMs and on the separated plan
+// with the vbatched and the streamed syrk, potrf_vbatched, and
+// potrf_vbatched_hetero on a cpu,k40c,p100 pool, whose every executor's
+// schedule fields and timeline print too), getrf/getrs, geqrf/ormqr/geqrs,
+// potrs/posv/potri, the classic Cholesky, and gemm/syrk/trsm/trmm vbatched;
+// the Cholesky fronts run Lower and Upper. Batches are ragged around the
+// panel widths, hold empty matrices, and carry singular (LU) and non-SPD
+// (Cholesky) matrices. Wide QR matrices (m < n) print in a section of their
+// own.
 //
 // A first section hashes the host BLAS the fronts compute with: blas::gemm
 // (every trans pair, alpha 1, -1 and 0.3), syrk (both uplos and trans),
@@ -35,7 +40,10 @@
 #include "vbatch/core/geqrf_vbatched.hpp"
 #include "vbatch/core/getrf_vbatched.hpp"
 #include "vbatch/core/potrf_classic.hpp"
+#include "vbatch/core/potrf_vbatched.hpp"
 #include "vbatch/core/potrs_vbatched.hpp"
+#include "vbatch/hetero/device_pool.hpp"
+#include "vbatch/hetero/potrf_hetero.hpp"
 #include "vbatch/util/flags.hpp"
 #include "vbatch/util/rng.hpp"
 
@@ -68,17 +76,34 @@ class Dumper {
     std::printf(" clock");
     put(q_.time());
     std::printf("\n");
-    const auto& recs = q_.device().timeline().records();
-    for (; seen_ < recs.size(); ++seen_) {
-      const sim::KernelRecord& k = recs[seen_];
-      std::printf("  %s", k.name.c_str());
-      put(k.start);
-      put(k.end);
-      std::printf(" %d %d %zu %d", k.grid_blocks, k.block_threads, k.shared_mem,
-                  k.resident_per_sm);
-      put(k.flops);
-      put(k.bytes);
-      std::printf(" %d %d %d\n", k.early_exits, k.stream, k.fault ? 1 : 0);
+    seen_ = records(q_, seen_);
+  }
+
+  /// One pool call's result, then every executor's schedule slice, clock
+  /// and timeline (each executor's timeline holds only this call's records).
+  void pool_call(const std::string& what, hetero::DevicePool& pool,
+                 const hetero::HeteroResult& r) {
+    std::printf("%s seconds", what.c_str());
+    put(r.seconds);
+    std::printf(" flops");
+    put(r.flops);
+    std::printf(" path %s chunks %d steals %d", to_string(r.path_taken), r.chunks, r.steals);
+    put(r.h2d_bytes);
+    put(r.d2h_bytes);
+    std::printf(" memo %d %d\n", r.estimate_memo_hits, r.estimate_memo_misses);
+    for (int e = 0; e < pool.size(); ++e) {
+      const hetero::ExecutorReport& x = r.executors[static_cast<std::size_t>(e)];
+      std::printf(" %s", x.name.c_str());
+      for (double v : {x.busy_seconds, x.finish_seconds, x.occupied_seconds, x.overlap,
+                       x.h2d_seconds, x.d2h_seconds, x.h2d_bytes, x.d2h_bytes,
+                       x.pipeline_seconds, x.flops, x.joules, x.transfer_joules})
+        put(v);
+      std::printf(" %d %d %d %d %d %d %d %d clock", x.chunks, x.stolen, x.streams,
+                  x.max_in_flight, x.retries, x.lost ? 1 : 0, x.streamed ? 1 : 0, x.matrices);
+      Queue& eq = pool.executor(e).queue();
+      put(eq.time());
+      std::printf("\n");
+      records(eq, 0);
     }
   }
 
@@ -106,6 +131,24 @@ class Dumper {
   template <typename T>
   static void bytes(const char* what, int i, const T* p, std::size_t count) {
     std::printf("  %s[%d] %016llx\n", what, i, fnv1a(p, count));
+  }
+
+  /// Prints the records of q's timeline from index `from` on; returns the
+  /// record count.
+  static std::size_t records(Queue& q, std::size_t from) {
+    const auto& recs = q.device().timeline().records();
+    for (; from < recs.size(); ++from) {
+      const sim::KernelRecord& k = recs[from];
+      std::printf("  %s", k.name.c_str());
+      put(k.start);
+      put(k.end);
+      std::printf(" %d %d %zu %d", k.grid_blocks, k.block_threads, k.shared_mem,
+                  k.resident_per_sm);
+      put(k.flops);
+      put(k.bytes);
+      std::printf(" %d %d %d\n", k.early_exits, k.stream, k.fault ? 1 : 0);
+    }
+    return from;
   }
 
   Queue& q_;
@@ -155,6 +198,49 @@ void dump_cholesky(Queue& q, Dumper& d, Rng& fill) {
   d.call("potri", potri_vbatched<T>(q, Uplo::Lower, spd));
   d.batch("spd", spd);
   d.batch("rhs", rhs);
+}
+
+/// The potrf drivers, each call on a fresh poisoned ragged batch, Lower and
+/// Upper.
+template <typename T>
+void dump_potrf(Queue& q, Dumper& d, Rng& fill) {
+  const int max_n = *std::max_element(kSizes.begin(), kSizes.end());
+  auto on_fresh = [&](auto&& factor) {
+    Batch<T> spd(q, kSizes, 2);
+    spd.fill_spd(fill);
+    poison_spd(q, spd);
+    factor(spd);
+    d.batch("potrf", spd);
+  };
+  for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+    const std::string u = uplo == Uplo::Lower ? "_lower" : "_upper";
+    auto with_max = [&](const std::string& what, const PotrfOptions& opts) {
+      on_fresh([&](Batch<T>& b) {
+        d.call(what + u, potrf_vbatched_max<T>(q, uplo, b, max_n, opts));
+      });
+    };
+    for (EtmMode etm : {EtmMode::Classic, EtmMode::Aggressive})
+      for (bool sorting : {true, false}) {
+        PotrfOptions fused;
+        fused.path = PotrfPath::Fused;
+        fused.etm = etm;
+        fused.implicit_sorting = sorting;
+        with_max(std::string("potrf_fused_") + std::string(to_string(etm)) +
+                     (sorting ? "_sorted" : "_unsorted"),
+                 fused);
+      }
+    for (bool streamed : {false, true}) {
+      PotrfOptions separated;
+      separated.path = PotrfPath::Separated;
+      separated.streamed_syrk = streamed;
+      with_max(streamed ? "potrf_separated_streamed" : "potrf_separated", separated);
+    }
+    on_fresh([&](Batch<T>& b) { d.call("potrf_vbatched" + u, potrf_vbatched<T>(q, uplo, b)); });
+    hetero::DevicePool pool = hetero::DevicePool::parse("cpu,k40c,p100");
+    on_fresh([&](Batch<T>& b) {
+      d.pool_call("potrf_hetero" + u, pool, hetero::potrf_vbatched_hetero<T>(pool, uplo, b));
+    });
+  }
 }
 
 template <typename T>
@@ -369,6 +455,8 @@ void dump_type(sim::ExecMode mode, const char* type) {
       dump_qr<T>(q, d, fill, {wide_m[k]}, {wide_n[k]}, false);
     dump_qr<T>(q, d, fill, wide_m, wide_n, false);
   }
+  std::printf("== potrf %s\n", type);
+  dump_potrf<T>(q, d, fill);
 }
 
 }  // namespace
